@@ -14,8 +14,7 @@ from .monitor import SlidingWindow, WindowEntry, WorkloadSummary
 from .replay import (RunReport, SimulatorStack, emit_report, replay,
                      run_sweep)
 from .rl import AgentState, QTable, SpaceAgent, bucket_fraction, reward
-from .ssd import (FlashGeometry, LatencyModel, Mode, SsdState, desk_geometry,
-                  new_ssd)
+from .ssd import FlashGeometry, LatencyModel, Mode, SsdState, desk_geometry
 from .trace import (FORMATS, OpKind, TraceRecord, load_trace, page_span,
                     parse_trace_line, synth_trace)
 from .tuner import (PromptBundle, RemoteBackend, ScriptedBackend,
@@ -42,7 +41,7 @@ __all__ = [
     "WaCounters", "WindowEntry", "WorkloadSummary", "accuracy",
     "bucket_fraction", "build_prompt", "classify", "correct_mistakes",
     "default_param_bounds", "desk_geometry", "emit_report", "estimate_tokens",
-    "kmeans", "load_config_file", "load_trace", "measure", "new_ssd",
+    "kmeans", "load_config_file", "load_trace", "measure",
     "page_span", "parse_config", "parse_scalar", "parse_trace_line",
     "query_backend", "replay", "resolve_param_name", "reward", "run_sweep",
     "segment_prompt", "should_rollback", "slice_of", "synth_trace",

@@ -8,7 +8,7 @@ import sys
 from .config import ConfigProfile, load_config_file
 from .errors import ConfigError, SimulatorError
 from .replay import emit_report, replay, run_sweep
-from .ssd import FlashGeometry, LatencyModel
+from .ssd import FlashGeometry, initial_layout
 from .trace import FORMATS, load_trace, synth_trace
 from .tuner import (DEFAULT_MAX_TOKENS, DEFAULT_OVERLAP_TOKENS, RemoteBackend,
                     ScriptedBackend)
@@ -139,13 +139,8 @@ def cmd_run(args) -> int:
     if geo_over:
         from dataclasses import replace
         geometry = replace(geometry, **geo_over)
-    # mirror SsdState's capacity math to size the synthetic LPN space
-    n_slc = int(mode_split * geometry.channels * geometry.blocks_per_channel
-                + 0.5)
-    qlc_blocks = geometry.channels * geometry.blocks_per_channel - n_slc
-    raw_pages = (n_slc * geometry.pages_per_block_slc +
-                 qlc_blocks * geometry.pages_per_block_qlc)
-    logical_pages = int(raw_pages * (1.0 - geometry.op_ratio))
+    # the synthetic LPN space spans the device's logical capacity
+    _, logical_pages = initial_layout(geometry, mode_split)
     records, skipped = _load_records(args, geometry, logical_pages)
     if not records:
         raise ConfigError("trace produced no usable records")

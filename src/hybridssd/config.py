@@ -62,9 +62,7 @@ class ParamSpec:
     kind: str                    # "int" | "float" | "enum"
     lo: float | None = None
     hi: float | None = None
-    unit: str = ""
     step: int | None = None      # int params only: value snapped to a multiple
-    choices: tuple[str, ...] = ()
 
 
 def default_param_bounds(page_size: int = 16384) -> dict[str, ParamSpec]:
@@ -74,21 +72,20 @@ def default_param_bounds(page_size: int = 16384) -> dict[str, ParamSpec]:
     carries step=page_size and its floor is one page.
     """
     specs = [
-        ParamSpec("conversion_granularity", "int", 1, 64, "blocks"),
-        ParamSpec("conversion_trigger_threshold", "int", 1, 50, "percent"),
-        ParamSpec("gc_granularity", "int", 1, 64, "blocks"),
-        ParamSpec("gc_trigger_threshold", "int", 1, 50, "percent"),
-        ParamSpec("placement_strategy", "enum",
-                  choices=tuple(s.value for s in PlacementStrategy)),
-        ParamSpec("window_size", "int", 16, 200000, "requests"),
-        ParamSpec("std_dev_threshold", "int", 1, 100000000, "pages"),
-        ParamSpec("slice_size", "int", page_size, 16 * 1024 ** 3, "bytes",
+        ParamSpec("conversion_granularity", "int", 1, 64),
+        ParamSpec("conversion_trigger_threshold", "int", 1, 50),
+        ParamSpec("gc_granularity", "int", 1, 64),
+        ParamSpec("gc_trigger_threshold", "int", 1, 50),
+        ParamSpec("placement_strategy", "enum"),
+        ParamSpec("window_size", "int", 16, 200000),
+        ParamSpec("std_dev_threshold", "int", 1, 100000000),
+        ParamSpec("slice_size", "int", page_size, 16 * 1024 ** 3,
                   step=page_size),
-        ParamSpec("kmeans_max_iterations", "int", 1, 1000, "iterations"),
-        ParamSpec("kmeans_trigger_threshold", "int", 100, 100000000, "writes"),
-        ParamSpec("rl_training_interval", "int", 10, 10000000, "requests"),
+        ParamSpec("kmeans_max_iterations", "int", 1, 1000),
+        ParamSpec("kmeans_trigger_threshold", "int", 100, 100000000),
+        ParamSpec("rl_training_interval", "int", 10, 10000000),
         ParamSpec("rl_learning_rate", "float", 1e-6, 1.0),
-        ParamSpec("rl_reward_threshold", "float", 1.0, 60000000.0, "us"),
+        ParamSpec("rl_reward_threshold", "float", 1.0, 60000000.0),
         ParamSpec("rl_discount", "float", 0.0, 0.9999),
         ParamSpec("rl_exploration", "float", 0.0, 1.0),
     ]
@@ -276,9 +273,10 @@ def load_config_file(path) -> tuple[ConfigProfile, dict]:
             elif isinstance(value, str):
                 raise ConfigError(f"{path}:{line_no}: {canon} needs a number")
             updates[canon] = value
-    # rebuild slice_size step against the file's own page size if given
-    if "page_size" in settings:
-        bounds = default_param_bounds(page_size=int(settings["page_size"]))
+    # rebuild slice_size step against the file's own page size if given; a
+    # fractional page size is left for FlashGeometry to reject by name
+    if isinstance(settings.get("page_size"), int):
+        bounds = default_param_bounds(page_size=settings["page_size"])
     profile = replace(profile, **updates)
     validate_profile(profile, bounds)
     return profile, settings

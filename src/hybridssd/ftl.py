@@ -8,7 +8,7 @@ Foreground GC triggered by a request is billed to that request.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import ConfigProfile, PlacementStrategy
 from .errors import CapacityError, NoData
@@ -28,13 +28,7 @@ class ActionKind(enum.Enum):
 
 
 # fixed enumeration order; argmax tie-breaks and fuzz tables rely on it
-ACTION_ORDER = (
-    ActionKind.SLC_INTERNAL_GC,
-    ActionKind.QLC_INTERNAL_GC,
-    ActionKind.SLC_TO_QLC_GC,
-    ActionKind.SLC_TO_QLC_MC,
-    ActionKind.IDLE,
-)
+ACTION_ORDER = tuple(ActionKind)
 
 
 @dataclass(frozen=True)
@@ -62,6 +56,12 @@ class WaCounters:
     device_pages_written: int = 0
 
 
+def write_amplification(device_pages: int, host_pages: int) -> float | None:
+    """Device pages programmed per host page written; None without host
+    writes, where each caller picks its own stand-in."""
+    return device_pages / host_pages if host_pages > 0 else None
+
+
 class FtlEngine:
     """Address translation plus the five space-management actions.
 
@@ -77,12 +77,7 @@ class FtlEngine:
         self.action_source = action_source
         self.record_ops = record_ops
         self.op_log: list[dict] = []
-        self.wa = WaCounters()
-        self.rejected_requests = 0
-        self.unmapped_reads = 0
-        self.capacity_pressure_warnings = 0
-        self.ineffective_actions = 0
-        self.action_counts = {kind: 0 for kind in ActionKind}
+        self.reset_counters()
         channels = ssd.geometry.channels
         # active = block currently taking appends, per mode per channel;
         # full blocks are retired from here immediately after programming
@@ -95,6 +90,15 @@ class FtlEngine:
             ch = ssd.geometry.channel_of(block_id)
             self.free[block.mode][ch].add(block_id)
         self.stripe_cursor = {Mode.SLC: 0, Mode.QLC: 0}
+
+    def reset_counters(self) -> None:
+        """Zero the run statistics; device state and placement stay."""
+        self.wa = WaCounters()
+        self.rejected_requests = 0
+        self.unmapped_reads = 0
+        self.capacity_pressure_warnings = 0
+        self.ineffective_actions = 0
+        self.action_counts = {kind: 0 for kind in ActionKind}
 
     # --- occupancy ---------------------------------------------------------
 
@@ -121,18 +125,16 @@ class FtlEngine:
 
     @property
     def wa_coefficient(self) -> float:
-        if self.wa.host_pages_written == 0:
+        wa = write_amplification(self.wa.device_pages_written,
+                                 self.wa.host_pages_written)
+        if wa is None:
             raise NoData("write amplification undefined before any host write")
-        return self.wa.device_pages_written / self.wa.host_pages_written
+        return wa
 
     def summary(self) -> dict:
         return {
             "slc_free_fraction": self.free_fraction(Mode.SLC),
             "qlc_free_fraction": self.free_fraction(Mode.QLC),
-            "slc_blocks": self.ssd.block_count(Mode.SLC),
-            "qlc_blocks": self.ssd.block_count(Mode.QLC),
-            "wa": (self.wa.device_pages_written / self.wa.host_pages_written
-                   if self.wa.host_pages_written else 1.0),
         }
 
     # --- allocation ----------------------------------------------------------
@@ -280,13 +282,6 @@ class FtlEngine:
             if self.ssd.blocks[victim].valid_count <= self._free_pages(dst):
                 return SpaceAction(kind, self.config.gc_granularity)
         return SpaceAction(ActionKind.IDLE)
-
-    def maybe_trigger_space_mgmt(self) -> float:
-        """Run the GC loop if a region dropped below the trigger threshold."""
-        serial: list = []
-        us = self._space_management(serial)
-        self._log_request([], serial)
-        return us
 
     def _space_management(self, serial_sink: list, forced: bool = False) -> float:
         total = 0.0

@@ -90,22 +90,19 @@ def _minmax(col: np.ndarray) -> np.ndarray:
     return (col - lo) / (hi - lo)
 
 
-def kmeans(points: np.ndarray, k: int, max_iterations: int, tol: float,
-           rng=None) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def kmeans(points: np.ndarray, k: int, max_iterations: int,
+           tol: float) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd's algorithm with deterministic extreme-point seeding.
 
     Rows are feature vectors already normalized to comparable scales.
     Centroids start at the points with extreme first-feature values
-    (evenly spaced quantile positions for k > 2); pass an rng for random
-    init instead. Returns (assignments, centroids, inertia history).
+    (evenly spaced quantile positions for k > 2). Returns (assignments,
+    centroids, inertia history).
     """
     n = len(points)
-    if rng is not None:
-        idx = rng.sample(range(n), k)
-    else:
-        order = np.lexsort((np.arange(n), points[:, 0]))
-        idx = [order[round(j * (n - 1) / (k - 1))] for j in range(k)] \
-            if k > 1 else [order[-1]]
+    order = np.lexsort((np.arange(n), points[:, 0]))
+    idx = [order[round(j * (n - 1) / (k - 1))] for j in range(k)] \
+        if k > 1 else [order[-1]]
     centroids = points[idx].astype(float).copy()
     assign = np.zeros(n, dtype=int)
     inertia_history: list[float] = []
@@ -129,7 +126,7 @@ def kmeans(points: np.ndarray, k: int, max_iterations: int, tol: float,
 
 def classify(stats: UpdateStats, now_us: float, k: int = 2,
              max_iterations: int = 10, tol: float = 1e-4,
-             generation: int = 0, rng=None) -> HotnessLabels:
+             generation: int = 0) -> HotnessLabels:
     """Label every observed slice Hot or Cold from this window's stats.
 
     Features per slice: update count and mean update interval (slices with a
@@ -156,7 +153,7 @@ def classify(stats: UpdateStats, now_us: float, k: int = 2,
                   for s, c in zip(slice_ids, counts)}
         return HotnessLabels(labels, generation, stats.slice_size,
                              stats.page_size)
-    assign, _, _ = kmeans(points, k, max_iterations, tol, rng=rng)
+    assign, _, _ = kmeans(points, k, max_iterations, tol)
     best = None
     best_key = None
     for j in range(k):

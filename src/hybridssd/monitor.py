@@ -36,7 +36,6 @@ class SlidingWindow:
             raise ConfigError("window capacity must be >= 2")
         self.capacity = capacity
         self.entries: deque[WindowEntry] = deque()
-        self.total_pushed = 0
         self._prev_std: float | None = None
         self.shifts_detected = 0
 
@@ -44,7 +43,6 @@ class SlidingWindow:
         self.entries.append(entry)
         if len(self.entries) > self.capacity:
             self.entries.popleft()
-        self.total_pushed += 1
 
     def set_capacity(self, capacity: int) -> None:
         """Resize keeping the most recent entries."""

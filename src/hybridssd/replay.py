@@ -13,11 +13,12 @@ import os
 import random
 import tempfile
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .config import ConfigProfile, default_param_bounds
 from .errors import ConfigError, NoData
-from .ftl import ACTION_ORDER, ActionKind, FtlEngine, SpaceAction
+from .ftl import (ACTION_ORDER, ActionKind, FtlEngine, SpaceAction,
+                  write_amplification)
 from .hotness import HotnessClassifier
 from .monitor import SlidingWindow, WindowEntry
 from .rl import SpaceAgent
@@ -51,8 +52,7 @@ class SimulatorStack:
         self.requests = 0
         self.writes = 0
         self.reads = 0
-        self.total_latency_us = 0.0
-        self.clock_us = 0.0
+        self.total_latency_us = 0.0     # also the virtual clock
         self.classifications = 0
         self.config_applications = 0
         self.last_summary = None
@@ -118,21 +118,21 @@ class SimulatorStack:
         else:
             for lpn, n in spans:
                 us += self.ftl.handle_read(lpn, n)
-        self.clock_us += us
         self.total_latency_us += us
+        now = self.total_latency_us
         self.requests += 1
         if is_write:
             self.writes += 1
             for lpn, n in spans:
                 for i in range(n):
-                    self.classifier.record_write(lpn + i, self.clock_us)
+                    self.classifier.record_write(lpn + i, now)
         else:
             self.reads += 1
         total_pages = sum(n for _, n in spans)
         self.monitor.push(WindowEntry(lpn=spans[0][0], is_write=is_write,
                                       size_pages=total_pages,
-                                      timestamp_us=self.clock_us))
-        if self.classifier.maybe_classify(self.config, self.clock_us):
+                                      timestamp_us=now))
+        if self.classifier.maybe_classify(self.config, now):
             self.classifications += 1
         if (self.requests - self._train_req_mark
                 >= self.config.rl_training_interval):
@@ -146,39 +146,29 @@ class SimulatorStack:
         self.config = profile
         self.ftl.config = profile
         self.monitor.set_capacity(profile.window_size)
-        self.classifier.reconfigure(profile.slice_size, self.clock_us)
+        self.classifier.reconfigure(profile.slice_size,
+                                    self.total_latency_us)
         self.config_applications += 1
 
     def marker(self) -> Marker:
-        return Marker(requests=self.requests, writes=self.writes,
+        return Marker(requests=self.requests,
                       total_latency_us=self.total_latency_us,
                       host_pages=self.ftl.wa.host_pages_written,
-                      device_pages=self.ftl.wa.device_pages_written,
-                      clock_us=self.clock_us)
+                      device_pages=self.ftl.wa.device_pages_written)
 
     def zero_marker(self) -> Marker:
-        return Marker(0, 0, 0.0, 0, 0, 0.0)
+        return Marker(0, 0.0, 0, 0)
 
     def system_info(self) -> dict:
-        g = self.geometry
-        lat = self.ssd.latency
         return {
-            "channels": g.channels,
-            "blocks_per_channel": g.blocks_per_channel,
-            "page_size": g.page_size,
-            "pages_per_block_slc": g.pages_per_block_slc,
-            "pages_per_block_qlc": g.pages_per_block_qlc,
-            "op_ratio": g.op_ratio,
+            **asdict(self.geometry),
+            "pages_per_block_qlc": self.geometry.pages_per_block_qlc,
             "logical_capacity_pages": self.ssd.logical_capacity_pages,
             "slc_blocks": self.ssd.block_count(Mode.SLC),
             "qlc_blocks": self.ssd.block_count(Mode.QLC),
             "slc_free_fraction": self.ftl.free_fraction(Mode.SLC),
             "qlc_free_fraction": self.ftl.free_fraction(Mode.QLC),
-            "latency": {
-                "read_slc": lat.read_slc, "read_qlc": lat.read_qlc,
-                "write_slc": lat.write_slc, "write_qlc": lat.write_qlc,
-                "erase_slc": lat.erase_slc, "erase_qlc": lat.erase_qlc,
-            },
+            "latency": asdict(self.ssd.latency),
         }
 
     # --- prefill ------------------------------------------------------------------
@@ -201,18 +191,10 @@ class SimulatorStack:
         return n
 
     def reset_metrics(self) -> None:
-        ftl = self.ftl
-        ftl.wa.host_pages_written = 0
-        ftl.wa.device_pages_written = 0
-        ftl.rejected_requests = 0
-        ftl.unmapped_reads = 0
-        ftl.capacity_pressure_warnings = 0
-        ftl.ineffective_actions = 0
-        ftl.action_counts = {kind: 0 for kind in ActionKind}
-        ftl.op_log.clear()
+        self.ftl.reset_counters()
+        self.ftl.op_log.clear()
         self.requests = self.writes = self.reads = 0
         self.total_latency_us = 0.0
-        self.clock_us = 0.0
         self._train_req_mark = 0
         self._train_lat_mark = 0.0
         self._erase_baseline = self.ssd.erase_ops
@@ -265,9 +247,6 @@ def _build_report(stack: SimulatorStack, mode: str, trace_ops: int,
                   skipped: int, config_initial: ConfigProfile,
                   loop: VerificationLoop | None,
                   baseline_total_us: float | None) -> RunReport:
-    wa = None
-    if stack.ftl.wa.host_pages_written > 0:
-        wa = stack.ftl.wa.device_pages_written / stack.ftl.wa.host_pages_written
     epochs = []
     acc = None
     epochs_run = 0
@@ -281,20 +260,13 @@ def _build_report(stack: SimulatorStack, mode: str, trace_ops: int,
     normalized = None
     if baseline_total_us:
         normalized = stack.total_latency_us / baseline_total_us
-    g = stack.geometry
     return RunReport(
         mode=mode,
         seed=stack.seed,
         trace_ops=trace_ops,
         skipped_lines=skipped,
-        geometry={
-            "channels": g.channels,
-            "blocks_per_channel": g.blocks_per_channel,
-            "pages_per_block_slc": g.pages_per_block_slc,
-            "page_size": g.page_size,
-            "op_ratio": g.op_ratio,
-            "initial_mode_split": stack.initial_mode_split,
-        },
+        geometry={**asdict(stack.geometry),
+                  "initial_mode_split": stack.initial_mode_split},
         config_initial=config_initial.as_dict(),
         config_final=stack.config.as_dict(),
         requests=stack.requests,
@@ -306,7 +278,8 @@ def _build_report(stack: SimulatorStack, mode: str, trace_ops: int,
         mean_latency_us=(stack.total_latency_us / stack.requests
                          if stack.requests else None),
         normalized_execution_time=normalized,
-        wa=wa,
+        wa=write_amplification(stack.ftl.wa.device_pages_written,
+                               stack.ftl.wa.host_pages_written),
         erases=stack.erases,
         capacity_pressure_warnings=stack.ftl.capacity_pressure_warnings,
         ineffective_actions=stack.ftl.ineffective_actions,

@@ -19,6 +19,8 @@ logger = logging.getLogger(__name__)
 
 N_FREE_BUCKETS = 10
 N_QUARTILES = 4
+# writes/sec samples kept to rank the current write intensity
+INTENSITY_SAMPLES = 256
 
 
 class AgentState(NamedTuple):
@@ -44,7 +46,6 @@ class QTable:
 
     def __init__(self):
         self.q: dict[tuple[AgentState, ActionKind], float] = {}
-        self.visits: dict[tuple[AgentState, ActionKind], int] = {}
         self.reset_warnings = 0
 
     def value(self, state: AgentState, action: ActionKind) -> float:
@@ -74,7 +75,6 @@ class QTable:
             self.reset_warnings += 1
             new = 0.0
         self.q[(state, action)] = new
-        self.visits[(state, action)] = self.visits.get((state, action), 0) + 1
         return new
 
     def to_json_dict(self) -> dict:
@@ -93,12 +93,11 @@ class SpaceAgent:
     applies it to every queued pair in order.
     """
 
-    def __init__(self, rng, calibration_size: int = 256):
+    def __init__(self, rng):
         self.qtable = QTable()
         self.rng = rng
         self.pending: list[tuple[AgentState, ActionKind]] = []
-        # rolling sample of writes/sec used to rank the current intensity
-        self.intensity_samples: deque[float] = deque(maxlen=calibration_size)
+        self.intensity_samples: deque[float] = deque(maxlen=INTENSITY_SAMPLES)
         self.decisions = 0
         self.trainings = 0
 

@@ -33,6 +33,11 @@ class FlashGeometry:
     op_ratio: float = 0.125          # over-provisioned fraction of raw space
 
     def __post_init__(self):
+        for name in ("channels", "blocks_per_channel", "pages_per_block_slc",
+                     "page_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise GeometryError(f"{name} must be an integer, got {value!r}")
         if self.channels < 1 or self.blocks_per_channel < 1:
             raise GeometryError("channels and blocks_per_channel must be >= 1")
         if self.pages_per_block_slc < 1:
@@ -89,6 +94,24 @@ class LatencyModel:
         return self.erase_slc if mode is Mode.SLC else self.erase_qlc
 
 
+def initial_layout(geometry: FlashGeometry,
+                   initial_mode_split: float) -> tuple[int, int]:
+    """(SLC block count, logical capacity in pages) of a fresh device.
+
+    The lowest block ids start in SLC; ids round-robin channels, so the split
+    is channel-balanced by construction. The exported size is frozen here:
+    later mode conversions change raw capacity but never what the host can
+    address.
+    """
+    if not (0.0 <= initial_mode_split <= 1.0):
+        raise GeometryError("initial_mode_split must be in [0, 1]")
+    n_slc = int(initial_mode_split * geometry.total_blocks + 0.5)
+    raw_pages = (n_slc * geometry.pages_per_block_slc
+                 + (geometry.total_blocks - n_slc)
+                 * geometry.pages_per_block_qlc)
+    return n_slc, int(raw_pages * (1.0 - geometry.op_ratio))
+
+
 class BlockState:
     """One erase block: mode, page array, append-only write pointer."""
 
@@ -130,33 +153,19 @@ class SsdState:
 
     def __init__(self, geometry: FlashGeometry, latency: LatencyModel,
                  initial_mode_split: float = 0.25):
-        if not (0.0 <= initial_mode_split <= 1.0):
-            raise GeometryError("initial_mode_split must be in [0, 1]")
         self.geometry = geometry
         self.latency = latency
-        total = geometry.total_blocks
-        n_slc = int(initial_mode_split * total + 0.5)
-        # lowest ids become SLC; ids round-robin channels, so the split is
-        # channel-balanced by construction
-        self.blocks = [
-            BlockState(Mode.SLC if i < n_slc else Mode.QLC,
-                       geometry.pages_per_block(
-                           Mode.SLC if i < n_slc else Mode.QLC))
-            for i in range(total)
-        ]
-        raw_pages = sum(b.page_count for b in self.blocks)
-        # exported size is frozen here; later mode conversions change raw
-        # capacity but never what the host can address
-        self.logical_capacity_pages = int(raw_pages * (1.0 - geometry.op_ratio))
+        n_slc, self.logical_capacity_pages = initial_layout(
+            geometry, initial_mode_split)
+        modes = [Mode.SLC if i < n_slc else Mode.QLC
+                 for i in range(geometry.total_blocks)]
+        self.blocks = [BlockState(m, geometry.pages_per_block(m))
+                       for m in modes]
         self.mapping: dict[int, tuple[int, int]] = {}
         self.device_pages_written = 0
         self.erase_ops = 0
 
     # --- capacity and occupancy ---------------------------------------------
-
-    @property
-    def raw_capacity_pages(self) -> int:
-        return sum(b.page_count for b in self.blocks)
 
     def block_count(self, mode: Mode) -> int:
         return sum(1 for b in self.blocks if b.mode is mode)
@@ -284,11 +293,6 @@ class SsdState:
         if total_valid != len(self.mapping):
             raise AuditError(
                 f"{total_valid} valid pages vs {len(self.mapping)} mapped lpns")
-
-
-def new_ssd(geometry: FlashGeometry, latency: LatencyModel | None = None,
-            initial_mode_split: float = 0.25) -> SsdState:
-    return SsdState(geometry, latency or LatencyModel(), initial_mode_split)
 
 
 def desk_geometry(channels: int = 1, blocks_per_channel: int = 8,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .config import ConfigProfile, default_param_bounds
 from .errors import BackendUnavailable, ConfigError, NoData, NoValidUpdate, ParseFailure
+from .ftl import write_amplification
 from .tuner import (TuningRecord, Verdict, build_prompt, correct_mistakes,
                     parse_config, query_backend, segment_prompt,
                     DEFAULT_MAX_TOKENS, DEFAULT_OVERLAP_TOKENS)
@@ -25,8 +26,6 @@ class PerfSnapshot:
     mean_latency_us: float
     wa: float
     requests: int
-    writes: int
-    span_us: float
 
 
 @dataclass(frozen=True)
@@ -34,11 +33,9 @@ class Marker:
     """Counter snapshot delimiting a measurement span."""
 
     requests: int
-    writes: int
     total_latency_us: float
     host_pages: int
     device_pages: int
-    clock_us: float
 
 
 @dataclass(frozen=True)
@@ -66,14 +63,12 @@ def measure(stack, since: Marker) -> PerfSnapshot:
     n = now.requests - since.requests
     if n <= 0:
         raise NoData("no requests in measurement span")
-    host = now.host_pages - since.host_pages
-    device = now.device_pages - since.device_pages
+    wa = write_amplification(now.device_pages - since.device_pages,
+                             now.host_pages - since.host_pages)
     return PerfSnapshot(
         mean_latency_us=(now.total_latency_us - since.total_latency_us) / n,
-        wa=(device / host) if host > 0 else 1.0,
+        wa=1.0 if wa is None else wa,
         requests=n,
-        writes=now.writes - since.writes,
-        span_us=now.clock_us - since.clock_us,
     )
 
 
@@ -169,7 +164,7 @@ class VerificationLoop:
         try:
             prev = measure(stack, since)
         except NoData:
-            prev = PerfSnapshot(0.0, 1.0, 0, 0, 0.0)
+            prev = PerfSnapshot(0.0, 1.0, 0)
         if self.baseline is None:
             self.baseline = prev
         info = stack.system_info()

@@ -20,7 +20,6 @@ class TestWindowMechanics:
         for i in range(5):
             w.push(entry(i, t=float(i)))
         assert [e.lpn for e in w.entries] == [2, 3, 4]
-        assert w.total_pushed == 5
 
     def test_shrink_keeps_most_recent(self):
         w = SlidingWindow(10)

@@ -58,7 +58,7 @@ class TestSimulatorStack:
         assert us_r == 20.0           # one SLC read
         assert stack.requests == 2
         assert stack.writes == 1 and stack.reads == 1
-        assert stack.clock_us == stack.total_latency_us == us_w + us_r
+        assert stack.total_latency_us == us_w + us_r
 
     def test_training_cadence(self):
         stack = make_stack(gc_trigger_threshold=13, rl_training_interval=50)
@@ -447,6 +447,18 @@ class TestCli:
                        "--report", str(tmp_path / "x.json")] + SMALL_GEO_ARGS)
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["channels = 2.5",
+                                      "page_size = 1000.5"])
+    def test_fractional_geometry_in_config_is_a_clean_error(
+            self, tmp_path, capsys, line):
+        conf = tmp_path / "frac.conf"
+        conf.write_text(line + "\n", encoding="utf-8")
+        rc = cli.main(["run", "--ops", "100", "--config", str(conf),
+                       "--report", str(tmp_path / "x.json")] + SMALL_GEO_ARGS)
+        assert rc == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_trace_format_without_file_is_a_clean_error(self, tmp_path,
                                                         capsys):

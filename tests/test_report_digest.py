@@ -1,0 +1,92 @@
+"""Pinned report bytes: refactors must leave every report byte-identical.
+
+Each scenario replays a small deterministic trace, writes the report with
+`emit_report` and compares the sha256 of the written bytes (plus the epoch
+history file in tuned mode) against a digest recorded before the refactor.
+A change that moves a digest on purpose must say so and record the new one.
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from hybridssd import (ConfigProfile, EpochSchedule, LatencyModel,
+                       ScriptedBackend, SsdState, desk_geometry,
+                       emit_report, replay, synth_trace)
+
+FIXTURE = Path(__file__).parent / "fixtures" / "tuning_reply.txt"
+
+DIGESTS = {
+    "fresh_default":
+        "e77c6a48e976cf31d473013e5fd237445d2159333c898907266f45c815525da3",
+    "gc_agent_prefill":
+        "0b50053a7b0130120ec14ff2b2b154efd0741275ee0a3c39fbf0bf5a760ea303",
+    "tuned_fixture":
+        "36ca28476d9659e2ec997d0cdc04ca4dcff18bfc0afacf66fe655e14b6529071",
+}
+
+
+# two channels of 16 blocks, half SLC: small enough that GC runs within
+# a few hundred requests
+GEO = desk_geometry(channels=2, blocks_per_channel=16, pages_per_block_slc=8)
+SPLIT = 0.5
+
+
+def _run(ops, seed, **kw):
+    pages = SsdState(GEO, LatencyModel(), SPLIT).logical_capacity_pages
+    records = synth_trace(ops, pages, GEO.page_size, seed=seed)
+    config = ConfigProfile(gc_trigger_threshold=13, window_size=100,
+                           rl_training_interval=50,
+                           kmeans_trigger_threshold=400,
+                           slice_size=GEO.page_size * 8)
+    return replay(records, config, GEO, seed=seed, initial_mode_split=SPLIT,
+                  **kw)
+
+
+def fresh_default():
+    return _run(1500, seed=3)
+
+
+def gc_agent_prefill():
+    # the fill uses the fallback order; every later GC decision is the agent's
+    return _run(500, seed=5, prefill_fraction=0.9)
+
+
+def tuned_fixture():
+    schedule = EpochSchedule(tuning_interval_writes=300,
+                             investigation_ops=100, max_epochs=3)
+    return _run(2000, seed=7, mode="tuned",
+                backend=ScriptedBackend.from_file(FIXTURE), schedule=schedule)
+
+
+SCENARIOS = {
+    "fresh_default": fresh_default,
+    "gc_agent_prefill": gc_agent_prefill,
+    "tuned_fixture": tuned_fixture,
+}
+
+
+def report_digest(report, tmp_path) -> str:
+    path = tmp_path / "report.json"
+    emit_report(report, path, "json")
+    h = hashlib.sha256(path.read_bytes())
+    history = tmp_path / "report.history.jsonl"
+    if history.exists():
+        h.update(history.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_report_bytes_are_pinned(name, tmp_path):
+    report = SCENARIOS[name]()
+    assert report_digest(report, tmp_path) == DIGESTS[name]
+
+
+def test_scenarios_reach_the_layers_they_pin():
+    fresh = fresh_default()
+    assert fresh.requests == 1500 and fresh.qtable
+    gc = gc_agent_prefill()
+    assert gc.erases > 0 and gc.agent_decisions > 0
+    tuned = tuned_fixture()
+    assert tuned.epochs_run >= 1
+    assert all(e["prompt"] for e in tuned.epochs)

@@ -112,7 +112,6 @@ class TestAgent:
         assert r == 1.0
         assert agent.pending == []
         assert agent.trainings == 1
-        assert agent.qtable.visits[(S0, ActionKind.SLC_INTERNAL_GC)] == 4
 
     def test_same_reward_for_every_queued_pair(self):
         agent = SpaceAgent(random.Random(4))

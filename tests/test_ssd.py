@@ -2,7 +2,7 @@ import pytest
 
 from hybridssd import (AuditError, FlashGeometry, GeometryError, LatencyModel,
                        Mode, PageStateError, SsdState, desk_geometry)
-from hybridssd.ssd import PAGE_FREE, PAGE_INVALID
+from hybridssd.ssd import PAGE_FREE, PAGE_INVALID, initial_layout
 
 
 class TestGeometry:
@@ -19,6 +19,9 @@ class TestGeometry:
         dict(channels=0), dict(blocks_per_channel=0),
         dict(pages_per_block_slc=0), dict(page_size=0),
         dict(op_ratio=-0.1), dict(op_ratio=1.0),
+        # sizes must be ints: a config file can carry a fraction
+        dict(channels=2.5), dict(blocks_per_channel=8.0),
+        dict(pages_per_block_slc=True), dict(page_size=1000.5),
     ])
     def test_invalid_geometry_rejected(self, kw):
         with pytest.raises(GeometryError):
@@ -70,6 +73,15 @@ class TestConstruction:
         # 4 SLC * 8 + 4 QLC * 32 = 160 raw pages; 160 * 0.875 = 140
         ssd = SsdState(desk_geometry(), LatencyModel(), 0.5)
         assert ssd.logical_capacity_pages == 140
+
+    @pytest.mark.parametrize("split", [0.0, 0.25, 0.3, 0.35, 0.5, 1.0])
+    def test_initial_layout_matches_constructed_device(self, split):
+        g = desk_geometry(channels=2, blocks_per_channel=5)
+        ssd = SsdState(g, LatencyModel(), split)
+        raw = sum(b.page_count for b in ssd.blocks)
+        assert initial_layout(g, split) == (ssd.block_count(Mode.SLC),
+                                            int(raw * (1.0 - g.op_ratio)))
+        assert ssd.logical_capacity_pages == initial_layout(g, split)[1]
 
     def test_logical_capacity_frozen_across_conversion(self):
         ssd = SsdState(desk_geometry(), LatencyModel(), 0.5)

@@ -17,9 +17,9 @@ from conftest import make_stack
 PAGE = 16384
 
 
-def mk(requests=0, writes=0, total_us=0.0, host=0, device=0, clock=0.0):
-    return Marker(requests=requests, writes=writes, total_latency_us=total_us,
-                  host_pages=host, device_pages=device, clock_us=clock)
+def mk(requests=0, total_us=0.0, host=0, device=0):
+    return Marker(requests=requests, total_latency_us=total_us,
+                  host_pages=host, device_pages=device)
 
 
 class ScriptedStack:
@@ -62,13 +62,11 @@ def epoch_markers(spans, n=100):
     for prev_mean, probe_mean in spans:
         req += n
         total += prev_mean * n
-        prev_end = mk(requests=req, writes=req, total_us=total, host=req,
-                      device=req, clock=total)
+        prev_end = mk(requests=req, total_us=total, host=req, device=req)
         markers += [prev_end, prev_end]
         req += n
         total += probe_mean * n
-        probe_end = mk(requests=req, writes=req, total_us=total, host=req,
-                       device=req, clock=total)
+        probe_end = mk(requests=req, total_us=total, host=req, device=req)
         markers += [probe_end, probe_end]
     return markers
 
@@ -84,16 +82,12 @@ GOOD_REPLY = "Window looks cramped. `1.Windows size: 1500`"
 
 class TestMeasure:
     def test_deltas(self):
-        since = mk(requests=10, writes=6, total_us=1000.0, host=20,
-                   device=30, clock=5000.0)
-        now = mk(requests=30, writes=20, total_us=4000.0, host=60,
-                 device=110, clock=9000.0)
+        since = mk(requests=10, total_us=1000.0, host=20, device=30)
+        now = mk(requests=30, total_us=4000.0, host=60, device=110)
         snap = measure(ScriptedStack([now]), since)
         assert snap.requests == 20
-        assert snap.writes == 14
         assert snap.mean_latency_us == pytest.approx(3000.0 / 20)
         assert snap.wa == pytest.approx(80 / 40)
-        assert snap.span_us == pytest.approx(4000.0)
 
     def test_no_requests_raises(self):
         m = mk(requests=5, total_us=100.0)
@@ -102,8 +96,7 @@ class TestMeasure:
 
     def test_read_only_span_has_neutral_wa(self):
         since = mk(requests=0)
-        now = mk(requests=10, writes=0, total_us=200.0, host=0, device=0,
-                 clock=200.0)
+        now = mk(requests=10, total_us=200.0, host=0, device=0)
         snap = measure(ScriptedStack([now]), since)
         assert snap.wa == 1.0
 
@@ -112,8 +105,7 @@ class TestMeasure:
 
 class TestShouldRollback:
     def snap(self, mean):
-        return PerfSnapshot(mean_latency_us=mean, wa=1.0, requests=100,
-                            writes=70, span_us=1e6)
+        return PerfSnapshot(mean_latency_us=mean, wa=1.0, requests=100)
 
     def test_strictly_greater_than_allowance(self):
         prev = self.snap(100.0)
