@@ -129,7 +129,7 @@ def cmd_run(args) -> int:
     config = ConfigProfile()
     settings = {}
     if args.config:
-        config, settings = load_config_file(args.config)
+        config, settings = load_config_file(args.config, args.page_size)
     mode_split = settings.get("initial_mode_split", args.mode_split)
     kmeans_tol = settings.get("kmeans_tol", 1e-4)
     # geometry keys in the config file override the CLI flags

@@ -229,13 +229,16 @@ SETTING_KEYS = (
 )
 
 
-def load_config_file(path) -> tuple[ConfigProfile, dict]:
+def load_config_file(path, page_size: int = 16384
+                     ) -> tuple[ConfigProfile, dict]:
     """Read a flat `key = value` file into (profile, settings).
 
     Lines are `name = value`; blank lines and #-comments are skipped.
     Tunable names accept the same aliases and unit suffixes as backend
     output, but here a bad key or out-of-range value is the operator's
     mistake and raises ConfigError instead of being silently corrected.
+    `slice_size` is checked against the file's own `page_size` if it sets
+    one, else against `page_size`, the device's page size.
     """
     profile = ConfigProfile()
     settings: dict = {}
@@ -273,10 +276,10 @@ def load_config_file(path) -> tuple[ConfigProfile, dict]:
             elif isinstance(value, str):
                 raise ConfigError(f"{path}:{line_no}: {canon} needs a number")
             updates[canon] = value
-    # rebuild slice_size step against the file's own page size if given; a
-    # fractional page size is left for FlashGeometry to reject by name
+    # the file's own page size wins; a fractional one is left for
+    # FlashGeometry to reject by name
     if isinstance(settings.get("page_size"), int):
-        bounds = default_param_bounds(page_size=settings["page_size"])
+        page_size = settings["page_size"]
     profile = replace(profile, **updates)
-    validate_profile(profile, bounds)
+    validate_profile(profile, default_param_bounds(page_size=page_size))
     return profile, settings

@@ -30,6 +30,13 @@ class ActionKind(enum.Enum):
 # fixed enumeration order; argmax tie-breaks and fuzz tables rely on it
 ACTION_ORDER = tuple(ActionKind)
 
+# GC action -> (victim mode, destination mode of its migrated pages)
+GC_MODES = {
+    ActionKind.SLC_INTERNAL_GC: (Mode.SLC, Mode.SLC),
+    ActionKind.QLC_INTERNAL_GC: (Mode.QLC, Mode.QLC),
+    ActionKind.SLC_TO_QLC_GC: (Mode.SLC, Mode.QLC),
+}
+
 
 @dataclass(frozen=True)
 class SpaceAction:
@@ -71,12 +78,10 @@ class FtlEngine:
     """
 
     def __init__(self, ssd: SsdState, config: ConfigProfile,
-                 action_source=None, record_ops: bool = False):
+                 action_source=None):
         self.ssd = ssd
         self.config = config
         self.action_source = action_source
-        self.record_ops = record_ops
-        self.op_log: list[dict] = []
         self.reset_counters()
         channels = ssd.geometry.channels
         # active = block currently taking appends, per mode per channel;
@@ -162,16 +167,15 @@ class FtlEngine:
                 return block_id, self.ssd.blocks[block_id].write_pointer
         return None
 
-    def _program(self, placed: tuple[int, int], lpn: int, tag) -> tuple[float, int, Mode]:
+    def _program(self, placed: tuple[int, int], lpn: int, tag) -> tuple[float, int]:
         block_id, page_idx = placed
         us = self.ssd.program_page(block_id, page_idx, lpn, tag)
         self.wa.device_pages_written += 1
         block = self.ssd.blocks[block_id]
-        if block.is_full:
-            ch = self.ssd.geometry.channel_of(block_id)
-            if self.active[block.mode][ch] == block_id:
-                self.active[block.mode][ch] = None
-        return us, self.ssd.geometry.channel_of(block_id), block.mode
+        ch = self.ssd.geometry.channel_of(block_id)
+        if block.is_full and self.active[block.mode][ch] == block_id:
+            self.active[block.mode][ch] = None
+        return us, ch
 
     def _preferred_mode(self, hot: bool | None) -> Mode:
         if self.config.placement_strategy is PlacementStrategy.SLC_FIRST:
@@ -185,11 +189,8 @@ class FtlEngine:
         """Service a host write; returns its latency including foreground GC."""
         if lpn < 0 or n_pages < 1 or lpn + n_pages > self.ssd.logical_capacity_pages:
             self.rejected_requests += 1
-            self._log_request([], [])
             return 0.0
         per_channel: dict[int, float] = {}
-        parallel: list = []
-        serial: list = []
         gc_us = 0.0
         for i in range(lpn, lpn + n_pages):
             old = self.ssd.mapping.get(i)
@@ -202,19 +203,16 @@ class FtlEngine:
                 placed = self._allocate_page(other)
             if placed is None:
                 # both regions exhausted mid-request: force space management
-                gc_us += self._space_management(serial, forced=True)
+                gc_us += self._space_management(forced=True)
                 placed = (self._allocate_page(mode)
                           or self._allocate_page(Mode.QLC)
                           or self._allocate_page(Mode.SLC))
                 if placed is None:
                     raise CapacityError("device full even after space management")
-            us, ch, placed_mode = self._program(placed, i, tag)
+            us, ch = self._program(placed, i, tag)
             per_channel[ch] = per_channel.get(ch, 0.0) + us
-            if self.record_ops:
-                parallel.append(("program", placed_mode.value, ch))
         self.wa.host_pages_written += n_pages
-        gc_us += self._space_management(serial)
-        self._log_request(parallel, serial)
+        gc_us += self._space_management()
         base = max(per_channel.values()) if per_channel else 0.0
         return base + gc_us
 
@@ -222,10 +220,8 @@ class FtlEngine:
         """Service a host read; unmapped pages cost nothing but are counted."""
         if lpn < 0 or n_pages < 1 or lpn + n_pages > self.ssd.logical_capacity_pages:
             self.rejected_requests += 1
-            self._log_request([], [])
             return 0.0
         per_channel: dict[int, float] = {}
-        parallel: list = []
         for i in range(lpn, lpn + n_pages):
             ppn = self.ssd.mapping.get(i)
             if ppn is None:
@@ -234,14 +230,7 @@ class FtlEngine:
             us = self.ssd.read_page(*ppn)
             ch = self.ssd.geometry.channel_of(ppn[0])
             per_channel[ch] = per_channel.get(ch, 0.0) + us
-            if self.record_ops:
-                parallel.append(("read", self.ssd.blocks[ppn[0]].mode.value, ch))
-        self._log_request(parallel, [])
         return max(per_channel.values()) if per_channel else 0.0
-
-    def _log_request(self, parallel: list, serial: list) -> None:
-        if self.record_ops:
-            self.op_log.append({"parallel": parallel, "serial": serial})
 
     # --- space management ---------------------------------------------------------
 
@@ -264,26 +253,30 @@ class FtlEngine:
             return self.action_source(self)
         return self._fallback_action()
 
+    def action(self, kind: ActionKind) -> SpaceAction:
+        """`kind` at the granularity the current config sets for it."""
+        if kind in GC_MODES:
+            return SpaceAction(kind, self.config.gc_granularity)
+        if kind is ActionKind.SLC_TO_QLC_MC:
+            return SpaceAction(kind, self.config.conversion_granularity)
+        return SpaceAction(kind)
+
     def _fallback_action(self) -> SpaceAction:
         # fixed greedy order keeps the engine usable without an agent; only
         # actions that can actually execute right now are considered
         for kind in ACTION_ORDER:
-            if kind is ActionKind.IDLE:
-                break
             if kind is ActionKind.SLC_TO_QLC_MC:
                 if self.mc_eligible() and self.free_block_count(Mode.SLC) > 0:
-                    return SpaceAction(kind, self.config.conversion_granularity)
-                continue
-            src = Mode.QLC if kind is ActionKind.QLC_INTERNAL_GC else Mode.SLC
-            dst = Mode.SLC if kind is ActionKind.SLC_INTERNAL_GC else Mode.QLC
-            victim = self.select_victim(src)
-            if victim is None:
-                continue
-            if self.ssd.blocks[victim].valid_count <= self._free_pages(dst):
-                return SpaceAction(kind, self.config.gc_granularity)
-        return SpaceAction(ActionKind.IDLE)
+                    return self.action(kind)
+            elif kind in GC_MODES:
+                src, dst = GC_MODES[kind]
+                victim = self.select_victim(src)
+                if (victim is not None and self.ssd.blocks[victim].valid_count
+                        <= self._free_pages(dst)):
+                    return self.action(kind)
+        return self.action(ActionKind.IDLE)
 
-    def _space_management(self, serial_sink: list, forced: bool = False) -> float:
+    def _space_management(self, forced: bool = False) -> float:
         total = 0.0
         rounds = 0
         while rounds < SAFETY_BOUND:
@@ -304,7 +297,7 @@ class FtlEngine:
                 self.ineffective_actions += 1
                 rounds += 1
                 continue
-            outcome = self.execute_action(action, serial_sink)
+            outcome = self.execute_action(action)
             if not outcome.effective:
                 self.ineffective_actions += 1
             total += outcome.latency_us
@@ -330,30 +323,22 @@ class FtlEngine:
                 best, best_key = block_id, key
         return best
 
-    def execute_action(self, action: SpaceAction,
-                       serial_sink: list | None = None) -> ActionOutcome:
+    def execute_action(self, action: SpaceAction) -> ActionOutcome:
         """Apply one space-management action; never fatal on unmet
         preconditions, just a zero outcome (the agent may pick bad actions)."""
         out = ActionOutcome()
-        sink = serial_sink if serial_sink is not None else []
+        if action.kind is ActionKind.IDLE:
+            return out
         for _ in range(max(action.granularity, 0)):
-            if action.kind is ActionKind.IDLE:
-                break
             if action.kind is ActionKind.SLC_TO_QLC_MC:
-                if not self._convert_once(out):
-                    break
+                done = self._convert_once(out)
             else:
-                src = (Mode.QLC if action.kind is ActionKind.QLC_INTERNAL_GC
-                       else Mode.SLC)
-                dst = (Mode.QLC if action.kind is ActionKind.SLC_TO_QLC_GC
-                       or action.kind is ActionKind.QLC_INTERNAL_GC
-                       else Mode.SLC)
-                if not self._gc_once(src, dst, out, sink):
-                    break
+                done = self._gc_once(*GC_MODES[action.kind], out)
+            if not done:
+                break
         return out
 
-    def _gc_once(self, src: Mode, dst: Mode, out: ActionOutcome,
-                 sink: list) -> bool:
+    def _gc_once(self, src: Mode, dst: Mode, out: ActionOutcome) -> bool:
         victim = self.select_victim(src)
         if victim is None:
             return False
@@ -366,20 +351,11 @@ class FtlEngine:
                 continue
             tag = vblock.tags.get(idx) if vblock.tags else None
             out.latency_us += self.ssd.read_page(victim, idx)
-            if self.record_ops:
-                sink.append(("read", vblock.mode.value,
-                             self.ssd.geometry.channel_of(victim)))
             self.ssd.invalidate_page(victim, idx)
             placed = self._allocate_page(dst)
-            us, ch, placed_mode = self._program(placed, lpn, tag)
-            out.latency_us += us
+            out.latency_us += self._program(placed, lpn, tag)[0]
             out.pages_migrated += 1
-            if self.record_ops:
-                sink.append(("program", placed_mode.value, ch))
         out.latency_us += self.ssd.erase_block(victim)
-        if self.record_ops:
-            sink.append(("erase", vblock.mode.value,
-                         self.ssd.geometry.channel_of(victim)))
         out.blocks_reclaimed += 1
         self.free[src][self.ssd.geometry.channel_of(victim)].add(victim)
         return True

@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 from .config import ConfigProfile, default_param_bounds
 from .errors import ConfigError, NoData
-from .ftl import (ACTION_ORDER, ActionKind, FtlEngine, SpaceAction,
-                  write_amplification)
+from .ftl import ACTION_ORDER, FtlEngine, SpaceAction, write_amplification
 from .hotness import HotnessClassifier
 from .monitor import SlidingWindow, WindowEntry
 from .rl import SpaceAgent
@@ -34,8 +33,7 @@ class SimulatorStack:
 
     def __init__(self, geometry: FlashGeometry, config: ConfigProfile,
                  latency: LatencyModel | None = None, seed: int = 0,
-                 initial_mode_split: float = 0.25, kmeans_tol: float = 1e-4,
-                 record_ops: bool = False):
+                 initial_mode_split: float = 0.25, kmeans_tol: float = 1e-4):
         self.geometry = geometry
         self.config = config
         self.seed = seed
@@ -43,8 +41,7 @@ class SimulatorStack:
         self.ssd = SsdState(geometry, latency or LatencyModel(),
                             initial_mode_split)
         self.agent = SpaceAgent(random.Random(seed))
-        self.ftl = FtlEngine(self.ssd, config, action_source=self._pick_action,
-                             record_ops=record_ops)
+        self.ftl = FtlEngine(self.ssd, config, action_source=self._pick_action)
         self.monitor = SlidingWindow(config.window_size)
         self.classifier = HotnessClassifier(config.slice_size,
                                             geometry.page_size,
@@ -74,15 +71,9 @@ class SimulatorStack:
                                         self.hot_write_fraction())
 
     def _pick_action(self, ftl) -> SpaceAction:
-        state = self._agent_state()
-        kind = self.agent.choose_action(state, self.config.rl_exploration)
-        if kind is ActionKind.SLC_TO_QLC_MC:
-            granularity = self.config.conversion_granularity
-        elif kind is ActionKind.IDLE:
-            granularity = 1
-        else:
-            granularity = self.config.gc_granularity
-        return SpaceAction(kind, granularity)
+        kind = self.agent.choose_action(self._agent_state(),
+                                        self.config.rl_exploration)
+        return ftl.action(kind)
 
     def _train_agent(self) -> None:
         span = self.requests - self._train_req_mark
@@ -192,7 +183,6 @@ class SimulatorStack:
 
     def reset_metrics(self) -> None:
         self.ftl.reset_counters()
-        self.ftl.op_log.clear()
         self.requests = self.writes = self.reads = 0
         self.total_latency_us = 0.0
         self._train_req_mark = 0
@@ -303,7 +293,7 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
            schedule: EpochSchedule | None = None, seed: int = 0,
            initial_mode_split: float = 0.25, kmeans_tol: float = 1e-4,
            prefill_fraction: float = 0.0, skipped_lines: int = 0,
-           baseline_total_us: float | None = None, record_ops: bool = False,
+           baseline_total_us: float | None = None,
            max_tokens: int = DEFAULT_MAX_TOKENS,
            overlap_tokens: int = DEFAULT_OVERLAP_TOKENS,
            target_note: str = "") -> RunReport:
@@ -317,7 +307,7 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
         raise ConfigError(f"unknown replay mode {mode!r}")
     stack = SimulatorStack(geometry, config, latency=latency, seed=seed,
                            initial_mode_split=initial_mode_split,
-                           kmeans_tol=kmeans_tol, record_ops=record_ops)
+                           kmeans_tol=kmeans_tol)
     if prefill_fraction:
         stack.prefill(prefill_fraction)
     loop = None

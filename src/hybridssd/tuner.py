@@ -367,7 +367,6 @@ class ScriptedBackend:
             raise BackendUnavailable("scripted backend has no responses")
         self.responses = list(responses)
         self.cursor = 0
-        self.calls: list[list[str]] = []
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
@@ -376,7 +375,6 @@ class ScriptedBackend:
         return cls([ln.replace("\\n", "\n") for ln in lines])
 
     def complete(self, segments: list[str]) -> str:
-        self.calls.append(list(segments))
         resp = self.responses[min(self.cursor, len(self.responses) - 1)]
         self.cursor += 1
         return resp

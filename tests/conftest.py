@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from hybridssd import (ConfigProfile, FlashGeometry, FtlEngine, LatencyModel,
-                       SsdState, desk_geometry)
+from hybridssd import ConfigProfile, LatencyModel, SsdState, desk_geometry
 
 
 @pytest.fixture
@@ -18,17 +17,12 @@ def desk_ssd(desk_geo):
 
 
 @pytest.fixture
-def desk_ftl(desk_ssd):
-    return FtlEngine(desk_ssd, ConfigProfile(), record_ops=True)
-
-
-@pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
 
 
 def make_stack(channels=1, blocks_per_channel=16, pages_per_block=8,
-               mode_split=0.5, seed=0, record_ops=False, **config_over):
+               mode_split=0.5, seed=0, **config_over):
     """Small full-stack helper shared across integration tests."""
     from hybridssd import SimulatorStack
     geo = desk_geometry(channels=channels,
@@ -39,4 +33,4 @@ def make_stack(channels=1, blocks_per_channel=16, pages_per_block=8,
                     slice_size=geo.page_size * 8)
     defaults.update(config_over)
     cfg = ConfigProfile(**defaults)
-    return SimulatorStack(geo, cfg, seed=seed, record_ops=record_ops)
+    return SimulatorStack(geo, cfg, seed=seed)

@@ -36,6 +36,61 @@ def recompute_total_latency(op_log, lat):
     return sum(recompute_request_latency(e, lat) for e in op_log)
 
 
+class FlashOpLog:
+    """Every flash op one FtlEngine performs, observed from outside.
+
+    Wraps the read/program/erase methods of the engine's SsdState instance
+    and the request and action entry points of the engine instance. Each
+    handle_write/handle_read call, rejected ones included, appends one entry
+    {"parallel": [...], "serial": [...]} of (op, mode, channel) records; ops
+    that run inside execute_action are GC work and go under "serial". Ops
+    outside any request (a direct execute_action call) are not logged.
+    """
+
+    def __init__(self, ftl):
+        self.entries = []
+        self._current = None
+        self._in_action = False
+        ssd = ftl.ssd
+        for op, name in (("read", "read_page"), ("program", "program_page"),
+                         ("erase", "erase_block")):
+            setattr(ssd, name, self._flash_op(op, ssd, getattr(ssd, name)))
+        for name in ("handle_write", "handle_read"):
+            setattr(ftl, name, self._request(getattr(ftl, name)))
+        ftl.execute_action = self._action(ftl.execute_action)
+
+    def _flash_op(self, op, ssd, fn):
+        channels = ssd.geometry.channels
+
+        def wrapped(block_id, *args, **kwargs):
+            if self._current is not None:
+                # mode before the op: an erase or program never changes it
+                mode = ssd.blocks[block_id].mode.value
+                part = "serial" if self._in_action else "parallel"
+                self._current[part].append((op, mode, block_id % channels))
+            return fn(block_id, *args, **kwargs)
+        return wrapped
+
+    def _request(self, fn):
+        def wrapped(*args, **kwargs):
+            self._current = {"parallel": [], "serial": []}
+            self.entries.append(self._current)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._current = None
+        return wrapped
+
+    def _action(self, fn):
+        def wrapped(*args, **kwargs):
+            self._in_action = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._in_action = False
+        return wrapped
+
+
 class MiniSlcFtl:
     """Single-channel, all-SLC page-mapped FTL with the same policy choices
     as the engine: append-only active block, cheapest-free-block allocation,

@@ -27,7 +27,7 @@ from hybridssd.tuner import (ScriptedBackend, Verdict, TuningRecord,
 from hybridssd.verification import EpochSchedule, VerificationLoop, accuracy
 
 from conftest import make_stack
-from oracles import MiniSlcFtl, recompute_total_latency
+from oracles import FlashOpLog, MiniSlcFtl, recompute_total_latency
 from test_verification import ScriptedStack, epoch_markers
 
 PAGE = 16384
@@ -120,12 +120,13 @@ def test_criterion_03_latency_accounting():
                           write_ratio=0.7, seed=5)
     t0 = time.time()
     stack = SimulatorStack(geo, config, LatencyModel(), seed=0,
-                           initial_mode_split=0.5, record_ops=True)
+                           initial_mode_split=0.5)
+    ops = FlashOpLog(stack.ftl)
     for r in records:
         stack.service(r)
     elapsed = time.time() - t0
-    recomputed = recompute_total_latency(stack.ftl.op_log, stack.ssd.latency)
-    ok = (len(stack.ftl.op_log) == 3000
+    recomputed = recompute_total_latency(ops.entries, stack.ssd.latency)
+    ok = (len(ops.entries) == 3000
           and recomputed == stack.total_latency_us
           and elapsed < 5.0)
     assert check(3, "latency accounting", ok,

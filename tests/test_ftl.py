@@ -6,16 +6,18 @@ from hybridssd import (ACTION_ORDER, ActionKind, CapacityError, ConfigProfile,
                        FtlEngine, LatencyModel, Mode, NoData,
                        PlacementStrategy, SAFETY_BOUND, SpaceAction, SsdState,
                        desk_geometry)
-from oracles import recompute_request_latency, recompute_total_latency
+from hybridssd.ftl import GC_MODES
+from conftest import make_stack
+from oracles import (FlashOpLog, recompute_request_latency,
+                     recompute_total_latency)
 
 
-def make_ftl(channels=1, blocks=4, ppb=4, split=1.0, record_ops=True,
-             **config_over):
+def make_ftl(channels=1, blocks=4, ppb=4, split=1.0, **config_over):
     geo = desk_geometry(channels=channels, blocks_per_channel=blocks,
                         pages_per_block_slc=ppb)
     ssd = SsdState(geo, LatencyModel(), initial_mode_split=split)
     cfg = ConfigProfile(**config_over)
-    return FtlEngine(ssd, cfg, record_ops=record_ops)
+    return FtlEngine(ssd, cfg)
 
 
 class TestActionOrder:
@@ -23,6 +25,31 @@ class TestActionOrder:
         assert [k.value for k in ACTION_ORDER] == [
             "slc_internal_gc", "qlc_internal_gc", "slc_to_qlc_gc",
             "slc_to_qlc_mc", "idle"]
+
+
+class TestActionFacts:
+    GRANULARITY = {ActionKind.SLC_INTERNAL_GC: 3,
+                   ActionKind.QLC_INTERNAL_GC: 3,
+                   ActionKind.SLC_TO_QLC_GC: 3,
+                   ActionKind.SLC_TO_QLC_MC: 2,
+                   ActionKind.IDLE: 1}
+
+    def test_every_kind_is_gc_conversion_or_idle(self):
+        assert (set(GC_MODES) | {ActionKind.SLC_TO_QLC_MC, ActionKind.IDLE}
+                == set(ActionKind))
+
+    def test_action_takes_granularity_from_config(self):
+        ftl = make_ftl(gc_granularity=3, conversion_granularity=2)
+        for kind, granularity in self.GRANULARITY.items():
+            assert ftl.action(kind) == SpaceAction(kind, granularity)
+
+    def test_agent_choice_gets_the_same_granularity(self):
+        stack = make_stack(gc_granularity=3, conversion_granularity=2)
+        for kind, granularity in self.GRANULARITY.items():
+            stack.agent.choose_action = lambda state, eps, kind=kind: kind
+            picked = stack._pick_action(stack.ftl)
+            assert picked == stack.ftl.action(kind)
+            assert picked == SpaceAction(kind, granularity)
 
 
 class TestPlacement:
@@ -313,6 +340,7 @@ class TestSpaceManagementLoop:
 class TestOpLog:
     def test_one_entry_per_request(self):
         ftl = make_ftl(blocks=4, ppb=4, gc_trigger_threshold=30)
+        log = FlashOpLog(ftl)
         n = 0
         for lpn in list(range(12)) + [0, 1, 2, 3, 0, 1]:
             ftl.handle_write(lpn)
@@ -320,20 +348,20 @@ class TestOpLog:
         ftl.handle_read(2)
         ftl.handle_read(1000)            # rejected, still logged
         n += 2
-        assert len(ftl.op_log) == n
+        assert len(log.entries) == n
+        assert log.entries[-1] == {"parallel": [], "serial": []}
+        assert any(entry["serial"] for entry in log.entries)
 
     def test_recompute_matches_returned_latency(self):
         ftl = make_ftl(channels=2, blocks=4, ppb=4, split=0.5,
                        gc_trigger_threshold=30)
+        log = FlashOpLog(ftl)
         returned = []
         for lpn in list(range(10)) + [0, 1, 2, 0, 1, 4, 5]:
             returned.append(ftl.handle_write(lpn, n_pages=2))
         lat = ftl.ssd.latency
-        for entry, us in zip(ftl.op_log, returned):
+        assert len(log.entries) == len(returned)
+        assert any(entry["serial"] for entry in log.entries)
+        for entry, us in zip(log.entries, returned):
             assert recompute_request_latency(entry, lat) == us
-        assert recompute_total_latency(ftl.op_log, lat) == sum(returned)
-
-    def test_log_disabled_by_default(self):
-        ftl = make_ftl(record_ops=False)
-        ftl.handle_write(0)
-        assert ftl.op_log == []
+        assert recompute_total_latency(log.entries, lat) == sum(returned)

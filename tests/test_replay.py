@@ -460,6 +460,22 @@ class TestCli:
         assert "must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("page_size, slice_size, rc", [
+        ("4096", 8192, 0),       # slice a multiple of the flag's page size
+        ("32768", 16384, 2),     # slice smaller than the flag's page size
+    ])
+    def test_config_slice_size_checked_against_page_size_flag(
+            self, tmp_path, capsys, page_size, slice_size, rc):
+        conf = tmp_path / "slice.conf"
+        conf.write_text(f"slice size = {slice_size}\n", encoding="utf-8")
+        report = tmp_path / "x.json"
+        assert cli.main(["run", "--ops", "100", "--page-size", page_size,
+                         "--config", str(conf), "--report", str(report)]
+                        + SMALL_GEO_ARGS) == rc
+        assert report.exists() == (rc == 0)
+        if rc:
+            assert "slice_size" in capsys.readouterr().err
+
     def test_trace_format_without_file_is_a_clean_error(self, tmp_path,
                                                         capsys):
         rc = cli.main(["run", "--format", "msr",

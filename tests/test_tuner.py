@@ -188,11 +188,6 @@ class TestScriptedBackend:
         assert be.complete(["p"]) == "two"
         assert be.complete(["p"]) == "two"
 
-    def test_records_calls(self):
-        be = ScriptedBackend(["one"])
-        be.complete(["a", "b"])
-        assert be.calls == [["a", "b"]]
-
     def test_empty_script_rejected(self):
         with pytest.raises(BackendUnavailable):
             ScriptedBackend([])
