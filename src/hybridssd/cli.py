@@ -99,7 +99,10 @@ def _make_backend(spec: str | None, args):
     if kind == "scripted":
         if not rest:
             raise ConfigError("scripted backend needs a response file")
-        return ScriptedBackend.from_file(rest)
+        try:
+            return ScriptedBackend.from_file(rest)
+        except OSError as exc:
+            raise ConfigError(f"scripted backend: {exc}") from exc
     if kind == "remote":
         if not rest:
             raise ConfigError("remote backend needs an endpoint URL")
@@ -111,14 +114,21 @@ def _make_backend(spec: str | None, args):
 
 def _load_records(args, geometry: FlashGeometry, logical_pages: int):
     if args.format == "synth":
-        records = synth_trace(args.ops, logical_pages, geometry.page_size,
-                              hot_fraction=args.hot_fraction,
-                              hot_region_fraction=args.hot_region,
-                              write_ratio=args.write_ratio, seed=args.seed)
+        try:
+            records = synth_trace(args.ops, logical_pages, geometry.page_size,
+                                  hot_fraction=args.hot_fraction,
+                                  hot_region_fraction=args.hot_region,
+                                  write_ratio=args.write_ratio,
+                                  seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"synthetic trace: {exc}") from exc
         return records, 0
     if not args.trace:
         raise ConfigError(f"--format {args.format} needs --trace FILE")
-    return load_trace(args.trace, args.format)
+    try:
+        return load_trace(args.trace, args.format)
+    except OSError as exc:
+        raise ConfigError(f"trace: {exc}") from exc
 
 
 def cmd_run(args) -> int:
@@ -129,7 +139,10 @@ def cmd_run(args) -> int:
     config = ConfigProfile()
     settings = {}
     if args.config:
-        config, settings = load_config_file(args.config, args.page_size)
+        try:
+            config, settings = load_config_file(args.config, args.page_size)
+        except OSError as exc:
+            raise ConfigError(f"config: {exc}") from exc
     mode_split = settings.get("initial_mode_split", args.mode_split)
     kmeans_tol = settings.get("kmeans_tol", 1e-4)
     # geometry keys in the config file override the CLI flags
@@ -153,8 +166,11 @@ def cmd_run(args) -> int:
         baseline_total = base.total_latency_us
 
     if args.mode == "sweep":
-        multipliers = [float(tok) for tok in
-                       args.sweep_multipliers.split(",") if tok.strip()]
+        try:
+            multipliers = [float(tok) for tok in
+                           args.sweep_multipliers.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"--sweep-multipliers: {exc}") from exc
         report = run_sweep(records, config, geometry,
                            args.sweep_param, multipliers, seed=args.seed,
                            initial_mode_split=mode_split,

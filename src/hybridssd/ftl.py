@@ -38,12 +38,6 @@ GC_MODES = {
 }
 
 
-@dataclass(frozen=True)
-class SpaceAction:
-    kind: ActionKind
-    granularity: int = 1
-
-
 @dataclass
 class ActionOutcome:
     pages_migrated: int = 0
@@ -72,7 +66,7 @@ def write_amplification(device_pages: int, host_pages: int) -> float | None:
 class FtlEngine:
     """Address translation plus the five space-management actions.
 
-    `action_source` is any callable(ftl) -> SpaceAction; the replay harness
+    `action_source` is any callable(ftl) -> ActionKind; the replay harness
     wires the RL agent in through it, tests pass scripted pickers. Without
     one, the engine falls back to a fixed greedy order.
     """
@@ -144,11 +138,15 @@ class FtlEngine:
 
     # --- allocation ----------------------------------------------------------
 
+    def _wear_key(self, block_id: int) -> tuple[int, int]:
+        """Free-block preference: least worn first, then lowest id."""
+        return self.ssd.blocks[block_id].erase_count, block_id
+
     def _pop_free(self, mode: Mode, channel: int) -> int | None:
         pool = self.free[mode][channel]
         if not pool:
             return None
-        block_id = min(pool, key=lambda b: (self.ssd.blocks[b].erase_count, b))
+        block_id = min(pool, key=self._wear_key)
         pool.remove(block_id)
         return block_id
 
@@ -166,6 +164,11 @@ class FtlEngine:
                 self.stripe_cursor[mode] = (ch + 1) % channels
                 return block_id, self.ssd.blocks[block_id].write_pointer
         return None
+
+    def _place(self, mode: Mode) -> tuple[int, int] | None:
+        """Next append slot in `mode`, else in the other region."""
+        other = Mode.QLC if mode is Mode.SLC else Mode.SLC
+        return self._allocate_page(mode) or self._allocate_page(other)
 
     def _program(self, placed: tuple[int, int], lpn: int, tag) -> tuple[float, int]:
         block_id, page_idx = placed
@@ -197,16 +200,11 @@ class FtlEngine:
             if old is not None:
                 self.ssd.invalidate_page(*old)
             mode = self._preferred_mode(hot)
-            placed = self._allocate_page(mode)
-            if placed is None:
-                other = Mode.QLC if mode is Mode.SLC else Mode.SLC
-                placed = self._allocate_page(other)
+            placed = self._place(mode)
             if placed is None:
                 # both regions exhausted mid-request: force space management
                 gc_us += self._space_management(forced=True)
-                placed = (self._allocate_page(mode)
-                          or self._allocate_page(Mode.QLC)
-                          or self._allocate_page(Mode.SLC))
+                placed = self._place(mode)
                 if placed is None:
                     raise CapacityError("device full even after space management")
             us, ch = self._program(placed, i, tag)
@@ -248,33 +246,17 @@ class FtlEngine:
             return False
         return self.free_fraction(Mode.SLC) < self.config.conversion_trigger_threshold / 100.0
 
-    def _next_action(self) -> SpaceAction:
-        if self.action_source is not None:
-            return self.action_source(self)
-        return self._fallback_action()
-
-    def action(self, kind: ActionKind) -> SpaceAction:
-        """`kind` at the granularity the current config sets for it."""
-        if kind in GC_MODES:
-            return SpaceAction(kind, self.config.gc_granularity)
-        if kind is ActionKind.SLC_TO_QLC_MC:
-            return SpaceAction(kind, self.config.conversion_granularity)
-        return SpaceAction(kind)
-
-    def _fallback_action(self) -> SpaceAction:
+    def _fallback_action(self) -> ActionKind:
         # fixed greedy order keeps the engine usable without an agent; only
         # actions that can actually execute right now are considered
         for kind in ACTION_ORDER:
             if kind is ActionKind.SLC_TO_QLC_MC:
                 if self.mc_eligible() and self.free_block_count(Mode.SLC) > 0:
-                    return self.action(kind)
+                    return kind
             elif kind in GC_MODES:
-                src, dst = GC_MODES[kind]
-                victim = self.select_victim(src)
-                if (victim is not None and self.ssd.blocks[victim].valid_count
-                        <= self._free_pages(dst)):
-                    return self.action(kind)
-        return self.action(ActionKind.IDLE)
+                if self._gc_victim(*GC_MODES[kind]) is not None:
+                    return kind
+        return ActionKind.IDLE
 
     def _space_management(self, forced: bool = False) -> float:
         total = 0.0
@@ -287,17 +269,18 @@ class FtlEngine:
                 break
             # a full device is a survival situation, not a policy decision:
             # the forced path always uses the deterministic fallback
-            action = self._fallback_action() if forced else self._next_action()
-            self.action_counts[action.kind] += 1
-            if action.kind is ActionKind.IDLE:
+            if forced or self.action_source is None:
+                kind = self._fallback_action()
+            else:
+                kind = self.action_source(self)
+            self.action_counts[kind] += 1
+            if kind is ActionKind.IDLE:
                 break
-            if (action.kind is ActionKind.SLC_TO_QLC_MC
-                    and not self.mc_eligible()):
+            if kind is ActionKind.SLC_TO_QLC_MC and not self.mc_eligible():
                 # conversion not eligible yet: the attempt is a zero outcome
-                self.ineffective_actions += 1
-                rounds += 1
-                continue
-            outcome = self.execute_action(action)
+                outcome = ActionOutcome()
+            else:
+                outcome = self.execute_action(kind)
             if not outcome.effective:
                 self.ineffective_actions += 1
             total += outcome.latency_us
@@ -307,44 +290,43 @@ class FtlEngine:
         return total
 
     def select_victim(self, mode: Mode) -> int | None:
-        """Non-active block in `mode` with >=1 invalid page; fewest valid
-        pages wins, ties broken by lowest erase count, then lowest id."""
-        active_ids = {b for slots in self.active.values() for b in slots
-                      if b is not None}
-        best = None
-        best_key = None
-        for block_id, block in enumerate(self.ssd.blocks):
-            if block.mode is not mode or block.invalid_count == 0:
-                continue
-            if block_id in active_ids:
-                continue
-            key = (block.valid_count, block.erase_count, block_id)
-            if best_key is None or key < best_key:
-                best, best_key = block_id, key
-        return best
+        """Full block in `mode` with >=1 invalid page (active blocks are never
+        full, free ones hold no invalid page); fewest valid pages wins, ties
+        broken by lowest erase count, then lowest id."""
+        best = min(((b.valid_count, b.erase_count, block_id)
+                    for block_id, b in enumerate(self.ssd.blocks)
+                    if b.mode is mode and b.invalid_count and b.is_full),
+                   default=None)
+        return None if best is None else best[2]
 
-    def execute_action(self, action: SpaceAction) -> ActionOutcome:
-        """Apply one space-management action; never fatal on unmet
-        preconditions, just a zero outcome (the agent may pick bad actions)."""
+    def _gc_victim(self, src: Mode, dst: Mode) -> int | None:
+        """`select_victim(src)` if its valid pages fit in `dst`, else None."""
+        victim = self.select_victim(src)
+        if (victim is None or self.ssd.blocks[victim].valid_count
+                > self._free_pages(dst)):
+            return None
+        return victim
+
+    def execute_action(self, kind: ActionKind) -> ActionOutcome:
+        """Apply one space-management action, repeated up to the config's
+        granularity for its kind; never fatal on unmet preconditions, just a
+        zero outcome (the agent may pick bad actions)."""
         out = ActionOutcome()
-        if action.kind is ActionKind.IDLE:
-            return out
-        for _ in range(max(action.granularity, 0)):
-            if action.kind is ActionKind.SLC_TO_QLC_MC:
-                done = self._convert_once(out)
-            else:
-                done = self._gc_once(*GC_MODES[action.kind], out)
-            if not done:
-                break
+        if kind in GC_MODES:
+            for _ in range(self.config.gc_granularity):
+                if not self._gc_once(*GC_MODES[kind], out):
+                    break
+        elif kind is ActionKind.SLC_TO_QLC_MC:
+            for _ in range(self.config.conversion_granularity):
+                if not self._convert_once(out):
+                    break
         return out
 
     def _gc_once(self, src: Mode, dst: Mode, out: ActionOutcome) -> bool:
-        victim = self.select_victim(src)
+        victim = self._gc_victim(src, dst)
         if victim is None:
             return False
         vblock = self.ssd.blocks[victim]
-        if vblock.valid_count > self._free_pages(dst):
-            return False
         for idx in range(vblock.write_pointer):
             lpn = vblock.pages[idx]
             if lpn < 0:
@@ -363,11 +345,10 @@ class FtlEngine:
     def _convert_once(self, out: ActionOutcome) -> bool:
         # cheapest free SLC block by the allocation key; conversion is a
         # metadata flip, so no latency and no erase here
-        candidates = [b for pool in self.free[Mode.SLC] for b in pool]
-        if not candidates:
+        block_id = min((b for pool in self.free[Mode.SLC] for b in pool),
+                       key=self._wear_key, default=None)
+        if block_id is None:
             return False
-        block_id = min(candidates,
-                       key=lambda b: (self.ssd.blocks[b].erase_count, b))
         ch = self.ssd.geometry.channel_of(block_id)
         self.free[Mode.SLC][ch].remove(block_id)
         self.ssd.convert_block_mode(block_id, Mode.QLC)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 from .config import ConfigProfile, default_param_bounds
 from .errors import ConfigError, NoData
-from .ftl import ACTION_ORDER, FtlEngine, SpaceAction, write_amplification
+from .ftl import ACTION_ORDER, ActionKind, FtlEngine, write_amplification
 from .hotness import HotnessClassifier
 from .monitor import SlidingWindow, WindowEntry
 from .rl import SpaceAgent
@@ -70,10 +70,9 @@ class SimulatorStack:
         return self.agent.observe_state(self.ftl.summary(), self.last_summary,
                                         self.hot_write_fraction())
 
-    def _pick_action(self, ftl) -> SpaceAction:
-        kind = self.agent.choose_action(self._agent_state(),
+    def _pick_action(self, ftl) -> ActionKind:
+        return self.agent.choose_action(self._agent_state(),
                                         self.config.rl_exploration)
-        return ftl.action(kind)
 
     def _train_agent(self) -> None:
         span = self.requests - self._train_req_mark

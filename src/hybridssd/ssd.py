@@ -161,6 +161,9 @@ class SsdState:
                  for i in range(geometry.total_blocks)]
         self.blocks = [BlockState(m, geometry.pages_per_block(m))
                        for m in modes]
+        # blocks per mode; only convert_block_mode changes a block's mode
+        self.block_tally = {Mode.SLC: n_slc,
+                            Mode.QLC: geometry.total_blocks - n_slc}
         self.mapping: dict[int, tuple[int, int]] = {}
         self.device_pages_written = 0
         self.erase_ops = 0
@@ -168,7 +171,7 @@ class SsdState:
     # --- capacity and occupancy ---------------------------------------------
 
     def block_count(self, mode: Mode) -> int:
-        return sum(1 for b in self.blocks if b.mode is mode)
+        return self.block_tally[mode]
 
     def valid_pages(self, mode: Mode | None = None) -> int:
         return sum(b.valid_count for b in self.blocks
@@ -251,6 +254,8 @@ class SsdState:
                 f"convert of non-empty block {block_id} (erase it first)")
         if block.mode is new_mode:
             return
+        self.block_tally[block.mode] -= 1
+        self.block_tally[new_mode] += 1
         block.mode = new_mode
         block.pages = [PAGE_FREE] * self.geometry.pages_per_block(new_mode)
 
@@ -293,6 +298,9 @@ class SsdState:
         if total_valid != len(self.mapping):
             raise AuditError(
                 f"{total_valid} valid pages vs {len(self.mapping)} mapped lpns")
+        for mode, tally in self.block_tally.items():
+            if tally != sum(1 for b in self.blocks if b.mode is mode):
+                raise AuditError(f"{mode.value} block tally drift")
 
 
 def desk_geometry(channels: int = 1, blocks_per_channel: int = 8,

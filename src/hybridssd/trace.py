@@ -132,7 +132,8 @@ def synth_trace(ops: int, logical_pages: int, page_size: int,
                 interval_us: float = 100.0) -> list[TraceRecord]:
     """Skewed synthetic workload: hot_fraction of accesses hit the first
     hot_region_fraction of the logical space. Deterministic per seed."""
-    if not (0 <= hot_fraction <= 1 and 0 < hot_region_fraction <= 1):
+    if not (0 <= hot_fraction <= 1 and 0 < hot_region_fraction <= 1
+            and 0 <= write_ratio <= 1):
         raise ValueError("fractions must sit in [0, 1]")
     if logical_pages < 2 or ops < 0:
         raise ValueError("need logical_pages >= 2 and ops >= 0")

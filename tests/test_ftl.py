@@ -4,7 +4,7 @@ import pytest
 
 from hybridssd import (ACTION_ORDER, ActionKind, CapacityError, ConfigProfile,
                        FtlEngine, LatencyModel, Mode, NoData,
-                       PlacementStrategy, SAFETY_BOUND, SpaceAction, SsdState,
+                       PlacementStrategy, SAFETY_BOUND, SsdState,
                        desk_geometry)
 from hybridssd.ftl import GC_MODES
 from conftest import make_stack
@@ -28,28 +28,30 @@ class TestActionOrder:
 
 
 class TestActionFacts:
-    GRANULARITY = {ActionKind.SLC_INTERNAL_GC: 3,
-                   ActionKind.QLC_INTERNAL_GC: 3,
-                   ActionKind.SLC_TO_QLC_GC: 3,
-                   ActionKind.SLC_TO_QLC_MC: 2,
-                   ActionKind.IDLE: 1}
-
     def test_every_kind_is_gc_conversion_or_idle(self):
         assert (set(GC_MODES) | {ActionKind.SLC_TO_QLC_MC, ActionKind.IDLE}
                 == set(ActionKind))
 
-    def test_action_takes_granularity_from_config(self):
+    def test_execute_action_takes_granularity_from_config(self):
         ftl = make_ftl(gc_granularity=3, conversion_granularity=2)
-        for kind, granularity in self.GRANULARITY.items():
-            assert ftl.action(kind) == SpaceAction(kind, granularity)
+        steps = []
+        ftl._gc_once = lambda src, dst, out: steps.append((src, dst)) or True
+        ftl._convert_once = lambda out: steps.append("convert") or True
+        for kind in ActionKind:
+            steps.clear()
+            ftl.execute_action(kind)
+            if kind in GC_MODES:
+                assert steps == [GC_MODES[kind]] * 3
+            elif kind is ActionKind.SLC_TO_QLC_MC:
+                assert steps == ["convert"] * 2
+            else:
+                assert steps == []
 
-    def test_agent_choice_gets_the_same_granularity(self):
-        stack = make_stack(gc_granularity=3, conversion_granularity=2)
-        for kind, granularity in self.GRANULARITY.items():
+    def test_pick_action_returns_the_agent_kind(self):
+        stack = make_stack()
+        for kind in ActionKind:
             stack.agent.choose_action = lambda state, eps, kind=kind: kind
-            picked = stack._pick_action(stack.ftl)
-            assert picked == stack.ftl.action(kind)
-            assert picked == SpaceAction(kind, granularity)
+            assert stack._pick_action(stack.ftl) is kind
 
 
 class TestPlacement:
@@ -199,7 +201,7 @@ class TestActions:
             ftl.handle_write(lpn)
         ftl.handle_write(0)
         ftl.handle_write(1)
-        out = ftl.execute_action(SpaceAction(ActionKind.SLC_INTERNAL_GC))
+        out = ftl.execute_action(ActionKind.SLC_INTERNAL_GC)
         assert out.blocks_reclaimed == 1
         assert out.pages_migrated == 2            # lpns 2, 3 move
         # 2 reads + 2 programs + 1 erase, all SLC
@@ -216,7 +218,7 @@ class TestActions:
         for lpn in range(4):
             ftl.handle_write(lpn)        # block 0 full
         ftl.handle_write(0)              # invalidates one page in block 0
-        out = ftl.execute_action(SpaceAction(ActionKind.SLC_TO_QLC_GC))
+        out = ftl.execute_action(ActionKind.SLC_TO_QLC_GC)
         assert out.blocks_reclaimed == 1
         assert out.pages_migrated == 3
         for lpn in (1, 2, 3):
@@ -228,7 +230,7 @@ class TestActions:
 
     def test_gc_without_victim_is_zero_outcome(self):
         ftl = make_ftl(blocks=4, ppb=4)
-        out = ftl.execute_action(SpaceAction(ActionKind.SLC_INTERNAL_GC))
+        out = ftl.execute_action(ActionKind.SLC_INTERNAL_GC)
         assert not out.effective
         assert out.latency_us == 0.0
 
@@ -237,13 +239,13 @@ class TestActions:
         for lpn in range(7):
             ftl.handle_write(lpn)        # 7 of 8 raw pages used
         ftl.handle_write(0)              # full device, 1 invalid page
-        out = ftl.execute_action(SpaceAction(ActionKind.SLC_INTERNAL_GC))
+        out = ftl.execute_action(ActionKind.SLC_INTERNAL_GC)
         assert not out.effective         # 3 valid pages, 0 free to move into
 
     def test_conversion_picks_cheapest_free_slc_block(self):
         ftl = make_ftl(blocks=4, ppb=4, split=1.0)
         ftl.ssd.blocks[0].erase_count = 3
-        out = ftl.execute_action(SpaceAction(ActionKind.SLC_TO_QLC_MC))
+        out = ftl.execute_action(ActionKind.SLC_TO_QLC_MC)
         assert out.blocks_converted == 1
         assert out.latency_us == 0.0                 # metadata flip only
         assert ftl.ssd.blocks[1].mode is Mode.QLC    # id 1: erase 0 beats id 0
@@ -255,22 +257,41 @@ class TestActions:
         ftl = make_ftl(blocks=2, ppb=4, split=1.0)
         for lpn in range(7):
             ftl.handle_write(lpn)        # both blocks taken (1 active)
-        out = ftl.execute_action(SpaceAction(ActionKind.SLC_TO_QLC_MC))
+        out = ftl.execute_action(ActionKind.SLC_TO_QLC_MC)
         assert not out.effective
 
     def test_granularity_repeats_the_action(self):
-        ftl = make_ftl(blocks=8, ppb=4, split=1.0, gc_trigger_threshold=1)
+        ftl = make_ftl(blocks=8, ppb=4, split=1.0, gc_trigger_threshold=1,
+                       gc_granularity=2)
         for lpn in range(20):
             ftl.handle_write(lpn)        # blocks 0-4 filled
         for lpn in range(8):
             ftl.handle_write(lpn)        # blocks 0 and 1 fully invalid
-        out = ftl.execute_action(
-            SpaceAction(ActionKind.SLC_INTERNAL_GC, granularity=2))
+        out = ftl.execute_action(ActionKind.SLC_INTERNAL_GC)
         assert out.blocks_reclaimed == 2
+
+    def test_gc_granularity_caps_the_blocks_reclaimed(self):
+        ftl = make_ftl(blocks=16, ppb=4, split=1.0, gc_trigger_threshold=1,
+                       gc_granularity=3)
+        for lpn in range(24):
+            ftl.handle_write(lpn)        # blocks 0-5 filled
+        for lpn in range(16):
+            ftl.handle_write(lpn)        # blocks 0-3 fully invalid
+        out = ftl.execute_action(ActionKind.SLC_INTERNAL_GC)
+        assert out.blocks_reclaimed == 3
+        assert ftl.select_victim(Mode.SLC) == 3    # the fourth one is left
+        ftl.ssd.audit()
+
+    def test_conversion_granularity_caps_the_blocks_converted(self):
+        ftl = make_ftl(blocks=8, ppb=4, split=1.0, conversion_granularity=2)
+        out = ftl.execute_action(ActionKind.SLC_TO_QLC_MC)
+        assert out.blocks_converted == 2
+        assert ftl.ssd.block_count(Mode.QLC) == 2
+        ftl.ssd.audit()
 
     def test_idle_does_nothing(self):
         ftl = make_ftl()
-        out = ftl.execute_action(SpaceAction(ActionKind.IDLE))
+        out = ftl.execute_action(ActionKind.IDLE)
         assert not out.effective
         assert out.latency_us == 0.0
 
@@ -288,7 +309,7 @@ class TestSpaceManagementLoop:
 
     def test_safety_bound_emits_warning(self):
         # agent insists on QLC GC on an all-SLC device: 64 futile rounds
-        source = lambda ftl: SpaceAction(ActionKind.QLC_INTERNAL_GC)
+        source = lambda ftl: ActionKind.QLC_INTERNAL_GC
         geo = desk_geometry(channels=1, blocks_per_channel=4,
                             pages_per_block_slc=4)
         ssd = SsdState(geo, LatencyModel(), 1.0)
@@ -300,7 +321,7 @@ class TestSpaceManagementLoop:
 
     def test_mc_ineligible_attempt_is_harmless(self):
         # conversion wanted while free SLC is still above the trigger
-        source = lambda ftl: SpaceAction(ActionKind.SLC_TO_QLC_MC)
+        source = lambda ftl: ActionKind.SLC_TO_QLC_MC
         geo = desk_geometry(channels=1, blocks_per_channel=4,
                             pages_per_block_slc=4)
         ssd = SsdState(geo, LatencyModel(), 1.0)

@@ -10,6 +10,7 @@ from hybridssd.config import (ConfigProfile, TUNABLE_PARAMS,
 from hybridssd.errors import NoValidUpdate
 from hybridssd.monitor import SlidingWindow, WindowEntry
 from hybridssd.rl import bucket_fraction, reward
+from hybridssd.ssd import Mode
 from hybridssd.trace import OpKind, TraceRecord, page_span
 from hybridssd.tuner import correct_mistakes
 
@@ -64,6 +65,49 @@ def test_audit_holds_after_prefill_too(ops, fraction):
         else:
             stack.ftl.handle_read(lpn, n)
     stack.ssd.audit()
+
+
+def reference_victim(ftl, mode):
+    """select_victim's rule spelled out over explicit active ids."""
+    active = {b for slots in ftl.active.values() for b in slots
+              if b is not None}
+    keys = [(block.valid_count, block.erase_count, block_id)
+            for block_id, block in enumerate(ftl.ssd.blocks)
+            if block.mode is mode and block.invalid_count
+            and block_id not in active]
+    return min(keys)[2] if keys else None
+
+
+@settings(max_examples=30, deadline=None)
+@given(ops=st.lists(op_strategy, min_size=1, max_size=120),
+       gc_granularity=st.integers(min_value=1, max_value=3),
+       conversion_granularity=st.integers(min_value=1, max_value=3))
+def test_only_active_blocks_are_partly_written(ops, gc_granularity,
+                                               conversion_granularity):
+    # the invariant select_victim relies on: a block that is neither free
+    # nor active is full, and an active block never is
+    stack = make_stack(gc_trigger_threshold=13, rl_exploration=0.5,
+                       gc_granularity=gc_granularity,
+                       conversion_granularity=conversion_granularity)
+    ftl = stack.ftl
+    logical = stack.ssd.logical_capacity_pages
+    for kind, lpn, n in ops:
+        n = min(n, logical - lpn)
+        if kind == "write":
+            ftl.handle_write(lpn, n)
+        else:
+            ftl.handle_read(lpn, n)
+        active = {b for slots in ftl.active.values() for b in slots
+                  if b is not None}
+        free = {b for pools in ftl.free.values() for pool in pools
+                for b in pool}
+        for block_id, block in enumerate(stack.ssd.blocks):
+            if block_id in active:
+                assert not block.is_full, block_id
+            elif block_id not in free:
+                assert block.is_full, block_id
+        for mode in (Mode.SLC, Mode.QLC):
+            assert ftl.select_victim(mode) == reference_victim(ftl, mode)
 
 
 # --- page span -----------------------------------------------------------------------

@@ -483,6 +483,26 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["--hot-fraction", "2"],
+        ["--ops", "-5"],
+        ["--write-ratio", "3"],
+        ["--format", "msr", "--trace", "{missing}"],
+        ["--config", "{missing}"],
+        ["--mode", "tuned", "--backend", "scripted:{missing}"],
+        ["--mode", "sweep", "--sweep-multipliers", "1,abc"],
+    ])
+    def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, args):
+        missing = str(tmp_path / "missing.txt")
+        report = tmp_path / "x.json"
+        argv = [a.format(missing=missing) for a in args]
+        rc = cli.main(["run", "--ops", "100", *argv, "--report", str(report)]
+                      + SMALL_GEO_ARGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not report.exists()
+
     def test_msr_trace_file_end_to_end(self, tmp_path):
         trace = tmp_path / "w.csv"
         lines = []

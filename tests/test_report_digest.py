@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridssd import (ConfigProfile, EpochSchedule, LatencyModel,
+from hybridssd import (ConfigProfile, EpochSchedule, FtlEngine, LatencyModel,
                        ScriptedBackend, SsdState, desk_geometry,
                        emit_report, replay, synth_trace)
 
@@ -21,6 +21,8 @@ DIGESTS = {
         "e77c6a48e976cf31d473013e5fd237445d2159333c898907266f45c815525da3",
     "gc_agent_prefill":
         "0b50053a7b0130120ec14ff2b2b154efd0741275ee0a3c39fbf0bf5a760ea303",
+    "gc_granularity_prefill":
+        "9d61c397e26b4792f327248348ee843257090f7812f055718a25738eba2fc2e1",
     "tuned_fixture":
         "36ca28476d9659e2ec997d0cdc04ca4dcff18bfc0afacf66fe655e14b6529071",
 }
@@ -32,13 +34,14 @@ GEO = desk_geometry(channels=2, blocks_per_channel=16, pages_per_block_slc=8)
 SPLIT = 0.5
 
 
-def _run(ops, seed, **kw):
+def _run(ops, seed, config_over=None, **kw):
     pages = SsdState(GEO, LatencyModel(), SPLIT).logical_capacity_pages
     records = synth_trace(ops, pages, GEO.page_size, seed=seed)
     config = ConfigProfile(gc_trigger_threshold=13, window_size=100,
                            rl_training_interval=50,
                            kmeans_trigger_threshold=400,
-                           slice_size=GEO.page_size * 8)
+                           slice_size=GEO.page_size * 8,
+                           **(config_over or {}))
     return replay(records, config, GEO, seed=seed, initial_mode_split=SPLIT,
                   **kw)
 
@@ -52,6 +55,13 @@ def gc_agent_prefill():
     return _run(500, seed=5, prefill_fraction=0.9)
 
 
+def gc_granularity_prefill():
+    # GC and conversion granularity above 1, for the fill and the agent run
+    return _run(500, seed=5, prefill_fraction=0.9,
+                config_over={"gc_granularity": 3,
+                             "conversion_granularity": 2})
+
+
 def tuned_fixture():
     schedule = EpochSchedule(tuning_interval_writes=300,
                              investigation_ops=100, max_epochs=3)
@@ -62,6 +72,7 @@ def tuned_fixture():
 SCENARIOS = {
     "fresh_default": fresh_default,
     "gc_agent_prefill": gc_agent_prefill,
+    "gc_granularity_prefill": gc_granularity_prefill,
     "tuned_fixture": tuned_fixture,
 }
 
@@ -82,11 +93,22 @@ def test_report_bytes_are_pinned(name, tmp_path):
     assert report_digest(report, tmp_path) == DIGESTS[name]
 
 
-def test_scenarios_reach_the_layers_they_pin():
+def test_scenarios_reach_the_layers_they_pin(monkeypatch):
     fresh = fresh_default()
     assert fresh.requests == 1500 and fresh.qtable
     gc = gc_agent_prefill()
     assert gc.erases > 0 and gc.agent_decisions > 0
+    blocks_per_action = []
+    execute = FtlEngine.execute_action
+
+    def recording(ftl, kind):
+        out = execute(ftl, kind)
+        blocks_per_action.append(out.blocks_reclaimed + out.blocks_converted)
+        return out
+
+    monkeypatch.setattr(FtlEngine, "execute_action", recording)
+    gc_granularity_prefill()
+    assert max(blocks_per_action) > 1
     tuned = tuned_fixture()
     assert tuned.epochs_run >= 1
     assert all(e["prompt"] for e in tuned.epochs)

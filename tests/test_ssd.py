@@ -167,6 +167,17 @@ class TestConversion:
         assert desk_ssd.device_pages_written == writes
         assert desk_ssd.blocks[0].erase_count == 0
 
+    def test_block_tally_follows_conversions(self, desk_ssd):
+        recount = lambda mode: sum(1 for b in desk_ssd.blocks
+                                   if b.mode is mode)
+        for block_id, mode in ((0, Mode.QLC), (1, Mode.QLC), (0, Mode.SLC),
+                               (7, Mode.SLC), (2, Mode.SLC)):
+            desk_ssd.convert_block_mode(block_id, mode)
+            for m in Mode:
+                assert desk_ssd.block_count(m) == recount(m)
+        assert desk_ssd.block_count(Mode.SLC) == 4
+        desk_ssd.audit()
+
 
 class TestAudit:
     def test_clean_state_passes(self, desk_ssd):
@@ -192,4 +203,9 @@ class TestAudit:
         desk_ssd.blocks[0].pages[3] = 42       # page beyond the pointer
         desk_ssd.mapping[42] = (0, 3)
         with pytest.raises(AuditError):
+            desk_ssd.audit()
+
+    def test_block_tally_drift_detected(self, desk_ssd):
+        desk_ssd.block_tally[Mode.SLC] += 1
+        with pytest.raises(AuditError, match="tally"):
             desk_ssd.audit()
