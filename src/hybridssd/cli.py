@@ -202,7 +202,10 @@ def cmd_run(args) -> int:
     fmt = args.report_format
     if fmt is None:
         fmt = "csv" if args.report.endswith(".csv") else "json"
-    emit_report(report, args.report, fmt)
+    try:
+        emit_report(report, args.report, fmt)
+    except OSError as exc:
+        raise ConfigError(f"report: {exc}") from exc
 
     mean = report.mean_latency_us
     print(f"requests={report.requests} writes={report.writes} "

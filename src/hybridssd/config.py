@@ -7,6 +7,7 @@ is a reference swap, never a partial mutation.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, fields, replace
 
@@ -187,7 +188,8 @@ def parse_scalar(text: str):
 
     "1.6ms" -> 1600, "200MB" -> 209715200, "8%" -> 8, "0.1" -> 0.1.
     Integral results come back as int. Non-numeric text comes back stripped
-    (placement strategies are named, not numbered).
+    (placement strategies are named, not numbered), and so does a number
+    too large for a float: callers reject text where they need a number.
     """
     m = _NUMBER_RE.match(text)
     if not m:
@@ -196,6 +198,8 @@ def parse_scalar(text: str):
     if unit not in _UNIT_SCALE:
         return text.strip()
     value = float(digits) * _UNIT_SCALE[unit]
+    if not math.isfinite(value):
+        return text.strip()
     if value == int(value):
         return int(value)
     return value

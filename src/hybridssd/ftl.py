@@ -170,9 +170,9 @@ class FtlEngine:
         other = Mode.QLC if mode is Mode.SLC else Mode.SLC
         return self._allocate_page(mode) or self._allocate_page(other)
 
-    def _program(self, placed: tuple[int, int], lpn: int, tag) -> tuple[float, int]:
+    def _program(self, placed: tuple[int, int], lpn: int) -> tuple[float, int]:
         block_id, page_idx = placed
-        us = self.ssd.program_page(block_id, page_idx, lpn, tag)
+        us = self.ssd.program_page(block_id, page_idx, lpn)
         self.wa.device_pages_written += 1
         block = self.ssd.blocks[block_id]
         ch = self.ssd.geometry.channel_of(block_id)
@@ -187,8 +187,8 @@ class FtlEngine:
 
     # --- host requests ---------------------------------------------------------
 
-    def handle_write(self, lpn: int, n_pages: int = 1, hot: bool | None = None,
-                     tag=None) -> float:
+    def handle_write(self, lpn: int, n_pages: int = 1,
+                     hot: bool | None = None) -> float:
         """Service a host write; returns its latency including foreground GC."""
         if lpn < 0 or n_pages < 1 or lpn + n_pages > self.ssd.logical_capacity_pages:
             self.rejected_requests += 1
@@ -207,7 +207,7 @@ class FtlEngine:
                 placed = self._place(mode)
                 if placed is None:
                     raise CapacityError("device full even after space management")
-            us, ch = self._program(placed, i, tag)
+            us, ch = self._program(placed, i)
             per_channel[ch] = per_channel.get(ch, 0.0) + us
         self.wa.host_pages_written += n_pages
         gc_us += self._space_management()
@@ -331,11 +331,10 @@ class FtlEngine:
             lpn = vblock.pages[idx]
             if lpn < 0:
                 continue
-            tag = vblock.tags.get(idx) if vblock.tags else None
             out.latency_us += self.ssd.read_page(victim, idx)
             self.ssd.invalidate_page(victim, idx)
             placed = self._allocate_page(dst)
-            out.latency_us += self._program(placed, lpn, tag)[0]
+            out.latency_us += self._program(placed, lpn)[0]
             out.pages_migrated += 1
         out.latency_us += self.ssd.erase_block(victim)
         out.blocks_reclaimed += 1

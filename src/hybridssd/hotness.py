@@ -68,10 +68,9 @@ class UpdateStats:
 
 @dataclass(frozen=True)
 class HotnessLabels:
-    """Immutable labeling generation. Unlabeled slices default to Cold."""
+    """One classification's labels. Unlabeled slices default to Cold."""
 
     labels: dict
-    generation: int
     slice_size: int
     page_size: int
 
@@ -125,8 +124,7 @@ def kmeans(points: np.ndarray, k: int, max_iterations: int,
 
 
 def classify(stats: UpdateStats, now_us: float, k: int = 2,
-             max_iterations: int = 10, tol: float = 1e-4,
-             generation: int = 0) -> HotnessLabels:
+             max_iterations: int = 10, tol: float = 1e-4) -> HotnessLabels:
     """Label every observed slice Hot or Cold from this window's stats.
 
     Features per slice: update count and mean update interval (slices with a
@@ -137,7 +135,7 @@ def classify(stats: UpdateStats, now_us: float, k: int = 2,
     """
     slice_ids = sorted(stats.slices)
     if not slice_ids:
-        return HotnessLabels({}, generation, stats.slice_size, stats.page_size)
+        return HotnessLabels({}, stats.slice_size, stats.page_size)
     window_len = max(now_us - stats.window_start_us, 1.0)
     counts = np.array([stats.slices[s].update_count for s in slice_ids],
                       dtype=float)
@@ -151,8 +149,7 @@ def classify(stats: UpdateStats, now_us: float, k: int = 2,
         median = float(np.median(counts))
         labels = {s: (Hotness.HOT if c > median else Hotness.COLD)
                   for s, c in zip(slice_ids, counts)}
-        return HotnessLabels(labels, generation, stats.slice_size,
-                             stats.page_size)
+        return HotnessLabels(labels, stats.slice_size, stats.page_size)
     assign, _, _ = kmeans(points, k, max_iterations, tol)
     best = None
     best_key = None
@@ -166,7 +163,7 @@ def classify(stats: UpdateStats, now_us: float, k: int = 2,
             best, best_key = j, key
     labels = {s: (Hotness.HOT if assign[i] == best else Hotness.COLD)
               for i, s in enumerate(slice_ids)}
-    return HotnessLabels(labels, generation, stats.slice_size, stats.page_size)
+    return HotnessLabels(labels, stats.slice_size, stats.page_size)
 
 
 class HotnessClassifier:
@@ -175,9 +172,9 @@ class HotnessClassifier:
     def __init__(self, slice_size: int, page_size: int,
                  kmeans_tol: float = 1e-4):
         self.stats = UpdateStats(slice_size, page_size)
-        self.labels = HotnessLabels({}, 0, slice_size, page_size)
+        self.labels = HotnessLabels({}, slice_size, page_size)
         self.writes_since_classify = 0
-        self.generation = 0
+        self.generation = 0             # classifications run so far
         self.kmeans_tol = kmeans_tol
 
     def record_write(self, lpn: int, now_us: float) -> None:
@@ -196,8 +193,7 @@ class HotnessClassifier:
         self.labels = classify(
             self.stats, now_us, k=2,
             max_iterations=config.kmeans_max_iterations,
-            tol=self.kmeans_tol,
-            generation=self.generation)
+            tol=self.kmeans_tol)
         self.stats.reset(now_us)
         self.writes_since_classify = 0
         return self.labels
@@ -209,5 +205,5 @@ class HotnessClassifier:
         page_size = self.stats.page_size
         self.stats = UpdateStats(slice_size, page_size)
         self.stats.window_start_us = now_us
-        self.labels = HotnessLabels({}, self.generation, slice_size, page_size)
+        self.labels = HotnessLabels({}, slice_size, page_size)
         self.writes_since_classify = 0

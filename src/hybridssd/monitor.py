@@ -12,20 +12,13 @@ from .errors import ConfigError, NoData
 class WindowEntry:
     lpn: int
     is_write: bool
-    size_pages: int
     timestamp_us: float
 
 
 @dataclass(frozen=True)
 class WorkloadSummary:
-    count: int
-    write_ratio: float
-    mean_lpn: float
-    std_lpn: float                 # population std-dev, page units
-    mean_request_size: float       # pages
     writes_per_virtual_second: float
     shift_detected: bool
-    prev_std_lpn: float | None
 
 
 class SlidingWindow:
@@ -53,17 +46,16 @@ class SlidingWindow:
             self.entries.popleft()
 
     def summarize(self, std_dev_threshold: float) -> WorkloadSummary:
-        """Population statistics over the window plus shift detection.
+        """Write rate over the window's virtual time plus shift detection.
 
-        A shift is a change of more than std_dev_threshold pages in the LPN
-        std-dev since the previous summary; the first summary never shifts.
+        A shift is a change of more than std_dev_threshold pages in the
+        population std-dev of the window's LPNs since the previous summary;
+        the first summary never shifts.
         """
         if not self.entries:
             raise NoData("workload window is empty")
-        lpns = [e.lpn for e in self.entries]
-        n = len(lpns)
         writes = sum(1 for e in self.entries if e.is_write)
-        std = statistics.pstdev(lpns)
+        std = statistics.pstdev(e.lpn for e in self.entries)
         span_us = self.entries[-1].timestamp_us - self.entries[0].timestamp_us
         rate = writes / (max(span_us, 1.0) / 1e6)
         prev = self._prev_std
@@ -71,13 +63,5 @@ class SlidingWindow:
         if shift:
             self.shifts_detected += 1
         self._prev_std = std
-        return WorkloadSummary(
-            count=n,
-            write_ratio=writes / n,
-            mean_lpn=statistics.fmean(lpns),
-            std_lpn=std,
-            mean_request_size=statistics.fmean(e.size_pages for e in self.entries),
-            writes_per_virtual_second=rate,
-            shift_detected=shift,
-            prev_std_lpn=prev,
-        )
+        return WorkloadSummary(writes_per_virtual_second=rate,
+                               shift_detected=shift)

@@ -50,8 +50,6 @@ class SimulatorStack:
         self.writes = 0
         self.reads = 0
         self.total_latency_us = 0.0     # also the virtual clock
-        self.classifications = 0
-        self.config_applications = 0
         self.last_summary = None
         self.shift_pending = False
         self._hot_window: deque[int] = deque(maxlen=256)
@@ -118,12 +116,9 @@ class SimulatorStack:
                     self.classifier.record_write(lpn + i, now)
         else:
             self.reads += 1
-        total_pages = sum(n for _, n in spans)
         self.monitor.push(WindowEntry(lpn=spans[0][0], is_write=is_write,
-                                      size_pages=total_pages,
                                       timestamp_us=now))
-        if self.classifier.maybe_classify(self.config, now):
-            self.classifications += 1
+        self.classifier.maybe_classify(self.config, now)
         if (self.requests - self._train_req_mark
                 >= self.config.rl_training_interval):
             self._train_agent()
@@ -138,7 +133,6 @@ class SimulatorStack:
         self.monitor.set_capacity(profile.window_size)
         self.classifier.reconfigure(profile.slice_size,
                                     self.total_latency_us)
-        self.config_applications += 1
 
     def marker(self) -> Marker:
         return Marker(requests=self.requests,
@@ -238,10 +232,8 @@ def _build_report(stack: SimulatorStack, mode: str, trace_ops: int,
                   baseline_total_us: float | None) -> RunReport:
     epochs = []
     acc = None
-    epochs_run = 0
     if loop is not None:
         epochs = [r.to_json_dict() for r in loop.history]
-        epochs_run = loop.epochs_run
         try:
             acc = accuracy(loop.history)
         except NoData:
@@ -274,14 +266,14 @@ def _build_report(stack: SimulatorStack, mode: str, trace_ops: int,
         ineffective_actions=stack.ftl.ineffective_actions,
         action_counts={kind.value: stack.ftl.action_counts[kind]
                        for kind in ACTION_ORDER},
-        classifications=stack.classifications,
+        classifications=stack.classifier.generation,
         shifts_detected=stack.monitor.shifts_detected,
         agent_decisions=stack.agent.decisions,
         agent_trainings=stack.agent.trainings,
         q_reset_warnings=stack.agent.qtable.reset_warnings,
         qtable=stack.agent.qtable.to_json_dict(),
         epochs=epochs,
-        epochs_run=epochs_run,
+        epochs_run=len(epochs),
         accuracy=acc,
     )
 

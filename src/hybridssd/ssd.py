@@ -116,7 +116,7 @@ class BlockState:
     """One erase block: mode, page array, append-only write pointer."""
 
     __slots__ = ("mode", "pages", "write_pointer", "erase_count",
-                 "valid_count", "invalid_count", "tags")
+                 "valid_count", "invalid_count")
 
     def __init__(self, mode: Mode, pages_per_block: int):
         self.mode = mode
@@ -125,7 +125,6 @@ class BlockState:
         self.erase_count = 0
         self.valid_count = 0
         self.invalid_count = 0
-        self.tags: dict[int, object] | None = None  # test payloads, lazy
 
     @property
     def page_count(self) -> int:
@@ -179,8 +178,7 @@ class SsdState:
 
     # --- page operations ------------------------------------------------------
 
-    def program_page(self, block_id: int, page_idx: int, lpn: int,
-                     tag=None) -> float:
+    def program_page(self, block_id: int, page_idx: int, lpn: int) -> float:
         """Append one page to a block. Returns the program latency in us."""
         block = self.blocks[block_id]
         if page_idx != block.write_pointer:
@@ -195,10 +193,6 @@ class SsdState:
         block.pages[page_idx] = lpn
         block.write_pointer += 1
         block.valid_count += 1
-        if tag is not None:
-            if block.tags is None:
-                block.tags = {}
-            block.tags[page_idx] = tag
         self.mapping[lpn] = (block_id, page_idx)
         self.device_pages_written += 1
         return self.latency.write_us(block.mode)
@@ -223,8 +217,6 @@ class SsdState:
         block.pages[page_idx] = PAGE_INVALID
         block.valid_count -= 1
         block.invalid_count += 1
-        if block.tags is not None:
-            block.tags.pop(page_idx, None)
         del self.mapping[lpn]
 
     def erase_block(self, block_id: int) -> float:
@@ -238,7 +230,6 @@ class SsdState:
         block.write_pointer = 0
         block.invalid_count = 0
         block.erase_count += 1
-        block.tags = None
         self.erase_ops += 1
         return self.latency.erase_us(block.mode)
 
@@ -258,14 +249,6 @@ class SsdState:
         self.block_tally[new_mode] += 1
         block.mode = new_mode
         block.pages = [PAGE_FREE] * self.geometry.pages_per_block(new_mode)
-
-    def payload_of(self, lpn: int):
-        """Tag stored by the most recent write to lpn (None if untagged)."""
-        ppn = self.mapping.get(lpn)
-        if ppn is None:
-            return None
-        block = self.blocks[ppn[0]]
-        return None if block.tags is None else block.tags.get(ppn[1])
 
     # --- consistency audit -----------------------------------------------------
 

@@ -71,7 +71,8 @@ FORMATS: dict[str, FormatSpec] = {
 
 def parse_trace_line(spec: FormatSpec, line: str,
                      line_no: int = 0) -> TraceRecord | None:
-    """One record, or None for anything malformed."""
+    """One record, or None for anything malformed (non-finite or overflowing
+    numbers included)."""
     parts = (line.split(spec.delimiter) if spec.delimiter
              else line.split())
     needed = max(spec.ts_col, spec.op_col, spec.offset_col, spec.size_col)
@@ -81,7 +82,7 @@ def parse_trace_line(spec: FormatSpec, line: str,
         ts = float(parts[spec.ts_col]) * spec.ts_scale_us
         offset = int(float(parts[spec.offset_col])) * spec.offset_scale
         size = int(float(parts[spec.size_col])) * spec.size_scale
-    except ValueError:
+    except (ValueError, OverflowError):
         return None
     op_text = parts[spec.op_col].strip().lower()
     if op_text in spec.read_values:
@@ -90,7 +91,7 @@ def parse_trace_line(spec: FormatSpec, line: str,
         op = OpKind.WRITE
     else:
         return None
-    if ts < 0 or offset < 0 or size <= 0:
+    if not math.isfinite(ts) or ts < 0 or offset < 0 or size <= 0:
         return None
     return TraceRecord(ts, op, offset, size, line_no)
 

@@ -115,7 +115,6 @@ class VerificationLoop:
         self.target_note = target_note
         self.history: list[TuningRecord] = []
         self.baseline: PerfSnapshot | None = None   # default-config reference
-        self.epochs_run = 0
         self.writes_at_cycle_start = 0
         self.cycle_marker: Marker | None = None
         self.shift_epoch_this_interval = False
@@ -125,7 +124,7 @@ class VerificationLoop:
 
     def wants_epoch(self, stack, shift_pending: bool) -> str | None:
         """Returns a trigger name if an epoch should start now."""
-        if self.in_epoch or self.epochs_run >= self.schedule.max_epochs:
+        if self.in_epoch or len(self.history) >= self.schedule.max_epochs:
             return None
         writes_since = stack.writes - self.writes_at_cycle_start
         if writes_since >= self.schedule.tuning_interval_writes:
@@ -149,7 +148,6 @@ class VerificationLoop:
         finally:
             self.in_epoch = False
         self.history.append(record)
-        self.epochs_run += 1
         if trigger == "shift":
             self.shift_epoch_this_interval = True
         else:
@@ -159,7 +157,7 @@ class VerificationLoop:
         return record
 
     def _run_epoch(self, stack, pump, trigger: str) -> TuningRecord:
-        epoch = self.epochs_run + 1
+        epoch = len(self.history) + 1
         since = self.cycle_marker or stack.zero_marker()
         try:
             prev = measure(stack, since)

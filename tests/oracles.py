@@ -91,6 +91,64 @@ class FlashOpLog:
         return wrapped
 
 
+class PagePayloads:
+    """The payload each physical page of one FtlEngine holds, observed from
+    outside.
+
+    Wraps the engine instance's handle_write and execute_action and the
+    read_page/program_page methods of its SsdState instance. The wrapped
+    handle_write takes an extra `tag` keyword: every page programmed by
+    that host write holds the tag. A page programmed inside execute_action
+    (a GC migration) holds the payload of the page read just before it, and
+    each read pays for one program only, so a migration that skips its read
+    moves None instead of the data.
+    """
+
+    def __init__(self, ftl):
+        self.ssd = ftl.ssd
+        self.by_ppn = {}
+        self._tag = None
+        self._last_read = None
+        self._in_action = False
+        read, program = self.ssd.read_page, self.ssd.program_page
+        write, action = ftl.handle_write, ftl.execute_action
+
+        def read_page(block_id, page_idx):
+            self._last_read = self.by_ppn.get((block_id, page_idx))
+            return read(block_id, page_idx)
+
+        def program_page(block_id, page_idx, lpn):
+            if self._in_action:
+                payload, self._last_read = self._last_read, None
+            else:
+                payload = self._tag
+            us = program(block_id, page_idx, lpn)
+            self.by_ppn[(block_id, page_idx)] = payload
+            return us
+
+        def handle_write(lpn, n_pages=1, hot=None, tag=None):
+            self._tag = tag
+            try:
+                return write(lpn, n_pages, hot)
+            finally:
+                self._tag = None
+
+        def execute_action(kind):
+            self._in_action = True
+            try:
+                return action(kind)
+            finally:
+                self._in_action = False
+
+        self.ssd.read_page, self.ssd.program_page = read_page, program_page
+        ftl.handle_write, ftl.execute_action = handle_write, execute_action
+
+    def payload_of(self, lpn):
+        """Payload at the page the device maps lpn to (None if unmapped)."""
+        ppn = self.ssd.mapping.get(lpn)
+        return None if ppn is None else self.by_ppn.get(ppn)
+
+
 class MiniSlcFtl:
     """Single-channel, all-SLC page-mapped FTL with the same policy choices
     as the engine: append-only active block, cheapest-free-block allocation,

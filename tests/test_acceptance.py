@@ -27,7 +27,8 @@ from hybridssd.tuner import (ScriptedBackend, Verdict, TuningRecord,
 from hybridssd.verification import EpochSchedule, VerificationLoop, accuracy
 
 from conftest import make_stack
-from oracles import FlashOpLog, MiniSlcFtl, recompute_total_latency
+from oracles import (FlashOpLog, MiniSlcFtl, PagePayloads,
+                     recompute_total_latency)
 from test_verification import ScriptedStack, epoch_markers
 
 PAGE = 16384
@@ -49,6 +50,7 @@ def test_criterion_01_ftl_integrity():
     geo = desk_geometry()            # 1 channel x 8 blocks x 8 pages
     ssd = SsdState(geo, LatencyModel(), initial_mode_split=0.5)
     ftl = FtlEngine(ssd, ConfigProfile(gc_trigger_threshold=30))
+    payloads = PagePayloads(ftl)
     logical = ssd.logical_capacity_pages
     span = 110
     rng = random.Random(0xACCE55)
@@ -68,7 +70,7 @@ def test_criterion_01_ftl_integrity():
             ftl.handle_read(lpn, n)
             for j in range(lpn, lpn + n):
                 if j in shadow:
-                    assert ssd.payload_of(j) == shadow[j], (
+                    assert payloads.payload_of(j) == shadow[j], (
                         f"stale read lpn={j} at op {i}")
                     verified += 1
         ssd.audit()                  # bijectivity after every operation
@@ -94,8 +96,8 @@ def test_criterion_02_wa_oracle():
     ftl = FtlEngine(ssd, ConfigProfile(gc_trigger_threshold=30))
     oracle = MiniSlcFtl(4, 4, ssd.logical_capacity_pages, 30)
     t0 = time.time()
-    for i, (lpn, n) in enumerate(pattern):
-        ftl.handle_write(lpn, n, tag=i)
+    for lpn, n in pattern:
+        ftl.handle_write(lpn, n)
         oracle.write(lpn, n)
     elapsed = time.time() - t0
     ok = (ftl.wa.host_pages_written == oracle.host == 43

@@ -116,6 +116,10 @@ class TestScalarParsing:
     def test_unknown_unit_is_not_a_number(self):
         assert parse_scalar("5 furlongs") == "5 furlongs"
 
+    def test_overflow_is_not_a_number(self):
+        assert parse_scalar(" 1e309") == "1e309"
+        assert parse_scalar("1e308GB") == "1e308GB"
+
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):

@@ -5,9 +5,8 @@ import pytest
 from hybridssd import ConfigError, NoData, SlidingWindow, WindowEntry
 
 
-def entry(lpn, write=True, size=1, t=0.0):
-    return WindowEntry(lpn=lpn, is_write=write, size_pages=size,
-                       timestamp_us=t)
+def entry(lpn, write=True, t=0.0):
+    return WindowEntry(lpn=lpn, is_write=write, timestamp_us=t)
 
 
 class TestWindowMechanics:
@@ -43,19 +42,22 @@ class TestSummary:
             SlidingWindow(4).summarize(100)
 
     def test_statistics_match_stdlib(self):
-        w = SlidingWindow(100)
-        lpns = [3, 1, 4, 1, 5, 9, 2, 6]
-        for i, lpn in enumerate(lpns):
-            w.push(entry(lpn, write=(i % 2 == 0), size=i + 1,
-                         t=100.0 * (i + 1)))
-        s = w.summarize(std_dev_threshold=10 ** 9)
-        assert s.count == 8
-        assert s.write_ratio == 0.5
-        assert s.mean_lpn == statistics.fmean(lpns)
-        assert s.std_lpn == statistics.pstdev(lpns)
-        assert s.mean_request_size == statistics.fmean(range(1, 9))
-        # 4 writes over 700us of virtual time
-        assert s.writes_per_virtual_second == pytest.approx(4 / (700 / 1e6))
+        before = [3, 1, 4, 1, 5, 9, 2, 6]
+        now = [30, 1, 40, 1, 50, 9, 20, 6]
+        delta = abs(statistics.pstdev(now) - statistics.pstdev(before))
+        for threshold in (0, delta / 2, delta, 2 * delta):
+            w = SlidingWindow(8)
+            for i, lpn in enumerate(before):
+                w.push(entry(lpn, t=100.0 * i))
+            w.summarize(threshold)
+            for i, lpn in enumerate(now):
+                w.push(entry(lpn, write=(i % 2 == 0), t=100.0 * (i + 9)))
+            s = w.summarize(threshold)
+            # a shift is an LPN std-dev jump strictly above the threshold
+            assert s.shift_detected == (delta > threshold)
+            # 4 writes over 700us of virtual time
+            assert s.writes_per_virtual_second == pytest.approx(
+                4 / (700 / 1e6))
 
     def test_zero_span_rate_does_not_divide_by_zero(self):
         w = SlidingWindow(4)
@@ -75,7 +77,6 @@ class TestShiftDetection:
         self.fill(w, [1, 100, 10000, 5])
         s = w.summarize(std_dev_threshold=1)
         assert not s.shift_detected
-        assert s.prev_std_lpn is None
 
     def test_shift_requires_strictly_larger_jump(self):
         w = SlidingWindow(4)
@@ -90,7 +91,6 @@ class TestShiftDetection:
         self.fill(w, [0, 60, 0, 60], t0=30.0)      # std 30, delta 19
         s = w.summarize(std_dev_threshold=10)
         assert s.shift_detected
-        assert s.prev_std_lpn == pytest.approx(11.0)
         assert w.shifts_detected == 1
 
     def test_shift_state_updates_every_summary(self):

@@ -15,6 +15,7 @@ from hybridssd.trace import OpKind, TraceRecord, page_span
 from hybridssd.tuner import correct_mistakes
 
 from conftest import make_stack
+from oracles import PagePayloads
 
 PAGE = 16384
 BOUNDS = default_param_bounds(PAGE)
@@ -33,6 +34,7 @@ op_strategy = st.tuples(
 @given(ops=st.lists(op_strategy, min_size=1, max_size=120))
 def test_mapping_stays_consistent_under_any_workload(ops):
     stack = make_stack(gc_trigger_threshold=13)
+    payloads = PagePayloads(stack.ftl)
     logical = stack.ssd.logical_capacity_pages
     shadow = {}
     for i, (kind, lpn, n) in enumerate(ops):
@@ -47,7 +49,7 @@ def test_mapping_stays_consistent_under_any_workload(ops):
     # every live page still carries the tag of its last host write, through
     # any number of GC migrations
     for lpn, tag in shadow.items():
-        assert stack.ssd.payload_of(lpn) == tag
+        assert payloads.payload_of(lpn) == tag
     assert stack.ssd.valid_pages() == len(shadow)
 
 
@@ -242,23 +244,30 @@ def test_reward_is_two_piece(avg, threshold):
 entries = st.lists(
     st.tuples(st.integers(min_value=0, max_value=10000),   # lpn
               st.booleans(),                               # is_write
-              st.integers(min_value=1, max_value=64)),     # pages
+              st.integers(min_value=0, max_value=100)),    # us since last
     min_size=2, max_size=60)
 
 
 @settings(max_examples=100)
-@given(raw=entries)
-def test_window_statistics_match_stdlib(raw):
-    window = SlidingWindow(128)
-    for i, (lpn, is_write, pages) in enumerate(raw):
-        window.push(WindowEntry(lpn=lpn, is_write=is_write, size_pages=pages,
-                                timestamp_us=float(i) * 50.0))
-    s = window.summarize(std_dev_threshold=10**9)
-    lpns = [lpn for lpn, _, _ in raw]
-    assert s.count == len(raw)
-    assert s.mean_lpn == pytest.approx(statistics.fmean(lpns))
-    assert s.std_lpn == pytest.approx(statistics.pstdev(lpns))
-    assert s.write_ratio == pytest.approx(
-        sum(1 for _, w, _ in raw if w) / len(raw))
-    assert s.mean_request_size == pytest.approx(
-        statistics.fmean(p for _, _, p in raw))
+@given(before=entries, now=entries,
+       threshold=st.floats(min_value=0.0, max_value=5000.0))
+def test_window_statistics_match_stdlib(before, now, threshold):
+    # the window holds exactly `now` once it is pushed, and the tail of
+    # `before` when the baseline summary is taken
+    window = SlidingWindow(len(now))
+    t = 0.0
+    stamps = []
+    for lpn, is_write, gap in before + now:
+        t += gap
+        stamps.append(t)
+        window.push(WindowEntry(lpn=lpn, is_write=is_write, timestamp_us=t))
+        if len(stamps) == len(before):
+            window.summarize(threshold)
+    s = window.summarize(threshold)
+    prev_std = statistics.pstdev([lpn for lpn, _, _ in before[-len(now):]])
+    now_std = statistics.pstdev([lpn for lpn, _, _ in now])
+    assert s.shift_detected == (abs(now_std - prev_std) > threshold)
+    writes = sum(1 for _, w, _ in now if w)
+    span_us = stamps[-1] - stamps[-len(now)]
+    assert s.writes_per_virtual_second == pytest.approx(
+        writes / (max(span_us, 1.0) / 1e6))

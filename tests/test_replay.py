@@ -75,7 +75,7 @@ class TestSimulatorStack:
         # every op a single-page write: classify at write 100, 200, ...
         for i, rec in enumerate(small_trace(250, seed=4, write_ratio=1.0)):
             stack.service(rec)
-        assert stack.classifications == 2
+        assert stack.classifier.generation == 2
 
     def test_apply_config_swaps_every_consumer(self):
         stack = make_stack(gc_trigger_threshold=13)
@@ -86,7 +86,6 @@ class TestSimulatorStack:
         assert stack.ftl.config is new
         assert stack.monitor.capacity == 64
         assert stack.classifier.stats.slice_size == PAGE * 4
-        assert stack.config_applications == 1
 
     def test_prefill_keeps_occupancy_but_zeroes_metrics(self):
         stack = make_stack(gc_trigger_threshold=13)
@@ -491,12 +490,17 @@ class TestCli:
         ["--config", "{missing}"],
         ["--mode", "tuned", "--backend", "scripted:{missing}"],
         ["--mode", "sweep", "--sweep-multipliers", "1,abc"],
+        ["--config", "{overflow}"],
+        ["--report", "{missing}/r.json"],
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, args):
         missing = str(tmp_path / "missing.txt")
+        overflow = tmp_path / "overflow.conf"
+        overflow.write_text("window size = 1e309\n", encoding="utf-8")
         report = tmp_path / "x.json"
-        argv = [a.format(missing=missing) for a in args]
-        rc = cli.main(["run", "--ops", "100", *argv, "--report", str(report)]
+        argv = [a.format(missing=missing, overflow=overflow) for a in args]
+        # a later --report replaces an earlier one
+        rc = cli.main(["run", "--ops", "100", "--report", str(report), *argv]
                       + SMALL_GEO_ARGS)
         assert rc == 2
         err = capsys.readouterr().err

@@ -92,11 +92,10 @@ class TestConstruction:
 
 class TestPageOps:
     def test_program_read_roundtrip(self, desk_ssd):
-        us = desk_ssd.program_page(0, 0, lpn=7, tag="x")
+        us = desk_ssd.program_page(0, 0, lpn=7)
         assert us == 200.0
         assert desk_ssd.mapping[7] == (0, 0)
         assert desk_ssd.read_page(0, 0) == 20.0
-        assert desk_ssd.payload_of(7) == "x"
 
     def test_program_enforces_append_order(self, desk_ssd):
         with pytest.raises(PageStateError):

@@ -79,6 +79,19 @@ class TestLoadTrace:
         assert records[0].timestamp_us == 0.0
         assert records[1].timestamp_us == pytest.approx(10.0)  # (200-100)*0.1
 
+    def test_non_finite_fields_are_malformed(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(
+            "300,hm,0,Write,16384,4096,1\n"
+            "nan,hm,0,Write,0,4096,1\n"
+            "200,hm,0,Write,1e999,4096,1\n"
+            "100,hm,0,Read,0,4096,1\n"
+            "150,hm,0,Read,0,1e999,1\n"
+            "inf,hm,0,Read,0,4096,1\n")
+        records, skipped = load_trace(p, "msr")
+        assert skipped == 4
+        assert [r.timestamp_us for r in records] == [0.0, pytest.approx(20.0)]
+
     def test_unknown_format_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("1\n")

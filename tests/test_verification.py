@@ -223,7 +223,7 @@ class TestWantsEpoch:
 
     def test_max_epochs_cap(self):
         loop = self.make_loop(max_epochs=2)
-        loop.epochs_run = 2
+        loop.history = [None, None]     # two epochs already run
         stub = SimpleNamespace(writes=10_000)
         assert loop.wants_epoch(stub, True) is None
 
@@ -302,6 +302,13 @@ class TestRunEpoch:
         assert rec.verdict is Verdict.REJECTED
         assert stack.applied == []
 
+    def test_rejects_a_value_too_large_for_a_float(self):
+        stack = ScriptedStack(scripted_markers(100.0, 90.0))
+        loop = make_loop(["`1.GC trigger threshold: 1e309`"])
+        rec = loop.run_epoch(stack, lambda n: n, "scheduled")
+        assert rec.verdict is Verdict.REJECTED
+        assert stack.applied == []
+
     def test_rolls_back_when_no_ops_left_to_probe(self):
         original = ConfigProfile()
         markers = scripted_markers(100.0, 90.0)[:2] + [mk(requests=100)]
@@ -340,7 +347,6 @@ class TestRunEpoch:
         loop = make_loop([GOOD_REPLY])
         rec = loop.run_epoch(stack, lambda n: n, "scheduled")
         assert rec.epoch == 1
-        assert loop.epochs_run == 1
         assert loop.history == [rec]
         assert loop.writes_at_cycle_start == 450
         assert loop.cycle_marker is not None
@@ -387,7 +393,7 @@ class TestEpochOnRealStack:
         assert rec.latency_after_us is not None
         assert rec.latency_after_us > 0
         # probe really serviced the investigation period
-        assert rec.epoch == 1 and loop.epochs_run == 1
+        assert rec.epoch == 1 and loop.history == [rec]
 
     def test_rollback_restores_live_config(self):
         stack = make_stack(gc_trigger_threshold=13)
