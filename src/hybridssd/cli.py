@@ -7,7 +7,7 @@ import sys
 
 from .config import ConfigProfile, load_config_file
 from .errors import ConfigError, SimulatorError
-from .replay import emit_report, replay, run_sweep
+from .replay import check_report_path, emit_report, replay, run_sweep
 from .ssd import FlashGeometry, initial_layout
 from .trace import FORMATS, load_trace, synth_trace
 from .tuner import (DEFAULT_MAX_TOKENS, DEFAULT_OVERLAP_TOKENS, RemoteBackend,
@@ -132,6 +132,10 @@ def _load_records(args, geometry: FlashGeometry, logical_pages: int):
 
 
 def cmd_run(args) -> int:
+    try:
+        check_report_path(args.report)
+    except OSError as exc:
+        raise ConfigError(f"report: {exc}") from exc
     geometry = FlashGeometry(channels=args.channels,
                              blocks_per_channel=args.blocks_per_channel,
                              pages_per_block_slc=args.pages_per_block,

@@ -26,6 +26,9 @@ class ActionKind(enum.Enum):
     SLC_TO_QLC_MC = "slc_to_qlc_mc"
     IDLE = "idle"
 
+    # identity hashing, as for Mode: Q-table and counter dicts key on kinds
+    __hash__ = object.__hash__
+
 
 # fixed enumeration order; argmax tie-breaks and fuzz tables rely on it
 ACTION_ORDER = tuple(ActionKind)
@@ -85,9 +88,12 @@ class FtlEngine:
         self.free: dict[Mode, list[set[int]]] = {
             Mode.SLC: [set() for _ in range(channels)],
             Mode.QLC: [set() for _ in range(channels)]}
+        # blocks in each mode's pools, kept with every pool change
+        self.free_count = {Mode.SLC: 0, Mode.QLC: 0}
         for block_id, block in enumerate(ssd.blocks):
             ch = ssd.geometry.channel_of(block_id)
             self.free[block.mode][ch].add(block_id)
+            self.free_count[block.mode] += 1
         self.stripe_cursor = {Mode.SLC: 0, Mode.QLC: 0}
 
     def reset_counters(self) -> None:
@@ -102,7 +108,7 @@ class FtlEngine:
     # --- occupancy ---------------------------------------------------------
 
     def free_block_count(self, mode: Mode) -> int:
-        return sum(len(s) for s in self.free[mode])
+        return self.free_count[mode]
 
     def free_fraction(self, mode: Mode) -> float:
         total = self.ssd.block_count(mode)
@@ -139,7 +145,8 @@ class FtlEngine:
     # --- allocation ----------------------------------------------------------
 
     def _wear_key(self, block_id: int) -> tuple[int, int]:
-        """Free-block preference: least worn first, then lowest id."""
+        """Least worn first, then lowest id: picks free blocks and breaks
+        victim ties."""
         return self.ssd.blocks[block_id].erase_count, block_id
 
     def _pop_free(self, mode: Mode, channel: int) -> int | None:
@@ -148,6 +155,7 @@ class FtlEngine:
             return None
         block_id = min(pool, key=self._wear_key)
         pool.remove(block_id)
+        self.free_count[mode] -= 1
         return block_id
 
     def _allocate_page(self, mode: Mode) -> tuple[int, int] | None:
@@ -293,11 +301,10 @@ class FtlEngine:
         """Full block in `mode` with >=1 invalid page (active blocks are never
         full, free ones hold no invalid page); fewest valid pages wins, ties
         broken by lowest erase count, then lowest id."""
-        best = min(((b.valid_count, b.erase_count, block_id)
-                    for block_id, b in enumerate(self.ssd.blocks)
-                    if b.mode is mode and b.invalid_count and b.is_full),
-                   default=None)
-        return None if best is None else best[2]
+        buckets = self.ssd.reclaimable[mode]
+        if not buckets:
+            return None
+        return min(buckets[min(buckets)], key=self._wear_key)
 
     def _gc_victim(self, src: Mode, dst: Mode) -> int | None:
         """`select_victim(src)` if its valid pages fit in `dst`, else None."""
@@ -339,6 +346,7 @@ class FtlEngine:
         out.latency_us += self.ssd.erase_block(victim)
         out.blocks_reclaimed += 1
         self.free[src][self.ssd.geometry.channel_of(victim)].add(victim)
+        self.free_count[src] += 1
         return True
 
     def _convert_once(self, out: ActionOutcome) -> bool:
@@ -352,5 +360,7 @@ class FtlEngine:
         self.free[Mode.SLC][ch].remove(block_id)
         self.ssd.convert_block_mode(block_id, Mode.QLC)
         self.free[Mode.QLC][ch].add(block_id)
+        self.free_count[Mode.SLC] -= 1
+        self.free_count[Mode.QLC] += 1
         out.blocks_converted += 1
         return True

@@ -8,6 +8,7 @@ between requests.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import random
@@ -53,6 +54,7 @@ class SimulatorStack:
         self.last_summary = None
         self.shift_pending = False
         self._hot_window: deque[int] = deque(maxlen=256)
+        self._hot_count = 0             # sum of _hot_window
         self._train_req_mark = 0
         self._train_lat_mark = 0.0
         self._erase_baseline = 0
@@ -62,7 +64,16 @@ class SimulatorStack:
     def hot_write_fraction(self) -> float:
         if not self._hot_window:
             return 0.0
-        return sum(self._hot_window) / len(self._hot_window)
+        return self._hot_count / len(self._hot_window)
+
+    def _record_hotness(self, hot: bool) -> None:
+        """Slide one write request's hot flag into the window."""
+        flag = 1 if hot else 0
+        window = self._hot_window
+        if len(window) == window.maxlen:
+            self._hot_count -= window[0]
+        window.append(flag)
+        self._hot_count += flag
 
     def _agent_state(self):
         return self.agent.observe_state(self.ftl.summary(), self.last_summary,
@@ -102,7 +113,7 @@ class SimulatorStack:
                 hot = self.classifier.is_hot(lpn)
                 hot_any = hot_any or hot
                 us += self.ftl.handle_write(lpn, n, hot=hot)
-            self._hot_window.append(1 if hot_any else 0)
+            self._record_hotness(hot_any)
         else:
             for lpn, n in spans:
                 us += self.ftl.handle_read(lpn, n)
@@ -435,9 +446,22 @@ def emit_report(report: RunReport, path, fmt: str = "json") -> None:
         _atomic_write(stem + ".history.jsonl", lines)
 
 
+def check_report_path(path) -> None:
+    """Raise OSError now if emit_report could not write `path` later, so a
+    bad path fails before a long replay instead of after it."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "is a directory", str(path))
+    fd, tmp = tempfile.mkstemp(dir=_report_dir(path), prefix=".report-")
+    os.close(fd)
+    os.unlink(tmp)
+
+
+def _report_dir(path) -> str:
+    return os.path.dirname(os.path.abspath(path)) or "."
+
+
 def _atomic_write(path, payload: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    fd, tmp = tempfile.mkstemp(dir=_report_dir(path), prefix=".report-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)

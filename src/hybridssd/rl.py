@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from typing import NamedTuple
 
@@ -98,16 +99,22 @@ class SpaceAgent:
         self.rng = rng
         self.pending: list[tuple[AgentState, ActionKind]] = []
         self.intensity_samples: deque[float] = deque(maxlen=INTENSITY_SAMPLES)
+        # the same samples in sorted order, so a rank is two bisections
+        self._ranked: list[float] = []
         self.decisions = 0
         self.trainings = 0
 
     # --- state construction ---------------------------------------------------
 
     def intensity_bucket(self, writes_per_second: float) -> int:
-        self.intensity_samples.append(writes_per_second)
-        below = sum(1 for s in self.intensity_samples if s < writes_per_second)
-        equal = sum(1 for s in self.intensity_samples if s == writes_per_second)
-        rank = (below + 0.5 * equal) / len(self.intensity_samples)
+        samples, ranked = self.intensity_samples, self._ranked
+        if len(samples) == samples.maxlen:
+            del ranked[bisect_left(ranked, samples[0])]
+        samples.append(writes_per_second)
+        insort(ranked, writes_per_second)
+        below = bisect_left(ranked, writes_per_second)
+        equal = bisect_right(ranked, writes_per_second) - below
+        rank = (below + 0.5 * equal) / len(ranked)
         return bucket_fraction(rank, N_QUARTILES)
 
     def observe_state(self, ssd_summary: dict, workload_summary,

@@ -23,6 +23,10 @@ class Mode(enum.Enum):
     SLC = "slc"
     QLC = "qlc"
 
+    # members are singletons: identity hashing keeps Mode-keyed dicts off
+    # Enum's Python-level __hash__
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class FlashGeometry:
@@ -163,6 +167,10 @@ class SsdState:
         # blocks per mode; only convert_block_mode changes a block's mode
         self.block_tally = {Mode.SLC: n_slc,
                             Mode.QLC: geometry.total_blocks - n_slc}
+        # GC candidates per mode: valid_count -> ids of the full blocks that
+        # hold >=1 invalid page; empty buckets are dropped
+        self.reclaimable: dict[Mode, dict[int, set[int]]] = {
+            Mode.SLC: {}, Mode.QLC: {}}
         self.mapping: dict[int, tuple[int, int]] = {}
         self.device_pages_written = 0
         self.erase_ops = 0
@@ -195,6 +203,8 @@ class SsdState:
         block.valid_count += 1
         self.mapping[lpn] = (block_id, page_idx)
         self.device_pages_written += 1
+        if block.invalid_count and block.is_full:
+            self._index(block_id, block)
         return self.latency.write_us(block.mode)
 
     def read_page(self, block_id: int, page_idx: int) -> float:
@@ -218,6 +228,10 @@ class SsdState:
         block.valid_count -= 1
         block.invalid_count += 1
         del self.mapping[lpn]
+        if block.is_full:
+            if block.invalid_count > 1:
+                self._unindex(block_id, block, block.valid_count + 1)
+            self._index(block_id, block)
 
     def erase_block(self, block_id: int) -> float:
         """Erase a block holding no valid data. Returns erase latency in us."""
@@ -225,6 +239,8 @@ class SsdState:
         if block.valid_count != 0:
             raise PageStateError(
                 f"erase of block {block_id} with {block.valid_count} valid pages")
+        if block.invalid_count and block.is_full:
+            self._unindex(block_id, block, 0)
         for i in range(block.write_pointer):
             block.pages[i] = PAGE_FREE
         block.write_pointer = 0
@@ -250,13 +266,26 @@ class SsdState:
         block.mode = new_mode
         block.pages = [PAGE_FREE] * self.geometry.pages_per_block(new_mode)
 
+    # --- victim index -------------------------------------------------------------
+
+    def _index(self, block_id: int, block: BlockState) -> None:
+        self.reclaimable[block.mode].setdefault(
+            block.valid_count, set()).add(block_id)
+
+    def _unindex(self, block_id: int, block: BlockState, valid: int) -> None:
+        buckets = self.reclaimable[block.mode]
+        bucket = buckets[valid]
+        bucket.remove(block_id)
+        if not bucket:
+            del buckets[valid]
+
     # --- consistency audit -----------------------------------------------------
 
     def audit(self) -> None:
         """Cross-check mapping against page states; raises AuditError.
 
         The mapping must be a bijection onto exactly the valid pages, and
-        every cached counter must agree with a recount.
+        every cached counter and the victim index must agree with a recount.
         """
         for lpn, (block_id, page_idx) in self.mapping.items():
             stored = self.blocks[block_id].pages[page_idx]
@@ -284,6 +313,13 @@ class SsdState:
         for mode, tally in self.block_tally.items():
             if tally != sum(1 for b in self.blocks if b.mode is mode):
                 raise AuditError(f"{mode.value} block tally drift")
+        recount: dict[Mode, dict[int, set[int]]] = {Mode.SLC: {}, Mode.QLC: {}}
+        for block_id, block in enumerate(self.blocks):
+            if block.invalid_count and block.is_full:
+                recount[block.mode].setdefault(
+                    block.valid_count, set()).add(block_id)
+        if recount != self.reclaimable:
+            raise AuditError("reclaimable index drift")
 
 
 def desk_geometry(channels: int = 1, blocks_per_channel: int = 8,

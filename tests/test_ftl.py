@@ -358,6 +358,23 @@ class TestSpaceManagementLoop:
                 ftl.handle_write(lpn)
 
 
+class TestFreeCount:
+    def test_free_count_matches_the_pools(self):
+        # random agent actions reach GC of both kinds and conversions
+        stack = make_stack(channels=2, gc_trigger_threshold=13,
+                           rl_exploration=0.5)
+        ftl = stack.ftl
+        logical = stack.ssd.logical_capacity_pages
+        for i in range(1500):
+            lpn = (i * 37) % logical
+            ftl.handle_write(lpn, min(1 + i % 3, logical - lpn))
+            for mode in Mode:
+                assert ftl.free_block_count(mode) == sum(
+                    len(pool) for pool in ftl.free[mode])
+        assert ftl.ssd.block_count(Mode.SLC) < 16      # conversions ran
+        assert stack.ssd.erase_ops > 0
+
+
 class TestOpLog:
     def test_one_entry_per_request(self):
         ftl = make_ftl(blocks=4, ppb=4, gc_trigger_threshold=30)

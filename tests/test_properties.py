@@ -1,5 +1,7 @@
 """Property-based invariants over randomized inputs."""
+import random
 import statistics
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,8 @@ from hybridssd.config import (ConfigProfile, TUNABLE_PARAMS,
                               validate_profile)
 from hybridssd.errors import NoValidUpdate
 from hybridssd.monitor import SlidingWindow, WindowEntry
-from hybridssd.rl import bucket_fraction, reward
+from hybridssd.rl import (INTENSITY_SAMPLES, N_QUARTILES, SpaceAgent,
+                          bucket_fraction, reward)
 from hybridssd.ssd import Mode
 from hybridssd.trace import OpKind, TraceRecord, page_span
 from hybridssd.tuner import correct_mistakes
@@ -37,6 +40,11 @@ def test_mapping_stays_consistent_under_any_workload(ops):
     payloads = PagePayloads(stack.ftl)
     logical = stack.ssd.logical_capacity_pages
     shadow = {}
+    # a sequential 0.9 fill first, so the ops below overwrite live data on a
+    # device short of space and GC has to migrate valid pages
+    for lpn in range(int(0.9 * logical)):
+        stack.ftl.handle_write(lpn, 1, tag=(lpn, "fill"))
+        shadow[lpn] = (lpn, "fill")
     for i, (kind, lpn, n) in enumerate(ops):
         n = min(n, logical - lpn)
         if kind == "write":
@@ -237,6 +245,28 @@ def test_bucket_fraction_is_monotone(a, b):
 def test_reward_is_two_piece(avg, threshold):
     r = reward(avg, threshold)
     assert r == (1.0 if avg <= threshold else -1.0)
+
+
+# a few repeated rates (signed zeros, infinity) plus arbitrary ones
+intensity_rates = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, 1.5000000000000002, 250.0, 1e9,
+                     float("inf")]),
+    st.floats(min_value=0.0, max_value=1e6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rates=st.lists(intensity_rates, min_size=INTENSITY_SAMPLES + 1,
+                      max_size=2 * INTENSITY_SAMPLES))
+def test_intensity_bucket_matches_a_window_rescan(rates):
+    agent = SpaceAgent(random.Random(0))
+    window = deque(maxlen=INTENSITY_SAMPLES)
+    for x in rates:
+        window.append(x)
+        below = sum(1 for s in window if s < x)
+        equal = sum(1 for s in window if s == x)
+        expect = bucket_fraction((below + 0.5 * equal) / len(window),
+                                 N_QUARTILES)
+        assert agent.intensity_bucket(x) == expect
 
 
 # --- workload window vs the statistics module ------------------------------------------------

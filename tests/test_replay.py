@@ -107,8 +107,14 @@ class TestSimulatorStack:
     def test_hot_write_fraction_window(self):
         stack = make_stack(gc_trigger_threshold=13)
         assert stack.hot_write_fraction() == 0.0
-        stack._hot_window.extend([1, 0, 1, 1])
+        # service records each write request's flag through _record_hotness
+        for hot in (True, False, True, True):
+            stack._record_hotness(hot)
         assert stack.hot_write_fraction() == pytest.approx(0.75)
+        # 256 cold writes slide the hot ones out of the window
+        for _ in range(256):
+            stack._record_hotness(False)
+        assert stack.hot_write_fraction() == 0.0
 
 
 # --- replay ----------------------------------------------------------------------
@@ -506,6 +512,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not report.exists()
+
+    @pytest.mark.parametrize("where", ["{tmp}/missing/r.json", "{tmp}"])
+    def test_unwritable_report_fails_before_the_replay(
+            self, tmp_path, capsys, monkeypatch, where):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the --report check")
+        monkeypatch.setattr(cli, "synth_trace", must_not_run)
+        monkeypatch.setattr(cli, "replay", must_not_run)
+        rc = cli.main(["run", "--ops", "100",
+                       "--report", where.format(tmp=tmp_path)]
+                      + SMALL_GEO_ARGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: report: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []      # the probe file is gone
 
     def test_msr_trace_file_end_to_end(self, tmp_path):
         trace = tmp_path / "w.csv"

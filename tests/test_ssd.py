@@ -178,6 +178,54 @@ class TestConversion:
         desk_ssd.audit()
 
 
+class TestReclaimableIndex:
+    @staticmethod
+    def recount(ssd):
+        index = {Mode.SLC: {}, Mode.QLC: {}}
+        for block_id, block in enumerate(ssd.blocks):
+            if block.is_full and block.invalid_count:
+                index[block.mode].setdefault(block.valid_count,
+                                             set()).add(block_id)
+        return index
+
+    def test_index_follows_every_page_operation(self, desk_ssd):
+        ssd = desk_ssd                          # blocks 0-3 SLC, 4-7 QLC
+        steps = []
+        for idx in range(8):
+            steps.append(("program", 0, idx, idx))       # block 0 fills
+        steps += [("invalidate", 0, 2), ("invalidate", 0, 5)]
+        steps += [("program", 1, idx, 100 + idx) for idx in range(4)]
+        steps += [("invalidate", 1, 0)]                  # not full: no entry
+        steps += [("program", 1, idx, 100 + idx) for idx in range(4, 8)]
+        steps += [("invalidate", 0, idx) for idx in (0, 1, 3, 4, 6, 7)]
+        steps += [("erase", 0), ("convert", 0, Mode.QLC),
+                  ("convert", 2, Mode.QLC)]
+        steps += [("program", 0, idx, 200 + idx) for idx in range(32)]
+        steps += [("invalidate", 0, 31), ("invalidate", 1, 7)]
+        for op, block_id, *rest in steps:
+            if op == "program":
+                ssd.program_page(block_id, *rest)
+            elif op == "invalidate":
+                ssd.invalidate_page(block_id, *rest)
+            elif op == "erase":
+                ssd.erase_block(block_id)
+            else:
+                ssd.convert_block_mode(block_id, *rest)
+            assert ssd.reclaimable == self.recount(ssd), (op, block_id, rest)
+        assert ssd.reclaimable == {Mode.SLC: {6: {1}}, Mode.QLC: {31: {0}}}
+        ssd.audit()
+
+    def test_buckets_hold_blocks_by_valid_count(self, desk_ssd):
+        for block_id in (0, 1):
+            for idx in range(8):
+                desk_ssd.program_page(block_id, idx, 8 * block_id + idx)
+        desk_ssd.invalidate_page(0, 0)
+        desk_ssd.invalidate_page(1, 0)
+        assert desk_ssd.reclaimable[Mode.SLC] == {7: {0, 1}}
+        desk_ssd.invalidate_page(0, 1)
+        assert desk_ssd.reclaimable[Mode.SLC] == {6: {0}, 7: {1}}
+
+
 class TestAudit:
     def test_clean_state_passes(self, desk_ssd):
         desk_ssd.program_page(0, 0, lpn=1)
@@ -207,4 +255,9 @@ class TestAudit:
     def test_block_tally_drift_detected(self, desk_ssd):
         desk_ssd.block_tally[Mode.SLC] += 1
         with pytest.raises(AuditError, match="tally"):
+            desk_ssd.audit()
+
+    def test_reclaimable_index_drift_detected(self, desk_ssd):
+        desk_ssd.reclaimable[Mode.SLC][3] = {0}   # block 0 is free
+        with pytest.raises(AuditError, match="reclaimable"):
             desk_ssd.audit()
