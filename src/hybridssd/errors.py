@@ -35,7 +35,14 @@ class ParseFailure(SimulatorError):
 
 
 class NoValidUpdate(SimulatorError):
-    """Every candidate key in a proposed configuration was invalid."""
+    """Every candidate key in a proposed configuration was invalid.
+
+    `corrections` says why each candidate was dropped.
+    """
+
+    def __init__(self, message: str, corrections: list[str]):
+        super().__init__(message)
+        self.corrections = corrections
 
 
 class BackendUnavailable(SimulatorError):

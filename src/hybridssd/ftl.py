@@ -124,9 +124,9 @@ class FtlEngine:
         return pages
 
     def _has_space(self, mode: Mode) -> bool:
-        if any(b is not None for b in self.active[mode]):
-            return True
-        return self.free_block_count(mode) > 0
+        """Does `mode` hold an active or a free block to append to?"""
+        return (self.free_count[mode] > 0
+                or self.active[mode].count(None) < self.ssd.geometry.channels)
 
     @property
     def wa_coefficient(self) -> float:
@@ -170,13 +170,20 @@ class FtlEngine:
                 self.active[mode][ch] = block_id
             if block_id is not None:
                 self.stripe_cursor[mode] = (ch + 1) % channels
-                return block_id, self.ssd.blocks[block_id].write_pointer
+                return block_id, len(self.ssd.blocks[block_id].pages)
         return None
+
+    def _placement_region(self, mode: Mode) -> Mode | None:
+        """`mode` if it has room, else the other region if that has room."""
+        if self._has_space(mode):
+            return mode
+        other = Mode.QLC if mode is Mode.SLC else Mode.SLC
+        return other if self._has_space(other) else None
 
     def _place(self, mode: Mode) -> tuple[int, int] | None:
         """Next append slot in `mode`, else in the other region."""
-        other = Mode.QLC if mode is Mode.SLC else Mode.SLC
-        return self._allocate_page(mode) or self._allocate_page(other)
+        region = self._placement_region(mode)
+        return None if region is None else self._allocate_page(region)
 
     def _program(self, placed: tuple[int, int], lpn: int) -> tuple[float, int]:
         block_id, page_idx = placed
@@ -221,6 +228,89 @@ class FtlEngine:
         gc_us += self._space_management()
         base = max(per_channel.values()) if per_channel else 0.0
         return base + gc_us
+
+    def fill(self, lpns: range) -> None:
+        """Write each lpn of `lpns` once, in order, leaving the state that
+        `handle_write(lpn)` per lpn leaves under the fallback policy.
+
+        A page that pops a free block, overwrites a mapped lpn, lands in a
+        block holding an invalid page, or comes after a space-management
+        call that would act goes through `handle_write`. The runs of pages
+        in between change no free pool and no region's occupancy, so each
+        is programmed per block in bulk.
+        """
+        if lpns.step != 1 or lpns.start < 0 or (
+                lpns.stop > self.ssd.logical_capacity_pages):
+            raise ValueError(f"fill needs consecutive logical pages, "
+                             f"got {lpns}")
+        # overwrites go per page; writes below `lpn` never map one above it
+        mapped = sorted(lpn for lpn in self.ssd.mapping if lpn in lpns)
+        mapped.append(lpns.stop)
+        next_mapped = 0
+        source, self.action_source = self.action_source, None
+        try:
+            lpn = lpns.start
+            while lpn < lpns.stop:
+                if lpn == mapped[next_mapped]:
+                    next_mapped += 1
+                    written = 0
+                else:
+                    written = self._fill_run(lpn, mapped[next_mapped])
+                if not written:
+                    self.handle_write(lpn)
+                    written = 1
+                lpn += written
+        finally:
+            self.action_source = source
+
+    def _fill_run(self, lpn: int, stop: int) -> int:
+        """Program unmapped pages lpn, lpn+1, ... (below `stop`) where
+        `handle_write` would put them, while none pops a free block; returns
+        how many (0: the next page needs `handle_write`)."""
+        # appends to active blocks move no region's free fraction, add no
+        # free SLC block and no GC victim (see the invalid-page check), and
+        # only shrink the room a victim needs: while the fallback idles now,
+        # it idles after every page of the run
+        below = self._regions_below_threshold()
+        if below and self._fallback_action() is not ActionKind.IDLE:
+            return 0
+        ssd = self.ssd
+        mode = self._placement_region(self._preferred_mode(None))
+        if mode is None:
+            return 0
+        channels = ssd.geometry.channels
+        active = self.active[mode]
+        cursor = self.stripe_cursor[mode]
+        # active blocks in stripe order up to the first channel that pops
+        targets = []
+        rounds = None
+        for ch in (*range(cursor, channels), *range(cursor)):
+            block_id = active[ch]
+            if block_id is not None:
+                targets.append(block_id)
+            elif self.free[mode][ch]:
+                rounds = 1
+                break
+        blocks = ssd.blocks
+        # a block that fills holding an invalid page becomes a GC victim
+        if not targets or any(blocks[b].invalid_count for b in targets):
+            return 0
+        if rounds is None:
+            # full stripes until the first target block fills
+            rounds = min(blocks[b].free_count for b in targets)
+        stride = len(targets)
+        n = min(rounds * stride, stop - lpn)
+        for j, block_id in enumerate(targets[:n]):
+            ssd.program_run(block_id, range(lpn + j, lpn + n, stride))
+            if blocks[block_id].is_full:
+                active[ssd.geometry.channel_of(block_id)] = None
+        last = ssd.geometry.channel_of(targets[(n - 1) % stride])
+        self.stripe_cursor[mode] = (last + 1) % channels
+        self.wa.device_pages_written += n
+        self.wa.host_pages_written += n
+        if below:
+            self.action_counts[ActionKind.IDLE] += n
+        return n
 
     def handle_read(self, lpn: int, n_pages: int = 1) -> float:
         """Service a host read; unmapped pages cost nothing but are counted."""
@@ -334,7 +424,7 @@ class FtlEngine:
         if victim is None:
             return False
         vblock = self.ssd.blocks[victim]
-        for idx in range(vblock.write_pointer):
+        for idx in range(len(vblock.pages)):
             lpn = vblock.pages[idx]
             if lpn < 0:
                 continue

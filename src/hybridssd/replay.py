@@ -174,13 +174,7 @@ class SimulatorStack:
         if not (0.0 <= fraction <= 1.0):
             raise ConfigError("prefill fraction must be in [0, 1]")
         n = int(self.ssd.logical_capacity_pages * fraction)
-        source = self.ftl.action_source
-        self.ftl.action_source = None   # fallback policy during fill
-        try:
-            for lpn in range(n):
-                self.ftl.handle_write(lpn, 1)
-        finally:
-            self.ftl.action_source = source
+        self.ftl.fill(range(n))
         self.agent.pending.clear()
         self.reset_metrics()
         return n

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import AuditError, GeometryError, PageStateError
 
-# page-state encoding inside BlockState.pages: a valid page stores its lpn
+# page states: a valid page stores its lpn; slots past a block's write
+# pointer read as PAGE_FREE and are not stored
 PAGE_FREE = -1
 PAGE_INVALID = -2
 
@@ -117,34 +119,38 @@ def initial_layout(geometry: FlashGeometry,
 
 
 class BlockState:
-    """One erase block: mode, page array, append-only write pointer."""
+    """One erase block: mode, capacity and its append-only page array.
 
-    __slots__ = ("mode", "pages", "write_pointer", "erase_count",
+    `pages` holds only the programmed pages (an lpn or PAGE_INVALID), so
+    its length is the write pointer.
+    """
+
+    __slots__ = ("mode", "pages", "page_count", "erase_count",
                  "valid_count", "invalid_count")
 
     def __init__(self, mode: Mode, pages_per_block: int):
         self.mode = mode
-        self.pages = [PAGE_FREE] * pages_per_block
-        self.write_pointer = 0
+        self.pages: list[int] = []
+        self.page_count = pages_per_block
         self.erase_count = 0
         self.valid_count = 0
         self.invalid_count = 0
 
     @property
-    def page_count(self) -> int:
+    def write_pointer(self) -> int:
         return len(self.pages)
 
     @property
     def free_count(self) -> int:
-        return len(self.pages) - self.write_pointer
+        return self.page_count - len(self.pages)
 
     @property
     def is_fully_free(self) -> bool:
-        return self.write_pointer == 0
+        return not self.pages
 
     @property
     def is_full(self) -> bool:
-        return self.write_pointer == len(self.pages)
+        return len(self.pages) == self.page_count
 
 
 class SsdState:
@@ -189,28 +195,57 @@ class SsdState:
     def program_page(self, block_id: int, page_idx: int, lpn: int) -> float:
         """Append one page to a block. Returns the program latency in us."""
         block = self.blocks[block_id]
-        if page_idx != block.write_pointer:
+        pages = block.pages
+        if page_idx != len(pages):
             raise PageStateError(
                 f"block {block_id}: program at {page_idx} but write pointer "
-                f"is {block.write_pointer} (append-only)")
-        if block.pages[page_idx] != PAGE_FREE:
-            raise PageStateError(f"block {block_id} page {page_idx} not free")
+                f"is {len(pages)} (append-only)")
+        if page_idx >= block.page_count:
+            raise PageStateError(f"block {block_id} is full")
         if lpn in self.mapping:
             raise PageStateError(
                 f"lpn {lpn} still mapped; invalidate before reprogramming")
-        block.pages[page_idx] = lpn
-        block.write_pointer += 1
+        pages.append(lpn)
         block.valid_count += 1
         self.mapping[lpn] = (block_id, page_idx)
         self.device_pages_written += 1
-        if block.invalid_count and block.is_full:
+        if block.invalid_count and page_idx + 1 == block.page_count:
             self._index(block_id, block)
         return self.latency.write_us(block.mode)
+
+    def program_run(self, block_id: int, lpns: range) -> None:
+        """Append one page per lpn to a block, in order: `program_page` in
+        bulk, with the same checks, for a sequential fill."""
+        block = self.blocks[block_id]
+        pages = block.pages
+        start = len(pages)
+        end = start + len(lpns)
+        if end > block.page_count:
+            raise PageStateError(
+                f"block {block_id}: {len(lpns)} pages past its "
+                f"{block.free_count} free ones")
+        mapping = self.mapping
+        if any(map(mapping.__contains__, lpns)):
+            raise PageStateError(
+                f"an lpn of {lpns} still mapped; invalidate before "
+                f"reprogramming")
+        pages.extend(lpns)
+        # key the mapping by the int objects the page array holds: ints
+        # from a second pass over `lpns` would double their memory
+        mapping.update(zip(pages[start:], zip(repeat(block_id),
+                                              range(start, end))))
+        block.valid_count += len(lpns)
+        self.device_pages_written += len(lpns)
+        if block.invalid_count and end == block.page_count:
+            self._index(block_id, block)
 
     def read_page(self, block_id: int, page_idx: int) -> float:
         """Read one valid page. Returns the read latency in us."""
         block = self.blocks[block_id]
-        lpn = block.pages[page_idx]
+        try:
+            lpn = block.pages[page_idx]
+        except IndexError:              # at or past the write pointer
+            lpn = PAGE_FREE
         if lpn < 0:
             state = "free" if lpn == PAGE_FREE else "invalid"
             raise PageStateError(
@@ -220,11 +255,15 @@ class SsdState:
     def invalidate_page(self, block_id: int, page_idx: int) -> None:
         """Drop a valid page from the mapping (data became stale)."""
         block = self.blocks[block_id]
-        lpn = block.pages[page_idx]
+        pages = block.pages
+        try:
+            lpn = pages[page_idx]
+        except IndexError:
+            lpn = PAGE_FREE
         if lpn < 0:
             raise PageStateError(
                 f"invalidate of non-valid page {block_id}/{page_idx}")
-        block.pages[page_idx] = PAGE_INVALID
+        pages[page_idx] = PAGE_INVALID
         block.valid_count -= 1
         block.invalid_count += 1
         del self.mapping[lpn]
@@ -241,9 +280,7 @@ class SsdState:
                 f"erase of block {block_id} with {block.valid_count} valid pages")
         if block.invalid_count and block.is_full:
             self._unindex(block_id, block, 0)
-        for i in range(block.write_pointer):
-            block.pages[i] = PAGE_FREE
-        block.write_pointer = 0
+        block.pages = []
         block.invalid_count = 0
         block.erase_count += 1
         self.erase_ops += 1
@@ -264,7 +301,7 @@ class SsdState:
         self.block_tally[block.mode] -= 1
         self.block_tally[new_mode] += 1
         block.mode = new_mode
-        block.pages = [PAGE_FREE] * self.geometry.pages_per_block(new_mode)
+        block.page_count = self.geometry.pages_per_block(new_mode)
 
     # --- victim index -------------------------------------------------------------
 
@@ -288,24 +325,29 @@ class SsdState:
         every cached counter and the victim index must agree with a recount.
         """
         for lpn, (block_id, page_idx) in self.mapping.items():
-            stored = self.blocks[block_id].pages[page_idx]
+            pages = self.blocks[block_id].pages
+            if not 0 <= page_idx < len(pages):
+                raise AuditError(
+                    f"mapping says lpn {lpn} -> {block_id}/{page_idx}, "
+                    f"past the block's {len(pages)} written pages")
+            stored = pages[page_idx]
             if stored != lpn:
                 raise AuditError(
                     f"mapping says lpn {lpn} -> {block_id}/{page_idx}, "
                     f"page stores {stored}")
         total_valid = 0
         for block_id, block in enumerate(self.blocks):
+            if len(block.pages) > block.page_count:
+                raise AuditError(
+                    f"block {block_id}: {len(block.pages)} pages written "
+                    f"past its {block.page_count}")
             valid = sum(1 for p in block.pages if p >= 0)
-            invalid = sum(1 for p in block.pages if p == PAGE_INVALID)
-            written = sum(1 for p in block.pages if p != PAGE_FREE)
+            invalid = block.pages.count(PAGE_INVALID)
             if valid != block.valid_count or invalid != block.invalid_count:
                 raise AuditError(f"block {block_id}: counter drift")
-            if written != block.write_pointer:
-                raise AuditError(f"block {block_id}: write pointer drift")
-            for idx in range(block.write_pointer, block.page_count):
-                if block.pages[idx] != PAGE_FREE:
-                    raise AuditError(
-                        f"block {block_id}: page {idx} written past pointer")
+            if valid + invalid != len(block.pages):
+                raise AuditError(
+                    f"block {block_id}: free page below the write pointer")
             total_valid += valid
         if total_valid != len(self.mapping):
             raise AuditError(

@@ -533,7 +533,7 @@ def correct_mistakes(candidates: dict, bounds: dict[str, ParamSpec],
     if not accepted:
         raise NoValidUpdate(
             "no usable parameter in candidate set"
-            if candidates else "empty candidate set")
+            if candidates else "empty candidate set", corrections)
     profile = replace(current, **accepted)
     validate_profile(profile, bounds)
     return profile, corrections

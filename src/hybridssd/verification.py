@@ -183,9 +183,11 @@ class VerificationLoop:
             new_profile, corrections = correct_mistakes(
                 candidates, self.bounds, stack.config)
         except (BackendUnavailable, ParseFailure, NoValidUpdate) as exc:
+            dropped = exc.corrections if isinstance(exc, NoValidUpdate) else []
             return TuningRecord(
                 epoch=epoch, trigger=trigger, verdict=Verdict.REJECTED,
-                reason=f"rejected: {exc}", corrections=(), changed={},
+                reason=f"rejected: {exc}", corrections=tuple(dropped),
+                changed={},
                 latency_before_us=prev.mean_latency_us,
                 latency_after_us=None, wa_before=prev.wa, wa_after=None,
                 improved_over_default=None, raw_response=raw,

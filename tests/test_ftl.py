@@ -249,7 +249,8 @@ class TestActions:
         assert out.blocks_converted == 1
         assert out.latency_us == 0.0                 # metadata flip only
         assert ftl.ssd.blocks[1].mode is Mode.QLC    # id 1: erase 0 beats id 0
-        assert len(ftl.ssd.blocks[1].pages) == 16
+        assert ftl.ssd.blocks[1].page_count == 16
+        assert ftl.ssd.blocks[1].free_count == 16
         assert 1 in ftl.free[Mode.QLC][0]
         assert 1 not in ftl.free[Mode.SLC][0]
 
@@ -373,6 +374,45 @@ class TestFreeCount:
                     len(pool) for pool in ftl.free[mode])
         assert ftl.ssd.block_count(Mode.SLC) < 16      # conversions ran
         assert stack.ssd.erase_ops > 0
+
+
+class TestFill:
+    @pytest.mark.parametrize("split, config, conversions, warnings", [
+        (0.25, {}, 3, 0),
+        # both triggers at 50%: the fill converts SLC blocks 64 at a time
+        # and crosses SAFETY_BOUND once
+        (1.0, dict(gc_trigger_threshold=50, conversion_trigger_threshold=50),
+         126, 1)])
+    def test_fill_calls_handle_write_only_at_block_boundaries(
+            self, monkeypatch, split, config, conversions, warnings):
+        ftl = make_ftl(channels=8, blocks=32, ppb=32, split=split, **config)
+        calls = []
+        handle_write = ftl.handle_write
+        monkeypatch.setattr(ftl, "handle_write",
+                            lambda lpn: calls.append(lpn) or handle_write(lpn))
+        n = int(0.9 * ftl.ssd.logical_capacity_pages)
+        ftl.fill(range(n))
+        geo = ftl.ssd.geometry
+        assert len(calls) <= geo.total_blocks + geo.channels < n // 20
+        assert ftl.wa.host_pages_written == ftl.wa.device_pages_written == n
+        assert ftl.action_counts[ActionKind.SLC_TO_QLC_MC] == conversions
+        assert ftl.capacity_pressure_warnings == warnings
+        ftl.ssd.audit()
+
+    def test_fill_overwrites_mapped_lpns_page_by_page(self):
+        ftl = make_ftl(channels=2, blocks=8, ppb=4)
+        ftl.handle_write(5)
+        ftl.fill(range(12))
+        assert ftl.wa.host_pages_written == 13
+        assert ftl.ssd.blocks[0].pages[0] < 0         # lpn 5's first copy
+        assert sorted(ftl.ssd.mapping) == list(range(12))
+        ftl.ssd.audit()
+
+    @pytest.mark.parametrize("lpns", [range(0, 10, 2), range(-1, 3),
+                                      range(0, 10**6)])
+    def test_fill_takes_consecutive_logical_pages_only(self, lpns):
+        with pytest.raises(ValueError):
+            make_ftl().fill(lpns)
 
 
 class TestOpLog:

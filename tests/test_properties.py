@@ -4,16 +4,17 @@ import statistics
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hybridssd.config import (ConfigProfile, TUNABLE_PARAMS,
-                              default_param_bounds, parse_scalar,
-                              validate_profile)
-from hybridssd.errors import NoValidUpdate
+from hybridssd.config import (ConfigProfile, PlacementStrategy,
+                              TUNABLE_PARAMS, default_param_bounds,
+                              parse_scalar, validate_profile)
+from hybridssd.errors import CapacityError, NoValidUpdate
+from hybridssd.ftl import FtlEngine
 from hybridssd.monitor import SlidingWindow, WindowEntry
 from hybridssd.rl import (INTENSITY_SAMPLES, N_QUARTILES, SpaceAgent,
                           bucket_fraction, reward)
-from hybridssd.ssd import Mode
+from hybridssd.ssd import LatencyModel, Mode, SsdState, desk_geometry
 from hybridssd.trace import OpKind, TraceRecord, page_span
 from hybridssd.tuner import correct_mistakes
 
@@ -118,6 +119,86 @@ def test_only_active_blocks_are_partly_written(ops, gc_granularity,
                 assert block.is_full, block_id
         for mode in (Mode.SLC, Mode.QLC):
             assert ftl.select_victim(mode) == reference_victim(ftl, mode)
+
+
+# --- bulk sequential fill ------------------------------------------------------------
+
+def device_state(ftl):
+    """Everything a fill leaves in the device and the FTL."""
+    ssd = ftl.ssd
+    return {
+        "blocks": [(b.mode, b.pages, b.page_count, b.erase_count,
+                    b.valid_count, b.invalid_count) for b in ssd.blocks],
+        "mapping": ssd.mapping, "block_tally": ssd.block_tally,
+        "reclaimable": ssd.reclaimable,
+        "device_pages_written": ssd.device_pages_written,
+        "erase_ops": ssd.erase_ops, "free": ftl.free,
+        "free_count": ftl.free_count, "active": ftl.active,
+        "stripe_cursor": ftl.stripe_cursor, "wa": ftl.wa,
+        "action_counts": ftl.action_counts,
+        "ineffective_actions": ftl.ineffective_actions,
+        "capacity_pressure_warnings": ftl.capacity_pressure_warnings,
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(channels=st.integers(min_value=1, max_value=4),
+       blocks=st.integers(min_value=1, max_value=12),
+       ppb=st.integers(min_value=1, max_value=12),
+       op_ratio=st.floats(min_value=0.0, max_value=0.5),
+       split=st.floats(min_value=0.0, max_value=1.0),
+       strategy=st.sampled_from(list(PlacementStrategy)),
+       gc_trigger=st.integers(min_value=1, max_value=50),
+       conversion_trigger=st.integers(min_value=1, max_value=50),
+       conversion_granularity=st.integers(min_value=1, max_value=4),
+       fraction=st.floats(min_value=0.0, max_value=1.0),
+       overwrites=st.lists(st.integers(min_value=0, max_value=10**6),
+                           max_size=12))
+# both cross SAFETY_BOUND mid-fill; on one channel the page after it is no
+# block boundary, so only the space-management check sends it per page
+@example(channels=8, blocks=32, ppb=32, op_ratio=0.125, split=1.0,
+         strategy=PlacementStrategy.SLC_FIRST, gc_trigger=50,
+         conversion_trigger=50, conversion_granularity=1, fraction=0.9,
+         overwrites=[])
+@example(channels=1, blocks=256, ppb=8, op_ratio=0.125, split=1.0,
+         strategy=PlacementStrategy.SLC_FIRST, gc_trigger=50,
+         conversion_trigger=50, conversion_granularity=1, fraction=0.9,
+         overwrites=[])
+def test_bulk_fill_matches_per_page_fill(channels, blocks, ppb, op_ratio,
+                                         split, strategy, gc_trigger,
+                                         conversion_trigger,
+                                         conversion_granularity, fraction,
+                                         overwrites):
+    def engine():
+        geo = desk_geometry(channels=channels, blocks_per_channel=blocks,
+                            pages_per_block_slc=ppb, op_ratio=op_ratio)
+        return FtlEngine(SsdState(geo, LatencyModel(), split), ConfigProfile(
+            placement_strategy=strategy, gc_trigger_threshold=gc_trigger,
+            conversion_trigger_threshold=conversion_trigger,
+            conversion_granularity=conversion_granularity))
+
+    bulk, oracle = engine(), engine()
+    logical = oracle.ssd.logical_capacity_pages
+    n = int(logical * fraction)
+
+    def per_page(lpns):
+        for lpn in lpns:
+            oracle.handle_write(lpn)
+
+    outcomes = []
+    for ftl, fill in ((oracle, per_page), (bulk, bulk.fill)):
+        try:
+            # earlier writes leave mapped lpns and GC victims in the fill
+            for x in overwrites:
+                if logical:
+                    ftl.handle_write(x % logical)
+            fill(range(n))
+            outcomes.append(None)
+        except CapacityError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert device_state(bulk) == device_state(oracle)
+    bulk.ssd.audit()
 
 
 # --- page span -----------------------------------------------------------------------

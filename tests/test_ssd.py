@@ -140,15 +140,67 @@ class TestPageOps:
         assert desk_ssd.device_pages_written == 2
 
 
+    def test_invalidate_past_the_write_pointer_raises(self, desk_ssd):
+        desk_ssd.program_page(0, 0, lpn=1)
+        with pytest.raises(PageStateError):
+            desk_ssd.invalidate_page(0, 1)
+        with pytest.raises(PageStateError):
+            desk_ssd.read_page(0, 1)
+
+    def test_program_into_a_full_block_raises(self, desk_ssd):
+        for idx in range(8):
+            desk_ssd.program_page(0, idx, lpn=idx)
+        with pytest.raises(PageStateError):
+            desk_ssd.program_page(0, 8, lpn=8)
+
+
+class TestProgramRun:
+    def test_matches_program_page_one_by_one(self, desk_geo):
+        bulk = SsdState(desk_geo, LatencyModel(), initial_mode_split=0.5)
+        single = SsdState(desk_geo, LatencyModel(), initial_mode_split=0.5)
+        for ssd in (bulk, single):
+            ssd.program_page(0, 0, lpn=100)
+            ssd.invalidate_page(0, 0)
+        bulk.program_run(0, range(3, 17, 2))
+        bulk.program_run(4, range(20, 52))
+        for idx, lpn in enumerate(range(3, 17, 2), start=1):
+            single.program_page(0, idx, lpn)
+        for idx, lpn in enumerate(range(20, 52)):
+            single.program_page(4, idx, lpn)
+        for a, b in zip(bulk.blocks, single.blocks):
+            assert (a.pages, a.valid_count, a.invalid_count) == (
+                b.pages, b.valid_count, b.invalid_count)
+        assert bulk.mapping == single.mapping
+        assert bulk.reclaimable == single.reclaimable == {
+            Mode.SLC: {7: {0}}, Mode.QLC: {}}
+        assert bulk.device_pages_written == single.device_pages_written == 40
+        bulk.audit()
+
+    def test_rejects_a_run_past_the_block(self, desk_ssd):
+        desk_ssd.program_page(0, 0, lpn=1)
+        with pytest.raises(PageStateError):
+            desk_ssd.program_run(0, range(10, 18))
+        assert desk_ssd.blocks[0].pages == [1]
+
+    def test_rejects_a_mapped_lpn(self, desk_ssd):
+        desk_ssd.program_page(0, 0, lpn=5)
+        with pytest.raises(PageStateError):
+            desk_ssd.program_run(1, range(3, 7))
+        assert desk_ssd.blocks[1].pages == []
+        assert desk_ssd.mapping == {5: (0, 0)}
+
+
 class TestConversion:
     def test_convert_resizes_page_array(self, desk_ssd):
-        assert len(desk_ssd.blocks[0].pages) == 8
+        assert desk_ssd.blocks[0].page_count == 8
         desk_ssd.convert_block_mode(0, Mode.QLC)
         b = desk_ssd.blocks[0]
         assert b.mode is Mode.QLC
-        assert len(b.pages) == 32
+        assert b.page_count == 32
+        assert b.free_count == 32
         desk_ssd.convert_block_mode(0, Mode.SLC)
-        assert len(desk_ssd.blocks[0].pages) == 8
+        assert desk_ssd.blocks[0].page_count == 8
+        assert desk_ssd.blocks[0].free_count == 8
 
     def test_convert_only_fully_free_blocks(self, desk_ssd):
         desk_ssd.program_page(0, 0, lpn=1)
@@ -245,11 +297,13 @@ class TestAudit:
         with pytest.raises(AuditError):
             desk_ssd.audit()
 
-    def test_write_pointer_discontinuity_detected(self, desk_ssd):
-        desk_ssd.program_page(0, 0, lpn=1)
-        desk_ssd.blocks[0].pages[3] = 42       # page beyond the pointer
-        desk_ssd.mapping[42] = (0, 3)
-        with pytest.raises(AuditError):
+    def test_page_array_longer_than_its_block_detected(self, desk_ssd):
+        for idx in range(8):
+            desk_ssd.program_page(0, idx, lpn=idx)
+        desk_ssd.blocks[0].pages.append(42)    # a ninth page in an 8-page block
+        desk_ssd.blocks[0].valid_count += 1
+        desk_ssd.mapping[42] = (0, 8)
+        with pytest.raises(AuditError, match="past its 8"):
             desk_ssd.audit()
 
     def test_block_tally_drift_detected(self, desk_ssd):

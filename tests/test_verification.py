@@ -308,6 +308,9 @@ class TestRunEpoch:
         rec = loop.run_epoch(stack, lambda n: n, "scheduled")
         assert rec.verdict is Verdict.REJECTED
         assert stack.applied == []
+        # the record says why the only candidate was dropped
+        assert rec.corrections == (
+            "gc_trigger_threshold: dropped (not a number: '1e309')",)
 
     def test_rolls_back_when_no_ops_left_to_probe(self):
         original = ConfigProfile()
