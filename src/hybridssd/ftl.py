@@ -71,7 +71,9 @@ class FtlEngine:
 
     `action_source` is any callable(ftl) -> ActionKind; the replay harness
     wires the RL agent in through it, tests pass scripted pickers. Without
-    one, the engine falls back to a fixed greedy order.
+    one, the engine falls back to a fixed greedy order. An action source
+    must not change device state: space management counts on an action
+    with a zero outcome doing nothing until another action acts.
     """
 
     def __init__(self, ssd: SsdState, config: ConfigProfile,
@@ -149,10 +151,9 @@ class FtlEngine:
         victim ties."""
         return self.ssd.blocks[block_id].erase_count, block_id
 
-    def _pop_free(self, mode: Mode, channel: int) -> int | None:
+    def _pop_free(self, mode: Mode, channel: int) -> int:
+        """Take the least worn block of a non-empty free pool."""
         pool = self.free[mode][channel]
-        if not pool:
-            return None
         block_id = min(pool, key=self._wear_key)
         pool.remove(block_id)
         self.free_count[mode] -= 1
@@ -161,13 +162,13 @@ class FtlEngine:
     def _allocate_page(self, mode: Mode) -> tuple[int, int] | None:
         """Next append slot in `mode`, rotating the channel cursor."""
         channels = self.ssd.geometry.channels
+        active = self.active[mode]
         start = self.stripe_cursor[mode]
         for i in range(channels):
             ch = (start + i) % channels
-            block_id = self.active[mode][ch]
-            if block_id is None:
-                block_id = self._pop_free(mode, ch)
-                self.active[mode][ch] = block_id
+            block_id = active[ch]
+            if block_id is None and self.free[mode][ch]:
+                block_id = active[ch] = self._pop_free(mode, ch)
             if block_id is not None:
                 self.stripe_cursor[mode] = (ch + 1) % channels
                 return block_id, len(self.ssd.blocks[block_id].pages)
@@ -268,49 +269,72 @@ class FtlEngine:
         `handle_write` would put them, while none pops a free block; returns
         how many (0: the next page needs `handle_write`)."""
         # appends to active blocks move no region's free fraction, add no
-        # free SLC block and no GC victim (see the invalid-page check), and
-        # only shrink the room a victim needs: while the fallback idles now,
-        # it idles after every page of the run
+        # free SLC block and no GC victim (see `_append_run`), and only
+        # shrink the room a victim needs: while the fallback idles now, it
+        # idles after every page of the run
         below = self._regions_below_threshold()
         if below and self._fallback_action() is not ActionKind.IDLE:
             return 0
-        ssd = self.ssd
         mode = self._placement_region(self._preferred_mode(None))
         if mode is None:
             return 0
-        channels = ssd.geometry.channels
-        active = self.active[mode]
-        cursor = self.stripe_cursor[mode]
-        # active blocks in stripe order up to the first channel that pops
-        targets = []
-        rounds = None
-        for ch in (*range(cursor, channels), *range(cursor)):
-            block_id = active[ch]
-            if block_id is not None:
-                targets.append(block_id)
-            elif self.free[mode][ch]:
-                rounds = 1
-                break
-        blocks = ssd.blocks
-        # a block that fills holding an invalid page becomes a GC victim
-        if not targets or any(blocks[b].invalid_count for b in targets):
-            return 0
-        if rounds is None:
-            # full stripes until the first target block fills
-            rounds = min(blocks[b].free_count for b in targets)
-        stride = len(targets)
-        n = min(rounds * stride, stop - lpn)
-        for j, block_id in enumerate(targets[:n]):
-            ssd.program_run(block_id, range(lpn + j, lpn + n, stride))
-            if blocks[block_id].is_full:
-                active[ssd.geometry.channel_of(block_id)] = None
-        last = ssd.geometry.channel_of(targets[(n - 1) % stride])
-        self.stripe_cursor[mode] = (last + 1) % channels
-        self.wa.device_pages_written += n
+        n = self._append_run(mode, range(lpn, stop), pop=False)
         self.wa.host_pages_written += n
         if below:
             self.action_counts[ActionKind.IDLE] += n
         return n
+
+    def _append_run(self, mode: Mode, lpns, pop: bool = True) -> int:
+        """Program `lpns` in order into the slots `_allocate_page(mode)`
+        hands out page by page, one `program_run` per block and stripe
+        segment; returns how many were programmed.
+
+        A channel without an active block takes a free block when the
+        stripe reaches it with a page left. Without `pop` the run stops
+        there instead, and before a segment whose blocks hold an invalid
+        page (a block that fills with one becomes a GC victim).
+        """
+        ssd = self.ssd
+        blocks = ssd.blocks
+        channels = ssd.geometry.channels
+        active = self.active[mode]
+        pools = self.free[mode]
+        total = len(lpns)
+        done = 0
+        while done < total:
+            # one block per channel in stripe order from the cursor
+            cursor = self.stripe_cursor[mode]
+            targets = []
+            popping = False
+            for ch in (*range(cursor, channels), *range(cursor)):
+                block_id = active[ch]
+                if block_id is None and pools[ch]:
+                    if not pop:
+                        popping = True
+                        break
+                    if len(targets) < total - done:
+                        block_id = active[ch] = self._pop_free(mode, ch)
+                if block_id is not None:
+                    targets.append(block_id)
+            if not targets or (not pop and any(
+                    blocks[b].invalid_count for b in targets)):
+                break
+            # full stripes until the first target block fills
+            rounds = 1 if popping else min(blocks[b].free_count
+                                           for b in targets)
+            stride = len(targets)
+            n = min(rounds * stride, total - done)
+            for j, block_id in enumerate(targets[:n]):
+                ssd.program_run(block_id, lpns[done + j:done + n:stride])
+                if blocks[block_id].is_full:
+                    active[ssd.geometry.channel_of(block_id)] = None
+            last = ssd.geometry.channel_of(targets[(n - 1) % stride])
+            self.stripe_cursor[mode] = (last + 1) % channels
+            done += n
+            if popping:
+                break
+        self.wa.device_pages_written += done
+        return done
 
     def handle_read(self, lpn: int, n_pages: int = 1) -> float:
         """Service a host read; unmapped pages cost nothing but are counted."""
@@ -359,12 +383,17 @@ class FtlEngine:
     def _space_management(self, forced: bool = False) -> float:
         total = 0.0
         rounds = 0
+        # kinds whose last attempt had a zero outcome: that attempt changed
+        # nothing, so until an action acts they stay zero and the stop test
+        # below keeps the answer that let the loop run
+        futile = set()
         while rounds < SAFETY_BOUND:
-            if forced:
-                if self._has_space(Mode.SLC) or self._has_space(Mode.QLC):
+            if not futile:
+                if forced:
+                    if self._has_space(Mode.SLC) or self._has_space(Mode.QLC):
+                        break
+                elif not self._regions_below_threshold():
                     break
-            elif not self._regions_below_threshold():
-                break
             # a full device is a survival situation, not a policy decision:
             # the forced path always uses the deterministic fallback
             if forced or self.action_source is None:
@@ -374,12 +403,17 @@ class FtlEngine:
             self.action_counts[kind] += 1
             if kind is ActionKind.IDLE:
                 break
-            if kind is ActionKind.SLC_TO_QLC_MC and not self.mc_eligible():
-                # conversion not eligible yet: the attempt is a zero outcome
+            if kind in futile or (kind is ActionKind.SLC_TO_QLC_MC
+                                  and not self.mc_eligible()):
+                # a repeat of a futile kind, or a conversion not eligible
+                # yet: the attempt is a zero outcome
                 outcome = ActionOutcome()
             else:
                 outcome = self.execute_action(kind)
-            if not outcome.effective:
+            if outcome.effective:
+                futile.clear()
+            else:
+                futile.add(kind)
                 self.ineffective_actions += 1
             total += outcome.latency_us
             rounds += 1
@@ -423,19 +457,19 @@ class FtlEngine:
         victim = self._gc_victim(src, dst)
         if victim is None:
             return False
-        vblock = self.ssd.blocks[victim]
-        for idx in range(len(vblock.pages)):
-            lpn = vblock.pages[idx]
-            if lpn < 0:
-                continue
-            out.latency_us += self.ssd.read_page(victim, idx)
-            self.ssd.invalidate_page(victim, idx)
-            placed = self._allocate_page(dst)
-            out.latency_us += self._program(placed, lpn)[0]
-            out.pages_migrated += 1
-        out.latency_us += self.ssd.erase_block(victim)
+        ssd = self.ssd
+        lpns = ssd.evacuate(victim)
+        self._append_run(dst, lpns)
+        # each page is a read then a program, summed in that order
+        read_us, write_us = ssd.latency.read_us(src), ssd.latency.write_us(dst)
+        latency = out.latency_us
+        for _ in lpns:
+            latency += read_us
+            latency += write_us
+        out.latency_us = latency + ssd.erase_block(victim)
+        out.pages_migrated += len(lpns)
         out.blocks_reclaimed += 1
-        self.free[src][self.ssd.geometry.channel_of(victim)].add(victim)
+        self.free[src][ssd.geometry.channel_of(victim)].add(victim)
         self.free_count[src] += 1
         return True
 

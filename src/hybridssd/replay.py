@@ -76,7 +76,9 @@ class SimulatorStack:
         self._hot_count += flag
 
     def _agent_state(self):
-        return self.agent.observe_state(self.ftl.summary(), self.last_summary,
+        return self.agent.observe_state(self.ftl.free_count,
+                                        self.ssd.block_tally,
+                                        self.last_summary,
                                         self.hot_write_fraction())
 
     def _pick_action(self, ftl) -> ActionKind:

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .config import ConfigProfile
 from .ftl import ACTION_ORDER, ActionKind
+from .ssd import Mode
 
 logger = logging.getLogger(__name__)
 
@@ -55,10 +56,11 @@ class QTable:
     def best_action(self, state: AgentState) -> ActionKind:
         # strictly-greater comparison walks ACTION_ORDER, so ties always
         # resolve to the earliest action in the fixed order
+        get = self.q.get
         best = ACTION_ORDER[0]
-        best_v = self.value(state, best)
+        best_v = get((state, best), 0.0)
         for kind in ACTION_ORDER[1:]:
-            v = self.value(state, kind)
+            v = get((state, kind), 0.0)
             if v > best_v:
                 best, best_v = kind, v
         return best
@@ -114,26 +116,31 @@ class SpaceAgent:
         insort(ranked, writes_per_second)
         below = bisect_left(ranked, writes_per_second)
         equal = bisect_right(ranked, writes_per_second) - below
-        rank = (below + 0.5 * equal) / len(ranked)
-        return bucket_fraction(rank, N_QUARTILES)
+        rank = (below + 0.5 * equal) / len(ranked)    # in (0, 1]
+        return min(int(rank * N_QUARTILES), N_QUARTILES - 1)
 
-    def observe_state(self, ssd_summary: dict, workload_summary,
+    def observe_state(self, free_count: dict, block_tally: dict,
+                      workload_summary,
                       hot_write_fraction: float) -> AgentState:
         """Bucketize device occupancy and workload into an AgentState.
 
+        Occupancy is each mode's free fraction, free blocks (`free_count`)
+        over blocks (`block_tally`), 0 for a mode without blocks; fractions
+        lie in [0, 1], so `bucket_fraction` reduces to a cap at the top.
         `workload_summary` is the monitor's latest summary or None before
         any window data exists.
         """
         rate = (workload_summary.writes_per_virtual_second
                 if workload_summary is not None else 0.0)
+        slc_blocks, qlc_blocks = block_tally[Mode.SLC], block_tally[Mode.QLC]
+        slc_free = free_count[Mode.SLC] / slc_blocks if slc_blocks else 0.0
+        qlc_free = free_count[Mode.QLC] / qlc_blocks if qlc_blocks else 0.0
+        top = N_FREE_BUCKETS - 1
         return AgentState(
-            slc_free_bucket=bucket_fraction(
-                ssd_summary["slc_free_fraction"], N_FREE_BUCKETS),
-            qlc_free_bucket=bucket_fraction(
-                ssd_summary["qlc_free_fraction"], N_FREE_BUCKETS),
-            write_intensity_bucket=self.intensity_bucket(rate),
-            hot_ratio_bucket=bucket_fraction(hot_write_fraction, N_QUARTILES),
-        )
+            min(int(slc_free * N_FREE_BUCKETS), top),
+            min(int(qlc_free * N_FREE_BUCKETS), top),
+            self.intensity_bucket(rate),
+            min(int(hot_write_fraction * N_QUARTILES), N_QUARTILES - 1))
 
     # --- acting and learning -----------------------------------------------------
 

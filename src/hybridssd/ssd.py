@@ -213,9 +213,9 @@ class SsdState:
             self._index(block_id, block)
         return self.latency.write_us(block.mode)
 
-    def program_run(self, block_id: int, lpns: range) -> None:
-        """Append one page per lpn to a block, in order: `program_page` in
-        bulk, with the same checks, for a sequential fill."""
+    def program_run(self, block_id: int, lpns) -> None:
+        """Append one page per lpn of a sequence to a block, in order:
+        `program_page` in bulk, with the same checks."""
         block = self.blocks[block_id]
         pages = block.pages
         start = len(pages)
@@ -271,6 +271,26 @@ class SsdState:
             if block.invalid_count > 1:
                 self._unindex(block_id, block, block.valid_count + 1)
             self._index(block_id, block)
+
+    def evacuate(self, block_id: int) -> list[int]:
+        """Invalidate every valid page of a block; returns their lpns in
+        page order. `invalidate_page` per valid page, in bulk: a full block
+        is re-filed in the victim index once, under no valid page."""
+        block = self.blocks[block_id]
+        pages = block.pages
+        lpns = [lpn for lpn in pages if lpn >= 0]
+        full = block.is_full
+        if full and block.invalid_count:
+            self._unindex(block_id, block, block.valid_count)
+        mapping = self.mapping
+        for lpn in lpns:
+            del mapping[lpn]
+        block.pages = [PAGE_INVALID] * len(pages)
+        block.valid_count = 0
+        block.invalid_count = len(pages)
+        if full:
+            self._index(block_id, block)
+        return lpns
 
     def erase_block(self, block_id: int) -> float:
         """Erase a block holding no valid data. Returns erase latency in us."""

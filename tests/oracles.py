@@ -44,7 +44,10 @@ class FlashOpLog:
     handle_write/handle_read call, rejected ones included, appends one entry
     {"parallel": [...], "serial": [...]} of (op, mode, channel) records; ops
     that run inside execute_action are GC work and go under "serial". Ops
-    outside any request (a direct execute_action call) are not logged.
+    outside any request (a direct execute_action call) are not logged. The
+    bulk ops count per page: evacuate logs one read per lpn it returns,
+    program_run one program per lpn it appends. Serial ops are a plain sum,
+    so their order in the log does not matter for whole-microsecond costs.
     """
 
     def __init__(self, ftl):
@@ -55,19 +58,33 @@ class FlashOpLog:
         for op, name in (("read", "read_page"), ("program", "program_page"),
                          ("erase", "erase_block")):
             setattr(ssd, name, self._flash_op(op, ssd, getattr(ssd, name)))
+        evacuate, program_run = ssd.evacuate, ssd.program_run
+
+        def evacuated(block_id):
+            lpns = evacuate(block_id)
+            self._log("read", ssd, block_id, len(lpns))
+            return lpns
+
+        def run(block_id, lpns):
+            self._log("program", ssd, block_id, len(lpns))
+            return program_run(block_id, lpns)
+
+        ssd.evacuate, ssd.program_run = evacuated, run
         for name in ("handle_write", "handle_read"):
             setattr(ftl, name, self._request(getattr(ftl, name)))
         ftl.execute_action = self._action(ftl.execute_action)
 
-    def _flash_op(self, op, ssd, fn):
-        channels = ssd.geometry.channels
+    def _log(self, op, ssd, block_id, count=1):
+        if self._current is not None:
+            # mode before the op: an erase or program never changes it
+            mode = ssd.blocks[block_id].mode.value
+            part = "serial" if self._in_action else "parallel"
+            self._current[part].extend(
+                [(op, mode, block_id % ssd.geometry.channels)] * count)
 
+    def _flash_op(self, op, ssd, fn):
         def wrapped(block_id, *args, **kwargs):
-            if self._current is not None:
-                # mode before the op: an erase or program never changes it
-                mode = ssd.blocks[block_id].mode.value
-                part = "serial" if self._in_action else "parallel"
-                self._current[part].append((op, mode, block_id % channels))
+            self._log(op, ssd, block_id)
             return fn(block_id, *args, **kwargs)
         return wrapped
 
@@ -96,12 +113,14 @@ class PagePayloads:
     outside.
 
     Wraps the engine instance's handle_write and execute_action and the
-    read_page/program_page methods of its SsdState instance. The wrapped
-    handle_write takes an extra `tag` keyword: every page programmed by
-    that host write holds the tag. A page programmed inside execute_action
-    (a GC migration) holds the payload of the page read just before it, and
-    each read pays for one program only, so a migration that skips its read
-    moves None instead of the data.
+    read_page/program_page/evacuate/program_run methods of its SsdState
+    instance. The wrapped handle_write takes an extra `tag` keyword: every
+    page programmed by that host write holds the tag. A page programmed
+    inside execute_action (a GC migration) holds the payload of the page
+    read just before it, and each read pays for one program only, so a
+    migration that skips its read moves None instead of the data. In bulk,
+    evacuate hands each returned lpn's payload to the one page that lpn is
+    next programmed to; an lpn programmed without being evacuated gets None.
     """
 
     def __init__(self, ftl):
@@ -109,8 +128,10 @@ class PagePayloads:
         self.by_ppn = {}
         self._tag = None
         self._last_read = None
+        self._moving = {}               # evacuated lpn -> its payload
         self._in_action = False
         read, program = self.ssd.read_page, self.ssd.program_page
+        evacuate, program_run = self.ssd.evacuate, self.ssd.program_run
         write, action = ftl.handle_write, ftl.execute_action
 
         def read_page(block_id, page_idx):
@@ -125,6 +146,22 @@ class PagePayloads:
             us = program(block_id, page_idx, lpn)
             self.by_ppn[(block_id, page_idx)] = payload
             return us
+
+        def evacuated(block_id):
+            where = {lpn: idx for idx, lpn
+                     in enumerate(self.ssd.blocks[block_id].pages)}
+            lpns = evacuate(block_id)
+            for lpn in lpns:
+                self._moving[lpn] = self.by_ppn.get((block_id, where.get(lpn)))
+            return lpns
+
+        def run(block_id, lpns):
+            start = len(self.ssd.blocks[block_id].pages)
+            program_run(block_id, lpns)
+            for idx, lpn in enumerate(lpns, start):
+                self.by_ppn[(block_id, idx)] = (
+                    self._moving.pop(lpn, None) if self._in_action
+                    else self._tag)
 
         def handle_write(lpn, n_pages=1, hot=None, tag=None):
             self._tag = tag
@@ -141,6 +178,7 @@ class PagePayloads:
                 self._in_action = False
 
         self.ssd.read_page, self.ssd.program_page = read_page, program_page
+        self.ssd.evacuate, self.ssd.program_run = evacuated, run
         ftl.handle_write, ftl.execute_action = handle_write, execute_action
 
     def payload_of(self, lpn):

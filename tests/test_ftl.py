@@ -320,6 +320,47 @@ class TestSpaceManagementLoop:
         assert ftl.capacity_pressure_warnings >= 1
         assert ftl.ineffective_actions >= SAFETY_BOUND
 
+    def test_futile_repeats_are_counted_not_executed(self):
+        # QLC GC on an all-SLC device never acts: one call per loop, and
+        # the 63 repeats that follow are counted without running it
+        source = lambda ftl: ActionKind.QLC_INTERNAL_GC
+        geo = desk_geometry(channels=1, blocks_per_channel=4,
+                            pages_per_block_slc=4)
+        ftl = FtlEngine(SsdState(geo, LatencyModel(), 1.0),
+                        ConfigProfile(gc_trigger_threshold=50), source)
+        executed = []
+        execute = ftl.execute_action
+        ftl.execute_action = lambda kind: executed.append(kind) or \
+            execute(kind)
+        for lpn in range(10):
+            ftl.handle_write(lpn)
+        loops = ftl.capacity_pressure_warnings
+        assert loops >= 1
+        assert ftl.ineffective_actions == loops * SAFETY_BOUND
+        assert executed == [ActionKind.QLC_INTERNAL_GC] * loops
+
+    def test_an_effective_action_makes_futile_kinds_run_again(self):
+        picks = iter([ActionKind.QLC_INTERNAL_GC, ActionKind.QLC_INTERNAL_GC,
+                      ActionKind.SLC_INTERNAL_GC, ActionKind.QLC_INTERNAL_GC,
+                      ActionKind.IDLE])
+        ftl = make_ftl(blocks=4, ppb=4, gc_trigger_threshold=1)
+        for lpn in range(11):
+            ftl.handle_write(lpn)
+        ftl.handle_write(0)                  # block 0 holds an invalid page
+        assert ftl.select_victim(Mode.SLC) == 0
+        ftl.action_source = lambda ftl: next(picks)
+        # below the trigger with one block free, too
+        ftl.config = ConfigProfile(gc_trigger_threshold=90)
+        executed = []
+        execute = ftl.execute_action
+        ftl.execute_action = lambda kind: executed.append(kind) or \
+            execute(kind)
+        ftl._space_management()
+        assert executed == [ActionKind.QLC_INTERNAL_GC,
+                            ActionKind.SLC_INTERNAL_GC,
+                            ActionKind.QLC_INTERNAL_GC]
+        assert ftl.ineffective_actions == 3
+
     def test_mc_ineligible_attempt_is_harmless(self):
         # conversion wanted while free SLC is still above the trigger
         source = lambda ftl: ActionKind.SLC_TO_QLC_MC

@@ -2,6 +2,7 @@
 import random
 import statistics
 from collections import deque
+from types import MethodType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +11,8 @@ from hybridssd.config import (ConfigProfile, PlacementStrategy,
                               TUNABLE_PARAMS, default_param_bounds,
                               parse_scalar, validate_profile)
 from hybridssd.errors import CapacityError, NoValidUpdate
-from hybridssd.ftl import FtlEngine
+from hybridssd.ftl import (ACTION_ORDER, SAFETY_BOUND, ActionKind,
+                           ActionOutcome, FtlEngine)
 from hybridssd.monitor import SlidingWindow, WindowEntry
 from hybridssd.rl import (INTENSITY_SAMPLES, N_QUARTILES, SpaceAgent,
                           bucket_fraction, reward)
@@ -199,6 +201,232 @@ def test_bulk_fill_matches_per_page_fill(channels, blocks, ppb, op_ratio,
     assert outcomes[0] == outcomes[1]
     assert device_state(bulk) == device_state(oracle)
     bulk.ssd.audit()
+
+
+# --- bulk GC migration and the futile-kind rule -------------------------------------------
+
+def per_page_gc_once(ftl, src, dst, out):
+    """`FtlEngine._gc_once` one page at a time: read, invalidate, allocate
+    and program each valid page of the victim in page order, then erase."""
+    victim = ftl._gc_victim(src, dst)
+    if victim is None:
+        return False
+    vblock = ftl.ssd.blocks[victim]
+    for idx in range(len(vblock.pages)):
+        lpn = vblock.pages[idx]
+        if lpn < 0:
+            continue
+        out.latency_us += ftl.ssd.read_page(victim, idx)
+        ftl.ssd.invalidate_page(victim, idx)
+        placed = ftl._allocate_page(dst)
+        out.latency_us += ftl._program(placed, lpn)[0]
+        out.pages_migrated += 1
+    out.latency_us += ftl.ssd.erase_block(victim)
+    out.blocks_reclaimed += 1
+    ftl.free[src][ftl.ssd.geometry.channel_of(victim)].add(victim)
+    ftl.free_count[src] += 1
+    return True
+
+
+def every_pick_space_management(ftl, forced=False):
+    """`FtlEngine._space_management` re-testing the stop condition and
+    executing every pick, however futile."""
+    total = 0.0
+    rounds = 0
+    while rounds < SAFETY_BOUND:
+        if forced:
+            if ftl._has_space(Mode.SLC) or ftl._has_space(Mode.QLC):
+                break
+        elif not ftl._regions_below_threshold():
+            break
+        if forced or ftl.action_source is None:
+            kind = ftl._fallback_action()
+        else:
+            kind = ftl.action_source(ftl)
+        ftl.action_counts[kind] += 1
+        if kind is ActionKind.IDLE:
+            break
+        if kind is ActionKind.SLC_TO_QLC_MC and not ftl.mc_eligible():
+            outcome = ActionOutcome()
+        else:
+            outcome = ftl.execute_action(kind)
+        if not outcome.effective:
+            ftl.ineffective_actions += 1
+        total += outcome.latency_us
+        rounds += 1
+    if rounds >= SAFETY_BOUND:
+        ftl.capacity_pressure_warnings += 1
+    return total
+
+
+# flash costs that are not whole microseconds: a sum in another order
+# differs in the last bits
+FRACTIONAL = LatencyModel(read_slc=20.3, read_qlc=140.7, write_slc=200.1,
+                          write_qlc=2000.9, erase_slc=3000.3, erase_qlc=3500.7)
+
+
+def sticky_picker(seed, stay):
+    """Scripted action source: a random kind, IDLE rarely, repeating the
+    last pick with probability `stay` (so futile kinds come back to back)."""
+    rng = random.Random(seed)
+    kinds = [k for k in ACTION_ORDER if k is not ActionKind.IDLE] * 4
+    kinds.append(ActionKind.IDLE)
+    last = rng.choice(kinds)
+
+    def pick(ftl):
+        nonlocal last
+        if rng.random() >= stay:
+            last = rng.choice(kinds)
+        return last
+    return pick
+
+
+def run_twin_engines(make_engine, reference, writes, fill_fraction,
+                     engines=None):
+    """Run a reference and the real engine through the same fill and
+    writes, asserting the same latency and state after every step.
+    Returns what the real engine's GC did: the (victim, destination) modes
+    of migrations that moved pages, and "pop" if a destination popped a
+    free block mid-migration."""
+    real, ref = engines or (make_engine(), make_engine())
+    reference(ref)
+    seen = set()
+    gc_once = real._gc_once
+
+    def observed_gc_once(src, dst, out):
+        free_before = real.free_count[dst]
+        moved = out.pages_migrated
+        done = gc_once(src, dst, out)
+        if out.pages_migrated > moved:
+            seen.add((src, dst))
+            if real.free_count[dst] - (src is dst) < free_before:
+                seen.add("pop")
+        return done
+
+    real._gc_once = observed_gc_once
+    logical = real.ssd.logical_capacity_pages
+    for ftl in (real, ref):
+        ftl.fill(range(int(logical * fill_fraction)))
+    assert device_state(real) == device_state(ref)
+    for lpn, n, hot in writes:
+        if not logical:
+            break
+        lpn %= logical
+        n = min(n, logical - lpn)
+        results = []
+        for ftl in (real, ref):
+            try:
+                results.append(ftl.handle_write(lpn, n, hot=hot))
+            except CapacityError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        assert device_state(real) == device_state(ref)
+        if isinstance(results[0], str):
+            break
+    real.ssd.audit()
+    return seen
+
+
+twin_geometry = dict(
+    channels=st.integers(min_value=1, max_value=4),
+    blocks=st.integers(min_value=2, max_value=10),
+    ppb=st.integers(min_value=1, max_value=8),
+    op_ratio=st.floats(min_value=0.05, max_value=0.5),
+    split=st.floats(min_value=0.0, max_value=1.0),
+    strategy=st.sampled_from(list(PlacementStrategy)),
+    gc_trigger=st.integers(min_value=5, max_value=50),
+    gc_granularity=st.integers(min_value=1, max_value=3),
+    picker_seed=st.one_of(st.none(), st.integers(min_value=0,
+                                                 max_value=2**16)),
+    fill_fraction=st.floats(min_value=0.0, max_value=0.95),
+    writes=st.lists(st.tuples(st.integers(min_value=0, max_value=10**6),
+                              st.integers(min_value=1, max_value=6),
+                              st.sampled_from([None, True, False])),
+                    max_size=60),
+)
+
+
+def twin_engine_factory(channels, blocks, ppb, op_ratio, split, strategy,
+                        gc_trigger, gc_granularity, picker_seed, stay=0.5):
+    def make():
+        geo = desk_geometry(channels=channels, blocks_per_channel=blocks,
+                            pages_per_block_slc=ppb, op_ratio=op_ratio)
+        source = (None if picker_seed is None
+                  else sticky_picker(picker_seed, stay))
+        return FtlEngine(SsdState(geo, FRACTIONAL, split), ConfigProfile(
+            placement_strategy=strategy, gc_trigger_threshold=gc_trigger,
+            conversion_trigger_threshold=gc_trigger,
+            gc_granularity=gc_granularity), source)
+    return make
+
+
+def per_page_gc(ftl):
+    ftl._gc_once = MethodType(per_page_gc_once, ftl)
+
+
+def execute_every_pick(ftl):
+    ftl._space_management = MethodType(every_pick_space_management, ftl)
+
+
+# SLC->QLC and internal GC, granularity 3, destinations popping free blocks
+PINNED_MIGRATION = dict(
+    channels=3, blocks=6, ppb=4, op_ratio=0.2, split=0.5,
+    strategy=PlacementStrategy.SLC_FIRST, gc_trigger=30,
+    gc_granularity=3, picker_seed=3, fill_fraction=0.9,
+    writes=[(lpn * 7, 1 + lpn % 3, lpn % 3 == 0 or None)
+            for lpn in range(60)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(**twin_geometry)
+@example(**PINNED_MIGRATION)
+def test_bulk_migration_matches_per_page_migration(
+        channels, blocks, ppb, op_ratio, split, strategy, gc_trigger,
+        gc_granularity, picker_seed, fill_fraction, writes):
+    run_twin_engines(twin_engine_factory(
+        channels, blocks, ppb, op_ratio, split, strategy, gc_trigger,
+        gc_granularity, picker_seed), per_page_gc, writes, fill_fraction)
+
+
+def test_pinned_migration_reaches_every_bulk_case():
+    params = dict(PINNED_MIGRATION)
+    writes, fill_fraction = params.pop("writes"), params.pop("fill_fraction")
+    seen = run_twin_engines(twin_engine_factory(**params), per_page_gc,
+                            writes, fill_fraction)
+    assert {(Mode.SLC, Mode.QLC), (Mode.SLC, Mode.SLC), (Mode.QLC, Mode.QLC),
+            "pop"} <= seen
+
+
+def test_pinned_picks_reach_the_futile_cases():
+    params = dict(PINNED_MIGRATION)
+    writes, fill_fraction = params.pop("writes"), params.pop("fill_fraction")
+    make = twin_engine_factory(stay=0.9, **params)
+    real, ref = make(), make()
+    executed = {}
+    for name, ftl in (("real", real), ("ref", ref)):
+        def counting(kind, execute=ftl.execute_action, name=name):
+            executed[name] = executed.get(name, 0) + 1
+            return execute(kind)
+        ftl.execute_action = counting
+    run_twin_engines(make, execute_every_pick, writes, fill_fraction,
+                     engines=(real, ref))
+    assert real.capacity_pressure_warnings > 0
+    assert all(real.action_counts[kind] for kind in ACTION_ORDER)
+    # the same ineffective count, with most repeats never executed
+    assert executed["real"] < executed["ref"] - real.ineffective_actions // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(stay=st.sampled_from([0.0, 0.5, 0.9, 1.0]), **twin_geometry)
+@example(stay=1.0, **PINNED_MIGRATION)
+def test_skipping_futile_repeats_matches_executing_every_pick(
+        stay, channels, blocks, ppb, op_ratio, split, strategy, gc_trigger,
+        gc_granularity, picker_seed, fill_fraction, writes):
+    # counts, warnings, latency and state are compared after every write
+    run_twin_engines(twin_engine_factory(
+        channels, blocks, ppb, op_ratio, split, strategy, gc_trigger,
+        gc_granularity, picker_seed, stay), execute_every_pick, writes,
+        fill_fraction)
 
 
 # --- page span -----------------------------------------------------------------------

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from hybridssd import (ConfigProfile, EpochSchedule, FtlEngine, LatencyModel,
-                       ScriptedBackend, SsdState, desk_geometry,
+from hybridssd import (ActionKind, ConfigProfile, EpochSchedule, FtlEngine,
+                       LatencyModel, ScriptedBackend, SsdState, desk_geometry,
                        emit_report, replay, synth_trace)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "tuning_reply.txt"
@@ -23,6 +23,8 @@ DIGESTS = {
         "0b50053a7b0130120ec14ff2b2b154efd0741275ee0a3c39fbf0bf5a760ea303",
     "gc_granularity_prefill":
         "9d61c397e26b4792f327248348ee843257090f7812f055718a25738eba2fc2e1",
+    "slc_to_qlc_fractional":
+        "8a4619ddbe7b5837e0b171fe4bf9a797a60e3dc4bc1c20b60b908f911aa6ff2a",
     "tuned_fixture":
         "36ca28476d9659e2ec997d0cdc04ca4dcff18bfc0afacf66fe655e14b6529071",
 }
@@ -34,16 +36,28 @@ GEO = desk_geometry(channels=2, blocks_per_channel=16, pages_per_block_slc=8)
 SPLIT = 0.5
 
 
-def _run(ops, seed, config_over=None, **kw):
-    pages = SsdState(GEO, LatencyModel(), SPLIT).logical_capacity_pages
-    records = synth_trace(ops, pages, GEO.page_size, seed=seed)
+# four channels, and flash costs that are not whole microseconds so the
+# pinned totals carry the rounding of every sum (a reordered sum can still
+# round to the same totals: the bulk-migration property test compares the
+# latency of each write instead)
+WIDE_GEO = desk_geometry(channels=4, blocks_per_channel=8,
+                         pages_per_block_slc=8)
+FRACTIONAL = LatencyModel(read_slc=20.3, read_qlc=140.7, write_slc=200.1,
+                          write_qlc=2000.9, erase_slc=3000.3,
+                          erase_qlc=3500.7)
+
+
+def _run(ops, seed, config_over=None, geometry=GEO, latency=None, **kw):
+    pages = SsdState(geometry, latency or LatencyModel(),
+                     SPLIT).logical_capacity_pages
+    records = synth_trace(ops, pages, geometry.page_size, seed=seed)
     config = ConfigProfile(gc_trigger_threshold=13, window_size=100,
                            rl_training_interval=50,
                            kmeans_trigger_threshold=400,
-                           slice_size=GEO.page_size * 8,
+                           slice_size=geometry.page_size * 8,
                            **(config_over or {}))
-    return replay(records, config, GEO, seed=seed, initial_mode_split=SPLIT,
-                  **kw)
+    return replay(records, config, geometry, latency=latency, seed=seed,
+                  initial_mode_split=SPLIT, **kw)
 
 
 def fresh_default():
@@ -62,6 +76,12 @@ def gc_granularity_prefill():
                              "conversion_granularity": 2})
 
 
+def slc_to_qlc_fractional():
+    # agent GC after a fill, with SLC->QLC migrations and GC granularity 3
+    return _run(500, seed=5, prefill_fraction=0.9, geometry=WIDE_GEO,
+                latency=FRACTIONAL, config_over={"gc_granularity": 3})
+
+
 def tuned_fixture():
     schedule = EpochSchedule(tuning_interval_writes=300,
                              investigation_ops=100, max_epochs=3)
@@ -73,6 +93,7 @@ SCENARIOS = {
     "fresh_default": fresh_default,
     "gc_agent_prefill": gc_agent_prefill,
     "gc_granularity_prefill": gc_granularity_prefill,
+    "slc_to_qlc_fractional": slc_to_qlc_fractional,
     "tuned_fixture": tuned_fixture,
 }
 
@@ -98,17 +119,23 @@ def test_scenarios_reach_the_layers_they_pin(monkeypatch):
     assert fresh.requests == 1500 and fresh.qtable
     gc = gc_agent_prefill()
     assert gc.erases > 0 and gc.agent_decisions > 0
-    blocks_per_action = []
+    outcomes = []
     execute = FtlEngine.execute_action
 
     def recording(ftl, kind):
         out = execute(ftl, kind)
-        blocks_per_action.append(out.blocks_reclaimed + out.blocks_converted)
+        outcomes.append((kind, out))
         return out
 
     monkeypatch.setattr(FtlEngine, "execute_action", recording)
     gc_granularity_prefill()
-    assert max(blocks_per_action) > 1
+    assert max(o.blocks_reclaimed + o.blocks_converted
+               for _, o in outcomes) > 1
+    outcomes.clear()
+    slc_to_qlc_fractional()
+    assert any(kind is ActionKind.SLC_TO_QLC_GC and o.pages_migrated
+               for kind, o in outcomes)
+    assert max(o.blocks_reclaimed for _, o in outcomes) > 1
     tuned = tuned_fixture()
     assert tuned.epochs_run >= 1
     assert all(e["prompt"] for e in tuned.epochs)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hybridssd import (ACTION_ORDER, ActionKind, AgentState, ConfigProfile,
-                       QTable, SpaceAgent, bucket_fraction, reward)
+                       Mode, QTable, SpaceAgent, bucket_fraction, reward)
 from oracles import q_update
 
 S0 = AgentState(0, 0, 0, 0)
@@ -154,11 +154,26 @@ class TestIntensityBucket:
 
     def test_observe_state_without_summary(self):
         agent = SpaceAgent(random.Random(8))
-        summary = {"slc_free_fraction": 0.35, "qlc_free_fraction": 0.8}
-        st = agent.observe_state(summary, None, 0.6)
+        # free fractions 0.35 and 0.8
+        free = {Mode.SLC: 7, Mode.QLC: 16}
+        tally = {Mode.SLC: 20, Mode.QLC: 20}
+        st = agent.observe_state(free, tally, None, 0.6)
         assert st.slc_free_bucket == 3
         assert st.qlc_free_bucket == 8
         assert st.hot_ratio_bucket == 2
+
+    @pytest.mark.parametrize("free,tally", [
+        (0, 0), (0, 7), (3, 7), (7, 7), (9, 10), (1, 10), (999, 1000)])
+    def test_observe_state_buckets_like_bucket_fraction(self, free, tally):
+        agent = SpaceAgent(random.Random(8))
+        fraction = free / tally if tally else 0.0
+        for hot in (0.0, 0.249, 0.25, 0.999, 1.0):
+            st = agent.observe_state({Mode.SLC: free, Mode.QLC: free},
+                                     {Mode.SLC: tally, Mode.QLC: tally},
+                                     None, hot)
+            assert st.slc_free_bucket == st.qlc_free_bucket == \
+                bucket_fraction(fraction, 10)
+            assert st.hot_ratio_bucket == bucket_fraction(hot, 4)
 
 
 class TestGreedyConvergence:

@@ -190,6 +190,52 @@ class TestProgramRun:
         assert desk_ssd.mapping == {5: (0, 0)}
 
 
+    def test_takes_any_lpn_sequence(self, desk_geo):
+        bulk = SsdState(desk_geo, LatencyModel(), initial_mode_split=0.5)
+        single = SsdState(desk_geo, LatencyModel(), initial_mode_split=0.5)
+        lpns = [9, 2, 30, 4]
+        bulk.program_run(1, lpns)
+        for idx, lpn in enumerate(lpns):
+            single.program_page(1, idx, lpn)
+        assert bulk.blocks[1].pages == single.blocks[1].pages == lpns
+        assert bulk.mapping == single.mapping
+        with pytest.raises(PageStateError):
+            bulk.program_run(2, [5, 30])
+        assert bulk.blocks[2].pages == []
+
+
+class TestEvacuate:
+    # written lpns of block 0 (8 pages), then the indices invalidated first
+    @pytest.mark.parametrize("written,stale", [
+        (range(8), [1, 6]),          # full, indexed
+        (range(8), []),              # full, no invalid page yet
+        (range(8), list(range(8))),  # full, nothing valid
+        (range(5), [0, 3]),          # partly written: never indexed
+    ])
+    def test_matches_invalidate_page_per_valid_page(self, desk_geo,
+                                                    written, stale):
+        bulk = SsdState(desk_geo, LatencyModel(), initial_mode_split=0.5)
+        single = SsdState(desk_geo, LatencyModel(), initial_mode_split=0.5)
+        for ssd in (bulk, single):
+            ssd.program_run(0, [lpn + 10 for lpn in written])
+            for idx in stale:
+                ssd.invalidate_page(0, idx)
+        valid = [idx for idx in range(len(written)) if idx not in stale]
+        lpns = bulk.evacuate(0)
+        for idx in valid:
+            single.invalidate_page(0, idx)
+        assert lpns == [written[idx] + 10 for idx in valid]
+        a, b = bulk.blocks[0], single.blocks[0]
+        assert (a.pages, a.valid_count, a.invalid_count) == (
+            b.pages, b.valid_count, b.invalid_count)
+        assert bulk.mapping == single.mapping == {}
+        assert bulk.reclaimable == single.reclaimable
+        bulk.audit()
+        bulk.erase_block(0)
+        assert bulk.reclaimable == {Mode.SLC: {}, Mode.QLC: {}}
+        bulk.audit()
+
+
 class TestConversion:
     def test_convert_resizes_page_array(self, desk_ssd):
         assert desk_ssd.blocks[0].page_count == 8
