@@ -10,8 +10,7 @@ from .errors import ConfigError, SimulatorError
 from .replay import check_report_path, emit_report, replay, run_sweep
 from .ssd import FlashGeometry, initial_layout
 from .trace import FORMATS, load_trace, synth_trace
-from .tuner import (DEFAULT_MAX_TOKENS, DEFAULT_OVERLAP_TOKENS, RemoteBackend,
-                    ScriptedBackend)
+from .tuner import DEFAULT_MAX_TOKENS, RemoteBackend, ScriptedBackend
 from .verification import EpochSchedule
 
 log = logging.getLogger(__name__)
@@ -78,9 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--investigation-ops", type=int, default=10000)
     tune.add_argument("--max-epochs", type=int, default=30)
     tune.add_argument("--degradation-threshold", type=float, default=0.05)
-    tune.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
-    tune.add_argument("--overlap-tokens", type=int,
-                      default=DEFAULT_OVERLAP_TOKENS)
+    tune.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS,
+                      help="prompt budget; older history is dropped to fit")
     tune.add_argument("--target-note", default="",
                       help="extra requirement text appended to the prompt")
 
@@ -194,7 +192,6 @@ def cmd_run(args) -> int:
                         prefill_fraction=args.prefill, skipped_lines=skipped,
                         baseline_total_us=baseline_total,
                         max_tokens=args.max_tokens,
-                        overlap_tokens=args.overlap_tokens,
                         target_note=args.target_note)
     else:
         report = replay(records, config, geometry, mode="default",

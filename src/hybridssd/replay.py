@@ -24,7 +24,7 @@ from .monitor import SlidingWindow, WindowEntry
 from .rl import SpaceAgent
 from .ssd import FlashGeometry, LatencyModel, Mode, SsdState
 from .trace import OpKind, TraceRecord, page_span
-from .tuner import DEFAULT_MAX_TOKENS, DEFAULT_OVERLAP_TOKENS
+from .tuner import DEFAULT_MAX_TOKENS
 from .verification import (EpochSchedule, Marker, VerificationLoop, accuracy,
                            measure)
 
@@ -293,7 +293,6 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
            prefill_fraction: float = 0.0, skipped_lines: int = 0,
            baseline_total_us: float | None = None,
            max_tokens: int = DEFAULT_MAX_TOKENS,
-           overlap_tokens: int = DEFAULT_OVERLAP_TOKENS,
            target_note: str = "") -> RunReport:
     """Replay a trace in `default` or `tuned` mode and report.
 
@@ -306,8 +305,6 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
     stack = SimulatorStack(geometry, config, latency=latency, seed=seed,
                            initial_mode_split=initial_mode_split,
                            kmeans_tol=kmeans_tol)
-    if prefill_fraction:
-        stack.prefill(prefill_fraction)
     loop = None
     if mode == "tuned":
         if backend is None:
@@ -317,8 +314,10 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
             loop = VerificationLoop(
                 backend, schedule,
                 bounds=default_param_bounds(geometry.page_size),
-                max_tokens=max_tokens, overlap_tokens=overlap_tokens,
-                target_note=target_note)
+                max_tokens=max_tokens, target_note=target_note)
+            loop.check_prompt_fits(stack)
+    if prefill_fraction:
+        stack.prefill(prefill_fraction)
     cursor = 0
 
     def pump(n: int) -> int:

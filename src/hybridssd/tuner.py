@@ -25,8 +25,9 @@ from .errors import BackendUnavailable, ConfigError, NoValidUpdate, ParseFailure
 logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_TOKENS = 4096
-DEFAULT_OVERLAP_TOKENS = 256
 HISTORY_HORIZON = 10
+MAX_ATTEMPTS = 3          # remote backend: tries per prompt
+BACKOFF_S = 1.0           # first retry delay, doubling per further try
 
 
 def estimate_tokens(text: str) -> int:
@@ -93,7 +94,6 @@ class PromptBundle:
 
     stages: tuple[str, str, str, str, str]
     history_lines: tuple[str, ...]
-    stage4_head: str
     stage4_tail: str
     estimated_tokens: int
 
@@ -288,8 +288,6 @@ def build_prompt(system_info: dict, history: list[TuningRecord],
     """
     recent = list(history)[-HISTORY_HORIZON:]
     history_lines = tuple(render_history_line(r) for r in recent)
-    stage4_head = ("Adjustment history (oldest first, most recent last):\n"
-                   if history_lines else "Adjustment history:\n")
     tail_parts = [_render_current(current)]
     last = system_info.get("last_period")
     if last:
@@ -297,7 +295,7 @@ def build_prompt(system_info: dict, history: list[TuningRecord],
             f"Last measured period: mean latency {last['mean_latency_us']:.1f}us "
             f"over {last['requests']} requests, WA {last['wa']:.3f}.")
     stage4_tail = "\n\n" + "\n".join(tail_parts)
-    stage4 = _compose_stage4(stage4_head, history_lines, stage4_tail)
+    stage4 = _compose_stage4(history_lines, stage4_tail)
     stages = (
         _render_role(),
         _render_device(system_info),
@@ -308,47 +306,35 @@ def build_prompt(system_info: dict, history: list[TuningRecord],
     return PromptBundle(
         stages=stages,
         history_lines=history_lines,
-        stage4_head=stage4_head,
         stage4_tail=stage4_tail,
         estimated_tokens=estimate_tokens("\n\n".join(stages)),
     )
 
 
-def _compose_stage4(head: str, lines: tuple[str, ...], tail: str) -> str:
-    body = "\n".join(lines) if lines else "No prior adjustments."
-    return head + body + tail
+def _compose_stage4(lines: tuple[str, ...], tail: str) -> str:
+    if not lines:
+        return "Adjustment history:\nNo prior adjustments." + tail
+    return ("Adjustment history (oldest first, most recent last):\n"
+            + "\n".join(lines) + tail)
 
 
 def segment_prompt(bundle: PromptBundle,
-                   max_tokens: int = DEFAULT_MAX_TOKENS,
-                   overlap_tokens: int = DEFAULT_OVERLAP_TOKENS) -> list[str]:
-    """Split an oversized prompt into overlapping segments.
+                   max_tokens: int = DEFAULT_MAX_TOKENS) -> str:
+    """The one prompt text to send for `bundle`.
 
-    Each segment after the first starts with the trailing overlap of its
-    predecessor (overlap 0 means plain concatenation). If one stage alone
-    exceeds the limit, history is dropped oldest-first before splitting.
+    History lines are dropped oldest first until the whole prompt fits
+    `max_tokens`. A prompt that is over the limit with no history left goes
+    out as it is; replay() rejects such a limit before the first request.
     """
-    if max_tokens < 1 or not (0 <= overlap_tokens < max_tokens):
-        raise ConfigError("need 0 <= overlap_tokens < max_tokens")
-    stages = list(bundle.stages)
-    lines = list(bundle.history_lines)
-    while estimate_tokens(stages[3]) > max_tokens and lines:
-        lines.pop(0)
-        stages[3] = _compose_stage4(bundle.stage4_head, tuple(lines),
-                                    bundle.stage4_tail)
-    text = "\n\n".join(stages)
-    if estimate_tokens(text) <= max_tokens:
-        return [text]
-    window = max_tokens * 4
-    step = window - overlap_tokens * 4
-    segments = []
-    start = 0
-    while True:
-        segments.append(text[start:start + window])
-        if start + window >= len(text):
-            break
-        start += step
-    return segments
+    if max_tokens < 1:
+        raise ConfigError(f"max_tokens must be >= 1, got {max_tokens}")
+    lines = bundle.history_lines
+    text = bundle.joined()
+    while estimate_tokens(text) > max_tokens and lines:
+        lines = lines[1:]
+        stage4 = _compose_stage4(lines, bundle.stage4_tail)
+        text = "\n\n".join(bundle.stages[:3] + (stage4,) + bundle.stages[4:])
+    return text
 
 
 # --- backends -----------------------------------------------------------------
@@ -374,7 +360,7 @@ class ScriptedBackend:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
         return cls([ln.replace("\\n", "\n") for ln in lines])
 
-    def complete(self, segments: list[str]) -> str:
+    def complete(self, prompt: str) -> str:
         resp = self.responses[min(self.cursor, len(self.responses) - 1)]
         self.cursor += 1
         return resp
@@ -383,28 +369,25 @@ class ScriptedBackend:
 class RemoteBackend:
     """Chat-completion endpoint speaking the plain JSON protocol.
 
-    Each segment goes out as its own user message; the reply to the final
-    segment is the one that gets parsed. The auth token is read from the
+    The prompt goes out as one user message, retried up to MAX_ATTEMPTS
+    times with exponential backoff. The auth token is read from the
     environment at call time and never stored.
     """
 
     def __init__(self, endpoint: str, model: str = "gpt-4",
                  temperature: float = 0.0, auth_env: str = "LLM_API_KEY",
-                 timeout_s: float = 30.0, max_attempts: int = 3,
-                 backoff_s: float = 1.0, session=None):
+                 timeout_s: float = 30.0, session=None):
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
         self.auth_env = auth_env
         self.timeout_s = timeout_s
-        self.max_attempts = max_attempts
-        self.backoff_s = backoff_s
         self.session = session or requests.Session()
 
-    def _post(self, content: str) -> str:
+    def complete(self, prompt: str) -> str:
         payload = {
             "model": self.model,
-            "messages": [{"role": "user", "content": content}],
+            "messages": [{"role": "user", "content": prompt}],
             "temperature": self.temperature,
         }
         headers = {"Content-Type": "application/json"}
@@ -412,9 +395,9 @@ class RemoteBackend:
         if token:
             headers["Authorization"] = f"Bearer {token}"
         last_error = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff_s * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
             try:
                 resp = self.session.post(self.endpoint, json=payload,
                                          headers=headers,
@@ -422,31 +405,22 @@ class RemoteBackend:
                 if resp.status_code // 100 != 2:
                     last_error = f"HTTP {resp.status_code}"
                     continue
-                data = resp.json()
-                text = data["choices"][0]["message"]["content"]
-                if not text:
-                    last_error = "empty completion"
+                text = resp.json()["choices"][0]["message"]["content"]
+                if not isinstance(text, str) or not text:
+                    last_error = f"no completion text: {text!r}"
                     continue
                 return text
             except (requests.RequestException, KeyError, IndexError,
-                    ValueError) as exc:
+                    TypeError, ValueError) as exc:
                 last_error = repr(exc)
         raise BackendUnavailable(
-            f"backend {self.endpoint} failed after {self.max_attempts} "
+            f"backend {self.endpoint} failed after {MAX_ATTEMPTS} "
             f"attempts: {last_error}")
 
-    def complete(self, segments: list[str]) -> str:
-        reply = ""
-        for segment in segments:
-            reply = self._post(segment)
-        return reply
 
-
-def query_backend(backend, segments: list[str]) -> str:
-    """Send prompt segments in order; the final reply is the answer."""
-    if not segments:
-        raise BackendUnavailable("no prompt segments to send")
-    return backend.complete(segments)
+def query_backend(backend, prompt: str) -> str:
+    """Send the prompt; the backend's reply is the answer."""
+    return backend.complete(prompt)
 
 
 # --- response parsing ------------------------------------------------------------

@@ -15,8 +15,8 @@ from .config import ConfigProfile, default_param_bounds
 from .errors import BackendUnavailable, ConfigError, NoData, NoValidUpdate, ParseFailure
 from .ftl import write_amplification
 from .tuner import (TuningRecord, Verdict, build_prompt, correct_mistakes,
-                    parse_config, query_backend, segment_prompt,
-                    DEFAULT_MAX_TOKENS, DEFAULT_OVERLAP_TOKENS)
+                    estimate_tokens, parse_config, query_backend,
+                    segment_prompt, DEFAULT_MAX_TOKENS)
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,11 @@ class VerificationLoop:
     def __init__(self, backend, schedule: EpochSchedule,
                  bounds: dict | None = None,
                  max_tokens: int = DEFAULT_MAX_TOKENS,
-                 overlap_tokens: int = DEFAULT_OVERLAP_TOKENS,
                  target_note: str = ""):
         self.backend = backend
         self.schedule = schedule
         self.bounds = bounds or default_param_bounds()
         self.max_tokens = max_tokens
-        self.overlap_tokens = overlap_tokens
         self.target_note = target_note
         self.history: list[TuningRecord] = []
         self.baseline: PerfSnapshot | None = None   # default-config reference
@@ -119,6 +117,28 @@ class VerificationLoop:
         self.cycle_marker: Marker | None = None
         self.shift_epoch_this_interval = False
         self.in_epoch = False
+
+    def check_prompt_fits(self, stack) -> None:
+        """Raise ConfigError unless `max_tokens` >= 1 and an epoch prompt
+        with no history fits it, so a hopeless limit fails before the run
+        starts."""
+        needed = estimate_tokens(
+            self._prompt(stack, PerfSnapshot(0.0, 1.0, 0), []))
+        if needed > self.max_tokens:
+            raise ConfigError(
+                f"max_tokens {self.max_tokens} cannot hold the tuning prompt "
+                f"even without history (~{needed} tokens)")
+
+    def _prompt(self, stack, prev: PerfSnapshot, history) -> str:
+        """The text an epoch sends after measuring `prev`."""
+        info = stack.system_info()
+        info["last_period"] = {
+            "mean_latency_us": prev.mean_latency_us,
+            "requests": prev.requests,
+            "wa": prev.wa,
+        }
+        bundle = build_prompt(info, history, stack.config, self.target_note)
+        return segment_prompt(bundle, self.max_tokens)
 
     # --- scheduling -------------------------------------------------------------
 
@@ -165,20 +185,11 @@ class VerificationLoop:
             prev = PerfSnapshot(0.0, 1.0, 0)
         if self.baseline is None:
             self.baseline = prev
-        info = stack.system_info()
-        info["last_period"] = {
-            "mean_latency_us": prev.mean_latency_us,
-            "requests": prev.requests,
-            "wa": prev.wa,
-        }
-        bundle = build_prompt(info, self.history, stack.config,
-                              self.target_note)
-        segments = segment_prompt(bundle, self.max_tokens, self.overlap_tokens)
-        prompt_text = bundle.joined()
+        prompt_text = self._prompt(stack, prev, self.history)
         config_before = stack.config.as_dict()
         raw = None
         try:
-            raw = query_backend(self.backend, segments)
+            raw = query_backend(self.backend, prompt_text)
             reason, candidates = parse_config(raw)
             new_profile, corrections = correct_mistakes(
                 candidates, self.bounds, stack.config)

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import os
 
+from pathlib import Path
+
 import pytest
 
 from hybridssd import cli
@@ -12,13 +14,14 @@ from hybridssd.replay import (RunReport, _scale_param, emit_report, replay,
                               run_sweep)
 from hybridssd.ssd import desk_geometry
 from hybridssd.trace import OpKind, TraceRecord, synth_trace
-from hybridssd.tuner import ScriptedBackend
+from hybridssd.tuner import ScriptedBackend, estimate_tokens
 from hybridssd.verification import EpochSchedule
 
 from conftest import make_stack
 
 PAGE = 16384
 GOOD_REPLY = "Window looks cramped. `1.Windows size: 1500`"
+FIXTURE = Path(__file__).parent / "fixtures" / "tuning_reply.txt"
 
 
 def small_geo():
@@ -200,6 +203,32 @@ class TestTunedReplay:
         assert first["config_before"]["window_size"] == 100
         # every request in the trace was serviced exactly once
         assert rep.requests == len(records)
+
+    def test_each_epoch_sends_one_fitted_prompt(self):
+        class Recording(ScriptedBackend):
+            def complete(self, prompt):
+                sent.append(prompt)
+                return super().complete(prompt)
+
+        records = small_trace(2400, seed=7)
+        schedule = self.schedule(max_epochs=5)
+        untrimmed = run_small(records, mode="tuned",
+                              backend=ScriptedBackend([GOOD_REPLY]),
+                              schedule=schedule)
+        # one token short of the longest prompt forces a trim
+        limit = estimate_tokens(untrimmed.epochs[-1]["prompt"]) - 1
+        sent: list = []
+        rep = run_small(records, mode="tuned",
+                        backend=Recording([GOOD_REPLY]), schedule=schedule,
+                        max_tokens=limit)
+        assert rep.epochs_run >= 3
+        assert sent == [e["prompt"] for e in rep.epochs]
+        for e, prompt in zip(rep.epochs, sent):
+            assert estimate_tokens(prompt) <= limit
+            assert "Hybrid SSD under management" in prompt
+            if e["epoch"] > 1:
+                assert f"\nepoch {e['epoch'] - 1} [" in prompt
+        assert "epoch 1 [" not in sent[-1]
 
     def test_max_epochs_zero_equals_default_mode(self):
         records = small_trace(1200, seed=8)
@@ -498,13 +527,18 @@ class TestCli:
         ["--mode", "sweep", "--sweep-multipliers", "1,abc"],
         ["--config", "{overflow}"],
         ["--report", "{missing}/r.json"],
+        ["--mode", "tuned", "--backend", "scripted:{fixture}",
+         "--max-tokens", "0"],
+        ["--mode", "tuned", "--backend", "scripted:{fixture}",
+         "--max-tokens", "100"],
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, args):
         missing = str(tmp_path / "missing.txt")
         overflow = tmp_path / "overflow.conf"
         overflow.write_text("window size = 1e309\n", encoding="utf-8")
         report = tmp_path / "x.json"
-        argv = [a.format(missing=missing, overflow=overflow) for a in args]
+        argv = [a.format(missing=missing, overflow=overflow, fixture=FIXTURE)
+                for a in args]
         # a later --report replaces an earlier one
         rc = cli.main(["run", "--ops", "100", "--report", str(report), *argv]
                       + SMALL_GEO_ARGS)

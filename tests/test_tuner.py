@@ -7,10 +7,10 @@ import pytest
 from hybridssd.config import (ConfigProfile, PlacementStrategy,
                               default_param_bounds)
 from hybridssd.errors import BackendUnavailable, ConfigError, NoValidUpdate, ParseFailure
-from hybridssd.tuner import (HISTORY_HORIZON, PromptBundle, RemoteBackend,
+from hybridssd.tuner import (HISTORY_HORIZON, MAX_ATTEMPTS, RemoteBackend,
                              ScriptedBackend, TuningRecord, Verdict,
                              build_prompt, correct_mistakes, estimate_tokens,
-                             parse_config, query_backend, segment_prompt)
+                             parse_config, segment_prompt)
 
 PAGE = 16384
 
@@ -94,12 +94,12 @@ class TestBuildPrompt:
         assert "placement_strategy = slc_first" in bundle.stages[3]
 
     def test_token_budget_with_full_history(self):
-        # ten history entries keep the prompt around the 2.4k-token mark and
-        # comfortably inside a single default segment
+        # ten history entries keep the prompt around the 2.4k-token mark,
+        # so the default limit sends it untrimmed
         history = [make_record(i) for i in range(1, 11)]
         bundle = build_prompt(make_info(), history, ConfigProfile())
         assert 1800 <= bundle.estimated_tokens <= 3200
-        assert len(segment_prompt(bundle)) == 1
+        assert segment_prompt(bundle) == bundle.joined()
 
     def test_deterministic(self):
         history = [make_record(i) for i in range(1, 6)]
@@ -126,56 +126,66 @@ class TestBuildPrompt:
         assert "1 value(s) auto-corrected" in line
 
 
-# --- segmentation --------------------------------------------------------------
+# --- fitting the prompt to max_tokens ---------------------------------------------
+
+def noisy_history(n=10):
+    return [make_record(i, reason="z" * 170) for i in range(1, n + 1)]
+
 
 class TestSegmentPrompt:
     def test_fits_in_one_segment(self):
         bundle = build_prompt(make_info(), [], ConfigProfile())
-        segments = segment_prompt(bundle, max_tokens=4096)
-        assert segments == [bundle.joined()]
+        assert segment_prompt(bundle, max_tokens=4096) == bundle.joined()
 
-    def test_oversized_splits_with_overlap(self):
-        bundle = build_prompt(make_info(), [], ConfigProfile())
-        text = bundle.joined()
-        # force roughly a 9000-token prompt via a noisy operator note
-        pad = build_prompt(make_info(), [], ConfigProfile(),
-                           target_note="x" * (9000 * 4 - len(text)))
-        assert 8900 <= pad.estimated_tokens <= 9100
-        segments = segment_prompt(pad, max_tokens=4096, overlap_tokens=256)
-        assert len(segments) == 3
-        joined = pad.joined()
-        # each later segment repeats the tail of its predecessor
-        for prev, cur in zip(segments, segments[1:]):
-            assert cur.startswith(prev[-256 * 4:])
-        # stitching out the overlaps reproduces the prompt
-        stitched = segments[0] + "".join(s[256 * 4:] for s in segments[1:])
-        assert stitched == joined
-
-    def test_zero_overlap_concatenates(self):
+    def test_oversized_prompt_goes_out_whole(self):
+        # with no history to drop, an oversized prompt is not cut up
         pad = build_prompt(make_info(), [], ConfigProfile(),
                            target_note="y" * 40000)
-        segments = segment_prompt(pad, max_tokens=4096, overlap_tokens=0)
-        assert len(segments) > 1
-        assert "".join(segments) == pad.joined()
+        assert pad.estimated_tokens > 4096
+        assert segment_prompt(pad, max_tokens=4096) == pad.joined()
 
     def test_history_truncated_oldest_first(self):
-        noisy = [make_record(i, reason="z" * 170) for i in range(1, 11)]
-        bundle = build_prompt(make_info(), noisy, ConfigProfile())
-        # squeeze stage four so only the newest entries can stay
-        budget = estimate_tokens(bundle.stage4_head + bundle.stage4_tail) + 300
-        segments = segment_prompt(bundle, max_tokens=budget, overlap_tokens=0)
-        text = "".join(segments)
+        bundle = build_prompt(make_info(), noisy_history(), ConfigProfile())
+        budget = bundle.estimated_tokens - 300
+        text = segment_prompt(bundle, max_tokens=budget)
+        assert estimate_tokens(text) <= budget
         assert "epoch 10" in text
         assert "epoch 1 [" not in text
 
-    @pytest.mark.parametrize("max_tokens,overlap", [
-        (0, 0), (100, 100), (100, 200), (100, -1),
-    ])
-    def test_bad_limits_rejected(self, max_tokens, overlap):
+    def test_history_trimmed_until_the_whole_prompt_fits(self):
+        history = noisy_history()
+        full = build_prompt(make_info(), history, ConfigProfile())
+
+        def with_newest(k):
+            return build_prompt(make_info(), history[len(history) - k:],
+                                ConfigProfile()).joined()
+
+        seen = set()
+        budgets = range(estimate_tokens(with_newest(0)),
+                        full.estimated_tokens, 25)
+        for budget in [*budgets, full.estimated_tokens]:
+            text = segment_prompt(full, max_tokens=budget)
+            kept = sum(ln in text for ln in full.history_lines)
+            seen.add(kept)
+            # the newest `kept` lines, whole prompt otherwise unchanged ...
+            assert text == with_newest(kept)
+            assert estimate_tokens(text) <= budget
+            # ... and no line is dropped that the limit had room for
+            if kept < len(history):
+                assert estimate_tokens(with_newest(kept + 1)) > budget
+        assert {0, len(history)} < seen
+
+    def test_unfittable_limit_returns_the_history_free_prompt(self):
+        bundle = build_prompt(make_info(), noisy_history(), ConfigProfile())
+        text = segment_prompt(bundle, max_tokens=100)
+        assert text == build_prompt(make_info(), [], ConfigProfile()).joined()
+        assert estimate_tokens(text) > 100
+
+    @pytest.mark.parametrize("max_tokens", [0, -1])
+    def test_bad_limits_rejected(self, max_tokens):
         bundle = build_prompt(make_info(), [], ConfigProfile())
         with pytest.raises(ConfigError):
-            segment_prompt(bundle, max_tokens=max_tokens,
-                           overlap_tokens=overlap)
+            segment_prompt(bundle, max_tokens=max_tokens)
 
 
 # --- scripted backend -----------------------------------------------------------
@@ -183,10 +193,10 @@ class TestSegmentPrompt:
 class TestScriptedBackend:
     def test_serves_in_order_then_repeats_last(self):
         be = ScriptedBackend(["one", "two"])
-        assert be.complete(["p"]) == "one"
-        assert be.complete(["p"]) == "two"
-        assert be.complete(["p"]) == "two"
-        assert be.complete(["p"]) == "two"
+        assert be.complete("p") == "one"
+        assert be.complete("p") == "two"
+        assert be.complete("p") == "two"
+        assert be.complete("p") == "two"
 
     def test_empty_script_rejected(self):
         with pytest.raises(BackendUnavailable):
@@ -199,10 +209,6 @@ class TestScriptedBackend:
         be = ScriptedBackend.from_file(path)
         assert be.responses == ["reason\n`1.GC trigger threshold: 8`",
                                 "second"]
-
-    def test_query_backend_requires_segments(self):
-        with pytest.raises(BackendUnavailable):
-            query_backend(ScriptedBackend(["x"]), [])
 
 
 # --- remote backend -------------------------------------------------------------
@@ -236,8 +242,9 @@ class TestRemoteBackend:
         session = FakeSession([FakeResponse()])
         be = RemoteBackend("http://llm.test/v1/chat", model="gpt-4",
                            temperature=0.0, session=session)
-        reply = be.complete(["the prompt"])
+        reply = be.complete("the prompt")
         assert reply == "ok `1.Windows size: 1500`"
+        assert len(session.requests) == 1
         sent = session.requests[0]
         assert sent["url"] == "http://llm.test/v1/chat"
         assert sent["json"] == {
@@ -251,23 +258,13 @@ class TestRemoteBackend:
         be = RemoteBackend("http://llm.test", auth_env="LLM_API_KEY",
                            session=session)
         monkeypatch.delenv("LLM_API_KEY", raising=False)
-        be.complete(["p"])
+        be.complete("p")
         assert "Authorization" not in session.requests[0]["headers"]
         monkeypatch.setenv("LLM_API_KEY", "sk-test-123")
-        be.complete(["p"])
+        be.complete("p")
         assert session.requests[1]["headers"]["Authorization"] == "Bearer sk-test-123"
         # the token itself is never persisted on the backend object
         assert "sk-test-123" not in repr(vars(be))
-
-    def test_each_segment_is_its_own_message(self):
-        session = FakeSession([FakeResponse(payload={
-            "choices": [{"message": {"content": f"r{i}"}}]}) for i in range(3)])
-        be = RemoteBackend("http://llm.test", session=session)
-        reply = be.complete(["s1", "s2", "s3"])
-        assert reply == "r2"   # final segment's reply wins
-        contents = [r["json"]["messages"][0]["content"]
-                    for r in session.requests]
-        assert contents == ["s1", "s2", "s3"]
 
     def test_retries_then_succeeds(self, monkeypatch):
         import requests as requests_lib
@@ -278,19 +275,20 @@ class TestRemoteBackend:
             FakeResponse(status_code=503),
             FakeResponse(),
         ])
-        be = RemoteBackend("http://llm.test", session=session, backoff_s=1.0)
-        assert be.complete(["p"]).startswith("ok")
+        be = RemoteBackend("http://llm.test", session=session)
+        assert be.complete("p").startswith("ok")
         assert len(session.requests) == 3
         assert sleeps == [1.0, 2.0]   # exponential backoff between attempts
 
     def test_gives_up_after_max_attempts(self, monkeypatch):
         import requests as requests_lib
         monkeypatch.setattr("hybridssd.tuner.time.sleep", lambda s: None)
-        session = FakeSession([requests_lib.ConnectionError("down")] * 3)
-        be = RemoteBackend("http://llm.test", session=session, max_attempts=3)
+        session = FakeSession(
+            [requests_lib.ConnectionError("down")] * MAX_ATTEMPTS)
+        be = RemoteBackend("http://llm.test", session=session)
         with pytest.raises(BackendUnavailable):
-            be.complete(["p"])
-        assert len(session.requests) == 3
+            be.complete("p")
+        assert len(session.requests) == MAX_ATTEMPTS == 3
 
     def test_empty_completion_is_retried(self, monkeypatch):
         monkeypatch.setattr("hybridssd.tuner.time.sleep", lambda s: None)
@@ -299,14 +297,20 @@ class TestRemoteBackend:
             FakeResponse(),
         ])
         be = RemoteBackend("http://llm.test", session=session)
-        assert be.complete(["p"]).startswith("ok")
+        assert be.complete("p").startswith("ok")
 
     def test_malformed_json_is_retried(self, monkeypatch):
         monkeypatch.setattr("hybridssd.tuner.time.sleep", lambda s: None)
-        session = FakeSession([FakeResponse(payload={"nope": True})] * 3)
-        be = RemoteBackend("http://llm.test", session=session)
-        with pytest.raises(BackendUnavailable):
-            be.complete(["p"])
+        # valid JSON of the wrong shape counts as a failed attempt
+        for payload in ({"nope": True}, [], {"choices": None},
+                        {"choices": [{"message": None}]},
+                        {"choices": [{"message": {"content": 123}}]}):
+            session = FakeSession([FakeResponse(payload=payload)]
+                                  * MAX_ATTEMPTS)
+            be = RemoteBackend("http://llm.test", session=session)
+            with pytest.raises(BackendUnavailable):
+                be.complete("p")
+            assert len(session.requests) == MAX_ATTEMPTS
 
 
 # --- response parsing -----------------------------------------------------------
