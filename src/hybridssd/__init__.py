@@ -10,7 +10,7 @@ from .ftl import ACTION_ORDER, SAFETY_BOUND, ActionKind, FtlEngine
 from .hotness import Hotness, HotnessClassifier, classify, kmeans, slice_of
 from .monitor import SlidingWindow, WindowEntry
 from .replay import SimulatorStack, emit_report, replay
-from .rl import AgentState, QTable, SpaceAgent, bucket_fraction, reward
+from .rl import AgentState, QTable, SpaceAgent, reward
 from .ssd import FlashGeometry, LatencyModel, Mode, SsdState, desk_geometry
 from .trace import FORMATS, OpKind, load_trace, page_span, synth_trace
 from .tuner import ScriptedBackend
@@ -28,7 +28,7 @@ __all__ = [
     "NoValidUpdate", "OpKind", "PageStateError", "ParseFailure",
     "PlacementStrategy", "QTable", "SAFETY_BOUND", "ScriptedBackend",
     "SimulatorError", "SimulatorStack", "SlidingWindow", "SpaceAgent",
-    "SsdState", "TUNABLE_PARAMS", "WindowEntry", "bucket_fraction", "classify",
+    "SsdState", "TUNABLE_PARAMS", "WindowEntry", "classify",
     "default_param_bounds", "desk_geometry", "emit_report", "kmeans",
     "load_config_file", "load_trace", "page_span", "parse_scalar", "replay",
     "resolve_param_name", "reward", "slice_of", "synth_trace",

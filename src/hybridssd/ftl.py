@@ -406,10 +406,12 @@ class FtlEngine:
             if kind in futile or (kind is ActionKind.SLC_TO_QLC_MC
                                   and not self.mc_eligible()):
                 # a repeat of a futile kind, or a conversion not eligible
-                # yet: the attempt is a zero outcome
-                outcome = ActionOutcome()
-            else:
-                outcome = self.execute_action(kind)
+                # yet: the attempt is a zero outcome and takes no time
+                futile.add(kind)
+                self.ineffective_actions += 1
+                rounds += 1
+                continue
+            outcome = self.execute_action(kind)
             if outcome.effective:
                 futile.clear()
             else:

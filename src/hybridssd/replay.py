@@ -62,9 +62,8 @@ class SimulatorStack:
     # --- agent wiring -----------------------------------------------------
 
     def hot_write_fraction(self) -> float:
-        if not self._hot_window:
-            return 0.0
-        return self._hot_count / len(self._hot_window)
+        window = self._hot_window
+        return self._hot_count / len(window) if window else 0.0
 
     def _record_hotness(self, hot: bool) -> None:
         """Slide one write request's hot flag into the window."""
@@ -75,15 +74,14 @@ class SimulatorStack:
         window.append(flag)
         self._hot_count += flag
 
-    def _agent_state(self):
-        return self.agent.observe_state(self.ftl.free_count,
-                                        self.ssd.block_tally,
-                                        self.last_summary,
-                                        self.hot_write_fraction())
-
     def _pick_action(self, ftl) -> ActionKind:
-        return self.agent.choose_action(self._agent_state(),
-                                        self.config.rl_exploration)
+        # once per agent decision: hot_write_fraction() spelled out inline
+        window = self._hot_window
+        agent = self.agent
+        state = agent.observe_state(
+            ftl.free_count, self.ssd.block_tally, self.last_summary,
+            self._hot_count / len(window) if window else 0.0)
+        return agent.choose_action(state, self.config.rl_exploration)
 
     def _train_agent(self) -> None:
         span = self.requests - self._train_req_mark
@@ -97,7 +95,10 @@ class SimulatorStack:
         self.last_summary = summary
         if summary is not None and summary.shift_detected:
             self.shift_pending = True
-        self.agent.train(avg, self._agent_state(), self.config)
+        state = self.agent.observe_state(self.ftl.free_count,
+                                         self.ssd.block_tally, summary,
+                                         self.hot_write_fraction())
+        self.agent.train(avg, state, self.config)
         self._train_req_mark = self.requests
         self._train_lat_mark = self.total_latency_us
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from typing import NamedTuple
 
@@ -24,6 +23,8 @@ N_QUARTILES = 4
 # writes/sec samples kept to rank the current write intensity
 INTENSITY_SAMPLES = 256
 
+_LATER_ACTIONS = ACTION_ORDER[1:]
+
 
 class AgentState(NamedTuple):
     slc_free_bucket: int
@@ -32,10 +33,8 @@ class AgentState(NamedTuple):
     hot_ratio_bucket: int
 
 
-def bucket_fraction(fraction: float, n_buckets: int) -> int:
-    """Map a [0,1] fraction onto 0..n_buckets-1 (1.0 lands in the top)."""
-    b = int(fraction * n_buckets)
-    return min(max(b, 0), n_buckets - 1)
+# builds an AgentState without the namedtuple's Python-level __new__
+_new_state = tuple.__new__
 
 
 def reward(avg_response_us: float, threshold_us: float) -> float:
@@ -44,29 +43,40 @@ def reward(avg_response_us: float, threshold_us: float) -> float:
 
 
 class QTable:
-    """Sparse (state, action) -> value table with a fixed argmax order."""
+    """Sparse state -> {action: value} rows with a fixed argmax order.
+
+    A row holds only the actions ever updated in that state; a missing
+    state or action has value 0.
+    """
 
     def __init__(self):
-        self.q: dict[tuple[AgentState, ActionKind], float] = {}
+        self.q: dict[AgentState, dict[ActionKind, float]] = {}
         self.reset_warnings = 0
 
     def value(self, state: AgentState, action: ActionKind) -> float:
-        return self.q.get((state, action), 0.0)
+        row = self.q.get(state)
+        return 0.0 if row is None else row.get(action, 0.0)
 
     def best_action(self, state: AgentState) -> ActionKind:
         # strictly-greater comparison walks ACTION_ORDER, so ties always
         # resolve to the earliest action in the fixed order
-        get = self.q.get
+        row = self.q.get(state)
         best = ACTION_ORDER[0]
-        best_v = get((state, best), 0.0)
-        for kind in ACTION_ORDER[1:]:
-            v = get((state, kind), 0.0)
+        if row is None:
+            return best
+        get = row.get
+        best_v = get(best, 0.0)
+        for kind in _LATER_ACTIONS:
+            v = get(kind, 0.0)
             if v > best_v:
                 best, best_v = kind, v
         return best
 
     def max_value(self, state: AgentState) -> float:
-        return max(self.value(state, kind) for kind in ACTION_ORDER)
+        row = self.q.get(state)
+        if row is None:
+            return 0.0
+        return max(row.get(kind, 0.0) for kind in ACTION_ORDER)
 
     def update(self, state: AgentState, action: ActionKind, r: float,
                next_state: AgentState, alpha: float, gamma: float) -> float:
@@ -77,14 +87,15 @@ class QTable:
             logger.warning("non-finite Q for %s/%s reset to 0", state, action)
             self.reset_warnings += 1
             new = 0.0
-        self.q[(state, action)] = new
+        self.q.setdefault(state, {})[action] = new
         return new
 
     def to_json_dict(self) -> dict:
         out = {}
-        for (state, action), v in self.q.items():
-            key = ",".join(str(x) for x in state) + "|" + action.value
-            out[key] = v
+        for state, row in self.q.items():
+            prefix = ",".join(str(x) for x in state) + "|"
+            for action, v in row.items():
+                out[prefix + action.value] = v
         return out
 
 
@@ -101,23 +112,38 @@ class SpaceAgent:
         self.rng = rng
         self.pending: list[tuple[AgentState, ActionKind]] = []
         self.intensity_samples: deque[float] = deque(maxlen=INTENSITY_SAMPLES)
-        # the same samples in sorted order, so a rank is two bisections
-        self._ranked: list[float] = []
+        # the last sample pushed and how many samples now lie below it and
+        # equal it; the rate only changes at training ticks, so a new sample
+        # almost always repeats it and its rank is a count update
+        self._rank_value: float | None = None
+        self._rank_below = 0
+        self._rank_equal = 0
         self.decisions = 0
         self.trainings = 0
 
     # --- state construction ---------------------------------------------------
 
     def intensity_bucket(self, writes_per_second: float) -> int:
-        samples, ranked = self.intensity_samples, self._ranked
-        if len(samples) == samples.maxlen:
-            del ranked[bisect_left(ranked, samples[0])]
-        samples.append(writes_per_second)
-        insort(ranked, writes_per_second)
-        below = bisect_left(ranked, writes_per_second)
-        equal = bisect_right(ranked, writes_per_second) - below
-        rank = (below + 0.5 * equal) / len(ranked)    # in (0, 1]
-        return min(int(rank * N_QUARTILES), N_QUARTILES - 1)
+        samples = self.intensity_samples
+        x = writes_per_second
+        if x == self._rank_value:
+            below, equal = self._rank_below, self._rank_equal
+            if len(samples) == INTENSITY_SAMPLES:
+                evicted = samples[0]
+                if evicted < x:
+                    below -= 1
+                elif evicted == x:
+                    equal -= 1
+            samples.append(x)
+            equal += 1
+        else:
+            samples.append(x)
+            below = sum(1 for s in samples if s < x)
+            equal = samples.count(x)
+        self._rank_value, self._rank_below, self._rank_equal = x, below, equal
+        # x itself is counted in `equal`, so the rank lies in (0, 1) and
+        # the bucket needs no cap
+        return int((below + 0.5 * equal) / len(samples) * N_QUARTILES)
 
     def observe_state(self, free_count: dict, block_tally: dict,
                       workload_summary,
@@ -125,22 +151,28 @@ class SpaceAgent:
         """Bucketize device occupancy and workload into an AgentState.
 
         Occupancy is each mode's free fraction, free blocks (`free_count`)
-        over blocks (`block_tally`), 0 for a mode without blocks; fractions
-        lie in [0, 1], so `bucket_fraction` reduces to a cap at the top.
-        `workload_summary` is the monitor's latest summary or None before
-        any window data exists.
+        over blocks (`block_tally`), 0 for a mode without blocks. Fractions
+        lie in [0, 1], so each bucket is `int(fraction * n)` capped at the
+        top one. `workload_summary` is the monitor's latest summary or None
+        before any window data exists.
         """
         rate = (workload_summary.writes_per_virtual_second
                 if workload_summary is not None else 0.0)
         slc_blocks, qlc_blocks = block_tally[Mode.SLC], block_tally[Mode.QLC]
-        slc_free = free_count[Mode.SLC] / slc_blocks if slc_blocks else 0.0
-        qlc_free = free_count[Mode.QLC] / qlc_blocks if qlc_blocks else 0.0
         top = N_FREE_BUCKETS - 1
-        return AgentState(
-            min(int(slc_free * N_FREE_BUCKETS), top),
-            min(int(qlc_free * N_FREE_BUCKETS), top),
-            self.intensity_bucket(rate),
-            min(int(hot_write_fraction * N_QUARTILES), N_QUARTILES - 1))
+        slc = (int(free_count[Mode.SLC] / slc_blocks * N_FREE_BUCKETS)
+               if slc_blocks else 0)
+        if slc > top:
+            slc = top
+        qlc = (int(free_count[Mode.QLC] / qlc_blocks * N_FREE_BUCKETS)
+               if qlc_blocks else 0)
+        if qlc > top:
+            qlc = top
+        hot = int(hot_write_fraction * N_QUARTILES)
+        if hot > N_QUARTILES - 1:
+            hot = N_QUARTILES - 1
+        return _new_state(AgentState, (slc, qlc, self.intensity_bucket(rate),
+                                       hot))
 
     # --- acting and learning -----------------------------------------------------
 

@@ -311,28 +311,38 @@ def build_prompt(system_info: dict, history: list[TuningRecord],
     )
 
 
-def _compose_stage4(lines: tuple[str, ...], tail: str) -> str:
+def _compose_stage4(lines: tuple[str, ...], tail: str,
+                    left_out: int = 0) -> str:
+    """Stage 4 from the history lines kept; `left_out` older lines were
+    dropped to fit the prompt limit, and the text says so."""
+    notice = ""
+    if left_out:
+        were = "adjustment was" if left_out == 1 else "adjustments were"
+        notice = f"{left_out} earlier {were} left out to fit the prompt."
     if not lines:
-        return "Adjustment history:\nNo prior adjustments." + tail
+        return ("Adjustment history:\n" + (notice or "No prior adjustments.")
+                + tail)
     return ("Adjustment history (oldest first, most recent last):\n"
-            + "\n".join(lines) + tail)
+            + (notice + "\n" if notice else "") + "\n".join(lines) + tail)
 
 
 def segment_prompt(bundle: PromptBundle,
                    max_tokens: int = DEFAULT_MAX_TOKENS) -> str:
     """The one prompt text to send for `bundle`.
 
-    History lines are dropped oldest first until the whole prompt fits
-    `max_tokens`. A prompt that is over the limit with no history left goes
-    out as it is; replay() rejects such a limit before the first request.
+    History lines are dropped oldest first until the whole prompt, with the
+    note that says how many were dropped, fits `max_tokens`. A prompt that
+    is over the limit with no history left goes out as it is; replay()
+    rejects a limit that cannot hold the prompt with no history at all.
     """
     if max_tokens < 1:
         raise ConfigError(f"max_tokens must be >= 1, got {max_tokens}")
     lines = bundle.history_lines
     text = bundle.joined()
-    while estimate_tokens(text) > max_tokens and lines:
-        lines = lines[1:]
-        stage4 = _compose_stage4(lines, bundle.stage4_tail)
+    dropped = 0
+    while estimate_tokens(text) > max_tokens and dropped < len(lines):
+        dropped += 1
+        stage4 = _compose_stage4(lines[dropped:], bundle.stage4_tail, dropped)
         text = "\n\n".join(bundle.stages[:3] + (stage4,) + bundle.stages[4:])
     return text
 

@@ -4,6 +4,7 @@ Everything here is written flat and dumb on purpose: plain lists, no shared
 code with the package beyond the latency table values, so an agreement
 between the two is evidence rather than tautology.
 """
+import math
 
 INVALID = "X"
 
@@ -352,3 +353,45 @@ def kmeans_two_point(points, max_iterations=10):
 def q_update(q, alpha, gamma, r, max_next):
     """One Bellman backup, spelled out."""
     return q + alpha * (r + gamma * max_next - q)
+
+
+def bucket_fraction(fraction, n_buckets):
+    """Map a [0,1] fraction onto 0..n_buckets-1 (1.0 lands in the top)."""
+    b = int(fraction * n_buckets)
+    return min(max(b, 0), n_buckets - 1)
+
+
+class FlatQTable:
+    """Q-table on one flat (state, action) -> value dict, argmax ties to the
+    earliest of `actions`, non-finite backups reset to 0."""
+
+    def __init__(self, actions):
+        self.actions = list(actions)
+        self.q = {}
+        self.reset_warnings = 0
+
+    def value(self, state, action):
+        return self.q.get((state, action), 0.0)
+
+    def best_action(self, state):
+        best = self.actions[0]
+        for kind in self.actions[1:]:
+            if self.value(state, kind) > self.value(state, best):
+                best = kind
+        return best
+
+    def max_value(self, state):
+        return max(self.value(state, kind) for kind in self.actions)
+
+    def update(self, state, action, r, next_state, alpha, gamma):
+        new = q_update(self.value(state, action), alpha, gamma, r,
+                       self.max_value(next_state))
+        if not math.isfinite(new):
+            self.reset_warnings += 1
+            new = 0.0
+        self.q[(state, action)] = new
+        return new
+
+    def to_json_dict(self):
+        return {",".join(str(x) for x in state) + "|" + action.value: v
+                for (state, action), v in self.q.items()}

@@ -14,14 +14,14 @@ from hybridssd.errors import CapacityError, NoValidUpdate
 from hybridssd.ftl import (ACTION_ORDER, SAFETY_BOUND, ActionKind,
                            ActionOutcome, FtlEngine)
 from hybridssd.monitor import SlidingWindow, WindowEntry
-from hybridssd.rl import (INTENSITY_SAMPLES, N_QUARTILES, SpaceAgent,
-                          bucket_fraction, reward)
+from hybridssd.rl import (INTENSITY_SAMPLES, N_QUARTILES, AgentState, QTable,
+                          SpaceAgent, reward)
 from hybridssd.ssd import LatencyModel, Mode, SsdState, desk_geometry
 from hybridssd.trace import OpKind, TraceRecord, page_span
 from hybridssd.tuner import correct_mistakes
 
 from conftest import make_stack
-from oracles import PagePayloads
+from oracles import FlatQTable, PagePayloads, bucket_fraction
 
 PAGE = 16384
 BOUNDS = default_param_bounds(PAGE)
@@ -563,10 +563,7 @@ intensity_rates = st.one_of(
     st.floats(min_value=0.0, max_value=1e6))
 
 
-@settings(max_examples=30, deadline=None)
-@given(rates=st.lists(intensity_rates, min_size=INTENSITY_SAMPLES + 1,
-                      max_size=2 * INTENSITY_SAMPLES))
-def test_intensity_bucket_matches_a_window_rescan(rates):
+def assert_ranks_match_a_window_rescan(rates):
     agent = SpaceAgent(random.Random(0))
     window = deque(maxlen=INTENSITY_SAMPLES)
     for x in rates:
@@ -576,6 +573,57 @@ def test_intensity_bucket_matches_a_window_rescan(rates):
         expect = bucket_fraction((below + 0.5 * equal) / len(window),
                                  N_QUARTILES)
         assert agent.intensity_bucket(x) == expect
+
+
+@settings(max_examples=30, deadline=None)
+@given(rates=st.lists(intensity_rates, min_size=INTENSITY_SAMPLES + 1,
+                      max_size=2 * INTENSITY_SAMPLES))
+def test_intensity_bucket_matches_a_window_rescan(rates):
+    assert_ranks_match_a_window_rescan(rates)
+
+
+# runs of one rate, as the agent sees them between training ticks; a run
+# longer than the window evicts samples below, equal to and above its rate
+@settings(max_examples=25, deadline=None)
+@given(runs=st.lists(st.tuples(intensity_rates,
+                               st.integers(min_value=1,
+                                           max_value=INTENSITY_SAMPLES + 40)),
+                     min_size=1, max_size=8))
+@example(runs=[(250.0, 100), (1.5, 200), (1e9, 300)])
+@example(runs=[(0.0, 300), (-0.0, 10), (float("inf"), 260), (0.0, 1)])
+def test_intensity_bucket_over_runs_of_one_rate(runs):
+    assert_ranks_match_a_window_rescan(
+        [rate for rate, length in runs for _ in range(length)])
+
+
+# --- the Q-table against the flat (state, action) reference ---------------------------------
+
+q_states = st.sampled_from([AgentState(0, 0, 0, 0), AgentState(9, 3, 1, 2),
+                            AgentState(4, 4, 3, 3)])
+q_actions = st.sampled_from(ACTION_ORDER)
+q_ops = st.one_of(
+    st.tuples(st.just("update"), q_states, q_actions,
+              st.one_of(st.sampled_from([1.0, -1.0, 1e308, float("inf")]),
+                        st.floats(min_value=-10.0, max_value=10.0)),
+              q_states, st.floats(min_value=0.0, max_value=1.0),
+              st.floats(min_value=0.0, max_value=1.0)),
+    st.tuples(st.just("best_action"), q_states),
+    st.tuples(st.just("value"), q_states, q_actions),
+    st.tuples(st.just("max_value"), q_states),
+    st.tuples(st.just("to_json_dict")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(q_ops, max_size=60))
+@example(ops=[("update", AgentState(0, 0, 0, 0), ActionKind.IDLE, 1e308,
+               AgentState(0, 0, 0, 0), 1.0, 1.0)] * 3
+         + [("best_action", AgentState(0, 0, 0, 0)), ("to_json_dict",)])
+def test_qtable_rows_match_a_flat_table(ops):
+    table, flat = QTable(), FlatQTable(ACTION_ORDER)
+    for name, *args in ops:
+        assert getattr(table, name)(*args) == getattr(flat, name)(*args)
+    assert table.reset_warnings == flat.reset_warnings
+    assert table.to_json_dict() == flat.to_json_dict()
 
 
 # --- workload window vs the statistics module ------------------------------------------------

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from hybridssd import (ACTION_ORDER, ActionKind, AgentState, ConfigProfile,
-                       Mode, QTable, SpaceAgent, bucket_fraction, reward)
-from oracles import q_update
+                       Mode, QTable, SpaceAgent, reward)
+from oracles import bucket_fraction, q_update
 
 S0 = AgentState(0, 0, 0, 0)
 S1 = AgentState(1, 2, 3, 1)
@@ -49,7 +49,7 @@ class TestQTable:
                        alpha=0.1, gamma=0.9)
         assert got == q_update(0.0, 0.1, 0.9, 1.0, 0.0) == pytest.approx(0.1)
         # second update bootstraps from the next state's best value
-        t.q[(S1, ActionKind.IDLE)] = 0.5
+        t.q[S1] = {ActionKind.IDLE: 0.5}
         got = t.update(S0, ActionKind.SLC_INTERNAL_GC, 1.0, S1,
                        alpha=0.1, gamma=0.9)
         assert got == pytest.approx(q_update(0.1, 0.1, 0.9, 1.0, 0.5))
@@ -58,19 +58,19 @@ class TestQTable:
     def test_ties_resolve_to_earliest_action(self):
         t = QTable()
         assert t.best_action(S0) is ACTION_ORDER[0]
-        t.q[(S0, ActionKind.QLC_INTERNAL_GC)] = 0.7
-        t.q[(S0, ActionKind.SLC_TO_QLC_MC)] = 0.7
+        t.q[S0] = {ActionKind.QLC_INTERNAL_GC: 0.7,
+                   ActionKind.SLC_TO_QLC_MC: 0.7}
         assert t.best_action(S0) is ActionKind.QLC_INTERNAL_GC
 
     def test_negative_values_still_beat_nothing(self):
         t = QTable()
-        t.q[(S0, ActionKind.SLC_INTERNAL_GC)] = -0.5
+        t.q[S0] = {ActionKind.SLC_INTERNAL_GC: -0.5}
         # untouched actions have value 0, which beats -0.5
         assert t.best_action(S0) is ActionKind.QLC_INTERNAL_GC
 
     def test_non_finite_value_resets_with_warning(self, caplog):
         t = QTable()
-        t.q[(S0, ActionKind.IDLE)] = float("inf")
+        t.q[S0] = {ActionKind.IDLE: float("inf")}
         with caplog.at_level(logging.WARNING, logger="hybridssd.rl"):
             got = t.update(S0, ActionKind.IDLE, 1.0, S0, alpha=1.0, gamma=0.9)
         assert got == 0.0
@@ -89,12 +89,12 @@ class TestQTable:
 class TestAgent:
     def test_exploit_uses_best_action(self):
         agent = SpaceAgent(random.Random(1))
-        agent.qtable.q[(S0, ActionKind.SLC_TO_QLC_GC)] = 1.0
+        agent.qtable.q[S0] = {ActionKind.SLC_TO_QLC_GC: 1.0}
         assert agent.choose_action(S0, epsilon=0.0) is ActionKind.SLC_TO_QLC_GC
 
     def test_explore_rate_roughly_epsilon(self):
         agent = SpaceAgent(random.Random(2))
-        agent.qtable.q[(S0, ActionKind.SLC_INTERNAL_GC)] = 5.0
+        agent.qtable.q[S0] = {ActionKind.SLC_INTERNAL_GC: 5.0}
         non_greedy = sum(
             agent.choose_action(S0, epsilon=0.3)
             is not ActionKind.SLC_INTERNAL_GC
@@ -117,7 +117,7 @@ class TestAgent:
         agent = SpaceAgent(random.Random(4))
         cfg = ConfigProfile(rl_learning_rate=1.0, rl_discount=0.0)
         agent.choose_action(S0, epsilon=0.0)
-        agent.qtable.q[(S1, ActionKind.IDLE)] = 9.9      # future is ignored
+        agent.qtable.q[S1] = {ActionKind.IDLE: 9.9}     # future is ignored
         agent.choose_action(S1, epsilon=0.0)
         agent.train(5000.0, S0, cfg)                     # over threshold: -1
         assert agent.qtable.value(S0, ActionKind.SLC_INTERNAL_GC) == -1.0

@@ -132,6 +132,22 @@ def noisy_history(n=10):
     return [make_record(i, reason="z" * 170) for i in range(1, n + 1)]
 
 
+def with_newest(history, k):
+    """The prompt built from the newest `k` of `history`, with the stage-4
+    note for the lines left out."""
+    text = build_prompt(make_info(), history[len(history) - k:],
+                        ConfigProfile()).joined()
+    left_out = len(history) - k
+    if not left_out:
+        return text
+    were = "adjustment was" if left_out == 1 else "adjustments were"
+    note = f"{left_out} earlier {were} left out to fit the prompt."
+    if not k:
+        return text.replace("No prior adjustments.", note)
+    head = "most recent last):\n"
+    return text.replace(head, head + note + "\n")
+
+
 class TestSegmentPrompt:
     def test_fits_in_one_segment(self):
         bundle = build_prompt(make_info(), [], ConfigProfile())
@@ -155,30 +171,42 @@ class TestSegmentPrompt:
     def test_history_trimmed_until_the_whole_prompt_fits(self):
         history = noisy_history()
         full = build_prompt(make_info(), history, ConfigProfile())
-
-        def with_newest(k):
-            return build_prompt(make_info(), history[len(history) - k:],
-                                ConfigProfile()).joined()
-
         seen = set()
-        budgets = range(estimate_tokens(with_newest(0)),
+        budgets = range(estimate_tokens(with_newest(history, 0)),
                         full.estimated_tokens, 25)
         for budget in [*budgets, full.estimated_tokens]:
             text = segment_prompt(full, max_tokens=budget)
             kept = sum(ln in text for ln in full.history_lines)
             seen.add(kept)
-            # the newest `kept` lines, whole prompt otherwise unchanged ...
-            assert text == with_newest(kept)
+            # the newest `kept` lines and the left-out note, whole prompt
+            # otherwise unchanged ...
+            assert text == with_newest(history, kept)
             assert estimate_tokens(text) <= budget
             # ... and no line is dropped that the limit had room for
             if kept < len(history):
-                assert estimate_tokens(with_newest(kept + 1)) > budget
+                assert estimate_tokens(with_newest(history, kept + 1)) > budget
         assert {0, len(history)} < seen
+
+    @pytest.mark.parametrize("left_out,note", [
+        (1, "1 earlier adjustment was left out to fit the prompt."),
+        (4, "4 earlier adjustments were left out to fit the prompt.")])
+    def test_trimmed_prompt_says_how_many_lines_were_left_out(self, left_out,
+                                                              note):
+        history = noisy_history()
+        bundle = build_prompt(make_info(), history, ConfigProfile())
+        budget = estimate_tokens(with_newest(history, 10 - left_out))
+        text = segment_prompt(bundle, max_tokens=budget)
+        assert note in text
+        assert "No prior adjustments." not in text
+        assert sum(ln in text for ln in bundle.history_lines) == 10 - left_out
 
     def test_unfittable_limit_returns_the_history_free_prompt(self):
         bundle = build_prompt(make_info(), noisy_history(), ConfigProfile())
         text = segment_prompt(bundle, max_tokens=100)
-        assert text == build_prompt(make_info(), [], ConfigProfile()).joined()
+        # every line is dropped, and the prompt says so
+        note = "10 earlier adjustments were left out to fit the prompt."
+        assert text == build_prompt(make_info(), [], ConfigProfile()).joined(
+            ).replace("No prior adjustments.", note)
         assert estimate_tokens(text) > 100
 
     @pytest.mark.parametrize("max_tokens", [0, -1])
