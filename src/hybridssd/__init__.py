@@ -7,7 +7,7 @@ from .errors import (AuditError, BackendUnavailable, CapacityError,
                      ConfigError, GeometryError, NoData, NoValidUpdate,
                      PageStateError, ParseFailure, SimulatorError)
 from .ftl import ACTION_ORDER, SAFETY_BOUND, ActionKind, FtlEngine
-from .hotness import Hotness, HotnessClassifier, classify, kmeans, slice_of
+from .hotness import HotnessClassifier, classify, kmeans
 from .monitor import SlidingWindow, WindowEntry
 from .replay import SimulatorStack, emit_report, replay
 from .rl import AgentState, QTable, SpaceAgent, reward
@@ -24,13 +24,13 @@ __all__ = [
     "ACTION_ORDER", "AgentState", "ActionKind", "AuditError",
     "BackendUnavailable", "CapacityError", "ConfigError", "ConfigProfile",
     "EpochSchedule", "FlashGeometry", "FORMATS", "FtlEngine", "GeometryError",
-    "Hotness", "HotnessClassifier", "LatencyModel", "Mode", "NoData",
+    "HotnessClassifier", "LatencyModel", "Mode", "NoData",
     "NoValidUpdate", "OpKind", "PageStateError", "ParseFailure",
     "PlacementStrategy", "QTable", "SAFETY_BOUND", "ScriptedBackend",
     "SimulatorError", "SimulatorStack", "SlidingWindow", "SpaceAgent",
     "SsdState", "TUNABLE_PARAMS", "WindowEntry", "classify",
     "default_param_bounds", "desk_geometry", "emit_report", "kmeans",
     "load_config_file", "load_trace", "page_span", "parse_scalar", "replay",
-    "resolve_param_name", "reward", "slice_of", "synth_trace",
+    "resolve_param_name", "reward", "synth_trace",
     "validate_profile",
 ]

@@ -154,9 +154,6 @@ class SimulatorStack:
                       host_pages=self.ftl.wa.host_pages_written,
                       device_pages=self.ftl.wa.device_pages_written)
 
-    def zero_marker(self) -> Marker:
-        return Marker(0, 0.0, 0, 0)
-
     def system_info(self) -> dict:
         return {
             **asdict(self.geometry),

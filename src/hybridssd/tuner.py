@@ -326,24 +326,41 @@ def _compose_stage4(lines: tuple[str, ...], tail: str,
             + (notice + "\n" if notice else "") + "\n".join(lines) + tail)
 
 
+def _without_oldest(bundle: PromptBundle, dropped: int,
+                    left_out: int) -> str:
+    """`bundle`'s prompt without its `dropped` oldest history lines, with
+    stage 4 saying that `left_out` lines were left out."""
+    stage4 = _compose_stage4(bundle.history_lines[dropped:],
+                             bundle.stage4_tail, left_out)
+    return "\n\n".join(bundle.stages[:3] + (stage4,) + bundle.stages[4:])
+
+
+def history_free_prompt(bundle: PromptBundle) -> str:
+    """`bundle`'s prompt with every history line dropped and the note for a
+    full HISTORY_HORIZON of them: the longest prompt segment_prompt can
+    send once it has dropped all history, for the same device, period and
+    configuration lines."""
+    return _without_oldest(bundle, len(bundle.history_lines),
+                           HISTORY_HORIZON)
+
+
 def segment_prompt(bundle: PromptBundle,
                    max_tokens: int = DEFAULT_MAX_TOKENS) -> str:
     """The one prompt text to send for `bundle`.
 
     History lines are dropped oldest first until the whole prompt, with the
-    note that says how many were dropped, fits `max_tokens`. A prompt that
-    is over the limit with no history left goes out as it is; replay()
-    rejects a limit that cannot hold the prompt with no history at all.
+    note that says how many were dropped, fits `max_tokens`. A prompt still
+    over the limit with no history left is returned as it is: the
+    verification loop records that epoch as rejected and does not send it.
     """
     if max_tokens < 1:
         raise ConfigError(f"max_tokens must be >= 1, got {max_tokens}")
-    lines = bundle.history_lines
     text = bundle.joined()
     dropped = 0
-    while estimate_tokens(text) > max_tokens and dropped < len(lines):
+    while (estimate_tokens(text) > max_tokens
+           and dropped < len(bundle.history_lines)):
         dropped += 1
-        stage4 = _compose_stage4(lines[dropped:], bundle.stage4_tail, dropped)
-        text = "\n\n".join(bundle.stages[:3] + (stage4,) + bundle.stages[4:])
+        text = _without_oldest(bundle, dropped, dropped)
     return text
 
 

@@ -10,13 +10,14 @@ never advances while the backend call is in flight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .config import ConfigProfile, default_param_bounds
 from .errors import BackendUnavailable, ConfigError, NoData, NoValidUpdate, ParseFailure
 from .ftl import write_amplification
 from .tuner import (TuningRecord, Verdict, build_prompt, correct_mistakes,
-                    estimate_tokens, parse_config, query_backend,
-                    segment_prompt, DEFAULT_MAX_TOKENS)
+                    estimate_tokens, history_free_prompt, parse_config,
+                    query_backend, segment_prompt, DEFAULT_MAX_TOKENS)
 
 
 @dataclass(frozen=True)
@@ -114,31 +115,31 @@ class VerificationLoop:
         self.history: list[TuningRecord] = []
         self.baseline: PerfSnapshot | None = None   # default-config reference
         self.writes_at_cycle_start = 0
-        self.cycle_marker: Marker | None = None
+        self.cycle_marker = Marker(0, 0.0, 0, 0)
         self.shift_epoch_this_interval = False
         self.in_epoch = False
 
     def check_prompt_fits(self, stack) -> None:
-        """Raise ConfigError unless `max_tokens` >= 1 and an epoch prompt
-        with no history fits it, so a hopeless limit fails before the run
-        starts."""
-        needed = estimate_tokens(
-            self._prompt(stack, PerfSnapshot(0.0, 1.0, 0), []))
+        """Raise ConfigError unless `max_tokens` holds an epoch prompt with
+        every history line left out, so a hopeless limit fails before the
+        run starts. The check uses an empty last period; an epoch whose
+        wider numbers still overflow the limit is rejected unsent."""
+        bundle = self._bundle(stack, PerfSnapshot(0.0, 1.0, 0), [])
+        needed = estimate_tokens(history_free_prompt(bundle))
         if needed > self.max_tokens:
             raise ConfigError(
                 f"max_tokens {self.max_tokens} cannot hold the tuning prompt "
-                f"even without history (~{needed} tokens)")
+                f"even with every history line left out (~{needed} tokens)")
 
-    def _prompt(self, stack, prev: PerfSnapshot, history) -> str:
-        """The text an epoch sends after measuring `prev`."""
+    def _bundle(self, stack, prev: PerfSnapshot, history):
+        """The prompt stages an epoch builds after measuring `prev`."""
         info = stack.system_info()
         info["last_period"] = {
             "mean_latency_us": prev.mean_latency_us,
             "requests": prev.requests,
             "wa": prev.wa,
         }
-        bundle = build_prompt(info, history, stack.config, self.target_note)
-        return segment_prompt(bundle, self.max_tokens)
+        return build_prompt(info, history, stack.config, self.target_note)
 
     # --- scheduling -------------------------------------------------------------
 
@@ -177,33 +178,43 @@ class VerificationLoop:
         return record
 
     def _run_epoch(self, stack, pump, trigger: str) -> TuningRecord:
-        epoch = len(self.history) + 1
-        since = self.cycle_marker or stack.zero_marker()
         try:
-            prev = measure(stack, since)
+            prev = measure(stack, self.cycle_marker)
         except NoData:
             prev = PerfSnapshot(0.0, 1.0, 0)
         if self.baseline is None:
             self.baseline = prev
-        prompt_text = self._prompt(stack, prev, self.history)
+        prompt_text = segment_prompt(
+            self._bundle(stack, prev, self.history), self.max_tokens)
         config_before = stack.config.as_dict()
         raw = None
-        try:
-            raw = query_backend(self.backend, prompt_text)
-            reason, candidates = parse_config(raw)
-            new_profile, corrections = correct_mistakes(
-                candidates, self.bounds, stack.config)
-        except (BackendUnavailable, ParseFailure, NoValidUpdate) as exc:
-            dropped = exc.corrections if isinstance(exc, NoValidUpdate) else []
-            return TuningRecord(
-                epoch=epoch, trigger=trigger, verdict=Verdict.REJECTED,
-                reason=f"rejected: {exc}", corrections=tuple(dropped),
-                changed={},
-                latency_before_us=prev.mean_latency_us,
-                latency_after_us=None, wa_before=prev.wa, wa_after=None,
-                improved_over_default=None, raw_response=raw,
-                prompt=prompt_text, config_before=config_before,
-                config_after=None)
+        failure = None
+        dropped = []
+        tokens = estimate_tokens(prompt_text)
+        if tokens > self.max_tokens:
+            failure = (f"the prompt needs ~{tokens} tokens with every history "
+                       f"line left out, over max_tokens {self.max_tokens}")
+        else:
+            try:
+                raw = query_backend(self.backend, prompt_text)
+                reason, candidates = parse_config(raw)
+                new_profile, corrections = correct_mistakes(
+                    candidates, self.bounds, stack.config)
+            except (BackendUnavailable, ParseFailure, NoValidUpdate) as exc:
+                failure = exc
+                if isinstance(exc, NoValidUpdate):
+                    dropped = exc.corrections
+        record = partial(
+            TuningRecord, epoch=len(self.history) + 1, trigger=trigger,
+            latency_before_us=prev.mean_latency_us, wa_before=prev.wa,
+            raw_response=raw, prompt=prompt_text,
+            config_before=config_before)
+        if failure is not None:
+            return record(
+                verdict=Verdict.REJECTED, reason=f"rejected: {failure}",
+                corrections=tuple(dropped), changed={},
+                latency_after_us=None, wa_after=None,
+                improved_over_default=None, config_after=None)
         old_profile = stack.config
         changed = {name: (getattr(old_profile, name), getattr(new_profile, name))
                    for name in old_profile.as_dict()
@@ -214,14 +225,12 @@ class VerificationLoop:
         if ran <= 0:
             # nothing left to probe with: keep the safe prior profile
             stack.apply_config(old_profile)
-            return TuningRecord(
-                epoch=epoch, trigger=trigger, verdict=Verdict.ROLLED_BACK,
+            return record(
+                verdict=Verdict.ROLLED_BACK,
                 reason="rolled back: no operations left to probe with",
                 corrections=tuple(corrections), changed=changed,
-                latency_before_us=prev.mean_latency_us,
-                latency_after_us=None, wa_before=prev.wa, wa_after=None,
-                improved_over_default=None, raw_response=raw,
-                prompt=prompt_text, config_before=config_before,
+                latency_after_us=None, wa_after=None,
+                improved_over_default=None,
                 config_after=new_profile.as_dict())
         probe = measure(stack, probe_marker)
         improved = probe.mean_latency_us < self.baseline.mean_latency_us
@@ -232,12 +241,9 @@ class VerificationLoop:
             verdict = Verdict.CORRECTED
         else:
             verdict = Verdict.ACCEPTED
-        return TuningRecord(
-            epoch=epoch, trigger=trigger, verdict=verdict,
-            reason=reason, corrections=tuple(corrections), changed=changed,
-            latency_before_us=prev.mean_latency_us,
-            latency_after_us=probe.mean_latency_us,
-            wa_before=prev.wa, wa_after=probe.wa,
-            improved_over_default=improved, raw_response=raw,
-            prompt=prompt_text, config_before=config_before,
+        return record(
+            verdict=verdict, reason=reason,
+            corrections=tuple(corrections), changed=changed,
+            latency_after_us=probe.mean_latency_us, wa_after=probe.wa,
+            improved_over_default=improved,
             config_after=new_profile.as_dict())

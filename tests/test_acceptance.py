@@ -17,7 +17,7 @@ from hybridssd.config import (ConfigProfile, PlacementStrategy,
                               default_param_bounds, validate_profile)
 from hybridssd.errors import NoValidUpdate, ParseFailure
 from hybridssd.ftl import ActionKind, FtlEngine
-from hybridssd.hotness import UpdateStats, classify
+from hybridssd.hotness import HotnessClassifier, classify
 from hybridssd.replay import SimulatorStack, replay, run_sweep
 from hybridssd.rl import AgentState, SpaceAgent
 from hybridssd.ssd import LatencyModel, SsdState, desk_geometry
@@ -148,13 +148,13 @@ def test_criterion_04_kmeans_recall():
         records = synth_trace(2000, logical_pages=logical, page_size=PAGE,
                               hot_fraction=0.9, hot_region_fraction=0.1,
                               write_ratio=1.0, seed=seed)
-        stats = UpdateStats(slice_size, PAGE)
+        clf = HotnessClassifier(slice_size, PAGE)
         now = 0.0
         for r in records:
             now += 100.0
-            stats.record_update(r.offset // PAGE, now)
-        found = classify(stats, now, k=2, max_iterations=10,
-                         tol=1e-4).hot_slices()
+            clf.record_write(r.offset // PAGE, now)
+        found = classify(clf.slices, clf.window_start_us, now,
+                         max_iterations=10, tol=1e-4)
         agg_tp += len(found & truth)
         agg_fp += len(found - truth)
         agg_fn += len(truth - found)

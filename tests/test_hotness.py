@@ -1,59 +1,71 @@
 import numpy as np
 import pytest
 
-from hybridssd import (ConfigError, ConfigProfile, Hotness, HotnessClassifier,
-                       classify, kmeans, slice_of)
-from hybridssd.hotness import UpdateStats
-from oracles import kmeans_two_point
+from hybridssd import (ConfigError, ConfigProfile, HotnessClassifier,
+                       classify, kmeans)
+from oracles import kmeans_two_point, reference_kmeans
 
 PAGE = 16384
 SLICE = 4 * PAGE    # 4 pages per slice keeps indices obvious
 
 
 class TestSliceOf:
+    """The grid that maps an lpn to its slice."""
+
     def test_basic_mapping(self):
-        assert slice_of(0, SLICE, PAGE) == 0
-        assert slice_of(3, SLICE, PAGE) == 0
-        assert slice_of(4, SLICE, PAGE) == 1
-        assert slice_of(11, SLICE, PAGE) == 2
+        clf = HotnessClassifier(SLICE, PAGE)
+        for t, lpn in enumerate([0, 3, 4, 11], start=1):
+            clf.record_write(lpn, float(t))
+        assert {s: st[0] for s, st in clf.slices.items()} == {0: 2, 1: 1,
+                                                              2: 1}
 
     def test_slice_must_be_page_multiple(self):
-        with pytest.raises(ConfigError):
-            slice_of(0, PAGE + 1, PAGE)
-        with pytest.raises(ConfigError):
-            slice_of(0, 0, PAGE)
+        clf = HotnessClassifier(SLICE, PAGE)
+        clf.record_write(0, 1.0)
+        for slice_size in (PAGE + 1, 0, PAGE // 2):
+            with pytest.raises(ConfigError):
+                HotnessClassifier(slice_size, PAGE)
+            with pytest.raises(ConfigError):
+                clf.reconfigure(slice_size, now_us=5.0)
+        # a rejected grid leaves the classifier as it was
+        assert clf.slice_size == SLICE
+        assert clf.slices == {0: [1, 1.0, 0.0]}
 
 
 class TestUpdateStats:
+    """One window's per-slice statistics."""
+
     def test_running_mean_interval(self):
-        st = UpdateStats(SLICE, PAGE)
-        st.record_update(0, 100.0)
-        st.record_update(1, 300.0)    # same slice, gap 200
-        st.record_update(2, 700.0)    # gap 400
-        s = st.slices[0]
-        assert s.update_count == 3
-        assert s.mean_interval_us == pytest.approx((200.0 + 400.0) / 2)
+        clf = HotnessClassifier(SLICE, PAGE)
+        clf.record_write(0, 100.0)
+        clf.record_write(1, 300.0)    # same slice, gap 200
+        clf.record_write(2, 700.0)    # gap 400
+        count, last, mean = clf.slices[0]
+        assert count == 3
+        assert last == 700.0
+        assert mean == pytest.approx((200.0 + 400.0) / 2)
 
     def test_slices_tracked_separately(self):
-        st = UpdateStats(SLICE, PAGE)
-        st.record_update(0, 10.0)
-        st.record_update(5, 20.0)
-        assert set(st.slices) == {0, 1}
-        assert st.slices[1].update_count == 1
+        clf = HotnessClassifier(SLICE, PAGE)
+        clf.record_write(0, 10.0)
+        clf.record_write(5, 20.0)
+        assert set(clf.slices) == {0, 1}
+        assert clf.slices[1][0] == 1
 
     def test_reset_clears_everything(self):
-        st = UpdateStats(SLICE, PAGE)
-        st.record_update(0, 10.0)
-        st.reset(500.0)
-        assert st.slices == {}
-        assert st.window_start_us == 500.0
+        clf = HotnessClassifier(SLICE, PAGE)
+        clf.record_write(0, 10.0)
+        clf.maybe_classify(ConfigProfile(kmeans_trigger_threshold=1), 500.0)
+        assert clf.slices == {}
+        assert clf.window_start_us == 500.0
+        assert clf.writes_since_classify == 0
 
 
 class TestKmeans:
     def test_separates_two_obvious_clusters(self):
         pts = np.array([[0.0, 0.9], [0.05, 1.0], [0.1, 0.95],
                         [0.9, 0.1], [0.95, 0.0], [1.0, 0.05]])
-        assign, centroids, inertia = kmeans(pts, 2, 10, 1e-4)
+        assign, centroids, inertia = kmeans(pts, 10, 1e-4)
         assert len(set(assign[:3])) == 1
         assert len(set(assign[3:])) == 1
         assert assign[0] != assign[3]
@@ -63,7 +75,7 @@ class TestKmeans:
                         for _ in range(10)] +
                        [[rng.uniform(0.8, 1.0), rng.uniform(0, 0.2)]
                         for _ in range(10)])
-        assign, _, _ = kmeans(pts, 2, 20, 1e-6)
+        assign, _, _ = kmeans(pts, 20, 1e-6)
         ref = kmeans_two_point([tuple(p) for p in pts], 20)
         # same partition, maybe with swapped cluster ids
         ours = [frozenset(np.where(assign == j)[0]) for j in (0, 1)]
@@ -71,77 +83,88 @@ class TestKmeans:
                   for j in (0, 1)]
         assert set(ours) == set(theirs)
 
+    def test_seeds_like_the_k_cluster_reference(self):
+        # tied first features: the seeds are the lowest and highest rows of
+        # the (first feature, row) order, as the quantile seeding at k = 2
+        pts = np.array([[0.5, 0.1], [0.0, 0.9], [0.0, 0.2], [1.0, 0.4],
+                        [1.0, 0.0], [0.5, 0.5]])
+        ours = kmeans(pts, 10, 0.0)
+        theirs = reference_kmeans(pts, 2, 10, 0.0)
+        assert (ours[0] == theirs[0]).all()
+        assert (ours[1] == theirs[1]).all()
+        assert ours[2] == theirs[2]
+
     def test_deterministic_without_rng(self):
         pts = np.array([[0.1, 0.2], [0.4, 0.9], [0.8, 0.3], [0.2, 0.7],
                         [0.9, 0.9]])
-        a1, c1, _ = kmeans(pts, 2, 10, 1e-4)
-        a2, c2, _ = kmeans(pts, 2, 10, 1e-4)
+        a1, c1, _ = kmeans(pts, 10, 1e-4)
+        a2, c2, _ = kmeans(pts, 10, 1e-4)
         assert (a1 == a2).all()
         assert (c1 == c2).all()
 
     def test_inertia_never_increases(self):
         rng = np.random.default_rng(7)
         pts = rng.random((40, 2))
-        _, _, history = kmeans(pts, 2, 25, 0.0)
+        _, _, history = kmeans(pts, 25, 0.0)
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
     def test_respects_iteration_cap(self):
         rng = np.random.default_rng(8)
         pts = rng.random((60, 2))
-        _, _, history = kmeans(pts, 2, 3, 0.0)
+        _, _, history = kmeans(pts, 3, 0.0)
         assert len(history) <= 3
 
 
-class TestClassify:
-    def _window(self, spec, step=100.0):
-        """spec: {slice_id: n_updates}; updates spread over one window."""
-        st = UpdateStats(SLICE, PAGE)
-        t = 0.0
-        for rounds in range(max(spec.values())):
-            for sl, n in sorted(spec.items()):
-                if rounds < n:
-                    t += step
-                    st.record_update(sl * 4, t)
-        return st, t
+def window(spec, step=100.0):
+    """spec: {slice_id: n_updates}; updates spread over one window. Returns
+    the classifier holding the window and the window's end time."""
+    clf = HotnessClassifier(SLICE, PAGE)
+    t = 0.0
+    for rounds in range(max(spec.values())):
+        for sl, n in sorted(spec.items()):
+            if rounds < n:
+                t += step
+                clf.record_write(sl * 4, t)
+    return clf, t
 
+
+def hot_of(clf, now):
+    return classify(clf.slices, clf.window_start_us, now)
+
+
+class TestClassify:
     def test_heavy_slices_labeled_hot(self):
-        st, now = self._window({0: 40, 1: 38, 2: 2, 3: 1, 4: 2})
-        labels = classify(st, now)
-        assert labels.hot_slices() == {0, 1}
-        assert labels.label_of(2 * 4) is Hotness.COLD
+        clf, now = window({0: 40, 1: 38, 2: 2, 3: 1, 4: 2})
+        assert hot_of(clf, now) == {0, 1}
 
     def test_unseen_slice_defaults_to_cold(self):
-        st, now = self._window({0: 10, 1: 1, 2: 2})
-        labels = classify(st, now)
-        assert labels.label_of(99 * 4) is Hotness.COLD
+        clf, now = window({0: 10, 1: 1, 2: 2})
+        clf.maybe_classify(ConfigProfile(kmeans_trigger_threshold=1), now)
+        assert clf.is_hot(0)
+        assert not clf.is_hot(99 * 4)
 
     def test_single_update_slice_gets_window_interval(self):
-        st = UpdateStats(SLICE, PAGE)
+        clf = HotnessClassifier(SLICE, PAGE)
         for i in range(30):
-            st.record_update(0, float(i + 1))
-        st.record_update(4, 15.0)     # slice 1: one update
-        labels = classify(st, 30.0)
-        assert labels.label_of(0) is Hotness.HOT
-        assert labels.label_of(4) is Hotness.COLD
+            clf.record_write(0, float(i + 1))
+        clf.record_write(4, 15.0)     # slice 1: one update
+        assert hot_of(clf, 30.0) == {0}
 
     def test_identical_slices_all_cold(self):
         # one distinct feature point -> no clustering, median fallback,
         # nothing strictly above the median
-        st, now = self._window({0: 5, 1: 5, 2: 5})
-        labels = classify(st, now)
-        assert labels.hot_slices() == set()
+        clf, now = window({0: 5, 1: 5, 2: 5})
+        assert hot_of(clf, now) == frozenset()
 
     def test_empty_window_labels_nothing(self):
-        st = UpdateStats(SLICE, PAGE)
-        labels = classify(st, 100.0)
-        assert labels.labels == {}
+        clf = HotnessClassifier(SLICE, PAGE)
+        assert hot_of(clf, 100.0) == frozenset()
 
     def test_single_slice_is_cold(self):
-        st = UpdateStats(SLICE, PAGE)
-        st.record_update(0, 1.0)
-        st.record_update(0, 2.0)
-        labels = classify(st, 10.0)
-        assert labels.label_of(0) is Hotness.COLD
+        clf = HotnessClassifier(SLICE, PAGE)
+        clf.record_write(0, 1.0)
+        clf.record_write(0, 2.0)
+        assert hot_of(clf, 10.0) == frozenset()
 
 
 class TestClassifier:
@@ -155,11 +178,11 @@ class TestClassifier:
             assert clf.maybe_classify(cfg, t) is None
         t += 10.0
         clf.record_write(0, t)
-        labels = clf.maybe_classify(cfg, t)
-        assert labels is not None
+        hot = clf.maybe_classify(cfg, t)
+        assert hot is not None and hot == clf.hot
         assert clf.generation == 1
         assert clf.writes_since_classify == 0
-        assert clf.stats.slices == {}          # window consumed
+        assert clf.slices == {}          # window consumed
 
     def test_labels_survive_between_windows(self):
         clf = HotnessClassifier(SLICE, PAGE)
@@ -175,16 +198,20 @@ class TestClassifier:
         assert not clf.is_hot(3 * 4)
 
     def test_reconfigure_resets_on_size_change(self):
-        clf = HotnessClassifier(SLICE, PAGE)
-        clf.record_write(0, 1.0)
-        clf.reconfigure(SLICE * 2, now_us=50.0)
-        assert clf.stats.slice_size == SLICE * 2
-        assert clf.stats.slices == {}
+        clf, now = window({0: 40, 1: 2, 2: 1})
+        clf.maybe_classify(ConfigProfile(kmeans_trigger_threshold=1), now)
+        assert clf.is_hot(0)
+        clf.record_write(0, now + 1.0)
+        clf.reconfigure(SLICE * 2, now_us=now + 50.0)
+        assert clf.slice_size == SLICE * 2
+        assert clf.slices == {}
+        assert clf.window_start_us == now + 50.0
         assert clf.writes_since_classify == 0
         assert not clf.is_hot(0)
+        assert clf.generation == 1
 
     def test_reconfigure_same_size_is_a_no_op(self):
         clf = HotnessClassifier(SLICE, PAGE)
         clf.record_write(0, 1.0)
         clf.reconfigure(SLICE, now_us=50.0)
-        assert clf.stats.slices != {}
+        assert clf.slices != {}

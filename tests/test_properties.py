@@ -10,9 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from hybridssd.config import (ConfigProfile, PlacementStrategy,
                               TUNABLE_PARAMS, default_param_bounds,
                               parse_scalar, validate_profile)
-from hybridssd.errors import CapacityError, NoValidUpdate
+from hybridssd.errors import CapacityError, ConfigError, NoValidUpdate
 from hybridssd.ftl import (ACTION_ORDER, SAFETY_BOUND, ActionKind,
                            ActionOutcome, FtlEngine)
+from hybridssd.hotness import HotnessClassifier
 from hybridssd.monitor import SlidingWindow, WindowEntry
 from hybridssd.rl import (INTENSITY_SAMPLES, N_QUARTILES, AgentState, QTable,
                           SpaceAgent, reward)
@@ -21,7 +22,8 @@ from hybridssd.trace import OpKind, TraceRecord, page_span
 from hybridssd.tuner import correct_mistakes
 
 from conftest import make_stack
-from oracles import FlatQTable, PagePayloads, bucket_fraction
+from oracles import (FlatQTable, PagePayloads, ReferenceClassifier,
+                     bucket_fraction)
 
 PAGE = 16384
 BOUNDS = default_param_bounds(PAGE)
@@ -658,3 +660,55 @@ def test_window_statistics_match_stdlib(before, now, threshold):
     span_us = stamps[-1] - stamps[-len(now)]
     assert s.writes_per_virtual_second == pytest.approx(
         writes / (max(span_us, 1.0) / 1e6))
+
+
+# --- hotness classifier against the per-lookup grid reference -------------------
+
+# a write: lpn (often in a small hot region), then the time step in us; equal
+# times and repeated lpns give identical feature points
+hotness_writes = st.tuples(
+    st.one_of(st.integers(min_value=0, max_value=3),
+              st.integers(min_value=0, max_value=63)),
+    st.sampled_from([0.0, 1.0, 7.5, 100.0]))
+# write index -> new slice size in pages, set before that write; the
+# fractions and 0 are not on the page grid
+reslices = st.dictionaries(st.integers(min_value=0, max_value=99),
+                           st.sampled_from([1, 2, 3, 4, 8, 0, 0.5, 1.5]),
+                           max_size=3)
+
+
+# at least 30 writes and a trigger of at most 20, so most examples classify
+@settings(max_examples=80, deadline=None)
+@given(writes=st.lists(hotness_writes, min_size=30, max_size=120),
+       resliced=reslices,
+       threshold=st.integers(min_value=1, max_value=20),
+       iterations=st.integers(min_value=1, max_value=10))
+def test_hotness_classifier_matches_the_grid_reference(writes, resliced,
+                                                       threshold, iterations):
+    config = ConfigProfile(kmeans_trigger_threshold=threshold,
+                           kmeans_max_iterations=iterations)
+    clf = HotnessClassifier(PAGE * 2, PAGE)
+    ref = ReferenceClassifier(PAGE * 2, PAGE)
+    now = 0.0
+    written = []
+    for i, (lpn, dt) in enumerate(writes):
+        now += dt
+        if i in resliced:
+            slice_size = int(resliced[i] * PAGE)
+            try:
+                ref.reconfigure(slice_size, now)
+            except ConfigError:
+                with pytest.raises(ConfigError):
+                    clf.reconfigure(slice_size, now)
+            else:
+                clf.reconfigure(slice_size, now)
+        clf.record_write(lpn, now)
+        ref.record_write(lpn, now)
+        written.append(lpn)
+        got = clf.maybe_classify(config, now)
+        want = ref.maybe_classify(config, now)
+        assert (got is None) == (want is None)
+        assert clf.hot == ref.labels.hot_slices()
+        assert [clf.is_hot(n) for n in written] == [
+            ref.is_hot(n) for n in written]
+        assert clf.generation == ref.generation

@@ -88,7 +88,7 @@ class TestSimulatorStack:
         assert stack.config is new
         assert stack.ftl.config is new
         assert stack.monitor.capacity == 64
-        assert stack.classifier.stats.slice_size == PAGE * 4
+        assert stack.classifier.slice_size == PAGE * 4
 
     def test_prefill_keeps_occupancy_but_zeroes_metrics(self):
         stack = make_stack(gc_trigger_threshold=13)

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from hybridssd import (ActionKind, ConfigProfile, EpochSchedule, FtlEngine,
-                       LatencyModel, ScriptedBackend, SsdState, desk_geometry,
-                       emit_report, replay, synth_trace)
+                       HotnessClassifier, LatencyModel, ScriptedBackend,
+                       SsdState, desk_geometry, emit_report, replay,
+                       synth_trace)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "tuning_reply.txt"
 
@@ -27,6 +28,8 @@ DIGESTS = {
         "8a4619ddbe7b5837e0b171fe4bf9a797a60e3dc4bc1c20b60b908f911aa6ff2a",
     "tuned_fixture":
         "36ca28476d9659e2ec997d0cdc04ca4dcff18bfc0afacf66fe655e14b6529071",
+    "tuned_reslice":
+        "2f3b565a3262c94866c7d9a2f764b2445d103f71efc1b708005dbf1cd095ff1e",
 }
 
 
@@ -89,12 +92,29 @@ def tuned_fixture():
                 backend=ScriptedBackend.from_file(FIXTURE), schedule=schedule)
 
 
+# moves slice_size off the starting 128 KiB, so the classifier restarts
+# mid-run, and turns on hotness-based placement with a short trigger so the
+# restarted classifier labels slices hot within the probe
+RESLICE_REPLY = ("Hot slices should keep SLC to themselves.\n```\n"
+                 "1. Placement strategy: hotness_based\n"
+                 "2. Slice size: 64KB\n"
+                 "3. K-means trigger threshold: 100\n```")
+
+
+def tuned_reslice():
+    schedule = EpochSchedule(tuning_interval_writes=300,
+                             investigation_ops=100, max_epochs=3)
+    return _run(2000, seed=7, mode="tuned",
+                backend=ScriptedBackend([RESLICE_REPLY]), schedule=schedule)
+
+
 SCENARIOS = {
     "fresh_default": fresh_default,
     "gc_agent_prefill": gc_agent_prefill,
     "gc_granularity_prefill": gc_granularity_prefill,
     "slc_to_qlc_fractional": slc_to_qlc_fractional,
     "tuned_fixture": tuned_fixture,
+    "tuned_reslice": tuned_reslice,
 }
 
 
@@ -139,3 +159,21 @@ def test_scenarios_reach_the_layers_they_pin(monkeypatch):
     tuned = tuned_fixture()
     assert tuned.epochs_run >= 1
     assert all(e["prompt"] for e in tuned.epochs)
+    slice_sizes, hot_flags = [], []
+    reconfigure = HotnessClassifier.reconfigure
+    handle_write = FtlEngine.handle_write
+
+    def recording_reconfigure(clf, slice_size, now_us):
+        slice_sizes.append(slice_size)
+        reconfigure(clf, slice_size, now_us)
+
+    def recording_write(ftl, lpn, n, hot=None):
+        hot_flags.append(hot)
+        return handle_write(ftl, lpn, n, hot=hot)
+
+    monkeypatch.setattr(HotnessClassifier, "reconfigure",
+                        recording_reconfigure)
+    monkeypatch.setattr(FtlEngine, "handle_write", recording_write)
+    tuned_reslice()
+    assert GEO.page_size * 4 in slice_sizes
+    assert any(hot_flags)

@@ -7,7 +7,8 @@ import pytest
 from hybridssd.config import ConfigProfile
 from hybridssd.errors import ConfigError, NoData
 from hybridssd.trace import synth_trace
-from hybridssd.tuner import ScriptedBackend, TuningRecord, Verdict
+from hybridssd.tuner import (ScriptedBackend, TuningRecord, Verdict,
+                             build_prompt, estimate_tokens)
 from hybridssd.verification import (EpochSchedule, Marker, PerfSnapshot,
                                     VerificationLoop, accuracy, measure,
                                     should_rollback)
@@ -33,9 +34,6 @@ class ScriptedStack:
 
     def marker(self):
         return self.markers.pop(0)
-
-    def zero_marker(self):
-        return mk()
 
     def system_info(self):
         return {
@@ -236,11 +234,60 @@ class TestWantsEpoch:
 
 # --- the epoch, with scripted markers ---------------------------------------------
 
-def make_loop(responses, threshold=0.05, max_epochs=30):
+def make_loop(responses, threshold=0.05, max_epochs=30, **kw):
     sched = EpochSchedule(tuning_interval_writes=400, investigation_ops=100,
                           degradation_threshold=threshold,
                           max_epochs=max_epochs)
-    return VerificationLoop(ScriptedBackend(responses), sched)
+    return VerificationLoop(ScriptedBackend(responses), sched, **kw)
+
+
+FULL_HISTORY_NOTE = "10 earlier adjustments were left out to fit the prompt."
+
+
+def history_free_tokens(stack, stage4_note):
+    """Tokens of the epoch prompt with no history line, an empty last
+    period and `stage4_note` in place of the history."""
+    info = stack.system_info()
+    info["last_period"] = {"mean_latency_us": 0.0, "requests": 0, "wa": 1.0}
+    text = build_prompt(info, [], stack.config).joined()
+    return estimate_tokens(text.replace("No prior adjustments.", stage4_note))
+
+
+class TestPromptLimit:
+    def test_check_budgets_the_note_for_a_full_history(self):
+        stack = ScriptedStack([])
+        bare = history_free_tokens(stack, "No prior adjustments.")
+        noted = history_free_tokens(stack, FULL_HISTORY_NOTE)
+        assert noted > bare
+        with pytest.raises(ConfigError, match="every history line"):
+            make_loop([GOOD_REPLY], max_tokens=bare).check_prompt_fits(stack)
+        make_loop([GOOD_REPLY], max_tokens=noted).check_prompt_fits(stack)
+
+    def test_epoch_over_the_limit_is_rejected_unsent(self):
+        class Recording(ScriptedBackend):
+            def complete(self, prompt):
+                sent.append(prompt)
+                return super().complete(prompt)
+
+        sent: list = []
+        # a last period with wider numbers than the check's empty one
+        stack = ScriptedStack(epoch_markers([(123456.7, 90.0)], n=100000))
+        limit = history_free_tokens(stack, FULL_HISTORY_NOTE)
+        sched = EpochSchedule(tuning_interval_writes=400,
+                              investigation_ops=100)
+        loop = VerificationLoop(Recording([GOOD_REPLY]), sched,
+                                max_tokens=limit)
+        loop.check_prompt_fits(stack)
+        loop.history = [adj(i, Verdict.ACCEPTED, True) for i in range(1, 11)]
+        rec = loop.run_epoch(stack, lambda n: n, "scheduled")
+        assert sent == []
+        assert rec.verdict is Verdict.REJECTED
+        assert rec.reason.startswith("rejected: the prompt needs ~")
+        assert f"over max_tokens {limit}" in rec.reason
+        assert FULL_HISTORY_NOTE in rec.prompt
+        assert estimate_tokens(rec.prompt) > limit
+        assert rec.raw_response is None and rec.config_after is None
+        assert stack.applied == []
 
 
 class TestRunEpoch:
@@ -352,7 +399,9 @@ class TestRunEpoch:
         assert rec.epoch == 1
         assert loop.history == [rec]
         assert loop.writes_at_cycle_start == 450
-        assert loop.cycle_marker is not None
+        # the next cycle measures from the end of this epoch's probe
+        assert loop.cycle_marker == mk(requests=200, total_us=19000.0,
+                                       host=200, device=200)
         assert loop.in_epoch is False
 
     def test_shift_flag_set_and_cleared(self):
