@@ -4,11 +4,13 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import asdict, fields
 
 from .config import ConfigProfile, load_config_file
 from .errors import ConfigError, SimulatorError
+from .hotness import KMEANS_TOL
 from .replay import check_report_path, emit_report, replay, run_sweep
-from .ssd import FlashGeometry, initial_layout
+from .ssd import INITIAL_MODE_SPLIT, FlashGeometry, initial_layout
 from .trace import FORMATS, load_trace, synth_trace
 from .tuner import DEFAULT_MAX_TOKENS, RemoteBackend, ScriptedBackend
 from .verification import EpochSchedule
@@ -55,13 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--write-ratio", type=float, default=0.7)
 
     geo = run.add_argument_group("device geometry")
-    geo.add_argument("--channels", type=int, default=32)
-    geo.add_argument("--blocks-per-channel", type=int, default=512)
-    geo.add_argument("--pages-per-block", type=int, default=256,
+    geo.add_argument("--channels", type=int)
+    geo.add_argument("--blocks-per-channel", type=int)
+    geo.add_argument("--pages-per-block", type=int, dest="pages_per_block_slc",
                      help="SLC pages per block (QLC holds 4x)")
-    geo.add_argument("--page-size", type=int, default=16384)
-    geo.add_argument("--op-ratio", type=float, default=0.125)
-    geo.add_argument("--mode-split", type=float, default=0.25,
+    geo.add_argument("--page-size", type=int)
+    geo.add_argument("--op-ratio", type=float)
+    geo.add_argument("--mode-split", type=float, default=INITIAL_MODE_SPLIT,
                      help="fraction of blocks starting in SLC mode")
 
     tune = run.add_argument_group("tuned mode")
@@ -72,11 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--auth-env", default="LLM_API_KEY",
                       help="env var holding the API token (never pass the "
                            "token itself)")
-    tune.add_argument("--tuning-interval", type=int, default=100000,
+    tune.add_argument("--tuning-interval", type=int,
+                      dest="tuning_interval_writes",
                       help="host writes between scheduled epochs")
-    tune.add_argument("--investigation-ops", type=int, default=10000)
-    tune.add_argument("--max-epochs", type=int, default=30)
-    tune.add_argument("--degradation-threshold", type=float, default=0.05)
+    tune.add_argument("--investigation-ops", type=int)
+    tune.add_argument("--max-epochs", type=int)
+    tune.add_argument("--degradation-threshold", type=float)
     tune.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS,
                       help="prompt budget; older history is dropped to fit")
     tune.add_argument("--target-note", default="",
@@ -86,6 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sweep-param", default="gc_trigger_threshold")
     sweep.add_argument("--sweep-multipliers", default="0.25,0.5,1,2,4,8,16",
                        help="comma separated multipliers of the base value")
+    # geometry and schedule flags store under their dataclass field names
+    # and default to the dataclasses' own defaults
+    run.set_defaults(**asdict(FlashGeometry()), **asdict(EpochSchedule()))
     return parser
 
 
@@ -134,10 +140,6 @@ def cmd_run(args) -> int:
         check_report_path(args.report)
     except OSError as exc:
         raise ConfigError(f"report: {exc}") from exc
-    geometry = FlashGeometry(channels=args.channels,
-                             blocks_per_channel=args.blocks_per_channel,
-                             pages_per_block_slc=args.pages_per_block,
-                             page_size=args.page_size, op_ratio=args.op_ratio)
     config = ConfigProfile()
     settings = {}
     if args.config:
@@ -145,26 +147,24 @@ def cmd_run(args) -> int:
             config, settings = load_config_file(args.config, args.page_size)
         except OSError as exc:
             raise ConfigError(f"config: {exc}") from exc
-    mode_split = settings.get("initial_mode_split", args.mode_split)
-    kmeans_tol = settings.get("kmeans_tol", 1e-4)
     # geometry keys in the config file override the CLI flags
-    geo_over = {k: settings[k] for k in
-                ("channels", "blocks_per_channel", "pages_per_block_slc",
-                 "page_size", "op_ratio") if k in settings}
-    if geo_over:
-        from dataclasses import replace
-        geometry = replace(geometry, **geo_over)
+    geometry = FlashGeometry(**{f.name: settings.get(f.name,
+                                                     getattr(args, f.name))
+                                for f in fields(FlashGeometry)})
+    mode_split = settings.get("initial_mode_split", args.mode_split)
     # the synthetic LPN space spans the device's logical capacity
     _, logical_pages = initial_layout(geometry, mode_split)
     records, skipped = _load_records(args, geometry, logical_pages)
     if not records:
         raise ConfigError("trace produced no usable records")
+    # what every replay of this run shares
+    run = dict(seed=args.seed, initial_mode_split=mode_split,
+               kmeans_tol=settings.get("kmeans_tol", KMEANS_TOL),
+               prefill_fraction=args.prefill, skipped_lines=skipped)
 
     baseline_total = None
     if args.normalize and args.mode != "sweep":
-        base = replay(records, ConfigProfile(), geometry, mode="default",
-                      seed=args.seed, initial_mode_split=mode_split,
-                      kmeans_tol=kmeans_tol, prefill_fraction=args.prefill)
+        base = replay(records, ConfigProfile(), geometry, **run)
         baseline_total = base.total_latency_us
 
     if args.mode == "sweep":
@@ -173,32 +173,20 @@ def cmd_run(args) -> int:
                            args.sweep_multipliers.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"--sweep-multipliers: {exc}") from exc
-        report = run_sweep(records, config, geometry,
-                           args.sweep_param, multipliers, seed=args.seed,
-                           initial_mode_split=mode_split,
-                           kmeans_tol=kmeans_tol,
-                           prefill_fraction=args.prefill,
-                           skipped_lines=skipped)
+        report = run_sweep(records, config, geometry, args.sweep_param,
+                           multipliers, **run)
     elif args.mode == "tuned":
         backend = _make_backend(args.backend, args)
-        schedule = EpochSchedule(
-            tuning_interval_writes=args.tuning_interval,
-            investigation_ops=args.investigation_ops,
-            degradation_threshold=args.degradation_threshold,
-            max_epochs=args.max_epochs)
+        schedule = EpochSchedule(**{f.name: getattr(args, f.name)
+                                    for f in fields(EpochSchedule)})
         report = replay(records, config, geometry, mode="tuned",
-                        backend=backend, schedule=schedule, seed=args.seed,
-                        initial_mode_split=mode_split, kmeans_tol=kmeans_tol,
-                        prefill_fraction=args.prefill, skipped_lines=skipped,
+                        backend=backend, schedule=schedule,
                         baseline_total_us=baseline_total,
                         max_tokens=args.max_tokens,
-                        target_note=args.target_note)
+                        target_note=args.target_note, **run)
     else:
-        report = replay(records, config, geometry, mode="default",
-                        seed=args.seed, initial_mode_split=mode_split,
-                        kmeans_tol=kmeans_tol, prefill_fraction=args.prefill,
-                        skipped_lines=skipped,
-                        baseline_total_us=baseline_total)
+        report = replay(records, config, geometry,
+                        baseline_total_us=baseline_total, **run)
 
     fmt = args.report_format
     if fmt is None:

@@ -9,9 +9,10 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
+from .ssd import FlashGeometry
 
 
 class PlacementStrategy(enum.Enum):
@@ -19,29 +20,87 @@ class PlacementStrategy(enum.Enum):
     HOTNESS_BASED = "hotness_based"
 
 
+def _tunable(default, *, lo=None, hi=None, unit: str, meaning: str,
+             aliases: tuple[str, ...] = (), page_grid: bool = False):
+    """One tunable: its shipped default, legal range [lo, hi], unit and
+    meaning as the tuning prompt lists them, and the looser names a reply
+    or config file may use. A `page_grid` tunable is a multiple of the page
+    size, from one page up to `hi` rounded down onto the grid."""
+    return field(default=default, metadata={
+        "lo": lo, "hi": hi, "unit": unit, "meaning": meaning,
+        "aliases": aliases, "page_grid": page_grid})
+
+
 @dataclass(frozen=True)
 class ConfigProfile:
-    """The 15 runtime-tunable parameters with their shipped defaults.
+    """The 15 runtime-tunable parameters, each declared once.
 
     Canonical units: times in microseconds, sizes in bytes, trigger
     thresholds in percent of free blocks.
     """
 
-    conversion_granularity: int = 1          # blocks per MC action
-    conversion_trigger_threshold: int = 6    # % free SLC blocks below which MC is eligible
-    gc_granularity: int = 1                  # blocks per GC action
-    gc_trigger_threshold: int = 6            # % free blocks below which GC triggers
-    placement_strategy: PlacementStrategy = PlacementStrategy.SLC_FIRST
-    window_size: int = 2000                  # requests kept by the workload monitor
-    std_dev_threshold: int = 10000           # pages; LPN-std shift detector
-    slice_size: int = 200 * 1024 * 1024      # bytes per hotness slice
-    kmeans_max_iterations: int = 10
-    kmeans_trigger_threshold: int = 10000    # writes between classifications
-    rl_training_interval: int = 1000         # requests between Q updates
-    rl_learning_rate: float = 0.1
-    rl_reward_threshold: float = 1600.0      # us; avg response time judged favorable at or below
-    rl_discount: float = 0.9
-    rl_exploration: float = 0.1
+    conversion_granularity: int = _tunable(
+        1, lo=1, hi=64, unit="blocks",
+        meaning="free SLC blocks converted to QLC per conversion action",
+        aliases=("mode conversion granularity",))
+    conversion_trigger_threshold: int = _tunable(
+        6, lo=1, hi=50, unit="percent",
+        meaning="free-SLC fraction below which conversion becomes eligible",
+        aliases=("mode conversion trigger threshold", "conversion threshold"))
+    gc_granularity: int = _tunable(
+        1, lo=1, hi=64, unit="blocks",
+        meaning="victim blocks collected per GC action",
+        aliases=("garbage collection granularity",))
+    gc_trigger_threshold: int = _tunable(
+        6, lo=1, hi=50, unit="percent",
+        meaning="free-block fraction below which space management runs",
+        aliases=("garbage collection trigger threshold", "gc threshold"))
+    placement_strategy: PlacementStrategy = _tunable(
+        PlacementStrategy.SLC_FIRST,
+        unit="|".join(s.value for s in PlacementStrategy),
+        meaning="where fresh host writes land",
+        aliases=("data placement strategy", "data placement", "placement"))
+    window_size: int = _tunable(
+        2000, lo=16, hi=200000, unit="requests",
+        meaning="sliding-window length of the workload monitor",
+        aliases=("windows size", "sliding window size"))
+    std_dev_threshold: int = _tunable(
+        10000, lo=1, hi=100000000, unit="pages",
+        meaning="LPN std-dev change that counts as a workload shift",
+        aliases=("standard deviation threshold", "std deviation threshold",
+                 "standard deviation"))
+    slice_size: int = _tunable(
+        200 * 1024 * 1024, hi=16 * 1024 ** 3, page_grid=True, unit="bytes",
+        meaning="hotness slice size; statistics are kept per slice")
+    kmeans_max_iterations: int = _tunable(
+        10, lo=1, hi=1000, unit="iterations",
+        meaning="K-means iteration cap per classification",
+        aliases=("k-means max iterations", "k-means iterations",
+                 "kmeans iterations", "k-means max iteration"))
+    kmeans_trigger_threshold: int = _tunable(
+        10000, lo=100, hi=100000000, unit="writes",
+        meaning="host writes between hotness classifications",
+        aliases=("k-means trigger threshold",))
+    rl_training_interval: int = _tunable(
+        1000, lo=10, hi=10000000, unit="requests",
+        meaning="requests between Q-learning updates",
+        aliases=("training interval", "rl training interval"))
+    rl_learning_rate: float = _tunable(
+        0.1, lo=1e-6, hi=1.0, unit="0-1",
+        meaning="Q-learning step size alpha",
+        aliases=("learning rate",))
+    rl_reward_threshold: float = _tunable(
+        1600.0, lo=1.0, hi=60000000.0, unit="us",
+        meaning="average response time judged favorable at or below",
+        aliases=("rl reward", "reward threshold"))
+    rl_discount: float = _tunable(
+        0.9, lo=0.0, hi=0.9999, unit="0-1",
+        meaning="Q-learning discount factor gamma",
+        aliases=("rl discount factor", "discount factor"))
+    rl_exploration: float = _tunable(
+        0.1, lo=0.0, hi=1.0, unit="0-1",
+        meaning="epsilon for epsilon-greedy action choice",
+        aliases=("rl exploration rate", "exploration rate"))
 
     def as_dict(self) -> dict:
         out = {}
@@ -51,7 +110,7 @@ class ConfigProfile:
         return out
 
 
-# Table-order tuple; prompt rendering and the corrector iterate this.
+# Declaration order, which is also the order the prompt lists them in.
 TUNABLE_PARAMS = tuple(f.name for f in fields(ConfigProfile))
 
 
@@ -59,38 +118,31 @@ TUNABLE_PARAMS = tuple(f.name for f in fields(ConfigProfile))
 class ParamSpec:
     """Legal range for one tunable (used to correct backend mistakes)."""
 
-    name: str
     kind: str                    # "int" | "float" | "enum"
     lo: float | None = None
     hi: float | None = None
-    step: int | None = None      # int params only: value snapped to a multiple
+    step: int | None = None      # int params only: values are multiples
 
 
-def default_param_bounds(page_size: int = 16384) -> dict[str, ParamSpec]:
-    """Bounds table with min <= shipped default <= max for every parameter.
+def default_param_bounds(page_size: int = FlashGeometry.page_size
+                         ) -> dict[str, ParamSpec]:
+    """Each tunable's declared range, with min <= shipped default <= max.
 
-    slice_size must stay a positive multiple of the page size, so its spec
-    carries step=page_size and its floor is one page.
+    The kind follows the default's type. Integers step by 1, except that a
+    page-grid tunable (slice_size) steps by the page size from a floor of
+    one page to its ceiling rounded down onto the grid.
     """
-    specs = [
-        ParamSpec("conversion_granularity", "int", 1, 64),
-        ParamSpec("conversion_trigger_threshold", "int", 1, 50),
-        ParamSpec("gc_granularity", "int", 1, 64),
-        ParamSpec("gc_trigger_threshold", "int", 1, 50),
-        ParamSpec("placement_strategy", "enum"),
-        ParamSpec("window_size", "int", 16, 200000),
-        ParamSpec("std_dev_threshold", "int", 1, 100000000),
-        ParamSpec("slice_size", "int", page_size, 16 * 1024 ** 3,
-                  step=page_size),
-        ParamSpec("kmeans_max_iterations", "int", 1, 1000),
-        ParamSpec("kmeans_trigger_threshold", "int", 100, 100000000),
-        ParamSpec("rl_training_interval", "int", 10, 10000000),
-        ParamSpec("rl_learning_rate", "float", 1e-6, 1.0),
-        ParamSpec("rl_reward_threshold", "float", 1.0, 60000000.0),
-        ParamSpec("rl_discount", "float", 0.0, 0.9999),
-        ParamSpec("rl_exploration", "float", 0.0, 1.0),
-    ]
-    return {s.name: s for s in specs}
+    specs = {}
+    for f in fields(ConfigProfile):
+        kind = ("enum" if isinstance(f.default, enum.Enum)
+                else type(f.default).__name__)
+        lo, hi, step = f.metadata["lo"], f.metadata["hi"], None
+        if kind == "int":
+            step = 1
+        if f.metadata["page_grid"]:
+            lo, hi, step = page_size, hi - hi % page_size, page_size
+        specs[f.name] = ParamSpec(kind, lo, hi, step)
+    return specs
 
 
 def validate_profile(profile: ConfigProfile,
@@ -126,34 +178,11 @@ def squash_name(text: str) -> str:
     return re.sub(r"[^a-z0-9]", "", text.lower())
 
 
-_EXTRA_ALIASES = {
-    "conversion_granularity": ("mode conversion granularity",),
-    "conversion_trigger_threshold": ("mode conversion trigger threshold",
-                                     "conversion threshold"),
-    "gc_granularity": ("garbage collection granularity",),
-    "gc_trigger_threshold": ("garbage collection trigger threshold",
-                             "gc threshold"),
-    "placement_strategy": ("data placement strategy", "data placement",
-                           "placement"),
-    "window_size": ("windows size", "sliding window size"),
-    "std_dev_threshold": ("standard deviation threshold",
-                          "std deviation threshold", "standard deviation"),
-    "slice_size": (),
-    "kmeans_max_iterations": ("k-means max iterations", "k-means iterations",
-                              "kmeans iterations", "k-means max iteration"),
-    "kmeans_trigger_threshold": ("k-means trigger threshold",),
-    "rl_training_interval": ("training interval", "rl training interval"),
-    "rl_learning_rate": ("learning rate",),
-    "rl_reward_threshold": ("rl reward", "reward threshold"),
-    "rl_discount": ("rl discount factor", "discount factor"),
-    "rl_exploration": ("rl exploration rate", "exploration rate"),
+PARAM_ALIASES: dict[str, str] = {
+    squash_name(name): f.name
+    for f in fields(ConfigProfile)
+    for name in (f.name, *f.metadata["aliases"])
 }
-
-PARAM_ALIASES: dict[str, str] = {}
-for _canon in TUNABLE_PARAMS:
-    PARAM_ALIASES[squash_name(_canon)] = _canon
-    for _alias in _EXTRA_ALIASES.get(_canon, ()):
-        PARAM_ALIASES[squash_name(_alias)] = _canon
 
 
 def resolve_param_name(text: str) -> str | None:
@@ -221,19 +250,13 @@ def parse_placement(value) -> PlacementStrategy | None:
 
 # --- flat key = value config files ------------------------------------------
 
-# Non-tunable keys a config file may carry alongside the 15 parameters.
-SETTING_KEYS = (
-    "channels",
-    "blocks_per_channel",
-    "pages_per_block_slc",
-    "page_size",
-    "op_ratio",
-    "initial_mode_split",
-    "kmeans_tol",
-)
+# Non-tunable keys a config file may carry alongside the 15 parameters:
+# the device geometry and two run settings.
+SETTING_KEYS = (tuple(f.name for f in fields(FlashGeometry))
+                + ("initial_mode_split", "kmeans_tol"))
 
 
-def load_config_file(path, page_size: int = 16384
+def load_config_file(path, page_size: int = FlashGeometry.page_size
                      ) -> tuple[ConfigProfile, dict]:
     """Read a flat `key = value` file into (profile, settings).
 

@@ -13,6 +13,9 @@ import numpy as np
 from .config import ConfigProfile
 from .errors import ConfigError
 
+# K-means stops once no centroid coordinate moves by this much
+KMEANS_TOL = 1e-4
+
 
 def _minmax(col: np.ndarray) -> np.ndarray:
     lo, hi = col.min(), col.max()
@@ -54,7 +57,8 @@ def kmeans(points: np.ndarray, max_iterations: int,
 
 
 def classify(slices: dict[int, list], window_start_us: float, now_us: float,
-             max_iterations: int = 10, tol: float = 1e-4) -> frozenset[int]:
+             max_iterations: int = ConfigProfile.kmeans_max_iterations,
+             tol: float = KMEANS_TOL) -> frozenset[int]:
     """The hot slice ids of one window's statistics.
 
     `slices` maps a slice id to [update count, last update us, mean update
@@ -89,7 +93,7 @@ class HotnessClassifier:
     the current hot slices. Slices nobody labeled read cold."""
 
     def __init__(self, slice_size: int, page_size: int,
-                 kmeans_tol: float = 1e-4):
+                 kmeans_tol: float = KMEANS_TOL):
         self.page_size = page_size
         self.kmeans_tol = kmeans_tol
         self.generation = 0             # classifications run so far

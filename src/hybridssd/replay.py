@@ -14,15 +14,16 @@ import os
 import random
 import tempfile
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .config import ConfigProfile, default_param_bounds
 from .errors import ConfigError, NoData
 from .ftl import ACTION_ORDER, ActionKind, FtlEngine, write_amplification
-from .hotness import HotnessClassifier
+from .hotness import KMEANS_TOL, HotnessClassifier
 from .monitor import SlidingWindow, WindowEntry
 from .rl import SpaceAgent
-from .ssd import FlashGeometry, LatencyModel, Mode, SsdState
+from .ssd import (INITIAL_MODE_SPLIT, FlashGeometry, LatencyModel, Mode,
+                  SsdState)
 from .trace import OpKind, TraceRecord, page_span
 from .tuner import DEFAULT_MAX_TOKENS
 from .verification import (EpochSchedule, Marker, VerificationLoop, accuracy,
@@ -34,7 +35,8 @@ class SimulatorStack:
 
     def __init__(self, geometry: FlashGeometry, config: ConfigProfile,
                  latency: LatencyModel | None = None, seed: int = 0,
-                 initial_mode_split: float = 0.25, kmeans_tol: float = 1e-4):
+                 initial_mode_split: float = INITIAL_MODE_SPLIT,
+                 kmeans_tol: float = KMEANS_TOL):
         self.geometry = geometry
         self.config = config
         self.seed = seed
@@ -287,8 +289,9 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
            geometry: FlashGeometry, *, latency: LatencyModel | None = None,
            mode: str = "default", backend=None,
            schedule: EpochSchedule | None = None, seed: int = 0,
-           initial_mode_split: float = 0.25, kmeans_tol: float = 1e-4,
-           prefill_fraction: float = 0.0, skipped_lines: int = 0,
+           initial_mode_split: float = INITIAL_MODE_SPLIT,
+           kmeans_tol: float = KMEANS_TOL, prefill_fraction: float = 0.0,
+           skipped_lines: int = 0,
            baseline_total_us: float | None = None,
            max_tokens: int = DEFAULT_MAX_TOKENS,
            target_note: str = "") -> RunReport:
@@ -347,30 +350,28 @@ SWEEP_EXTRA_PARAMS = ("kmeans_tol",)
 
 def _scale_param(config: ConfigProfile, param: str, multiplier: float,
                  page_size: int) -> ConfigProfile:
-    from dataclasses import replace
     value = getattr(config, param)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{param} is not numeric; cannot sweep it")
     scaled = value * multiplier
-    if param == "slice_size":
-        scaled = max(page_size, int(round(scaled / page_size)) * page_size)
-    elif isinstance(value, int):
-        scaled = max(1, int(round(scaled)))
+    if isinstance(value, int):
+        step = default_param_bounds(page_size)[param].step
+        scaled = max(step, int(round(scaled / step)) * step)
     return replace(config, **{param: scaled})
 
 
 def run_sweep(records: list[TraceRecord], config: ConfigProfile,
               geometry: FlashGeometry, param: str,
-              multipliers: list[float], *, latency: LatencyModel | None = None,
-              seed: int = 0, initial_mode_split: float = 0.25,
-              kmeans_tol: float = 1e-4, prefill_fraction: float = 0.0,
-              skipped_lines: int = 0) -> RunReport:
+              multipliers: list[float], *, kmeans_tol: float = KMEANS_TOL,
+              **settings) -> RunReport:
     """Replay the trace once per multiplier of one parameter.
 
     Sensitivity sweeps explore deliberately, so scaling bypasses the
-    mistake-correction bounds; integers round half-up and slice_size snaps
-    to the page grid. `kmeans_tol` sweeps the classifier tolerance, which is
-    a stack setting rather than one of the tunables.
+    mistake-correction bounds. An integer rounds half to even (Python's
+    `round`) onto its step, 1 or the page size for slice_size, and never
+    falls below one step. `kmeans_tol` sweeps the classifier tolerance,
+    which is a stack setting rather than one of the tunables. Every other
+    keyword is a `replay()` setting passed to each replay unchanged.
     """
     if param not in SWEEP_EXTRA_PARAMS and not hasattr(config, param):
         raise ConfigError(f"unknown sweep parameter {param!r}")
@@ -385,9 +386,7 @@ def run_sweep(records: list[TraceRecord], config: ConfigProfile,
         else:
             cfg = _scale_param(config, param, m, geometry.page_size)
             value = getattr(cfg, param)
-        rep = replay(records, cfg, geometry, latency=latency, mode="default",
-                     seed=seed, initial_mode_split=initial_mode_split,
-                     kmeans_tol=tol, prefill_fraction=prefill_fraction)
+        rep = replay(records, cfg, geometry, kmeans_tol=tol, **settings)
         if m == 1.0:
             base_report = rep
         rows.append({
@@ -405,10 +404,8 @@ def run_sweep(records: list[TraceRecord], config: ConfigProfile,
         for row in rows:
             row["normalized_execution_time"] = (
                 row["total_latency_us"] / base if base else None)
-    anchor = base_report or replay(
-        records, config, geometry, latency=latency, mode="default", seed=seed,
-        initial_mode_split=initial_mode_split, kmeans_tol=kmeans_tol,
-        prefill_fraction=prefill_fraction)
+    anchor = base_report or replay(records, config, geometry,
+                                   kmeans_tol=kmeans_tol, **settings)
     report = anchor
     report.mode = "sweep"
     report.sweep = rows

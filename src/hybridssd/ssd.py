@@ -20,6 +20,9 @@ PAGE_INVALID = -2
 # QLC cells hold four bits per cell, so a block gains 4x pages in QLC mode
 QLC_PAGE_FACTOR = 4
 
+# share of blocks a fresh device starts in SLC mode
+INITIAL_MODE_SPLIT = 0.25
+
 
 class Mode(enum.Enum):
     SLC = "slc"
@@ -161,7 +164,7 @@ class SsdState:
     """
 
     def __init__(self, geometry: FlashGeometry, latency: LatencyModel,
-                 initial_mode_split: float = 0.25):
+                 initial_mode_split: float = INITIAL_MODE_SPLIT):
         self.geometry = geometry
         self.latency = latency
         n_slc, self.logical_capacity_pages = initial_layout(

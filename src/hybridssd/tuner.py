@@ -13,13 +13,12 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import requests
 
-from .config import (ConfigProfile, ParamSpec, TUNABLE_PARAMS,
-                     parse_placement, parse_scalar, resolve_param_name,
-                     validate_profile)
+from .config import (ConfigProfile, ParamSpec, parse_placement, parse_scalar,
+                     resolve_param_name, validate_profile)
 from .errors import BackendUnavailable, ConfigError, NoValidUpdate, ParseFailure
 
 logger = logging.getLogger(__name__)
@@ -103,25 +102,6 @@ class PromptBundle:
 
 # --- prompt rendering ---------------------------------------------------------
 
-_PARAM_NOTES = {
-    "conversion_granularity": ("blocks", "free SLC blocks converted to QLC per conversion action"),
-    "conversion_trigger_threshold": ("percent", "free-SLC fraction below which conversion becomes eligible"),
-    "gc_granularity": ("blocks", "victim blocks collected per GC action"),
-    "gc_trigger_threshold": ("percent", "free-block fraction below which space management runs"),
-    "placement_strategy": ("slc_first|hotness_based", "where fresh host writes land"),
-    "window_size": ("requests", "sliding-window length of the workload monitor"),
-    "std_dev_threshold": ("pages", "LPN std-dev change that counts as a workload shift"),
-    "slice_size": ("bytes", "hotness slice size; statistics are kept per slice"),
-    "kmeans_max_iterations": ("iterations", "K-means iteration cap per classification"),
-    "kmeans_trigger_threshold": ("writes", "host writes between hotness classifications"),
-    "rl_training_interval": ("requests", "requests between Q-learning updates"),
-    "rl_learning_rate": ("0-1", "Q-learning step size alpha"),
-    "rl_reward_threshold": ("us", "average response time judged favorable at or below"),
-    "rl_discount": ("0-1", "Q-learning discount factor gamma"),
-    "rl_exploration": ("0-1", "epsilon for epsilon-greedy action choice"),
-}
-
-
 def _fmt(v) -> str:
     if isinstance(v, enum.Enum):
         return v.value
@@ -196,9 +176,9 @@ def _render_management() -> str:
         "treated as a workload shift and may trigger an early retune.",
         "Tunable parameters (name (unit): meaning):",
     ]
-    for i, name in enumerate(TUNABLE_PARAMS, start=1):
-        unit, note = _PARAM_NOTES[name]
-        lines.append(f"{i}. {name} ({unit}): {note}")
+    for i, f in enumerate(fields(ConfigProfile), start=1):
+        lines.append(f"{i}. {f.name} ({f.metadata['unit']}): "
+                     f"{f.metadata['meaning']}")
     return "\n".join(lines)
 
 
@@ -230,9 +210,9 @@ def render_history_line(rec: TuningRecord) -> str:
 
 def _render_current(current: ConfigProfile) -> str:
     lines = ["Current configuration:"]
-    for name in TUNABLE_PARAMS:
-        unit = _PARAM_NOTES[name][0]
-        lines.append(f"{name} = {_fmt(getattr(current, name))} ({unit})")
+    for f in fields(ConfigProfile):
+        lines.append(f"{f.name} = {_fmt(getattr(current, f.name))} "
+                     f"({f.metadata['unit']})")
     return "\n".join(lines)
 
 
@@ -522,11 +502,9 @@ def correct_mistakes(candidates: dict, bounds: dict[str, ParamSpec],
         if clamped != value:
             corrections.append(f"{name}: clamped {_fmt(value)} -> {_fmt(clamped)}")
             value = clamped
-        if spec.kind == "int":
-            value = int(value)
         if spec.step:
+            # lo and hi lie on the grid, so the nearest grid point does too
             snapped = int(round(value / spec.step)) * spec.step
-            snapped = int(min(max(snapped, spec.lo), spec.hi))
             if snapped != value:
                 corrections.append(f"{name}: snapped {_fmt(value)} -> {_fmt(snapped)}")
                 value = snapped

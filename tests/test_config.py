@@ -63,23 +63,31 @@ class TestBounds:
             validate_profile(bad)
 
 
+# case, spacing and spelling variants seen in replies
+_SPELLINGS = [
+    ("gc_trigger_threshold", "gc_trigger_threshold"),
+    ("GC trigger threshold", "gc_trigger_threshold"),
+    ("GC Trigger Threshold", "gc_trigger_threshold"),
+    ("Windows size", "window_size"),          # common misspelling
+    ("window size", "window_size"),
+    ("K-means trigger threshold", "kmeans_trigger_threshold"),
+    ("k means trigger threshold", "kmeans_trigger_threshold"),
+    ("RL reward", "rl_reward_threshold"),
+    ("learning rate", "rl_learning_rate"),
+    ("data placement strategy", "placement_strategy"),
+    ("Slice size", "slice_size"),
+    ("standard deviation threshold", "std_dev_threshold"),
+    ("Mode conversion trigger threshold", "conversion_trigger_threshold"),
+    ("exploration rate", "rl_exploration"),
+]
+# every canonical name and declared alias of every tunable
+_DECLARED = [(name, f.name) for f in dataclasses.fields(ConfigProfile)
+             for name in (f.name, *f.metadata["aliases"])]
+
+
 class TestNameResolution:
-    @pytest.mark.parametrize("alias,canon", [
-        ("gc_trigger_threshold", "gc_trigger_threshold"),
-        ("GC trigger threshold", "gc_trigger_threshold"),
-        ("GC Trigger Threshold", "gc_trigger_threshold"),
-        ("Windows size", "window_size"),          # common misspelling
-        ("window size", "window_size"),
-        ("K-means trigger threshold", "kmeans_trigger_threshold"),
-        ("k means trigger threshold", "kmeans_trigger_threshold"),
-        ("RL reward", "rl_reward_threshold"),
-        ("learning rate", "rl_learning_rate"),
-        ("data placement strategy", "placement_strategy"),
-        ("Slice size", "slice_size"),
-        ("standard deviation threshold", "std_dev_threshold"),
-        ("Mode conversion trigger threshold", "conversion_trigger_threshold"),
-        ("exploration rate", "rl_exploration"),
-    ])
+    @pytest.mark.parametrize("alias,canon", _SPELLINGS + [
+        pair for pair in _DECLARED if pair not in _SPELLINGS])
     def test_aliases(self, alias, canon):
         assert resolve_param_name(alias) == canon
 

@@ -241,6 +241,20 @@ class TestTunedReplay:
         assert tuned.erases == default.erases
         assert tuned.epochs == [] and tuned.epochs_run == 0
 
+    def test_reply_past_the_slice_ceiling_on_an_odd_page_size(self):
+        # 16 GiB is no multiple of a 10000 B page; the clamped value must
+        # still land on the grid instead of failing the profile check
+        geo = desk_geometry(channels=1, blocks_per_channel=16,
+                            pages_per_block_slc=8, page_size=10000)
+        records = synth_trace(1500, logical_pages=280, page_size=10000,
+                              seed=7)
+        rep = replay(records, small_config(slice_size=80000), geo,
+                     mode="tuned", initial_mode_split=0.5,
+                     backend=ScriptedBackend(["`1.Slice size: 100GB`"]),
+                     schedule=self.schedule())
+        assert rep.epochs_run >= 1
+        assert rep.epochs[0]["changed"]["slice_size"] == [80000, 17179860000]
+
     def test_config_final_reflects_kept_changes(self):
         records = small_trace(1500, seed=7)
         rep = run_small(records, mode="tuned",
@@ -257,9 +271,13 @@ class TestTunedReplay:
 # --- parameter scaling and sweeps ----------------------------------------------------
 
 class TestScaleParam:
-    def test_int_rounds_half_up_with_floor_of_one(self):
-        cfg = small_config(window_size=2000, gc_granularity=1)
+    def test_int_rounds_half_to_even_with_floor_of_one(self):
+        cfg = small_config(window_size=2000, gc_granularity=1,
+                           gc_trigger_threshold=5)
         assert _scale_param(cfg, "window_size", 0.25, PAGE).window_size == 500
+        # 2.5 is a tie: Python's round goes to the even 2
+        assert _scale_param(cfg, "gc_trigger_threshold", 0.5,
+                            PAGE).gc_trigger_threshold == 2
         assert _scale_param(cfg, "gc_granularity", 0.1, PAGE).gc_granularity == 1
         assert _scale_param(cfg, "window_size", 2.0, PAGE).window_size == 4000
 
@@ -475,6 +493,21 @@ class TestCli:
         assert rc == 0
         lines = report.read_text().strip().splitlines()
         assert len(lines) == 4   # header + three multipliers
+
+    @pytest.mark.parametrize("mode", ["default", "sweep"])
+    def test_skipped_trace_lines_reach_the_report(self, tmp_path, mode):
+        trace = tmp_path / "w.csv"
+        lines = [f"{128166372003061629 + i * 10000},src,0,Write,"
+                 f"{(i % 10) * PAGE},{PAGE},100" for i in range(40)]
+        lines.insert(5, "not,a,trace,line")
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report = tmp_path / "r.json"
+        rc = cli.main(["run", "--trace", str(trace), "--format", "msr",
+                       "--mode", mode, "--sweep-multipliers", "1,2",
+                       "--config", small_cli_config(tmp_path),
+                       "--report", str(report)] + SMALL_GEO_ARGS)
+        assert rc == 0
+        assert json.loads(report.read_text())["skipped_lines"] == 1
 
     def test_tuned_without_backend_is_a_clean_error(self, tmp_path, capsys):
         rc = cli.main(["run", "--ops", "100", "--mode", "tuned",

@@ -1,6 +1,8 @@
 """Prompt assembly, backends, and response parsing."""
+import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -85,6 +87,15 @@ class TestBuildPrompt:
         for name in ConfigProfile().as_dict():
             assert name in bundle.stages[2], name
             assert name in bundle.stages[3], name
+
+    def test_parameter_list_shows_declared_unit_and_meaning(self):
+        bundle = build_prompt(make_info(), [], ConfigProfile())
+        for i, f in enumerate(dataclasses.fields(ConfigProfile), start=1):
+            unit, meaning = f.metadata["unit"], f.metadata["meaning"]
+            assert f"{i}. {f.name} ({unit}): {meaning}" in bundle.stages[2]
+            # and the current value carries the same unit
+            assert re.search(rf"^{f.name} = \S+ \({re.escape(unit)}\)$",
+                             bundle.stages[3], re.M), f.name
 
     def test_current_values_rendered(self):
         cfg = ConfigProfile(window_size=1234, rl_learning_rate=0.25)
@@ -458,6 +469,16 @@ class TestCorrectMistakes:
             self.bounds, self.current)
         assert profile.slice_size % PAGE == 0
         assert any("snapped" in c for c in corr)
+
+    def test_slice_size_ceiling_lands_on_an_odd_page_grid(self):
+        # 16 GiB is no multiple of a 10000 B page: the ceiling rounds down
+        bounds = default_param_bounds(10000)
+        profile, corr = correct_mistakes(
+            {"slice_size": 100 * 1024 ** 3}, bounds,
+            ConfigProfile(slice_size=80000))
+        assert profile.slice_size == 17179860000
+        assert profile.slice_size % 10000 == 0
+        assert any("clamped" in c for c in corr)
 
     def test_placement_enum(self):
         profile, corr = correct_mistakes(
