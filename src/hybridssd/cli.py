@@ -60,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--channels", type=int)
     geo.add_argument("--blocks-per-channel", type=int)
     geo.add_argument("--pages-per-block", type=int, dest="pages_per_block_slc",
+                     metavar="PAGES_PER_BLOCK",
                      help="SLC pages per block (QLC holds 4x)")
     geo.add_argument("--page-size", type=int)
     geo.add_argument("--op-ratio", type=float)
@@ -76,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "token itself)")
     tune.add_argument("--tuning-interval", type=int,
                       dest="tuning_interval_writes",
+                      metavar="TUNING_INTERVAL",
                       help="host writes between scheduled epochs")
     tune.add_argument("--investigation-ops", type=int)
     tune.add_argument("--max-epochs", type=int)

@@ -355,7 +355,8 @@ def _scale_param(config: ConfigProfile, param: str, multiplier: float,
         raise ConfigError(f"{param} is not numeric; cannot sweep it")
     scaled = value * multiplier
     if isinstance(value, int):
-        step = default_param_bounds(page_size)[param].step
+        # float tunables carry no step; an integral value there snaps to 1
+        step = default_param_bounds(page_size)[param].step or 1
         scaled = max(step, int(round(scaled / step)) * step)
     return replace(config, **{param: scaled})
 
@@ -371,7 +372,8 @@ def run_sweep(records: list[TraceRecord], config: ConfigProfile,
     `round`) onto its step, 1 or the page size for slice_size, and never
     falls below one step. `kmeans_tol` sweeps the classifier tolerance,
     which is a stack setting rather than one of the tunables. Every other
-    keyword is a `replay()` setting passed to each replay unchanged.
+    keyword is a `replay()` setting passed to each default-mode replay
+    unchanged.
     """
     if param not in SWEEP_EXTRA_PARAMS and not hasattr(config, param):
         raise ConfigError(f"unknown sweep parameter {param!r}")
@@ -386,7 +388,8 @@ def run_sweep(records: list[TraceRecord], config: ConfigProfile,
         else:
             cfg = _scale_param(config, param, m, geometry.page_size)
             value = getattr(cfg, param)
-        rep = replay(records, cfg, geometry, kmeans_tol=tol, **settings)
+        rep = replay(records, cfg, geometry, mode="default", kmeans_tol=tol,
+                     **settings)
         if m == 1.0:
             base_report = rep
         rows.append({
@@ -404,7 +407,7 @@ def run_sweep(records: list[TraceRecord], config: ConfigProfile,
         for row in rows:
             row["normalized_execution_time"] = (
                 row["total_latency_us"] / base if base else None)
-    anchor = base_report or replay(records, config, geometry,
+    anchor = base_report or replay(records, config, geometry, mode="default",
                                    kmeans_tol=kmeans_tol, **settings)
     report = anchor
     report.mode = "sweep"

@@ -297,6 +297,14 @@ class TestScaleParam:
         with pytest.raises(ConfigError):
             _scale_param(small_config(), "placement_strategy", 2.0, PAGE)
 
+    def test_float_param_holding_an_integral_value_rounds_to_an_integer(self):
+        # a config file line `rl reward = 1.6ms` parses to the int 1600
+        cfg = small_config(rl_reward_threshold=1600)
+        assert _scale_param(cfg, "rl_reward_threshold", 0.5,
+                            PAGE).rl_reward_threshold == 800
+        assert _scale_param(cfg, "rl_reward_threshold", 0.0001,
+                            PAGE).rl_reward_threshold == 1
+
 
 class TestRunSweep:
     def test_sweep_rows_match_fresh_replays_exactly(self):
@@ -335,6 +343,11 @@ class TestRunSweep:
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep([], small_config(), small_geo(), "warp_factor", [1.0])
+
+    def test_rejects_a_caller_mode(self):
+        with pytest.raises(TypeError):
+            run_sweep([], small_config(), small_geo(), "window_size", [1.0],
+                      mode="tuned")
 
 
 # --- report emission ---------------------------------------------------------------
@@ -508,6 +521,20 @@ class TestCli:
                        "--report", str(report)] + SMALL_GEO_ARGS)
         assert rc == 0
         assert json.loads(report.read_text())["skipped_lines"] == 1
+
+    def test_sweep_of_a_float_tunable_loaded_as_an_integer(self, tmp_path):
+        conf = tmp_path / "int.conf"
+        conf.write_text(open(small_cli_config(tmp_path)).read()
+                        + "rl reward = 1.6ms\n", encoding="utf-8")
+        report = tmp_path / "r.json"
+        rc = cli.main(["run", "--ops", "200", "--mode", "sweep",
+                       "--sweep-param", "rl_reward_threshold",
+                       "--sweep-multipliers", "0.5,1",
+                       "--config", str(conf),
+                       "--report", str(report)] + SMALL_GEO_ARGS)
+        assert rc == 0
+        rows = json.loads(report.read_text())["sweep"]
+        assert [r["value"] for r in rows] == [800, 1600]
 
     def test_tuned_without_backend_is_a_clean_error(self, tmp_path, capsys):
         rc = cli.main(["run", "--ops", "100", "--mode", "tuned",
