@@ -8,7 +8,7 @@ from .errors import (AuditError, BackendUnavailable, CapacityError,
                      PageStateError, ParseFailure, SimulatorError)
 from .ftl import ACTION_ORDER, SAFETY_BOUND, ActionKind, FtlEngine
 from .hotness import HotnessClassifier, classify, kmeans
-from .monitor import SlidingWindow, WindowEntry
+from .monitor import SlidingWindow
 from .replay import SimulatorStack, emit_report, replay
 from .rl import AgentState, QTable, SpaceAgent, reward
 from .ssd import FlashGeometry, LatencyModel, Mode, SsdState, desk_geometry
@@ -28,7 +28,7 @@ __all__ = [
     "NoValidUpdate", "OpKind", "PageStateError", "ParseFailure",
     "PlacementStrategy", "QTable", "SAFETY_BOUND", "ScriptedBackend",
     "SimulatorError", "SimulatorStack", "SlidingWindow", "SpaceAgent",
-    "SsdState", "TUNABLE_PARAMS", "WindowEntry", "classify",
+    "SsdState", "TUNABLE_PARAMS", "classify",
     "default_param_bounds", "desk_geometry", "emit_report", "kmeans",
     "load_config_file", "load_trace", "page_span", "parse_scalar", "replay",
     "resolve_param_name", "reward", "synth_trace",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .config import ConfigProfile, PlacementStrategy
 from .errors import CapacityError, NoData
-from .ssd import Mode, SsdState
+from .ssd import QLC, SLC, Mode, SsdState
 
 # one request may trigger at most this many space-management actions before
 # the engine gives up and raises a capacity-pressure warning counter instead
@@ -30,14 +30,19 @@ class ActionKind(enum.Enum):
     __hash__ = object.__hash__
 
 
+# members bound once for the hot paths, as ssd.SLC/QLC are
+IDLE, SLC_TO_QLC_MC = ActionKind.IDLE, ActionKind.SLC_TO_QLC_MC
+SLC_FIRST = PlacementStrategy.SLC_FIRST
+
+
 # fixed enumeration order; argmax tie-breaks and fuzz tables rely on it
 ACTION_ORDER = tuple(ActionKind)
 
 # GC action -> (victim mode, destination mode of its migrated pages)
 GC_MODES = {
-    ActionKind.SLC_INTERNAL_GC: (Mode.SLC, Mode.SLC),
-    ActionKind.QLC_INTERNAL_GC: (Mode.QLC, Mode.QLC),
-    ActionKind.SLC_TO_QLC_GC: (Mode.SLC, Mode.QLC),
+    ActionKind.SLC_INTERNAL_GC: (SLC, SLC),
+    ActionKind.QLC_INTERNAL_GC: (QLC, QLC),
+    ActionKind.SLC_TO_QLC_GC: (SLC, QLC),
 }
 
 
@@ -86,17 +91,17 @@ class FtlEngine:
         # active = block currently taking appends, per mode per channel;
         # full blocks are retired from here immediately after programming
         self.active: dict[Mode, list[int | None]] = {
-            Mode.SLC: [None] * channels, Mode.QLC: [None] * channels}
+            SLC: [None] * channels, QLC: [None] * channels}
         self.free: dict[Mode, list[set[int]]] = {
-            Mode.SLC: [set() for _ in range(channels)],
-            Mode.QLC: [set() for _ in range(channels)]}
+            SLC: [set() for _ in range(channels)],
+            QLC: [set() for _ in range(channels)]}
         # blocks in each mode's pools, kept with every pool change
-        self.free_count = {Mode.SLC: 0, Mode.QLC: 0}
+        self.free_count = {SLC: 0, QLC: 0}
         for block_id, block in enumerate(ssd.blocks):
             ch = ssd.geometry.channel_of(block_id)
             self.free[block.mode][ch].add(block_id)
             self.free_count[block.mode] += 1
-        self.stripe_cursor = {Mode.SLC: 0, Mode.QLC: 0}
+        self.stripe_cursor = {SLC: 0, QLC: 0}
 
     def reset_counters(self) -> None:
         """Zero the run statistics; device state and placement stay."""
@@ -140,8 +145,8 @@ class FtlEngine:
 
     def summary(self) -> dict:
         return {
-            "slc_free_fraction": self.free_fraction(Mode.SLC),
-            "qlc_free_fraction": self.free_fraction(Mode.QLC),
+            "slc_free_fraction": self.free_fraction(SLC),
+            "qlc_free_fraction": self.free_fraction(QLC),
         }
 
     # --- allocation ----------------------------------------------------------
@@ -178,7 +183,7 @@ class FtlEngine:
         """`mode` if it has room, else the other region if that has room."""
         if self._has_space(mode):
             return mode
-        other = Mode.QLC if mode is Mode.SLC else Mode.SLC
+        other = QLC if mode is SLC else SLC
         return other if self._has_space(other) else None
 
     def _place(self, mode: Mode) -> tuple[int, int] | None:
@@ -197,9 +202,9 @@ class FtlEngine:
         return us, ch
 
     def _preferred_mode(self, hot: bool | None) -> Mode:
-        if self.config.placement_strategy is PlacementStrategy.SLC_FIRST:
-            return Mode.SLC
-        return Mode.SLC if hot else Mode.QLC
+        if self.config.placement_strategy is SLC_FIRST:
+            return SLC
+        return SLC if hot else QLC
 
     # --- host requests ---------------------------------------------------------
 
@@ -273,7 +278,7 @@ class FtlEngine:
         # shrink the room a victim needs: while the fallback idles now, it
         # idles after every page of the run
         below = self._regions_below_threshold()
-        if below and self._fallback_action() is not ActionKind.IDLE:
+        if below and self._fallback_action() is not IDLE:
             return 0
         mode = self._placement_region(self._preferred_mode(None))
         if mode is None:
@@ -281,7 +286,7 @@ class FtlEngine:
         n = self._append_run(mode, range(lpn, stop), pop=False)
         self.wa.host_pages_written += n
         if below:
-            self.action_counts[ActionKind.IDLE] += n
+            self.action_counts[IDLE] += n
         return n
 
     def _append_run(self, mode: Mode, lpns, pop: bool = True) -> int:
@@ -356,7 +361,7 @@ class FtlEngine:
 
     def _regions_below_threshold(self) -> bool:
         th = self.config.gc_trigger_threshold / 100.0
-        for mode in (Mode.SLC, Mode.QLC):
+        for mode in (SLC, QLC):
             if self.ssd.block_count(mode) == 0:
                 continue
             if self.free_fraction(mode) < th:
@@ -364,21 +369,21 @@ class FtlEngine:
         return False
 
     def mc_eligible(self) -> bool:
-        if self.ssd.block_count(Mode.SLC) == 0:
+        if self.ssd.block_count(SLC) == 0:
             return False
-        return self.free_fraction(Mode.SLC) < self.config.conversion_trigger_threshold / 100.0
+        return self.free_fraction(SLC) < self.config.conversion_trigger_threshold / 100.0
 
     def _fallback_action(self) -> ActionKind:
         # fixed greedy order keeps the engine usable without an agent; only
         # actions that can actually execute right now are considered
         for kind in ACTION_ORDER:
-            if kind is ActionKind.SLC_TO_QLC_MC:
-                if self.mc_eligible() and self.free_block_count(Mode.SLC) > 0:
+            if kind is SLC_TO_QLC_MC:
+                if self.mc_eligible() and self.free_block_count(SLC) > 0:
                     return kind
             elif kind in GC_MODES:
                 if self._gc_victim(*GC_MODES[kind]) is not None:
                     return kind
-        return ActionKind.IDLE
+        return IDLE
 
     def _space_management(self, forced: bool = False) -> float:
         total = 0.0
@@ -390,7 +395,7 @@ class FtlEngine:
         while rounds < SAFETY_BOUND:
             if not futile:
                 if forced:
-                    if self._has_space(Mode.SLC) or self._has_space(Mode.QLC):
+                    if self._has_space(SLC) or self._has_space(QLC):
                         break
                 elif not self._regions_below_threshold():
                     break
@@ -401,9 +406,9 @@ class FtlEngine:
             else:
                 kind = self.action_source(self)
             self.action_counts[kind] += 1
-            if kind is ActionKind.IDLE:
+            if kind is IDLE:
                 break
-            if kind in futile or (kind is ActionKind.SLC_TO_QLC_MC
+            if kind in futile or (kind is SLC_TO_QLC_MC
                                   and not self.mc_eligible()):
                 # a repeat of a futile kind, or a conversion not eligible
                 # yet: the attempt is a zero outcome and takes no time
@@ -449,7 +454,7 @@ class FtlEngine:
             for _ in range(self.config.gc_granularity):
                 if not self._gc_once(*GC_MODES[kind], out):
                     break
-        elif kind is ActionKind.SLC_TO_QLC_MC:
+        elif kind is SLC_TO_QLC_MC:
             for _ in range(self.config.conversion_granularity):
                 if not self._convert_once(out):
                     break
@@ -478,15 +483,15 @@ class FtlEngine:
     def _convert_once(self, out: ActionOutcome) -> bool:
         # cheapest free SLC block by the allocation key; conversion is a
         # metadata flip, so no latency and no erase here
-        block_id = min((b for pool in self.free[Mode.SLC] for b in pool),
+        block_id = min((b for pool in self.free[SLC] for b in pool),
                        key=self._wear_key, default=None)
         if block_id is None:
             return False
         ch = self.ssd.geometry.channel_of(block_id)
-        self.free[Mode.SLC][ch].remove(block_id)
-        self.ssd.convert_block_mode(block_id, Mode.QLC)
-        self.free[Mode.QLC][ch].add(block_id)
-        self.free_count[Mode.SLC] -= 1
-        self.free_count[Mode.QLC] += 1
+        self.free[SLC][ch].remove(block_id)
+        self.ssd.convert_block_mode(block_id, QLC)
+        self.free[QLC][ch].add(block_id)
+        self.free_count[SLC] -= 1
+        self.free_count[QLC] += 1
         out.blocks_converted += 1
         return True

@@ -20,11 +20,11 @@ from .config import ConfigProfile, default_param_bounds
 from .errors import ConfigError, NoData
 from .ftl import ACTION_ORDER, ActionKind, FtlEngine, write_amplification
 from .hotness import KMEANS_TOL, HotnessClassifier
-from .monitor import SlidingWindow, WindowEntry
+from .monitor import SlidingWindow
 from .rl import SpaceAgent
-from .ssd import (INITIAL_MODE_SPLIT, FlashGeometry, LatencyModel, Mode,
+from .ssd import (INITIAL_MODE_SPLIT, QLC, SLC, FlashGeometry, LatencyModel,
                   SsdState)
-from .trace import OpKind, TraceRecord, page_span
+from .trace import WRITE, TraceRecord, page_span
 from .tuner import DEFAULT_MAX_TOKENS
 from .verification import (EpochSchedule, Marker, VerificationLoop, accuracy,
                            measure)
@@ -111,7 +111,7 @@ class SimulatorStack:
         spans = page_span(record, self.geometry.page_size,
                           self.ssd.logical_capacity_pages)
         us = 0.0
-        is_write = record.op is OpKind.WRITE
+        is_write = record.op is WRITE
         if is_write:
             hot_any = False
             for lpn, n in spans:
@@ -132,8 +132,7 @@ class SimulatorStack:
                     self.classifier.record_write(lpn + i, now)
         else:
             self.reads += 1
-        self.monitor.push(WindowEntry(lpn=spans[0][0], is_write=is_write,
-                                      timestamp_us=now))
+        self.monitor.push(spans[0][0], is_write, now)
         self.classifier.maybe_classify(self.config, now)
         if (self.requests - self._train_req_mark
                 >= self.config.rl_training_interval):
@@ -161,10 +160,10 @@ class SimulatorStack:
             **asdict(self.geometry),
             "pages_per_block_qlc": self.geometry.pages_per_block_qlc,
             "logical_capacity_pages": self.ssd.logical_capacity_pages,
-            "slc_blocks": self.ssd.block_count(Mode.SLC),
-            "qlc_blocks": self.ssd.block_count(Mode.QLC),
-            "slc_free_fraction": self.ftl.free_fraction(Mode.SLC),
-            "qlc_free_fraction": self.ftl.free_fraction(Mode.QLC),
+            "slc_blocks": self.ssd.block_count(SLC),
+            "qlc_blocks": self.ssd.block_count(QLC),
+            "slc_free_fraction": self.ftl.free_fraction(SLC),
+            "qlc_free_fraction": self.ftl.free_fraction(QLC),
             "latency": asdict(self.ssd.latency),
         }
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .config import ConfigProfile
 from .ftl import ACTION_ORDER, ActionKind
-from .ssd import Mode
+from .ssd import QLC, SLC
 
 logger = logging.getLogger(__name__)
 
@@ -158,13 +158,13 @@ class SpaceAgent:
         """
         rate = (workload_summary.writes_per_virtual_second
                 if workload_summary is not None else 0.0)
-        slc_blocks, qlc_blocks = block_tally[Mode.SLC], block_tally[Mode.QLC]
+        slc_blocks, qlc_blocks = block_tally[SLC], block_tally[QLC]
         top = N_FREE_BUCKETS - 1
-        slc = (int(free_count[Mode.SLC] / slc_blocks * N_FREE_BUCKETS)
+        slc = (int(free_count[SLC] / slc_blocks * N_FREE_BUCKETS)
                if slc_blocks else 0)
         if slc > top:
             slc = top
-        qlc = (int(free_count[Mode.QLC] / qlc_blocks * N_FREE_BUCKETS)
+        qlc = (int(free_count[QLC] / qlc_blocks * N_FREE_BUCKETS)
                if qlc_blocks else 0)
         if qlc > top:
             qlc = top

@@ -20,6 +20,10 @@ class OpKind(enum.Enum):
     WRITE = "write"
 
 
+# members bound once for the hot paths, as ssd.SLC/QLC are
+READ, WRITE = OpKind.READ, OpKind.WRITE
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     timestamp_us: float
@@ -86,9 +90,9 @@ def parse_trace_line(spec: FormatSpec, line: str,
         return None
     op_text = parts[spec.op_col].strip().lower()
     if op_text in spec.read_values:
-        op = OpKind.READ
+        op = READ
     elif op_text in spec.write_values:
-        op = OpKind.WRITE
+        op = WRITE
     else:
         return None
     if not math.isfinite(ts) or ts < 0 or offset < 0 or size <= 0:
@@ -143,7 +147,7 @@ def synth_trace(ops: int, logical_pages: int, page_size: int,
                     logical_pages - 1)
     records = []
     for i in range(ops):
-        op = OpKind.WRITE if rng.random() < write_ratio else OpKind.READ
+        op = WRITE if rng.random() < write_ratio else READ
         if rng.random() < hot_fraction:
             lpn = rng.randrange(0, hot_pages)
         else:

@@ -1,12 +1,9 @@
 import statistics
+from collections import deque
 
 import pytest
 
-from hybridssd import ConfigError, NoData, SlidingWindow, WindowEntry
-
-
-def entry(lpn, write=True, t=0.0):
-    return WindowEntry(lpn=lpn, is_write=write, timestamp_us=t)
+from hybridssd import ConfigError, NoData, SlidingWindow, default_param_bounds
 
 
 class TestWindowMechanics:
@@ -17,22 +14,22 @@ class TestWindowMechanics:
     def test_oldest_entries_evicted(self):
         w = SlidingWindow(3)
         for i in range(5):
-            w.push(entry(i, t=float(i)))
-        assert [e.lpn for e in w.entries] == [2, 3, 4]
+            w.push(i, True, float(i))
+        assert [lpn for lpn, _, _ in w.entries] == [2, 3, 4]
 
     def test_shrink_keeps_most_recent(self):
         w = SlidingWindow(10)
         for i in range(6):
-            w.push(entry(i, t=float(i)))
+            w.push(i, True, float(i))
         w.set_capacity(2)
-        assert [e.lpn for e in w.entries] == [4, 5]
+        assert [lpn for lpn, _, _ in w.entries] == [4, 5]
 
     def test_grow_keeps_existing(self):
         w = SlidingWindow(2)
-        w.push(entry(1, t=1.0))
-        w.push(entry(2, t=2.0))
+        w.push(1, True, 1.0)
+        w.push(2, True, 2.0)
         w.set_capacity(5)
-        w.push(entry(3, t=3.0))
+        w.push(3, True, 3.0)
         assert len(w.entries) == 3
 
 
@@ -48,10 +45,10 @@ class TestSummary:
         for threshold in (0, delta / 2, delta, 2 * delta):
             w = SlidingWindow(8)
             for i, lpn in enumerate(before):
-                w.push(entry(lpn, t=100.0 * i))
+                w.push(lpn, True, 100.0 * i)
             w.summarize(threshold)
             for i, lpn in enumerate(now):
-                w.push(entry(lpn, write=(i % 2 == 0), t=100.0 * (i + 9)))
+                w.push(lpn, i % 2 == 0, 100.0 * (i + 9))
             s = w.summarize(threshold)
             # a shift is an LPN std-dev jump strictly above the threshold
             assert s.shift_detected == (delta > threshold)
@@ -59,10 +56,42 @@ class TestSummary:
             assert s.writes_per_virtual_second == pytest.approx(
                 4 / (700 / 1e6))
 
+    def test_summary_takes_no_full_window_pass(self):
+        # the tunable's upper bound: a summary reads the running counts and
+        # the two end timestamps, never the 200000 entries in between
+        cap = default_param_bounds()["window_size"].hi
+        assert cap == 200000
+        w = SlidingWindow(cap)
+        lpns = [(i * 7919) % 100003 for i in range(cap)]
+        for i, lpn in enumerate(lpns):
+            w.push(lpn, i % 3 == 0, float(i))
+        read = []
+
+        class NoPass(deque):
+            def __iter__(self):
+                raise AssertionError("summary iterated the window")
+
+            def __reversed__(self):
+                raise AssertionError("summary iterated the window")
+
+            def __getitem__(self, index):
+                read.append(index)
+                return super().__getitem__(index)
+
+        w.entries = NoPass(w.entries)
+        s = w.summarize(100)
+        assert set(read) <= {0, -1}
+        writes = (cap + 2) // 3                 # i % 3 == 0
+        assert s.writes_per_virtual_second == writes / ((cap - 1) / 1e6)
+        # 0 replaces the evicted lpns[0] == 0: the std-dev cannot move
+        w.push(0, False, float(cap))
+        assert not w.summarize(0).shift_detected
+        assert set(read) <= {0, -1}
+
     def test_zero_span_rate_does_not_divide_by_zero(self):
         w = SlidingWindow(4)
-        w.push(entry(1, t=5.0))
-        w.push(entry(2, t=5.0))
+        w.push(1, True, 5.0)
+        w.push(2, True, 5.0)
         s = w.summarize(100)
         assert s.writes_per_virtual_second == pytest.approx(2 / (1.0 / 1e6))
 
@@ -70,7 +99,7 @@ class TestSummary:
 class TestShiftDetection:
     def fill(self, w, lpns, t0=0.0):
         for i, lpn in enumerate(lpns):
-            w.push(entry(lpn, t=t0 + float(i)))
+            w.push(lpn, True, t0 + float(i))
 
     def test_first_summary_never_shifts(self):
         w = SlidingWindow(8)

@@ -1,4 +1,5 @@
 """Property-based invariants over randomized inputs."""
+import math
 import random
 import statistics
 from collections import deque
@@ -14,7 +15,7 @@ from hybridssd.errors import CapacityError, ConfigError, NoValidUpdate
 from hybridssd.ftl import (ACTION_ORDER, SAFETY_BOUND, ActionKind,
                            ActionOutcome, FtlEngine)
 from hybridssd.hotness import HotnessClassifier
-from hybridssd.monitor import SlidingWindow, WindowEntry
+from hybridssd.monitor import SlidingWindow
 from hybridssd.rl import (INTENSITY_SAMPLES, N_QUARTILES, AgentState, QTable,
                           SpaceAgent, reward)
 from hybridssd.ssd import LatencyModel, Mode, SsdState, desk_geometry
@@ -631,35 +632,72 @@ def test_qtable_rows_match_a_flat_table(ops):
 # --- workload window vs the statistics module ------------------------------------------------
 
 entries = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=10000),   # lpn
+    st.tuples(st.integers(min_value=0, max_value=2**40),   # lpn
               st.booleans(),                               # is_write
               st.integers(min_value=0, max_value=100)),    # us since last
     min_size=2, max_size=60)
 
 
 @settings(max_examples=100)
-@given(before=entries, now=entries,
+@given(before=entries, now=entries, extra=st.integers(0, 30),
        threshold=st.floats(min_value=0.0, max_value=5000.0))
-def test_window_statistics_match_stdlib(before, now, threshold):
-    # the window holds exactly `now` once it is pushed, and the tail of
-    # `before` when the baseline summary is taken
-    window = SlidingWindow(len(now))
-    t = 0.0
-    stamps = []
-    for lpn, is_write, gap in before + now:
-        t += gap
-        stamps.append(t)
-        window.push(WindowEntry(lpn=lpn, is_write=is_write, timestamp_us=t))
-        if len(stamps) == len(before):
-            window.summarize(threshold)
-    s = window.summarize(threshold)
-    prev_std = statistics.pstdev([lpn for lpn, _, _ in before[-len(now):]])
+def test_window_statistics_match_stdlib(before, now, extra, threshold):
+    # the baseline summary sees the tail of `before` in a window `extra`
+    # longer than `now`; halfway through `now` the window shrinks, so the
+    # final summary sees exactly `now`
+    prev_std = statistics.pstdev(
+        [lpn for lpn, _, _ in before[-(len(now) + extra):]])
     now_std = statistics.pstdev([lpn for lpn, _, _ in now])
-    assert s.shift_detected == (abs(now_std - prev_std) > threshold)
-    writes = sum(1 for _, w, _ in now if w)
-    span_us = stamps[-1] - stamps[-len(now)]
-    assert s.writes_per_virtual_second == pytest.approx(
-        writes / (max(span_us, 1.0) / 1e6))
+    delta = abs(now_std - prev_std)
+    half = len(before) + len(now) // 2
+    # at the stdlib delta itself no shift; one ulp below it, a shift: a
+    # 1-ulp error in either std-dev fails one of the two
+    for th in (threshold, delta, math.nextafter(delta, -math.inf)):
+        window = SlidingWindow(len(now) + extra)
+        t = 0.0
+        stamps = []
+        for lpn, is_write, gap in before + now:
+            if len(stamps) == half:
+                window.set_capacity(len(now))
+            t += gap
+            stamps.append(t)
+            window.push(lpn, is_write, t)
+            if len(stamps) == len(before):
+                window.summarize(th)
+        s = window.summarize(th)
+        assert s.shift_detected == (delta > th)
+        writes = sum(1 for _, w, _ in now if w)
+        span_us = stamps[-1] - stamps[-len(now)]
+        assert s.writes_per_virtual_second == (
+            writes / (max(span_us, 1.0) / 1e6))
+
+
+# a push of (lpn, is_write), or a resize to a new capacity
+window_ops = st.lists(
+    st.one_of(st.tuples(st.integers(min_value=0, max_value=2**40),
+                        st.booleans()),
+              st.integers(min_value=2, max_value=12)),
+    max_size=120)
+
+
+@settings(max_examples=100)
+@given(capacity=st.integers(min_value=2, max_value=12), ops=window_ops)
+def test_window_running_counts_match_a_recount(capacity, ops):
+    window = SlidingWindow(capacity)
+    expect = deque()
+    for t, op in enumerate(ops):
+        if isinstance(op, int):
+            window.set_capacity(op)
+            capacity = op
+        else:
+            window.push(*op, float(t))
+            expect.append((*op, float(t)))
+        while len(expect) > capacity:
+            expect.popleft()
+        assert list(window.entries) == list(expect)
+        assert window.writes == sum(1 for _, w, _ in expect if w)
+        assert window.lpn_sum == sum(lpn for lpn, _, _ in expect)
+        assert window.lpn_sq_sum == sum(lpn * lpn for lpn, _, _ in expect)
 
 
 # --- hotness classifier against the per-lookup grid reference -------------------
