@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .config import ConfigProfile, PlacementStrategy
 from .errors import CapacityError, NoData
@@ -92,15 +93,23 @@ class FtlEngine:
         # full blocks are retired from here immediately after programming
         self.active: dict[Mode, list[int | None]] = {
             SLC: [None] * channels, QLC: [None] * channels}
-        self.free: dict[Mode, list[set[int]]] = {
-            SLC: [set() for _ in range(channels)],
-            QLC: [set() for _ in range(channels)]}
-        # blocks in each mode's pools, kept with every pool change
-        self.free_count = {SLC: 0, QLC: 0}
+        # free pools: per mode per channel, a heap of the `_wear_key` of
+        # each fully-free block. A key never goes stale: erase counts change
+        # only in `erase_block`, which runs on GC victims, never on a pooled
+        # block, so the key computed on push still holds on pop
+        self.free: dict[Mode, list[list[int]]] = {
+            SLC: [[] for _ in range(channels)],
+            QLC: [[] for _ in range(channels)]}
+        channel_of = ssd.geometry.channel_of
         for block_id, block in enumerate(ssd.blocks):
-            ch = ssd.geometry.channel_of(block_id)
-            self.free[block.mode][ch].add(block_id)
-            self.free_count[block.mode] += 1
+            self.free[block.mode][channel_of(block_id)].append(
+                self._wear_key(block_id))
+        for pools in self.free.values():
+            for pool in pools:
+                heapify(pool)
+        # blocks in each mode's pools, kept with every pool change
+        self.free_count = {mode: sum(map(len, pools))
+                           for mode, pools in self.free.items()}
         self.stripe_cursor = {SLC: 0, QLC: 0}
 
     def reset_counters(self) -> None:
@@ -151,18 +160,18 @@ class FtlEngine:
 
     # --- allocation ----------------------------------------------------------
 
-    def _wear_key(self, block_id: int) -> tuple[int, int]:
-        """Least worn first, then lowest id: picks free blocks and breaks
-        victim ties."""
-        return self.ssd.blocks[block_id].erase_count, block_id
+    def _wear_key(self, block_id: int) -> int:
+        """Least worn first, then lowest id, as one int that orders like
+        (erase_count, block_id) and decodes by `% len(blocks)`: the free
+        pools heap it and victim ties break on it. An int, not a tuple, so
+        a pooled block costs one int."""
+        blocks = self.ssd.blocks
+        return blocks[block_id].erase_count * len(blocks) + block_id
 
     def _pop_free(self, mode: Mode, channel: int) -> int:
         """Take the least worn block of a non-empty free pool."""
-        pool = self.free[mode][channel]
-        block_id = min(pool, key=self._wear_key)
-        pool.remove(block_id)
         self.free_count[mode] -= 1
-        return block_id
+        return heappop(self.free[mode][channel]) % len(self.ssd.blocks)
 
     def _allocate_page(self, mode: Mode) -> tuple[int, int] | None:
         """Next append slot in `mode`, rotating the channel cursor."""
@@ -431,7 +440,8 @@ class FtlEngine:
     def select_victim(self, mode: Mode) -> int | None:
         """Full block in `mode` with >=1 invalid page (active blocks are never
         full, free ones hold no invalid page); fewest valid pages wins, ties
-        broken by lowest erase count, then lowest id."""
+        broken by `_wear_key`: lowest erase count, then lowest id. The
+        buckets are sets, so this scans the fewest-valid one."""
         buckets = self.ssd.reclaimable[mode]
         if not buckets:
             return None
@@ -476,21 +486,24 @@ class FtlEngine:
         out.latency_us = latency + ssd.erase_block(victim)
         out.pages_migrated += len(lpns)
         out.blocks_reclaimed += 1
-        self.free[src][ssd.geometry.channel_of(victim)].add(victim)
+        heappush(self.free[src][ssd.geometry.channel_of(victim)],
+                 self._wear_key(victim))
         self.free_count[src] += 1
         return True
 
     def _convert_once(self, out: ActionOutcome) -> bool:
-        # cheapest free SLC block by the allocation key; conversion is a
-        # metadata flip, so no latency and no erase here
-        block_id = min((b for pool in self.free[SLC] for b in pool),
-                       key=self._wear_key, default=None)
-        if block_id is None:
+        # cheapest free SLC block by the allocation key: the least head
+        # among the channel heaps. Conversion is a metadata flip, so no
+        # latency and no erase here, and the key moves unchanged to the
+        # same channel's QLC heap
+        key = min((pool[0] for pool in self.free[SLC] if pool), default=None)
+        if key is None:
             return False
+        block_id = key % len(self.ssd.blocks)
         ch = self.ssd.geometry.channel_of(block_id)
-        self.free[SLC][ch].remove(block_id)
+        heappop(self.free[SLC][ch])
         self.ssd.convert_block_mode(block_id, QLC)
-        self.free[QLC][ch].add(block_id)
+        heappush(self.free[QLC][ch], key)
         self.free_count[SLC] -= 1
         self.free_count[QLC] += 1
         out.blocks_converted += 1

@@ -194,6 +194,19 @@ class PagePayloads:
         return None if ppn is None else self.by_ppn.get(ppn)
 
 
+def free_ids(ftl, mode, ch):
+    """Block ids in the engine's free pool of `mode` on channel `ch`,
+    decoded from the pooled wear keys."""
+    n_blocks = len(ftl.ssd.blocks)
+    return {key % n_blocks for key in ftl.free[mode][ch]}
+
+
+def least_worn(blocks, ids):
+    """The set-scan allocator's pick from `ids`: fewest erases, then lowest
+    id; None from no ids."""
+    return min(ids, key=lambda b: (blocks[b].erase_count, b), default=None)
+
+
 class MiniSlcFtl:
     """Single-channel, all-SLC page-mapped FTL with the same policy choices
     as the engine: append-only active block, cheapest-free-block allocation,

@@ -8,7 +8,7 @@ from hybridssd import (ACTION_ORDER, ActionKind, CapacityError, ConfigProfile,
                        desk_geometry)
 from hybridssd.ftl import GC_MODES
 from conftest import make_stack
-from oracles import (FlashOpLog, recompute_request_latency,
+from oracles import (FlashOpLog, free_ids, recompute_request_latency,
                      recompute_total_latency)
 
 
@@ -207,7 +207,7 @@ class TestActions:
         # 2 reads + 2 programs + 1 erase, all SLC
         assert out.latency_us == 2 * 20.0 + 2 * 200.0 + 3000.0
         assert ftl.ssd.blocks[0].is_fully_free
-        assert 0 in ftl.free[Mode.SLC][0]
+        assert 0 in free_ids(ftl, Mode.SLC, 0)
         # migrated data still readable
         assert ftl.ssd.mapping[2] is not None
         ftl.ssd.audit()
@@ -225,7 +225,7 @@ class TestActions:
             block, _ = ftl.ssd.mapping[lpn]
             assert ftl.ssd.blocks[block].mode is Mode.QLC
         # erased victim stays an SLC block, back in the SLC pool
-        assert 0 in ftl.free[Mode.SLC][0]
+        assert 0 in free_ids(ftl, Mode.SLC, 0)
         ftl.ssd.audit()
 
     def test_gc_without_victim_is_zero_outcome(self):
@@ -243,16 +243,19 @@ class TestActions:
         assert not out.effective         # 3 valid pages, 0 free to move into
 
     def test_conversion_picks_cheapest_free_slc_block(self):
-        ftl = make_ftl(blocks=4, ppb=4, split=1.0)
-        ftl.ssd.blocks[0].erase_count = 3
+        ssd = SsdState(desk_geometry(blocks_per_channel=4,
+                                     pages_per_block_slc=4),
+                       LatencyModel(), initial_mode_split=1.0)
+        ssd.blocks[0].erase_count = 3    # worn before the engine pools it
+        ftl = FtlEngine(ssd, ConfigProfile())
         out = ftl.execute_action(ActionKind.SLC_TO_QLC_MC)
         assert out.blocks_converted == 1
         assert out.latency_us == 0.0                 # metadata flip only
         assert ftl.ssd.blocks[1].mode is Mode.QLC    # id 1: erase 0 beats id 0
         assert ftl.ssd.blocks[1].page_count == 16
         assert ftl.ssd.blocks[1].free_count == 16
-        assert 1 in ftl.free[Mode.QLC][0]
-        assert 1 not in ftl.free[Mode.SLC][0]
+        assert 1 in free_ids(ftl, Mode.QLC, 0)
+        assert 1 not in free_ids(ftl, Mode.SLC, 0)
 
     def test_conversion_with_no_free_slc_is_zero_outcome(self):
         ftl = make_ftl(blocks=2, ppb=4, split=1.0)
@@ -412,7 +415,7 @@ class TestFreeCount:
             ftl.handle_write(lpn, min(1 + i % 3, logical - lpn))
             for mode in Mode:
                 assert ftl.free_block_count(mode) == sum(
-                    len(pool) for pool in ftl.free[mode])
+                    len(free_ids(ftl, mode, ch)) for ch in range(2))
         assert ftl.ssd.block_count(Mode.SLC) < 16      # conversions ran
         assert stack.ssd.erase_ops > 0
 

@@ -3,6 +3,7 @@ import math
 import random
 import statistics
 from collections import deque
+from heapq import heappush
 from types import MethodType
 
 import pytest
@@ -24,7 +25,7 @@ from hybridssd.tuner import correct_mistakes
 
 from conftest import make_stack
 from oracles import (FlatQTable, PagePayloads, ReferenceClassifier,
-                     bucket_fraction)
+                     bucket_fraction, free_ids, least_worn)
 
 PAGE = 16384
 BOUNDS = default_param_bounds(PAGE)
@@ -115,8 +116,9 @@ def test_only_active_blocks_are_partly_written(ops, gc_granularity,
             ftl.handle_read(lpn, n)
         active = {b for slots in ftl.active.values() for b in slots
                   if b is not None}
-        free = {b for pools in ftl.free.values() for pool in pools
-                for b in pool}
+        free = {b for mode in (Mode.SLC, Mode.QLC)
+                for ch in range(stack.ssd.geometry.channels)
+                for b in free_ids(ftl, mode, ch)}
         for block_id, block in enumerate(stack.ssd.blocks):
             if block_id in active:
                 assert not block.is_full, block_id
@@ -124,6 +126,87 @@ def test_only_active_blocks_are_partly_written(ops, gc_granularity,
                 assert block.is_full, block_id
         for mode in (Mode.SLC, Mode.QLC):
             assert ftl.select_victim(mode) == reference_victim(ftl, mode)
+
+
+pool_op_strategy = st.one_of(
+    st.tuples(st.just("write"), st.integers(min_value=0, max_value=10**6),
+              st.integers(min_value=1, max_value=4)),
+    st.tuples(st.just("action"), st.sampled_from(ACTION_ORDER)))
+
+
+def check_free_pools(ftl):
+    """Each pool holds the current `_wear_key` of exactly the fully-free,
+    non-active blocks of its mode and channel; `free_count` agrees."""
+    ssd = ftl.ssd
+    active = {b for slots in ftl.active.values() for b in slots
+              if b is not None}
+    for mode in (Mode.SLC, Mode.QLC):
+        for ch, pool in enumerate(ftl.free[mode]):
+            assert sorted(pool) == sorted(
+                ftl._wear_key(b) for b in free_ids(ftl, mode, ch))
+            assert free_ids(ftl, mode, ch) == {
+                b for b, block in enumerate(ssd.blocks)
+                if block.mode is mode and ssd.geometry.channel_of(b) == ch
+                and block.is_fully_free and not block.invalid_count
+                and b not in active}
+        assert ftl.free_count[mode] == sum(len(p) for p in ftl.free[mode])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(pool_op_strategy, min_size=1, max_size=80),
+       wear=st.lists(st.integers(min_value=0, max_value=3), min_size=24,
+                     max_size=24),
+       fraction=st.floats(min_value=0.0, max_value=0.9),
+       gc_granularity=st.integers(min_value=1, max_value=3),
+       conversion_granularity=st.integers(min_value=1, max_value=3))
+# pooled blocks differ in wear from the start: the more worn ones have the
+# lower ids, and channel 0's least worn block is more worn than channel 1's
+@example(ops=[("action", ActionKind.SLC_TO_QLC_MC), ("write", 0, 4),
+              ("write", 0, 4), ("action", ActionKind.SLC_INTERNAL_GC),
+              ("write", 8, 4), ("action", ActionKind.SLC_TO_QLC_MC)],
+         wear=[3, 2, 3, 1, 2, 0] * 4, fraction=0.0, gc_granularity=1,
+         conversion_granularity=2)
+def test_free_pools_pick_what_a_set_scan_picks(ops, wear, fraction,
+                                               gc_granularity,
+                                               conversion_granularity):
+    ssd = SsdState(desk_geometry(channels=2, blocks_per_channel=12,
+                                 pages_per_block_slc=4),
+                   LatencyModel(), initial_mode_split=0.5)
+    for block, erases in zip(ssd.blocks, wear):
+        block.erase_count = erases
+    ftl = FtlEngine(ssd, ConfigProfile(
+        gc_trigger_threshold=13, gc_granularity=gc_granularity,
+        conversion_granularity=conversion_granularity))
+    pop_free, convert_once = ftl._pop_free, ftl._convert_once
+
+    def checked_pop_free(mode, ch):
+        expected = least_worn(ssd.blocks, free_ids(ftl, mode, ch))
+        assert pop_free(mode, ch) == expected
+        return expected
+
+    def checked_convert_once(out):
+        slc = [free_ids(ftl, Mode.SLC, ch) for ch in range(2)]
+        expected = least_worn(ssd.blocks, set().union(*slc))
+        converted = convert_once(out)
+        left = set().union(*slc) - set().union(
+            *(free_ids(ftl, Mode.SLC, ch) for ch in range(2)))
+        assert left == ({expected} if converted else set())
+        return converted
+
+    ftl._pop_free, ftl._convert_once = checked_pop_free, checked_convert_once
+    logical = ssd.logical_capacity_pages
+    check_free_pools(ftl)
+    # a fill first, so that the ops below overwrite data and GC finds victims
+    ftl.fill(range(int(logical * fraction)))
+    check_free_pools(ftl)
+    for op in ops:
+        if op[0] == "write":
+            lpn = op[1] % logical
+            ftl.handle_write(lpn, min(op[2], logical - lpn))
+        else:
+            ftl.execute_action(op[1])
+        check_free_pools(ftl)
+    ssd.audit()
 
 
 # --- bulk sequential fill ------------------------------------------------------------
@@ -137,7 +220,10 @@ def device_state(ftl):
         "mapping": ssd.mapping, "block_tally": ssd.block_tally,
         "reclaimable": ssd.reclaimable,
         "device_pages_written": ssd.device_pages_written,
-        "erase_ops": ssd.erase_ops, "free": ftl.free,
+        "erase_ops": ssd.erase_ops,
+        # the pooled keys; a heap's list order depends on its push history
+        "free": {mode: [sorted(pool) for pool in pools]
+                 for mode, pools in ftl.free.items()},
         "free_count": ftl.free_count, "active": ftl.active,
         "stripe_cursor": ftl.stripe_cursor, "wa": ftl.wa,
         "action_counts": ftl.action_counts,
@@ -226,7 +312,8 @@ def per_page_gc_once(ftl, src, dst, out):
         out.pages_migrated += 1
     out.latency_us += ftl.ssd.erase_block(victim)
     out.blocks_reclaimed += 1
-    ftl.free[src][ftl.ssd.geometry.channel_of(victim)].add(victim)
+    heappush(ftl.free[src][ftl.ssd.geometry.channel_of(victim)],
+             ftl._wear_key(victim))
     ftl.free_count[src] += 1
     return True
 
