@@ -142,6 +142,12 @@ def cmd_run(args) -> int:
         check_report_path(args.report)
     except OSError as exc:
         raise ConfigError(f"report: {exc}") from exc
+    fmt = args.report_format
+    if fmt is None:
+        fmt = "csv" if args.report.endswith(".csv") else "json"
+    if fmt == "csv" and args.mode == "default":
+        raise ConfigError("a csv report holds tuning epochs or sweep rows; "
+                          "default mode has neither, so write json")
     config = ConfigProfile()
     settings = {}
     if args.config:
@@ -190,9 +196,6 @@ def cmd_run(args) -> int:
         report = replay(records, config, geometry,
                         baseline_total_us=baseline_total, **run)
 
-    fmt = args.report_format
-    if fmt is None:
-        fmt = "csv" if args.report.endswith(".csv") else "json"
     try:
         emit_report(report, args.report, fmt)
     except OSError as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .config import ConfigProfile, PlacementStrategy
-from .errors import CapacityError, NoData
+from .errors import CapacityError
 from .ssd import QLC, SLC, Mode, SsdState
 
 # one request may trigger at most this many space-management actions before
@@ -144,14 +144,6 @@ class FtlEngine:
         return (self.free_count[mode] > 0
                 or self.active[mode].count(None) < self.ssd.geometry.channels)
 
-    @property
-    def wa_coefficient(self) -> float:
-        wa = write_amplification(self.wa.device_pages_written,
-                                 self.wa.host_pages_written)
-        if wa is None:
-            raise NoData("write amplification undefined before any host write")
-        return wa
-
     def summary(self) -> dict:
         return {
             "slc_free_fraction": self.free_fraction(SLC),
@@ -245,32 +237,27 @@ class FtlEngine:
         return base + gc_us
 
     def fill(self, lpns: range) -> None:
-        """Write each lpn of `lpns` once, in order, leaving the state that
-        `handle_write(lpn)` per lpn leaves under the fallback policy.
+        """Write each lpn of `lpns` once, in order, on a device with no
+        mapped lpn, leaving the state that `handle_write(lpn)` per lpn
+        leaves under the fallback policy.
 
-        A page that pops a free block, overwrites a mapped lpn, lands in a
-        block holding an invalid page, or comes after a space-management
-        call that would act goes through `handle_write`. The runs of pages
+        A page that pops a free block, or comes after a space-management
+        call that would act, goes through `handle_write`. The runs of pages
         in between change no free pool and no region's occupancy, so each
-        is programmed per block in bulk.
+        is programmed per block in bulk. No page of an unwritten device
+        turns invalid here, so GC never finds a victim.
         """
         if lpns.step != 1 or lpns.start < 0 or (
                 lpns.stop > self.ssd.logical_capacity_pages):
             raise ValueError(f"fill needs consecutive logical pages, "
                              f"got {lpns}")
-        # overwrites go per page; writes below `lpn` never map one above it
-        mapped = sorted(lpn for lpn in self.ssd.mapping if lpn in lpns)
-        mapped.append(lpns.stop)
-        next_mapped = 0
+        if self.ssd.mapping:
+            raise ValueError("fill needs a device with no mapped lpn")
         source, self.action_source = self.action_source, None
         try:
             lpn = lpns.start
             while lpn < lpns.stop:
-                if lpn == mapped[next_mapped]:
-                    next_mapped += 1
-                    written = 0
-                else:
-                    written = self._fill_run(lpn, mapped[next_mapped])
+                written = self._fill_run(lpn, lpns.stop)
                 if not written:
                     self.handle_write(lpn)
                     written = 1
@@ -283,9 +270,8 @@ class FtlEngine:
         `handle_write` would put them, while none pops a free block; returns
         how many (0: the next page needs `handle_write`)."""
         # appends to active blocks move no region's free fraction, add no
-        # free SLC block and no GC victim (see `_append_run`), and only
-        # shrink the room a victim needs: while the fallback idles now, it
-        # idles after every page of the run
+        # free SLC block and, invalidating nothing, no GC victim: while the
+        # fallback idles now, it idles after every page of the run
         below = self._regions_below_threshold()
         if below and self._fallback_action() is not IDLE:
             return 0
@@ -305,8 +291,7 @@ class FtlEngine:
 
         A channel without an active block takes a free block when the
         stripe reaches it with a page left. Without `pop` the run stops
-        there instead, and before a segment whose blocks hold an invalid
-        page (a block that fills with one becomes a GC victim).
+        there instead.
         """
         ssd = self.ssd
         blocks = ssd.blocks
@@ -330,8 +315,7 @@ class FtlEngine:
                         block_id = active[ch] = self._pop_free(mode, ch)
                 if block_id is not None:
                     targets.append(block_id)
-            if not targets or (not pop and any(
-                    blocks[b].invalid_count for b in targets)):
+            if not targets:
                 break
             # full stripes until the first target block fills
             rounds = 1 if popping else min(blocks[b].free_count

@@ -311,10 +311,8 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
             raise ConfigError("tuned mode needs a backend")
         schedule = schedule or EpochSchedule()
         if schedule.max_epochs > 0:
-            loop = VerificationLoop(
-                backend, schedule,
-                bounds=default_param_bounds(geometry.page_size),
-                max_tokens=max_tokens, target_note=target_note)
+            loop = VerificationLoop(backend, schedule, max_tokens=max_tokens,
+                                    target_note=target_note)
             loop.check_prompt_fits(stack)
     if prefill_fraction:
         stack.prefill(prefill_fraction)
@@ -329,9 +327,8 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
             ran += 1
         return ran
 
-    while cursor < len(records):
-        stack.service(records[cursor])
-        cursor += 1
+    # without a loop, one pump call replays the whole trace
+    while pump(len(records) if loop is None else 1):
         if loop is not None:
             pending_shift = stack.shift_pending
             stack.shift_pending = False

@@ -1,8 +1,9 @@
 """Trace ingestion (MSR-style and friends) and synthetic workloads.
 
 Every supported text format is declared as a small column adapter; parsing
-is one generic routine. Records normalize to byte offsets/sizes and
-microsecond timestamps rebased to zero.
+is one generic routine. Records normalize to an op plus a byte offset and
+size; a trace's timestamps only put its requests in order and are dropped
+after the sort.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 logger = logging.getLogger(__name__)
 
@@ -26,18 +28,15 @@ READ, WRITE = OpKind.READ, OpKind.WRITE
 
 @dataclass(frozen=True)
 class TraceRecord:
-    timestamp_us: float
     op: OpKind
     offset: int          # bytes
     size: int            # bytes
-    line_no: int = 0
 
 
 @dataclass(frozen=True)
 class FormatSpec:
     """Column adapter for one delimited trace format."""
 
-    name: str
     delimiter: str | None            # None = any whitespace
     ts_col: int
     op_col: int
@@ -56,27 +55,27 @@ class FormatSpec:
 # oltp: ASU,LBA(512B blocks),Size(B),Opcode,Timestamp(s)
 FORMATS: dict[str, FormatSpec] = {
     "msr": FormatSpec(
-        name="msr", delimiter=",", ts_col=0, op_col=3, offset_col=4,
+        delimiter=",", ts_col=0, op_col=3, offset_col=4,
         size_col=5, ts_scale_us=0.1, offset_scale=1, size_scale=1,
         read_values=frozenset({"read", "r"}),
         write_values=frozenset({"write", "w"})),
     "fiu": FormatSpec(
-        name="fiu", delimiter=None, ts_col=0, op_col=5, offset_col=3,
+        delimiter=None, ts_col=0, op_col=5, offset_col=3,
         size_col=4, ts_scale_us=1e6, offset_scale=512, size_scale=512,
         read_values=frozenset({"r", "read"}),
         write_values=frozenset({"w", "write"})),
     "oltp": FormatSpec(
-        name="oltp", delimiter=",", ts_col=4, op_col=3, offset_col=1,
+        delimiter=",", ts_col=4, op_col=3, offset_col=1,
         size_col=2, ts_scale_us=1e6, offset_scale=512, size_scale=1,
         read_values=frozenset({"r", "read"}),
         write_values=frozenset({"w", "write"})),
 }
 
 
-def parse_trace_line(spec: FormatSpec, line: str,
-                     line_no: int = 0) -> TraceRecord | None:
-    """One record, or None for anything malformed (non-finite or overflowing
-    numbers included)."""
+def parse_trace_line(spec: FormatSpec,
+                     line: str) -> tuple[float, TraceRecord] | None:
+    """(timestamp in us, record), or None for anything malformed (non-finite
+    or overflowing numbers included)."""
     parts = (line.split(spec.delimiter) if spec.delimiter
              else line.split())
     needed = max(spec.ts_col, spec.op_col, spec.offset_col, spec.size_col)
@@ -97,44 +96,39 @@ def parse_trace_line(spec: FormatSpec, line: str,
         return None
     if not math.isfinite(ts) or ts < 0 or offset < 0 or size <= 0:
         return None
-    return TraceRecord(ts, op, offset, size, line_no)
+    return ts, TraceRecord(op, offset, size)
 
 
 def load_trace(path, fmt: str) -> tuple[list[TraceRecord], int]:
-    """Read a trace file; returns (records sorted+rebased, skipped count)."""
+    """Read a trace file; returns (records, skipped line count), the records
+    in timestamp order and in file order among equal timestamps."""
     spec = FORMATS.get(fmt)
     if spec is None:
         raise ValueError(f"unknown trace format {fmt!r}; "
                          f"have {sorted(FORMATS)}")
-    records: list[TraceRecord] = []
+    timed: list[tuple[float, TraceRecord]] = []
     skipped = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            rec = parse_trace_line(spec, line, line_no)
-            if rec is None:
+            parsed = parse_trace_line(spec, line)
+            if parsed is None:
                 skipped += 1
                 if skipped <= 5:
                     logger.warning("%s:%d: skipping malformed line", path,
                                    line_no)
                 continue
-            records.append(rec)
-    records.sort(key=lambda r: r.timestamp_us)
-    if records:
-        t0 = records[0].timestamp_us
-        if t0 != 0:
-            records = [TraceRecord(r.timestamp_us - t0, r.op, r.offset,
-                                   r.size, r.line_no) for r in records]
-    return records, skipped
+            timed.append(parsed)
+    timed.sort(key=itemgetter(0))   # stable: ties keep file order
+    return [rec for _, rec in timed], skipped
 
 
 def synth_trace(ops: int, logical_pages: int, page_size: int,
                 hot_fraction: float = 0.9, hot_region_fraction: float = 0.1,
                 write_ratio: float = 0.7, seed: int = 0,
-                size_pages: int = 1,
-                interval_us: float = 100.0) -> list[TraceRecord]:
+                size_pages: int = 1) -> list[TraceRecord]:
     """Skewed synthetic workload: hot_fraction of accesses hit the first
     hot_region_fraction of the logical space. Deterministic per seed."""
     if not (0 <= hot_fraction <= 1 and 0 < hot_region_fraction <= 1
@@ -146,15 +140,14 @@ def synth_trace(ops: int, logical_pages: int, page_size: int,
     hot_pages = min(max(1, int(logical_pages * hot_region_fraction)),
                     logical_pages - 1)
     records = []
-    for i in range(ops):
+    for _ in range(ops):
         op = WRITE if rng.random() < write_ratio else READ
         if rng.random() < hot_fraction:
             lpn = rng.randrange(0, hot_pages)
         else:
             lpn = rng.randrange(hot_pages, logical_pages)
         n = min(size_pages, logical_pages - lpn)
-        records.append(TraceRecord(i * interval_us, op, lpn * page_size,
-                                   n * page_size, i + 1))
+        records.append(TraceRecord(op, lpn * page_size, n * page_size))
     return records
 
 

@@ -63,27 +63,13 @@ class TuningRecord:
 
     def to_json_dict(self) -> dict:
         def plain(v):
-            if isinstance(v, enum.Enum):
-                return v.value
-            return v
-        return {
-            "epoch": self.epoch,
-            "trigger": self.trigger,
-            "verdict": self.verdict.value,
-            "reason": self.reason,
-            "corrections": list(self.corrections),
-            "changed": {k: [plain(a), plain(b)]
-                        for k, (a, b) in sorted(self.changed.items())},
-            "latency_before_us": self.latency_before_us,
-            "latency_after_us": self.latency_after_us,
-            "wa_before": self.wa_before,
-            "wa_after": self.wa_after,
-            "improved_over_default": self.improved_over_default,
-            "raw_response": self.raw_response,
-            "prompt": self.prompt,
-            "config_before": self.config_before,
-            "config_after": self.config_after,
-        }
+            return v.value if isinstance(v, enum.Enum) else v
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["verdict"] = self.verdict.value
+        out["corrections"] = list(self.corrections)
+        out["changed"] = {k: [plain(a), plain(b)]
+                          for k, (a, b) in sorted(self.changed.items())}
+        return out
 
 
 @dataclass(frozen=True)

@@ -104,12 +104,10 @@ class VerificationLoop:
     """Schedules tuning epochs and guards them with probe-and-rollback."""
 
     def __init__(self, backend, schedule: EpochSchedule,
-                 bounds: dict | None = None,
                  max_tokens: int = DEFAULT_MAX_TOKENS,
                  target_note: str = ""):
         self.backend = backend
         self.schedule = schedule
-        self.bounds = bounds or default_param_bounds()
         self.max_tokens = max_tokens
         self.target_note = target_note
         self.history: list[TuningRecord] = []
@@ -117,7 +115,6 @@ class VerificationLoop:
         self.writes_at_cycle_start = 0
         self.cycle_marker = Marker(0, 0.0, 0, 0)
         self.shift_epoch_this_interval = False
-        self.in_epoch = False
 
     def check_prompt_fits(self, stack) -> None:
         """Raise ConfigError unless `max_tokens` holds an epoch prompt with
@@ -145,7 +142,7 @@ class VerificationLoop:
 
     def wants_epoch(self, stack, shift_pending: bool) -> str | None:
         """Returns a trigger name if an epoch should start now."""
-        if self.in_epoch or len(self.history) >= self.schedule.max_epochs:
+        if len(self.history) >= self.schedule.max_epochs:
             return None
         writes_since = stack.writes - self.writes_at_cycle_start
         if writes_since >= self.schedule.tuning_interval_writes:
@@ -163,11 +160,7 @@ class VerificationLoop:
         stack and return how many actually ran; the investigation period is
         replayed through it under the candidate configuration.
         """
-        self.in_epoch = True
-        try:
-            record = self._run_epoch(stack, pump, trigger)
-        finally:
-            self.in_epoch = False
+        record = self._run_epoch(stack, pump, trigger)
         self.history.append(record)
         if trigger == "shift":
             self.shift_epoch_this_interval = True
@@ -199,7 +192,8 @@ class VerificationLoop:
                 raw = query_backend(self.backend, prompt_text)
                 reason, candidates = parse_config(raw)
                 new_profile, corrections = correct_mistakes(
-                    candidates, self.bounds, stack.config)
+                    candidates, default_param_bounds(stack.geometry.page_size),
+                    stack.config)
             except (BackendUnavailable, ParseFailure, NoValidUpdate) as exc:
                 failure = exc
                 if isinstance(exc, NoValidUpdate):

@@ -3,10 +3,9 @@ import dataclasses
 import pytest
 
 from hybridssd import (ACTION_ORDER, ActionKind, CapacityError, ConfigProfile,
-                       FtlEngine, LatencyModel, Mode, NoData,
-                       PlacementStrategy, SAFETY_BOUND, SsdState,
-                       desk_geometry)
-from hybridssd.ftl import GC_MODES
+                       FtlEngine, LatencyModel, Mode, PlacementStrategy,
+                       SAFETY_BOUND, SsdState, desk_geometry)
+from hybridssd.ftl import GC_MODES, write_amplification
 from conftest import make_stack
 from oracles import (FlashOpLog, free_ids, recompute_request_latency,
                      recompute_total_latency)
@@ -111,11 +110,13 @@ class TestWaAccounting:
             ftl.handle_write(lpn)
         assert ftl.wa.host_pages_written == 8
         assert ftl.wa.device_pages_written == 8
-        assert ftl.wa_coefficient == 1.0
+        assert write_amplification(ftl.wa.device_pages_written,
+                                   ftl.wa.host_pages_written) == 1.0
 
     def test_wa_undefined_before_any_write(self):
-        with pytest.raises(NoData):
-            make_ftl().wa_coefficient
+        wa = make_ftl().wa
+        assert write_amplification(wa.device_pages_written,
+                                   wa.host_pages_written) is None
 
     def test_migration_inflates_device_writes_only(self):
         ftl = make_ftl(blocks=4, ppb=4, gc_trigger_threshold=30)
@@ -125,7 +126,8 @@ class TestWaAccounting:
             host += 1
         assert ftl.wa.host_pages_written == host
         assert ftl.wa.device_pages_written > host
-        assert ftl.wa_coefficient > 1.0
+        assert write_amplification(ftl.wa.device_pages_written,
+                                   ftl.wa.host_pages_written) > 1.0
 
     def test_reads_do_not_touch_wa(self):
         ftl = make_ftl(blocks=4, ppb=8)
@@ -443,14 +445,13 @@ class TestFill:
         assert ftl.capacity_pressure_warnings == warnings
         ftl.ssd.audit()
 
-    def test_fill_overwrites_mapped_lpns_page_by_page(self):
+    def test_fill_rejects_a_written_device(self):
         ftl = make_ftl(channels=2, blocks=8, ppb=4)
-        ftl.handle_write(5)
-        ftl.fill(range(12))
-        assert ftl.wa.host_pages_written == 13
-        assert ftl.ssd.blocks[0].pages[0] < 0         # lpn 5's first copy
-        assert sorted(ftl.ssd.mapping) == list(range(12))
-        ftl.ssd.audit()
+        ftl.handle_write(12)          # past the fill's range, still refused
+        with pytest.raises(ValueError, match="mapped"):
+            ftl.fill(range(12))
+        assert ftl.wa.host_pages_written == 1
+        assert list(ftl.ssd.mapping) == [12]
 
     @pytest.mark.parametrize("lpns", [range(0, 10, 2), range(-1, 3),
                                       range(0, 10**6)])

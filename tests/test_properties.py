@@ -242,24 +242,19 @@ def device_state(ftl):
        gc_trigger=st.integers(min_value=1, max_value=50),
        conversion_trigger=st.integers(min_value=1, max_value=50),
        conversion_granularity=st.integers(min_value=1, max_value=4),
-       fraction=st.floats(min_value=0.0, max_value=1.0),
-       overwrites=st.lists(st.integers(min_value=0, max_value=10**6),
-                           max_size=12))
+       fraction=st.floats(min_value=0.0, max_value=1.0))
 # both cross SAFETY_BOUND mid-fill; on one channel the page after it is no
 # block boundary, so only the space-management check sends it per page
 @example(channels=8, blocks=32, ppb=32, op_ratio=0.125, split=1.0,
          strategy=PlacementStrategy.SLC_FIRST, gc_trigger=50,
-         conversion_trigger=50, conversion_granularity=1, fraction=0.9,
-         overwrites=[])
+         conversion_trigger=50, conversion_granularity=1, fraction=0.9)
 @example(channels=1, blocks=256, ppb=8, op_ratio=0.125, split=1.0,
          strategy=PlacementStrategy.SLC_FIRST, gc_trigger=50,
-         conversion_trigger=50, conversion_granularity=1, fraction=0.9,
-         overwrites=[])
+         conversion_trigger=50, conversion_granularity=1, fraction=0.9)
 def test_bulk_fill_matches_per_page_fill(channels, blocks, ppb, op_ratio,
                                          split, strategy, gc_trigger,
                                          conversion_trigger,
-                                         conversion_granularity, fraction,
-                                         overwrites):
+                                         conversion_granularity, fraction):
     def engine():
         geo = desk_geometry(channels=channels, blocks_per_channel=blocks,
                             pages_per_block_slc=ppb, op_ratio=op_ratio)
@@ -279,10 +274,6 @@ def test_bulk_fill_matches_per_page_fill(channels, blocks, ppb, op_ratio,
     outcomes = []
     for ftl, fill in ((oracle, per_page), (bulk, bulk.fill)):
         try:
-            # earlier writes leave mapped lpns and GC victims in the fill
-            for x in overwrites:
-                if logical:
-                    ftl.handle_write(x % logical)
             fill(range(n))
             outcomes.append(None)
         except CapacityError as exc:
@@ -526,7 +517,7 @@ def test_skipping_futile_repeats_matches_executing_every_pick(
        size=st.integers(min_value=0, max_value=PAGE * 64),
        logical=st.integers(min_value=2, max_value=4096))
 def test_page_span_covers_exactly_the_addressed_pages(offset, size, logical):
-    rec = TraceRecord(0.0, OpKind.WRITE, offset, size, 1)
+    rec = TraceRecord(OpKind.WRITE, offset, size)
     spans = page_span(rec, PAGE, logical)
     assert 1 <= len(spans) <= 2
     for start, n in spans:

@@ -53,8 +53,8 @@ def run_small(records=None, config=None, **kw):
 class TestSimulatorStack:
     def test_service_accumulates_counters_and_clock(self):
         stack = make_stack(gc_trigger_threshold=13)
-        w = TraceRecord(0.0, OpKind.WRITE, 0, PAGE * 2, 1)
-        r = TraceRecord(10.0, OpKind.READ, 0, PAGE, 2)
+        w = TraceRecord(OpKind.WRITE, 0, PAGE * 2)
+        r = TraceRecord(OpKind.READ, 0, PAGE)
         us_w = stack.service(w)
         us_r = stack.service(r)
         assert us_w == 400.0          # two SLC page programs, one channel
@@ -506,6 +506,20 @@ class TestCli:
         assert rc == 0
         lines = report.read_text().strip().splitlines()
         assert len(lines) == 4   # header + three multipliers
+
+    def test_default_run_rejects_csv_before_the_replay(
+            self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the report format check")
+        monkeypatch.setattr(cli, "synth_trace", must_not_run)
+        report = tmp_path / "out.csv"
+        rc = cli.main(["run", "--ops", "300", "--seed", "3",
+                       "--report", str(report)] + SMALL_GEO_ARGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "csv" in err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("mode", ["default", "sweep"])
     def test_skipped_trace_lines_reach_the_report(self, tmp_path, mode):

@@ -11,16 +11,13 @@ class TestMsrFormat:
     LINE = "128166372003061629,hm,0,Write,328192,4096,419"
 
     def test_parses_columns(self):
-        r = parse_trace_line(FORMATS["msr"], self.LINE, 1)
-        assert r.op is OpKind.WRITE
-        assert r.offset == 328192
-        assert r.size == 4096
+        ts, r = parse_trace_line(FORMATS["msr"], self.LINE)
+        assert r == TraceRecord(OpKind.WRITE, 328192, 4096)
         # 100ns ticks -> us
-        assert r.timestamp_us == pytest.approx(128166372003061629 * 0.1)
+        assert ts == pytest.approx(128166372003061629 * 0.1)
 
     def test_read_op(self):
-        r = parse_trace_line(
-            FORMATS["msr"], "1,hm,0,Read,0,512,10", 1)
+        _, r = parse_trace_line(FORMATS["msr"], "1,hm,0,Read,0,512,10")
         assert r.op is OpKind.READ
 
     @pytest.mark.parametrize("line", [
@@ -32,7 +29,7 @@ class TestMsrFormat:
         "1,hm,0,Write,328192,0,419",          # zero size
     ])
     def test_malformed_lines_return_none(self, line):
-        assert parse_trace_line(FORMATS["msr"], line, 1) is None
+        assert parse_trace_line(FORMATS["msr"], line) is None
 
 
 class TestFiuFormat:
@@ -40,14 +37,12 @@ class TestFiuFormat:
     LINE = "0.025 4892 cp 1203934 8 W 8 16 abcd"
 
     def test_parses_columns(self):
-        r = parse_trace_line(FORMATS["fiu"], self.LINE, 1)
-        assert r.op is OpKind.WRITE
-        assert r.offset == 1203934 * 512
-        assert r.size == 8 * 512
-        assert r.timestamp_us == pytest.approx(0.025 * 1e6)
+        ts, r = parse_trace_line(FORMATS["fiu"], self.LINE)
+        assert r == TraceRecord(OpKind.WRITE, 1203934 * 512, 8 * 512)
+        assert ts == pytest.approx(0.025 * 1e6)
 
     def test_read_op(self):
-        r = parse_trace_line(FORMATS["fiu"], "1.5 1 x 100 8 R 8 16 md5", 1)
+        _, r = parse_trace_line(FORMATS["fiu"], "1.5 1 x 100 8 R 8 16 md5")
         assert r.op is OpKind.READ
 
 
@@ -56,15 +51,13 @@ class TestOltpFormat:
     LINE = "0,12345,8192,W,1.75"
 
     def test_parses_columns(self):
-        r = parse_trace_line(FORMATS["oltp"], self.LINE, 1)
-        assert r.op is OpKind.WRITE
-        assert r.offset == 12345 * 512
-        assert r.size == 8192
-        assert r.timestamp_us == pytest.approx(1.75 * 1e6)
+        ts, r = parse_trace_line(FORMATS["oltp"], self.LINE)
+        assert r == TraceRecord(OpKind.WRITE, 12345 * 512, 8192)
+        assert ts == pytest.approx(1.75 * 1e6)
 
 
 class TestLoadTrace:
-    def test_skips_malformed_and_rebases_time(self, tmp_path):
+    def test_skips_malformed_and_sorts_by_time(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text(
             "200,hm,0,Write,16384,4096,1\n"
@@ -73,11 +66,19 @@ class TestLoadTrace:
             "50,hm,0,Wobble,0,4096,1\n")
         records, skipped = load_trace(p, "msr")
         assert skipped == 2
-        assert len(records) == 2
-        # sorted by time and rebased to zero
-        assert records[0].op is OpKind.READ
-        assert records[0].timestamp_us == 0.0
-        assert records[1].timestamp_us == pytest.approx(10.0)  # (200-100)*0.1
+        assert records == [TraceRecord(OpKind.READ, 0, 4096),
+                           TraceRecord(OpKind.WRITE, 16384, 4096)]
+
+    def test_equal_timestamps_keep_file_order(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(
+            "7,hm,0,Write,300,4096,1\n"
+            "5,hm,0,Write,100,4096,1\n"
+            "7,hm,0,Read,200,4096,1\n"
+            "5,hm,0,Read,400,4096,1\n"
+            "7,hm,0,Write,0,4096,1\n")
+        records, _ = load_trace(p, "msr")
+        assert [r.offset for r in records] == [100, 400, 300, 200, 0]
 
     def test_non_finite_fields_are_malformed(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -90,7 +91,8 @@ class TestLoadTrace:
             "inf,hm,0,Read,0,4096,1\n")
         records, skipped = load_trace(p, "msr")
         assert skipped == 4
-        assert [r.timestamp_us for r in records] == [0.0, pytest.approx(20.0)]
+        assert records == [TraceRecord(OpKind.READ, 0, 4096),
+                           TraceRecord(OpKind.WRITE, 16384, 4096)]
 
     def test_unknown_format_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -120,17 +122,10 @@ class TestSynthTrace:
         in_hot = sum(1 for r in writes if r.offset < hot_limit)
         assert in_hot / len(writes) > 0.8
 
-    def test_timestamps_increase(self):
-        recs = synth_trace(50, 1000, PAGE, seed=3)
-        times = [r.timestamp_us for r in recs]
-        assert times == sorted(times)
-        assert times[0] >= 0.0
-
 
 class TestPageSpan:
     def rec(self, offset, size):
-        return TraceRecord(timestamp_us=0.0, op=OpKind.WRITE,
-                           offset=offset, size=size)
+        return TraceRecord(op=OpKind.WRITE, offset=offset, size=size)
 
     def test_aligned_single_page(self):
         assert page_span(self.rec(0, PAGE), PAGE, 1000) == [(0, 1)]

@@ -26,6 +26,8 @@ def mk(requests=0, total_us=0.0, host=0, device=0):
 class ScriptedStack:
     """Stand-in stack serving pre-scripted markers, so probe math is exact."""
 
+    geometry = SimpleNamespace(page_size=PAGE)
+
     def __init__(self, markers, config=None):
         self.markers = list(markers)
         self.config = config or ConfigProfile()
@@ -225,12 +227,6 @@ class TestWantsEpoch:
         stub = SimpleNamespace(writes=10_000)
         assert loop.wants_epoch(stub, True) is None
 
-    def test_no_reentry_while_an_epoch_runs(self):
-        loop = self.make_loop()
-        loop.in_epoch = True
-        stub = SimpleNamespace(writes=10_000)
-        assert loop.wants_epoch(stub, False) is None
-
 
 # --- the epoch, with scripted markers ---------------------------------------------
 
@@ -331,6 +327,19 @@ class TestRunEpoch:
         assert stack.config.rl_learning_rate == 1.0
         assert any("clamped" in c for c in rec.corrections)
 
+    def test_bounds_follow_the_stack_page_size(self):
+        reply = "finer slices `1.Slice size: 8KB`"
+        small = ScriptedStack(scripted_markers(100.0, 90.0))
+        small.geometry = SimpleNamespace(page_size=4096)
+        rec = make_loop([reply]).run_epoch(small, lambda n: n, "scheduled")
+        assert rec.verdict is Verdict.ACCEPTED and rec.corrections == ()
+        assert small.config.slice_size == 8192
+        # on the default 16 KB grid the same reply is clamped to one page
+        large = ScriptedStack(scripted_markers(100.0, 90.0))
+        rec = make_loop([reply]).run_epoch(large, lambda n: n, "scheduled")
+        assert rec.verdict is Verdict.CORRECTED
+        assert large.config.slice_size == PAGE
+
     def test_rejects_an_unparseable_reply(self):
         stack = ScriptedStack(scripted_markers(100.0, 90.0))
         loop = make_loop(["no fenced block anywhere"])
@@ -402,7 +411,6 @@ class TestRunEpoch:
         # the next cycle measures from the end of this epoch's probe
         assert loop.cycle_marker == mk(requests=200, total_us=19000.0,
                                        host=200, device=200)
-        assert loop.in_epoch is False
 
     def test_shift_flag_set_and_cleared(self):
         markers = epoch_markers([(100.0, 90.0), (90.0, 85.0)])
