@@ -160,6 +160,16 @@ def cmd_run(args) -> int:
                                                      getattr(args, f.name))
                                 for f in fields(FlashGeometry)})
     mode_split = settings.get("initial_mode_split", args.mode_split)
+    tuned = {}
+    if args.mode == "tuned":
+        schedule = EpochSchedule(**{f.name: getattr(args, f.name)
+                                    for f in fields(EpochSchedule)})
+        if fmt == "csv" and schedule.max_epochs == 0:
+            raise ConfigError("a csv report holds tuning epochs; "
+                              "--max-epochs 0 runs none, so write json")
+        tuned = dict(mode="tuned", backend=_make_backend(args.backend, args),
+                     schedule=schedule, max_tokens=args.max_tokens,
+                     target_note=args.target_note)
     # the synthetic LPN space spans the device's logical capacity
     _, logical_pages = initial_layout(geometry, mode_split)
     records, skipped = _load_records(args, geometry, logical_pages)
@@ -183,18 +193,9 @@ def cmd_run(args) -> int:
             raise ConfigError(f"--sweep-multipliers: {exc}") from exc
         report = run_sweep(records, config, geometry, args.sweep_param,
                            multipliers, **run)
-    elif args.mode == "tuned":
-        backend = _make_backend(args.backend, args)
-        schedule = EpochSchedule(**{f.name: getattr(args, f.name)
-                                    for f in fields(EpochSchedule)})
-        report = replay(records, config, geometry, mode="tuned",
-                        backend=backend, schedule=schedule,
-                        baseline_total_us=baseline_total,
-                        max_tokens=args.max_tokens,
-                        target_note=args.target_note, **run)
     else:
         report = replay(records, config, geometry,
-                        baseline_total_us=baseline_total, **run)
+                        baseline_total_us=baseline_total, **tuned, **run)
 
     try:
         emit_report(report, args.report, fmt)

@@ -5,10 +5,13 @@ slice's update count and running mean update interval. Classification
 clusters (count, interval) with K-means and labels the most-updated cluster
 hot. Statistics are windowed: each classification consumes and resets them,
 so the hot slices track the last classification window, not all history.
+
+The clustering is plain list code over at most a few hundred points. It
+repeats the float operations of the numpy formulation kept in
+tests/oracles.py (the same differences, products, sums and divisions in the
+same order), so the labels, and every report, are the same bit for bit.
 """
 from __future__ import annotations
-
-import numpy as np
 
 from .config import ConfigProfile
 from .errors import ConfigError
@@ -17,39 +20,99 @@ from .errors import ConfigError
 KMEANS_TOL = 1e-4
 
 
-def _minmax(col: np.ndarray) -> np.ndarray:
-    lo, hi = col.min(), col.max()
+def _minmax(col: list[float]) -> list[float]:
+    lo, hi = min(col), max(col)
     if hi == lo:
-        return np.zeros_like(col)
-    return (col - lo) / (hi - lo)
+        return [0.0] * len(col)
+    span = hi - lo
+    return [(v - lo) / span for v in col]
 
 
-def kmeans(points: np.ndarray, max_iterations: int,
-           tol: float) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def _pairwise_sum(a: list[float]) -> float:
+    """numpy's add.reduce over a 1-D float64 array: a running sum below 8
+    items, eight interleaved running sums up to 128, halves above that."""
+    n = len(a)
+    if n < 8:
+        res = 0.0
+        for x in a:
+            res += x
+        return res
+    if n <= 128:
+        end = n - n % 8
+        r = []
+        for j in range(8):
+            acc = a[j]
+            for x in a[j + 8:end:8]:
+                acc += x
+            r.append(acc)
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in a[end:]:
+            res += x
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+
+
+def _mean(a: list[float]) -> float:
+    return _pairwise_sum(a) / len(a)
+
+
+def _median(a: list[float]) -> float:
+    s = sorted(a)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
+
+
+def kmeans(points, max_iterations: int,
+           tol: float) -> tuple[list[int], list[list[float]], list[float]]:
     """Lloyd's algorithm for two clusters with deterministic seeding.
 
-    Rows are feature vectors already normalized to comparable scales.
-    Centroids start at the points with the lowest and the highest first
-    feature (ties to the lower row). Returns (assignments, centroids,
-    inertia history).
+    `points` holds (x, y) rows already normalized to comparable scales.
+    Centroids start at the first row holding the lowest x and the last row
+    holding the highest x: the two ends of the (x, row) order. Returns
+    (assignments, centroids, inertia history).
     """
     n = len(points)
-    order = np.lexsort((np.arange(n), points[:, 0]))
-    centroids = points[[order[0], order[-1]]].astype(float).copy()
-    assign = np.zeros(n, dtype=int)
+    xs = [p[0] for p in points]
+    low = xs.index(min(xs))
+    high = n - 1 - xs[::-1].index(max(xs))
+    centroids = [list(points[low]), list(points[high])]
+    assign = [0] * n
     inertia_history: list[float] = []
     for _ in range(max_iterations):
-        # nearest centroid; ties go to the lower index via argmin
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
-        inertia_history.append(float(d2[np.arange(n), assign].sum()))
+        (ax, ay), (bx, by) = centroids
+        assign = []
+        nearest = []
+        # per-cluster coordinate sums, accumulated row by row
+        asx = asy = bsx = bsy = 0.0
+        a_n = 0
+        for x, y in points:
+            dx = x - ax
+            dy = y - ay
+            da = dx * dx + dy * dy
+            dx = x - bx
+            dy = y - by
+            db = dx * dx + dy * dy
+            if da <= db:    # distance ties go to cluster 0
+                assign.append(0)
+                nearest.append(da)
+                asx += x
+                asy += y
+                a_n += 1
+            else:
+                assign.append(1)
+                nearest.append(db)
+                bsx += x
+                bsy += y
+        inertia_history.append(_pairwise_sum(nearest))
         moved = 0.0
-        for j in (0, 1):
-            members = points[assign == j]
-            if len(members) == 0:
+        for j, sx, sy, m in ((0, asx, asy, a_n), (1, bsx, bsy, n - a_n)):
+            if not m:
                 continue  # empty cluster keeps its centroid
-            new_c = members.mean(axis=0)
-            moved = max(moved, float(np.abs(new_c - centroids[j]).max()))
+            cx, cy = centroids[j]
+            new_c = [sx / m, sy / m]
+            moved = max(moved, abs(new_c[0] - cx), abs(new_c[1] - cy))
             centroids[j] = new_c
         if moved < tol:
             break
@@ -72,20 +135,23 @@ def classify(slices: dict[int, list], window_start_us: float, now_us: float,
     slice_ids = sorted(slices)
     if not slice_ids:
         return frozenset()
-    window_len = max(now_us - window_start_us, 1.0)
-    counts = np.array([slices[s][0] for s in slice_ids], dtype=float)
-    intervals = np.array([slices[s][2] if slices[s][0] >= 2 else window_len
-                          for s in slice_ids], dtype=float)
-    points = np.column_stack([_minmax(counts), _minmax(intervals)])
-    if len(np.unique(points, axis=0)) < 2:
-        median = float(np.median(counts))
+    window_len = float(max(now_us - window_start_us, 1.0))
+    counts = [float(slices[s][0]) for s in slice_ids]
+    intervals = [float(slices[s][2]) if slices[s][0] >= 2 else window_len
+                 for s in slice_ids]
+    points = list(zip(_minmax(counts), _minmax(intervals)))
+    if len(set(points)) < 2:
+        median = _median(counts)
         return frozenset(s for s, c in zip(slice_ids, counts) if c > median)
     assign, _, _ = kmeans(points, max_iterations, tol)
+    rows: tuple[list[int], list[int]] = ([], [])
+    for i, a in enumerate(assign):
+        rows[a].append(i)
     # maximize count, then minimize interval, then lower cluster index
-    _, _, best = min((-counts[assign == j].mean(),
-                      intervals[assign == j].mean(), j)
-                     for j in (0, 1) if (assign == j).any())
-    return frozenset(s for s, a in zip(slice_ids, assign) if a == best)
+    _, _, best = min((-_mean([counts[i] for i in r]),
+                      _mean([intervals[i] for i in r]), j)
+                     for j, r in enumerate(rows) if r)
+    return frozenset(slice_ids[i] for i in rows[best])
 
 
 class HotnessClassifier:

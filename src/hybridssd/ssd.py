@@ -146,10 +146,6 @@ class BlockState:
         self.invalid_count = 0
 
     @property
-    def write_pointer(self) -> int:
-        return len(self.pages)
-
-    @property
     def free_count(self) -> int:
         return self.page_count - len(self.pages)
 

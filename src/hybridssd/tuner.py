@@ -9,13 +9,12 @@ clamped into bounds, and invalid entries are dropped with a logged note.
 from __future__ import annotations
 
 import enum
+import json
 import logging
 import os
 import re
 import time
 from dataclasses import dataclass, fields, replace
-
-import requests
 
 from .config import (ConfigProfile, ParamSpec, parse_placement, parse_scalar,
                      resolve_param_name, validate_profile)
@@ -359,12 +358,50 @@ class ScriptedBackend:
         return resp
 
 
+class _Reply:
+    def __init__(self, status_code: int, body: bytes = b""):
+        self.status_code = status_code
+        self.body = body
+
+    def json(self):
+        return json.loads(self.body)
+
+
+class UrllibTransport:
+    """The default RemoteBackend transport: one POST per call through
+    urllib.request, answering with an object that has `status_code` and
+    `json()`. A non-2xx status is a reply, not an exception."""
+
+    def post(self, url: str, json=None, headers=None, timeout=None) -> _Reply:
+        # imported on first use: a run without a remote backend never
+        # loads http.client or ssl
+        import http.client
+        import json as jsonlib
+        import urllib.error
+        import urllib.request
+        body = jsonlib.dumps(json).encode("utf-8")
+        req = urllib.request.Request(url, data=body, headers=headers or {},
+                                     method="POST")
+        try:
+            with urllib.request.urlopen(req, timeout=timeout) as resp:
+                return _Reply(resp.status, resp.read())
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            return _Reply(exc.code)
+        except http.client.HTTPException as exc:
+            # a garbled or truncated reply fails the attempt like a dropped
+            # connection does
+            raise urllib.error.URLError(exc) from exc
+
+
 class RemoteBackend:
     """Chat-completion endpoint speaking the plain JSON protocol.
 
     The prompt goes out as one user message, retried up to MAX_ATTEMPTS
     times with exponential backoff. The auth token is read from the
-    environment at call time and never stored.
+    environment at call time and never stored. `session` is the transport:
+    anything with `post(url, json=, headers=, timeout=)` returning an object
+    with `status_code` and `json()`; the default is UrllibTransport.
     """
 
     def __init__(self, endpoint: str, model: str = "gpt-4",
@@ -375,7 +412,7 @@ class RemoteBackend:
         self.temperature = temperature
         self.auth_env = auth_env
         self.timeout_s = timeout_s
-        self.session = session or requests.Session()
+        self.session = session or UrllibTransport()
 
     def complete(self, prompt: str) -> str:
         payload = {
@@ -403,8 +440,9 @@ class RemoteBackend:
                     last_error = f"no completion text: {text!r}"
                     continue
                 return text
-            except (requests.RequestException, KeyError, IndexError,
-                    TypeError, ValueError) as exc:
+            # OSError covers URLError, refused connections and timeouts
+            except (OSError, KeyError, IndexError, TypeError,
+                    ValueError) as exc:
                 last_error = repr(exc)
         raise BackendUnavailable(
             f"backend {self.endpoint} failed after {MAX_ATTEMPTS} "

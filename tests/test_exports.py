@@ -1,11 +1,15 @@
 """Every name the package exports resolves, so `import *` cannot break, and
 every entry point the benchmark tracer wraps still exists."""
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hybridssd
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -25,3 +29,15 @@ def test_every_traced_entry_point_resolves():
                for owner, attrs in pairs for attr in attrs
                if attr not in vars(owner)]
     assert missing == []
+
+
+def test_cli_import_needs_no_third_party_library():
+    # a fresh interpreter, so modules the tests imported do not count
+    code = ("import sys, hybridssd.cli; print(sorted({m.split('.')[0] "
+            "for m in sys.modules} & {'numpy', 'requests', 'urllib3'}))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.strip() == "[]"

@@ -605,6 +605,9 @@ class TestCli:
          "--max-tokens", "0"],
         ["--mode", "tuned", "--backend", "scripted:{fixture}",
          "--max-tokens", "100"],
+        # a tuned run that holds no epoch has no rows for a csv report
+        ["--mode", "tuned", "--backend", "scripted:{fixture}",
+         "--max-epochs", "0", "--report-format", "csv"],
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, args):
         missing = str(tmp_path / "missing.txt")

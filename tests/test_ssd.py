@@ -130,7 +130,7 @@ class TestPageOps:
         us = desk_ssd.erase_block(0)
         assert us == 3000.0
         b = desk_ssd.blocks[0]
-        assert b.write_pointer == 0
+        assert len(b.pages) == 0
         assert b.erase_count == 1
         assert all(p == PAGE_FREE for p in b.pages)
 

@@ -3,6 +3,9 @@ import dataclasses
 import json
 import os
 import re
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from threading import Thread
+from urllib.error import URLError
 
 import pytest
 
@@ -306,11 +309,10 @@ class TestRemoteBackend:
         assert "sk-test-123" not in repr(vars(be))
 
     def test_retries_then_succeeds(self, monkeypatch):
-        import requests as requests_lib
         sleeps = []
         monkeypatch.setattr("hybridssd.tuner.time.sleep", sleeps.append)
         session = FakeSession([
-            requests_lib.ConnectionError("down"),
+            URLError("down"),
             FakeResponse(status_code=503),
             FakeResponse(),
         ])
@@ -320,10 +322,9 @@ class TestRemoteBackend:
         assert sleeps == [1.0, 2.0]   # exponential backoff between attempts
 
     def test_gives_up_after_max_attempts(self, monkeypatch):
-        import requests as requests_lib
         monkeypatch.setattr("hybridssd.tuner.time.sleep", lambda s: None)
-        session = FakeSession(
-            [requests_lib.ConnectionError("down")] * MAX_ATTEMPTS)
+        session = FakeSession([URLError("down"), TimeoutError("slow"),
+                               OSError("reset")])
         be = RemoteBackend("http://llm.test", session=session)
         with pytest.raises(BackendUnavailable):
             be.complete("p")
@@ -350,6 +351,65 @@ class TestRemoteBackend:
             with pytest.raises(BackendUnavailable):
                 be.complete("p")
             assert len(session.requests) == MAX_ATTEMPTS
+
+
+class ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the next (status, body) of the server's
+    script and keeps what it was sent."""
+
+    def do_POST(self):
+        sent = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.received.append((dict(self.headers), json.loads(sent)))
+        status, body = self.server.script.pop(0)
+        data = json.dumps(body).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback():
+    server = HTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    server.script, server.received = [], []
+    thread = Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
+def test_default_transport_retries_a_503_over_loopback(loopback,
+                                                       monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("hybridssd.tuner.time.sleep", sleeps.append)
+    monkeypatch.setenv("LLM_API_KEY", "sk-loop")
+    reply = {"choices": [{"message": {"content": "ok `Windows size: 900`"}}]}
+    loopback.script = [(503, {"error": "busy"}), (200, reply)]
+    host, port = loopback.server_address
+    be = RemoteBackend(f"http://{host}:{port}/v1/chat", timeout_s=5.0)
+    assert be.complete("the prompt") == "ok `Windows size: 900`"
+    assert sleeps == [1.0]
+    assert len(loopback.received) == 2
+    headers, body = loopback.received[1]
+    assert headers["Authorization"] == "Bearer sk-loop"
+    assert body["messages"] == [{"role": "user", "content": "the prompt"}]
+
+
+def test_default_transport_reports_the_last_status(loopback, monkeypatch):
+    monkeypatch.setattr("hybridssd.tuner.time.sleep", lambda s: None)
+    loopback.script = [(503, {})] * (MAX_ATTEMPTS - 1) + [(404, {})]
+    host, port = loopback.server_address
+    be = RemoteBackend(f"http://{host}:{port}/", timeout_s=5.0)
+    with pytest.raises(BackendUnavailable, match="HTTP 404"):
+        be.complete("p")
+    assert loopback.script == []
 
 
 # --- response parsing -----------------------------------------------------------
