@@ -116,12 +116,29 @@ TUNABLE_PARAMS = tuple(f.name for f in fields(ConfigProfile))
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """Legal range for one tunable (used to correct backend mistakes)."""
+    """Legal type and range for one tunable."""
 
     kind: str                    # "int" | "float" | "enum"
     lo: float | None = None
     hi: float | None = None
     step: int | None = None      # int params only: values are multiples
+
+    def convert(self, value):
+        """`value` as this tunable's type, else ConfigError with the reason:
+        a strategy member or name, or an int or float (never a bool), of
+        which an int tunable takes only integral values, as ints."""
+        if self.kind == "enum":
+            strategy = parse_placement(value)
+            if strategy is None:
+                raise ConfigError(f"not a strategy: {value!r}")
+            return strategy
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"not a number: {value!r}")
+        if self.kind == "int" and isinstance(value, float):
+            if not value.is_integer():
+                raise ConfigError(f"needs an integer: {value!r}")
+            return int(value)
+        return value
 
 
 def default_param_bounds(page_size: int = FlashGeometry.page_size
@@ -146,26 +163,26 @@ def default_param_bounds(page_size: int = FlashGeometry.page_size
 
 
 def validate_profile(profile: ConfigProfile,
-                     bounds: dict[str, ParamSpec] | None = None) -> None:
-    """Raise ConfigError if any field is outside its legal range."""
+                     bounds: dict[str, ParamSpec] | None = None
+                     ) -> ConfigProfile:
+    """`profile` with every tunable converted to its type (see
+    `ParamSpec.convert`); raises ConfigError if any field has no such type
+    or is outside its legal range."""
     bounds = bounds or default_param_bounds()
+    typed = {}
     for name in TUNABLE_PARAMS:
         spec = bounds[name]
-        value = getattr(profile, name)
+        try:
+            value = typed[name] = spec.convert(getattr(profile, name))
+        except ConfigError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
         if spec.kind == "enum":
-            if not isinstance(value, PlacementStrategy):
-                raise ConfigError(f"{name}: expected PlacementStrategy, got {value!r}")
             continue
-        if spec.kind == "int":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name}: expected int, got {value!r}")
-        else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{name}: expected number, got {value!r}")
         if not (spec.lo <= value <= spec.hi):
             raise ConfigError(f"{name}: {value!r} outside [{spec.lo}, {spec.hi}]")
         if spec.step and value % spec.step != 0:
             raise ConfigError(f"{name}: {value!r} not a multiple of {spec.step}")
+    return replace(profile, **typed)
 
 
 # --- parameter-name aliases -------------------------------------------------
@@ -267,7 +284,6 @@ def load_config_file(path, page_size: int = FlashGeometry.page_size
     `slice_size` is checked against the file's own `page_size` if it sets
     one, else against `page_size`, the device's page size.
     """
-    profile = ConfigProfile()
     settings: dict = {}
     bounds = default_param_bounds()
     updates: dict = {}
@@ -289,24 +305,14 @@ def load_config_file(path, page_size: int = FlashGeometry.page_size
             canon = resolve_param_name(key)
             if canon is None:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            if canon == "placement_strategy":
-                strategy = parse_placement(value)
-                if strategy is None:
-                    raise ConfigError(
-                        f"{path}:{line_no}: bad placement strategy {value!r}")
-                updates[canon] = strategy
-                continue
-            spec = bounds[canon]
-            if spec.kind == "int":
-                if isinstance(value, float) or isinstance(value, str):
-                    raise ConfigError(f"{path}:{line_no}: {canon} needs an integer")
-            elif isinstance(value, str):
-                raise ConfigError(f"{path}:{line_no}: {canon} needs a number")
-            updates[canon] = value
+            try:
+                updates[canon] = bounds[canon].convert(value)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{line_no}: {canon}: {exc}") from None
     # the file's own page size wins; a fractional one is left for
     # FlashGeometry to reject by name
     if isinstance(settings.get("page_size"), int):
         page_size = settings["page_size"]
-    profile = replace(profile, **updates)
-    validate_profile(profile, default_param_bounds(page_size=page_size))
+    profile = validate_profile(ConfigProfile(**updates),
+                               default_param_bounds(page_size=page_size))
     return profile, settings

@@ -380,12 +380,11 @@ class FtlEngine:
 
     def _space_management(self, forced: bool = False) -> float:
         total = 0.0
-        rounds = 0
         # kinds whose last attempt had a zero outcome: that attempt changed
         # nothing, so until an action acts they stay zero and the stop test
         # below keeps the answer that let the loop run
         futile = set()
-        while rounds < SAFETY_BOUND:
+        for _ in range(SAFETY_BOUND):
             if not futile:
                 if forced:
                     if self._has_space(SLC) or self._has_space(QLC):
@@ -407,7 +406,6 @@ class FtlEngine:
                 # yet: the attempt is a zero outcome and takes no time
                 futile.add(kind)
                 self.ineffective_actions += 1
-                rounds += 1
                 continue
             outcome = self.execute_action(kind)
             if outcome.effective:
@@ -416,8 +414,7 @@ class FtlEngine:
                 futile.add(kind)
                 self.ineffective_actions += 1
             total += outcome.latency_us
-            rounds += 1
-        if rounds >= SAFETY_BOUND:
+        else:   # SAFETY_BOUND rounds and still short of space
             self.capacity_pressure_warnings += 1
         return total
 

@@ -58,12 +58,6 @@ def _mean(a: list[float]) -> float:
     return _pairwise_sum(a) / len(a)
 
 
-def _median(a: list[float]) -> float:
-    s = sorted(a)
-    mid = len(s) // 2
-    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
-
-
 def kmeans(points, max_iterations: int,
            tol: float) -> tuple[list[int], list[list[float]], list[float]]:
     """Lloyd's algorithm for two clusters with deterministic seeding.
@@ -128,9 +122,8 @@ def classify(slices: dict[int, list], window_start_us: float, now_us: float,
     interval us]. Features per slice: update count and mean update interval
     (slices with a single update get the window length imputed). Hot is the
     cluster with the highest mean update count, ties broken by the lowest
-    mean interval. With fewer than two distinct feature points the fallback
-    is a single threshold at the median update count (all-identical points
-    leave nothing hot).
+    mean interval. Fewer than two distinct feature points leave nothing
+    hot.
     """
     slice_ids = sorted(slices)
     if not slice_ids:
@@ -141,8 +134,9 @@ def classify(slices: dict[int, list], window_start_us: float, now_us: float,
                  for s in slice_ids]
     points = list(zip(_minmax(counts), _minmax(intervals)))
     if len(set(points)) < 2:
-        median = _median(counts)
-        return frozenset(s for s, c in zip(slice_ids, counts) if c > median)
+        # min-max scaling keeps distinct counts distinct, so every count is
+        # equal here: none is above the median, none is hot
+        return frozenset()
     assign, _, _ = kmeans(points, max_iterations, tol)
     rows: tuple[list[int], list[int]] = ([], [])
     for i, a in enumerate(assign):

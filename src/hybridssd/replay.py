@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import errno
 import json
+import math
 import os
 import random
 import tempfile
@@ -51,7 +52,6 @@ class SimulatorStack:
                                             kmeans_tol=kmeans_tol)
         self.requests = 0
         self.writes = 0
-        self.reads = 0
         self.total_latency_us = 0.0     # also the virtual clock
         self.last_summary = None
         self.shift_pending = False
@@ -59,7 +59,6 @@ class SimulatorStack:
         self._hot_count = 0             # sum of _hot_window
         self._train_req_mark = 0
         self._train_lat_mark = 0.0
-        self._erase_baseline = 0
 
     # --- agent wiring -----------------------------------------------------
 
@@ -130,8 +129,6 @@ class SimulatorStack:
             for lpn, n in spans:
                 for i in range(n):
                     self.classifier.record_write(lpn + i, now)
-        else:
-            self.reads += 1
         self.monitor.push(spans[0][0], is_write, now)
         self.classifier.maybe_classify(self.config, now)
         if (self.requests - self._train_req_mark
@@ -171,26 +168,31 @@ class SimulatorStack:
 
     def prefill(self, fraction: float) -> int:
         """Sequentially write a fraction of logical space, then zero all
-        metrics; only device occupancy and wear survive into the run."""
+        metrics; only device occupancy survives into the run. The fill needs
+        an unwritten device and runs under the fallback policy, so it erases
+        nothing and the agent decides nothing."""
         if not (0.0 <= fraction <= 1.0):
             raise ConfigError("prefill fraction must be in [0, 1]")
         n = int(self.ssd.logical_capacity_pages * fraction)
         self.ftl.fill(range(n))
-        self.agent.pending.clear()
         self.reset_metrics()
         return n
 
     def reset_metrics(self) -> None:
         self.ftl.reset_counters()
-        self.requests = self.writes = self.reads = 0
+        self.requests = self.writes = 0
         self.total_latency_us = 0.0
         self._train_req_mark = 0
         self._train_lat_mark = 0.0
-        self._erase_baseline = self.ssd.erase_ops
+
+    @property
+    def reads(self) -> int:
+        return self.requests - self.writes
 
     @property
     def erases(self) -> int:
-        return self.ssd.erase_ops - self._erase_baseline
+        # prefill erases nothing, so every erase of the device is the run's
+        return self.ssd.erase_ops
 
 
 @dataclass
@@ -373,6 +375,10 @@ def run_sweep(records: list[TraceRecord], config: ConfigProfile,
     """
     if param not in SWEEP_EXTRA_PARAMS and not hasattr(config, param):
         raise ConfigError(f"unknown sweep parameter {param!r}")
+    for m in multipliers:
+        if not (m >= 0 and math.isfinite(m)):
+            raise ConfigError(
+                f"sweep multiplier {m!r} must be a finite number >= 0")
     rows = []
     base_report = None
     for m in multipliers:

@@ -131,11 +131,11 @@ class BlockState:
     """One erase block: mode, capacity and its append-only page array.
 
     `pages` holds only the programmed pages (an lpn or PAGE_INVALID), so
-    its length is the write pointer.
+    its length is the write pointer and `len(pages) - valid_count` its
+    invalid pages.
     """
 
-    __slots__ = ("mode", "pages", "page_count", "erase_count",
-                 "valid_count", "invalid_count")
+    __slots__ = ("mode", "pages", "page_count", "erase_count", "valid_count")
 
     def __init__(self, mode: Mode, pages_per_block: int):
         self.mode = mode
@@ -143,7 +143,6 @@ class BlockState:
         self.page_count = pages_per_block
         self.erase_count = 0
         self.valid_count = 0
-        self.invalid_count = 0
 
     @property
     def free_count(self) -> int:
@@ -214,7 +213,7 @@ class SsdState:
         block.valid_count += 1
         self.mapping[lpn] = (block_id, page_idx)
         self.device_pages_written += 1
-        if block.invalid_count and page_idx + 1 == block.page_count:
+        if block.valid_count <= page_idx and page_idx + 1 == block.page_count:
             self._index(block_id, block)
         return self.latency.write_us(block.mode)
 
@@ -241,7 +240,7 @@ class SsdState:
                                               range(start, end))))
         block.valid_count += len(lpns)
         self.device_pages_written += len(lpns)
-        if block.invalid_count and end == block.page_count:
+        if end == block.page_count and block.valid_count < end:
             self._index(block_id, block)
 
     def read_page(self, block_id: int, page_idx: int) -> float:
@@ -270,10 +269,10 @@ class SsdState:
                 f"invalidate of non-valid page {block_id}/{page_idx}")
         pages[page_idx] = PAGE_INVALID
         block.valid_count -= 1
-        block.invalid_count += 1
         del self.mapping[lpn]
         if block.is_full:
-            if block.invalid_count > 1:
+            # not its first invalid page: it is filed one valid page up
+            if len(pages) - block.valid_count > 1:
                 self._unindex(block_id, block, block.valid_count + 1)
             self._index(block_id, block)
 
@@ -285,14 +284,13 @@ class SsdState:
         pages = block.pages
         lpns = [lpn for lpn in pages if lpn >= 0]
         full = block.is_full
-        if full and block.invalid_count:
+        if full and block.valid_count < len(pages):
             self._unindex(block_id, block, block.valid_count)
         mapping = self.mapping
         for lpn in lpns:
             del mapping[lpn]
         block.pages = [PAGE_INVALID] * len(pages)
         block.valid_count = 0
-        block.invalid_count = len(pages)
         if full:
             self._index(block_id, block)
         return lpns
@@ -303,10 +301,9 @@ class SsdState:
         if block.valid_count != 0:
             raise PageStateError(
                 f"erase of block {block_id} with {block.valid_count} valid pages")
-        if block.invalid_count and block.is_full:
+        if block.is_full:       # with no valid page, every page is invalid
             self._unindex(block_id, block, 0)
         block.pages = []
-        block.invalid_count = 0
         block.erase_count += 1
         self.erase_ops += 1
         return self.latency.erase_us(block.mode)
@@ -318,7 +315,7 @@ class SsdState:
         so conversion itself charges no latency and no endurance.
         """
         block = self.blocks[block_id]
-        if not block.is_fully_free or block.invalid_count:
+        if not block.is_fully_free:
             raise PageStateError(
                 f"convert of non-empty block {block_id} (erase it first)")
         if block.mode is new_mode:
@@ -368,7 +365,7 @@ class SsdState:
                     f"past its {block.page_count}")
             valid = sum(1 for p in block.pages if p >= 0)
             invalid = block.pages.count(PAGE_INVALID)
-            if valid != block.valid_count or invalid != block.invalid_count:
+            if valid != block.valid_count:
                 raise AuditError(f"block {block_id}: counter drift")
             if valid + invalid != len(block.pages):
                 raise AuditError(
@@ -382,7 +379,7 @@ class SsdState:
                 raise AuditError(f"{mode.value} block tally drift")
         recount: dict[Mode, dict[int, set[int]]] = {SLC: {}, QLC: {}}
         for block_id, block in enumerate(self.blocks):
-            if block.invalid_count and block.is_full:
+            if block.is_full and block.valid_count < len(block.pages):
                 recount[block.mode].setdefault(
                     block.valid_count, set()).add(block_id)
         if recount != self.reclaimable:

@@ -14,9 +14,9 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
-from .config import (ConfigProfile, ParamSpec, parse_placement, parse_scalar,
+from .config import (ConfigProfile, ParamSpec, parse_scalar,
                      resolve_param_name, validate_profile)
 from .errors import BackendUnavailable, ConfigError, NoValidUpdate, ParseFailure
 
@@ -48,13 +48,15 @@ class TuningRecord:
     trigger: str                       # "scheduled" | "shift"
     verdict: Verdict
     reason: str
-    corrections: tuple[str, ...]
-    changed: dict                      # field -> (old, new), post-correction
     latency_before_us: float
-    latency_after_us: float | None
     wa_before: float
-    wa_after: float | None
-    improved_over_default: bool | None
+    # the corrections, the changes (field -> (old, new), post-correction)
+    # and the probe's outcome; the defaults spell an epoch that probed nothing
+    corrections: tuple[str, ...] = ()
+    changed: dict = field(default_factory=dict)
+    latency_after_us: float | None = None
+    wa_after: float | None = None
+    improved_over_default: bool | None = None
     raw_response: str | None = None
     prompt: str | None = None
     config_before: dict | None = None  # full profile snapshots, as_dict form
@@ -505,23 +507,14 @@ def correct_mistakes(candidates: dict, bounds: dict[str, ParamSpec],
         if spec is None:
             corrections.append(f"{name}: dropped (unknown parameter)")
             continue
+        try:
+            value = spec.convert(value)
+        except ConfigError as exc:
+            corrections.append(f"{name}: dropped ({exc})")
+            continue
         if spec.kind == "enum":
-            strategy = parse_placement(value)
-            if strategy is None:
-                corrections.append(f"{name}: dropped (not a strategy: {value!r})")
-                continue
-            accepted[name] = strategy
+            accepted[name] = value
             continue
-        if isinstance(value, bool) or isinstance(value, str):
-            corrections.append(f"{name}: dropped (not a number: {value!r})")
-            continue
-        if spec.kind == "int":
-            if isinstance(value, float):
-                if value != int(value):
-                    corrections.append(
-                        f"{name}: dropped (needs an integer: {value!r})")
-                    continue
-                value = int(value)
         clamped = min(max(value, spec.lo), spec.hi)
         if clamped != value:
             corrections.append(f"{name}: clamped {_fmt(value)} -> {_fmt(clamped)}")
@@ -537,6 +530,4 @@ def correct_mistakes(candidates: dict, bounds: dict[str, ParamSpec],
         raise NoValidUpdate(
             "no usable parameter in candidate set"
             if candidates else "empty candidate set", corrections)
-    profile = replace(current, **accepted)
-    validate_profile(profile, bounds)
-    return profile, corrections
+    return validate_profile(replace(current, **accepted), bounds), corrections

@@ -29,6 +29,10 @@ class PerfSnapshot:
     requests: int
 
 
+# the stand-in for a period that serviced no request
+EMPTY_PERIOD = PerfSnapshot(0.0, 1.0, 0)
+
+
 @dataclass(frozen=True)
 class Marker:
     """Counter snapshot delimiting a measurement span."""
@@ -52,7 +56,7 @@ class EpochSchedule:
         if self.investigation_ops > self.tuning_interval_writes:
             raise ConfigError(
                 "investigation period cannot exceed the tuning interval")
-        if self.degradation_threshold < 0:
+        if not self.degradation_threshold >= 0:     # NaN included
             raise ConfigError("degradation threshold must be >= 0")
         if self.max_epochs < 0:
             raise ConfigError("max_epochs must be >= 0")
@@ -121,7 +125,7 @@ class VerificationLoop:
         every history line left out, so a hopeless limit fails before the
         run starts. The check uses an empty last period; an epoch whose
         wider numbers still overflow the limit is rejected unsent."""
-        bundle = self._bundle(stack, PerfSnapshot(0.0, 1.0, 0), [])
+        bundle = self._bundle(stack, EMPTY_PERIOD, [])
         needed = estimate_tokens(history_free_prompt(bundle))
         if needed > self.max_tokens:
             raise ConfigError(
@@ -174,7 +178,7 @@ class VerificationLoop:
         try:
             prev = measure(stack, self.cycle_marker)
         except NoData:
-            prev = PerfSnapshot(0.0, 1.0, 0)
+            prev = EMPTY_PERIOD
         if self.baseline is None:
             self.baseline = prev
         prompt_text = segment_prompt(
@@ -204,11 +208,9 @@ class VerificationLoop:
             raw_response=raw, prompt=prompt_text,
             config_before=config_before)
         if failure is not None:
-            return record(
-                verdict=Verdict.REJECTED, reason=f"rejected: {failure}",
-                corrections=tuple(dropped), changed={},
-                latency_after_us=None, wa_after=None,
-                improved_over_default=None, config_after=None)
+            return record(verdict=Verdict.REJECTED,
+                          reason=f"rejected: {failure}",
+                          corrections=tuple(dropped))
         old_profile = stack.config
         changed = {name: (getattr(old_profile, name), getattr(new_profile, name))
                    for name in old_profile.as_dict()
@@ -223,8 +225,6 @@ class VerificationLoop:
                 verdict=Verdict.ROLLED_BACK,
                 reason="rolled back: no operations left to probe with",
                 corrections=tuple(corrections), changed=changed,
-                latency_after_us=None, wa_after=None,
-                improved_over_default=None,
                 config_after=new_profile.as_dict())
         probe = measure(stack, probe_marker)
         improved = probe.mean_latency_us < self.baseline.mean_latency_us

@@ -2,9 +2,11 @@ import dataclasses
 
 import pytest
 
-from hybridssd import (ConfigProfile, ConfigError, PlacementStrategy,
-                       TUNABLE_PARAMS, default_param_bounds, load_config_file,
-                       parse_scalar, resolve_param_name, validate_profile)
+from hybridssd import (ConfigProfile, ConfigError, NoValidUpdate,
+                       PlacementStrategy, TUNABLE_PARAMS, default_param_bounds,
+                       load_config_file, parse_scalar, resolve_param_name,
+                       validate_profile)
+from hybridssd.tuner import correct_mistakes
 
 
 class TestDefaults:
@@ -168,3 +170,85 @@ class TestConfigFile:
         p.write_text("just some words\n")
         with pytest.raises(ConfigError):
             load_config_file(p)
+
+
+# --- one legal type per tunable, whichever way a value arrives -------------
+
+HOT = PlacementStrategy.HOTNESS_BASED
+# raw value -> does it have the type of an int tunable, a float tunable and
+# the strategy? Each value lies inside both numeric ranges.
+_TYPE_TABLE = {
+    True: (False, False, False),
+    "fast": (False, False, False),
+    2.5: (False, True, False),
+    3.0: (True, True, False),
+    "hotness based": (False, False, True),
+    HOT: (False, False, True),
+}
+_TYPE_CASES = [
+    (name, raw, typed)
+    for raw, verdicts in _TYPE_TABLE.items()
+    for name, typed in zip(("gc_granularity", "rl_reward_threshold",
+                            "placement_strategy"), verdicts)]
+
+
+def _via_correction(name, raw):
+    try:
+        profile, _ = correct_mistakes({name: raw}, default_param_bounds(),
+                                      ConfigProfile())
+    except NoValidUpdate:
+        return None
+    return getattr(profile, name)
+
+
+def _via_file(tmp_path, name, raw):
+    # a file carries text: a strategy member as its value, anything else
+    # as str() spells it
+    p = tmp_path / "conf.txt"
+    p.write_text(f"{name} = {raw.value if raw is HOT else raw}\n")
+    try:
+        return getattr(load_config_file(p)[0], name)
+    except ConfigError:
+        return None
+
+
+def _via_profile(name, raw):
+    try:
+        profile = validate_profile(
+            dataclasses.replace(ConfigProfile(), **{name: raw}))
+    except ConfigError:
+        return None
+    return getattr(profile, name)
+
+
+@pytest.mark.parametrize("name, raw, typed", _TYPE_CASES)
+def test_entry_points_agree_on_the_tunable_type(tmp_path, name, raw, typed):
+    got = [_via_correction(name, raw), _via_file(tmp_path, name, raw),
+           _via_profile(name, raw)]
+    if not typed:
+        assert got == [None] * 3
+        return
+    expected = HOT if name == "placement_strategy" else raw
+    assert got == [expected] * 3
+    # an int tunable holds an int, however the value arrived
+    if name == "gc_granularity":
+        assert [type(v) for v in got] == [int] * 3
+
+
+@pytest.mark.parametrize("value, reason", [
+    (True, "not a number: True"),
+    ("fast", "not a number: 'fast'"),
+    (2.5, "needs an integer: 2.5"),
+    (float("inf"), "needs an integer: inf"),
+])
+def test_one_reason_text_for_a_wrong_type(tmp_path, value, reason):
+    bounds = default_param_bounds()
+    with pytest.raises(ConfigError, match=f"^{reason}$"):
+        bounds["gc_granularity"].convert(value)
+    with pytest.raises(NoValidUpdate) as exc:
+        correct_mistakes({"gc_granularity": value}, bounds, ConfigProfile())
+    assert exc.value.corrections == [f"gc_granularity: dropped ({reason})"]
+    with pytest.raises(ConfigError) as exc:
+        validate_profile(dataclasses.replace(ConfigProfile(),
+                                             gc_granularity=value))
+    assert str(exc.value) == f"gc_granularity: {reason}"

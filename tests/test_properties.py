@@ -90,7 +90,7 @@ def reference_victim(ftl, mode):
               if b is not None}
     keys = [(block.valid_count, block.erase_count, block_id)
             for block_id, block in enumerate(ftl.ssd.blocks)
-            if block.mode is mode and block.invalid_count
+            if block.mode is mode and len(block.pages) - block.valid_count
             and block_id not in active]
     return min(keys)[2] if keys else None
 
@@ -147,7 +147,8 @@ def check_free_pools(ftl):
             assert free_ids(ftl, mode, ch) == {
                 b for b, block in enumerate(ssd.blocks)
                 if block.mode is mode and ssd.geometry.channel_of(b) == ch
-                and block.is_fully_free and not block.invalid_count
+                and block.is_fully_free
+                and not len(block.pages) - block.valid_count
                 and b not in active}
         assert ftl.free_count[mode] == sum(len(p) for p in ftl.free[mode])
 
@@ -216,7 +217,8 @@ def device_state(ftl):
     ssd = ftl.ssd
     return {
         "blocks": [(b.mode, b.pages, b.page_count, b.erase_count,
-                    b.valid_count, b.invalid_count) for b in ssd.blocks],
+                    b.valid_count, len(b.pages) - b.valid_count)
+                   for b in ssd.blocks],
         "mapping": ssd.mapping, "block_tally": ssd.block_tally,
         "reclaimable": ssd.reclaimable,
         "device_pages_written": ssd.device_pages_written,

@@ -10,9 +10,9 @@ import pytest
 from hybridssd import cli
 from hybridssd.config import ConfigProfile
 from hybridssd.errors import ConfigError
-from hybridssd.replay import (RunReport, _scale_param, emit_report, replay,
-                              run_sweep)
-from hybridssd.ssd import desk_geometry
+from hybridssd.replay import (RunReport, SimulatorStack, _scale_param,
+                              emit_report, replay, run_sweep)
+from hybridssd.ssd import FlashGeometry, desk_geometry
 from hybridssd.trace import OpKind, TraceRecord, synth_trace
 from hybridssd.tuner import ScriptedBackend, estimate_tokens
 from hybridssd.verification import EpochSchedule
@@ -101,6 +101,22 @@ class TestSimulatorStack:
         assert stack.ftl.wa.host_pages_written == 0
         assert stack.ftl.wa.device_pages_written == 0
         assert stack.erases == 0
+
+    @pytest.mark.parametrize("split, config", [
+        (0.25, {}),     # the gc_steady benchmark workload's start
+        # both triggers at 50%: the fill converts blocks and crosses
+        # SAFETY_BOUND once
+        (1.0, dict(gc_trigger_threshold=50, conversion_trigger_threshold=50)),
+    ])
+    def test_prefill_erases_nothing_and_asks_the_agent_nothing(self, split,
+                                                              config):
+        geo = FlashGeometry(channels=8, blocks_per_channel=32,
+                            pages_per_block_slc=32)
+        stack = SimulatorStack(geo, ConfigProfile(**config),
+                               initial_mode_split=split)
+        stack.prefill(0.9)
+        assert stack.ssd.erase_ops == 0
+        assert stack.agent.decisions == 0 and not stack.agent.pending
 
     def test_prefill_fraction_validated(self):
         stack = make_stack()
@@ -599,6 +615,11 @@ class TestCli:
         ["--config", "{missing}"],
         ["--mode", "tuned", "--backend", "scripted:{missing}"],
         ["--mode", "sweep", "--sweep-multipliers", "1,abc"],
+        ["--mode", "sweep", "--sweep-multipliers", "1,nan"],
+        ["--mode", "sweep", "--sweep-multipliers", "1,inf"],
+        ["--mode", "sweep", "--sweep-multipliers", "1,-2"],
+        ["--mode", "tuned", "--backend", "scripted:{fixture}",
+         "--degradation-threshold", "nan"],
         ["--config", "{overflow}"],
         ["--report", "{missing}/r.json"],
         ["--mode", "tuned", "--backend", "scripted:{fixture}",

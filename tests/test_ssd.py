@@ -2,7 +2,7 @@ import pytest
 
 from hybridssd import (AuditError, FlashGeometry, GeometryError, LatencyModel,
                        Mode, PageStateError, SsdState, desk_geometry)
-from hybridssd.ssd import PAGE_FREE, PAGE_INVALID, initial_layout
+from hybridssd.ssd import PAGE_INVALID, initial_layout
 
 
 class TestGeometry:
@@ -118,21 +118,28 @@ class TestPageOps:
         desk_ssd.program_page(0, 0, lpn=9)
         desk_ssd.invalidate_page(0, 0)
         assert 9 not in desk_ssd.mapping
-        assert desk_ssd.blocks[0].pages[0] == PAGE_INVALID
-        assert desk_ssd.blocks[0].valid_count == 0
-        assert desk_ssd.blocks[0].invalid_count == 1
+        block = desk_ssd.blocks[0]
+        assert block.pages[0] == PAGE_INVALID
+        assert block.valid_count == 0
+        assert len(block.pages) - block.valid_count == 1
 
     def test_erase_requires_no_valid_pages(self, desk_ssd):
-        desk_ssd.program_page(0, 0, lpn=1)
+        b = desk_ssd.blocks[0]
+        desk_ssd.program_run(0, range(b.page_count))
         with pytest.raises(PageStateError):
             desk_ssd.erase_block(0)
-        desk_ssd.invalidate_page(0, 0)
+        desk_ssd.evacuate(0)
+        # full with no valid page: the cheapest GC victim until erased
+        assert desk_ssd.reclaimable[Mode.SLC] == {0: {0}}
         us = desk_ssd.erase_block(0)
         assert us == 3000.0
-        b = desk_ssd.blocks[0]
         assert len(b.pages) == 0
         assert b.erase_count == 1
-        assert all(p == PAGE_FREE for p in b.pages)
+        assert b.free_count == b.page_count
+        with pytest.raises(PageStateError):
+            desk_ssd.read_page(0, 0)
+        assert not any(0 in ids for buckets in desk_ssd.reclaimable.values()
+                       for ids in buckets.values())
 
     def test_device_write_counter(self, desk_ssd):
         desk_ssd.program_page(0, 0, lpn=1)
@@ -168,8 +175,9 @@ class TestProgramRun:
         for idx, lpn in enumerate(range(20, 52)):
             single.program_page(4, idx, lpn)
         for a, b in zip(bulk.blocks, single.blocks):
-            assert (a.pages, a.valid_count, a.invalid_count) == (
-                b.pages, b.valid_count, b.invalid_count)
+            assert (a.pages, a.valid_count,
+                    len(a.pages) - a.valid_count) == (
+                b.pages, b.valid_count, len(b.pages) - b.valid_count)
         assert bulk.mapping == single.mapping
         assert bulk.reclaimable == single.reclaimable == {
             Mode.SLC: {7: {0}}, Mode.QLC: {}}
@@ -226,8 +234,8 @@ class TestEvacuate:
             single.invalidate_page(0, idx)
         assert lpns == [written[idx] + 10 for idx in valid]
         a, b = bulk.blocks[0], single.blocks[0]
-        assert (a.pages, a.valid_count, a.invalid_count) == (
-            b.pages, b.valid_count, b.invalid_count)
+        assert (a.pages, a.valid_count, len(a.pages) - a.valid_count) == (
+            b.pages, b.valid_count, len(b.pages) - b.valid_count)
         assert bulk.mapping == single.mapping == {}
         assert bulk.reclaimable == single.reclaimable
         bulk.audit()
@@ -281,7 +289,7 @@ class TestReclaimableIndex:
     def recount(ssd):
         index = {Mode.SLC: {}, Mode.QLC: {}}
         for block_id, block in enumerate(ssd.blocks):
-            if block.is_full and block.invalid_count:
+            if block.is_full and len(block.pages) - block.valid_count:
                 index[block.mode].setdefault(block.valid_count,
                                              set()).add(block_id)
         return index
