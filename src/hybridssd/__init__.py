@@ -4,7 +4,7 @@ from .config import (ConfigProfile, PlacementStrategy, TUNABLE_PARAMS,
                      default_param_bounds, load_config_file, parse_scalar,
                      resolve_param_name, validate_profile)
 from .errors import (AuditError, BackendUnavailable, CapacityError,
-                     ConfigError, GeometryError, NoData, NoValidUpdate,
+                     ConfigError, GeometryError, NoValidUpdate,
                      PageStateError, ParseFailure, SimulatorError)
 from .ftl import ACTION_ORDER, SAFETY_BOUND, ActionKind, FtlEngine
 from .hotness import HotnessClassifier, classify, kmeans
@@ -24,9 +24,9 @@ __all__ = [
     "ACTION_ORDER", "AgentState", "ActionKind", "AuditError",
     "BackendUnavailable", "CapacityError", "ConfigError", "ConfigProfile",
     "EpochSchedule", "FlashGeometry", "FORMATS", "FtlEngine", "GeometryError",
-    "HotnessClassifier", "LatencyModel", "Mode", "NoData",
-    "NoValidUpdate", "OpKind", "PageStateError", "ParseFailure",
-    "PlacementStrategy", "QTable", "SAFETY_BOUND", "ScriptedBackend",
+    "HotnessClassifier", "LatencyModel", "Mode", "NoValidUpdate", "OpKind",
+    "PageStateError", "ParseFailure", "PlacementStrategy", "QTable",
+    "SAFETY_BOUND", "ScriptedBackend",
     "SimulatorError", "SimulatorStack", "SlidingWindow", "SpaceAgent",
     "SsdState", "TUNABLE_PARAMS", "classify",
     "default_param_bounds", "desk_geometry", "emit_report", "kmeans",

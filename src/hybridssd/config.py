@@ -125,14 +125,15 @@ class ParamSpec:
 
     def convert(self, value):
         """`value` as this tunable's type, else ConfigError with the reason:
-        a strategy member or name, or an int or float (never a bool), of
-        which an int tunable takes only integral values, as ints."""
+        a strategy member or name, or an int or float (never a bool or a
+        NaN), of which an int tunable takes only integral values, as ints."""
         if self.kind == "enum":
             strategy = parse_placement(value)
             if strategy is None:
                 raise ConfigError(f"not a strategy: {value!r}")
             return strategy
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or value != value):
             raise ConfigError(f"not a number: {value!r}")
         if self.kind == "int" and isinstance(value, float):
             if not value.is_integer():

@@ -47,7 +47,3 @@ class NoValidUpdate(SimulatorError):
 
 class BackendUnavailable(SimulatorError):
     """The tuning backend failed after all retries."""
-
-
-class NoData(SimulatorError):
-    """A metric or summary was requested before any samples existed."""

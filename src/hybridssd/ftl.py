@@ -352,19 +352,23 @@ class FtlEngine:
 
     # --- space management ---------------------------------------------------------
 
+    def _short_of_blocks(self, mode: Mode, percent: int) -> bool:
+        """Are fewer than `percent`% of `mode`'s blocks free? Never for a
+        mode with no blocks. The same answer as `free_fraction(mode) <
+        percent / 100`: distinct fractions f/b and p/100 differ by at least
+        1/(100 b), far more than rounding moves either, and equal ones
+        round to one float."""
+        return (self.free_count[mode] * 100
+                < percent * self.ssd.block_tally[mode])
+
     def _regions_below_threshold(self) -> bool:
-        th = self.config.gc_trigger_threshold / 100.0
-        for mode in (SLC, QLC):
-            if self.ssd.block_count(mode) == 0:
-                continue
-            if self.free_fraction(mode) < th:
-                return True
-        return False
+        percent = self.config.gc_trigger_threshold
+        return (self._short_of_blocks(SLC, percent)
+                or self._short_of_blocks(QLC, percent))
 
     def mc_eligible(self) -> bool:
-        if self.ssd.block_count(SLC) == 0:
-            return False
-        return self.free_fraction(SLC) < self.config.conversion_trigger_threshold / 100.0
+        return self._short_of_blocks(
+            SLC, self.config.conversion_trigger_threshold)
 
     def _fallback_action(self) -> ActionKind:
         # fixed greedy order keeps the engine usable without an agent; only

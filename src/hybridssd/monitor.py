@@ -11,7 +11,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ConfigError, NoData
+from .errors import ConfigError
 
 # bits of the integer square root: enough that one final rounding of the
 # round-to-odd root gives the correctly rounded float
@@ -82,18 +82,18 @@ class SlidingWindow:
             self.lpn_sum -= lpn
             self.lpn_sq_sum -= lpn * lpn
 
-    def summarize(self, std_dev_threshold: float) -> WorkloadSummary:
+    def summarize(self, std_dev_threshold: float) -> WorkloadSummary | None:
         """Write rate over the window's virtual time plus shift detection.
 
         A shift is a change of more than std_dev_threshold pages in the
         population std-dev of the window's LPNs since the previous summary;
         the first summary never shifts. The std-dev is the correctly rounded
         root of the exact variance (n*sum(x^2) - sum(x)^2) / n^2, bit for bit
-        what `statistics.pstdev` returns.
+        what `statistics.pstdev` returns. None for an empty window.
         """
         entries = self.entries
         if not entries:
-            raise NoData("workload window is empty")
+            return None
         n = len(entries)
         std = _sqrt_of_fraction(n * self.lpn_sq_sum - self.lpn_sum ** 2,
                                 n * n)

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 
 from .config import ConfigProfile, default_param_bounds
-from .errors import ConfigError, NoData
+from .errors import ConfigError
 from .ftl import ACTION_ORDER, ActionKind, FtlEngine, write_amplification
 from .hotness import KMEANS_TOL, HotnessClassifier
 from .monitor import SlidingWindow
@@ -54,11 +54,9 @@ class SimulatorStack:
         self.writes = 0
         self.total_latency_us = 0.0     # also the virtual clock
         self.last_summary = None
-        self.shift_pending = False
         self._hot_window: deque[int] = deque(maxlen=256)
         self._hot_count = 0             # sum of _hot_window
-        self._train_req_mark = 0
-        self._train_lat_mark = 0.0
+        self._train_mark = self.marker()    # start of the training period
 
     # --- agent wiring -----------------------------------------------------
 
@@ -85,23 +83,15 @@ class SimulatorStack:
         return agent.choose_action(state, self.config.rl_exploration)
 
     def _train_agent(self) -> None:
-        span = self.requests - self._train_req_mark
-        if span <= 0:
-            return
-        avg = (self.total_latency_us - self._train_lat_mark) / span
-        try:
-            summary = self.monitor.summarize(self.config.std_dev_threshold)
-        except NoData:
-            summary = None
+        # service calls this only once the period holds a request
+        period = measure(self, self._train_mark)
+        summary = self.monitor.summarize(self.config.std_dev_threshold)
         self.last_summary = summary
-        if summary is not None and summary.shift_detected:
-            self.shift_pending = True
         state = self.agent.observe_state(self.ftl.free_count,
                                          self.ssd.block_tally, summary,
                                          self.hot_write_fraction())
-        self.agent.train(avg, state, self.config)
-        self._train_req_mark = self.requests
-        self._train_lat_mark = self.total_latency_us
+        self.agent.train(period.mean_latency_us, state, self.config)
+        self._train_mark = self.marker()
 
     # --- request servicing --------------------------------------------------
 
@@ -131,7 +121,7 @@ class SimulatorStack:
                     self.classifier.record_write(lpn + i, now)
         self.monitor.push(spans[0][0], is_write, now)
         self.classifier.maybe_classify(self.config, now)
-        if (self.requests - self._train_req_mark
+        if (self.requests - self._train_mark.requests
                 >= self.config.rl_training_interval):
             self._train_agent()
         return us
@@ -147,7 +137,7 @@ class SimulatorStack:
                                     self.total_latency_us)
 
     def marker(self) -> Marker:
-        return Marker(requests=self.requests,
+        return Marker(requests=self.requests, writes=self.writes,
                       total_latency_us=self.total_latency_us,
                       host_pages=self.ftl.wa.host_pages_written,
                       device_pages=self.ftl.wa.device_pages_written)
@@ -182,8 +172,7 @@ class SimulatorStack:
         self.ftl.reset_counters()
         self.requests = self.writes = 0
         self.total_latency_us = 0.0
-        self._train_req_mark = 0
-        self._train_lat_mark = 0.0
+        self._train_mark = self.marker()
 
     @property
     def reads(self) -> int:
@@ -242,10 +231,7 @@ def _build_report(stack: SimulatorStack, mode: str, trace_ops: int,
     acc = None
     if loop is not None:
         epochs = [r.to_json_dict() for r in loop.history]
-        try:
-            acc = accuracy(loop.history)
-        except NoData:
-            acc = None
+        acc = accuracy(loop.history)
     normalized = None
     if baseline_total_us:
         normalized = stack.total_latency_us / baseline_total_us
@@ -332,9 +318,7 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
     # without a loop, one pump call replays the whole trace
     while pump(len(records) if loop is None else 1):
         if loop is not None:
-            pending_shift = stack.shift_pending
-            stack.shift_pending = False
-            trigger = loop.wants_epoch(stack, pending_shift)
+            trigger = loop.wants_epoch(stack)
             if trigger:
                 loop.run_epoch(stack, pump, trigger)
     return _build_report(stack, mode, len(records), skipped_lines, config,

@@ -1,19 +1,21 @@
 """Tuning epochs: measure, retune, probe, and roll back harmful changes.
 
-An epoch fires every tuning_interval host writes (or early on a detected
-workload shift, rate-limited to one per interval). It measures the period
-just ended, asks the backend for a new configuration, applies it, replays an
-investigation period under the new profile, and keeps the change only if the
-probe did not degrade mean latency beyond the threshold. The virtual clock
-never advances while the backend call is in flight.
+An epoch fires every tuning_interval host writes, or early when the
+monitor's shift count has grown since the loop's previous check (at most one
+shift epoch per interval; a shift seen while that limit holds is spent, not
+saved for later). It measures the period just ended, asks the backend for a
+new configuration, applies it, replays an investigation period under the new
+profile, and keeps the change only if the probe did not degrade mean latency
+beyond the threshold. The virtual clock never advances while the backend
+call is in flight.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
 
-from .config import ConfigProfile, default_param_bounds
-from .errors import BackendUnavailable, ConfigError, NoData, NoValidUpdate, ParseFailure
+from .config import default_param_bounds
+from .errors import BackendUnavailable, ConfigError, NoValidUpdate, ParseFailure
 from .ftl import write_amplification
 from .tuner import (TuningRecord, Verdict, build_prompt, correct_mistakes,
                     estimate_tokens, history_free_prompt, parse_config,
@@ -38,6 +40,7 @@ class Marker:
     """Counter snapshot delimiting a measurement span."""
 
     requests: int
+    writes: int
     total_latency_us: float
     host_pages: int
     device_pages: int
@@ -62,12 +65,13 @@ class EpochSchedule:
             raise ConfigError("max_epochs must be >= 0")
 
 
-def measure(stack, since: Marker) -> PerfSnapshot:
-    """Performance over everything serviced after `since`."""
+def measure(stack, since: Marker) -> PerfSnapshot | None:
+    """Performance over everything serviced after `since`; None if that
+    is nothing."""
     now = stack.marker()
     n = now.requests - since.requests
     if n <= 0:
-        raise NoData("no requests in measurement span")
+        return None
     wa = write_amplification(now.device_pages - since.device_pages,
                              now.host_pages - since.host_pages)
     return PerfSnapshot(
@@ -86,18 +90,19 @@ def should_rollback(prev: PerfSnapshot, probe: PerfSnapshot,
     return probe.mean_latency_us > prev.mean_latency_us * (1.0 + degradation_threshold)
 
 
-def accuracy(history: list[TuningRecord]) -> float:
+def accuracy(history: list[TuningRecord]) -> float | None:
     """Fraction of adjustments that actually improved on the default config.
 
     Numerator: accepted (incl. corrected) epochs that improved; denominator:
     every epoch where an adjustment took effect or was rolled back. Rejected
-    epochs changed nothing and are excluded entirely.
+    epochs changed nothing and are excluded entirely; None if no epoch is
+    left.
     """
     adjusted = [r for r in history
                 if r.verdict in (Verdict.ACCEPTED, Verdict.CORRECTED,
                                  Verdict.ROLLED_BACK)]
     if not adjusted:
-        raise NoData("no adjustments to grade")
+        return None
     good = sum(1 for r in adjusted
                if r.verdict in (Verdict.ACCEPTED, Verdict.CORRECTED)
                and r.improved_over_default)
@@ -116,9 +121,9 @@ class VerificationLoop:
         self.target_note = target_note
         self.history: list[TuningRecord] = []
         self.baseline: PerfSnapshot | None = None   # default-config reference
-        self.writes_at_cycle_start = 0
-        self.cycle_marker = Marker(0, 0.0, 0, 0)
+        self.cycle_marker = Marker(0, 0, 0.0, 0, 0)
         self.shift_epoch_this_interval = False
+        self.shifts_seen = 0        # the monitor's count at the last check
 
     def check_prompt_fits(self, stack) -> None:
         """Raise ConfigError unless `max_tokens` holds an epoch prompt with
@@ -144,14 +149,18 @@ class VerificationLoop:
 
     # --- scheduling -------------------------------------------------------------
 
-    def wants_epoch(self, stack, shift_pending: bool) -> str | None:
-        """Returns a trigger name if an epoch should start now."""
+    def wants_epoch(self, stack) -> str | None:
+        """Returns a trigger name if an epoch should start now. Every call
+        spends the shifts the monitor detected since the previous one."""
+        shifts = stack.monitor.shifts_detected
+        shifted = shifts > self.shifts_seen
+        self.shifts_seen = shifts
         if len(self.history) >= self.schedule.max_epochs:
             return None
-        writes_since = stack.writes - self.writes_at_cycle_start
+        writes_since = stack.writes - self.cycle_marker.writes
         if writes_since >= self.schedule.tuning_interval_writes:
             return "scheduled"
-        if shift_pending and not self.shift_epoch_this_interval:
+        if shifted and not self.shift_epoch_this_interval:
             return "shift"
         return None
 
@@ -166,19 +175,12 @@ class VerificationLoop:
         """
         record = self._run_epoch(stack, pump, trigger)
         self.history.append(record)
-        if trigger == "shift":
-            self.shift_epoch_this_interval = True
-        else:
-            self.shift_epoch_this_interval = False
-        self.writes_at_cycle_start = stack.writes
+        self.shift_epoch_this_interval = trigger == "shift"
         self.cycle_marker = stack.marker()
         return record
 
     def _run_epoch(self, stack, pump, trigger: str) -> TuningRecord:
-        try:
-            prev = measure(stack, self.cycle_marker)
-        except NoData:
-            prev = EMPTY_PERIOD
+        prev = measure(stack, self.cycle_marker) or EMPTY_PERIOD
         if self.baseline is None:
             self.baseline = prev
         prompt_text = segment_prompt(

@@ -252,3 +252,32 @@ def test_one_reason_text_for_a_wrong_type(tmp_path, value, reason):
         validate_profile(dataclasses.replace(ConfigProfile(),
                                              gc_granularity=value))
     assert str(exc.value) == f"gc_granularity: {reason}"
+
+
+@pytest.mark.parametrize("name", ["rl_learning_rate", "gc_granularity"])
+def test_nan_is_not_a_number(name):
+    nan = float("nan")
+    bounds = default_param_bounds()
+    with pytest.raises(ConfigError, match="^not a number: nan$"):
+        bounds[name].convert(nan)
+    with pytest.raises(NoValidUpdate) as exc:
+        correct_mistakes({name: nan}, bounds, ConfigProfile())
+    assert exc.value.corrections == [f"{name}: dropped (not a number: nan)"]
+    # beside a usable value it is dropped and the rest applies
+    profile, corrections = correct_mistakes(
+        {name: nan, "window_size": 1500}, bounds, ConfigProfile())
+    assert profile.window_size == 1500
+    assert getattr(profile, name) == getattr(ConfigProfile(), name)
+    assert corrections == [f"{name}: dropped (not a number: nan)"]
+    with pytest.raises(ConfigError, match=f"^{name}: not a number: nan$"):
+        validate_profile(dataclasses.replace(ConfigProfile(), **{name: nan}))
+
+
+@pytest.mark.parametrize("value, bound", [(float("inf"), 1.0),
+                                          (float("-inf"), 1e-06)])
+def test_an_infinite_float_is_clamped(value, bound):
+    profile, corrections = correct_mistakes(
+        {"rl_learning_rate": value}, default_param_bounds(), ConfigProfile())
+    assert profile.rl_learning_rate == bound
+    assert len(corrections) == 1
+    assert corrections[0].startswith("rl_learning_rate: clamped")

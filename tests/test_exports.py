@@ -1,5 +1,7 @@
-"""Every name the package exports resolves, so `import *` cannot break, and
-every entry point the benchmark tracer wraps still exists."""
+"""Every name the package exports resolves, so `import *` cannot break,
+every entry point the benchmark tracer wraps still exists, and no module
+imports a name it never uses."""
+import ast
 import importlib.util
 import os
 import subprocess
@@ -41,3 +43,22 @@ def test_cli_import_needs_no_third_party_library():
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.stdout.strip() == "[]"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export; a __future__ import is a directive
+    unused = []
+    for path in sorted((ROOT / "src" / "hybridssd").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported
+                   if name not in used]
+    assert unused == []

@@ -3,8 +3,9 @@ import dataclasses
 import pytest
 
 from hybridssd import (ACTION_ORDER, ActionKind, CapacityError, ConfigProfile,
-                       FtlEngine, LatencyModel, Mode, PlacementStrategy,
-                       SAFETY_BOUND, SsdState, desk_geometry)
+                       FlashGeometry, FtlEngine, LatencyModel, Mode,
+                       PlacementStrategy, SAFETY_BOUND, SsdState,
+                       desk_geometry)
 from hybridssd.ftl import GC_MODES, write_amplification
 from conftest import make_stack
 from oracles import (FlashOpLog, free_ids, recompute_request_latency,
@@ -403,6 +404,38 @@ class TestSpaceManagementLoop:
         with pytest.raises(CapacityError):
             for lpn in range(1, 7):
                 ftl.handle_write(lpn)
+
+
+class TestTrigger:
+    def test_integer_rule_matches_the_float_fraction(self):
+        # both sides rise with the free count, so where they agree around
+        # the percent's boundary they agree for every free count
+        ftl = make_ftl()
+        tally = SsdState(FlashGeometry(), LatencyModel()).block_tally
+        block_counts = [*range(1001), *tally.values(), sum(tally.values())]
+        mismatches = []
+        for blocks in block_counts:
+            ftl.ssd.block_tally[Mode.SLC] = blocks
+            for percent in range(101):
+                edge = percent * blocks // 100
+                for free in range(max(edge - 1, 0), min(edge + 2, blocks + 1)):
+                    ftl.free_count[Mode.SLC] = free
+                    as_float = blocks > 0 and free / blocks < percent / 100.0
+                    if ftl._short_of_blocks(Mode.SLC, percent) != as_float:
+                        mismatches.append((free, blocks, percent))
+        assert mismatches == []
+
+    def test_a_mode_with_no_blocks_is_never_short(self):
+        slc_only = make_ftl(split=1.0, gc_trigger_threshold=50)
+        assert slc_only.ssd.block_count(Mode.QLC) == 0
+        assert not slc_only._short_of_blocks(Mode.QLC, 100)
+        assert not slc_only._regions_below_threshold()
+        slc_only.free_count[Mode.SLC] = 1           # 1 of 4 blocks free
+        assert slc_only._regions_below_threshold()
+        qlc_only = make_ftl(split=0.0, conversion_trigger_threshold=50)
+        assert qlc_only.ssd.block_count(Mode.SLC) == 0
+        assert not qlc_only.mc_eligible()
+        assert not qlc_only._regions_below_threshold()
 
 
 class TestFreeCount:

@@ -30,6 +30,8 @@ DIGESTS = {
         "36ca28476d9659e2ec997d0cdc04ca4dcff18bfc0afacf66fe655e14b6529071",
     "tuned_reslice":
         "2f3b565a3262c94866c7d9a2f764b2445d103f71efc1b708005dbf1cd095ff1e",
+    "tuned_shift":
+        "4635a0c293225cb302dd1abb10bf4595dea790311c63a7a49b307013890b992b",
 }
 
 
@@ -108,6 +110,17 @@ def tuned_reslice():
                 backend=ScriptedBackend([RESLICE_REPLY]), schedule=schedule)
 
 
+def tuned_shift():
+    # a low std-dev threshold makes the monitor report shifts between
+    # scheduled epochs: some start shift epochs, others meet the
+    # one-per-interval limit
+    schedule = EpochSchedule(tuning_interval_writes=600,
+                             investigation_ops=100, max_epochs=6)
+    return _run(2000, seed=7, mode="tuned",
+                backend=ScriptedBackend.from_file(FIXTURE), schedule=schedule,
+                config_over={"std_dev_threshold": 5})
+
+
 SCENARIOS = {
     "fresh_default": fresh_default,
     "gc_agent_prefill": gc_agent_prefill,
@@ -115,6 +128,7 @@ SCENARIOS = {
     "slc_to_qlc_fractional": slc_to_qlc_fractional,
     "tuned_fixture": tuned_fixture,
     "tuned_reslice": tuned_reslice,
+    "tuned_shift": tuned_shift,
 }
 
 
@@ -159,6 +173,10 @@ def test_scenarios_reach_the_layers_they_pin(monkeypatch):
     tuned = tuned_fixture()
     assert tuned.epochs_run >= 1
     assert all(e["prompt"] for e in tuned.epochs)
+    shifted = tuned_shift()
+    shift_epochs = [e for e in shifted.epochs if e["trigger"] == "shift"]
+    assert shift_epochs
+    assert shifted.shifts_detected > len(shift_epochs)
     slice_sizes, hot_flags = [], []
     reconfigure = HotnessClassifier.reconfigure
     handle_write = FtlEngine.handle_write

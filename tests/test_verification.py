@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from hybridssd.config import ConfigProfile
-from hybridssd.errors import ConfigError, NoData
+from hybridssd.errors import ConfigError
 from hybridssd.trace import synth_trace
 from hybridssd.tuner import (ScriptedBackend, TuningRecord, Verdict,
                              build_prompt, estimate_tokens)
@@ -18,8 +18,8 @@ from conftest import make_stack
 PAGE = 16384
 
 
-def mk(requests=0, total_us=0.0, host=0, device=0):
-    return Marker(requests=requests, total_latency_us=total_us,
+def mk(requests=0, total_us=0.0, host=0, device=0, writes=0):
+    return Marker(requests=requests, writes=writes, total_latency_us=total_us,
                   host_pages=host, device_pages=device)
 
 
@@ -31,7 +31,6 @@ class ScriptedStack:
     def __init__(self, markers, config=None):
         self.markers = list(markers)
         self.config = config or ConfigProfile()
-        self.writes = 0
         self.applied = []
 
     def marker(self):
@@ -89,10 +88,9 @@ class TestMeasure:
         assert snap.mean_latency_us == pytest.approx(3000.0 / 20)
         assert snap.wa == pytest.approx(80 / 40)
 
-    def test_no_requests_raises(self):
+    def test_no_requests_is_none(self):
         m = mk(requests=5, total_us=100.0)
-        with pytest.raises(NoData):
-            measure(ScriptedStack([m]), m)
+        assert measure(ScriptedStack([m]), m) is None
 
     def test_read_only_span_has_neutral_wa(self):
         since = mk(requests=0)
@@ -155,10 +153,8 @@ class TestAccuracy:
         assert accuracy(history) == 0.5
 
     def test_all_rejected_is_no_data(self):
-        with pytest.raises(NoData):
-            accuracy([adj(0, Verdict.REJECTED, None)])
-        with pytest.raises(NoData):
-            accuracy([])
+        assert accuracy([adj(0, Verdict.REJECTED, None)]) is None
+        assert accuracy([]) is None
 
 
 # --- schedule validation -----------------------------------------------------------
@@ -185,47 +181,83 @@ class TestEpochSchedule:
 
 # --- scheduling -------------------------------------------------------------------
 
+def shift_stub(writes=0, shifts=0):
+    """The two counters `wants_epoch` reads off a stack."""
+    return SimpleNamespace(writes=writes,
+                           monitor=SimpleNamespace(shifts_detected=shifts))
+
+
 class TestWantsEpoch:
     def make_loop(self, **kw):
         sched = EpochSchedule(tuning_interval_writes=kw.pop("interval", 400),
                               investigation_ops=kw.pop("probe", 100),
                               max_epochs=kw.pop("max_epochs", 30))
-        return VerificationLoop(ScriptedBackend([GOOD_REPLY]), sched)
+        return VerificationLoop(ScriptedBackend([GOOD_REPLY] * 2), sched)
 
     def test_scheduled_at_write_interval(self):
         loop = self.make_loop(interval=400)
-        stub = SimpleNamespace(writes=399)
-        assert loop.wants_epoch(stub, False) is None
+        stub = shift_stub(writes=399)
+        assert loop.wants_epoch(stub) is None
         stub.writes = 400
-        assert loop.wants_epoch(stub, False) == "scheduled"
+        assert loop.wants_epoch(stub) == "scheduled"
 
     def test_interval_counts_from_cycle_start(self):
         loop = self.make_loop(interval=400)
-        loop.writes_at_cycle_start = 1000
-        stub = SimpleNamespace(writes=1399)
-        assert loop.wants_epoch(stub, False) is None
+        loop.cycle_marker = mk(writes=1000)
+        stub = shift_stub(writes=1399)
+        assert loop.wants_epoch(stub) is None
         stub.writes = 1400
-        assert loop.wants_epoch(stub, False) == "scheduled"
+        assert loop.wants_epoch(stub) == "scheduled"
 
     def test_shift_triggers_early(self):
         loop = self.make_loop(interval=400)
-        stub = SimpleNamespace(writes=10)
-        assert loop.wants_epoch(stub, True) == "shift"
+        assert loop.wants_epoch(shift_stub(writes=10, shifts=1)) == "shift"
 
     def test_shift_rate_limited_per_interval(self):
         loop = self.make_loop(interval=400)
         loop.shift_epoch_this_interval = True
-        stub = SimpleNamespace(writes=10)
-        assert loop.wants_epoch(stub, True) is None
+        stub = shift_stub(writes=10, shifts=1)
+        assert loop.wants_epoch(stub) is None
         # the scheduled trigger still fires regardless
         stub.writes = 400
-        assert loop.wants_epoch(stub, True) == "scheduled"
+        stub.monitor.shifts_detected = 2
+        assert loop.wants_epoch(stub) == "scheduled"
 
     def test_max_epochs_cap(self):
         loop = self.make_loop(max_epochs=2)
         loop.history = [None, None]     # two epochs already run
-        stub = SimpleNamespace(writes=10_000)
-        assert loop.wants_epoch(stub, True) is None
+        assert loop.wants_epoch(shift_stub(writes=10_000, shifts=1)) is None
+
+    def test_a_shift_fires_at_one_check_only(self):
+        loop = self.make_loop(interval=400)
+        stub = shift_stub(writes=10, shifts=1)
+        assert loop.wants_epoch(stub) == "shift"
+        # no epoch ran; the same count is no new shift
+        stub.writes = 11
+        assert loop.wants_epoch(stub) is None
+        stub.monitor.shifts_detected = 2
+        assert loop.wants_epoch(stub) == "shift"
+
+    def test_a_rate_limited_shift_is_spent(self):
+        loop = self.make_loop(interval=400)
+        markers = epoch_markers([(100.0, 90.0), (90.0, 85.0)])
+        # each epoch's last marker starts the next cycle
+        markers[3] = dataclasses.replace(markers[3], writes=10)
+        markers[7] = dataclasses.replace(markers[7], writes=410)
+        stack = ScriptedStack(markers)
+        stack.writes = 10
+        stack.monitor = SimpleNamespace(shifts_detected=1)
+        assert loop.wants_epoch(stack) == "shift"
+        loop.run_epoch(stack, lambda n: n, "shift")
+        # a shift under the one-per-interval limit starts nothing ...
+        stack.monitor.shifts_detected = 2
+        assert loop.wants_epoch(stack) is None
+        stack.writes = 410
+        assert loop.wants_epoch(stack) == "scheduled"
+        loop.run_epoch(stack, lambda n: n, "scheduled")
+        # ... and is not saved for the interval after the scheduled epoch
+        stack.writes = 411
+        assert loop.wants_epoch(stack) is None
 
 
 # --- the epoch, with scripted markers ---------------------------------------------
@@ -401,16 +433,17 @@ class TestRunEpoch:
         assert r2.latency_before_us == pytest.approx(95.0)
 
     def test_epoch_bookkeeping(self):
-        stack = ScriptedStack(scripted_markers(100.0, 90.0))
-        stack.writes = 450
+        markers = scripted_markers(100.0, 90.0)
+        markers[-1] = dataclasses.replace(markers[-1], writes=450)
+        stack = ScriptedStack(markers)
         loop = make_loop([GOOD_REPLY])
         rec = loop.run_epoch(stack, lambda n: n, "scheduled")
         assert rec.epoch == 1
         assert loop.history == [rec]
-        assert loop.writes_at_cycle_start == 450
-        # the next cycle measures from the end of this epoch's probe
+        # the next cycle measures, and counts its writes, from the end of
+        # this epoch's probe
         assert loop.cycle_marker == mk(requests=200, total_us=19000.0,
-                                       host=200, device=200)
+                                       host=200, device=200, writes=450)
 
     def test_shift_flag_set_and_cleared(self):
         markers = epoch_markers([(100.0, 90.0), (90.0, 85.0)])
