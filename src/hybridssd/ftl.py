@@ -80,6 +80,10 @@ class FtlEngine:
     one, the engine falls back to a fixed greedy order. An action source
     must not change device state: space management counts on an action
     with a zero outcome doing nothing until another action acts.
+    The agent's memo of its last observation is keyed on its own inputs,
+    so it stays correct without that contract; the contract is what makes
+    it pay off, since a round that follows a zero outcome observes an
+    unchanged device.
     """
 
     def __init__(self, ssd: SsdState, config: ConfigProfile,
@@ -388,6 +392,9 @@ class FtlEngine:
         # nothing, so until an action acts they stay zero and the stop test
         # below keeps the answer that let the loop run
         futile = set()
+        # a full device is a survival situation, not a policy decision:
+        # the forced path always uses the deterministic fallback
+        source = None if forced else self.action_source
         for _ in range(SAFETY_BOUND):
             if not futile:
                 if forced:
@@ -395,12 +402,8 @@ class FtlEngine:
                         break
                 elif not self._regions_below_threshold():
                     break
-            # a full device is a survival situation, not a policy decision:
-            # the forced path always uses the deterministic fallback
-            if forced or self.action_source is None:
-                kind = self._fallback_action()
-            else:
-                kind = self.action_source(self)
+            kind = (self._fallback_action() if source is None
+                    else source(self))
             self.action_counts[kind] += 1
             if kind is IDLE:
                 break

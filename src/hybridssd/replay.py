@@ -74,12 +74,10 @@ class SimulatorStack:
         self._hot_count += flag
 
     def _pick_action(self, ftl) -> ActionKind:
-        # once per agent decision: hot_write_fraction() spelled out inline
-        window = self._hot_window
         agent = self.agent
-        state = agent.observe_state(
-            ftl.free_count, self.ssd.block_tally, self.last_summary,
-            self._hot_count / len(window) if window else 0.0)
+        state = agent.observe_state(ftl.free_count, self.ssd.block_tally,
+                                    self.last_summary,
+                                    self.hot_write_fraction())
         return agent.choose_action(state, self.config.rl_exploration)
 
     def _train_agent(self) -> None:

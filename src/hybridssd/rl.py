@@ -24,6 +24,8 @@ N_QUARTILES = 4
 INTENSITY_SAMPLES = 256
 
 _LATER_ACTIONS = ACTION_ORDER[1:]
+# the bucket of a sample ranked exactly at the middle of its window
+_MID_BUCKET = int(0.5 * N_QUARTILES)
 
 
 class AgentState(NamedTuple):
@@ -118,6 +120,11 @@ class SpaceAgent:
         self._rank_value: float | None = None
         self._rank_below = 0
         self._rank_equal = 0
+        # the last observation: its inputs, the AgentState they gave and
+        # one (state, kind) pending pair per kind for that state
+        self._memo_key: tuple | None = None
+        self._memo_state: AgentState | None = None
+        self._memo_pairs: dict[ActionKind, tuple[AgentState, ActionKind]] = {}
         self.decisions = 0
         self.trainings = 0
 
@@ -128,7 +135,16 @@ class SpaceAgent:
         x = writes_per_second
         if x == self._rank_value:
             below, equal = self._rank_below, self._rank_equal
-            if len(samples) == INTENSITY_SAMPLES:
+            n = len(samples)
+            if equal == n:
+                # every sample equals x, so none lies below it: the rank is
+                # exactly one half at any length, and a full window evicts
+                # a copy of x
+                samples.append(x)
+                if n < INTENSITY_SAMPLES:
+                    self._rank_equal = n + 1
+                return _MID_BUCKET
+            if n == INTENSITY_SAMPLES:
                 evicted = samples[0]
                 if evicted < x:
                     below -= 1
@@ -155,10 +171,18 @@ class SpaceAgent:
         lie in [0, 1], so each bucket is `int(fraction * n)` capped at the
         top one. `workload_summary` is the monitor's latest summary or None
         before any window data exists.
+
+        The intensity sample is pushed on every call. When no input moved
+        since the last call, the last AgentState object itself comes back.
         """
         rate = (workload_summary.writes_per_virtual_second
                 if workload_summary is not None else 0.0)
+        intensity = self.intensity_bucket(rate)
         slc_blocks, qlc_blocks = block_tally[SLC], block_tally[QLC]
+        key = (free_count[SLC], free_count[QLC], slc_blocks, qlc_blocks,
+               hot_write_fraction, intensity)
+        if key == self._memo_key:
+            return self._memo_state
         top = N_FREE_BUCKETS - 1
         slc = (int(free_count[SLC] / slc_blocks * N_FREE_BUCKETS)
                if slc_blocks else 0)
@@ -171,17 +195,22 @@ class SpaceAgent:
         hot = int(hot_write_fraction * N_QUARTILES)
         if hot > N_QUARTILES - 1:
             hot = N_QUARTILES - 1
-        return _new_state(AgentState, (slc, qlc, self.intensity_bucket(rate),
-                                       hot))
+        state = _new_state(AgentState, (slc, qlc, intensity, hot))
+        self._memo_key, self._memo_state = key, state
+        self._memo_pairs = {kind: (state, kind) for kind in ACTION_ORDER}
+        return state
 
     # --- acting and learning -----------------------------------------------------
 
     def choose_action(self, state: AgentState, epsilon: float) -> ActionKind:
-        if self.rng.random() < epsilon:
-            kind = self.rng.choice(ACTION_ORDER)
+        rng = self.rng
+        if rng.random() < epsilon:
+            kind = rng.choice(ACTION_ORDER)
         else:
             kind = self.qtable.best_action(state)
-        self.pending.append((state, kind))
+        # decisions on the last observed state queue its shared pairs
+        self.pending.append(self._memo_pairs[kind]
+                            if state is self._memo_state else (state, kind))
         self.decisions += 1
         return kind
 

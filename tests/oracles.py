@@ -594,3 +594,62 @@ class FlatQTable:
     def to_json_dict(self):
         return {",".join(str(x) for x in state) + "|" + action.value: v
                 for (state, action), v in self.q.items()}
+
+
+class ReferenceAgent:
+    """The space-management agent recomputed on every call: each
+    observation rebuckets all inputs and ranks the write intensity by
+    rescanning the 256-sample window, each decision queues a fresh (state,
+    kind) pair. Q-values live in a FlatQTable over `actions`; `slc` and
+    `qlc` are the keys of the occupancy dicts."""
+
+    def __init__(self, rng, actions, slc, qlc):
+        self.rng = rng
+        self.actions = tuple(actions)
+        self.slc, self.qlc = slc, qlc
+        self.qtable = FlatQTable(self.actions)
+        self.pending = []
+        self.intensity_samples = []
+        self.decisions = 0
+        self.trainings = 0
+
+    def intensity_bucket(self, writes_per_second):
+        samples = self.intensity_samples
+        samples.append(writes_per_second)
+        del samples[:-256]
+        below = sum(1 for s in samples if s < writes_per_second)
+        equal = sum(1 for s in samples if s == writes_per_second)
+        return bucket_fraction((below + 0.5 * equal) / len(samples), 4)
+
+    def observe_state(self, free_count, block_tally, workload_summary,
+                      hot_write_fraction):
+        rate = (0.0 if workload_summary is None
+                else workload_summary.writes_per_virtual_second)
+        fractions = []
+        for mode in (self.slc, self.qlc):
+            blocks = block_tally[mode]
+            fractions.append(free_count[mode] / blocks if blocks else 0.0)
+        return (bucket_fraction(fractions[0], 10),
+                bucket_fraction(fractions[1], 10),
+                self.intensity_bucket(rate),
+                bucket_fraction(hot_write_fraction, 4))
+
+    def choose_action(self, state, epsilon):
+        if self.rng.random() < epsilon:
+            kind = self.rng.choice(self.actions)
+        else:
+            kind = self.qtable.best_action(state)
+        self.pending.append((state, kind))
+        self.decisions += 1
+        return kind
+
+    def train(self, avg_response_us, next_state, config):
+        if not self.pending:
+            return None
+        r = 1.0 if avg_response_us <= config.rl_reward_threshold else -1.0
+        for state, action in self.pending:
+            self.qtable.update(state, action, r, next_state,
+                               config.rl_learning_rate, config.rl_discount)
+        self.pending = []
+        self.trainings += 1
+        return r

@@ -4,7 +4,7 @@ import random
 import statistics
 from collections import deque
 from heapq import heappush
-from types import MethodType
+from types import MethodType, SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,8 +24,9 @@ from hybridssd.trace import OpKind, TraceRecord, page_span
 from hybridssd.tuner import correct_mistakes
 
 from conftest import make_stack
-from oracles import (FlatQTable, PagePayloads, ReferenceClassifier,
-                     bucket_fraction, free_ids, least_worn)
+from oracles import (FlatQTable, PagePayloads, ReferenceAgent,
+                     ReferenceClassifier, bucket_fraction, free_ids,
+                     least_worn)
 
 PAGE = 16384
 BOUNDS = default_param_bounds(PAGE)
@@ -677,6 +678,86 @@ def test_intensity_bucket_matches_a_window_rescan(rates):
 def test_intensity_bucket_over_runs_of_one_rate(runs):
     assert_ranks_match_a_window_rescan(
         [rate for rate, length in runs for _ in range(length)])
+
+
+# --- the agent against the recompute-every-call reference -----------------------------------
+
+# one step on the observed device or the agent: decisions on an unchanged
+# device, new free counts, new block tallies (free counts clamped to them),
+# a conversion of free SLC blocks to QLC, a new hot fraction, a new rate
+# (None: no summary yet) or a training tick
+agent_ops = st.one_of(
+    st.tuples(st.just("decide"), st.integers(min_value=1, max_value=300)),
+    st.tuples(st.just("free"), st.integers(min_value=0, max_value=40),
+              st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("tally"), st.integers(min_value=0, max_value=40),
+              st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("convert"), st.integers(min_value=1, max_value=40)),
+    st.tuples(st.just("hot"),
+              st.one_of(st.sampled_from([0.0, 0.249, 0.25, 0.5, 1.0]),
+                        st.floats(min_value=0.0, max_value=1.0))),
+    st.tuples(st.just("rate"),
+              st.one_of(st.none(), st.sampled_from([0.0, 1.5, 250.0]),
+                        st.floats(min_value=0.0, max_value=1e6))),
+    st.tuples(st.just("train"), st.floats(min_value=0.0, max_value=5000.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       epsilon=st.sampled_from([0.0, 0.1, 1.0]),
+       ops=st.lists(agent_ops, max_size=30))
+# samples below a repeated rate: its rank is above the middle
+@example(seed=0, epsilon=0.0, ops=[("rate", 1.5), ("decide", 5),
+                                   ("rate", 250.0), ("decide", 3)])
+# a new tally under unchanged free counts moves the free buckets
+@example(seed=0, epsilon=0.0, ops=[("decide", 2), ("tally", 40, 30),
+                                   ("decide", 2)])
+def test_agent_matches_the_recomputing_reference(seed, epsilon, ops):
+    agent = SpaceAgent(random.Random(seed))
+    ref = ReferenceAgent(random.Random(seed), ACTION_ORDER, Mode.SLC,
+                         Mode.QLC)
+    config = ConfigProfile()
+    free = {Mode.SLC: 3, Mode.QLC: 10}
+    tally = {Mode.SLC: 8, Mode.QLC: 24}
+    hot, summary = 0.0, None
+
+    def observe():
+        state = agent.observe_state(free, tally, summary, hot)
+        assert state == ref.observe_state(free, tally, summary, hot)
+        return state
+
+    for name, *args in ops:
+        if name == "decide":
+            for _ in range(args[0]):
+                state = observe()
+                assert (agent.choose_action(state, epsilon)
+                        is ref.choose_action(state, epsilon))
+        elif name in ("free", "tally"):
+            counts = free if name == "free" else tally
+            counts[Mode.SLC], counts[Mode.QLC] = args
+            for mode in free:
+                free[mode] = min(free[mode], tally[mode])
+        elif name == "convert":
+            k = min(args[0], free[Mode.SLC])
+            free[Mode.SLC] -= k
+            tally[Mode.SLC] -= k
+            free[Mode.QLC] += k
+            tally[Mode.QLC] += k
+        elif name == "hot":
+            hot = args[0]
+        elif name == "rate":
+            summary = (None if args[0] is None else
+                       SimpleNamespace(writes_per_virtual_second=args[0]))
+        else:
+            state = observe()
+            assert (agent.train(args[0], state, config)
+                    == ref.train(args[0], state, config))
+        assert agent.pending == ref.pending
+        assert list(agent.intensity_samples) == ref.intensity_samples
+        assert agent.decisions == ref.decisions
+        assert agent.trainings == ref.trainings
+        assert agent.rng.getstate() == ref.rng.getstate()
+        assert agent.qtable.to_json_dict() == ref.qtable.to_json_dict()
 
 
 # --- the Q-table against the flat (state, action) reference ---------------------------------

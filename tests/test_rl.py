@@ -6,6 +6,7 @@ import pytest
 
 from hybridssd import (ACTION_ORDER, ActionKind, AgentState, ConfigProfile,
                        Mode, QTable, SpaceAgent, reward)
+from conftest import make_stack
 from oracles import bucket_fraction, q_update
 
 S0 = AgentState(0, 0, 0, 0)
@@ -123,6 +124,36 @@ class TestAgent:
         assert agent.qtable.value(S0, ActionKind.SLC_INTERNAL_GC) == -1.0
         assert agent.qtable.value(S1, ActionKind.IDLE) == \
             q_update(9.9, 1.0, 0.0, -1.0, 0.0)
+
+    def test_unchanged_device_shares_one_state_and_one_pair(self):
+        # sharing is what keeps thousands of decisions on one device state
+        # from holding thousands of tuples until the next training tick
+        agent = SpaceAgent(random.Random(10))
+        free = {Mode.SLC: 3, Mode.QLC: 9}
+        tally = {Mode.SLC: 10, Mode.QLC: 30}
+        states = [agent.observe_state(free, tally, None, 0.5)
+                  for _ in range(3)]
+        assert states[0] is states[1] is states[2]
+        for state in states:
+            agent.choose_action(state, epsilon=0.0)
+        first = agent.pending[0]
+        assert all(pair is first for pair in agent.pending)
+        # a moved input gives a new state with pairs of its own
+        free[Mode.SLC] = 2
+        moved = agent.observe_state(free, tally, None, 0.5)
+        assert moved is not states[0]
+        agent.choose_action(moved, epsilon=0.0)
+        assert agent.pending[-1] == (moved, first[1])
+        assert agent.pending[-1] is not first
+
+    def test_stack_decisions_on_an_unchanged_device_share_pairs(self):
+        stack = make_stack()
+        kinds = [stack._pick_action(stack.ftl) for _ in range(4)]
+        pending = stack.agent.pending
+        assert len(pending) == 4
+        for kind, pair in zip(kinds, pending):
+            assert pair[0] is pending[0][0]
+            assert pair is next(p for p in pending if p[1] is kind)
 
     def test_train_without_decisions_is_none(self):
         agent = SpaceAgent(random.Random(5))
