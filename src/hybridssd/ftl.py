@@ -84,10 +84,16 @@ class FtlEngine:
     so it stays correct without that contract; the contract is what makes
     it pay off, since a round that follows a zero outcome observes an
     unchanged device.
+
+    An engine is built on an unwritten device: it pools every block as
+    free, honouring the modes and erase counts the blocks already have.
     """
 
     def __init__(self, ssd: SsdState, config: ConfigProfile,
                  action_source=None):
+        if ssd.device_pages_written:
+            raise ValueError("an FtlEngine needs a device with no page "
+                             "written")
         self.ssd = ssd
         self.config = config
         self.action_source = action_source
@@ -104,10 +110,12 @@ class FtlEngine:
         self.free: dict[Mode, list[list[int]]] = {
             SLC: [[] for _ in range(channels)],
             QLC: [[] for _ in range(channels)]}
-        channel_of = ssd.geometry.channel_of
+        # `channel_of` inline; an unworn block's key is its id, so only
+        # worn ones pay for the `_wear_key` call
+        wear_key = self._wear_key
         for block_id, block in enumerate(ssd.blocks):
-            self.free[block.mode][channel_of(block_id)].append(
-                self._wear_key(block_id))
+            self.free[block.mode][block_id % channels].append(
+                wear_key(block_id) if block.erase_count else block_id)
         for pools in self.free.values():
             for pool in pools:
                 heapify(pool)
@@ -160,7 +168,8 @@ class FtlEngine:
         """Least worn first, then lowest id, as one int that orders like
         (erase_count, block_id) and decodes by `% len(blocks)`: the free
         pools heap it and victim ties break on it. An int, not a tuple, so
-        a pooled block costs one int."""
+        a pooled block costs one int. A block never erased keys on its id,
+        which the engine's pool build relies on."""
         blocks = self.ssd.blocks
         return blocks[block_id].erase_count * len(blocks) + block_id
 

@@ -170,13 +170,14 @@ class SsdState:
         self.latency = latency
         n_slc, self.logical_capacity_pages = initial_layout(
             geometry, initial_mode_split)
-        modes = [SLC if i < n_slc else QLC
-                 for i in range(geometry.total_blocks)]
-        self.blocks = [BlockState(m, geometry.pages_per_block(m))
-                       for m in modes]
         # blocks per mode; only convert_block_mode changes a block's mode
         self.block_tally = {SLC: n_slc,
                             QLC: geometry.total_blocks - n_slc}
+        # ids [0, n_slc) start in SLC, the rest in QLC: one run per mode
+        self.blocks: list[BlockState] = []
+        for mode, count in self.block_tally.items():
+            self.blocks += map(BlockState, repeat(mode, count),
+                               repeat(geometry.pages_per_block(mode), count))
         # GC candidates per mode: valid_count -> ids of the full blocks that
         # hold >=1 invalid page; empty buckets are dropped
         self.reclaimable: dict[Mode, dict[int, set[int]]] = {

@@ -653,3 +653,93 @@ class ReferenceAgent:
         self.pending = []
         self.trainings += 1
         return r
+
+
+class PerBlockDevice:
+    """A fresh device and an engine's free pools built one block at a time,
+    with a geometry method call per block: the ids below the rounded SLC
+    share start in `slc`, the rest in `qlc`. Blocks are [mode, page_count,
+    erase_count] lists that `wear` and `convert` change before the pools
+    are built, as tests do to a device before an engine pools it."""
+
+    def __init__(self, geometry, split, slc, qlc):
+        self.geometry = geometry
+        total = geometry.total_blocks
+        n_slc = int(split * total + 0.5)
+        self.blocks = []
+        for block_id in range(total):
+            mode = slc if block_id < n_slc else qlc
+            self.blocks.append([mode, geometry.pages_per_block(mode), 0])
+        self.block_tally = {slc: n_slc, qlc: total - n_slc}
+
+    def fields(self):
+        """(mode, pages, page_count, erase_count, valid_count) per block."""
+        return [(mode, [], page_count, erases, 0)
+                for mode, page_count, erases in self.blocks]
+
+    def wear(self, block_id, erases):
+        self.blocks[block_id][2] = erases
+
+    def convert(self, block_id, mode):
+        block = self.blocks[block_id]
+        if block[0] is not mode:
+            self.block_tally[block[0]] -= 1
+            self.block_tally[mode] += 1
+            block[0] = mode
+            block[1] = self.geometry.pages_per_block(mode)
+
+    def free_pools(self, wear_key):
+        """Every block in its mode's pool on its channel, keyed by
+        `wear_key(block_id)`; each pool sorted."""
+        pools = {mode: [[] for _ in range(self.geometry.channels)]
+                 for mode in self.block_tally}
+        for block_id, (mode, _, _) in enumerate(self.blocks):
+            pools[mode][self.geometry.channel_of(block_id)].append(
+                wear_key(block_id))
+        return {mode: [sorted(pool) for pool in by_channel]
+                for mode, by_channel in pools.items()}
+
+
+def reference_parse_line(spec, line, read, write):
+    """One trace line as (timestamp in us, (op, offset, size)), or None:
+    the column count recomputed from the spec's columns on every line."""
+    parts = (line.split(spec.delimiter) if spec.delimiter
+             else line.split())
+    needed = max(spec.ts_col, spec.op_col, spec.offset_col, spec.size_col)
+    if len(parts) <= needed:
+        return None
+    try:
+        ts = float(parts[spec.ts_col]) * spec.ts_scale_us
+        offset = int(float(parts[spec.offset_col])) * spec.offset_scale
+        size = int(float(parts[spec.size_col])) * spec.size_scale
+    except (ValueError, OverflowError):
+        return None
+    op_text = parts[spec.op_col].strip().lower()
+    if op_text in spec.read_values:
+        op = read
+    elif op_text in spec.write_values:
+        op = write
+    else:
+        return None
+    if not math.isfinite(ts) or ts < 0 or offset < 0 or size <= 0:
+        return None
+    return ts, (op, offset, size)
+
+
+def reference_load_trace(path, spec, read, write):
+    """(records in timestamp order, file order among ties; skipped count),
+    parsing line by line: blank lines and `#` comments are no records and
+    no skips."""
+    timed, skipped = [], 0
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parsed = reference_parse_line(spec, line, read, write)
+            if parsed is None:
+                skipped += 1
+            else:
+                timed.append(parsed)
+    timed.sort(key=lambda pair: pair[0])
+    return [record for _, record in timed], skipped

@@ -454,6 +454,19 @@ class TestFreeCount:
         assert ftl.ssd.block_count(Mode.SLC) < 16      # conversions ran
         assert stack.ssd.erase_ops > 0
 
+    def test_an_engine_refuses_a_written_device(self):
+        # every block of a written device is fully free again and no lpn is
+        # mapped, but it was written, so a new engine refuses it all the same
+        ftl = make_ftl(blocks=2, ppb=4)
+        for lpn in range(4):
+            ftl.handle_write(lpn)
+        ftl.ssd.evacuate(0)
+        ftl.ssd.erase_block(0)
+        assert not ftl.ssd.mapping
+        assert all(block.is_fully_free for block in ftl.ssd.blocks)
+        with pytest.raises(ValueError, match="no page written"):
+            FtlEngine(ftl.ssd, ConfigProfile())
+
 
 class TestFill:
     @pytest.mark.parametrize("split, config, conversions, warnings", [

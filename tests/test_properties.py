@@ -2,8 +2,10 @@
 import math
 import random
 import statistics
+import tempfile
 from collections import deque
 from heapq import heappush
+from pathlib import Path
 from types import MethodType, SimpleNamespace
 
 import pytest
@@ -20,13 +22,14 @@ from hybridssd.monitor import SlidingWindow
 from hybridssd.rl import (INTENSITY_SAMPLES, N_QUARTILES, AgentState, QTable,
                           SpaceAgent, reward)
 from hybridssd.ssd import LatencyModel, Mode, SsdState, desk_geometry
-from hybridssd.trace import OpKind, TraceRecord, page_span
+from hybridssd.trace import (FORMATS, OpKind, TraceRecord, load_trace,
+                             page_span)
 from hybridssd.tuner import correct_mistakes
 
 from conftest import make_stack
-from oracles import (FlatQTable, PagePayloads, ReferenceAgent,
+from oracles import (FlatQTable, PagePayloads, PerBlockDevice, ReferenceAgent,
                      ReferenceClassifier, bucket_fraction, free_ids,
-                     least_worn)
+                     least_worn, reference_load_trace)
 
 PAGE = 16384
 BOUNDS = default_param_bounds(PAGE)
@@ -208,6 +211,60 @@ def test_free_pools_pick_what_a_set_scan_picks(ops, wear, fraction,
         else:
             ftl.execute_action(op[1])
         check_free_pools(ftl)
+    ssd.audit()
+
+
+# --- bulk device build ---------------------------------------------------------------
+
+def is_heap(pool):
+    return all(pool[(i - 1) // 2] <= pool[i] for i in range(1, len(pool)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(channels=st.integers(min_value=1, max_value=4),
+       blocks=st.integers(min_value=1, max_value=12),
+       ppb=st.integers(min_value=1, max_value=8),
+       split=st.one_of(st.sampled_from([0.0, 1.0]),
+                       st.floats(min_value=0.0, max_value=1.0)),
+       wear=st.lists(st.integers(min_value=0, max_value=5), max_size=48),
+       conversions=st.lists(st.tuples(st.integers(min_value=0,
+                                                  max_value=47),
+                                      st.sampled_from(list(Mode))),
+                            max_size=12))
+# worn SLC and QLC blocks on both channels, one block converted each way
+@example(channels=2, blocks=3, ppb=2, split=0.5, wear=[3, 0, 2, 0, 1, 1],
+         conversions=[(4, Mode.SLC), (1, Mode.QLC)])
+def test_bulk_build_matches_the_per_block_build(channels, blocks, ppb, split,
+                                                wear, conversions):
+    geo = desk_geometry(channels=channels, blocks_per_channel=blocks,
+                        pages_per_block_slc=ppb)
+    ssd = SsdState(geo, LatencyModel(), split)
+    oracle = PerBlockDevice(geo, split, Mode.SLC, Mode.QLC)
+
+    def block_fields():
+        return [(b.mode, b.pages, b.page_count, b.erase_count, b.valid_count)
+                for b in ssd.blocks]
+
+    assert block_fields() == oracle.fields()
+    assert ssd.block_tally == oracle.block_tally
+    # wear and modes set before the engine pools the blocks; blocks past
+    # the end of `wear` stay unworn
+    for block_id, erases in zip(range(geo.total_blocks), wear):
+        ssd.blocks[block_id].erase_count = erases
+        oracle.wear(block_id, erases)
+    for block_id, mode in conversions:
+        block_id %= geo.total_blocks
+        ssd.convert_block_mode(block_id, mode)
+        oracle.convert(block_id, mode)
+    assert block_fields() == oracle.fields()
+    assert ssd.block_tally == oracle.block_tally
+    ftl = FtlEngine(ssd, ConfigProfile())
+    pools = {mode: [sorted(pool) for pool in by_channel]
+             for mode, by_channel in ftl.free.items()}
+    assert pools == oracle.free_pools(ftl._wear_key)
+    assert all(is_heap(pool) for by_channel in ftl.free.values()
+               for pool in by_channel)
+    assert ftl.free_count == oracle.block_tally
     ssd.audit()
 
 
@@ -535,6 +592,63 @@ def test_page_span_covers_exactly_the_addressed_pages(offset, size, logical):
     if len(spans) == 2:                # a wrap splits at the boundary
         assert spans[0][0] + spans[0][1] == logical
         assert spans[1][0] == 0
+
+
+# --- trace ingest ----------------------------------------------------------------------
+
+# per column read: tokens that parse, then tokens that make the line malformed
+# (non-finite, overflowing, negative, zero-sized, not a number, unknown op)
+TIMESTAMPS = ["0", "5", "5", "7", "1.5", "100"]        # repeats make ties
+OPS = ["Read", "write", "R", " w ", "READ", "W"]
+NUMBERS = ["0", "1", "512", "4096", "16384.0", "7e3"]
+BAD = ["nan", "inf", "-inf", "1e999", "-5", "0", "x", "Scrub", "", "-0.5"]
+SPECIAL_LINES = ["", "   ", "# a comment", "#", "garbage line", "1,2"]
+
+
+@st.composite
+def trace_lines(draw, fmt):
+    spec = FORMATS[fmt]
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return draw(st.sampled_from(SPECIAL_LINES))
+    cols = ["0"] * (max(spec.ts_col, spec.op_col, spec.offset_col,
+                        spec.size_col) + 2)
+    cols[spec.ts_col] = draw(st.sampled_from(TIMESTAMPS))
+    cols[spec.op_col] = draw(st.sampled_from(OPS))
+    cols[spec.offset_col] = draw(st.sampled_from(NUMBERS))
+    cols[spec.size_col] = draw(st.sampled_from(NUMBERS[1:]))
+    if draw(st.booleans()):
+        col = draw(st.sampled_from([spec.ts_col, spec.op_col,
+                                    spec.offset_col, spec.size_col]))
+        cols[col] = draw(st.sampled_from(BAD))
+    cols = cols[:draw(st.integers(min_value=len(cols) - 3,
+                                  max_value=len(cols)))]
+    return (spec.delimiter or " ").join(cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(FORMATS)).flatmap(
+    lambda fmt: st.tuples(st.just(fmt),
+                          st.lists(trace_lines(fmt), max_size=40))))
+# a comment, a blank line, ties on 5 and 7, missing columns, an unknown op,
+# a negative offset, non-finite numbers and an overflowing one
+@example(case=("msr", ["# header", "7,hm,0,Write,0,512,1", "",
+                       "5,hm,0,Read,512,512,1", "7,hm,0,Read,1024,512,1",
+                       "5,hm,0,Write,1536,4096,1", "5,hm,0,Write,0",
+                       "5,hm,0,Scrub,0,512,1", "5,hm,0,Read,-5,512,1",
+                       "nan,hm,0,Read,0,512,1", "inf,hm,0,Read,0,512,1",
+                       "1,hm,0,Read,1e999,512,1", "1,hm,0,Read,0,inf,1"]))
+def test_load_trace_matches_the_per_line_parser(case):
+    fmt, lines = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"trace.{fmt}"
+        path.write_text("".join(line + "\n" for line in lines),
+                        encoding="utf-8")
+        records, skipped = load_trace(path, fmt)
+        expected, expected_skipped = reference_load_trace(
+            path, FORMATS[fmt], OpKind.READ, OpKind.WRITE)
+    assert all(type(record) is TraceRecord for record in records)
+    assert [(r.op, r.offset, r.size) for r in records] == expected
+    assert skipped == expected_skipped
 
 
 # --- scalar parsing --------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hybridssd import FORMATS, OpKind, load_trace, page_span, synth_trace
@@ -54,6 +56,18 @@ class TestOltpFormat:
         ts, r = parse_trace_line(FORMATS["oltp"], self.LINE)
         assert r == TraceRecord(OpKind.WRITE, 12345 * 512, 8192)
         assert ts == pytest.approx(1.75 * 1e6)
+
+
+class TestTraceRecord:
+    def test_equal_by_value_hashable_and_immutable(self):
+        a = TraceRecord(OpKind.READ, 512, 4096)
+        b = TraceRecord(op=OpKind.READ, offset=512, size=4096)
+        assert a == b and hash(a) == hash(b)
+        assert a != TraceRecord(OpKind.READ, 512, 8192)
+        assert (a.op, a.offset, a.size) == (OpKind.READ, 512, 4096)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.size = 1
+        assert a.size == 4096
 
 
 class TestLoadTrace:
