@@ -10,6 +10,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress, repeat
+from operator import is_, not_
 
 from .config import ConfigProfile, PlacementStrategy
 from .errors import CapacityError
@@ -106,16 +108,19 @@ class FtlEngine:
         # free pools: per mode per channel, a heap of the `_wear_key` of
         # each fully-free block. A key never goes stale: erase counts change
         # only in `erase_block`, which runs on GC victims, never on a pooled
-        # block, so the key computed on push still holds on pop
-        self.free: dict[Mode, list[list[int]]] = {
-            SLC: [[] for _ in range(channels)],
-            QLC: [[] for _ in range(channels)]}
-        # `channel_of` inline; an unworn block's key is its id, so only
-        # worn ones pay for the `_wear_key` call
-        wear_key = self._wear_key
-        for block_id, block in enumerate(ssd.blocks):
-            self.free[block.mode][block_id % channels].append(
-                wear_key(block_id) if block.erase_count else block_id)
+        # block, so the key computed on push still holds on pop.
+        # Channel ch holds ids ch, ch + channels, ...: slice [ch::channels]
+        # of the per-block lists. An unworn block's key is its id, so the
+        # pools of an unworn device come out sorted, heaps already
+        n_blocks = len(ssd.mode)
+        keys = (range(n_blocks) if not any(ssd.erase_count)
+                else list(map(self._wear_key, range(n_blocks))))
+        slc = list(map(is_, ssd.mode, repeat(SLC)))
+        self.free: dict[Mode, list[list[int]]] = {SLC: [], QLC: []}
+        for ch in range(channels):
+            ch_keys, ch_slc = keys[ch::channels], slc[ch::channels]
+            self.free[SLC].append(list(compress(ch_keys, ch_slc)))
+            self.free[QLC].append(list(compress(ch_keys, map(not_, ch_slc))))
         for pools in self.free.values():
             for pool in pools:
                 heapify(pool)
@@ -148,7 +153,7 @@ class FtlEngine:
         pages = self.free_block_count(mode) * self.ssd.geometry.pages_per_block(mode)
         for block_id in self.active[mode]:
             if block_id is not None:
-                pages += self.ssd.blocks[block_id].free_count
+                pages += self.ssd.free_pages(block_id)
         return pages
 
     def _has_space(self, mode: Mode) -> bool:
@@ -166,17 +171,17 @@ class FtlEngine:
 
     def _wear_key(self, block_id: int) -> int:
         """Least worn first, then lowest id, as one int that orders like
-        (erase_count, block_id) and decodes by `% len(blocks)`: the free
+        (erase_count, block_id) and decodes by `% total_blocks`: the free
         pools heap it and victim ties break on it. An int, not a tuple, so
         a pooled block costs one int. A block never erased keys on its id,
         which the engine's pool build relies on."""
-        blocks = self.ssd.blocks
-        return blocks[block_id].erase_count * len(blocks) + block_id
+        erase_count = self.ssd.erase_count
+        return erase_count[block_id] * len(erase_count) + block_id
 
     def _pop_free(self, mode: Mode, channel: int) -> int:
         """Take the least worn block of a non-empty free pool."""
         self.free_count[mode] -= 1
-        return heappop(self.free[mode][channel]) % len(self.ssd.blocks)
+        return heappop(self.free[mode][channel]) % len(self.ssd.mode)
 
     def _allocate_page(self, mode: Mode) -> tuple[int, int] | None:
         """Next append slot in `mode`, rotating the channel cursor."""
@@ -190,7 +195,7 @@ class FtlEngine:
                 block_id = active[ch] = self._pop_free(mode, ch)
             if block_id is not None:
                 self.stripe_cursor[mode] = (ch + 1) % channels
-                return block_id, len(self.ssd.blocks[block_id].pages)
+                return block_id, len(self.ssd.pages[block_id])
         return None
 
     def _placement_region(self, mode: Mode) -> Mode | None:
@@ -207,12 +212,14 @@ class FtlEngine:
 
     def _program(self, placed: tuple[int, int], lpn: int) -> tuple[float, int]:
         block_id, page_idx = placed
-        us = self.ssd.program_page(block_id, page_idx, lpn)
+        ssd = self.ssd
+        us = ssd.program_page(block_id, page_idx, lpn)
         self.wa.device_pages_written += 1
-        block = self.ssd.blocks[block_id]
-        ch = self.ssd.geometry.channel_of(block_id)
-        if block.is_full and self.active[block.mode][ch] == block_id:
-            self.active[block.mode][ch] = None
+        ch = ssd.geometry.channel_of(block_id)
+        if ssd.is_full(block_id):
+            active = self.active[ssd.mode[block_id]]
+            if active[ch] == block_id:
+                active[ch] = None
         return us, ch
 
     def _preferred_mode(self, hot: bool | None) -> Mode:
@@ -307,7 +314,6 @@ class FtlEngine:
         there instead.
         """
         ssd = self.ssd
-        blocks = ssd.blocks
         channels = ssd.geometry.channels
         active = self.active[mode]
         pools = self.free[mode]
@@ -331,13 +337,12 @@ class FtlEngine:
             if not targets:
                 break
             # full stripes until the first target block fills
-            rounds = 1 if popping else min(blocks[b].free_count
-                                           for b in targets)
+            rounds = 1 if popping else min(map(ssd.free_pages, targets))
             stride = len(targets)
             n = min(rounds * stride, total - done)
             for j, block_id in enumerate(targets[:n]):
                 ssd.program_run(block_id, lpns[done + j:done + n:stride])
-                if blocks[block_id].is_full:
+                if ssd.is_full(block_id):
                     active[ssd.geometry.channel_of(block_id)] = None
             last = ssd.geometry.channel_of(targets[(n - 1) % stride])
             self.stripe_cursor[mode] = (last + 1) % channels
@@ -447,7 +452,7 @@ class FtlEngine:
     def _gc_victim(self, src: Mode, dst: Mode) -> int | None:
         """`select_victim(src)` if its valid pages fit in `dst`, else None."""
         victim = self.select_victim(src)
-        if (victim is None or self.ssd.blocks[victim].valid_count
+        if (victim is None or self.ssd.valid_count[victim]
                 > self._free_pages(dst)):
             return None
         return victim
@@ -496,7 +501,7 @@ class FtlEngine:
         key = min((pool[0] for pool in self.free[SLC] if pool), default=None)
         if key is None:
             return False
-        block_id = key % len(self.ssd.blocks)
+        block_id = key % len(self.ssd.mode)
         ch = self.ssd.geometry.channel_of(block_id)
         heappop(self.free[SLC][ch])
         self.ssd.convert_block_mode(block_id, QLC)

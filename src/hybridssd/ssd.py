@@ -127,41 +127,21 @@ def initial_layout(geometry: FlashGeometry,
     return n_slc, int(raw_pages * (1.0 - geometry.op_ratio))
 
 
-class BlockState:
-    """One erase block: mode, capacity and its append-only page array.
-
-    `pages` holds only the programmed pages (an lpn or PAGE_INVALID), so
-    its length is the write pointer and `len(pages) - valid_count` its
-    invalid pages.
-    """
-
-    __slots__ = ("mode", "pages", "page_count", "erase_count", "valid_count")
-
-    def __init__(self, mode: Mode, pages_per_block: int):
-        self.mode = mode
-        self.pages: list[int] = []
-        self.page_count = pages_per_block
-        self.erase_count = 0
-        self.valid_count = 0
-
-    @property
-    def free_count(self) -> int:
-        return self.page_count - len(self.pages)
-
-    @property
-    def is_fully_free(self) -> bool:
-        return not self.pages
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.pages) == self.page_count
+# the page array of every block with no page written: immutable, so a write
+# meant for one block can never land in another that shares it
+NO_PAGES = ()
 
 
 class SsdState:
     """Blocks plus the LPN->PPN mapping and raw operation counters.
 
     A PPN is a (block_id, page_idx) pair; block ids already encode the
-    channel (block_id % channels).
+    channel (block_id % channels). Block state is one list per field,
+    indexed by block id: `mode`, `page_count`, `erase_count`, `valid_count`
+    and `pages`. `pages[b]` holds only the programmed pages (an lpn or
+    PAGE_INVALID), so its length is the write pointer and
+    `len(pages[b]) - valid_count[b]` the invalid pages; a block gets a list
+    of its own at its first program and shares NO_PAGES again once erased.
     """
 
     def __init__(self, geometry: FlashGeometry, latency: LatencyModel,
@@ -170,14 +150,17 @@ class SsdState:
         self.latency = latency
         n_slc, self.logical_capacity_pages = initial_layout(
             geometry, initial_mode_split)
+        total = geometry.total_blocks
+        n_qlc = total - n_slc
         # blocks per mode; only convert_block_mode changes a block's mode
-        self.block_tally = {SLC: n_slc,
-                            QLC: geometry.total_blocks - n_slc}
+        self.block_tally = {SLC: n_slc, QLC: n_qlc}
         # ids [0, n_slc) start in SLC, the rest in QLC: one run per mode
-        self.blocks: list[BlockState] = []
-        for mode, count in self.block_tally.items():
-            self.blocks += map(BlockState, repeat(mode, count),
-                               repeat(geometry.pages_per_block(mode), count))
+        self.mode = [SLC] * n_slc + [QLC] * n_qlc
+        self.page_count = ([geometry.pages_per_block_slc] * n_slc
+                           + [geometry.pages_per_block_qlc] * n_qlc)
+        self.erase_count = [0] * total
+        self.valid_count = [0] * total
+        self.pages: list[list[int] | tuple] = [NO_PAGES] * total
         # GC candidates per mode: valid_count -> ids of the full blocks that
         # hold >=1 invalid page; empty buckets are dropped
         self.reclaimable: dict[Mode, dict[int, set[int]]] = {
@@ -192,122 +175,138 @@ class SsdState:
         return self.block_tally[mode]
 
     def valid_pages(self, mode: Mode | None = None) -> int:
-        return sum(b.valid_count for b in self.blocks
-                   if mode is None or b.mode is mode)
+        if mode is None:
+            return sum(self.valid_count)
+        return sum(valid for valid, m in zip(self.valid_count, self.mode)
+                   if m is mode)
+
+    def free_pages(self, block_id: int) -> int:
+        """Pages of a block past its write pointer."""
+        return self.page_count[block_id] - len(self.pages[block_id])
+
+    def is_full(self, block_id: int) -> bool:
+        return len(self.pages[block_id]) == self.page_count[block_id]
 
     # --- page operations ------------------------------------------------------
 
     def program_page(self, block_id: int, page_idx: int, lpn: int) -> float:
         """Append one page to a block. Returns the program latency in us."""
-        block = self.blocks[block_id]
-        pages = block.pages
+        pages = self.pages[block_id]
         if page_idx != len(pages):
             raise PageStateError(
                 f"block {block_id}: program at {page_idx} but write pointer "
                 f"is {len(pages)} (append-only)")
-        if page_idx >= block.page_count:
+        page_count = self.page_count[block_id]
+        if page_idx >= page_count:
             raise PageStateError(f"block {block_id} is full")
         if lpn in self.mapping:
             raise PageStateError(
                 f"lpn {lpn} still mapped; invalidate before reprogramming")
-        pages.append(lpn)
-        block.valid_count += 1
+        if page_idx:
+            pages.append(lpn)
+        else:
+            self.pages[block_id] = [lpn]
+        valid = self.valid_count[block_id] = self.valid_count[block_id] + 1
         self.mapping[lpn] = (block_id, page_idx)
         self.device_pages_written += 1
-        if block.valid_count <= page_idx and page_idx + 1 == block.page_count:
-            self._index(block_id, block)
-        return self.latency.write_us(block.mode)
+        if valid <= page_idx and page_idx + 1 == page_count:
+            self._index(block_id)
+        return self.latency.write_us(self.mode[block_id])
 
     def program_run(self, block_id: int, lpns) -> None:
         """Append one page per lpn of a sequence to a block, in order:
         `program_page` in bulk, with the same checks."""
-        block = self.blocks[block_id]
-        pages = block.pages
+        pages = self.pages[block_id]
         start = len(pages)
         end = start + len(lpns)
-        if end > block.page_count:
+        if end > self.page_count[block_id]:
             raise PageStateError(
                 f"block {block_id}: {len(lpns)} pages past its "
-                f"{block.free_count} free ones")
+                f"{self.free_pages(block_id)} free ones")
         mapping = self.mapping
         if any(map(mapping.__contains__, lpns)):
             raise PageStateError(
                 f"an lpn of {lpns} still mapped; invalidate before "
                 f"reprogramming")
-        pages.extend(lpns)
+        if start:
+            pages.extend(lpns)
+        else:
+            pages = self.pages[block_id] = list(lpns)
         # key the mapping by the int objects the page array holds: ints
         # from a second pass over `lpns` would double their memory
         mapping.update(zip(pages[start:], zip(repeat(block_id),
                                               range(start, end))))
-        block.valid_count += len(lpns)
+        valid = self.valid_count[block_id] = (self.valid_count[block_id]
+                                              + len(lpns))
         self.device_pages_written += len(lpns)
-        if end == block.page_count and block.valid_count < end:
-            self._index(block_id, block)
+        if end == self.page_count[block_id] and valid < end:
+            self._index(block_id)
 
     def read_page(self, block_id: int, page_idx: int) -> float:
         """Read one valid page. Returns the read latency in us."""
-        block = self.blocks[block_id]
         try:
-            lpn = block.pages[page_idx]
-        except IndexError:              # at or past the write pointer
+            # a negative index would wrap to the end of the list
+            lpn = (self.pages[block_id][page_idx]
+                   if block_id >= 0 and page_idx >= 0 else PAGE_FREE)
+        except IndexError:      # at or past the write pointer or last block
             lpn = PAGE_FREE
         if lpn < 0:
             state = "free" if lpn == PAGE_FREE else "invalid"
             raise PageStateError(
                 f"read of {state} page {block_id}/{page_idx}: mapping corrupt")
-        return self.latency.read_us(block.mode)
+        return self.latency.read_us(self.mode[block_id])
 
     def invalidate_page(self, block_id: int, page_idx: int) -> None:
         """Drop a valid page from the mapping (data became stale)."""
-        block = self.blocks[block_id]
-        pages = block.pages
         try:
-            lpn = pages[page_idx]
+            lpn = (self.pages[block_id][page_idx]
+                   if block_id >= 0 and page_idx >= 0 else PAGE_FREE)
         except IndexError:
             lpn = PAGE_FREE
         if lpn < 0:
             raise PageStateError(
                 f"invalidate of non-valid page {block_id}/{page_idx}")
+        pages = self.pages[block_id]
         pages[page_idx] = PAGE_INVALID
-        block.valid_count -= 1
+        valid = self.valid_count[block_id] = self.valid_count[block_id] - 1
         del self.mapping[lpn]
-        if block.is_full:
+        if len(pages) == self.page_count[block_id]:
             # not its first invalid page: it is filed one valid page up
-            if len(pages) - block.valid_count > 1:
-                self._unindex(block_id, block, block.valid_count + 1)
-            self._index(block_id, block)
+            if len(pages) - valid > 1:
+                self._unindex(block_id, valid + 1)
+            self._index(block_id)
 
     def evacuate(self, block_id: int) -> list[int]:
         """Invalidate every valid page of a block; returns their lpns in
         page order. `invalidate_page` per valid page, in bulk: a full block
         is re-filed in the victim index once, under no valid page."""
-        block = self.blocks[block_id]
-        pages = block.pages
+        pages = self.pages[block_id]
         lpns = [lpn for lpn in pages if lpn >= 0]
-        full = block.is_full
-        if full and block.valid_count < len(pages):
-            self._unindex(block_id, block, block.valid_count)
+        full = self.is_full(block_id)
+        if full and self.valid_count[block_id] < len(pages):
+            self._unindex(block_id, self.valid_count[block_id])
         mapping = self.mapping
         for lpn in lpns:
             del mapping[lpn]
-        block.pages = [PAGE_INVALID] * len(pages)
-        block.valid_count = 0
+        if pages:       # an unwritten block keeps NO_PAGES
+            self.pages[block_id] = [PAGE_INVALID] * len(pages)
+        self.valid_count[block_id] = 0
         if full:
-            self._index(block_id, block)
+            self._index(block_id)
         return lpns
 
     def erase_block(self, block_id: int) -> float:
         """Erase a block holding no valid data. Returns erase latency in us."""
-        block = self.blocks[block_id]
-        if block.valid_count != 0:
+        valid = self.valid_count[block_id]
+        if valid:
             raise PageStateError(
-                f"erase of block {block_id} with {block.valid_count} valid pages")
-        if block.is_full:       # with no valid page, every page is invalid
-            self._unindex(block_id, block, 0)
-        block.pages = []
-        block.erase_count += 1
+                f"erase of block {block_id} with {valid} valid pages")
+        if self.is_full(block_id):  # with no valid page, all are invalid
+            self._unindex(block_id, 0)
+        self.pages[block_id] = NO_PAGES
+        self.erase_count[block_id] += 1
         self.erase_ops += 1
-        return self.latency.erase_us(block.mode)
+        return self.latency.erase_us(self.mode[block_id])
 
     def convert_block_mode(self, block_id: int, new_mode: Mode) -> None:
         """Switch a fully-free block between SLC and QLC page counts.
@@ -315,25 +314,25 @@ class SsdState:
         Metadata-only: the erase that freed the block already paid the cost,
         so conversion itself charges no latency and no endurance.
         """
-        block = self.blocks[block_id]
-        if not block.is_fully_free:
+        if self.pages[block_id]:
             raise PageStateError(
                 f"convert of non-empty block {block_id} (erase it first)")
-        if block.mode is new_mode:
+        old_mode = self.mode[block_id]
+        if old_mode is new_mode:
             return
-        self.block_tally[block.mode] -= 1
+        self.block_tally[old_mode] -= 1
         self.block_tally[new_mode] += 1
-        block.mode = new_mode
-        block.page_count = self.geometry.pages_per_block(new_mode)
+        self.mode[block_id] = new_mode
+        self.page_count[block_id] = self.geometry.pages_per_block(new_mode)
 
     # --- victim index -------------------------------------------------------------
 
-    def _index(self, block_id: int, block: BlockState) -> None:
-        self.reclaimable[block.mode].setdefault(
-            block.valid_count, set()).add(block_id)
+    def _index(self, block_id: int) -> None:
+        self.reclaimable[self.mode[block_id]].setdefault(
+            self.valid_count[block_id], set()).add(block_id)
 
-    def _unindex(self, block_id: int, block: BlockState, valid: int) -> None:
-        buckets = self.reclaimable[block.mode]
+    def _unindex(self, block_id: int, valid: int) -> None:
+        buckets = self.reclaimable[self.mode[block_id]]
         bucket = buckets[valid]
         bucket.remove(block_id)
         if not bucket:
@@ -347,8 +346,19 @@ class SsdState:
         The mapping must be a bijection onto exactly the valid pages, and
         every cached counter and the victim index must agree with a recount.
         """
+        total_blocks = self.geometry.total_blocks
+        for name in ("mode", "page_count", "erase_count", "valid_count",
+                     "pages"):
+            if len(getattr(self, name)) != total_blocks:
+                raise AuditError(
+                    f"{name} has {len(getattr(self, name))} entries for "
+                    f"{total_blocks} blocks")
         for lpn, (block_id, page_idx) in self.mapping.items():
-            pages = self.blocks[block_id].pages
+            if not 0 <= block_id < total_blocks:
+                raise AuditError(
+                    f"mapping says lpn {lpn} -> block {block_id}, outside "
+                    f"the device's {total_blocks} blocks")
+            pages = self.pages[block_id]
             if not 0 <= page_idx < len(pages):
                 raise AuditError(
                     f"mapping says lpn {lpn} -> {block_id}/{page_idx}, "
@@ -358,17 +368,26 @@ class SsdState:
                 raise AuditError(
                     f"mapping says lpn {lpn} -> {block_id}/{page_idx}, "
                     f"page stores {stored}")
+        owned = [pages for pages in self.pages if pages is not NO_PAGES]
+        if len(set(map(id, owned))) != len(owned):
+            raise AuditError("two blocks share one page array")
         total_valid = 0
-        for block_id, block in enumerate(self.blocks):
-            if len(block.pages) > block.page_count:
+        for block_id, pages in enumerate(self.pages):
+            page_count = self.page_count[block_id]
+            if page_count != self.geometry.pages_per_block(
+                    self.mode[block_id]):
                 raise AuditError(
-                    f"block {block_id}: {len(block.pages)} pages written "
-                    f"past its {block.page_count}")
-            valid = sum(1 for p in block.pages if p >= 0)
-            invalid = block.pages.count(PAGE_INVALID)
-            if valid != block.valid_count:
+                    f"block {block_id}: {page_count} pages in "
+                    f"{self.mode[block_id].value} mode")
+            if len(pages) > page_count:
+                raise AuditError(
+                    f"block {block_id}: {len(pages)} pages written "
+                    f"past its {page_count}")
+            valid = sum(1 for p in pages if p >= 0)
+            invalid = pages.count(PAGE_INVALID)
+            if valid != self.valid_count[block_id]:
                 raise AuditError(f"block {block_id}: counter drift")
-            if valid + invalid != len(block.pages):
+            if valid + invalid != len(pages):
                 raise AuditError(
                     f"block {block_id}: free page below the write pointer")
             total_valid += valid
@@ -376,13 +395,13 @@ class SsdState:
             raise AuditError(
                 f"{total_valid} valid pages vs {len(self.mapping)} mapped lpns")
         for mode, tally in self.block_tally.items():
-            if tally != sum(1 for b in self.blocks if b.mode is mode):
+            if tally != self.mode.count(mode):
                 raise AuditError(f"{mode.value} block tally drift")
         recount: dict[Mode, dict[int, set[int]]] = {SLC: {}, QLC: {}}
-        for block_id, block in enumerate(self.blocks):
-            if block.is_full and block.valid_count < len(block.pages):
-                recount[block.mode].setdefault(
-                    block.valid_count, set()).add(block_id)
+        for block_id, valid in enumerate(self.valid_count):
+            if self.is_full(block_id) and valid < self.page_count[block_id]:
+                recount[self.mode[block_id]].setdefault(
+                    valid, set()).add(block_id)
         if recount != self.reclaimable:
             raise AuditError("reclaimable index drift")
 

@@ -84,7 +84,7 @@ class FlashOpLog:
     def _log(self, op, ssd, block_id, count=1):
         if self._current is not None:
             # mode before the op: an erase or program never changes it
-            mode = ssd.blocks[block_id].mode.value
+            mode = ssd.mode[block_id].value
             part = "serial" if self._in_action else "parallel"
             self._current[part].extend(
                 [(op, mode, block_id % ssd.geometry.channels)] * count)
@@ -156,14 +156,14 @@ class PagePayloads:
 
         def evacuated(block_id):
             where = {lpn: idx for idx, lpn
-                     in enumerate(self.ssd.blocks[block_id].pages)}
+                     in enumerate(self.ssd.pages[block_id])}
             lpns = evacuate(block_id)
             for lpn in lpns:
                 self._moving[lpn] = self.by_ppn.get((block_id, where.get(lpn)))
             return lpns
 
         def run(block_id, lpns):
-            start = len(self.ssd.blocks[block_id].pages)
+            start = len(self.ssd.pages[block_id])
             program_run(block_id, lpns)
             for idx, lpn in enumerate(lpns, start):
                 self.by_ppn[(block_id, idx)] = (
@@ -197,14 +197,14 @@ class PagePayloads:
 def free_ids(ftl, mode, ch):
     """Block ids in the engine's free pool of `mode` on channel `ch`,
     decoded from the pooled wear keys."""
-    n_blocks = len(ftl.ssd.blocks)
+    n_blocks = len(ftl.ssd.mode)
     return {key % n_blocks for key in ftl.free[mode][ch]}
 
 
-def least_worn(blocks, ids):
+def least_worn(erase_count, ids):
     """The set-scan allocator's pick from `ids`: fewest erases, then lowest
     id; None from no ids."""
-    return min(ids, key=lambda b: (blocks[b].erase_count, b), default=None)
+    return min(ids, key=lambda b: (erase_count[b], b), default=None)
 
 
 class MiniSlcFtl:
@@ -673,8 +673,9 @@ class PerBlockDevice:
         self.block_tally = {slc: n_slc, qlc: total - n_slc}
 
     def fields(self):
-        """(mode, pages, page_count, erase_count, valid_count) per block."""
-        return [(mode, [], page_count, erases, 0)
+        """(mode, pages, page_count, erase_count, valid_count) per block;
+        no block holds a written page."""
+        return [(mode, (), page_count, erases, 0)
                 for mode, page_count, erases in self.blocks]
 
     def wear(self, block_id, erases):

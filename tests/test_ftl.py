@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import pytest
 
@@ -7,6 +8,7 @@ from hybridssd import (ACTION_ORDER, ActionKind, CapacityError, ConfigProfile,
                        PlacementStrategy, SAFETY_BOUND, SsdState,
                        desk_geometry)
 from hybridssd.ftl import GC_MODES, write_amplification
+from hybridssd.ssd import NO_PAGES
 from conftest import make_stack
 from oracles import (FlashOpLog, free_ids, recompute_request_latency,
                      recompute_total_latency)
@@ -59,18 +61,18 @@ class TestPlacement:
         ftl = make_ftl(blocks=4, ppb=4, split=0.5)   # 2 SLC + 2 QLC blocks
         for lpn in range(8):                          # SLC region = 8 pages
             ftl.handle_write(lpn)
-        assert all(ftl.ssd.blocks[b].is_full for b in (0, 1))
+        assert all(ftl.ssd.is_full(b) for b in (0, 1))
         ftl.handle_write(8)
         block, _ = ftl.ssd.mapping[8]
-        assert ftl.ssd.blocks[block].mode is Mode.QLC
+        assert ftl.ssd.mode[block] is Mode.QLC
 
     def test_hotness_based_routes_by_label(self):
         ftl = make_ftl(blocks=4, ppb=4, split=0.5,
                        placement_strategy=PlacementStrategy.HOTNESS_BASED)
         ftl.handle_write(0, hot=True)
         ftl.handle_write(1, hot=False)
-        assert ftl.ssd.blocks[ftl.ssd.mapping[0][0]].mode is Mode.SLC
-        assert ftl.ssd.blocks[ftl.ssd.mapping[1][0]].mode is Mode.QLC
+        assert ftl.ssd.mode[ftl.ssd.mapping[0][0]] is Mode.SLC
+        assert ftl.ssd.mode[ftl.ssd.mapping[1][0]] is Mode.QLC
 
     def test_cold_spills_to_slc_when_qlc_full(self):
         # QLC region: 1 block * 16 pages
@@ -79,7 +81,7 @@ class TestPlacement:
         for lpn in range(16):
             ftl.handle_write(lpn, hot=False)
         ftl.handle_write(16, hot=False)
-        assert ftl.ssd.blocks[ftl.ssd.mapping[16][0]].mode is Mode.SLC
+        assert ftl.ssd.mode[ftl.ssd.mapping[16][0]] is Mode.SLC
 
 
 class TestStriping:
@@ -177,9 +179,9 @@ class TestVictimSelection:
             ftl.handle_write(lpn)
         ftl.handle_write(0)
         ftl.handle_write(4)              # blocks 0 and 1 both at 3 valid
-        ftl.ssd.blocks[0].erase_count = 5
+        ftl.ssd.erase_count[0] = 5
         assert ftl.select_victim(Mode.SLC) == 1
-        ftl.ssd.blocks[0].erase_count = 0
+        ftl.ssd.erase_count[0] = 0
         assert ftl.select_victim(Mode.SLC) == 0   # id breaks the tie
 
     def test_active_blocks_never_picked(self):
@@ -209,7 +211,7 @@ class TestActions:
         assert out.pages_migrated == 2            # lpns 2, 3 move
         # 2 reads + 2 programs + 1 erase, all SLC
         assert out.latency_us == 2 * 20.0 + 2 * 200.0 + 3000.0
-        assert ftl.ssd.blocks[0].is_fully_free
+        assert ftl.ssd.pages[0] is NO_PAGES
         assert 0 in free_ids(ftl, Mode.SLC, 0)
         # migrated data still readable
         assert ftl.ssd.mapping[2] is not None
@@ -226,7 +228,7 @@ class TestActions:
         assert out.pages_migrated == 3
         for lpn in (1, 2, 3):
             block, _ = ftl.ssd.mapping[lpn]
-            assert ftl.ssd.blocks[block].mode is Mode.QLC
+            assert ftl.ssd.mode[block] is Mode.QLC
         # erased victim stays an SLC block, back in the SLC pool
         assert 0 in free_ids(ftl, Mode.SLC, 0)
         ftl.ssd.audit()
@@ -249,14 +251,14 @@ class TestActions:
         ssd = SsdState(desk_geometry(blocks_per_channel=4,
                                      pages_per_block_slc=4),
                        LatencyModel(), initial_mode_split=1.0)
-        ssd.blocks[0].erase_count = 3    # worn before the engine pools it
+        ssd.erase_count[0] = 3    # worn before the engine pools it
         ftl = FtlEngine(ssd, ConfigProfile())
         out = ftl.execute_action(ActionKind.SLC_TO_QLC_MC)
         assert out.blocks_converted == 1
         assert out.latency_us == 0.0                 # metadata flip only
-        assert ftl.ssd.blocks[1].mode is Mode.QLC    # id 1: erase 0 beats id 0
-        assert ftl.ssd.blocks[1].page_count == 16
-        assert ftl.ssd.blocks[1].free_count == 16
+        assert ftl.ssd.mode[1] is Mode.QLC    # id 1: erase 0 beats id 0
+        assert ftl.ssd.page_count[1] == 16
+        assert ftl.ssd.free_pages(1) == 16
         assert 1 in free_ids(ftl, Mode.QLC, 0)
         assert 1 not in free_ids(ftl, Mode.SLC, 0)
 
@@ -454,6 +456,17 @@ class TestFreeCount:
         assert ftl.ssd.block_count(Mode.SLC) < 16      # conversions ran
         assert stack.ssd.erase_ops > 0
 
+    def test_the_default_geometry_builds_no_object_per_block(self):
+        # 16,384 blocks: per-block objects would add tens of thousands of
+        # objects for the cyclic collector to track and traverse
+        gc.collect()
+        before = len(gc.get_objects())
+        ssd = SsdState(FlashGeometry(), LatencyModel())
+        ftl = FtlEngine(ssd, ConfigProfile())
+        added = len(gc.get_objects()) - before
+        assert added < 1000, added
+        assert ftl.free_count == ssd.block_tally
+
     def test_an_engine_refuses_a_written_device(self):
         # every block of a written device is fully free again and no lpn is
         # mapped, but it was written, so a new engine refuses it all the same
@@ -463,7 +476,7 @@ class TestFreeCount:
         ftl.ssd.evacuate(0)
         ftl.ssd.erase_block(0)
         assert not ftl.ssd.mapping
-        assert all(block.is_fully_free for block in ftl.ssd.blocks)
+        assert all(pages is NO_PAGES for pages in ftl.ssd.pages)
         with pytest.raises(ValueError, match="no page written"):
             FtlEngine(ftl.ssd, ConfigProfile())
 

@@ -21,7 +21,8 @@ from hybridssd.hotness import HotnessClassifier
 from hybridssd.monitor import SlidingWindow
 from hybridssd.rl import (INTENSITY_SAMPLES, N_QUARTILES, AgentState, QTable,
                           SpaceAgent, reward)
-from hybridssd.ssd import LatencyModel, Mode, SsdState, desk_geometry
+from hybridssd.ssd import (NO_PAGES, LatencyModel, Mode, SsdState,
+                           desk_geometry)
 from hybridssd.trace import (FORMATS, OpKind, TraceRecord, load_trace,
                              page_span)
 from hybridssd.tuner import correct_mistakes
@@ -92,10 +93,11 @@ def reference_victim(ftl, mode):
     """select_victim's rule spelled out over explicit active ids."""
     active = {b for slots in ftl.active.values() for b in slots
               if b is not None}
-    keys = [(block.valid_count, block.erase_count, block_id)
-            for block_id, block in enumerate(ftl.ssd.blocks)
-            if block.mode is mode and len(block.pages) - block.valid_count
-            and block_id not in active]
+    ssd = ftl.ssd
+    keys = [(valid, ssd.erase_count[block_id], block_id)
+            for block_id, valid in enumerate(ssd.valid_count)
+            if ssd.mode[block_id] is mode
+            and len(ssd.pages[block_id]) - valid and block_id not in active]
     return min(keys)[2] if keys else None
 
 
@@ -123,11 +125,11 @@ def test_only_active_blocks_are_partly_written(ops, gc_granularity,
         free = {b for mode in (Mode.SLC, Mode.QLC)
                 for ch in range(stack.ssd.geometry.channels)
                 for b in free_ids(ftl, mode, ch)}
-        for block_id, block in enumerate(stack.ssd.blocks):
+        for block_id in range(stack.ssd.geometry.total_blocks):
             if block_id in active:
-                assert not block.is_full, block_id
+                assert not stack.ssd.is_full(block_id), block_id
             elif block_id not in free:
-                assert block.is_full, block_id
+                assert stack.ssd.is_full(block_id), block_id
         for mode in (Mode.SLC, Mode.QLC):
             assert ftl.select_victim(mode) == reference_victim(ftl, mode)
 
@@ -149,11 +151,9 @@ def check_free_pools(ftl):
             assert sorted(pool) == sorted(
                 ftl._wear_key(b) for b in free_ids(ftl, mode, ch))
             assert free_ids(ftl, mode, ch) == {
-                b for b, block in enumerate(ssd.blocks)
-                if block.mode is mode and ssd.geometry.channel_of(b) == ch
-                and block.is_fully_free
-                and not len(block.pages) - block.valid_count
-                and b not in active}
+                b for b, pages in enumerate(ssd.pages)
+                if ssd.mode[b] is mode and ssd.geometry.channel_of(b) == ch
+                and pages is NO_PAGES and b not in active}
         assert ftl.free_count[mode] == sum(len(p) for p in ftl.free[mode])
 
 
@@ -177,21 +177,20 @@ def test_free_pools_pick_what_a_set_scan_picks(ops, wear, fraction,
     ssd = SsdState(desk_geometry(channels=2, blocks_per_channel=12,
                                  pages_per_block_slc=4),
                    LatencyModel(), initial_mode_split=0.5)
-    for block, erases in zip(ssd.blocks, wear):
-        block.erase_count = erases
+    ssd.erase_count[:] = wear
     ftl = FtlEngine(ssd, ConfigProfile(
         gc_trigger_threshold=13, gc_granularity=gc_granularity,
         conversion_granularity=conversion_granularity))
     pop_free, convert_once = ftl._pop_free, ftl._convert_once
 
     def checked_pop_free(mode, ch):
-        expected = least_worn(ssd.blocks, free_ids(ftl, mode, ch))
+        expected = least_worn(ssd.erase_count, free_ids(ftl, mode, ch))
         assert pop_free(mode, ch) == expected
         return expected
 
     def checked_convert_once(out):
         slc = [free_ids(ftl, Mode.SLC, ch) for ch in range(2)]
-        expected = least_worn(ssd.blocks, set().union(*slc))
+        expected = least_worn(ssd.erase_count, set().union(*slc))
         converted = convert_once(out)
         left = set().union(*slc) - set().union(
             *(free_ids(ftl, Mode.SLC, ch) for ch in range(2)))
@@ -242,15 +241,15 @@ def test_bulk_build_matches_the_per_block_build(channels, blocks, ppb, split,
     oracle = PerBlockDevice(geo, split, Mode.SLC, Mode.QLC)
 
     def block_fields():
-        return [(b.mode, b.pages, b.page_count, b.erase_count, b.valid_count)
-                for b in ssd.blocks]
+        return list(zip(ssd.mode, ssd.pages, ssd.page_count, ssd.erase_count,
+                        ssd.valid_count))
 
     assert block_fields() == oracle.fields()
     assert ssd.block_tally == oracle.block_tally
     # wear and modes set before the engine pools the blocks; blocks past
     # the end of `wear` stay unworn
     for block_id, erases in zip(range(geo.total_blocks), wear):
-        ssd.blocks[block_id].erase_count = erases
+        ssd.erase_count[block_id] = erases
         oracle.wear(block_id, erases)
     for block_id, mode in conversions:
         block_id %= geo.total_blocks
@@ -274,9 +273,8 @@ def device_state(ftl):
     """Everything a fill leaves in the device and the FTL."""
     ssd = ftl.ssd
     return {
-        "blocks": [(b.mode, b.pages, b.page_count, b.erase_count,
-                    b.valid_count, len(b.pages) - b.valid_count)
-                   for b in ssd.blocks],
+        "mode": ssd.mode, "pages": ssd.pages, "page_count": ssd.page_count,
+        "erase_count": ssd.erase_count, "valid_count": ssd.valid_count,
         "mapping": ssd.mapping, "block_tally": ssd.block_tally,
         "reclaimable": ssd.reclaimable,
         "device_pages_written": ssd.device_pages_written,
@@ -351,9 +349,9 @@ def per_page_gc_once(ftl, src, dst, out):
     victim = ftl._gc_victim(src, dst)
     if victim is None:
         return False
-    vblock = ftl.ssd.blocks[victim]
-    for idx in range(len(vblock.pages)):
-        lpn = vblock.pages[idx]
+    pages = ftl.ssd.pages[victim]
+    for idx in range(len(pages)):
+        lpn = pages[idx]
         if lpn < 0:
             continue
         out.latency_us += ftl.ssd.read_page(victim, idx)

@@ -2,7 +2,7 @@ import pytest
 
 from hybridssd import (AuditError, FlashGeometry, GeometryError, LatencyModel,
                        Mode, PageStateError, SsdState, desk_geometry)
-from hybridssd.ssd import PAGE_INVALID, initial_layout
+from hybridssd.ssd import NO_PAGES, PAGE_INVALID, initial_layout
 
 
 class TestGeometry:
@@ -65,7 +65,7 @@ class TestConstruction:
 
     def test_slc_blocks_take_lowest_ids(self):
         ssd = SsdState(desk_geometry(), LatencyModel(), 0.5)
-        modes = [b.mode for b in ssd.blocks]
+        modes = ssd.mode
         assert modes[:4] == [Mode.SLC] * 4
         assert modes[4:] == [Mode.QLC] * 4
 
@@ -78,7 +78,7 @@ class TestConstruction:
     def test_initial_layout_matches_constructed_device(self, split):
         g = desk_geometry(channels=2, blocks_per_channel=5)
         ssd = SsdState(g, LatencyModel(), split)
-        raw = sum(b.page_count for b in ssd.blocks)
+        raw = sum(ssd.page_count)
         assert initial_layout(g, split) == (ssd.block_count(Mode.SLC),
                                             int(raw * (1.0 - g.op_ratio)))
         assert ssd.logical_capacity_pages == initial_layout(g, split)[1]
@@ -118,14 +118,11 @@ class TestPageOps:
         desk_ssd.program_page(0, 0, lpn=9)
         desk_ssd.invalidate_page(0, 0)
         assert 9 not in desk_ssd.mapping
-        block = desk_ssd.blocks[0]
-        assert block.pages[0] == PAGE_INVALID
-        assert block.valid_count == 0
-        assert len(block.pages) - block.valid_count == 1
+        assert desk_ssd.pages[0] == [PAGE_INVALID]
+        assert desk_ssd.valid_count[0] == 0
 
     def test_erase_requires_no_valid_pages(self, desk_ssd):
-        b = desk_ssd.blocks[0]
-        desk_ssd.program_run(0, range(b.page_count))
+        desk_ssd.program_run(0, range(desk_ssd.page_count[0]))
         with pytest.raises(PageStateError):
             desk_ssd.erase_block(0)
         desk_ssd.evacuate(0)
@@ -133,9 +130,9 @@ class TestPageOps:
         assert desk_ssd.reclaimable[Mode.SLC] == {0: {0}}
         us = desk_ssd.erase_block(0)
         assert us == 3000.0
-        assert len(b.pages) == 0
-        assert b.erase_count == 1
-        assert b.free_count == b.page_count
+        assert desk_ssd.pages[0] is NO_PAGES
+        assert desk_ssd.erase_count[0] == 1
+        assert desk_ssd.free_pages(0) == desk_ssd.page_count[0] == 8
         with pytest.raises(PageStateError):
             desk_ssd.read_page(0, 0)
         assert not any(0 in ids for buckets in desk_ssd.reclaimable.values()
@@ -154,11 +151,70 @@ class TestPageOps:
         with pytest.raises(PageStateError):
             desk_ssd.read_page(0, 1)
 
+    @pytest.mark.parametrize("block_id,page_idx", [
+        (0, -1), (0, -2),       # would wrap to the block's last pages
+        (-1, 0),                # would wrap to the last block
+        (8, 0), (99, 0),        # past the last block
+    ])
+    def test_an_address_outside_the_device_raises(self, desk_ssd, block_id,
+                                                  page_idx):
+        desk_ssd.program_page(0, 0, lpn=5)
+        desk_ssd.program_page(0, 1, lpn=6)
+        desk_ssd.program_page(7, 0, lpn=7)
+        with pytest.raises(PageStateError):
+            desk_ssd.invalidate_page(block_id, page_idx)
+        with pytest.raises(PageStateError):
+            desk_ssd.read_page(block_id, page_idx)
+        assert desk_ssd.mapping == {5: (0, 0), 6: (0, 1), 7: (7, 0)}
+        desk_ssd.audit()
+
     def test_program_into_a_full_block_raises(self, desk_ssd):
         for idx in range(8):
             desk_ssd.program_page(0, idx, lpn=idx)
         with pytest.raises(PageStateError):
             desk_ssd.program_page(0, 8, lpn=8)
+
+
+class TestPageArrays:
+    def test_unwritten_blocks_share_an_immutable_placeholder(self, desk_ssd):
+        assert all(pages is NO_PAGES for pages in desk_ssd.pages)
+        with pytest.raises(AttributeError):
+            desk_ssd.pages[3].append(1)
+
+    def test_no_operation_touches_another_blocks_pages(self, desk_ssd):
+        ssd = desk_ssd                          # blocks 0-3 SLC, 4-7 QLC
+        steps = [("program", 0, idx, idx) for idx in range(8)]
+        steps += [("run", 1, range(10, 14)), ("invalidate", 0, 3),
+                  ("evacuate", 0), ("erase", 0), ("run", 0, [20]),
+                  ("program", 0, 1, 21), ("run", 1, range(14, 18)),
+                  ("evacuate", 1), ("erase", 1), ("convert", 1, Mode.QLC),
+                  ("program", 1, 0, 30), ("run", 4, range(40, 72)),
+                  ("invalidate", 4, 0), ("evacuate", 4), ("erase", 4),
+                  ("program", 4, 0, 80)]
+        ops = {"program": ssd.program_page, "run": ssd.program_run,
+               "invalidate": ssd.invalidate_page, "evacuate": ssd.evacuate,
+               "erase": ssd.erase_block, "convert": ssd.convert_block_mode}
+        for op, block_id, *rest in steps:
+            before = [list(pages) for pages in ssd.pages]
+            ops[op](block_id, *rest)
+            after = [list(pages) for pages in ssd.pages]
+            del before[block_id], after[block_id]
+            assert after == before, (op, block_id, rest)
+            ssd.audit()
+        assert ssd.pages[:5] == [[20, 21], [30], NO_PAGES, NO_PAGES, [80]]
+
+    def test_an_erased_block_reprograms_into_a_list_of_its_own(self,
+                                                               desk_ssd):
+        desk_ssd.program_run(0, range(8))
+        first = desk_ssd.pages[0]
+        desk_ssd.evacuate(0)
+        desk_ssd.erase_block(0)
+        assert desk_ssd.pages[0] is NO_PAGES
+        desk_ssd.program_page(0, 0, lpn=9)
+        desk_ssd.program_page(1, 0, lpn=10)
+        assert desk_ssd.pages[0] == [9] and desk_ssd.pages[1] == [10]
+        assert desk_ssd.pages[0] is not first
+        assert desk_ssd.pages[0] is not desk_ssd.pages[1]
 
 
 class TestProgramRun:
@@ -174,10 +230,8 @@ class TestProgramRun:
             single.program_page(0, idx, lpn)
         for idx, lpn in enumerate(range(20, 52)):
             single.program_page(4, idx, lpn)
-        for a, b in zip(bulk.blocks, single.blocks):
-            assert (a.pages, a.valid_count,
-                    len(a.pages) - a.valid_count) == (
-                b.pages, b.valid_count, len(b.pages) - b.valid_count)
+        assert bulk.pages == single.pages
+        assert bulk.valid_count == single.valid_count
         assert bulk.mapping == single.mapping
         assert bulk.reclaimable == single.reclaimable == {
             Mode.SLC: {7: {0}}, Mode.QLC: {}}
@@ -188,13 +242,13 @@ class TestProgramRun:
         desk_ssd.program_page(0, 0, lpn=1)
         with pytest.raises(PageStateError):
             desk_ssd.program_run(0, range(10, 18))
-        assert desk_ssd.blocks[0].pages == [1]
+        assert desk_ssd.pages[0] == [1]
 
     def test_rejects_a_mapped_lpn(self, desk_ssd):
         desk_ssd.program_page(0, 0, lpn=5)
         with pytest.raises(PageStateError):
             desk_ssd.program_run(1, range(3, 7))
-        assert desk_ssd.blocks[1].pages == []
+        assert desk_ssd.pages[1] is NO_PAGES
         assert desk_ssd.mapping == {5: (0, 0)}
 
 
@@ -205,11 +259,11 @@ class TestProgramRun:
         bulk.program_run(1, lpns)
         for idx, lpn in enumerate(lpns):
             single.program_page(1, idx, lpn)
-        assert bulk.blocks[1].pages == single.blocks[1].pages == lpns
+        assert bulk.pages[1] == single.pages[1] == lpns
         assert bulk.mapping == single.mapping
         with pytest.raises(PageStateError):
             bulk.program_run(2, [5, 30])
-        assert bulk.blocks[2].pages == []
+        assert bulk.pages[2] is NO_PAGES
 
 
 class TestEvacuate:
@@ -233,9 +287,8 @@ class TestEvacuate:
         for idx in valid:
             single.invalidate_page(0, idx)
         assert lpns == [written[idx] + 10 for idx in valid]
-        a, b = bulk.blocks[0], single.blocks[0]
-        assert (a.pages, a.valid_count, len(a.pages) - a.valid_count) == (
-            b.pages, b.valid_count, len(b.pages) - b.valid_count)
+        assert bulk.pages == single.pages
+        assert bulk.valid_count == single.valid_count
         assert bulk.mapping == single.mapping == {}
         assert bulk.reclaimable == single.reclaimable
         bulk.audit()
@@ -246,15 +299,14 @@ class TestEvacuate:
 
 class TestConversion:
     def test_convert_resizes_page_array(self, desk_ssd):
-        assert desk_ssd.blocks[0].page_count == 8
+        assert desk_ssd.page_count[0] == 8
         desk_ssd.convert_block_mode(0, Mode.QLC)
-        b = desk_ssd.blocks[0]
-        assert b.mode is Mode.QLC
-        assert b.page_count == 32
-        assert b.free_count == 32
+        assert desk_ssd.mode[0] is Mode.QLC
+        assert desk_ssd.page_count[0] == 32
+        assert desk_ssd.free_pages(0) == 32
         desk_ssd.convert_block_mode(0, Mode.SLC)
-        assert desk_ssd.blocks[0].page_count == 8
-        assert desk_ssd.blocks[0].free_count == 8
+        assert desk_ssd.page_count[0] == 8
+        assert desk_ssd.free_pages(0) == 8
 
     def test_convert_only_fully_free_blocks(self, desk_ssd):
         desk_ssd.program_page(0, 0, lpn=1)
@@ -270,11 +322,10 @@ class TestConversion:
         desk_ssd.convert_block_mode(0, Mode.QLC)
         assert desk_ssd.erase_ops == erases
         assert desk_ssd.device_pages_written == writes
-        assert desk_ssd.blocks[0].erase_count == 0
+        assert desk_ssd.erase_count[0] == 0
 
     def test_block_tally_follows_conversions(self, desk_ssd):
-        recount = lambda mode: sum(1 for b in desk_ssd.blocks
-                                   if b.mode is mode)
+        recount = desk_ssd.mode.count
         for block_id, mode in ((0, Mode.QLC), (1, Mode.QLC), (0, Mode.SLC),
                                (7, Mode.SLC), (2, Mode.SLC)):
             desk_ssd.convert_block_mode(block_id, mode)
@@ -288,10 +339,11 @@ class TestReclaimableIndex:
     @staticmethod
     def recount(ssd):
         index = {Mode.SLC: {}, Mode.QLC: {}}
-        for block_id, block in enumerate(ssd.blocks):
-            if block.is_full and len(block.pages) - block.valid_count:
-                index[block.mode].setdefault(block.valid_count,
-                                             set()).add(block_id)
+        for block_id, pages in enumerate(ssd.pages):
+            valid = ssd.valid_count[block_id]
+            if ssd.is_full(block_id) and len(pages) - valid:
+                index[ssd.mode[block_id]].setdefault(valid,
+                                                     set()).add(block_id)
         return index
 
     def test_index_follows_every_page_operation(self, desk_ssd):
@@ -345,17 +397,50 @@ class TestAudit:
         with pytest.raises(AuditError):
             desk_ssd.audit()
 
+    @pytest.mark.parametrize("block_id", [-1, 8])
+    def test_mapping_outside_the_device_detected(self, desk_ssd, block_id):
+        desk_ssd.program_page(7, 0, lpn=1)
+        desk_ssd.mapping[1] = (block_id, 0)   # -1 would read block 7's page
+        with pytest.raises(AuditError, match="outside"):
+            desk_ssd.audit()
+
     def test_counter_corruption_detected(self, desk_ssd):
         desk_ssd.program_page(0, 0, lpn=1)
-        desk_ssd.blocks[0].valid_count = 7
+        desk_ssd.valid_count[0] = 7
         with pytest.raises(AuditError):
+            desk_ssd.audit()
+
+    @pytest.mark.parametrize("name", ["mode", "page_count", "erase_count",
+                                      "valid_count", "pages"])
+    def test_block_list_of_the_wrong_length_detected(self, desk_ssd, name):
+        getattr(desk_ssd, name).pop()
+        with pytest.raises(AuditError, match=f"{name} has 7 entries"):
+            desk_ssd.audit()
+
+    def test_page_count_out_of_step_with_mode_detected(self, desk_ssd):
+        desk_ssd.page_count[0] = 32            # block 0 is SLC: 8 pages
+        with pytest.raises(AuditError, match="32 pages in slc mode"):
+            desk_ssd.audit()
+
+    def test_mode_out_of_step_with_page_count_detected(self, desk_ssd):
+        desk_ssd.mode[0] = Mode.QLC
+        desk_ssd.block_tally[Mode.SLC] -= 1
+        desk_ssd.block_tally[Mode.QLC] += 1
+        with pytest.raises(AuditError, match="8 pages in qlc mode"):
+            desk_ssd.audit()
+
+    def test_shared_page_array_detected(self, desk_ssd):
+        desk_ssd.program_page(0, 0, lpn=1)
+        desk_ssd.invalidate_page(0, 0)
+        desk_ssd.pages[1] = desk_ssd.pages[0]  # both read as one invalid page
+        with pytest.raises(AuditError, match="share"):
             desk_ssd.audit()
 
     def test_page_array_longer_than_its_block_detected(self, desk_ssd):
         for idx in range(8):
             desk_ssd.program_page(0, idx, lpn=idx)
-        desk_ssd.blocks[0].pages.append(42)    # a ninth page in an 8-page block
-        desk_ssd.blocks[0].valid_count += 1
+        desk_ssd.pages[0].append(42)    # a ninth page in an 8-page block
+        desk_ssd.valid_count[0] += 1
         desk_ssd.mapping[42] = (0, 8)
         with pytest.raises(AuditError, match="past its 8"):
             desk_ssd.audit()
