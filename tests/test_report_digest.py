@@ -6,20 +6,24 @@ history file in tuned mode) against a digest recorded before the refactor.
 A change that moves a digest on purpose must say so and record the new one.
 """
 import hashlib
+import random
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from hybridssd import (ActionKind, ConfigProfile, EpochSchedule, FtlEngine,
                        HotnessClassifier, LatencyModel, ScriptedBackend,
-                       SsdState, desk_geometry, emit_report, replay,
-                       synth_trace)
+                       SsdState, desk_geometry, emit_report, load_trace,
+                       replay, synth_trace)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "tuning_reply.txt"
 
 DIGESTS = {
     "fresh_default":
         "e77c6a48e976cf31d473013e5fd237445d2159333c898907266f45c815525da3",
+    "msr_spans":
+        "4df35ed66026afa0db7249a920d47511cb011c09b08bb9daec693a9c06bc7166",
     "gc_agent_prefill":
         "0b50053a7b0130120ec14ff2b2b154efd0741275ee0a3c39fbf0bf5a760ea303",
     "gc_granularity_prefill":
@@ -121,8 +125,49 @@ def tuned_shift():
                 config_over={"std_dev_threshold": 5})
 
 
+def write_msr_spans(path, requests, logical_pages, page_size, seed):
+    """An MSR-Cambridge-format CSV of 80% writes, each request covering
+    1-8 whole pages from an offset and to an end inside a page; 90% of
+    them start in the first 2% of the logical space."""
+    rng = random.Random(seed)
+    hot_pages = max(1, int(logical_pages * 0.02))
+    ticks = 128166372000000000      # 100 ns ticks, as in the MSR traces
+    lines = []
+    for _ in range(requests):
+        ticks += rng.randrange(1, 20000)
+        n = rng.randint(1, 8)
+        lpn = (rng.randrange(hot_pages) if rng.random() < 0.9
+               else rng.randrange(logical_pages))
+        # skip `head` bytes of the first page and `tail` of the last
+        head = rng.randrange(page_size)
+        tail = rng.randrange(page_size - head if n == 1 else page_size)
+        op = "Write" if rng.random() < 0.8 else "Read"
+        lines.append(f"{ticks},host,0,{op},{lpn * page_size + head},"
+                     f"{n * page_size - head - tail},100\n")
+    path.write_text("".join(lines))
+
+
+def msr_spans():
+    # 1-8 page spans after a half fill, hot spans placed in SLC from the
+    # first classification on: spans switch region mid-request and fill
+    # the device until a span needs forced space management
+    pages = SsdState(WIDE_GEO, FRACTIONAL, SPLIT).logical_capacity_pages
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spans.csv"
+        write_msr_spans(path, 600, pages, WIDE_GEO.page_size, seed=3)
+        records, skipped = load_trace(path, "msr")
+    config = ConfigProfile(window_size=100, rl_training_interval=50,
+                           kmeans_trigger_threshold=50,
+                           slice_size=WIDE_GEO.page_size * 8,
+                           placement_strategy="hotness_based")
+    return replay(records, config, WIDE_GEO, latency=FRACTIONAL, seed=3,
+                  initial_mode_split=SPLIT, prefill_fraction=0.5,
+                  skipped_lines=skipped)
+
+
 SCENARIOS = {
     "fresh_default": fresh_default,
+    "msr_spans": msr_spans,
     "gc_agent_prefill": gc_agent_prefill,
     "gc_granularity_prefill": gc_granularity_prefill,
     "slc_to_qlc_fractional": slc_to_qlc_fractional,
@@ -195,3 +240,30 @@ def test_scenarios_reach_the_layers_they_pin(monkeypatch):
     tuned_reslice()
     assert GEO.page_size * 4 in slice_sizes
     assert any(hot_flags)
+    monkeypatch.undo()
+    # msr_spans: the modes of each write's host pages (GC programs its
+    # pages through program_run), and the forced space-management calls
+    span_modes, forced_calls = [], []
+    program_page = SsdState.program_page
+    space_management = FtlEngine._space_management
+
+    def recording_span(ftl, lpn, n=1, hot=None):
+        span_modes.append([])
+        return handle_write(ftl, lpn, n, hot=hot)
+
+    def recording_program(ssd, block_id, page_idx, lpn):
+        span_modes[-1].append(ssd.mode[block_id])
+        return program_page(ssd, block_id, page_idx, lpn)
+
+    def recording_space_management(ftl, forced=False):
+        forced_calls.append(forced)
+        return space_management(ftl, forced)
+
+    monkeypatch.setattr(FtlEngine, "handle_write", recording_span)
+    monkeypatch.setattr(SsdState, "program_page", recording_program)
+    monkeypatch.setattr(FtlEngine, "_space_management",
+                        recording_space_management)
+    spans = msr_spans()
+    assert spans.requests == 600
+    assert any(len(set(modes)) > 1 for modes in span_modes)
+    assert any(forced_calls)
