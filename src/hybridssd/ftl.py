@@ -183,8 +183,10 @@ class FtlEngine:
         self.free_count[mode] -= 1
         return heappop(self.free[mode][channel]) % len(self.ssd.mode)
 
-    def _allocate_page(self, mode: Mode) -> tuple[int, int] | None:
-        """Next append slot in `mode`, rotating the channel cursor."""
+    def _allocate_page(self, mode: Mode) -> int:
+        """Block of the next append slot in `mode`, rotating the channel
+        cursor: the cursor's channel or the next one with an active block
+        or a free block to open. `mode` must have space (`_has_space`)."""
         channels = self.ssd.geometry.channels
         active = self.active[mode]
         start = self.stripe_cursor[mode]
@@ -195,8 +197,7 @@ class FtlEngine:
                 block_id = active[ch] = self._pop_free(mode, ch)
             if block_id is not None:
                 self.stripe_cursor[mode] = (ch + 1) % channels
-                return block_id, len(self.ssd.pages[block_id])
-        return None
+                return block_id
 
     def _placement_region(self, mode: Mode) -> Mode | None:
         """`mode` if it has room, else the other region if that has room."""
@@ -204,23 +205,6 @@ class FtlEngine:
             return mode
         other = QLC if mode is SLC else SLC
         return other if self._has_space(other) else None
-
-    def _place(self, mode: Mode) -> tuple[int, int] | None:
-        """Next append slot in `mode`, else in the other region."""
-        region = self._placement_region(mode)
-        return None if region is None else self._allocate_page(region)
-
-    def _program(self, placed: tuple[int, int], lpn: int) -> tuple[float, int]:
-        block_id, page_idx = placed
-        ssd = self.ssd
-        us = ssd.program_page(block_id, page_idx, lpn)
-        self.wa.device_pages_written += 1
-        ch = ssd.geometry.channel_of(block_id)
-        if ssd.is_full(block_id):
-            active = self.active[ssd.mode[block_id]]
-            if active[ch] == block_id:
-                active[ch] = None
-        return us, ch
 
     def _preferred_mode(self, hot: bool | None) -> Mode:
         if self.config.placement_strategy is SLC_FIRST:
@@ -231,29 +215,59 @@ class FtlEngine:
 
     def handle_write(self, lpn: int, n_pages: int = 1,
                      hot: bool | None = None) -> float:
-        """Service a host write; returns its latency including foreground GC."""
-        if lpn < 0 or n_pages < 1 or lpn + n_pages > self.ssd.logical_capacity_pages:
+        """Service a host write; returns its latency including foreground GC.
+
+        Page by page: invalidate the old copy, then append to the slot
+        `_allocate_page` hands out in the preferred region, else in the
+        other one; with neither holding space, space management is forced.
+        """
+        ssd = self.ssd
+        if lpn < 0 or n_pages < 1 or lpn + n_pages > ssd.logical_capacity_pages:
             self.rejected_requests += 1
             return 0.0
+        lookup, invalidate = ssd.mapping.get, ssd.invalidate_page
+        program, pages, page_count = ssd.program_page, ssd.pages, ssd.page_count
+        channels = ssd.geometry.channels
+        mode = self._preferred_mode(hot)
+        active, cursor = self.active[mode], self.stripe_cursor
+        # per channel, its pages' latencies summed in page order; as flash
+        # costs are positive, the largest running sum is the largest total
         per_channel: dict[int, float] = {}
-        gc_us = 0.0
+        base = gc_us = 0.0
         for i in range(lpn, lpn + n_pages):
-            old = self.ssd.mapping.get(i)
+            old = lookup(i)
             if old is not None:
-                self.ssd.invalidate_page(*old)
-            mode = self._preferred_mode(hot)
-            placed = self._place(mode)
-            if placed is None:
-                # both regions exhausted mid-request: force space management
-                gc_us += self._space_management(forced=True)
-                placed = self._place(mode)
-                if placed is None:
-                    raise CapacityError("device full even after space management")
-            us, ch = self._program(placed, i)
-            per_channel[ch] = per_channel.get(ch, 0.0) + us
+                old_block, old_idx = old
+                invalidate(old_block, old_idx)
+            ch = cursor[mode]
+            block_id = active[ch]
+            if block_id is not None:
+                # the slot `_allocate_page(mode)` hands out from here
+                cursor[mode] = (ch + 1) % channels
+            else:
+                region = self._placement_region(mode)
+                if region is None:
+                    # both regions exhausted mid-request
+                    gc_us += self._space_management(forced=True)
+                    region = self._placement_region(mode)
+                    if region is None:
+                        # the pages programmed so far stay written
+                        self.wa.device_pages_written += i - lpn
+                        raise CapacityError(
+                            "device full even after space management")
+                block_id = self._allocate_page(region)
+                ch = block_id % channels
+            page_idx = len(pages[block_id])
+            us = program(block_id, page_idx, i)
+            if page_idx + 1 == page_count[block_id]:
+                # retire the full block from its region's active blocks
+                self.active[ssd.mode[block_id]][ch] = None
+            summed = per_channel[ch] = per_channel.get(ch, 0.0) + us
+            if summed > base:
+                base = summed
+        self.wa.device_pages_written += n_pages
         self.wa.host_pages_written += n_pages
         gc_us += self._space_management()
-        base = max(per_channel.values()) if per_channel else 0.0
         return base + gc_us
 
     def fill(self, lpns: range) -> None:
@@ -354,19 +368,26 @@ class FtlEngine:
 
     def handle_read(self, lpn: int, n_pages: int = 1) -> float:
         """Service a host read; unmapped pages cost nothing but are counted."""
-        if lpn < 0 or n_pages < 1 or lpn + n_pages > self.ssd.logical_capacity_pages:
+        ssd = self.ssd
+        if lpn < 0 or n_pages < 1 or lpn + n_pages > ssd.logical_capacity_pages:
             self.rejected_requests += 1
             return 0.0
-        per_channel: dict[int, float] = {}
+        lookup, read = ssd.mapping.get, ssd.read_page
+        channels = ssd.geometry.channels
+        per_channel: dict[int, float] = {}     # as in handle_write
+        base = 0.0
         for i in range(lpn, lpn + n_pages):
-            ppn = self.ssd.mapping.get(i)
+            ppn = lookup(i)
             if ppn is None:
                 self.unmapped_reads += 1
                 continue
-            us = self.ssd.read_page(*ppn)
-            ch = self.ssd.geometry.channel_of(ppn[0])
-            per_channel[ch] = per_channel.get(ch, 0.0) + us
-        return max(per_channel.values()) if per_channel else 0.0
+            block_id, page_idx = ppn
+            us = read(block_id, page_idx)
+            ch = block_id % channels
+            summed = per_channel[ch] = per_channel.get(ch, 0.0) + us
+            if summed > base:
+                base = summed
+        return base
 
     # --- space management ---------------------------------------------------------
 
@@ -401,6 +422,11 @@ class FtlEngine:
         return IDLE
 
     def _space_management(self, forced: bool = False) -> float:
+        """Run space-management actions until the stop test passes: some
+        region holds space (`forced`, called only when none does) or no
+        region is below the trigger. Returns the actions' latency."""
+        if not forced and not self._regions_below_threshold():
+            return 0.0
         total = 0.0
         # kinds whose last attempt had a zero outcome: that attempt changed
         # nothing, so until an action acts they stay zero and the stop test
@@ -409,8 +435,9 @@ class FtlEngine:
         # a full device is a survival situation, not a policy decision:
         # the forced path always uses the deterministic fallback
         source = None if forced else self.action_source
-        for _ in range(SAFETY_BOUND):
-            if not futile:
+        for round_ in range(SAFETY_BOUND):
+            # round 0 is past its stop test: the one above, or the caller's
+            if round_ and not futile:
                 if forced:
                     if self._has_space(SLC) or self._has_space(QLC):
                         break

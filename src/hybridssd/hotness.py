@@ -177,17 +177,31 @@ class HotnessClassifier:
         self.hot: frozenset[int] = frozenset()
         self.writes_since_classify = 0
 
-    def record_write(self, lpn: int, now_us: float) -> None:
-        idx = lpn // self.pages_per_slice
-        s = self.slices.get(idx)
-        if s is None:
-            self.slices[idx] = [1, now_us, 0.0]
-        else:
-            s[0] += 1
-            gap = now_us - s[1]
-            s[2] += (gap - s[2]) / (s[0] - 1)
-            s[1] = now_us
-        self.writes_since_classify += 1
+    def record_write(self, lpn: int, now_us: float, n_pages: int = 1) -> None:
+        """Count a write of pages lpn .. lpn + n_pages - 1 at `now_us`: per
+        page in order, its slice's update count and running mean gap."""
+        per_slice = self.pages_per_slice
+        slices = self.slices
+        end = lpn + n_pages
+        idx = lpn // per_slice
+        while lpn < end:
+            # the span's pages in slice idx: lpn up to the slice's end
+            stop = (idx + 1) * per_slice
+            if stop > end:
+                stop = end
+            pages = stop - lpn
+            s = slices.get(idx)
+            if s is None:
+                s = slices[idx] = [1, now_us, 0.0]
+                pages -= 1
+            for _ in range(pages):
+                s[0] += 1
+                gap = now_us - s[1]
+                s[2] += (gap - s[2]) / (s[0] - 1)
+                s[1] = now_us
+            lpn = stop
+            idx += 1
+        self.writes_since_classify += n_pages
 
     def is_hot(self, lpn: int) -> bool:
         return lpn // self.pages_per_slice in self.hot

@@ -104,7 +104,7 @@ class SimulatorStack:
             for lpn, n in spans:
                 hot = self.classifier.is_hot(lpn)
                 hot_any = hot_any or hot
-                us += self.ftl.handle_write(lpn, n, hot=hot)
+                us += self.ftl.handle_write(lpn, n, hot)
             self._record_hotness(hot_any)
         else:
             for lpn, n in spans:
@@ -115,8 +115,7 @@ class SimulatorStack:
         if is_write:
             self.writes += 1
             for lpn, n in spans:
-                for i in range(n):
-                    self.classifier.record_write(lpn + i, now)
+                self.classifier.record_write(lpn, now, n)
         self.monitor.push(spans[0][0], is_write, now)
         self.classifier.maybe_classify(self.config, now)
         if (self.requests - self._train_mark.requests

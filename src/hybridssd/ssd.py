@@ -94,7 +94,7 @@ class LatencyModel:
     def __post_init__(self):
         vals = (self.read_slc, self.read_qlc, self.write_slc,
                 self.write_qlc, self.erase_slc, self.erase_qlc)
-        if any(v <= 0 for v in vals):
+        if not all(v > 0 for v in vals):    # NaN included
             raise GeometryError("latency values must be positive")
         if self.write_qlc <= self.write_slc or self.read_qlc <= self.read_slc:
             raise GeometryError("QLC read/write must cost more than SLC")
@@ -189,9 +189,21 @@ class SsdState:
 
     # --- page operations ------------------------------------------------------
 
+    def _outside(self, block_id: int) -> PageStateError:
+        """The error for a block id outside [0, total blocks), which every
+        mutator raises: a negative id would index a block counted from the
+        end."""
+        return PageStateError(f"block {block_id} is outside the device's "
+                              f"{len(self.mode)} blocks")
+
     def program_page(self, block_id: int, page_idx: int, lpn: int) -> float:
         """Append one page to a block. Returns the program latency in us."""
-        pages = self.pages[block_id]
+        if block_id < 0:
+            raise self._outside(block_id)
+        try:
+            pages = self.pages[block_id]
+        except IndexError:
+            raise self._outside(block_id) from None
         if page_idx != len(pages):
             raise PageStateError(
                 f"block {block_id}: program at {page_idx} but write pointer "
@@ -216,6 +228,8 @@ class SsdState:
     def program_run(self, block_id: int, lpns) -> None:
         """Append one page per lpn of a sequence to a block, in order:
         `program_page` in bulk, with the same checks."""
+        if not 0 <= block_id < len(self.mode):
+            raise self._outside(block_id)
         pages = self.pages[block_id]
         start = len(pages)
         end = start + len(lpns)
@@ -280,6 +294,8 @@ class SsdState:
         """Invalidate every valid page of a block; returns their lpns in
         page order. `invalidate_page` per valid page, in bulk: a full block
         is re-filed in the victim index once, under no valid page."""
+        if not 0 <= block_id < len(self.mode):
+            raise self._outside(block_id)
         pages = self.pages[block_id]
         lpns = [lpn for lpn in pages if lpn >= 0]
         full = self.is_full(block_id)
@@ -297,6 +313,8 @@ class SsdState:
 
     def erase_block(self, block_id: int) -> float:
         """Erase a block holding no valid data. Returns erase latency in us."""
+        if not 0 <= block_id < len(self.mode):
+            raise self._outside(block_id)
         valid = self.valid_count[block_id]
         if valid:
             raise PageStateError(
@@ -314,6 +332,8 @@ class SsdState:
         Metadata-only: the erase that freed the block already paid the cost,
         so conversion itself charges no latency and no endurance.
         """
+        if not 0 <= block_id < len(self.mode):
+            raise self._outside(block_id)
         if self.pages[block_id]:
             raise PageStateError(
                 f"convert of non-empty block {block_id} (erase it first)")

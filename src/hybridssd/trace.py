@@ -177,7 +177,7 @@ def page_span(record: TraceRecord, page_size: int,
     modulo the logical capacity (a wrap yields two contiguous runs).
     """
     start = record.offset // page_size
-    end = math.ceil((record.offset + record.size) / page_size)
+    end = -(-(record.offset + record.size) // page_size)
     n = min(max(end - start, 1), logical_pages)
     start %= logical_pages
     if start + n <= logical_pages:

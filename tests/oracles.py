@@ -3,14 +3,17 @@
 Everything here is written flat and dumb on purpose: plain lists, no shared
 code with the package beyond the latency table values and its exception
 types, so an agreement between the two is evidence rather than tautology.
+The op log, the payload tracker and `PerPageHost` are the exceptions: they
+work on an engine's own state, to check the engine against itself.
 """
 import enum
 import math
 from dataclasses import dataclass
+from heapq import heappop
 
 import numpy as np
 
-from hybridssd.errors import ConfigError
+from hybridssd.errors import CapacityError, ConfigError
 
 INVALID = "X"
 
@@ -192,6 +195,118 @@ class PagePayloads:
         """Payload at the page the device maps lpn to (None if unmapped)."""
         ppn = self.ssd.mapping.get(lpn)
         return None if ppn is None else self.by_ppn.get(ppn)
+
+
+class PerPageHost:
+    """An FtlEngine's host path one page at a time, every step its own
+    call: per page the preferred mode, a region with space, a slot in it
+    (opening a free block where the channel has none) and the program,
+    which retires a block it fills; forced space management when neither
+    region has space.
+
+    It runs on the engine's own pools, cursors, counters and space
+    management. `slc`, `qlc` and `slc_first` are the two modes and the
+    SLC-first placement strategy.
+    """
+
+    def __init__(self, ftl, slc, qlc, slc_first):
+        self.ftl = ftl
+        self.slc, self.qlc, self.slc_first = slc, qlc, slc_first
+
+    def has_space(self, mode):
+        ftl = self.ftl
+        return (ftl.free_count[mode] > 0 or ftl.active[mode].count(None)
+                < ftl.ssd.geometry.channels)
+
+    def allocate_page(self, mode):
+        """(block id, page index) of the next slot in `mode` from the
+        stripe cursor on, or None."""
+        ftl = self.ftl
+        channels = ftl.ssd.geometry.channels
+        active = ftl.active[mode]
+        start = ftl.stripe_cursor[mode]
+        for i in range(channels):
+            ch = (start + i) % channels
+            block_id = active[ch]
+            if block_id is None and ftl.free[mode][ch]:
+                ftl.free_count[mode] -= 1
+                block_id = active[ch] = (heappop(ftl.free[mode][ch])
+                                         % len(ftl.ssd.mode))
+            if block_id is not None:
+                ftl.stripe_cursor[mode] = (ch + 1) % channels
+                return block_id, len(ftl.ssd.pages[block_id])
+        return None
+
+    def place(self, mode):
+        """A slot in `mode` if it has space, else in the other region."""
+        if not self.has_space(mode):
+            mode = self.qlc if mode is self.slc else self.slc
+            if not self.has_space(mode):
+                return None
+        return self.allocate_page(mode)
+
+    def program(self, placed, lpn):
+        """Program `lpn` at `placed`; (latency, channel)."""
+        ftl = self.ftl
+        ssd = ftl.ssd
+        block_id, page_idx = placed
+        us = ssd.program_page(block_id, page_idx, lpn)
+        ftl.wa.device_pages_written += 1
+        ch = block_id % ssd.geometry.channels
+        if len(ssd.pages[block_id]) == ssd.page_count[block_id]:
+            active = ftl.active[ssd.mode[block_id]]
+            if active[ch] == block_id:
+                active[ch] = None
+        return us, ch
+
+    def preferred_mode(self, hot):
+        if self.ftl.config.placement_strategy is self.slc_first:
+            return self.slc
+        return self.slc if hot else self.qlc
+
+    def handle_write(self, lpn, n_pages=1, hot=None):
+        ftl = self.ftl
+        if (lpn < 0 or n_pages < 1
+                or lpn + n_pages > ftl.ssd.logical_capacity_pages):
+            ftl.rejected_requests += 1
+            return 0.0
+        per_channel = {}
+        gc_us = 0.0
+        for i in range(lpn, lpn + n_pages):
+            old = ftl.ssd.mapping.get(i)
+            if old is not None:
+                ftl.ssd.invalidate_page(*old)
+            mode = self.preferred_mode(hot)
+            placed = self.place(mode)
+            if placed is None:
+                gc_us += ftl._space_management(forced=True)
+                placed = self.place(mode)
+                if placed is None:
+                    raise CapacityError("device full even after space "
+                                        "management")
+            us, ch = self.program(placed, i)
+            per_channel[ch] = per_channel.get(ch, 0.0) + us
+        ftl.wa.host_pages_written += n_pages
+        gc_us += ftl._space_management()
+        base = max(per_channel.values()) if per_channel else 0.0
+        return base + gc_us
+
+    def handle_read(self, lpn, n_pages=1):
+        ftl = self.ftl
+        if (lpn < 0 or n_pages < 1
+                or lpn + n_pages > ftl.ssd.logical_capacity_pages):
+            ftl.rejected_requests += 1
+            return 0.0
+        per_channel = {}
+        for i in range(lpn, lpn + n_pages):
+            ppn = ftl.ssd.mapping.get(i)
+            if ppn is None:
+                ftl.unmapped_reads += 1
+                continue
+            us = ftl.ssd.read_page(*ppn)
+            ch = ppn[0] % ftl.ssd.geometry.channels
+            per_channel[ch] = per_channel.get(ch, 0.0) + us
+        return max(per_channel.values()) if per_channel else 0.0
 
 
 def free_ids(ftl, mode, ch):

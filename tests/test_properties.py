@@ -28,9 +28,9 @@ from hybridssd.trace import (FORMATS, OpKind, TraceRecord, load_trace,
 from hybridssd.tuner import correct_mistakes
 
 from conftest import make_stack
-from oracles import (FlatQTable, PagePayloads, PerBlockDevice, ReferenceAgent,
-                     ReferenceClassifier, bucket_fraction, free_ids,
-                     least_worn, reference_load_trace)
+from oracles import (FlatQTable, PagePayloads, PerBlockDevice, PerPageHost,
+                     ReferenceAgent, ReferenceClassifier, bucket_fraction,
+                     free_ids, least_worn, reference_load_trace)
 
 PAGE = 16384
 BOUNDS = default_param_bounds(PAGE)
@@ -287,6 +287,8 @@ def device_state(ftl):
         "action_counts": ftl.action_counts,
         "ineffective_actions": ftl.ineffective_actions,
         "capacity_pressure_warnings": ftl.capacity_pressure_warnings,
+        "rejected_requests": ftl.rejected_requests,
+        "unmapped_reads": ftl.unmapped_reads,
     }
 
 
@@ -343,12 +345,18 @@ def test_bulk_fill_matches_per_page_fill(channels, blocks, ppb, op_ratio,
 
 # --- bulk GC migration and the futile-kind rule -------------------------------------------
 
+def per_page_host(ftl):
+    """The engine's host path, one page at a time."""
+    return PerPageHost(ftl, Mode.SLC, Mode.QLC, PlacementStrategy.SLC_FIRST)
+
+
 def per_page_gc_once(ftl, src, dst, out):
     """`FtlEngine._gc_once` one page at a time: read, invalidate, allocate
     and program each valid page of the victim in page order, then erase."""
     victim = ftl._gc_victim(src, dst)
     if victim is None:
         return False
+    host = per_page_host(ftl)
     pages = ftl.ssd.pages[victim]
     for idx in range(len(pages)):
         lpn = pages[idx]
@@ -356,8 +364,8 @@ def per_page_gc_once(ftl, src, dst, out):
             continue
         out.latency_us += ftl.ssd.read_page(victim, idx)
         ftl.ssd.invalidate_page(victim, idx)
-        placed = ftl._allocate_page(dst)
-        out.latency_us += ftl._program(placed, lpn)[0]
+        placed = host.allocate_page(dst)
+        out.latency_us += host.program(placed, lpn)[0]
         out.pages_migrated += 1
     out.latency_us += ftl.ssd.erase_block(victim)
     out.blocks_reclaimed += 1
@@ -420,10 +428,18 @@ def sticky_picker(seed, stay):
     return pick
 
 
+# in a request's hot slot: the request is a read
+READ = "read"
+
+
 def run_twin_engines(make_engine, reference, writes, fill_fraction,
-                     engines=None):
+                     engines=None, clamp=True):
     """Run a reference and the real engine through the same fill and
-    writes, asserting the same latency and state after every step.
+    requests, asserting the same latency and state after every step.
+    `writes` holds (lpn, n_pages, hot) requests, a read where hot is READ.
+    With `clamp` each request is cut to fit the logical space; without,
+    only a non-negative lpn wraps into it, so a negative lpn, a count
+    below 1 or a span past the end is a rejected request.
     Returns what the real engine's GC did: the (victim, destination) modes
     of migrations that moved pages, and "pop" if a destination popped a
     free block mid-migration."""
@@ -450,12 +466,16 @@ def run_twin_engines(make_engine, reference, writes, fill_fraction,
     for lpn, n, hot in writes:
         if not logical:
             break
-        lpn %= logical
-        n = min(n, logical - lpn)
+        if clamp:
+            lpn %= logical
+            n = min(n, logical - lpn)
+        elif lpn >= 0:
+            lpn %= logical
         results = []
         for ftl in (real, ref):
             try:
-                results.append(ftl.handle_write(lpn, n, hot=hot))
+                results.append(ftl.handle_read(lpn, n) if hot is READ
+                               else ftl.handle_write(lpn, n, hot=hot))
             except CapacityError as exc:
                 results.append(str(exc))
         assert results[0] == results[1]
@@ -566,6 +586,112 @@ def test_skipping_futile_repeats_matches_executing_every_pick(
         channels, blocks, ppb, op_ratio, split, strategy, gc_trigger,
         gc_granularity, picker_seed, stay), execute_every_pick, writes,
         fill_fraction)
+
+
+# --- the host path per span -----------------------------------------------------------
+
+def per_page_host_path(ftl):
+    host = per_page_host(ftl)
+    ftl.handle_write, ftl.handle_read = host.handle_write, host.handle_read
+
+
+span_requests = st.lists(
+    st.tuples(st.integers(min_value=-2, max_value=10**6),
+              st.integers(min_value=0, max_value=8),
+              st.sampled_from([None, True, False, READ])),
+    max_size=60)
+
+
+# a 16-page device, half full: spans switch region mid-span, a forced call
+# rescues one, a later span runs out of space mid-span; reads, unmapped
+# reads and rejected requests (negative lpn, no page, past the end) between
+PINNED_SPANS = dict(
+    channels=2, blocks=4, ppb=2, op_ratio=0.2, split=0.5,
+    strategy=PlacementStrategy.HOTNESS_BASED, gc_trigger=10,
+    gc_granularity=1, picker_seed=3, fill_fraction=0.5,
+    writes=[(i * 7 - 2 * (i % 17 == 5), i % 9, (None, True, False, READ)[i % 4])
+            for i in range(80)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(**{**twin_geometry, "writes": span_requests})
+@example(**PINNED_SPANS)
+def test_span_host_path_matches_the_per_page_path(
+        channels, blocks, ppb, op_ratio, split, strategy, gc_trigger,
+        gc_granularity, picker_seed, fill_fraction, writes):
+    run_twin_engines(twin_engine_factory(
+        channels, blocks, ppb, op_ratio, split, strategy, gc_trigger,
+        gc_granularity, picker_seed), per_page_host_path, writes,
+        fill_fraction, clamp=False)
+
+
+def test_pinned_spans_reach_every_host_case():
+    params = dict(PINNED_SPANS)
+    writes, fill_fraction = params.pop("writes"), params.pop("fill_fraction")
+    make = twin_engine_factory(**params)
+    real, ref = make(), make()
+    seen = set()
+    span_modes = []
+    program, space_management = real.ssd.program_page, real._space_management
+    write, read = real.handle_write, real.handle_read
+
+    def recording_program(block_id, page_idx, lpn):
+        span_modes[-1].append(real.ssd.mode[block_id])
+        return program(block_id, page_idx, lpn)
+
+    def recording_space_management(forced=False):
+        if forced:
+            seen.add("forced")
+        return space_management(forced)
+
+    def recording_write(lpn, n_pages=1, hot=None):
+        span_modes.append([])
+        programmed = real.ssd.device_pages_written
+        try:
+            return write(lpn, n_pages, hot)
+        except CapacityError:
+            if real.ssd.device_pages_written > programmed:
+                seen.add("full mid-span")
+            raise
+        finally:
+            if len(set(span_modes[-1])) > 1:
+                seen.add("switch")
+
+    def recording_read(lpn, n_pages=1):
+        us = read(lpn, n_pages)
+        if us:
+            seen.add("read")
+        return us
+
+    real.ssd.program_page = recording_program
+    real._space_management = recording_space_management
+    real.handle_write, real.handle_read = recording_write, recording_read
+    run_twin_engines(make, per_page_host_path, writes, fill_fraction,
+                     engines=(real, ref), clamp=False)
+    assert seen == {"forced", "full mid-span", "switch", "read"}
+    assert real.rejected_requests and real.unmapped_reads
+
+
+@settings(max_examples=100, deadline=None)
+@given(spans=st.lists(st.tuples(st.integers(min_value=0, max_value=200),
+                                st.integers(min_value=1, max_value=8),
+                                st.floats(min_value=0.0, max_value=1e4)),
+                      min_size=1, max_size=40),
+       pages_per_slice=st.integers(min_value=1, max_value=8))
+def test_record_write_of_a_span_matches_per_page_calls(spans,
+                                                       pages_per_slice):
+    clf = HotnessClassifier(PAGE * pages_per_slice, PAGE)
+    ref = ReferenceClassifier(PAGE * pages_per_slice, PAGE)
+    now = 0.0
+    for lpn, n, dt in spans:
+        now += dt
+        clf.record_write(lpn, now, n)
+        for i in range(lpn, lpn + n):
+            ref.record_write(i, now)
+    assert clf.writes_since_classify == ref.writes_since_classify
+    assert clf.slices == {
+        idx: [s.update_count, s.last_time_us, s.mean_interval_us]
+        for idx, s in ref.stats.slices.items()}
 
 
 # --- page span -----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hybridssd import (AuditError, FlashGeometry, GeometryError, LatencyModel,
@@ -52,6 +54,11 @@ class TestLatencyModel:
     def test_qlc_must_cost_more_than_slc(self):
         with pytest.raises(GeometryError):
             LatencyModel(write_slc=2000.0, write_qlc=200.0)
+
+    @pytest.mark.parametrize("field", ["read_slc", "write_qlc", "erase_slc"])
+    def test_a_nan_cost_is_rejected(self, field):
+        with pytest.raises(GeometryError):
+            LatencyModel(**{field: math.nan})
 
 
 class TestConstruction:
@@ -166,6 +173,27 @@ class TestPageOps:
         with pytest.raises(PageStateError):
             desk_ssd.read_page(block_id, page_idx)
         assert desk_ssd.mapping == {5: (0, 0), 6: (0, 1), 7: (7, 0)}
+        desk_ssd.audit()
+
+    @pytest.mark.parametrize("block_id", [-1, -8, 8])
+    @pytest.mark.parametrize("mutate", [
+        lambda ssd, b: ssd.program_page(b, 0, 5),
+        lambda ssd, b: ssd.program_run(b, [5, 6]),
+        lambda ssd, b: ssd.evacuate(b),
+        lambda ssd, b: ssd.erase_block(b),
+        lambda ssd, b: ssd.convert_block_mode(b, Mode.SLC),
+    ], ids=["program_page", "program_run", "evacuate", "erase_block",
+            "convert_block_mode"])
+    def test_a_mutator_refuses_a_block_outside_the_device(
+            self, desk_ssd, mutate, block_id):
+        # a negative id would act on a block counted from the end: -1 on
+        # the unwritten last block, -8 on the written first one
+        desk_ssd.program_page(0, 0, lpn=7)
+        with pytest.raises(PageStateError):
+            mutate(desk_ssd, block_id)
+        assert desk_ssd.mapping == {7: (0, 0)}
+        assert desk_ssd.mode.count(Mode.SLC) == 4
+        assert desk_ssd.erase_ops == 0
         desk_ssd.audit()
 
     def test_program_into_a_full_block_raises(self, desk_ssd):

@@ -158,6 +158,13 @@ class TestPageSpan:
         spans = page_span(self.rec(PAGE * 8, PAGE * 3), PAGE, 10)
         assert spans == [(8, 2), (0, 1)]
 
+    def test_end_rounds_up_past_float_precision(self):
+        # offset + size = 2**60 + 4097 is not a float: through a float
+        # division the end rounded down to the start's page
+        spans = page_span(TraceRecord(OpKind.WRITE, 2**60, 4097), 4096,
+                          10**6)
+        assert spans == [(2**60 // 4096 % 10**6, 2)]
+
     def test_huge_request_clamped_to_device(self):
         spans = page_span(self.rec(0, PAGE * 100), PAGE, 10)
         assert sum(n for _, n in spans) == 10
