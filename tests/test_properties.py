@@ -602,9 +602,10 @@ span_requests = st.lists(
     max_size=60)
 
 
-# a 16-page device, half full: spans switch region mid-span, a forced call
-# rescues one, a later span runs out of space mid-span; reads, unmapped
-# reads and rejected requests (negative lpn, no page, past the end) between
+# eight blocks (40 raw pages), half full: spans switch region mid-span, one
+# forces space management, a later one runs out of space mid-span; reads,
+# unmapped reads and rejected requests (negative lpn, no page, past the
+# end) between
 PINNED_SPANS = dict(
     channels=2, blocks=4, ppb=2, op_ratio=0.2, split=0.5,
     strategy=PlacementStrategy.HOTNESS_BASED, gc_trigger=10,
