@@ -74,18 +74,34 @@ def write_amplification(device_pages: int, host_pages: int) -> float | None:
     return device_pages / host_pages if host_pages > 0 else None
 
 
+def fallback_source(ftl: FtlEngine, skip, limit: int
+                    ) -> tuple[ActionKind, int]:
+    """The action source without an agent: the engine's fixed greedy
+    order. It picks only kinds that act now, never an ineligible
+    conversion, so no pick of it joins `skip` and it draws once."""
+    kind = ftl._fallback_action()
+    ftl.action_counts[kind] += 1
+    return kind, 1
+
+
 class FtlEngine:
     """Address translation plus the five space-management actions.
 
-    `action_source` is any callable(ftl) -> ActionKind; the replay harness
-    wires the RL agent in through it, tests pass scripted pickers. Without
-    one, the engine falls back to a fixed greedy order. An action source
-    must not change device state: space management counts on an action
-    with a zero outcome doing nothing until another action acts.
-    The agent's memo of its last observation is keyed on its own inputs,
-    so it stays correct without that contract; the contract is what makes
-    it pay off, since a round that follows a zero outcome observes an
-    unchanged device.
+    `action_source` is any callable(ftl, skip, limit) -> (kind, draws): it
+    draws up to `limit` kinds, counting each in `ftl.action_counts`, and
+    stops at IDLE or at the first kind not in `skip`, which it returns,
+    else returns None. The replay harness wires the RL agent in through
+    it, tests pass scripted pickers. Without one, the engine uses
+    `fallback_source`, a fixed greedy order.
+
+    Space management calls the source once per executed action, and once
+    for the IDLE or the limit that ends it. `skip` holds the kinds that
+    would be zero outcomes: those whose last attempt changed nothing, and
+    a conversion that is not eligible. A source must not change device
+    state, so the device stays as it was across the draws of one call. The
+    agent counts on it: its memo of the last observation serves every draw
+    after the first, and only the intensity sample each draw pushes can
+    move its state.
 
     An engine is built on an unwritten device: it pools every block as
     free, honouring the modes and erase counts the blocks already have.
@@ -424,46 +440,48 @@ class FtlEngine:
     def _space_management(self, forced: bool = False) -> float:
         """Run space-management actions until the stop test passes: some
         region holds space (`forced`, called only when none does) or no
-        region is below the trigger. Returns the actions' latency."""
+        region is below the trigger. Returns the actions' latency.
+
+        A kind with a zero outcome changed nothing, so until an action
+        acts it stays a zero outcome and the stop test keeps its answer:
+        it joins `skip`, and the source draws past it."""
         if not forced and not self._regions_below_threshold():
             return 0.0
         total = 0.0
-        # kinds whose last attempt had a zero outcome: that attempt changed
-        # nothing, so until an action acts they stay zero and the stop test
-        # below keeps the answer that let the loop run
-        futile = set()
         # a full device is a survival situation, not a policy decision:
         # the forced path always uses the deterministic fallback
-        source = None if forced else self.action_source
-        for round_ in range(SAFETY_BOUND):
-            # round 0 is past its stop test: the one above, or the caller's
-            if round_ and not futile:
-                if forced:
-                    if self._has_space(SLC) or self._has_space(QLC):
-                        break
-                elif not self._regions_below_threshold():
-                    break
-            kind = (self._fallback_action() if source is None
-                    else source(self))
-            self.action_counts[kind] += 1
-            if kind is IDLE:
+        source = (fallback_source if forced or self.action_source is None
+                  else self.action_source)
+        rounds = 0
+        skip = None     # None: the last action acted (or none ran yet)
+        while rounds < SAFETY_BOUND:
+            if skip is None:
+                # round 0 is past its stop test: the one above, or the
+                # caller's
+                if rounds and ((self._has_space(SLC) or self._has_space(QLC))
+                               if forced
+                               else not self._regions_below_threshold()):
+                    return total
+                skip = set() if self.mc_eligible() else {SLC_TO_QLC_MC}
+            kind, draws = source(self, skip, SAFETY_BOUND - rounds)
+            rounds += draws
+            if kind is None:
+                self.ineffective_actions += draws
                 break
-            if kind in futile or (kind is SLC_TO_QLC_MC
-                                  and not self.mc_eligible()):
-                # a repeat of a futile kind, or a conversion not eligible
-                # yet: the attempt is a zero outcome and takes no time
-                futile.add(kind)
-                self.ineffective_actions += 1
-                continue
+            # the draws before `kind` were skipped: zero outcomes that take
+            # no time
+            self.ineffective_actions += draws - 1
+            if kind is IDLE:
+                return total
             outcome = self.execute_action(kind)
-            if outcome.effective:
-                futile.clear()
-            else:
-                futile.add(kind)
-                self.ineffective_actions += 1
             total += outcome.latency_us
-        else:   # SAFETY_BOUND rounds and still short of space
-            self.capacity_pressure_warnings += 1
+            if outcome.effective:
+                skip = None
+            else:
+                skip.add(kind)
+                self.ineffective_actions += 1
+        # SAFETY_BOUND draws and still short of space
+        self.capacity_pressure_warnings += 1
         return total
 
     def select_victim(self, mode: Mode) -> int | None:

@@ -73,12 +73,14 @@ class SimulatorStack:
         window.append(flag)
         self._hot_count += flag
 
-    def _pick_action(self, ftl) -> ActionKind:
+    def _pick_action(self, ftl, skip, limit) -> tuple[ActionKind | None,
+                                                      int]:
         agent = self.agent
         state = agent.observe_state(ftl.free_count, self.ssd.block_tally,
                                     self.last_summary,
                                     self.hot_write_fraction())
-        return agent.choose_action(state, self.config.rl_exploration)
+        return agent.choose_action(state, self.config.rl_exploration, skip,
+                                   limit, ftl.action_counts)
 
     def _train_agent(self) -> None:
         # service calls this only once the period holds a request

@@ -13,7 +13,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .config import ConfigProfile
-from .ftl import ACTION_ORDER, ActionKind
+from .ftl import ACTION_ORDER, IDLE, ActionKind
 from .ssd import QLC, SLC
 
 logger = logging.getLogger(__name__)
@@ -114,37 +114,45 @@ class SpaceAgent:
         self.rng = rng
         self.pending: list[tuple[AgentState, ActionKind]] = []
         self.intensity_samples: deque[float] = deque(maxlen=INTENSITY_SAMPLES)
-        # the last sample pushed and how many samples now lie below it and
-        # equal it; the rate only changes at training ticks, so a new sample
-        # almost always repeats it and its rank is a count update
+        # the last rate pushed and the `_rank_pushes` of it that ranks every
+        # following push of the same rate
         self._rank_value: float | None = None
-        self._rank_below = 0
-        self._rank_equal = 0
-        # the last observation: its inputs, the AgentState they gave and
-        # one (state, kind) pending pair per kind for that state
+        self._ranks = None
+        # the last observation: its inputs, the AgentState they gave, one
+        # (state, kind) pending pair per kind for that state and its greedy
+        # kind, kept by `train` as the Q-table changes only there
         self._memo_key: tuple | None = None
         self._memo_state: AgentState | None = None
         self._memo_pairs: dict[ActionKind, tuple[AgentState, ActionKind]] = {}
+        self._memo_greedy: ActionKind | None = None
         self.decisions = 0
         self.trainings = 0
 
     # --- state construction ---------------------------------------------------
 
     def intensity_bucket(self, writes_per_second: float) -> int:
+        """Push one writes/sec sample and bucket its rank in the window:
+        one step of the rate's `_rank_pushes`."""
+        if writes_per_second != self._rank_value:
+            self._rank_value = writes_per_second
+            self._ranks = self._rank_pushes(writes_per_second)
+        return next(self._ranks)
+
+    def _rank_pushes(self, x: float):
+        """Push `x` into the window at each step and yield the bucket of
+        its rank among the samples. The first push rescans the window; the
+        rate only changes at training ticks, so later pushes almost always
+        repeat x, and each then moves the counts of samples below and equal
+        to x by the one sample it evicts."""
         samples = self.intensity_samples
-        x = writes_per_second
-        if x == self._rank_value:
-            below, equal = self._rank_below, self._rank_equal
-            n = len(samples)
-            if equal == n:
-                # every sample equals x, so none lies below it: the rank is
-                # exactly one half at any length, and a full window evicts
-                # a copy of x
-                samples.append(x)
-                if n < INTENSITY_SAMPLES:
-                    self._rank_equal = n + 1
-                return _MID_BUCKET
-            if n == INTENSITY_SAMPLES:
+        samples.append(x)
+        below = sum(1 for s in samples if s < x)
+        equal = samples.count(x)
+        while equal < len(samples):
+            # x itself is counted in `equal`, so the rank lies in (0, 1)
+            # and the bucket needs no cap
+            yield int((below + 0.5 * equal) / len(samples) * N_QUARTILES)
+            if len(samples) == INTENSITY_SAMPLES:
                 evicted = samples[0]
                 if evicted < x:
                     below -= 1
@@ -152,14 +160,11 @@ class SpaceAgent:
                     equal -= 1
             samples.append(x)
             equal += 1
-        else:
+        # every sample equals x, so none lies below it: the rank is exactly
+        # one half at any length, and a push of x keeps the window so
+        while True:
+            yield _MID_BUCKET
             samples.append(x)
-            below = sum(1 for s in samples if s < x)
-            equal = samples.count(x)
-        self._rank_value, self._rank_below, self._rank_equal = x, below, equal
-        # x itself is counted in `equal`, so the rank lies in (0, 1) and
-        # the bucket needs no cap
-        return int((below + 0.5 * equal) / len(samples) * N_QUARTILES)
 
     def observe_state(self, free_count: dict, block_tally: dict,
                       workload_summary,
@@ -177,42 +182,77 @@ class SpaceAgent:
         """
         rate = (workload_summary.writes_per_virtual_second
                 if workload_summary is not None else 0.0)
-        intensity = self.intensity_bucket(rate)
-        slc_blocks, qlc_blocks = block_tally[SLC], block_tally[QLC]
-        key = (free_count[SLC], free_count[QLC], slc_blocks, qlc_blocks,
-               hot_write_fraction, intensity)
-        if key == self._memo_key:
-            return self._memo_state
+        key = (free_count[SLC], free_count[QLC], block_tally[SLC],
+               block_tally[QLC], hot_write_fraction,
+               self.intensity_bucket(rate))
+        if key != self._memo_key:
+            self._observe(key)
+        return self._memo_state
+
+    def _observe(self, key: tuple) -> None:
+        """Make `key`, an observe_state input tuple, the last observation."""
+        slc_free, qlc_free, slc_blocks, qlc_blocks, hot_fraction, intensity \
+            = key
         top = N_FREE_BUCKETS - 1
-        slc = (int(free_count[SLC] / slc_blocks * N_FREE_BUCKETS)
+        slc = (int(slc_free / slc_blocks * N_FREE_BUCKETS)
                if slc_blocks else 0)
         if slc > top:
             slc = top
-        qlc = (int(free_count[QLC] / qlc_blocks * N_FREE_BUCKETS)
+        qlc = (int(qlc_free / qlc_blocks * N_FREE_BUCKETS)
                if qlc_blocks else 0)
         if qlc > top:
             qlc = top
-        hot = int(hot_write_fraction * N_QUARTILES)
+        hot = int(hot_fraction * N_QUARTILES)
         if hot > N_QUARTILES - 1:
             hot = N_QUARTILES - 1
         state = _new_state(AgentState, (slc, qlc, intensity, hot))
         self._memo_key, self._memo_state = key, state
         self._memo_pairs = {kind: (state, kind) for kind in ACTION_ORDER}
-        return state
+        self._memo_greedy = self.qtable.best_action(state)
 
     # --- acting and learning -----------------------------------------------------
 
-    def choose_action(self, state: AgentState, epsilon: float) -> ActionKind:
+    def choose_action(self, state: AgentState, epsilon: float, skip=(),
+                      limit: int = 1, counts: dict | None = None
+                      ) -> tuple[ActionKind | None, int]:
+        """Draw epsilon-greedy actions until one is IDLE or not in `skip`,
+        at most `limit` of them; returns that kind (None when all `limit`
+        draws fell in `skip`) and the number of draws. Each draw queues a
+        pending pair and counts its kind in `counts`.
+
+        The first draw is on `state`. A later draw follows a skipped kind
+        that left the device as it was, so it observes the last observation
+        again: `state` must be that observation's state. Only its intensity
+        sample is new, and the state changes only when its bucket moves.
+        """
         rng = self.rng
-        if rng.random() < epsilon:
-            kind = rng.choice(ACTION_ORDER)
+        random, pending = rng.random, self.pending
+        if counts is None:
+            counts = dict.fromkeys(ACTION_ORDER, 0)
+        if state is self._memo_state:
+            pairs, greedy = self._memo_pairs, self._memo_greedy
         else:
-            kind = self.qtable.best_action(state)
-        # decisions on the last observed state queue its shared pairs
-        self.pending.append(self._memo_pairs[kind]
-                            if state is self._memo_state else (state, kind))
-        self.decisions += 1
-        return kind
+            pairs = {kind: (state, kind) for kind in ACTION_ORDER}
+            greedy = self.qtable.best_action(state)
+        intensity, ranks = state[2], self._ranks
+        draws = 0
+        while True:
+            kind = rng.choice(ACTION_ORDER) if random() < epsilon else greedy
+            pending.append(pairs[kind])
+            counts[kind] += 1
+            draws += 1
+            if kind is IDLE or kind not in skip:
+                break
+            if draws == limit:
+                kind = None
+                break
+            bucket = next(ranks)
+            if bucket != intensity:
+                intensity = bucket
+                self._observe(self._memo_key[:-1] + (bucket,))
+                pairs, greedy = self._memo_pairs, self._memo_greedy
+        self.decisions += draws
+        return kind, draws
 
     def train(self, avg_response_us: float, next_state: AgentState,
               config: ConfigProfile) -> float | None:
@@ -226,4 +266,6 @@ class SpaceAgent:
                                config.rl_learning_rate, config.rl_discount)
         self.pending.clear()
         self.trainings += 1
+        if self._memo_state is not None:
+            self._memo_greedy = self.qtable.best_action(self._memo_state)
         return r

@@ -3,8 +3,9 @@
 Everything here is written flat and dumb on purpose: plain lists, no shared
 code with the package beyond the latency table values and its exception
 types, so an agreement between the two is evidence rather than tautology.
-The op log, the payload tracker and `PerPageHost` are the exceptions: they
-work on an engine's own state, to check the engine against itself.
+The op log, the payload tracker, `PerPageHost` and the action-source
+adapters are the exceptions: they work on an engine's own state, to check
+the engine against itself.
 """
 import enum
 import math
@@ -14,6 +15,8 @@ from heapq import heappop
 import numpy as np
 
 from hybridssd.errors import CapacityError, ConfigError
+from hybridssd.ftl import SAFETY_BOUND, ActionKind
+from hybridssd.ssd import Mode
 
 INVALID = "X"
 
@@ -768,6 +771,60 @@ class ReferenceAgent:
         self.pending = []
         self.trainings += 1
         return r
+
+
+def per_draw(pick):
+    """An action source of the engine's (ftl, skip, limit) contract made
+    from a picker `pick(ftl) -> kind`, asked once per draw."""
+    def source(ftl, skip, limit):
+        for draws in range(1, limit + 1):
+            kind = pick(ftl)
+            ftl.action_counts[kind] += 1
+            if kind is ActionKind.IDLE or kind not in skip:
+                return kind, draws
+        return None, limit
+    return source
+
+
+def per_round_space_management(ftl, pick, forced=False):
+    """`FtlEngine._space_management` one round per draw: each round
+    re-tests the stop condition unless a kind is futile, asks `pick(ftl)`
+    (the fallback order when `forced` or without an action source) and
+    counts a repeat of a futile kind or an ineligible conversion as a zero
+    outcome that takes no time."""
+    if not forced and not ftl._regions_below_threshold():
+        return 0.0
+    total = 0.0
+    futile = set()
+    for round_ in range(SAFETY_BOUND):
+        if round_ and not futile:
+            if forced:
+                if ftl._has_space(Mode.SLC) or ftl._has_space(Mode.QLC):
+                    break
+            elif not ftl._regions_below_threshold():
+                break
+        if forced or ftl.action_source is None:
+            kind = ftl._fallback_action()
+        else:
+            kind = pick(ftl)
+        ftl.action_counts[kind] += 1
+        if kind is ActionKind.IDLE:
+            break
+        if kind in futile or (kind is ActionKind.SLC_TO_QLC_MC
+                              and not ftl.mc_eligible()):
+            futile.add(kind)
+            ftl.ineffective_actions += 1
+            continue
+        outcome = ftl.execute_action(kind)
+        if outcome.effective:
+            futile.clear()
+        else:
+            futile.add(kind)
+            ftl.ineffective_actions += 1
+        total += outcome.latency_us
+    else:
+        ftl.capacity_pressure_warnings += 1
+    return total
 
 
 class PerBlockDevice:

@@ -178,7 +178,7 @@ def test_criterion_05_q_learning_sanity():
     chosen = []
     t0 = time.time()
     for _ in range(5000):
-        kind = agent.choose_action(state, 0.1)
+        kind, _ = agent.choose_action(state, 0.1)
         chosen.append(kind)
         reward = 1.0 if kind is target else -1.0
         agent.qtable.update(state, kind, reward, state, 0.1, 0.9)

@@ -10,8 +10,8 @@ from hybridssd import (ACTION_ORDER, ActionKind, CapacityError, ConfigProfile,
 from hybridssd.ftl import GC_MODES, write_amplification
 from hybridssd.ssd import NO_PAGES
 from conftest import make_stack
-from oracles import (FlashOpLog, free_ids, recompute_request_latency,
-                     recompute_total_latency)
+from oracles import (FlashOpLog, free_ids, per_draw,
+                     recompute_request_latency, recompute_total_latency)
 
 
 def make_ftl(channels=1, blocks=4, ppb=4, split=1.0, **config_over):
@@ -52,8 +52,9 @@ class TestActionFacts:
     def test_pick_action_returns_the_agent_kind(self):
         stack = make_stack()
         for kind in ActionKind:
-            stack.agent.choose_action = lambda state, eps, kind=kind: kind
-            assert stack._pick_action(stack.ftl) is kind
+            stack.agent.choose_action = (
+                lambda state, eps, skip, limit, counts, kind=kind: (kind, 1))
+            assert stack._pick_action(stack.ftl, set(), 1) == (kind, 1)
 
 
 class TestPlacement:
@@ -318,7 +319,7 @@ class TestSpaceManagementLoop:
 
     def test_safety_bound_emits_warning(self):
         # agent insists on QLC GC on an all-SLC device: 64 futile rounds
-        source = lambda ftl: ActionKind.QLC_INTERNAL_GC
+        source = per_draw(lambda ftl: ActionKind.QLC_INTERNAL_GC)
         geo = desk_geometry(channels=1, blocks_per_channel=4,
                             pages_per_block_slc=4)
         ssd = SsdState(geo, LatencyModel(), 1.0)
@@ -331,7 +332,7 @@ class TestSpaceManagementLoop:
     def test_futile_repeats_are_counted_not_executed(self):
         # QLC GC on an all-SLC device never acts: one call per loop, and
         # the 63 repeats that follow are counted without running it
-        source = lambda ftl: ActionKind.QLC_INTERNAL_GC
+        source = per_draw(lambda ftl: ActionKind.QLC_INTERNAL_GC)
         geo = desk_geometry(channels=1, blocks_per_channel=4,
                             pages_per_block_slc=4)
         ftl = FtlEngine(SsdState(geo, LatencyModel(), 1.0),
@@ -356,7 +357,7 @@ class TestSpaceManagementLoop:
             ftl.handle_write(lpn)
         ftl.handle_write(0)                  # block 0 holds an invalid page
         assert ftl.select_victim(Mode.SLC) == 0
-        ftl.action_source = lambda ftl: next(picks)
+        ftl.action_source = per_draw(lambda ftl: next(picks))
         # below the trigger with one block free, too
         ftl.config = ConfigProfile(gc_trigger_threshold=90)
         executed = []
@@ -371,7 +372,7 @@ class TestSpaceManagementLoop:
 
     def test_mc_ineligible_attempt_is_harmless(self):
         # conversion wanted while free SLC is still above the trigger
-        source = lambda ftl: ActionKind.SLC_TO_QLC_MC
+        source = per_draw(lambda ftl: ActionKind.SLC_TO_QLC_MC)
         geo = desk_geometry(channels=1, blocks_per_channel=4,
                             pages_per_block_slc=4)
         ssd = SsdState(geo, LatencyModel(), 1.0)

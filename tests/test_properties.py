@@ -6,6 +6,7 @@ import tempfile
 from collections import deque
 from heapq import heappush
 from pathlib import Path
+from functools import partial
 from types import MethodType, SimpleNamespace
 
 import pytest
@@ -16,9 +17,10 @@ from hybridssd.config import (ConfigProfile, PlacementStrategy,
                               parse_scalar, validate_profile)
 from hybridssd.errors import CapacityError, ConfigError, NoValidUpdate
 from hybridssd.ftl import (ACTION_ORDER, SAFETY_BOUND, ActionKind,
-                           ActionOutcome, FtlEngine)
+                           ActionOutcome, FtlEngine, fallback_source)
 from hybridssd.hotness import HotnessClassifier
 from hybridssd.monitor import SlidingWindow
+from hybridssd.replay import SimulatorStack
 from hybridssd.rl import (INTENSITY_SAMPLES, N_QUARTILES, AgentState, QTable,
                           SpaceAgent, reward)
 from hybridssd.ssd import (NO_PAGES, LatencyModel, Mode, SsdState,
@@ -27,10 +29,11 @@ from hybridssd.trace import (FORMATS, OpKind, TraceRecord, load_trace,
                              page_span)
 from hybridssd.tuner import correct_mistakes
 
-from conftest import make_stack
+from conftest import StreakCases, make_stack
 from oracles import (FlatQTable, PagePayloads, PerBlockDevice, PerPageHost,
                      ReferenceAgent, ReferenceClassifier, bucket_fraction,
-                     free_ids, least_worn, reference_load_trace)
+                     free_ids, least_worn, per_draw,
+                     per_round_space_management, reference_load_trace)
 
 PAGE = 16384
 BOUNDS = default_param_bounds(PAGE)
@@ -386,11 +389,9 @@ def every_pick_space_management(ftl, forced=False):
                 break
         elif not ftl._regions_below_threshold():
             break
-        if forced or ftl.action_source is None:
-            kind = ftl._fallback_action()
-        else:
-            kind = ftl.action_source(ftl)
-        ftl.action_counts[kind] += 1
+        source = (fallback_source if forced or ftl.action_source is None
+                  else ftl.action_source)
+        kind, _ = source(ftl, (), 1)
         if kind is ActionKind.IDLE:
             break
         if kind is ActionKind.SLC_TO_QLC_MC and not ftl.mc_eligible():
@@ -511,7 +512,7 @@ def twin_engine_factory(channels, blocks, ppb, op_ratio, split, strategy,
         geo = desk_geometry(channels=channels, blocks_per_channel=blocks,
                             pages_per_block_slc=ppb, op_ratio=op_ratio)
         source = (None if picker_seed is None
-                  else sticky_picker(picker_seed, stay))
+                  else per_draw(sticky_picker(picker_seed, stay)))
         return FtlEngine(SsdState(geo, FRACTIONAL, split), ConfigProfile(
             placement_strategy=strategy, gc_trigger_threshold=gc_trigger,
             conversion_trigger_threshold=gc_trigger,
@@ -922,11 +923,14 @@ def test_intensity_bucket_over_runs_of_one_rate(runs):
 # --- the agent against the recompute-every-call reference -----------------------------------
 
 # one step on the observed device or the agent: decisions on an unchanged
-# device, new free counts, new block tallies (free counts clamped to them),
-# a conversion of free SLC blocks to QLC, a new hot fraction, a new rate
-# (None: no summary yet) or a training tick
+# device, one streak of them (a limit and the kinds to draw past), new free
+# counts, new block tallies (free counts clamped to them), a conversion of
+# free SLC blocks to QLC, a new hot fraction, a new rate (None: no summary
+# yet) or a training tick
 agent_ops = st.one_of(
     st.tuples(st.just("decide"), st.integers(min_value=1, max_value=300)),
+    st.tuples(st.just("streak"), st.integers(min_value=1, max_value=80),
+              st.sets(st.sampled_from(ACTION_ORDER[:-1]))),
     st.tuples(st.just("free"), st.integers(min_value=0, max_value=40),
               st.integers(min_value=0, max_value=40)),
     st.tuples(st.just("tally"), st.integers(min_value=0, max_value=40),
@@ -951,6 +955,14 @@ agent_ops = st.one_of(
 # a new tally under unchanged free counts moves the free buckets
 @example(seed=0, epsilon=0.0, ops=[("decide", 2), ("tally", 40, 30),
                                    ("decide", 2)])
+# a training tick that moves the greedy kind of an unchanged observation
+@example(seed=0, epsilon=0.0, ops=[("decide", 1), ("train", 5000.0),
+                                   ("decide", 1)])
+# a greedy streak to its limit in a full window of two rates: its bucket
+# moves once the repeated rate has evicted the other
+@example(seed=0, epsilon=0.0, ops=[("rate", 250.0), ("decide", 56),
+                                   ("rate", 1.5), ("decide", 200),
+                                   ("streak", 80, {ActionKind.SLC_INTERNAL_GC})])
 def test_agent_matches_the_recomputing_reference(seed, epsilon, ops):
     agent = SpaceAgent(random.Random(seed))
     ref = ReferenceAgent(random.Random(seed), ACTION_ORDER, Mode.SLC,
@@ -970,7 +982,24 @@ def test_agent_matches_the_recomputing_reference(seed, epsilon, ops):
             for _ in range(args[0]):
                 state = observe()
                 assert (agent.choose_action(state, epsilon)
-                        is ref.choose_action(state, epsilon))
+                        == (ref.choose_action(state, epsilon), 1))
+        elif name == "streak":
+            limit, skip = args
+            counts = dict.fromkeys(ACTION_ORDER, 0)
+            ref_counts = dict(counts)
+            state = agent.observe_state(free, tally, summary, hot)
+            streak = agent.choose_action(state, epsilon, skip, limit, counts)
+            # the reference observes the device again for every draw
+            for draws in range(1, limit + 1):
+                kind = ref.choose_action(
+                    ref.observe_state(free, tally, summary, hot), epsilon)
+                ref_counts[kind] += 1
+                if kind is ActionKind.IDLE or kind not in skip:
+                    break
+            else:
+                kind = None
+            assert streak == (kind, draws)
+            assert counts == ref_counts
         elif name in ("free", "tally"):
             counts = free if name == "free" else tally
             counts[Mode.SLC], counts[Mode.QLC] = args
@@ -997,6 +1026,132 @@ def test_agent_matches_the_recomputing_reference(seed, epsilon, ops):
         assert agent.trainings == ref.trainings
         assert agent.rng.getstate() == ref.rng.getstate()
         assert agent.qtable.to_json_dict() == ref.qtable.to_json_dict()
+
+
+# --- agent streaks against the per-round loop -----------------------------------------------
+
+def agent_twin_stacks(seed, epsilon, channels, blocks, ppb, split, gc_trigger,
+                      mc_trigger, interval, classify):
+    """A stack and its reference: the same device and config, the
+    reference running one space-management round per draw with a
+    ReferenceAgent that observes and decides on every draw. Without
+    `classify` no write is hot, so the hot fraction never moves the
+    agent's observation."""
+    geo = desk_geometry(channels=channels, blocks_per_channel=blocks,
+                        pages_per_block_slc=ppb)
+    config = ConfigProfile(gc_trigger_threshold=gc_trigger,
+                           conversion_trigger_threshold=mc_trigger,
+                           rl_exploration=epsilon,
+                           rl_training_interval=interval, window_size=16,
+                           kmeans_trigger_threshold=100 if classify
+                           else 10**8,
+                           slice_size=geo.page_size * 4)
+    real, ref = (SimulatorStack(geo, config, FRACTIONAL, seed, split)
+                 for _ in range(2))
+    ref.agent = ReferenceAgent(random.Random(seed), ACTION_ORDER, Mode.SLC,
+                               Mode.QLC)
+
+    def pick(ftl):
+        state = ref.agent.observe_state(ftl.free_count, ftl.ssd.block_tally,
+                                        ref.last_summary,
+                                        ref.hot_write_fraction())
+        return ref.agent.choose_action(state, ref.config.rl_exploration)
+
+    ref.ftl._space_management = partial(per_round_space_management,
+                                        ref.ftl, pick)
+    return real, ref
+
+
+def run_agent_twins(real, ref, fill_fraction, requests):
+    """Prefill both stacks and service the same requests, (lpn, pages,
+    write) each, asserting the same latency, device, counters and agent
+    after every one."""
+    logical = real.ssd.logical_capacity_pages
+    page = real.geometry.page_size
+    for stack in (real, ref):
+        stack.prefill(fill_fraction)
+    assert device_state(real.ftl) == device_state(ref.ftl)
+    for lpn, n, write in requests:
+        lpn %= logical
+        record = TraceRecord(OpKind.WRITE if write else OpKind.READ,
+                             lpn * page, min(n, logical - lpn) * page)
+        results = []
+        for stack in (real, ref):
+            try:
+                results.append(stack.service(record))
+            except CapacityError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        assert device_state(real.ftl) == device_state(ref.ftl)
+        assert real.agent.pending == ref.agent.pending
+        assert real.agent.decisions == ref.agent.decisions
+        assert real.agent.rng.getstate() == ref.agent.rng.getstate()
+        assert list(real.agent.intensity_samples) == \
+            ref.agent.intensity_samples
+        real.ssd.audit()
+        if isinstance(results[0], str):
+            break
+    assert real.agent.qtable.to_json_dict() == ref.agent.qtable.to_json_dict()
+
+
+agent_twin_params = dict(
+    seed=st.integers(min_value=0, max_value=2**16),
+    epsilon=st.sampled_from([0.0, 0.1, 1.0]),
+    channels=st.integers(min_value=1, max_value=3),
+    blocks=st.integers(min_value=4, max_value=12),
+    ppb=st.integers(min_value=2, max_value=8),
+    split=st.floats(min_value=0.2, max_value=0.8),
+    gc_trigger=st.integers(min_value=5, max_value=50),
+    # a conversion trigger under the GC trigger makes conversions drawn
+    # while short of space ineligible
+    mc_trigger=st.integers(min_value=1, max_value=50),
+    interval=st.integers(min_value=10, max_value=40),
+    classify=st.booleans(),
+    fill_fraction=st.floats(min_value=0.5, max_value=0.95),
+    requests=st.lists(st.tuples(st.integers(min_value=0, max_value=10**6),
+                                st.integers(min_value=1, max_value=6),
+                                st.booleans()),
+                      max_size=150),
+)
+
+# streaks at the bound, a bucket moving mid-streak, ineligible conversions,
+# a trained greedy kind other than the first and the forced path
+PINNED_STREAKS = dict(
+    seed=1, epsilon=0.1, channels=2, blocks=8, ppb=4, split=0.5,
+    gc_trigger=30, mc_trigger=5, interval=10, classify=True,
+    fill_fraction=0.9,
+    requests=[(lpn * 7, 1 + lpn % 5, lpn % 4 != 0) for lpn in range(300)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(**agent_twin_params)
+@example(**PINNED_STREAKS)
+def test_agent_streaks_match_one_round_per_draw(
+        seed, epsilon, channels, blocks, ppb, split, gc_trigger, mc_trigger,
+        interval, classify, fill_fraction, requests):
+    real, ref = agent_twin_stacks(seed, epsilon, channels, blocks, ppb, split,
+                                  gc_trigger, mc_trigger, interval, classify)
+    run_agent_twins(real, ref, fill_fraction, requests)
+
+
+def test_pinned_streaks_reach_every_streak_case(monkeypatch):
+    params = dict(PINNED_STREAKS)
+    fill_fraction, requests = params.pop("fill_fraction"), \
+        params.pop("requests")
+    cases = StreakCases()
+    monkeypatch.setattr(SpaceAgent, "choose_action",
+                        cases.wrap_choose_action(SpaceAgent.choose_action))
+    monkeypatch.setattr(FtlEngine, "mc_eligible",
+                        cases.wrap_mc_eligible(FtlEngine.mc_eligible))
+    real, ref = agent_twin_stacks(**params)
+    forced_calls = []
+    space_management = real.ftl._space_management
+    real.ftl._space_management = lambda forced=False: (
+        forced_calls.append(forced) or space_management(forced))
+    run_agent_twins(real, ref, fill_fraction, requests)
+    assert cases.seen == {"bound", "bucket moved", "ineligible mc",
+                          "trained greedy"}
+    assert any(forced_calls)
 
 
 # --- the Q-table against the flat (state, action) reference ---------------------------------

@@ -14,8 +14,10 @@ import pytest
 
 from hybridssd import (ActionKind, ConfigProfile, EpochSchedule, FtlEngine,
                        HotnessClassifier, LatencyModel, ScriptedBackend,
-                       SsdState, desk_geometry, emit_report, load_trace,
-                       replay, synth_trace)
+                       SpaceAgent, SsdState, desk_geometry, emit_report,
+                       load_trace, replay, synth_trace)
+
+from conftest import StreakCases
 
 FIXTURE = Path(__file__).parent / "fixtures" / "tuning_reply.txt"
 
@@ -196,8 +198,18 @@ def test_report_bytes_are_pinned(name, tmp_path):
 def test_scenarios_reach_the_layers_they_pin(monkeypatch):
     fresh = fresh_default()
     assert fresh.requests == 1500 and fresh.qtable
+    # gc_agent_prefill's agent draws streaks past skipped kinds in every
+    # case the streak loop has
+    cases = StreakCases()
+    monkeypatch.setattr(SpaceAgent, "choose_action",
+                        cases.wrap_choose_action(SpaceAgent.choose_action))
+    monkeypatch.setattr(FtlEngine, "mc_eligible",
+                        cases.wrap_mc_eligible(FtlEngine.mc_eligible))
     gc = gc_agent_prefill()
     assert gc.erases > 0 and gc.agent_decisions > 0
+    assert cases.seen == {"bound", "bucket moved", "ineligible mc",
+                          "trained greedy"}
+    monkeypatch.undo()
     outcomes = []
     execute = FtlEngine.execute_action
 

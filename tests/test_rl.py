@@ -91,13 +91,14 @@ class TestAgent:
     def test_exploit_uses_best_action(self):
         agent = SpaceAgent(random.Random(1))
         agent.qtable.q[S0] = {ActionKind.SLC_TO_QLC_GC: 1.0}
-        assert agent.choose_action(S0, epsilon=0.0) is ActionKind.SLC_TO_QLC_GC
+        assert agent.choose_action(S0, epsilon=0.0) == (
+            ActionKind.SLC_TO_QLC_GC, 1)
 
     def test_explore_rate_roughly_epsilon(self):
         agent = SpaceAgent(random.Random(2))
         agent.qtable.q[S0] = {ActionKind.SLC_INTERNAL_GC: 5.0}
         non_greedy = sum(
-            agent.choose_action(S0, epsilon=0.3)
+            agent.choose_action(S0, epsilon=0.3)[0]
             is not ActionKind.SLC_INTERNAL_GC
             for _ in range(4000))
         # explorations pick uniformly, 1/5 of them hit the greedy arm anyway
@@ -148,7 +149,7 @@ class TestAgent:
 
     def test_stack_decisions_on_an_unchanged_device_share_pairs(self):
         stack = make_stack()
-        kinds = [stack._pick_action(stack.ftl) for _ in range(4)]
+        kinds = [stack._pick_action(stack.ftl, (), 1)[0] for _ in range(4)]
         pending = stack.agent.pending
         assert len(pending) == 4
         for kind, pair in zip(kinds, pending):
@@ -215,7 +216,7 @@ class TestGreedyConvergence:
                             rl_exploration=0.1, rl_reward_threshold=100.0)
         target = ActionKind.SLC_TO_QLC_MC
         for _ in range(2000):
-            kind = agent.choose_action(S0, cfg.rl_exploration)
+            kind, _ = agent.choose_action(S0, cfg.rl_exploration)
             avg = 50.0 if kind is target else 500.0
             agent.train(avg, S0, cfg)
         assert agent.qtable.best_action(S0) is target
