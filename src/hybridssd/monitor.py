@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -29,12 +28,6 @@ def _sqrt_of_fraction(n: int, m: int) -> float:
     root = math.isqrt(n // m)
     root |= root * root * m != n            # round to odd
     return float(root << q) if q >= 0 else root / (1 << -q)
-
-
-@dataclass(frozen=True)
-class WorkloadSummary:
-    writes_per_virtual_second: float
-    shift_detected: bool
 
 
 class SlidingWindow:
@@ -82,27 +75,25 @@ class SlidingWindow:
             self.lpn_sum -= lpn
             self.lpn_sq_sum -= lpn * lpn
 
-    def summarize(self, std_dev_threshold: float) -> WorkloadSummary | None:
-        """Write rate over the window's virtual time plus shift detection.
+    def summarize(self, std_dev_threshold: float) -> float:
+        """Writes per virtual second over the window's time span, 0.0 for an
+        empty window; counts a shift in `shifts_detected`.
 
         A shift is a change of more than std_dev_threshold pages in the
         population std-dev of the window's LPNs since the previous summary;
         the first summary never shifts. The std-dev is the correctly rounded
         root of the exact variance (n*sum(x^2) - sum(x)^2) / n^2, bit for bit
-        what `statistics.pstdev` returns. None for an empty window.
+        what `statistics.pstdev` returns.
         """
         entries = self.entries
         if not entries:
-            return None
+            return 0.0
         n = len(entries)
         std = _sqrt_of_fraction(n * self.lpn_sq_sum - self.lpn_sum ** 2,
                                 n * n)
-        span_us = entries[-1][2] - entries[0][2]
-        rate = self.writes / (max(span_us, 1.0) / 1e6)
         prev = self._prev_std
-        shift = prev is not None and abs(std - prev) > std_dev_threshold
-        if shift:
+        if prev is not None and abs(std - prev) > std_dev_threshold:
             self.shifts_detected += 1
         self._prev_std = std
-        return WorkloadSummary(writes_per_virtual_second=rate,
-                               shift_detected=shift)
+        span_us = entries[-1][2] - entries[0][2]
+        return self.writes / (max(span_us, 1.0) / 1e6)

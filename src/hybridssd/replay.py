@@ -53,7 +53,7 @@ class SimulatorStack:
         self.requests = 0
         self.writes = 0
         self.total_latency_us = 0.0     # also the virtual clock
-        self.last_summary = None
+        self.write_rate = 0.0           # writes/s at the last summary
         self._hot_window: deque[int] = deque(maxlen=256)
         self._hot_count = 0             # sum of _hot_window
         self._train_mark = self.marker()    # start of the training period
@@ -77,7 +77,7 @@ class SimulatorStack:
                                                       int]:
         agent = self.agent
         state = agent.observe_state(ftl.free_count, self.ssd.block_tally,
-                                    self.last_summary,
+                                    self.write_rate,
                                     self.hot_write_fraction())
         return agent.choose_action(state, self.config.rl_exploration, skip,
                                    limit, ftl.action_counts)
@@ -85,10 +85,9 @@ class SimulatorStack:
     def _train_agent(self) -> None:
         # service calls this only once the period holds a request
         period = measure(self, self._train_mark)
-        summary = self.monitor.summarize(self.config.std_dev_threshold)
-        self.last_summary = summary
+        self.write_rate = self.monitor.summarize(self.config.std_dev_threshold)
         state = self.agent.observe_state(self.ftl.free_count,
-                                         self.ssd.block_tally, summary,
+                                         self.ssd.block_tally, self.write_rate,
                                          self.hot_write_fraction())
         self.agent.train(period.mean_latency_us, state, self.config)
         self._train_mark = self.marker()
@@ -283,9 +282,10 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
            target_note: str = "") -> RunReport:
     """Replay a trace in `default` or `tuned` mode and report.
 
-    Tuned mode with max_epochs=0 (or no backend epochs firing) services
-    requests exactly like default mode: the tuner only ever acts between
-    requests, through apply_config.
+    Tuned mode with max_epochs=0 (or no epoch firing, or every epoch
+    rejected) services requests exactly like default mode: the tuner only
+    ever acts between requests, through apply_config, and only an epoch
+    that applies a candidate draws its probe's requests from the trace.
     """
     if mode not in ("default", "tuned"):
         raise ConfigError(f"unknown replay mode {mode!r}")
@@ -303,23 +303,14 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
             loop.check_prompt_fits(stack)
     if prefill_fraction:
         stack.prefill(prefill_fraction)
-    cursor = 0
-
-    def pump(n: int) -> int:
-        nonlocal cursor
-        ran = 0
-        while ran < n and cursor < len(records):
-            stack.service(records[cursor])
-            cursor += 1
-            ran += 1
-        return ran
-
-    # without a loop, one pump call replays the whole trace
-    while pump(len(records) if loop is None else 1):
+    ops = iter(records)
+    for record in ops:
+        stack.service(record)
         if loop is not None:
             trigger = loop.wants_epoch(stack)
             if trigger:
-                loop.run_epoch(stack, pump, trigger)
+                # the probe draws its requests from `ops` itself
+                loop.run_epoch(stack, ops, trigger)
     return _build_report(stack, mode, len(records), skipped_lines, config,
                          loop, baseline_total_us)
 
@@ -335,6 +326,9 @@ def _scale_param(config: ConfigProfile, param: str, multiplier: float,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{param} is not numeric; cannot sweep it")
     scaled = value * multiplier
+    if not math.isfinite(scaled):
+        raise ConfigError(f"{param} {value!r} x {multiplier!r} is not a "
+                          "finite number")
     if isinstance(value, int):
         # float tunables carry no step; an integral value there snaps to 1
         step = default_param_bounds(page_size)[param].step or 1
@@ -362,17 +356,16 @@ def run_sweep(records: list[TraceRecord], config: ConfigProfile,
         if not (m >= 0 and math.isfinite(m)):
             raise ConfigError(
                 f"sweep multiplier {m!r} must be a finite number >= 0")
+    # scale every value first: a bad one fails before any replay runs
+    if param == "kmeans_tol":
+        runs = [(config, kmeans_tol * m) for m in multipliers]
+    else:
+        runs = [(_scale_param(config, param, m, geometry.page_size),
+                 kmeans_tol) for m in multipliers]
     rows = []
     base_report = None
-    for m in multipliers:
-        cfg = config
-        tol = kmeans_tol
-        if param == "kmeans_tol":
-            tol = kmeans_tol * m
-            value = tol
-        else:
-            cfg = _scale_param(config, param, m, geometry.page_size)
-            value = getattr(cfg, param)
+    for m, (cfg, tol) in zip(multipliers, runs):
+        value = tol if param == "kmeans_tol" else getattr(cfg, param)
         rep = replay(records, cfg, geometry, mode="default", kmeans_tol=tol,
                      **settings)
         if m == 1.0:
@@ -441,6 +434,11 @@ def _report_dir(path) -> str:
 def _atomic_write(path, payload: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=_report_dir(path), prefix=".report-")
     try:
+        # mkstemp makes the file 0600; a report gets the mode a plain
+        # open() would give it
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
         os.replace(tmp, path)

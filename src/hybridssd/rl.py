@@ -167,24 +167,22 @@ class SpaceAgent:
             samples.append(x)
 
     def observe_state(self, free_count: dict, block_tally: dict,
-                      workload_summary,
+                      write_rate: float,
                       hot_write_fraction: float) -> AgentState:
         """Bucketize device occupancy and workload into an AgentState.
 
         Occupancy is each mode's free fraction, free blocks (`free_count`)
         over blocks (`block_tally`), 0 for a mode without blocks. Fractions
         lie in [0, 1], so each bucket is `int(fraction * n)` capped at the
-        top one. `workload_summary` is the monitor's latest summary or None
-        before any window data exists.
+        top one. `write_rate` is the monitor's latest writes per virtual
+        second, 0.0 before any summary.
 
         The intensity sample is pushed on every call. When no input moved
         since the last call, the last AgentState object itself comes back.
         """
-        rate = (workload_summary.writes_per_virtual_second
-                if workload_summary is not None else 0.0)
         key = (free_count[SLC], free_count[QLC], block_tally[SLC],
                block_tally[QLC], hot_write_fraction,
-               self.intensity_bucket(rate))
+               self.intensity_bucket(write_rate))
         if key != self._memo_key:
             self._observe(key)
         return self._memo_state

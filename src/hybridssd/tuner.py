@@ -360,40 +360,28 @@ class ScriptedBackend:
         return resp
 
 
-class _Reply:
-    def __init__(self, status_code: int, body: bytes = b""):
-        self.status_code = status_code
-        self.body = body
-
-    def json(self):
-        return json.loads(self.body)
-
-
-class UrllibTransport:
-    """The default RemoteBackend transport: one POST per call through
-    urllib.request, answering with an object that has `status_code` and
-    `json()`. A non-2xx status is a reply, not an exception."""
-
-    def post(self, url: str, json=None, headers=None, timeout=None) -> _Reply:
-        # imported on first use: a run without a remote backend never
-        # loads http.client or ssl
-        import http.client
-        import json as jsonlib
-        import urllib.error
-        import urllib.request
-        body = jsonlib.dumps(json).encode("utf-8")
-        req = urllib.request.Request(url, data=body, headers=headers or {},
-                                     method="POST")
-        try:
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
-                return _Reply(resp.status, resp.read())
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            return _Reply(exc.code)
-        except http.client.HTTPException as exc:
-            # a garbled or truncated reply fails the attempt like a dropped
-            # connection does
-            raise urllib.error.URLError(exc) from exc
+def urllib_post(url: str, body: bytes, headers: dict,
+                timeout: float) -> tuple[int, bytes]:
+    """The default RemoteBackend transport: one POST through urllib.request,
+    answering (status, body). A non-2xx status is a reply with an empty
+    body, not an exception."""
+    # imported on first use: a run without a remote backend never loads
+    # http.client or ssl
+    import http.client
+    import urllib.error
+    import urllib.request
+    req = urllib.request.Request(url, data=body, headers=headers,
+                                 method="POST")
+    try:
+        with urllib.request.urlopen(req, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        return exc.code, b""
+    except http.client.HTTPException as exc:
+        # a garbled or truncated reply fails the attempt like a dropped
+        # connection does
+        raise urllib.error.URLError(exc) from exc
 
 
 class RemoteBackend:
@@ -401,27 +389,27 @@ class RemoteBackend:
 
     The prompt goes out as one user message, retried up to MAX_ATTEMPTS
     times with exponential backoff. The auth token is read from the
-    environment at call time and never stored. `session` is the transport:
-    anything with `post(url, json=, headers=, timeout=)` returning an object
-    with `status_code` and `json()`; the default is UrllibTransport.
+    environment at call time and never stored. `post(url, body, headers,
+    timeout)` is the transport, answering (status, body bytes); the default
+    is urllib_post.
     """
 
     def __init__(self, endpoint: str, model: str = "gpt-4",
                  temperature: float = 0.0, auth_env: str = "LLM_API_KEY",
-                 timeout_s: float = 30.0, session=None):
+                 timeout_s: float = 30.0, post=urllib_post):
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
         self.auth_env = auth_env
         self.timeout_s = timeout_s
-        self.session = session or UrllibTransport()
+        self.post = post
 
     def complete(self, prompt: str) -> str:
-        payload = {
+        body = json.dumps({
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.temperature,
-        }
+        }).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.auth_env)
         if token:
@@ -431,13 +419,12 @@ class RemoteBackend:
             if attempt:
                 time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
             try:
-                resp = self.session.post(self.endpoint, json=payload,
-                                         headers=headers,
-                                         timeout=self.timeout_s)
-                if resp.status_code // 100 != 2:
-                    last_error = f"HTTP {resp.status_code}"
+                status, reply = self.post(self.endpoint, body, headers,
+                                          self.timeout_s)
+                if status // 100 != 2:
+                    last_error = f"HTTP {status}"
                     continue
-                text = resp.json()["choices"][0]["message"]["content"]
+                text = json.loads(reply)["choices"][0]["message"]["content"]
                 if not isinstance(text, str) or not text:
                     last_error = f"no completion text: {text!r}"
                     continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 from .config import default_param_bounds
 from .errors import BackendUnavailable, ConfigError, NoValidUpdate, ParseFailure
@@ -166,20 +167,21 @@ class VerificationLoop:
 
     # --- the epoch itself ------------------------------------------------------------
 
-    def run_epoch(self, stack, pump, trigger: str) -> TuningRecord:
+    def run_epoch(self, stack, ops, trigger: str) -> TuningRecord:
         """One full tune-probe-verify cycle.
 
-        `pump(n)` must replay up to n further trace operations through the
-        stack and return how many actually ran; the investigation period is
-        replayed through it under the candidate configuration.
+        `ops` is the iterator over the trace requests not yet serviced; the
+        probe services the next `investigation_ops` of them (fewer if the
+        trace ends) under the candidate configuration. A rejected epoch
+        draws none.
         """
-        record = self._run_epoch(stack, pump, trigger)
+        record = self._run_epoch(stack, ops, trigger)
         self.history.append(record)
         self.shift_epoch_this_interval = trigger == "shift"
         self.cycle_marker = stack.marker()
         return record
 
-    def _run_epoch(self, stack, pump, trigger: str) -> TuningRecord:
+    def _run_epoch(self, stack, ops, trigger: str) -> TuningRecord:
         prev = measure(stack, self.cycle_marker) or EMPTY_PERIOD
         if self.baseline is None:
             self.baseline = prev
@@ -219,8 +221,10 @@ class VerificationLoop:
                    if getattr(old_profile, name) != getattr(new_profile, name)}
         stack.apply_config(new_profile)
         probe_marker = stack.marker()
-        ran = pump(self.schedule.investigation_ops)
-        if ran <= 0:
+        for op in islice(ops, self.schedule.investigation_ops):
+            stack.service(op)
+        probe = measure(stack, probe_marker)
+        if probe is None:
             # nothing left to probe with: keep the safe prior profile
             stack.apply_config(old_profile)
             return record(
@@ -228,7 +232,6 @@ class VerificationLoop:
                 reason="rolled back: no operations left to probe with",
                 corrections=tuple(corrections), changed=changed,
                 config_after=new_profile.as_dict())
-        probe = measure(stack, probe_marker)
         improved = probe.mean_latency_us < self.baseline.mean_latency_us
         if should_rollback(prev, probe, self.schedule.degradation_threshold):
             stack.apply_config(old_profile)

@@ -739,17 +739,15 @@ class ReferenceAgent:
         equal = sum(1 for s in samples if s == writes_per_second)
         return bucket_fraction((below + 0.5 * equal) / len(samples), 4)
 
-    def observe_state(self, free_count, block_tally, workload_summary,
+    def observe_state(self, free_count, block_tally, write_rate,
                       hot_write_fraction):
-        rate = (0.0 if workload_summary is None
-                else workload_summary.writes_per_virtual_second)
         fractions = []
         for mode in (self.slc, self.qlc):
             blocks = block_tally[mode]
             fractions.append(free_count[mode] / blocks if blocks else 0.0)
         return (bucket_fraction(fractions[0], 10),
                 bucket_fraction(fractions[1], 10),
-                self.intensity_bucket(rate),
+                self.intensity_bucket(write_rate),
                 bucket_fraction(hot_write_fraction, 4))
 
     def choose_action(self, state, epsilon):

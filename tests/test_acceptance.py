@@ -11,6 +11,7 @@ import json
 import random
 import time
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 from hybridssd.config import (ConfigProfile, PlacementStrategy,
@@ -29,7 +30,7 @@ from hybridssd.verification import EpochSchedule, VerificationLoop, accuracy
 from conftest import make_stack
 from oracles import (FlashOpLog, MiniSlcFtl, PagePayloads,
                      recompute_total_latency)
-from test_verification import ScriptedStack, epoch_markers
+from test_verification import PROBE_OPS, ScriptedStack, epoch_markers
 
 PAGE = 16384
 FIXTURE = Path(__file__).parent / "fixtures" / "tuning_reply.txt"
@@ -203,32 +204,23 @@ def test_criterion_06_rollback_guarantee():
     # 5% rule bracketing: 1.00ms -> 1.04ms accepted, 1.00ms -> 1.06ms rolled back
     stack = ScriptedStack(epoch_markers([(1000.0, 1040.0)]))
     rec_ok = VerificationLoop(ScriptedBackend([reply]), sched).run_epoch(
-        stack, lambda n: n, "scheduled")
+        stack, PROBE_OPS, "scheduled")
     stack = ScriptedStack(epoch_markers([(1000.0, 1060.0)]))
     rec_bad = VerificationLoop(ScriptedBackend([reply]), sched).run_epoch(
-        stack, lambda n: n, "scheduled")
+        stack, PROBE_OPS, "scheduled")
 
     # a config known to thrash GC, injected into a live device
     live = make_stack(gc_trigger_threshold=13)
     records = synth_trace(1200, logical_pages=live.ssd.logical_capacity_pages,
                           page_size=PAGE, seed=11)
-    cursor = 0
-
-    def pump(n):
-        nonlocal cursor
-        ran = 0
-        while ran < n and cursor < len(records):
-            live.service(records[cursor])
-            cursor += 1
-            ran += 1
-        return ran
-
-    pump(600)
+    ops = iter(records)
+    for record in islice(ops, 600):
+        live.service(record)
     before = live.config
     thrash = ("hold on `1.GC trigger threshold: 50; 2.GC granularity: 64; "
               "3.Placement strategy: hotness_based`")
     rec_live = VerificationLoop(ScriptedBackend([thrash]), sched).run_epoch(
-        live, pump, "scheduled")
+        live, ops, "scheduled")
     elapsed = time.time() - t0
     ok = (rec_ok.verdict is Verdict.ACCEPTED
           and rec_bad.verdict is Verdict.ROLLED_BACK

@@ -7,7 +7,7 @@ from collections import deque
 from heapq import heappush
 from pathlib import Path
 from functools import partial
-from types import MethodType, SimpleNamespace
+from types import MethodType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -925,8 +925,8 @@ def test_intensity_bucket_over_runs_of_one_rate(runs):
 # one step on the observed device or the agent: decisions on an unchanged
 # device, one streak of them (a limit and the kinds to draw past), new free
 # counts, new block tallies (free counts clamped to them), a conversion of
-# free SLC blocks to QLC, a new hot fraction, a new rate (None: no summary
-# yet) or a training tick
+# free SLC blocks to QLC, a new hot fraction, a new write rate (0.0 before
+# any summary) or a training tick
 agent_ops = st.one_of(
     st.tuples(st.just("decide"), st.integers(min_value=1, max_value=300)),
     st.tuples(st.just("streak"), st.integers(min_value=1, max_value=80),
@@ -940,7 +940,7 @@ agent_ops = st.one_of(
               st.one_of(st.sampled_from([0.0, 0.249, 0.25, 0.5, 1.0]),
                         st.floats(min_value=0.0, max_value=1.0))),
     st.tuples(st.just("rate"),
-              st.one_of(st.none(), st.sampled_from([0.0, 1.5, 250.0]),
+              st.one_of(st.sampled_from([0.0, 1.5, 250.0]),
                         st.floats(min_value=0.0, max_value=1e6))),
     st.tuples(st.just("train"), st.floats(min_value=0.0, max_value=5000.0)))
 
@@ -970,11 +970,11 @@ def test_agent_matches_the_recomputing_reference(seed, epsilon, ops):
     config = ConfigProfile()
     free = {Mode.SLC: 3, Mode.QLC: 10}
     tally = {Mode.SLC: 8, Mode.QLC: 24}
-    hot, summary = 0.0, None
+    hot, rate = 0.0, 0.0
 
     def observe():
-        state = agent.observe_state(free, tally, summary, hot)
-        assert state == ref.observe_state(free, tally, summary, hot)
+        state = agent.observe_state(free, tally, rate, hot)
+        assert state == ref.observe_state(free, tally, rate, hot)
         return state
 
     for name, *args in ops:
@@ -987,12 +987,12 @@ def test_agent_matches_the_recomputing_reference(seed, epsilon, ops):
             limit, skip = args
             counts = dict.fromkeys(ACTION_ORDER, 0)
             ref_counts = dict(counts)
-            state = agent.observe_state(free, tally, summary, hot)
+            state = agent.observe_state(free, tally, rate, hot)
             streak = agent.choose_action(state, epsilon, skip, limit, counts)
             # the reference observes the device again for every draw
             for draws in range(1, limit + 1):
                 kind = ref.choose_action(
-                    ref.observe_state(free, tally, summary, hot), epsilon)
+                    ref.observe_state(free, tally, rate, hot), epsilon)
                 ref_counts[kind] += 1
                 if kind is ActionKind.IDLE or kind not in skip:
                     break
@@ -1014,8 +1014,7 @@ def test_agent_matches_the_recomputing_reference(seed, epsilon, ops):
         elif name == "hot":
             hot = args[0]
         elif name == "rate":
-            summary = (None if args[0] is None else
-                       SimpleNamespace(writes_per_virtual_second=args[0]))
+            rate = args[0]
         else:
             state = observe()
             assert (agent.train(args[0], state, config)
@@ -1053,7 +1052,7 @@ def agent_twin_stacks(seed, epsilon, channels, blocks, ppb, split, gc_trigger,
 
     def pick(ftl):
         state = ref.agent.observe_state(ftl.free_count, ftl.ssd.block_tally,
-                                        ref.last_summary,
+                                        ref.write_rate,
                                         ref.hot_write_fraction())
         return ref.agent.choose_action(state, ref.config.rl_exploration)
 
@@ -1219,12 +1218,11 @@ def test_window_statistics_match_stdlib(before, now, extra, threshold):
             window.push(lpn, is_write, t)
             if len(stamps) == len(before):
                 window.summarize(th)
-        s = window.summarize(th)
-        assert s.shift_detected == (delta > th)
+        rate = window.summarize(th)
+        assert window.shifts_detected == (delta > th)
         writes = sum(1 for _, w, _ in now if w)
         span_us = stamps[-1] - stamps[-len(now)]
-        assert s.writes_per_virtual_second == (
-            writes / (max(span_us, 1.0) / 1e6))
+        assert rate == writes / (max(span_us, 1.0) / 1e6)
 
 
 # a push of (lpn, is_write), or a resize to a new capacity

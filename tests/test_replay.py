@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import os
+import stat
 
 from pathlib import Path
 
@@ -257,6 +258,35 @@ class TestTunedReplay:
         assert tuned.erases == default.erases
         assert tuned.epochs == [] and tuned.epochs_run == 0
 
+    def test_rejected_epochs_service_exactly_the_default_requests(self):
+        # a rejected epoch probes nothing, so it draws no request from the
+        # trace: the run services what default mode does, in the same order
+        records = small_trace(1500, seed=7)
+        tuned = run_small(records, mode="tuned",
+                          backend=ScriptedBackend(["no fenced block"]),
+                          schedule=self.schedule(max_epochs=30))
+        default = run_small(records)
+        assert tuned.epochs_run >= 3
+        assert {e["verdict"] for e in tuned.epochs} == {"rejected"}
+        assert default.agent_decisions > 0
+        for name in ("requests", "total_latency_us", "wa", "action_counts",
+                     "qtable"):
+            assert getattr(tuned, name) == getattr(default, name), name
+
+    def test_epoch_on_the_last_request_rolls_back_unprobed(self):
+        records = small_trace(300, seed=7, write_ratio=1.0)
+        rep = run_small(records, mode="tuned",
+                        backend=ScriptedBackend([GOOD_REPLY]),
+                        schedule=self.schedule())
+        assert rep.requests == 300 and rep.epochs_run == 1
+        (epoch,) = rep.epochs
+        assert epoch["trigger"] == "scheduled"
+        assert epoch["verdict"] == "rolled_back"
+        assert epoch["reason"] == ("rolled back: no operations left to "
+                                   "probe with")
+        assert epoch["latency_after_us"] is None
+        assert rep.config_final == rep.config_initial
+
     def test_reply_past_the_slice_ceiling_on_an_odd_page_size(self):
         # 16 GiB is no multiple of a 10000 B page; the clamped value must
         # still land on the grid instead of failing the profile check
@@ -422,6 +452,24 @@ class TestEmitReport:
             assert line["verdict"] in ("accepted", "corrected", "rolled_back",
                                        "rejected")
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644),
+                                             (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_report_files_get_the_mode_open_would_give(self, tmp_path,
+                                                       umask, mode):
+        rep = run_small(small_trace(1500, seed=7), mode="tuned",
+                        backend=ScriptedBackend([GOOD_REPLY]),
+                        schedule=EpochSchedule(tuning_interval_writes=300,
+                                               investigation_ops=100,
+                                               max_epochs=1))
+        old = os.umask(umask)
+        try:
+            emit_report(rep, tmp_path / "tuned.json", "json")
+        finally:
+            os.umask(old)
+        for name in ("tuned.json", "tuned.history.jsonl"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
+
     def test_no_history_file_for_default_mode(self, tmp_path):
         rep = run_small(small_trace(200, seed=1))
         emit_report(rep, tmp_path / "plain.json", "json")
@@ -565,6 +613,24 @@ class TestCli:
         assert rc == 0
         rows = json.loads(report.read_text())["sweep"]
         assert [r["value"] for r in rows] == [800, 1600]
+
+    @pytest.mark.parametrize("param, multipliers", [
+        ("gc_trigger_threshold", "1,1e308"),     # an int tunable
+        ("rl_reward_threshold", "1,1e306"),      # a float tunable
+    ])
+    def test_sweep_past_the_float_range_is_a_one_line_error(
+            self, tmp_path, capsys, param, multipliers):
+        report = tmp_path / "r.json"
+        rc = cli.main(["run", "--ops", "200", "--mode", "sweep",
+                       "--sweep-param", param,
+                       "--sweep-multipliers", multipliers,
+                       "--config", small_cli_config(tmp_path),
+                       "--report", str(report)] + SMALL_GEO_ARGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert param in err and "not a finite number" in err
+        assert not report.exists()
 
     def test_tuned_without_backend_is_a_clean_error(self, tmp_path, capsys):
         rc = cli.main(["run", "--ops", "100", "--mode", "tuned",

@@ -132,7 +132,7 @@ class TestAgent:
         agent = SpaceAgent(random.Random(10))
         free = {Mode.SLC: 3, Mode.QLC: 9}
         tally = {Mode.SLC: 10, Mode.QLC: 30}
-        states = [agent.observe_state(free, tally, None, 0.5)
+        states = [agent.observe_state(free, tally, 0.0, 0.5)
                   for _ in range(3)]
         assert states[0] is states[1] is states[2]
         for state in states:
@@ -141,7 +141,7 @@ class TestAgent:
         assert all(pair is first for pair in agent.pending)
         # a moved input gives a new state with pairs of its own
         free[Mode.SLC] = 2
-        moved = agent.observe_state(free, tally, None, 0.5)
+        moved = agent.observe_state(free, tally, 0.0, 0.5)
         assert moved is not states[0]
         agent.choose_action(moved, epsilon=0.0)
         assert agent.pending[-1] == (moved, first[1])
@@ -189,7 +189,7 @@ class TestIntensityBucket:
         # free fractions 0.35 and 0.8
         free = {Mode.SLC: 7, Mode.QLC: 16}
         tally = {Mode.SLC: 20, Mode.QLC: 20}
-        st = agent.observe_state(free, tally, None, 0.6)
+        st = agent.observe_state(free, tally, 0.0, 0.6)
         assert st.slc_free_bucket == 3
         assert st.qlc_free_bucket == 8
         assert st.hot_ratio_bucket == 2
@@ -202,7 +202,7 @@ class TestIntensityBucket:
         for hot in (0.0, 0.249, 0.25, 0.999, 1.0):
             st = agent.observe_state({Mode.SLC: free, Mode.QLC: free},
                                      {Mode.SLC: tally, Mode.QLC: tally},
-                                     None, hot)
+                                     0.0, hot)
             assert st.slc_free_bucket == st.qlc_free_bucket == \
                 bucket_fraction(fraction, 10)
             assert st.hot_ratio_bucket == bucket_fraction(hot, 4)

@@ -255,25 +255,26 @@ class TestScriptedBackend:
 
 # --- remote backend -------------------------------------------------------------
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload if payload is not None else {
-            "choices": [{"message": {"content": "ok `1.Windows size: 1500`"}}]}
-
-    def json(self):
-        return self._payload
+def answer(status=200, payload=None):
+    """A transport answer: the status and the JSON body bytes."""
+    if payload is None:
+        payload = {"choices": [{"message": {
+            "content": "ok `1.Windows size: 1500`"}}]}
+    return status, json.dumps(payload).encode("utf-8")
 
 
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
+class FakePost:
+    """A RemoteBackend transport answering from a script (an exception in
+    it is raised) and keeping what it was sent."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
         self.requests = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers,
-                              "timeout": timeout})
-        item = self.responses.pop(0)
+    def __call__(self, url, body, headers, timeout):
+        self.requests.append({"url": url, "json": json.loads(body),
+                              "headers": headers, "timeout": timeout})
+        item = self.replies.pop(0)
         if isinstance(item, Exception):
             raise item
         return item
@@ -281,13 +282,13 @@ class FakeSession:
 
 class TestRemoteBackend:
     def test_payload_shape_and_reply(self):
-        session = FakeSession([FakeResponse()])
+        post = FakePost([answer()])
         be = RemoteBackend("http://llm.test/v1/chat", model="gpt-4",
-                           temperature=0.0, session=session)
+                           temperature=0.0, post=post)
         reply = be.complete("the prompt")
         assert reply == "ok `1.Windows size: 1500`"
-        assert len(session.requests) == 1
-        sent = session.requests[0]
+        assert len(post.requests) == 1
+        sent = post.requests[0]
         assert sent["url"] == "http://llm.test/v1/chat"
         assert sent["json"] == {
             "model": "gpt-4",
@@ -296,47 +297,43 @@ class TestRemoteBackend:
         }
 
     def test_token_read_from_env_at_call_time(self, monkeypatch):
-        session = FakeSession([FakeResponse(), FakeResponse()])
+        post = FakePost([answer(), answer()])
         be = RemoteBackend("http://llm.test", auth_env="LLM_API_KEY",
-                           session=session)
+                           post=post)
         monkeypatch.delenv("LLM_API_KEY", raising=False)
         be.complete("p")
-        assert "Authorization" not in session.requests[0]["headers"]
+        assert "Authorization" not in post.requests[0]["headers"]
         monkeypatch.setenv("LLM_API_KEY", "sk-test-123")
         be.complete("p")
-        assert session.requests[1]["headers"]["Authorization"] == "Bearer sk-test-123"
+        assert post.requests[1]["headers"]["Authorization"] == "Bearer sk-test-123"
         # the token itself is never persisted on the backend object
         assert "sk-test-123" not in repr(vars(be))
 
     def test_retries_then_succeeds(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr("hybridssd.tuner.time.sleep", sleeps.append)
-        session = FakeSession([
-            URLError("down"),
-            FakeResponse(status_code=503),
-            FakeResponse(),
-        ])
-        be = RemoteBackend("http://llm.test", session=session)
+        post = FakePost([URLError("down"), answer(503), answer()])
+        be = RemoteBackend("http://llm.test", post=post)
         assert be.complete("p").startswith("ok")
-        assert len(session.requests) == 3
+        assert len(post.requests) == 3
         assert sleeps == [1.0, 2.0]   # exponential backoff between attempts
 
     def test_gives_up_after_max_attempts(self, monkeypatch):
         monkeypatch.setattr("hybridssd.tuner.time.sleep", lambda s: None)
-        session = FakeSession([URLError("down"), TimeoutError("slow"),
-                               OSError("reset")])
-        be = RemoteBackend("http://llm.test", session=session)
+        post = FakePost([URLError("down"), TimeoutError("slow"),
+                         OSError("reset")])
+        be = RemoteBackend("http://llm.test", post=post)
         with pytest.raises(BackendUnavailable):
             be.complete("p")
-        assert len(session.requests) == MAX_ATTEMPTS == 3
+        assert len(post.requests) == MAX_ATTEMPTS == 3
 
     def test_empty_completion_is_retried(self, monkeypatch):
         monkeypatch.setattr("hybridssd.tuner.time.sleep", lambda s: None)
-        session = FakeSession([
-            FakeResponse(payload={"choices": [{"message": {"content": ""}}]}),
-            FakeResponse(),
+        post = FakePost([
+            answer(payload={"choices": [{"message": {"content": ""}}]}),
+            answer(),
         ])
-        be = RemoteBackend("http://llm.test", session=session)
+        be = RemoteBackend("http://llm.test", post=post)
         assert be.complete("p").startswith("ok")
 
     def test_malformed_json_is_retried(self, monkeypatch):
@@ -345,12 +342,15 @@ class TestRemoteBackend:
         for payload in ({"nope": True}, [], {"choices": None},
                         {"choices": [{"message": None}]},
                         {"choices": [{"message": {"content": 123}}]}):
-            session = FakeSession([FakeResponse(payload=payload)]
-                                  * MAX_ATTEMPTS)
-            be = RemoteBackend("http://llm.test", session=session)
+            post = FakePost([answer(payload=payload)] * MAX_ATTEMPTS)
+            be = RemoteBackend("http://llm.test", post=post)
             with pytest.raises(BackendUnavailable):
                 be.complete("p")
-            assert len(session.requests) == MAX_ATTEMPTS
+            assert len(post.requests) == MAX_ATTEMPTS
+        # so does a body that is not JSON at all
+        post = FakePost([(200, b"<html>busy</html>")] * MAX_ATTEMPTS)
+        with pytest.raises(BackendUnavailable, match="JSONDecodeError"):
+            RemoteBackend("http://llm.test", post=post).complete("p")
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):

@@ -1,5 +1,6 @@
 """Epoch scheduling, probe measurement, and rollback decisions."""
 import dataclasses
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -52,6 +53,9 @@ class ScriptedStack:
         self.applied.append(profile)
         self.config = profile
 
+    def service(self, record):
+        pass        # the markers script what the probe measures
+
 
 def epoch_markers(spans, n=100):
     """Cumulative marker script, four pops per epoch: prev-span end (measure),
@@ -75,6 +79,8 @@ def scripted_markers(prev_mean, probe_mean):
 
 
 GOOD_REPLY = "Window looks cramped. `1.Windows size: 1500`"
+# the requests a scripted stack's probe services: any will do
+PROBE_OPS = range(100)
 
 
 # --- measure ---------------------------------------------------------------------
@@ -248,13 +254,13 @@ class TestWantsEpoch:
         stack.writes = 10
         stack.monitor = SimpleNamespace(shifts_detected=1)
         assert loop.wants_epoch(stack) == "shift"
-        loop.run_epoch(stack, lambda n: n, "shift")
+        loop.run_epoch(stack, PROBE_OPS, "shift")
         # a shift under the one-per-interval limit starts nothing ...
         stack.monitor.shifts_detected = 2
         assert loop.wants_epoch(stack) is None
         stack.writes = 410
         assert loop.wants_epoch(stack) == "scheduled"
-        loop.run_epoch(stack, lambda n: n, "scheduled")
+        loop.run_epoch(stack, PROBE_OPS, "scheduled")
         # ... and is not saved for the interval after the scheduled epoch
         stack.writes = 411
         assert loop.wants_epoch(stack) is None
@@ -307,7 +313,7 @@ class TestPromptLimit:
                                 max_tokens=limit)
         loop.check_prompt_fits(stack)
         loop.history = [adj(i, Verdict.ACCEPTED, True) for i in range(1, 11)]
-        rec = loop.run_epoch(stack, lambda n: n, "scheduled")
+        rec = loop.run_epoch(stack, PROBE_OPS, "scheduled")
         assert sent == []
         assert rec.verdict is Verdict.REJECTED
         assert rec.reason.startswith("rejected: the prompt needs ~")
@@ -323,7 +329,7 @@ class TestRunEpoch:
         stack = ScriptedStack(scripted_markers(prev_mean=100.0,
                                                probe_mean=104.0))
         loop = make_loop([GOOD_REPLY])
-        rec = loop.run_epoch(stack, lambda n: n, "scheduled")
+        rec = loop.run_epoch(stack, PROBE_OPS, "scheduled")
         assert rec.verdict is Verdict.ACCEPTED
         assert rec.changed == {"window_size": (2000, 1500)}
         assert rec.latency_before_us == pytest.approx(100.0)
@@ -335,7 +341,7 @@ class TestRunEpoch:
         original = ConfigProfile()
         stack = ScriptedStack(scripted_markers(100.0, 106.0), config=original)
         loop = make_loop([GOOD_REPLY])
-        rec = loop.run_epoch(stack, lambda n: n, "scheduled")
+        rec = loop.run_epoch(stack, PROBE_OPS, "scheduled")
         assert rec.verdict is Verdict.ROLLED_BACK
         # restored profile is field-identical to what was there before
         assert stack.config == original
@@ -348,13 +354,13 @@ class TestRunEpoch:
     def test_probe_exactly_at_allowance_survives(self):
         stack = ScriptedStack(scripted_markers(100.0, 105.0))
         loop = make_loop([GOOD_REPLY])
-        rec = loop.run_epoch(stack, lambda n: n, "scheduled")
+        rec = loop.run_epoch(stack, PROBE_OPS, "scheduled")
         assert rec.verdict is Verdict.ACCEPTED
 
     def test_corrected_when_values_were_clamped(self):
         stack = ScriptedStack(scripted_markers(100.0, 90.0))
         loop = make_loop(["too eager `1.RL learning rate: 5.0`"])
-        rec = loop.run_epoch(stack, lambda n: n, "scheduled")
+        rec = loop.run_epoch(stack, PROBE_OPS, "scheduled")
         assert rec.verdict is Verdict.CORRECTED
         assert stack.config.rl_learning_rate == 1.0
         assert any("clamped" in c for c in rec.corrections)
@@ -363,19 +369,19 @@ class TestRunEpoch:
         reply = "finer slices `1.Slice size: 8KB`"
         small = ScriptedStack(scripted_markers(100.0, 90.0))
         small.geometry = SimpleNamespace(page_size=4096)
-        rec = make_loop([reply]).run_epoch(small, lambda n: n, "scheduled")
+        rec = make_loop([reply]).run_epoch(small, PROBE_OPS, "scheduled")
         assert rec.verdict is Verdict.ACCEPTED and rec.corrections == ()
         assert small.config.slice_size == 8192
         # on the default 16 KB grid the same reply is clamped to one page
         large = ScriptedStack(scripted_markers(100.0, 90.0))
-        rec = make_loop([reply]).run_epoch(large, lambda n: n, "scheduled")
+        rec = make_loop([reply]).run_epoch(large, PROBE_OPS, "scheduled")
         assert rec.verdict is Verdict.CORRECTED
         assert large.config.slice_size == PAGE
 
     def test_rejects_an_unparseable_reply(self):
         stack = ScriptedStack(scripted_markers(100.0, 90.0))
         loop = make_loop(["no fenced block anywhere"])
-        rec = loop.run_epoch(stack, lambda n: n, "scheduled")
+        rec = loop.run_epoch(stack, PROBE_OPS, "scheduled")
         assert rec.verdict is Verdict.REJECTED
         assert stack.applied == []          # config never touched
         assert rec.latency_after_us is None
@@ -386,14 +392,14 @@ class TestRunEpoch:
     def test_rejects_when_nothing_usable_remains(self):
         stack = ScriptedStack(scripted_markers(100.0, 90.0))
         loop = make_loop(["`1.Flux capacitor: 88`"])
-        rec = loop.run_epoch(stack, lambda n: n, "scheduled")
+        rec = loop.run_epoch(stack, PROBE_OPS, "scheduled")
         assert rec.verdict is Verdict.REJECTED
         assert stack.applied == []
 
     def test_rejects_a_value_too_large_for_a_float(self):
         stack = ScriptedStack(scripted_markers(100.0, 90.0))
         loop = make_loop(["`1.GC trigger threshold: 1e309`"])
-        rec = loop.run_epoch(stack, lambda n: n, "scheduled")
+        rec = loop.run_epoch(stack, PROBE_OPS, "scheduled")
         assert rec.verdict is Verdict.REJECTED
         assert stack.applied == []
         # the record says why the only candidate was dropped
@@ -402,10 +408,11 @@ class TestRunEpoch:
 
     def test_rolls_back_when_no_ops_left_to_probe(self):
         original = ConfigProfile()
-        markers = scripted_markers(100.0, 90.0)[:2] + [mk(requests=100)]
+        # the probe's end marker is its start: it serviced nothing
+        markers = scripted_markers(100.0, 90.0)[:2] + [mk(requests=100)] * 2
         stack = ScriptedStack(markers, config=original)
         loop = make_loop([GOOD_REPLY])
-        rec = loop.run_epoch(stack, lambda n: 0, "scheduled")
+        rec = loop.run_epoch(stack, iter(()), "scheduled")
         assert rec.verdict is Verdict.ROLLED_BACK
         assert rec.latency_after_us is None
         assert stack.config == original
@@ -413,7 +420,7 @@ class TestRunEpoch:
     def test_record_carries_prompt_and_config_snapshots(self):
         stack = ScriptedStack(scripted_markers(100.0, 90.0))
         loop = make_loop([GOOD_REPLY])
-        rec = loop.run_epoch(stack, lambda n: n, "scheduled")
+        rec = loop.run_epoch(stack, PROBE_OPS, "scheduled")
         assert rec.prompt and "SSD firmware engineer" in rec.prompt
         assert rec.config_before == ConfigProfile().as_dict()
         assert rec.config_after == stack.config.as_dict()
@@ -425,8 +432,8 @@ class TestRunEpoch:
         stack = ScriptedStack(markers)
         loop = make_loop([GOOD_REPLY,
                           "more `1.GC trigger threshold: 8`"])
-        r1 = loop.run_epoch(stack, lambda n: n, "scheduled")
-        r2 = loop.run_epoch(stack, lambda n: n, "scheduled")
+        r1 = loop.run_epoch(stack, PROBE_OPS, "scheduled")
+        r2 = loop.run_epoch(stack, PROBE_OPS, "scheduled")
         assert loop.baseline.mean_latency_us == pytest.approx(100.0)
         assert r1.improved_over_default is True      # 95 < 100
         assert r2.improved_over_default is True      # 99 < 100
@@ -437,7 +444,7 @@ class TestRunEpoch:
         markers[-1] = dataclasses.replace(markers[-1], writes=450)
         stack = ScriptedStack(markers)
         loop = make_loop([GOOD_REPLY])
-        rec = loop.run_epoch(stack, lambda n: n, "scheduled")
+        rec = loop.run_epoch(stack, PROBE_OPS, "scheduled")
         assert rec.epoch == 1
         assert loop.history == [rec]
         # the next cycle measures, and counts its writes, from the end of
@@ -449,43 +456,32 @@ class TestRunEpoch:
         markers = epoch_markers([(100.0, 90.0), (90.0, 85.0)])
         stack = ScriptedStack(markers)
         loop = make_loop([GOOD_REPLY, GOOD_REPLY])
-        loop.run_epoch(stack, lambda n: n, "shift")
+        loop.run_epoch(stack, PROBE_OPS, "shift")
         assert loop.shift_epoch_this_interval is True
-        loop.run_epoch(stack, lambda n: n, "scheduled")
+        loop.run_epoch(stack, PROBE_OPS, "scheduled")
         assert loop.shift_epoch_this_interval is False
 
 
 # --- on the real stack -------------------------------------------------------------
 
 class TestEpochOnRealStack:
-    def drive(self, stack, records):
-        cursor = 0
-
-        def pump(n):
-            nonlocal cursor
-            ran = 0
-            while ran < n and cursor < len(records):
-                stack.service(records[cursor])
-                cursor += 1
-                ran += 1
-            return ran
-
-        return pump
-
     def test_full_cycle_applies_and_probes(self):
         stack = make_stack(gc_trigger_threshold=13)
         logical = stack.ssd.logical_capacity_pages
         records = synth_trace(1200, logical_pages=logical, page_size=PAGE,
                               seed=11)
-        pump = self.drive(stack, records)
-        pump(600)
+        ops = iter(records)
+        for record in islice(ops, 600):
+            stack.service(record)
         loop = make_loop([GOOD_REPLY], threshold=10.0)   # never roll back
-        rec = loop.run_epoch(stack, pump, "scheduled")
+        rec = loop.run_epoch(stack, ops, "scheduled")
         assert rec.verdict is Verdict.ACCEPTED
         assert stack.config.window_size == 1500
         assert rec.latency_after_us is not None
         assert rec.latency_after_us > 0
-        # probe really serviced the investigation period
+        # probe really serviced the investigation period, drawn from `ops`
+        assert stack.requests == 600 + 100
+        assert next(ops) is records[700]
         assert rec.epoch == 1 and loop.history == [rec]
 
     def test_rollback_restores_live_config(self):
@@ -493,14 +489,15 @@ class TestEpochOnRealStack:
         logical = stack.ssd.logical_capacity_pages
         records = synth_trace(1200, logical_pages=logical, page_size=PAGE,
                               seed=11)
-        pump = self.drive(stack, records)
-        pump(600)
+        ops = iter(records)
+        for record in islice(ops, 600):
+            stack.service(record)
         before = stack.config
         # a self-sabotaging config: collect half the device every request
         bad = ("hold on `1.GC trigger threshold: 50; 2.GC granularity: 64; "
                "3.Placement strategy: hotness_based`")
         loop = make_loop([bad], threshold=0.0)
-        rec = loop.run_epoch(stack, pump, "scheduled")
+        rec = loop.run_epoch(stack, ops, "scheduled")
         assert rec.verdict is Verdict.ROLLED_BACK
         assert stack.config == before
         assert stack.config.window_size == before.window_size
