@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from itertools import compress, repeat
-from operator import is_, not_
+from heapq import heappop, heappush
 
 from .config import ConfigProfile, PlacementStrategy
 from .errors import CapacityError
@@ -103,15 +101,18 @@ class FtlEngine:
     after the first, and only the intensity sample each draw pushes can
     move its state.
 
-    An engine is built on an unwritten device: it pools every block as
-    free, honouring the modes and erase counts the blocks already have.
+    An engine is built on a fresh device: no page written, no block
+    erased, ids [0, n_slc) in SLC and the rest in QLC. It pools every
+    block as free.
     """
 
     def __init__(self, ssd: SsdState, config: ConfigProfile,
                  action_source=None):
-        if ssd.device_pages_written:
-            raise ValueError("an FtlEngine needs a device with no page "
-                             "written")
+        n_blocks, n_slc = len(ssd.mode), ssd.block_tally[SLC]
+        if (ssd.device_pages_written or ssd.erase_count.count(0) != n_blocks
+                or ssd.mode[:n_slc].count(SLC) != n_slc):
+            raise ValueError("an FtlEngine needs a fresh device: no page "
+                             "written, no block erased or converted")
         self.ssd = ssd
         self.config = config
         self.action_source = action_source
@@ -125,24 +126,14 @@ class FtlEngine:
         # each fully-free block. A key never goes stale: erase counts change
         # only in `erase_block`, which runs on GC victims, never on a pooled
         # block, so the key computed on push still holds on pop.
-        # Channel ch holds ids ch, ch + channels, ...: slice [ch::channels]
-        # of the per-block lists. An unworn block's key is its id, so the
-        # pools of an unworn device come out sorted, heaps already
-        n_blocks = len(ssd.mode)
-        keys = (range(n_blocks) if not any(ssd.erase_count)
-                else list(map(self._wear_key, range(n_blocks))))
-        slc = list(map(is_, ssd.mode, repeat(SLC)))
-        self.free: dict[Mode, list[list[int]]] = {SLC: [], QLC: []}
-        for ch in range(channels):
-            ch_keys, ch_slc = keys[ch::channels], slc[ch::channels]
-            self.free[SLC].append(list(compress(ch_keys, ch_slc)))
-            self.free[QLC].append(list(compress(ch_keys, map(not_, ch_slc))))
-        for pools in self.free.values():
-            for pool in pools:
-                heapify(pool)
+        # Channel ch holds ids ch, ch + channels, ...; on a fresh device
+        # each key is its id, so a pool is a sorted range, a heap already
+        self.free: dict[Mode, list[list[int]]] = {
+            SLC: [list(range(ch, n_slc, channels)) for ch in range(channels)],
+            QLC: [list(range(n_slc + (ch - n_slc) % channels, n_blocks,
+                             channels)) for ch in range(channels)]}
         # blocks in each mode's pools, kept with every pool change
-        self.free_count = {mode: sum(map(len, pools))
-                           for mode, pools in self.free.items()}
+        self.free_count = {SLC: n_slc, QLC: n_blocks - n_slc}
         self.stripe_cursor = {SLC: 0, QLC: 0}
 
     def reset_counters(self) -> None:
@@ -286,8 +277,8 @@ class FtlEngine:
         gc_us += self._space_management()
         return base + gc_us
 
-    def fill(self, lpns: range) -> None:
-        """Write each lpn of `lpns` once, in order, on a device with no
+    def fill(self, n: int) -> None:
+        """Write lpns 0 .. n-1 once each, in order, on a device with no
         mapped lpn, leaving the state that `handle_write(lpn)` per lpn
         leaves under the fallback policy.
 
@@ -297,17 +288,16 @@ class FtlEngine:
         is programmed per block in bulk. No page of an unwritten device
         turns invalid here, so GC never finds a victim.
         """
-        if lpns.step != 1 or lpns.start < 0 or (
-                lpns.stop > self.ssd.logical_capacity_pages):
-            raise ValueError(f"fill needs consecutive logical pages, "
-                             f"got {lpns}")
+        if not 0 <= n <= self.ssd.logical_capacity_pages:
+            raise ValueError(f"fill needs a page count in [0, "
+                             f"{self.ssd.logical_capacity_pages}], got {n}")
         if self.ssd.mapping:
             raise ValueError("fill needs a device with no mapped lpn")
         source, self.action_source = self.action_source, None
         try:
-            lpn = lpns.start
-            while lpn < lpns.stop:
-                written = self._fill_run(lpn, lpns.stop)
+            lpn = 0
+            while lpn < n:
+                written = self._fill_run(lpn, n)
                 if not written:
                     self.handle_write(lpn)
                     written = 1

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import stat
 import tempfile
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
@@ -162,7 +163,7 @@ class SimulatorStack:
         if not (0.0 <= fraction <= 1.0):
             raise ConfigError("prefill fraction must be in [0, 1]")
         n = int(self.ssd.logical_capacity_pages * fraction)
-        self.ftl.fill(range(n))
+        self.ftl.fill(n)
         self.reset_metrics()
         return n
 
@@ -435,10 +436,14 @@ def _atomic_write(path, payload: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=_report_dir(path), prefix=".report-")
     try:
         # mkstemp makes the file 0600; a report gets the mode a plain
-        # open() would give it
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
+        # open() would give it: the one it has, or 0666 less the umask
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
         os.replace(tmp, path)

@@ -128,6 +128,14 @@ class SpaceAgent:
         self.decisions = 0
         self.trainings = 0
 
+    def __getstate__(self) -> dict:
+        """The agent for copy and pickle, less the rank generator, which
+        neither can take: the next push rescans the window, and that gives
+        the below and equal counts the generator carried."""
+        state = self.__dict__.copy()
+        state["_rank_value"] = state["_ranks"] = None
+        return state
+
     # --- state construction ---------------------------------------------------
 
     def intensity_bucket(self, writes_per_second: float) -> int:

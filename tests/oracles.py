@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from heapq import heappop
 
-import numpy as np
-
 from hybridssd.errors import CapacityError, ConfigError
 from hybridssd.ftl import SAFETY_BOUND, ActionKind
 from hybridssd.ssd import Mode
@@ -558,6 +556,7 @@ class HotnessLabels:
 
 
 def _minmax(col):
+    import numpy as np
     lo, hi = col.min(), col.max()
     if hi == lo:
         return np.zeros_like(col)
@@ -567,6 +566,7 @@ def _minmax(col):
 def reference_kmeans(points, k, max_iterations, tol):
     """Lloyd's algorithm seeded at evenly spaced quantiles of the first
     feature; returns (assignments, centroids, inertia history)."""
+    import numpy as np
     n = len(points)
     order = np.lexsort((np.arange(n), points[:, 0]))
     idx = [order[round(j * (n - 1) / (k - 1))] for j in range(k)] \
@@ -595,6 +595,7 @@ def reference_classify(stats, now_us, k=2, max_iterations=10, tol=1e-4):
     """Label every observed slice Hot or Cold from one window's stats: the
     cluster with the highest mean count (then lowest mean interval) is Hot;
     with fewer than k distinct points, counts above the median are Hot."""
+    import numpy as np
     slice_ids = sorted(stats.slices)
     if not slice_ids:
         return HotnessLabels({}, stats.slice_size, stats.page_size)
@@ -829,8 +830,8 @@ class PerBlockDevice:
     """A fresh device and an engine's free pools built one block at a time,
     with a geometry method call per block: the ids below the rounded SLC
     share start in `slc`, the rest in `qlc`. Blocks are [mode, page_count,
-    erase_count] lists that `wear` and `convert` change before the pools
-    are built, as tests do to a device before an engine pools it."""
+    erase_count] lists that `wear` and `convert` change as tests change a
+    device."""
 
     def __init__(self, geometry, split, slc, qlc):
         self.geometry = geometry

@@ -249,19 +249,21 @@ class TestActions:
         assert not out.effective         # 3 valid pages, 0 free to move into
 
     def test_conversion_picks_cheapest_free_slc_block(self):
-        ssd = SsdState(desk_geometry(blocks_per_channel=4,
-                                     pages_per_block_slc=4),
-                       LatencyModel(), initial_mode_split=1.0)
-        ssd.erase_count[0] = 3    # worn before the engine pools it
-        ftl = FtlEngine(ssd, ConfigProfile())
+        ftl = make_ftl(blocks=4, ppb=4, split=1.0)
+        for lpn in range(4):
+            ftl.handle_write(lpn)        # block 0 full
+        ftl.handle_write(0)              # block 1 active, block 0 a victim
+        assert ftl.execute_action(ActionKind.SLC_INTERNAL_GC).blocks_reclaimed
+        assert ftl.ssd.erase_count[0] == 1
+        assert free_ids(ftl, Mode.SLC, 0) == {0, 2, 3}
         out = ftl.execute_action(ActionKind.SLC_TO_QLC_MC)
         assert out.blocks_converted == 1
         assert out.latency_us == 0.0                 # metadata flip only
-        assert ftl.ssd.mode[1] is Mode.QLC    # id 1: erase 0 beats id 0
-        assert ftl.ssd.page_count[1] == 16
-        assert ftl.ssd.free_pages(1) == 16
-        assert 1 in free_ids(ftl, Mode.QLC, 0)
-        assert 1 not in free_ids(ftl, Mode.SLC, 0)
+        assert ftl.ssd.mode[2] is Mode.QLC    # id 2: erase 0 beats worn id 0
+        assert ftl.ssd.page_count[2] == 16
+        assert ftl.ssd.free_pages(2) == 16
+        assert 2 in free_ids(ftl, Mode.QLC, 0)
+        assert free_ids(ftl, Mode.SLC, 0) == {0, 3}
 
     def test_conversion_with_no_free_slc_is_zero_outcome(self):
         ftl = make_ftl(blocks=2, ppb=4, split=1.0)
@@ -482,6 +484,38 @@ class TestFreeCount:
             FtlEngine(ftl.ssd, ConfigProfile())
 
 
+    def test_an_engine_refuses_a_device_with_an_erased_block(self):
+        ssd = SsdState(desk_geometry(), LatencyModel())
+        ssd.erase_block(3)           # never written, erased all the same
+        assert ssd.device_pages_written == 0
+        with pytest.raises(ValueError, match="erased"):
+            FtlEngine(ssd, ConfigProfile())
+
+    def test_an_engine_refuses_a_device_with_a_converted_block(self):
+        ssd = SsdState(desk_geometry(), LatencyModel(), initial_mode_split=0.5)
+        ssd.convert_block_mode(0, Mode.QLC)
+        ssd.convert_block_mode(5, Mode.SLC)     # the tally is back at 4
+        with pytest.raises(ValueError, match="converted"):
+            FtlEngine(ssd, ConfigProfile())
+        # SLC ids 1-3: one run again, but not from id 0
+        ssd.convert_block_mode(5, Mode.QLC)
+        with pytest.raises(ValueError, match="converted"):
+            FtlEngine(ssd, ConfigProfile())
+
+    @pytest.mark.parametrize("split, slc, qlc", [
+        (0.0, [[], [], [], []], [[0, 4, 8], [1, 5, 9], [2, 6, 10],
+                                 [3, 7, 11]]),
+        (1.0, [[0, 4, 8], [1, 5, 9], [2, 6, 10], [3, 7, 11]],
+         [[], [], [], []]),
+        # 6 SLC blocks on 4 channels: channels 2 and 3 hold one SLC block
+        # less, and their QLC pools start a stripe early
+        (0.5, [[0, 4], [1, 5], [2], [3]], [[8], [9], [6, 10], [7, 11]])])
+    def test_a_fresh_device_pools_each_channels_ids_in_order(self, split,
+                                                             slc, qlc):
+        ftl = make_ftl(channels=4, blocks=3, split=split)
+        assert ftl.free == {Mode.SLC: slc, Mode.QLC: qlc}
+        assert ftl.free_count == ftl.ssd.block_tally
+
 class TestFill:
     @pytest.mark.parametrize("split, config, conversions, warnings", [
         (0.25, {}, 3, 0),
@@ -497,7 +531,7 @@ class TestFill:
         monkeypatch.setattr(ftl, "handle_write",
                             lambda lpn: calls.append(lpn) or handle_write(lpn))
         n = int(0.9 * ftl.ssd.logical_capacity_pages)
-        ftl.fill(range(n))
+        ftl.fill(n)
         geo = ftl.ssd.geometry
         assert len(calls) <= geo.total_blocks + geo.channels < n // 20
         assert ftl.wa.host_pages_written == ftl.wa.device_pages_written == n
@@ -509,15 +543,17 @@ class TestFill:
         ftl = make_ftl(channels=2, blocks=8, ppb=4)
         ftl.handle_write(12)          # past the fill's range, still refused
         with pytest.raises(ValueError, match="mapped"):
-            ftl.fill(range(12))
+            ftl.fill(12)
         assert ftl.wa.host_pages_written == 1
         assert list(ftl.ssd.mapping) == [12]
 
-    @pytest.mark.parametrize("lpns", [range(0, 10, 2), range(-1, 3),
-                                      range(0, 10**6)])
-    def test_fill_takes_consecutive_logical_pages_only(self, lpns):
-        with pytest.raises(ValueError):
-            make_ftl().fill(lpns)
+    @pytest.mark.parametrize("n", [-1, 15, 10**6])
+    def test_fill_takes_a_page_count_within_the_logical_space(self, n):
+        ftl = make_ftl()
+        assert ftl.ssd.logical_capacity_pages == 14
+        with pytest.raises(ValueError, match="page count"):
+            ftl.fill(n)
+        assert not ftl.ssd.mapping
 
 
 class TestOpLog:

@@ -160,51 +160,44 @@ def check_free_pools(ftl):
         assert ftl.free_count[mode] == sum(len(p) for p in ftl.free[mode])
 
 
-@settings(max_examples=60, deadline=None)
-@given(ops=st.lists(pool_op_strategy, min_size=1, max_size=80),
-       wear=st.lists(st.integers(min_value=0, max_value=3), min_size=24,
-                     max_size=24),
-       fraction=st.floats(min_value=0.0, max_value=0.9),
-       gc_granularity=st.integers(min_value=1, max_value=3),
-       conversion_granularity=st.integers(min_value=1, max_value=3))
-# pooled blocks differ in wear from the start: the more worn ones have the
-# lower ids, and channel 0's least worn block is more worn than channel 1's
-@example(ops=[("action", ActionKind.SLC_TO_QLC_MC), ("write", 0, 4),
-              ("write", 0, 4), ("action", ActionKind.SLC_INTERNAL_GC),
-              ("write", 8, 4), ("action", ActionKind.SLC_TO_QLC_MC)],
-         wear=[3, 2, 3, 1, 2, 0] * 4, fraction=0.0, gc_granularity=1,
-         conversion_granularity=2)
-def test_free_pools_pick_what_a_set_scan_picks(ops, wear, fraction,
-                                               gc_granularity,
-                                               conversion_granularity):
+def run_pool_ops(ops, fraction, gc_granularity, conversion_granularity):
+    """Fill a fresh device to `fraction`, then run `ops`, checking each free
+    pool pick against a set scan and the pools against the device after
+    every op. GC erases give blocks wear, so later picks weigh it. Returns
+    how many picks took a block other than the lowest id on offer."""
     ssd = SsdState(desk_geometry(channels=2, blocks_per_channel=12,
                                  pages_per_block_slc=4),
                    LatencyModel(), initial_mode_split=0.5)
-    ssd.erase_count[:] = wear
     ftl = FtlEngine(ssd, ConfigProfile(
         gc_trigger_threshold=13, gc_granularity=gc_granularity,
         conversion_granularity=conversion_granularity))
     pop_free, convert_once = ftl._pop_free, ftl._convert_once
+    worn_picks = 0
 
     def checked_pop_free(mode, ch):
-        expected = least_worn(ssd.erase_count, free_ids(ftl, mode, ch))
+        nonlocal worn_picks
+        ids = free_ids(ftl, mode, ch)
+        expected = least_worn(ssd.erase_count, ids)
+        worn_picks += expected != min(ids)
         assert pop_free(mode, ch) == expected
         return expected
 
     def checked_convert_once(out):
-        slc = [free_ids(ftl, Mode.SLC, ch) for ch in range(2)]
-        expected = least_worn(ssd.erase_count, set().union(*slc))
+        nonlocal worn_picks
+        slc = set().union(*(free_ids(ftl, Mode.SLC, ch) for ch in range(2)))
+        expected = least_worn(ssd.erase_count, slc)
         converted = convert_once(out)
-        left = set().union(*slc) - set().union(
+        left = slc - set().union(
             *(free_ids(ftl, Mode.SLC, ch) for ch in range(2)))
         assert left == ({expected} if converted else set())
+        worn_picks += converted and expected != min(slc)
         return converted
 
     ftl._pop_free, ftl._convert_once = checked_pop_free, checked_convert_once
     logical = ssd.logical_capacity_pages
     check_free_pools(ftl)
     # a fill first, so that the ops below overwrite data and GC finds victims
-    ftl.fill(range(int(logical * fraction)))
+    ftl.fill(int(logical * fraction))
     check_free_pools(ftl)
     for op in ops:
         if op[0] == "write":
@@ -214,6 +207,29 @@ def test_free_pools_pick_what_a_set_scan_picks(ops, wear, fraction,
             ftl.execute_action(op[1])
         check_free_pools(ftl)
     ssd.audit()
+    return worn_picks
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(pool_op_strategy, min_size=1, max_size=80),
+       fraction=st.floats(min_value=0.0, max_value=0.9),
+       gc_granularity=st.integers(min_value=1, max_value=3),
+       conversion_granularity=st.integers(min_value=1, max_value=3))
+def test_free_pools_pick_what_a_set_scan_picks(ops, fraction,
+                                               gc_granularity,
+                                               conversion_granularity):
+    run_pool_ops(ops, fraction, gc_granularity, conversion_granularity)
+
+
+def test_a_free_pool_pick_passes_over_a_worn_lower_id():
+    # block 0 (channel 0) fills, loses half its pages and is collected:
+    # erased once, it is pooled again below the unworn ids 4, 6, ...; the
+    # writes after it pop channel 0's pool, then conversions take the rest
+    ops = [("write", 0, 4), ("write", 4, 4), ("write", 0, 4),
+           ("action", ActionKind.SLC_INTERNAL_GC), ("write", 8, 8),
+           ("write", 16, 8), ("action", ActionKind.SLC_TO_QLC_MC)]
+    assert run_pool_ops(ops, fraction=0.0, gc_granularity=1,
+                        conversion_granularity=2) > 0
 
 
 # --- bulk device build ---------------------------------------------------------------
@@ -247,10 +263,21 @@ def test_bulk_build_matches_the_per_block_build(channels, blocks, ppb, split,
         return list(zip(ssd.mode, ssd.pages, ssd.page_count, ssd.erase_count,
                         ssd.valid_count))
 
+    def check_engine_pools():
+        ftl = FtlEngine(ssd, ConfigProfile())
+        pools = {mode: [sorted(pool) for pool in by_channel]
+                 for mode, by_channel in ftl.free.items()}
+        assert pools == oracle.free_pools(ftl._wear_key)
+        assert all(is_heap(pool) for by_channel in ftl.free.values()
+                   for pool in by_channel)
+        assert ftl.free_count == oracle.block_tally
+
     assert block_fields() == oracle.fields()
     assert ssd.block_tally == oracle.block_tally
-    # wear and modes set before the engine pools the blocks; blocks past
-    # the end of `wear` stay unworn
+    check_engine_pools()
+    ssd.audit()
+    # wear and modes set on the device; blocks past the end of `wear` stay
+    # unworn
     for block_id, erases in zip(range(geo.total_blocks), wear):
         ssd.erase_count[block_id] = erases
         oracle.wear(block_id, erases)
@@ -260,14 +287,16 @@ def test_bulk_build_matches_the_per_block_build(channels, blocks, ppb, split,
         oracle.convert(block_id, mode)
     assert block_fields() == oracle.fields()
     assert ssd.block_tally == oracle.block_tally
-    ftl = FtlEngine(ssd, ConfigProfile())
-    pools = {mode: [sorted(pool) for pool in by_channel]
-             for mode, by_channel in ftl.free.items()}
-    assert pools == oracle.free_pools(ftl._wear_key)
-    assert all(is_heap(pool) for by_channel in ftl.free.values()
-               for pool in by_channel)
-    assert ftl.free_count == oracle.block_tally
     ssd.audit()
+    # an engine pools only a device whose pools are ranges of ids: no block
+    # worn, SLC ids from 0 and QLC ids after them
+    n_slc = ssd.block_tally[Mode.SLC]
+    if any(ssd.erase_count) or ssd.mode != (
+            [Mode.SLC] * n_slc + [Mode.QLC] * (geo.total_blocks - n_slc)):
+        with pytest.raises(ValueError, match="fresh device"):
+            FtlEngine(ssd, ConfigProfile())
+    else:
+        check_engine_pools()
 
 
 # --- bulk sequential fill ------------------------------------------------------------
@@ -330,14 +359,14 @@ def test_bulk_fill_matches_per_page_fill(channels, blocks, ppb, op_ratio,
     logical = oracle.ssd.logical_capacity_pages
     n = int(logical * fraction)
 
-    def per_page(lpns):
-        for lpn in lpns:
+    def per_page(n):
+        for lpn in range(n):
             oracle.handle_write(lpn)
 
     outcomes = []
     for ftl, fill in ((oracle, per_page), (bulk, bulk.fill)):
         try:
-            fill(range(n))
+            fill(n)
             outcomes.append(None)
         except CapacityError as exc:
             outcomes.append(str(exc))
@@ -462,7 +491,7 @@ def run_twin_engines(make_engine, reference, writes, fill_fraction,
     real._gc_once = observed_gc_once
     logical = real.ssd.logical_capacity_pages
     for ftl in (real, ref):
-        ftl.fill(range(int(logical * fill_fraction)))
+        ftl.fill(int(logical * fill_fraction))
     assert device_state(real) == device_state(ref)
     for lpn, n, hot in writes:
         if not logical:

@@ -1,4 +1,5 @@
 """Full-stack replay, reports, sweeps, and the command line."""
+import copy
 import dataclasses
 import json
 import os
@@ -11,8 +12,8 @@ import pytest
 from hybridssd import cli
 from hybridssd.config import ConfigProfile
 from hybridssd.errors import ConfigError
-from hybridssd.replay import (RunReport, SimulatorStack, _scale_param,
-                              emit_report, replay, run_sweep)
+from hybridssd.replay import (RunReport, SimulatorStack, _build_report,
+                              _scale_param, emit_report, replay, run_sweep)
 from hybridssd.ssd import FlashGeometry, desk_geometry
 from hybridssd.trace import OpKind, TraceRecord, synth_trace
 from hybridssd.tuner import ScriptedBackend, estimate_tokens
@@ -118,6 +119,34 @@ class TestSimulatorStack:
         stack.prefill(0.9)
         assert stack.ssd.erase_ops == 0
         assert stack.agent.decisions == 0 and not stack.agent.pending
+
+    def test_a_deep_copy_replays_as_the_original(self):
+        # the gc_steady benchmark's start; the agent has decided, trained
+        # and pushed intensity samples before the copy
+        geo = FlashGeometry(channels=8, blocks_per_channel=32,
+                            pages_per_block_slc=32)
+        stack = SimulatorStack(geo, ConfigProfile(rl_training_interval=50),
+                               seed=1)
+        stack.prefill(0.9)
+        records = synth_trace(2500, stack.ssd.logical_capacity_pages,
+                              geo.page_size, seed=3)
+        for record in records[:500]:
+            stack.service(record)
+        assert stack.agent.decisions and stack.agent.trainings
+        twin = copy.deepcopy(stack)
+        assert twin.ftl.action_source.__self__ is twin
+        runs = []
+        for s in (stack, twin):
+            decisions = s.agent.decisions
+            latencies = [s.service(record) for record in records[500:]]
+            assert s.agent.decisions - decisions > 1000
+            report = _build_report(s, "default", len(records), 0, s.config,
+                                   None, None)
+            runs.append((latencies, report.to_json_dict(),
+                         s.agent.rng.getstate(),
+                         list(s.agent.intensity_samples)))
+            s.ssd.audit()
+        assert runs[0] == runs[1]
 
     def test_prefill_fraction_validated(self):
         stack = make_stack()
@@ -469,6 +498,25 @@ class TestEmitReport:
             os.umask(old)
         for name in ("tuned.json", "tuned.history.jsonl"):
             assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
+
+    def test_a_report_written_over_keeps_its_mode(self, tmp_path):
+        rep = run_small(small_trace(1500, seed=7), mode="tuned",
+                        backend=ScriptedBackend([GOOD_REPLY]),
+                        schedule=EpochSchedule(tuning_interval_writes=300,
+                                               investigation_ops=100,
+                                               max_epochs=1))
+        names = ("tuned.json", "tuned.history.jsonl")
+        for name in names:
+            (tmp_path / name).write_text("old")
+            os.chmod(tmp_path / name, 0o600)
+        old = os.umask(0o022)
+        try:
+            emit_report(rep, tmp_path / "tuned.json", "json")
+        finally:
+            os.umask(old)
+        for name in names:
+            assert (tmp_path / name).read_text() != "old"
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o600
 
     def test_no_history_file_for_default_mode(self, tmp_path):
         rep = run_small(small_trace(200, seed=1))

@@ -1,11 +1,13 @@
 import logging
 import math
+import pickle
 import random
 
 import pytest
 
 from hybridssd import (ACTION_ORDER, ActionKind, AgentState, ConfigProfile,
                        Mode, QTable, SpaceAgent, reward)
+from hybridssd.rl import INTENSITY_SAMPLES
 from conftest import make_stack
 from oracles import bucket_fraction, q_update
 
@@ -183,6 +185,19 @@ class TestIntensityBucket:
         agent = SpaceAgent(random.Random(7))
         # single sample ranks at its own midpoint: 0.5 -> bucket 2
         assert agent.intensity_bucket(100.0) == 2
+
+    def test_a_pickled_agent_ranks_as_the_original(self):
+        agent = SpaceAgent(random.Random(9))
+        for i in range(300):
+            agent.intensity_bucket(float(i % 7))
+        for _ in range(40):
+            agent.intensity_bucket(3.0)      # a run of one rate, mid-way
+        twin = pickle.loads(pickle.dumps(agent))
+        # the run goes on past a full window of 3.0, then the rate moves
+        rates = [3.0] * (INTENSITY_SAMPLES + 10) + [4.0, 2.0, 2.0]
+        assert ([agent.intensity_bucket(r) for r in rates]
+                == [twin.intensity_bucket(r) for r in rates])
+        assert agent.intensity_samples == twin.intensity_samples
 
     def test_observe_state_without_summary(self):
         agent = SpaceAgent(random.Random(8))
