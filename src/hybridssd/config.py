@@ -102,6 +102,15 @@ class ConfigProfile:
         meaning="epsilon for epsilon-greedy action choice",
         aliases=("rl exploration rate", "exploration rate"))
 
+    def __post_init__(self):
+        # a strategy given by name becomes its member, so that the engine's
+        # identity test places by it; an unknown name is refused here
+        strategy = parse_placement(self.placement_strategy)
+        if strategy is None:
+            raise ConfigError(f"placement_strategy: not a strategy: "
+                              f"{self.placement_strategy!r}")
+        object.__setattr__(self, "placement_strategy", strategy)
+
     def as_dict(self) -> dict:
         out = {}
         for f in fields(self):

@@ -233,6 +233,7 @@ class FtlEngine:
             self.rejected_requests += 1
             return 0.0
         lookup, invalidate = ssd.mapping.get, ssd.invalidate_page
+        shift, mask = ssd.shift, ssd.mask
         program, pages, page_count = ssd.program_page, ssd.pages, ssd.page_count
         channels = ssd.geometry.channels
         mode = self._preferred_mode(hot)
@@ -244,8 +245,7 @@ class FtlEngine:
         for i in range(lpn, lpn + n_pages):
             old = lookup(i)
             if old is not None:
-                old_block, old_idx = old
-                invalidate(old_block, old_idx)
+                invalidate(old >> shift, old & mask)
             ch = cursor[mode]
             block_id = active[ch]
             if block_id is not None:
@@ -379,6 +379,7 @@ class FtlEngine:
             self.rejected_requests += 1
             return 0.0
         lookup, read = ssd.mapping.get, ssd.read_page
+        shift, mask = ssd.shift, ssd.mask
         channels = ssd.geometry.channels
         per_channel: dict[int, float] = {}     # as in handle_write
         base = 0.0
@@ -387,8 +388,8 @@ class FtlEngine:
             if ppn is None:
                 self.unmapped_reads += 1
                 continue
-            block_id, page_idx = ppn
-            us = read(block_id, page_idx)
+            block_id = ppn >> shift
+            us = read(block_id, ppn & mask)
             ch = block_id % channels
             summed = per_channel[ch] = per_channel.get(ch, 0.0) + us
             if summed > base:

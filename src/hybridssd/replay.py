@@ -429,10 +429,12 @@ def check_report_path(path) -> None:
 
 
 def _report_dir(path) -> str:
-    return os.path.dirname(os.path.abspath(path)) or "."
+    return os.path.dirname(os.path.realpath(path)) or "."
 
 
 def _atomic_write(path, payload: str) -> None:
+    # through a symlink: the file it points to is replaced, the link stays
+    path = os.path.realpath(path)
     fd, tmp = tempfile.mkstemp(dir=_report_dir(path), prefix=".report-")
     try:
         # mkstemp makes the file 0600; a report gets the mode a plain

@@ -7,8 +7,8 @@ decision (where to place, what to collect) lives in the FTL layer above.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 
 from .errors import AuditError, GeometryError, PageStateError
 
@@ -135,8 +135,12 @@ NO_PAGES = ()
 class SsdState:
     """Blocks plus the LPN->PPN mapping and raw operation counters.
 
-    A PPN is a (block_id, page_idx) pair; block ids already encode the
-    channel (block_id % channels). Block state is one list per field,
+    `mapping` holds one int PPN per mapped lpn, `block_id << shift |
+    page_idx`, where `shift` is the bit width of the largest page index, so
+    `ppn >> shift` and `ppn & mask` decode it; `locate` returns the pair.
+    An int takes half the bytes of a `(block_id, page_idx)` tuple, and the
+    cyclic collector never tracks it. Block ids already encode the channel
+    (block_id % channels). Block state is one list per field,
     indexed by block id: `mode`, `page_count`, `erase_count`, `valid_count`
     and `pages`. `pages[b]` holds only the programmed pages (an lpn or
     PAGE_INVALID), so its length is the write pointer and
@@ -165,11 +169,20 @@ class SsdState:
         # hold >=1 invalid page; empty buckets are dropped
         self.reclaimable: dict[Mode, dict[int, set[int]]] = {
             SLC: {}, QLC: {}}
-        self.mapping: dict[int, tuple[int, int]] = {}
+        self.shift = (geometry.pages_per_block_qlc - 1).bit_length()
+        self.mask = (1 << self.shift) - 1
+        self.mapping: dict[int, int] = {}
         self.device_pages_written = 0
         self.erase_ops = 0
 
     # --- capacity and occupancy ---------------------------------------------
+
+    def locate(self, lpn: int) -> tuple[int, int] | None:
+        """(block_id, page_idx) the lpn is mapped to, or None."""
+        ppn = self.mapping.get(lpn)
+        if ppn is None:
+            return None
+        return ppn >> self.shift, ppn & self.mask
 
     def block_count(self, mode: Mode) -> int:
         return self.block_tally[mode]
@@ -219,7 +232,7 @@ class SsdState:
         else:
             self.pages[block_id] = [lpn]
         valid = self.valid_count[block_id] = self.valid_count[block_id] + 1
-        self.mapping[lpn] = (block_id, page_idx)
+        self.mapping[lpn] = block_id << self.shift | page_idx
         self.device_pages_written += 1
         if valid <= page_idx and page_idx + 1 == page_count:
             self._index(block_id)
@@ -248,8 +261,8 @@ class SsdState:
             pages = self.pages[block_id] = list(lpns)
         # key the mapping by the int objects the page array holds: ints
         # from a second pass over `lpns` would double their memory
-        mapping.update(zip(pages[start:], zip(repeat(block_id),
-                                              range(start, end))))
+        base = block_id << self.shift
+        mapping.update(zip(pages[start:], range(base + start, base + end)))
         valid = self.valid_count[block_id] = (self.valid_count[block_id]
                                               + len(lpns))
         self.device_pages_written += len(lpns)
@@ -301,9 +314,7 @@ class SsdState:
         full = self.is_full(block_id)
         if full and self.valid_count[block_id] < len(pages):
             self._unindex(block_id, self.valid_count[block_id])
-        mapping = self.mapping
-        for lpn in lpns:
-            del mapping[lpn]
+        deque(map(self.mapping.__delitem__, lpns), 0)     # one C-level pass
         if pages:       # an unwritten block keeps NO_PAGES
             self.pages[block_id] = [PAGE_INVALID] * len(pages)
         self.valid_count[block_id] = 0
@@ -373,7 +384,9 @@ class SsdState:
                 raise AuditError(
                     f"{name} has {len(getattr(self, name))} entries for "
                     f"{total_blocks} blocks")
-        for lpn, (block_id, page_idx) in self.mapping.items():
+        shift, mask = self.shift, self.mask
+        for lpn, ppn in self.mapping.items():
+            block_id, page_idx = ppn >> shift, ppn & mask
             if not 0 <= block_id < total_blocks:
                 raise AuditError(
                     f"mapping says lpn {lpn} -> block {block_id}, outside "

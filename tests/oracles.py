@@ -194,7 +194,7 @@ class PagePayloads:
 
     def payload_of(self, lpn):
         """Payload at the page the device maps lpn to (None if unmapped)."""
-        ppn = self.ssd.mapping.get(lpn)
+        ppn = self.ssd.locate(lpn)
         return None if ppn is None else self.by_ppn.get(ppn)
 
 
@@ -274,7 +274,7 @@ class PerPageHost:
         per_channel = {}
         gc_us = 0.0
         for i in range(lpn, lpn + n_pages):
-            old = ftl.ssd.mapping.get(i)
+            old = ftl.ssd.locate(i)
             if old is not None:
                 ftl.ssd.invalidate_page(*old)
             mode = self.preferred_mode(hot)
@@ -300,7 +300,7 @@ class PerPageHost:
             return 0.0
         per_channel = {}
         for i in range(lpn, lpn + n_pages):
-            ppn = ftl.ssd.mapping.get(i)
+            ppn = ftl.ssd.locate(i)
             if ppn is None:
                 ftl.unmapped_reads += 1
                 continue

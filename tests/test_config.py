@@ -42,6 +42,18 @@ class TestDefaults:
         assert d["placement_strategy"] == "slc_first"
         assert set(d) == set(TUNABLE_PARAMS)
 
+    @pytest.mark.parametrize("name, strategy", [
+        ("slc_first", PlacementStrategy.SLC_FIRST),
+        ("hotness_based", PlacementStrategy.HOTNESS_BASED)])
+    def test_a_strategy_name_becomes_its_member(self, name, strategy):
+        profile = ConfigProfile(placement_strategy=name)
+        assert profile.placement_strategy is strategy
+        assert profile.as_dict()["placement_strategy"] == name
+
+    def test_an_unknown_strategy_name_is_refused(self):
+        with pytest.raises(ConfigError, match="not a strategy: 'sideways'"):
+            ConfigProfile(placement_strategy="sideways")
+
 
 class TestBounds:
     def test_bounds_cover_all_params_and_defaults(self):

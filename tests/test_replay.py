@@ -518,6 +518,22 @@ class TestEmitReport:
             assert (tmp_path / name).read_text() != "old"
             assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o600
 
+    def test_a_symlinked_report_path_is_written_through(self, tmp_path):
+        rep = run_small(small_trace(200, seed=1))
+        out = tmp_path / "out"
+        out.mkdir()
+        emit_report(rep, out / "plain.json", "json")
+        target = out / "target.json"
+        target.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        emit_report(rep, link, "json")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == (out / "plain.json").read_text()
+        # the temporary file lived beside the target, and is gone
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "out"]
+        assert sorted(os.listdir(out)) == ["plain.json", "target.json"]
+
     def test_no_history_file_for_default_mode(self, tmp_path):
         rep = run_small(small_trace(200, seed=1))
         emit_report(rep, tmp_path / "plain.json", "json")

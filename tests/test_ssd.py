@@ -7,6 +7,16 @@ from hybridssd import (AuditError, FlashGeometry, GeometryError, LatencyModel,
 from hybridssd.ssd import NO_PAGES, PAGE_INVALID, initial_layout
 
 
+def located(ssd):
+    """The mapping as lpn -> (block_id, page_idx)."""
+    return {lpn: ssd.locate(lpn) for lpn in ssd.mapping}
+
+
+def ppn(ssd, block_id, page_idx):
+    """The mapping entry of a page, by the shift the device publishes."""
+    return block_id << ssd.shift | page_idx
+
+
 class TestGeometry:
     def test_defaults(self):
         g = FlashGeometry()
@@ -101,7 +111,7 @@ class TestPageOps:
     def test_program_read_roundtrip(self, desk_ssd):
         us = desk_ssd.program_page(0, 0, lpn=7)
         assert us == 200.0
-        assert desk_ssd.mapping[7] == (0, 0)
+        assert desk_ssd.locate(7) == (0, 0)
         assert desk_ssd.read_page(0, 0) == 20.0
 
     def test_program_enforces_append_order(self, desk_ssd):
@@ -172,7 +182,7 @@ class TestPageOps:
             desk_ssd.invalidate_page(block_id, page_idx)
         with pytest.raises(PageStateError):
             desk_ssd.read_page(block_id, page_idx)
-        assert desk_ssd.mapping == {5: (0, 0), 6: (0, 1), 7: (7, 0)}
+        assert located(desk_ssd) == {5: (0, 0), 6: (0, 1), 7: (7, 0)}
         desk_ssd.audit()
 
     @pytest.mark.parametrize("block_id", [-1, -8, 8])
@@ -191,7 +201,7 @@ class TestPageOps:
         desk_ssd.program_page(0, 0, lpn=7)
         with pytest.raises(PageStateError):
             mutate(desk_ssd, block_id)
-        assert desk_ssd.mapping == {7: (0, 0)}
+        assert located(desk_ssd) == {7: (0, 0)}
         assert desk_ssd.mode.count(Mode.SLC) == 4
         assert desk_ssd.erase_ops == 0
         desk_ssd.audit()
@@ -201,6 +211,34 @@ class TestPageOps:
             desk_ssd.program_page(0, idx, lpn=idx)
         with pytest.raises(PageStateError):
             desk_ssd.program_page(0, 8, lpn=8)
+
+
+class TestPpnEncoding:
+    # 264 blocks, so ids above 255; QLC blocks of 32 pages and of 12 and
+    # 20, which are not powers of two
+    @pytest.mark.parametrize("ppb", [8, 3, 5])
+    def test_locate_round_trips_on_every_page(self, ppb):
+        ssd = SsdState(desk_geometry(channels=4, blocks_per_channel=66,
+                                     pages_per_block_slc=ppb),
+                       LatencyModel())
+        n = 0
+        for block_id, page_count in enumerate(ssd.page_count):
+            # all but the last page in bulk, the last one alone
+            ssd.program_run(block_id, range(n, n + page_count - 1))
+            ssd.program_page(block_id, page_count - 1, n + page_count - 1)
+            n += page_count
+        last = len(ssd.mode) - 1
+        assert ssd.locate(n - 1) == (last, ssd.page_count[last] - 1)
+        assert ssd.locate(n) is None
+        for lpn, (block_id, page_idx) in located(ssd).items():
+            assert ssd.pages[block_id][page_idx] == lpn
+        assert len(set(ssd.mapping.values())) == len(ssd.mapping) == n
+        ssd.audit()
+        # a block id above 255 keeps its pages apart from block id & 255's
+        assert {ssd.locate(lpn)[0] for lpn in ssd.pages[256]} == {256}
+        assert ssd.evacuate(last) == list(range(n - ssd.page_count[last], n))
+        assert ssd.locate(n - 1) is None
+        ssd.audit()
 
 
 class TestPageArrays:
@@ -277,7 +315,7 @@ class TestProgramRun:
         with pytest.raises(PageStateError):
             desk_ssd.program_run(1, range(3, 7))
         assert desk_ssd.pages[1] is NO_PAGES
-        assert desk_ssd.mapping == {5: (0, 0)}
+        assert located(desk_ssd) == {5: (0, 0)}
 
 
     def test_takes_any_lpn_sequence(self, desk_geo):
@@ -421,14 +459,14 @@ class TestAudit:
 
     def test_mapping_corruption_detected(self, desk_ssd):
         desk_ssd.program_page(0, 0, lpn=1)
-        desk_ssd.mapping[99] = (0, 5)          # points at a free page
+        desk_ssd.mapping[99] = ppn(desk_ssd, 0, 5)     # a free page
         with pytest.raises(AuditError):
             desk_ssd.audit()
 
     @pytest.mark.parametrize("block_id", [-1, 8])
     def test_mapping_outside_the_device_detected(self, desk_ssd, block_id):
         desk_ssd.program_page(7, 0, lpn=1)
-        desk_ssd.mapping[1] = (block_id, 0)   # -1 would read block 7's page
+        desk_ssd.mapping[1] = ppn(desk_ssd, block_id, 0)  # -1: block 7's page
         with pytest.raises(AuditError, match="outside"):
             desk_ssd.audit()
 
@@ -469,7 +507,7 @@ class TestAudit:
             desk_ssd.program_page(0, idx, lpn=idx)
         desk_ssd.pages[0].append(42)    # a ninth page in an 8-page block
         desk_ssd.valid_count[0] += 1
-        desk_ssd.mapping[42] = (0, 8)
+        desk_ssd.mapping[42] = ppn(desk_ssd, 0, 8)
         with pytest.raises(AuditError, match="past its 8"):
             desk_ssd.audit()
 
