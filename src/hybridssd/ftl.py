@@ -324,10 +324,12 @@ class FtlEngine:
             self.action_counts[IDLE] += n
         return n
 
-    def _append_run(self, mode: Mode, lpns, pop: bool = True) -> int:
+    def _append_run(self, mode: Mode, lpns, pop: bool = True,
+                    src: int | None = None) -> int:
         """Program `lpns` in order into the slots `_allocate_page(mode)`
         hands out page by page, one `program_run` per block and stripe
-        segment; returns how many were programmed.
+        segment, or one `move_run` out of block `src`; returns how many
+        were programmed.
 
         A channel without an active block takes a free block when the
         stripe reaches it with a page left. Without `pop` the run stops
@@ -361,7 +363,11 @@ class FtlEngine:
             stride = len(targets)
             n = min(rounds * stride, total - done)
             for j, block_id in enumerate(targets[:n]):
-                ssd.program_run(block_id, lpns[done + j:done + n:stride])
+                run = lpns[done + j:done + n:stride]
+                if src is None:
+                    ssd.program_run(block_id, run)
+                else:
+                    ssd.move_run(src, block_id, run)
                 if ssd.is_full(block_id):
                     active[ssd.geometry.channel_of(block_id)] = None
             last = ssd.geometry.channel_of(targets[(n - 1) % stride])
@@ -513,8 +519,10 @@ class FtlEngine:
         if victim is None:
             return False
         ssd = self.ssd
-        lpns = ssd.evacuate(victim)
-        self._append_run(dst, lpns)
+        lpns = [lpn for lpn in ssd.pages[victim] if lpn >= 0]
+        # each moved lpn keeps its entry; erase_block refuses the victim
+        # should a valid page stay behind
+        self._append_run(dst, lpns, src=victim)
         # each page is a read then a program, summed in that order
         read_us, write_us = ssd.latency.read_us(src), ssd.latency.write_us(dst)
         latency = out.latency_us

@@ -7,7 +7,6 @@ decision (where to place, what to collect) lives in the FTL layer above.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import AuditError, GeometryError, PageStateError
@@ -139,7 +138,11 @@ class SsdState:
     page_idx`, where `shift` is the bit width of the largest page index, so
     `ppn >> shift` and `ppn & mask` decode it; `locate` returns the pair.
     An int takes half the bytes of a `(block_id, page_idx)` tuple, and the
-    cyclic collector never tracks it. Block ids already encode the channel
+    cyclic collector never tracks it. `program_page` and `program_run` add
+    an entry, `invalidate_page` deletes one, and `move_run`, GC's op,
+    rewrites its lpns' entries in place: a CPython dict does not reuse a
+    deleted entry's slot, so a delete then re-insert per moved page would
+    regrow the table. Block ids already encode the channel
     (block_id % channels). Block state is one list per field,
     indexed by block id: `mode`, `page_count`, `erase_count`, `valid_count`
     and `pages`. `pages[b]` holds only the programmed pages (an lpn or
@@ -241,28 +244,68 @@ class SsdState:
     def program_run(self, block_id: int, lpns) -> None:
         """Append one page per lpn of a sequence to a block, in order:
         `program_page` in bulk, with the same checks."""
-        if not 0 <= block_id < len(self.mode):
-            raise self._outside(block_id)
-        pages = self.pages[block_id]
-        start = len(pages)
-        end = start + len(lpns)
-        if end > self.page_count[block_id]:
-            raise PageStateError(
-                f"block {block_id}: {len(lpns)} pages past its "
-                f"{self.free_pages(block_id)} free ones")
-        mapping = self.mapping
-        if any(map(mapping.__contains__, lpns)):
+        start = self._run_start(block_id, lpns)
+        if any(map(self.mapping.__contains__, lpns)):
             raise PageStateError(
                 f"an lpn of {lpns} still mapped; invalidate before "
                 f"reprogramming")
+        self._append(block_id, lpns, start)
+
+    def move_run(self, src: int, block_id: int, lpns) -> None:
+        """Move distinct lpns, each mapped into block `src`, to the end of
+        block `block_id`, in order: the source pages turn invalid and each
+        lpn's entry is rewritten in place, so the mapping keeps its keys.
+        The state `invalidate_page` then `program_run` leaves, in bulk: a
+        full `src` is re-filed in the victim index once."""
+        if not 0 <= src < len(self.mode):
+            raise self._outside(src)
+        start = self._run_start(block_id, lpns)
+        try:
+            ppns = list(map(self.mapping.__getitem__, lpns))    # C-level
+        except KeyError as exc:
+            raise PageStateError(
+                f"move of unmapped lpn {exc.args[0]}") from None
+        pages = self.pages[src]
+        base = src << self.shift
+        if ppns and (min(ppns) < base or max(ppns) >= base + len(pages)):
+            raise PageStateError(
+                f"move of an lpn of {lpns} not mapped into block {src}")
+        valid = self.valid_count[src]
+        full = len(pages) == self.page_count[src]
+        if full and valid < len(pages):
+            self._unindex(src, valid)
+        mask = self.mask
+        for ppn in ppns:
+            pages[ppn & mask] = PAGE_INVALID
+        self.valid_count[src] = valid - len(ppns)
+        if full:
+            self._index(src)
+        self._append(block_id, lpns, start)
+
+    def _run_start(self, block_id: int, lpns) -> int:
+        """Write pointer of a block that `lpns` fit past."""
+        if not 0 <= block_id < len(self.mode):
+            raise self._outside(block_id)
+        start = len(self.pages[block_id])
+        if start + len(lpns) > self.page_count[block_id]:
+            raise PageStateError(
+                f"block {block_id}: {len(lpns)} pages past its "
+                f"{self.free_pages(block_id)} free ones")
+        return start
+
+    def _append(self, block_id: int, lpns, start: int) -> None:
+        """Program `lpns` from write pointer `start` on and map them."""
+        end = start + len(lpns)
         if start:
+            pages = self.pages[block_id]
             pages.extend(lpns)
-        else:
-            pages = self.pages[block_id] = list(lpns)
-        # key the mapping by the int objects the page array holds: ints
-        # from a second pass over `lpns` would double their memory
+        else:           # an empty run keeps NO_PAGES
+            pages = self.pages[block_id] = list(lpns) or NO_PAGES
+        # key a new entry by the int object the page array holds: an int
+        # from a second pass over `lpns` would double its memory
         base = block_id << self.shift
-        mapping.update(zip(pages[start:], range(base + start, base + end)))
+        self.mapping.update(zip(pages[start:], range(base + start,
+                                                     base + end)))
         valid = self.valid_count[block_id] = (self.valid_count[block_id]
                                               + len(lpns))
         self.device_pages_written += len(lpns)
@@ -302,25 +345,6 @@ class SsdState:
             if len(pages) - valid > 1:
                 self._unindex(block_id, valid + 1)
             self._index(block_id)
-
-    def evacuate(self, block_id: int) -> list[int]:
-        """Invalidate every valid page of a block; returns their lpns in
-        page order. `invalidate_page` per valid page, in bulk: a full block
-        is re-filed in the victim index once, under no valid page."""
-        if not 0 <= block_id < len(self.mode):
-            raise self._outside(block_id)
-        pages = self.pages[block_id]
-        lpns = [lpn for lpn in pages if lpn >= 0]
-        full = self.is_full(block_id)
-        if full and self.valid_count[block_id] < len(pages):
-            self._unindex(block_id, self.valid_count[block_id])
-        deque(map(self.mapping.__delitem__, lpns), 0)     # one C-level pass
-        if pages:       # an unwritten block keeps NO_PAGES
-            self.pages[block_id] = [PAGE_INVALID] * len(pages)
-        self.valid_count[block_id] = 0
-        if full:
-            self._index(block_id)
-        return lpns
 
     def erase_block(self, block_id: int) -> float:
         """Erase a block holding no valid data. Returns erase latency in us."""

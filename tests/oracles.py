@@ -56,9 +56,10 @@ class FlashOpLog:
     {"parallel": [...], "serial": [...]} of (op, mode, channel) records; ops
     that run inside execute_action are GC work and go under "serial". Ops
     outside any request (a direct execute_action call) are not logged. The
-    bulk ops count per page: evacuate logs one read per lpn it returns,
-    program_run one program per lpn it appends. Serial ops are a plain sum,
-    so their order in the log does not matter for whole-microsecond costs.
+    bulk ops count per page: move_run logs one read on its source block and
+    one program on its destination per lpn it moves, program_run one
+    program per lpn it appends. Serial ops are a plain sum, so their order
+    in the log does not matter for whole-microsecond costs.
     """
 
     def __init__(self, ftl):
@@ -69,18 +70,18 @@ class FlashOpLog:
         for op, name in (("read", "read_page"), ("program", "program_page"),
                          ("erase", "erase_block")):
             setattr(ssd, name, self._flash_op(op, ssd, getattr(ssd, name)))
-        evacuate, program_run = ssd.evacuate, ssd.program_run
+        move_run, program_run = ssd.move_run, ssd.program_run
 
-        def evacuated(block_id):
-            lpns = evacuate(block_id)
-            self._log("read", ssd, block_id, len(lpns))
-            return lpns
+        def move(src, block_id, lpns):
+            self._log("read", ssd, src, len(lpns))
+            self._log("program", ssd, block_id, len(lpns))
+            return move_run(src, block_id, lpns)
 
         def run(block_id, lpns):
             self._log("program", ssd, block_id, len(lpns))
             return program_run(block_id, lpns)
 
-        ssd.evacuate, ssd.program_run = evacuated, run
+        ssd.move_run, ssd.program_run = move, run
         for name in ("handle_write", "handle_read"):
             setattr(ftl, name, self._request(getattr(ftl, name)))
         ftl.execute_action = self._action(ftl.execute_action)
@@ -124,14 +125,15 @@ class PagePayloads:
     outside.
 
     Wraps the engine instance's handle_write and execute_action and the
-    read_page/program_page/evacuate/program_run methods of its SsdState
+    read_page/program_page/move_run/program_run methods of its SsdState
     instance. The wrapped handle_write takes an extra `tag` keyword: every
     page programmed by that host write holds the tag. A page programmed
     inside execute_action (a GC migration) holds the payload of the page
     read just before it, and each read pays for one program only, so a
     migration that skips its read moves None instead of the data. In bulk,
-    evacuate hands each returned lpn's payload to the one page that lpn is
-    next programmed to; an lpn programmed without being evacuated gets None.
+    move_run hands the payload of the source page that stores each lpn to
+    the page that lpn moves to; a page program_run writes inside
+    execute_action, not moved from anywhere, gets None.
     """
 
     def __init__(self, ftl):
@@ -139,10 +141,9 @@ class PagePayloads:
         self.by_ppn = {}
         self._tag = None
         self._last_read = None
-        self._moving = {}               # evacuated lpn -> its payload
         self._in_action = False
         read, program = self.ssd.read_page, self.ssd.program_page
-        evacuate, program_run = self.ssd.evacuate, self.ssd.program_run
+        move_run, program_run = self.ssd.move_run, self.ssd.program_run
         write, action = ftl.handle_write, ftl.execute_action
 
         def read_page(block_id, page_idx):
@@ -158,21 +159,20 @@ class PagePayloads:
             self.by_ppn[(block_id, page_idx)] = payload
             return us
 
-        def evacuated(block_id):
-            where = {lpn: idx for idx, lpn
-                     in enumerate(self.ssd.pages[block_id])}
-            lpns = evacuate(block_id)
-            for lpn in lpns:
-                self._moving[lpn] = self.by_ppn.get((block_id, where.get(lpn)))
-            return lpns
+        def move(src, block_id, lpns):
+            where = {lpn: idx for idx, lpn in enumerate(self.ssd.pages[src])}
+            start = len(self.ssd.pages[block_id])
+            move_run(src, block_id, lpns)
+            for idx, lpn in enumerate(lpns, start):
+                self.by_ppn[(block_id, idx)] = self.by_ppn.get(
+                    (src, where.get(lpn)))
 
         def run(block_id, lpns):
             start = len(self.ssd.pages[block_id])
             program_run(block_id, lpns)
             for idx, lpn in enumerate(lpns, start):
                 self.by_ppn[(block_id, idx)] = (
-                    self._moving.pop(lpn, None) if self._in_action
-                    else self._tag)
+                    None if self._in_action else self._tag)
 
         def handle_write(lpn, n_pages=1, hot=None, tag=None):
             self._tag = tag
@@ -189,7 +189,7 @@ class PagePayloads:
                 self._in_action = False
 
         self.ssd.read_page, self.ssd.program_page = read_page, program_page
-        self.ssd.evacuate, self.ssd.program_run = evacuated, run
+        self.ssd.move_run, self.ssd.program_run = move, run
         ftl.handle_write, ftl.execute_action = handle_write, execute_action
 
     def payload_of(self, lpn):

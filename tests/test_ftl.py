@@ -1,13 +1,15 @@
 import dataclasses
 import gc
+import random
+import sys
 import tracemalloc
 
 import pytest
 
 from hybridssd import (ACTION_ORDER, ActionKind, CapacityError, ConfigProfile,
                        FlashGeometry, FtlEngine, LatencyModel, Mode,
-                       PlacementStrategy, SAFETY_BOUND, SsdState,
-                       desk_geometry)
+                       PlacementStrategy, SAFETY_BOUND, SimulatorStack,
+                       SsdState, desk_geometry, synth_trace)
 from hybridssd.ftl import GC_MODES, write_amplification
 from hybridssd.ssd import NO_PAGES
 from conftest import make_stack
@@ -484,7 +486,8 @@ class TestFreeCount:
         ftl = make_ftl(blocks=2, ppb=4)
         for lpn in range(4):
             ftl.handle_write(lpn)
-        ftl.ssd.evacuate(0)
+        for idx in range(4):
+            ftl.ssd.invalidate_page(0, idx)
         ftl.ssd.erase_block(0)
         assert not ftl.ssd.mapping
         assert all(pages is NO_PAGES for pages in ftl.ssd.pages)
@@ -587,18 +590,43 @@ class TestMappingEncoding:
         # a fill's new memory, per mapped page: the page array slot and its
         # lpn int, the dict entry and the PPN. Measured at 103.5 B on
         # Python 3.11; a (block_id, page_idx) tuple in place of the int PPN
-        # measured 127.4 B. The bound is that plus 8.5 B of margin.
+        # measured 127.4 B. The bound is that plus 8.5 B of margin. It
+        # holds after GC too: 300 scattered overwrites then move ~35,700
+        # pages (104.3 B), where a delete and re-insert of each moved
+        # page's entry doubled the map (135.5 B).
         ftl = make_ftl(channels=8, blocks=64, ppb=32, split=0.25)
         n = int(0.9 * ftl.ssd.logical_capacity_pages)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             ftl.fill(n)
-            grown = tracemalloc.get_traced_memory()[0] - before
+            grown = [tracemalloc.get_traced_memory()[0] - before]
+            for lpn in random.Random(0).sample(range(n), 300):
+                ftl.handle_write(lpn)
+            grown.append(tracemalloc.get_traced_memory()[0] - before)
         finally:
             tracemalloc.stop()
         assert len(ftl.ssd.mapping) == n
-        assert grown / n < 112
+        assert ftl.wa.device_pages_written - ftl.wa.host_pages_written > n // 2
+        assert [size / n < 112 for size in grown] == [True, True], grown
+
+    def test_gc_does_not_grow_the_map(self):
+        # the gc_steady benchmark's device and episode length: the fill
+        # leaves 20,966 entries against 21,845 usable slots, and the
+        # episode's 29,034 GC moves would use those up were each an unmap
+        # and a remap
+        geo = FlashGeometry(channels=8, blocks_per_channel=32,
+                            pages_per_block_slc=32)
+        stack = SimulatorStack(geo, ConfigProfile(), initial_mode_split=0.25)
+        stack.prefill(0.9)
+        size = sys.getsizeof(stack.ssd.mapping)
+        for record in synth_trace(500, stack.ssd.logical_capacity_pages,
+                                  geo.page_size, seed=4, size_pages=1):
+            stack.service(record)
+        wa = stack.ftl.wa
+        assert wa.device_pages_written - wa.host_pages_written > 20_000
+        assert sys.getsizeof(stack.ssd.mapping) == size
+        stack.ssd.audit()
 
 
 class TestOpLog:

@@ -470,6 +470,9 @@ def run_twin_engines(make_engine, reference, writes, fill_fraction,
     With `clamp` each request is cut to fit the logical space; without,
     only a non-negative lpn wraps into it, so a negative lpn, a count
     below 1 or a span past the end is a rejected request.
+    The real engine's GC must rewrite each moved lpn's map entry in place:
+    it keeps the mapping's keys in their order, where a delete and
+    re-insert would send the key to the end.
     Returns what the real engine's GC did: the (victim, destination) modes
     of migrations that moved pages, and "pop" if a destination popped a
     free block mid-migration."""
@@ -481,7 +484,9 @@ def run_twin_engines(make_engine, reference, writes, fill_fraction,
     def observed_gc_once(src, dst, out):
         free_before = real.free_count[dst]
         moved = out.pages_migrated
+        keys = list(real.ssd.mapping)
         done = gc_once(src, dst, out)
+        assert list(real.ssd.mapping) == keys
         if out.pages_migrated > moved:
             seen.add((src, dst))
             if real.free_count[dst] - (src is dst) < free_before:

@@ -142,7 +142,7 @@ class TestPageOps:
         desk_ssd.program_run(0, range(desk_ssd.page_count[0]))
         with pytest.raises(PageStateError):
             desk_ssd.erase_block(0)
-        desk_ssd.evacuate(0)
+        desk_ssd.move_run(0, 4, range(desk_ssd.page_count[0]))
         # full with no valid page: the cheapest GC victim until erased
         assert desk_ssd.reclaimable[Mode.SLC] == {0: {0}}
         us = desk_ssd.erase_block(0)
@@ -189,11 +189,12 @@ class TestPageOps:
     @pytest.mark.parametrize("mutate", [
         lambda ssd, b: ssd.program_page(b, 0, 5),
         lambda ssd, b: ssd.program_run(b, [5, 6]),
-        lambda ssd, b: ssd.evacuate(b),
+        lambda ssd, b: ssd.move_run(b, 1, [7]),
+        lambda ssd, b: ssd.move_run(0, b, [7]),
         lambda ssd, b: ssd.erase_block(b),
         lambda ssd, b: ssd.convert_block_mode(b, Mode.SLC),
-    ], ids=["program_page", "program_run", "evacuate", "erase_block",
-            "convert_block_mode"])
+    ], ids=["program_page", "program_run", "move_run", "move_run_into",
+            "erase_block", "convert_block_mode"])
     def test_a_mutator_refuses_a_block_outside_the_device(
             self, desk_ssd, mutate, block_id):
         # a negative id would act on a block counted from the end: -1 on
@@ -236,8 +237,14 @@ class TestPpnEncoding:
         ssd.audit()
         # a block id above 255 keeps its pages apart from block id & 255's
         assert {ssd.locate(lpn)[0] for lpn in ssd.pages[256]} == {256}
-        assert ssd.evacuate(last) == list(range(n - ssd.page_count[last], n))
-        assert ssd.locate(n - 1) is None
+        # the last page of the last block moves to the first page of
+        # block 0, erased for it
+        for idx in range(ssd.page_count[0]):
+            ssd.invalidate_page(0, idx)
+        ssd.erase_block(0)
+        ssd.move_run(last, 0, [n - 1])
+        assert ssd.locate(n - 1) == (0, 0)
+        assert ssd.pages[last][-1] == PAGE_INVALID
         ssd.audit()
 
 
@@ -251,29 +258,35 @@ class TestPageArrays:
         ssd = desk_ssd                          # blocks 0-3 SLC, 4-7 QLC
         steps = [("program", 0, idx, idx) for idx in range(8)]
         steps += [("run", 1, range(10, 14)), ("invalidate", 0, 3),
-                  ("evacuate", 0), ("erase", 0), ("run", 0, [20]),
-                  ("program", 0, 1, 21), ("run", 1, range(14, 18)),
-                  ("evacuate", 1), ("erase", 1), ("convert", 1, Mode.QLC),
+                  ("move", 0, 1, [0, 1, 2, 4]), ("move", 0, 2, [5, 6, 7]),
+                  ("erase", 0), ("run", 0, [20]), ("program", 0, 1, 21),
+                  ("move", 1, 5, [10, 11, 12, 13, 0, 1, 2, 4]),
+                  ("erase", 1), ("convert", 1, Mode.QLC),
                   ("program", 1, 0, 30), ("run", 4, range(40, 72)),
-                  ("invalidate", 4, 0), ("evacuate", 4), ("erase", 4),
-                  ("program", 4, 0, 80)]
+                  ("invalidate", 4, 0), ("move", 4, 6, range(41, 72)),
+                  ("erase", 4), ("program", 4, 0, 80)]
         ops = {"program": ssd.program_page, "run": ssd.program_run,
-               "invalidate": ssd.invalidate_page, "evacuate": ssd.evacuate,
+               "invalidate": ssd.invalidate_page, "move": ssd.move_run,
                "erase": ssd.erase_block, "convert": ssd.convert_block_mode}
-        for op, block_id, *rest in steps:
-            before = [list(pages) for pages in ssd.pages]
-            ops[op](block_id, *rest)
-            after = [list(pages) for pages in ssd.pages]
-            del before[block_id], after[block_id]
-            assert after == before, (op, block_id, rest)
+        for op, *args in steps:
+            # a move writes its source and destination blocks
+            touched = args[:2] if op == "move" else args[:1]
+            before = [list(pages) for b, pages in enumerate(ssd.pages)
+                      if b not in touched]
+            ops[op](*args)
+            after = [list(pages) for b, pages in enumerate(ssd.pages)
+                     if b not in touched]
+            assert after == before, (op, args)
             ssd.audit()
-        assert ssd.pages[:5] == [[20, 21], [30], NO_PAGES, NO_PAGES, [80]]
+        assert ssd.pages[:5] == [[20, 21], [30], [5, 6, 7], NO_PAGES, [80]]
+        assert ssd.pages[5] == [10, 11, 12, 13, 0, 1, 2, 4]
+        assert ssd.pages[6] == list(range(41, 72))
 
     def test_an_erased_block_reprograms_into_a_list_of_its_own(self,
                                                                desk_ssd):
         desk_ssd.program_run(0, range(8))
         first = desk_ssd.pages[0]
-        desk_ssd.evacuate(0)
+        desk_ssd.move_run(0, 4, range(8))
         desk_ssd.erase_block(0)
         assert desk_ssd.pages[0] is NO_PAGES
         desk_ssd.program_page(0, 0, lpn=9)
@@ -333,6 +346,9 @@ class TestProgramRun:
 
 
 class TestEvacuate:
+    """Evacuating a GC victim: `move_run` of its valid pages, in two
+    strided runs as the FTL's stripe splits them."""
+
     # written lpns of block 0 (8 pages), then the indices invalidated first
     @pytest.mark.parametrize("written,stale", [
         (range(8), [1, 6]),          # full, indexed
@@ -349,18 +365,58 @@ class TestEvacuate:
             for idx in stale:
                 ssd.invalidate_page(0, idx)
         valid = [idx for idx in range(len(written)) if idx not in stale]
-        lpns = bulk.evacuate(0)
-        for idx in valid:
-            single.invalidate_page(0, idx)
+        lpns = [lpn for lpn in bulk.pages[0] if lpn >= 0]
         assert lpns == [written[idx] + 10 for idx in valid]
+        keys = list(bulk.mapping)
+        for block_id, run in ((1, valid[0::2]), (2, valid[1::2])):
+            bulk.move_run(0, block_id, [bulk.pages[0][idx] for idx in run])
+            bulk.audit()
+            for idx in run:
+                lpn = single.pages[0][idx]
+                single.invalidate_page(0, idx)
+                single.program_page(block_id, len(single.pages[block_id]),
+                                    lpn)
         assert bulk.pages == single.pages
         assert bulk.valid_count == single.valid_count
-        assert bulk.mapping == single.mapping == {}
+        assert bulk.mapping == single.mapping
+        # each entry rewritten in place: no key left and came back
+        assert list(bulk.mapping) == keys
         assert bulk.reclaimable == single.reclaimable
-        bulk.audit()
+        assert bulk.device_pages_written == single.device_pages_written
         bulk.erase_block(0)
         assert bulk.reclaimable == {Mode.SLC: {}, Mode.QLC: {}}
         bulk.audit()
+
+
+class TestMoveRun:
+    # block 0 holds lpns 0-7 with page 2 invalid, block 1 lpns 8-11
+    @pytest.mark.parametrize("src,block_id,lpns", [
+        (0, 4, [3, 99]),         # 99 is not mapped
+        (0, 4, [3, 2]),          # 2 is not mapped: its page is invalid
+        (0, 4, [4, 9]),          # 9 is mapped into block 1, past block 0
+        (1, 4, [8, 0]),          # 0 is mapped into block 0, before block 1
+        (2, 4, [5]),             # block 2 was never written
+        (0, 1, [0, 1, 3, 4, 5]),     # block 1 has 4 free pages
+    ])
+    def test_refuses_what_it_must_not_overwrite(self, desk_ssd, src,
+                                                block_id, lpns):
+        ssd = desk_ssd
+        ssd.program_run(0, range(8))
+        ssd.program_run(1, range(8, 12))
+        ssd.invalidate_page(0, 2)
+        state = self.snapshot(ssd)
+        with pytest.raises(PageStateError):
+            ssd.move_run(src, block_id, lpns)
+        assert self.snapshot(ssd) == state
+        ssd.audit()
+
+    @staticmethod
+    def snapshot(ssd):
+        return ([list(pages) for pages in ssd.pages], list(ssd.valid_count),
+                list(ssd.mapping.items()),
+                {mode: {valid: set(ids) for valid, ids in buckets.items()}
+                 for mode, buckets in ssd.reclaimable.items()},
+                ssd.device_pages_written)
 
 
 class TestConversion:
