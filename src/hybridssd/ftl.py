@@ -318,27 +318,33 @@ class FtlEngine:
         mode = self._placement_region(self._preferred_mode(None))
         if mode is None:
             return 0
-        n = self._append_run(mode, range(lpn, stop), pop=False)
+        n = 0
+        for block_id, run in self._plan(mode, range(lpn, stop), pop=False):
+            self.ssd.program_run(block_id, run)
+            n += len(run)
         self.wa.host_pages_written += n
+        self.wa.device_pages_written += n
         if below:
             self.action_counts[IDLE] += n
         return n
 
-    def _append_run(self, mode: Mode, lpns, pop: bool = True,
-                    src: int | None = None) -> int:
-        """Program `lpns` in order into the slots `_allocate_page(mode)`
-        hands out page by page, one `program_run` per block and stripe
-        segment, or one `move_run` out of block `src`; returns how many
-        were programmed.
+    def _plan(self, mode: Mode, lpns, pop: bool = True) -> list:
+        """Where `lpns` go, in order: the slots `_allocate_page(mode)` hands
+        out page by page, as `(block_id, run)` appends, one per block and
+        stripe segment. The slots are taken now: the free blocks the stripe
+        opens are popped, the cursor moves and each block the plan fills
+        leaves the active blocks, so the caller applies every append.
 
         A channel without an active block takes a free block when the
-        stripe reaches it with a page left. Without `pop` the run stops
+        stripe reaches it with a page left. Without `pop` the plan stops
         there instead.
         """
         ssd = self.ssd
         channels = ssd.geometry.channels
         active = self.active[mode]
         pools = self.free[mode]
+        room: dict[int, int] = {}   # free pages of each target, as planned
+        plan = []
         total = len(lpns)
         done = 0
         while done < total:
@@ -356,27 +362,26 @@ class FtlEngine:
                         block_id = active[ch] = self._pop_free(mode, ch)
                 if block_id is not None:
                     targets.append(block_id)
+                    if block_id not in room:
+                        room[block_id] = ssd.free_pages(block_id)
             if not targets:
                 break
             # full stripes until the first target block fills
-            rounds = 1 if popping else min(map(ssd.free_pages, targets))
+            rounds = 1 if popping else min(map(room.__getitem__, targets))
             stride = len(targets)
             n = min(rounds * stride, total - done)
             for j, block_id in enumerate(targets[:n]):
                 run = lpns[done + j:done + n:stride]
-                if src is None:
-                    ssd.program_run(block_id, run)
-                else:
-                    ssd.move_run(src, block_id, run)
-                if ssd.is_full(block_id):
-                    active[ssd.geometry.channel_of(block_id)] = None
-            last = ssd.geometry.channel_of(targets[(n - 1) % stride])
+                plan.append((block_id, run))
+                left = room[block_id] = room[block_id] - len(run)
+                if not left:
+                    active[block_id % channels] = None
+            last = targets[(n - 1) % stride] % channels
             self.stripe_cursor[mode] = (last + 1) % channels
             done += n
             if popping:
                 break
-        self.wa.device_pages_written += done
-        return done
+        return plan
 
     def handle_read(self, lpn: int, n_pages: int = 1) -> float:
         """Service a host read; unmapped pages cost nothing but are counted."""
@@ -520,16 +525,16 @@ class FtlEngine:
             return False
         ssd = self.ssd
         lpns = [lpn for lpn in ssd.pages[victim] if lpn >= 0]
-        # each moved lpn keeps its entry; erase_block refuses the victim
-        # should a valid page stay behind
-        self._append_run(dst, lpns, src=victim)
+        # relocate refuses a plan that leaves a valid page behind
+        erase_us = ssd.relocate(victim, self._plan(dst, lpns))
+        self.wa.device_pages_written += len(lpns)
         # each page is a read then a program, summed in that order
         read_us, write_us = ssd.latency.read_us(src), ssd.latency.write_us(dst)
         latency = out.latency_us
         for _ in lpns:
             latency += read_us
             latency += write_us
-        out.latency_us = latency + ssd.erase_block(victim)
+        out.latency_us = latency + erase_us
         out.pages_migrated += len(lpns)
         out.blocks_reclaimed += 1
         heappush(self.free[src][ssd.geometry.channel_of(victim)],

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import eq
 
 from .errors import AuditError, GeometryError, PageStateError
 
@@ -139,10 +141,11 @@ class SsdState:
     `ppn >> shift` and `ppn & mask` decode it; `locate` returns the pair.
     An int takes half the bytes of a `(block_id, page_idx)` tuple, and the
     cyclic collector never tracks it. `program_page` and `program_run` add
-    an entry, `invalidate_page` deletes one, and `move_run`, GC's op,
-    rewrites its lpns' entries in place: a CPython dict does not reuse a
-    deleted entry's slot, so a delete then re-insert per moved page would
-    regrow the table. Block ids already encode the channel
+    an entry, `invalidate_page` deletes one, and `relocate`, GC's op,
+    rewrites the entries of a victim's lpns in place: a CPython dict does
+    not reuse a deleted entry's slot, so a delete then re-insert per moved
+    page would regrow the table. `erase_block` is the one op that erases
+    a block, `relocate`'s victim included. Block ids already encode the channel
     (block_id % channels). Block state is one list per field,
     indexed by block id: `mode`, `page_count`, `erase_count`, `valid_count`
     and `pages`. `pages[b]` holds only the programmed pages (an lpn or
@@ -244,58 +247,18 @@ class SsdState:
     def program_run(self, block_id: int, lpns) -> None:
         """Append one page per lpn of a sequence to a block, in order:
         `program_page` in bulk, with the same checks."""
-        start = self._run_start(block_id, lpns)
+        if not 0 <= block_id < len(self.mode):
+            raise self._outside(block_id)
+        start = len(self.pages[block_id])
+        end = start + len(lpns)
+        if end > self.page_count[block_id]:
+            raise PageStateError(
+                f"block {block_id}: {len(lpns)} pages past its "
+                f"{self.free_pages(block_id)} free ones")
         if any(map(self.mapping.__contains__, lpns)):
             raise PageStateError(
                 f"an lpn of {lpns} still mapped; invalidate before "
                 f"reprogramming")
-        self._append(block_id, lpns, start)
-
-    def move_run(self, src: int, block_id: int, lpns) -> None:
-        """Move distinct lpns, each mapped into block `src`, to the end of
-        block `block_id`, in order: the source pages turn invalid and each
-        lpn's entry is rewritten in place, so the mapping keeps its keys.
-        The state `invalidate_page` then `program_run` leaves, in bulk: a
-        full `src` is re-filed in the victim index once."""
-        if not 0 <= src < len(self.mode):
-            raise self._outside(src)
-        start = self._run_start(block_id, lpns)
-        try:
-            ppns = list(map(self.mapping.__getitem__, lpns))    # C-level
-        except KeyError as exc:
-            raise PageStateError(
-                f"move of unmapped lpn {exc.args[0]}") from None
-        pages = self.pages[src]
-        base = src << self.shift
-        if ppns and (min(ppns) < base or max(ppns) >= base + len(pages)):
-            raise PageStateError(
-                f"move of an lpn of {lpns} not mapped into block {src}")
-        valid = self.valid_count[src]
-        full = len(pages) == self.page_count[src]
-        if full and valid < len(pages):
-            self._unindex(src, valid)
-        mask = self.mask
-        for ppn in ppns:
-            pages[ppn & mask] = PAGE_INVALID
-        self.valid_count[src] = valid - len(ppns)
-        if full:
-            self._index(src)
-        self._append(block_id, lpns, start)
-
-    def _run_start(self, block_id: int, lpns) -> int:
-        """Write pointer of a block that `lpns` fit past."""
-        if not 0 <= block_id < len(self.mode):
-            raise self._outside(block_id)
-        start = len(self.pages[block_id])
-        if start + len(lpns) > self.page_count[block_id]:
-            raise PageStateError(
-                f"block {block_id}: {len(lpns)} pages past its "
-                f"{self.free_pages(block_id)} free ones")
-        return start
-
-    def _append(self, block_id: int, lpns, start: int) -> None:
-        """Program `lpns` from write pointer `start` on and map them."""
-        end = start + len(lpns)
         if start:
             pages = self.pages[block_id]
             pages.extend(lpns)
@@ -311,6 +274,83 @@ class SsdState:
         self.device_pages_written += len(lpns)
         if end == self.page_count[block_id] and valid < end:
             self._index(block_id)
+
+    def relocate(self, src: int, plan) -> float:
+        """Move every valid page of block `src` by `plan`, a sequence of
+        `(block_id, lpns)` appends applied in order, then erase `src`;
+        returns the erase latency in us. GC's op: each lpn's entry is
+        rewritten in place, so the mapping keeps its keys.
+
+        Every check runs before any change. The plan must name each valid
+        page of `src` once and no other page, and its appends must fit
+        their blocks' free pages, none of them `src`. The source pages are
+        never marked invalid one by one: `src` is filed at zero valid pages
+        and `erase_block` clears them.
+        """
+        n_blocks = len(self.mode)
+        if not 0 <= src < n_blocks:
+            raise self._outside(src)
+        pages, page_count, shift = self.pages, self.page_count, self.shift
+        room: dict[int, int] = {}   # free pages the plan leaves so far
+        spans = []                  # the PPNs each append takes
+        for block_id, lpns in plan:
+            if not 0 <= block_id < n_blocks:
+                raise self._outside(block_id)
+            if block_id == src:
+                raise PageStateError(f"block {src} relocated into itself")
+            free = room.get(block_id)
+            if free is None:
+                free = self.free_pages(block_id)
+            n = len(lpns)
+            if n > free:
+                raise PageStateError(
+                    f"block {block_id}: {n} pages past its {free} free ones")
+            room[block_id] = free - n
+            start = block_id << shift | page_count[block_id] - free
+            spans.append(range(start, start + n))
+        try:
+            ppns = list(map(self.mapping.__getitem__,   # C-level
+                            chain.from_iterable(lpns for _, lpns in plan)))
+        except KeyError as exc:
+            raise PageStateError(
+                f"relocation of unmapped lpn {exc.args[0]}") from None
+        # sorted in place, a repeat sits next to its twin: a set would
+        # allocate a table per victim, enough to raise the peak RSS of a
+        # GC-heavy run
+        ppns.sort()
+        written = len(pages[src])
+        base = src << shift
+        if ppns and (ppns[0] < base or ppns[-1] >= base + written):
+            raise PageStateError(
+                f"relocation of an lpn not mapped into block {src}")
+        if any(map(eq, ppns, islice(ppns, 1, None))):
+            raise PageStateError(f"relocation of an lpn twice out of {src}")
+        # distinct lpns map to distinct pages, each valid: as many as the
+        # block holds are all of them
+        valid_count = self.valid_count
+        moved, valid = len(ppns), valid_count[src]
+        if moved != valid:
+            raise PageStateError(
+                f"relocation of {moved} of block {src}'s {valid} valid pages")
+        del ppns        # each old PPN is freed as the update replaces it
+        valid_count[src] = 0
+        if written == page_count[src]:
+            if valid < written:
+                self._unindex(src, valid)
+            self._index(src)        # at zero valid, where erase_block looks
+        for block_id, lpns in plan:
+            if pages[block_id]:
+                pages[block_id].extend(lpns)
+            elif lpns:
+                pages[block_id] = list(lpns)
+            end = len(pages[block_id])
+            count = valid_count[block_id] = valid_count[block_id] + len(lpns)
+            if end == page_count[block_id] and count < end:
+                self._index(block_id)
+        self.mapping.update(zip(chain.from_iterable(lpns for _, lpns in plan),
+                                chain.from_iterable(spans)))
+        self.device_pages_written += moved
+        return self.erase_block(src)
 
     def read_page(self, block_id: int, page_idx: int) -> float:
         """Read one valid page. Returns the read latency in us."""

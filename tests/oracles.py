@@ -56,10 +56,11 @@ class FlashOpLog:
     {"parallel": [...], "serial": [...]} of (op, mode, channel) records; ops
     that run inside execute_action are GC work and go under "serial". Ops
     outside any request (a direct execute_action call) are not logged. The
-    bulk ops count per page: move_run logs one read on its source block and
-    one program on its destination per lpn it moves, program_run one
-    program per lpn it appends. Serial ops are a plain sum, so their order
-    in the log does not matter for whole-microsecond costs.
+    bulk ops count per page: relocate logs one read on its victim and one
+    program on the destination per lpn it moves, then the erase its
+    erase_block call logs; program_run logs one program per lpn it
+    appends. Serial ops are a plain sum, so their order in the log does
+    not matter for whole-microsecond costs.
     """
 
     def __init__(self, ftl):
@@ -70,18 +71,19 @@ class FlashOpLog:
         for op, name in (("read", "read_page"), ("program", "program_page"),
                          ("erase", "erase_block")):
             setattr(ssd, name, self._flash_op(op, ssd, getattr(ssd, name)))
-        move_run, program_run = ssd.move_run, ssd.program_run
+        relocate, program_run = ssd.relocate, ssd.program_run
 
-        def move(src, block_id, lpns):
-            self._log("read", ssd, src, len(lpns))
-            self._log("program", ssd, block_id, len(lpns))
-            return move_run(src, block_id, lpns)
+        def move(src, plan):
+            for block_id, lpns in plan:
+                self._log("read", ssd, src, len(lpns))
+                self._log("program", ssd, block_id, len(lpns))
+            return relocate(src, plan)
 
         def run(block_id, lpns):
             self._log("program", ssd, block_id, len(lpns))
             return program_run(block_id, lpns)
 
-        ssd.move_run, ssd.program_run = move, run
+        ssd.relocate, ssd.program_run = move, run
         for name in ("handle_write", "handle_read"):
             setattr(ftl, name, self._request(getattr(ftl, name)))
         ftl.execute_action = self._action(ftl.execute_action)
@@ -125,13 +127,13 @@ class PagePayloads:
     outside.
 
     Wraps the engine instance's handle_write and execute_action and the
-    read_page/program_page/move_run/program_run methods of its SsdState
+    read_page/program_page/relocate/program_run methods of its SsdState
     instance. The wrapped handle_write takes an extra `tag` keyword: every
     page programmed by that host write holds the tag. A page programmed
     inside execute_action (a GC migration) holds the payload of the page
     read just before it, and each read pays for one program only, so a
     migration that skips its read moves None instead of the data. In bulk,
-    move_run hands the payload of the source page that stores each lpn to
+    relocate hands the payload of the victim page that stores each lpn to
     the page that lpn moves to; a page program_run writes inside
     execute_action, not moved from anywhere, gets None.
     """
@@ -143,7 +145,7 @@ class PagePayloads:
         self._last_read = None
         self._in_action = False
         read, program = self.ssd.read_page, self.ssd.program_page
-        move_run, program_run = self.ssd.move_run, self.ssd.program_run
+        relocate, program_run = self.ssd.relocate, self.ssd.program_run
         write, action = ftl.handle_write, ftl.execute_action
 
         def read_page(block_id, page_idx):
@@ -159,13 +161,14 @@ class PagePayloads:
             self.by_ppn[(block_id, page_idx)] = payload
             return us
 
-        def move(src, block_id, lpns):
+        def move(src, plan):
             where = {lpn: idx for idx, lpn in enumerate(self.ssd.pages[src])}
-            start = len(self.ssd.pages[block_id])
-            move_run(src, block_id, lpns)
-            for idx, lpn in enumerate(lpns, start):
-                self.by_ppn[(block_id, idx)] = self.by_ppn.get(
-                    (src, where.get(lpn)))
+            us = relocate(src, plan)
+            for _, lpns in plan:
+                for lpn in lpns:
+                    self.by_ppn[self.ssd.locate(lpn)] = self.by_ppn.get(
+                        (src, where.get(lpn)))
+            return us
 
         def run(block_id, lpns):
             start = len(self.ssd.pages[block_id])
@@ -189,7 +192,7 @@ class PagePayloads:
                 self._in_action = False
 
         self.ssd.read_page, self.ssd.program_page = read_page, program_page
-        self.ssd.move_run, self.ssd.program_run = move, run
+        self.ssd.relocate, self.ssd.program_run = move, run
         ftl.handle_write, ftl.execute_action = handle_write, execute_action
 
     def payload_of(self, lpn):

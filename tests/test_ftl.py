@@ -628,6 +628,29 @@ class TestMappingEncoding:
         assert sys.getsizeof(stack.ssd.mapping) == size
         stack.ssd.audit()
 
+    def test_every_gc_erase_goes_through_erase_block(self, monkeypatch):
+        # the per-layer erase count wraps SsdState.erase_block on the
+        # class: a GC victim erased any other way would escape it
+        calls = []
+        erase_block = SsdState.erase_block
+
+        def counted(ssd, block_id):
+            calls.append(block_id)
+            return erase_block(ssd, block_id)
+
+        monkeypatch.setattr(SsdState, "erase_block", counted)
+        geo = FlashGeometry(channels=8, blocks_per_channel=32,
+                            pages_per_block_slc=32)
+        stack = SimulatorStack(geo, ConfigProfile(), initial_mode_split=0.25)
+        stack.prefill(0.9)
+        assert calls == []
+        for record in synth_trace(300, stack.ssd.logical_capacity_pages,
+                                  geo.page_size, seed=4, size_pages=1):
+            stack.service(record)
+        assert stack.erases > 100
+        assert len(calls) == stack.erases
+        stack.ssd.audit()
+
 
 class TestOpLog:
     def test_one_entry_per_request(self):

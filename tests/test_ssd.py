@@ -142,7 +142,8 @@ class TestPageOps:
         desk_ssd.program_run(0, range(desk_ssd.page_count[0]))
         with pytest.raises(PageStateError):
             desk_ssd.erase_block(0)
-        desk_ssd.move_run(0, 4, range(desk_ssd.page_count[0]))
+        for idx in range(desk_ssd.page_count[0]):
+            desk_ssd.invalidate_page(0, idx)
         # full with no valid page: the cheapest GC victim until erased
         assert desk_ssd.reclaimable[Mode.SLC] == {0: {0}}
         us = desk_ssd.erase_block(0)
@@ -189,11 +190,11 @@ class TestPageOps:
     @pytest.mark.parametrize("mutate", [
         lambda ssd, b: ssd.program_page(b, 0, 5),
         lambda ssd, b: ssd.program_run(b, [5, 6]),
-        lambda ssd, b: ssd.move_run(b, 1, [7]),
-        lambda ssd, b: ssd.move_run(0, b, [7]),
+        lambda ssd, b: ssd.relocate(b, [(1, [7])]),
+        lambda ssd, b: ssd.relocate(0, [(b, [7])]),
         lambda ssd, b: ssd.erase_block(b),
         lambda ssd, b: ssd.convert_block_mode(b, Mode.SLC),
-    ], ids=["program_page", "program_run", "move_run", "move_run_into",
+    ], ids=["program_page", "program_run", "relocate", "relocate_into",
             "erase_block", "convert_block_mode"])
     def test_a_mutator_refuses_a_block_outside_the_device(
             self, desk_ssd, mutate, block_id):
@@ -237,14 +238,16 @@ class TestPpnEncoding:
         ssd.audit()
         # a block id above 255 keeps its pages apart from block id & 255's
         assert {ssd.locate(lpn)[0] for lpn in ssd.pages[256]} == {256}
-        # the last page of the last block moves to the first page of
-        # block 0, erased for it
+        # the last page of the last block, its only valid one, moves to the
+        # first page of block 0, erased for it
         for idx in range(ssd.page_count[0]):
             ssd.invalidate_page(0, idx)
         ssd.erase_block(0)
-        ssd.move_run(last, 0, [n - 1])
+        for idx in range(ssd.page_count[last] - 1):
+            ssd.invalidate_page(last, idx)
+        ssd.relocate(last, [(0, [n - 1])])
         assert ssd.locate(n - 1) == (0, 0)
-        assert ssd.pages[last][-1] == PAGE_INVALID
+        assert ssd.pages[last] is NO_PAGES
         ssd.audit()
 
 
@@ -258,19 +261,20 @@ class TestPageArrays:
         ssd = desk_ssd                          # blocks 0-3 SLC, 4-7 QLC
         steps = [("program", 0, idx, idx) for idx in range(8)]
         steps += [("run", 1, range(10, 14)), ("invalidate", 0, 3),
-                  ("move", 0, 1, [0, 1, 2, 4]), ("move", 0, 2, [5, 6, 7]),
-                  ("erase", 0), ("run", 0, [20]), ("program", 0, 1, 21),
-                  ("move", 1, 5, [10, 11, 12, 13, 0, 1, 2, 4]),
-                  ("erase", 1), ("convert", 1, Mode.QLC),
+                  ("relocate", 0, [(1, [0, 1, 2, 4]), (2, [5, 6, 7])]),
+                  ("erase", 3), ("run", 0, [20]), ("program", 0, 1, 21),
+                  ("relocate", 1, [(5, [10, 11, 12, 13, 0, 1, 2, 4])]),
+                  ("convert", 1, Mode.QLC),
                   ("program", 1, 0, 30), ("run", 4, range(40, 72)),
-                  ("invalidate", 4, 0), ("move", 4, 6, range(41, 72)),
-                  ("erase", 4), ("program", 4, 0, 80)]
+                  ("invalidate", 4, 0), ("relocate", 4, [(6, range(41, 72))]),
+                  ("program", 4, 0, 80)]
         ops = {"program": ssd.program_page, "run": ssd.program_run,
-               "invalidate": ssd.invalidate_page, "move": ssd.move_run,
+               "invalidate": ssd.invalidate_page, "relocate": ssd.relocate,
                "erase": ssd.erase_block, "convert": ssd.convert_block_mode}
         for op, *args in steps:
-            # a move writes its source and destination blocks
-            touched = args[:2] if op == "move" else args[:1]
+            # a relocation writes its victim and its destinations
+            touched = ([args[0], *(b for b, _ in args[1])]
+                       if op == "relocate" else args[:1])
             before = [list(pages) for b, pages in enumerate(ssd.pages)
                       if b not in touched]
             ops[op](*args)
@@ -286,8 +290,7 @@ class TestPageArrays:
                                                                desk_ssd):
         desk_ssd.program_run(0, range(8))
         first = desk_ssd.pages[0]
-        desk_ssd.move_run(0, 4, range(8))
-        desk_ssd.erase_block(0)
+        desk_ssd.relocate(0, [(4, range(8))])
         assert desk_ssd.pages[0] is NO_PAGES
         desk_ssd.program_page(0, 0, lpn=9)
         desk_ssd.program_page(1, 0, lpn=10)
@@ -346,8 +349,9 @@ class TestProgramRun:
 
 
 class TestEvacuate:
-    """Evacuating a GC victim: `move_run` of its valid pages, in two
-    strided runs as the FTL's stripe splits them."""
+    """Evacuating a GC victim: one `relocate` of its valid pages, in two
+    strided runs as the FTL's stripe splits them, against `invalidate_page`
+    and `program_page` per page, then `erase_block`."""
 
     # written lpns of block 0 (8 pages), then the indices invalidated first
     @pytest.mark.parametrize("written,stale", [
@@ -368,14 +372,16 @@ class TestEvacuate:
         lpns = [lpn for lpn in bulk.pages[0] if lpn >= 0]
         assert lpns == [written[idx] + 10 for idx in valid]
         keys = list(bulk.mapping)
+        plan = [(block_id, [bulk.pages[0][idx] for idx in run])
+                for block_id, run in ((1, valid[0::2]), (2, valid[1::2]))]
+        us = bulk.relocate(0, plan)
         for block_id, run in ((1, valid[0::2]), (2, valid[1::2])):
-            bulk.move_run(0, block_id, [bulk.pages[0][idx] for idx in run])
-            bulk.audit()
             for idx in run:
                 lpn = single.pages[0][idx]
                 single.invalidate_page(0, idx)
                 single.program_page(block_id, len(single.pages[block_id]),
                                     lpn)
+        assert us == single.erase_block(0) == 3000.0
         assert bulk.pages == single.pages
         assert bulk.valid_count == single.valid_count
         assert bulk.mapping == single.mapping
@@ -383,30 +389,48 @@ class TestEvacuate:
         assert list(bulk.mapping) == keys
         assert bulk.reclaimable == single.reclaimable
         assert bulk.device_pages_written == single.device_pages_written
-        bulk.erase_block(0)
+        assert bulk.erase_count == single.erase_count
+        assert bulk.erase_ops == single.erase_ops == 1
         assert bulk.reclaimable == {Mode.SLC: {}, Mode.QLC: {}}
         bulk.audit()
 
 
-class TestMoveRun:
-    # block 0 holds lpns 0-7 with page 2 invalid, block 1 lpns 8-11
-    @pytest.mark.parametrize("src,block_id,lpns", [
-        (0, 4, [3, 99]),         # 99 is not mapped
-        (0, 4, [3, 2]),          # 2 is not mapped: its page is invalid
-        (0, 4, [4, 9]),          # 9 is mapped into block 1, past block 0
-        (1, 4, [8, 0]),          # 0 is mapped into block 0, before block 1
-        (2, 4, [5]),             # block 2 was never written
-        (0, 1, [0, 1, 3, 4, 5]),     # block 1 has 4 free pages
-    ])
-    def test_refuses_what_it_must_not_overwrite(self, desk_ssd, src,
-                                                block_id, lpns):
+class TestRelocate:
+    # block 0 holds lpns 0-7 with page 2 invalid, block 1 lpns 8-11. The
+    # "duplicate" plan names as many lpns as block 0 holds valid pages,
+    # all inside it: only the repeat gives it away, and taking it would
+    # map lpn 6 twice, leave lpn 7 behind and drift block 0's counter
+    @pytest.mark.parametrize("src,plan", [
+        (0, [(4, [0, 1, 3, 4, 5, 6, 99])]),
+        (0, [(4, [0, 1, 2, 3, 4, 5, 6])]),
+        (0, [(4, [0, 1, 3, 4, 5, 6, 9])]),
+        (1, [(4, [8, 9, 10, 0])]),
+        (2, [(4, [5])]),
+        (0, [(4, [0, 1, 3, 4, 5, 6, 6])]),
+        (0, [(4, [0, 0])]),
+        (0, [(1, [0, 1, 3, 4, 5]), (4, [6, 7])]),
+        (0, [(1, [0, 1, 3]), (1, [4, 5]), (4, [6, 7])]),
+        (0, [(4, [0, 1, 3, 4, 5, 6])]),
+        (0, [(4, [0, 1, 3]), (5, [])]),
+        (1, [(1, [8, 9, 10, 11])]),
+        (8, [(4, [0, 1, 3, 4, 5, 6, 7])]),
+        (-8, [(4, [0, 1, 3, 4, 5, 6, 7])]),
+        (0, [(8, [0, 1, 3, 4, 5, 6, 7])]),
+        (0, [(4, [0, 1, 3]), (-1, [4, 5, 6, 7])]),
+    ], ids=["unmapped", "invalid_page", "mapped_past_src",
+            "mapped_before_src", "unwritten_src", "duplicate",
+            "duplicate_pair", "past_free_pages",
+            "past_free_pages_in_two_appends", "valid_page_left",
+            "valid_pages_left", "into_itself", "src_outside",
+            "src_outside_negative", "dst_outside", "dst_outside_negative"])
+    def test_refuses_what_it_must_not_overwrite(self, desk_ssd, src, plan):
         ssd = desk_ssd
         ssd.program_run(0, range(8))
         ssd.program_run(1, range(8, 12))
         ssd.invalidate_page(0, 2)
         state = self.snapshot(ssd)
         with pytest.raises(PageStateError):
-            ssd.move_run(src, block_id, lpns)
+            ssd.relocate(src, plan)
         assert self.snapshot(ssd) == state
         ssd.audit()
 
@@ -416,8 +440,7 @@ class TestMoveRun:
                 list(ssd.mapping.items()),
                 {mode: {valid: set(ids) for valid, ids in buckets.items()}
                  for mode, buckets in ssd.reclaimable.items()},
-                ssd.device_pages_written)
-
+                ssd.device_pages_written, list(ssd.erase_count))
 
 class TestConversion:
     def test_convert_resizes_page_array(self, desk_ssd):
