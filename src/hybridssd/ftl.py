@@ -282,11 +282,12 @@ class FtlEngine:
         mapped lpn, leaving the state that `handle_write(lpn)` per lpn
         leaves under the fallback policy.
 
-        A page that pops a free block, or comes after a space-management
-        call that would act, goes through `handle_write`. The runs of pages
-        in between change no free pool and no region's occupancy, so each
-        is programmed per block in bulk. No page of an unwritten device
-        turns invalid here, so GC never finds a victim.
+        Runs of pages are programmed per block in bulk. A run ends at the
+        page whose free-block pop changes what space management would do,
+        which then runs for that page as `handle_write` would run it. Only
+        a page before which space management would act, or for which no
+        region has space, goes through `handle_write`. No page of an
+        unwritten device turns invalid here, so GC never finds a victim.
         """
         if not 0 <= n <= self.ssd.logical_capacity_pages:
             raise ValueError(f"fill needs a page count in [0, "
@@ -306,29 +307,41 @@ class FtlEngine:
             self.action_source = source
 
     def _fill_run(self, lpn: int, stop: int) -> int:
-        """Program unmapped pages lpn, lpn+1, ... (below `stop`) where
-        `handle_write` would put them, while none pops a free block; returns
-        how many (0: the next page needs `handle_write`)."""
-        # appends to active blocks move no region's free fraction, add no
-        # free SLC block and, invalidating nothing, no GC victim: while the
-        # fallback idles now, it idles after every page of the run
+        """Program unmapped pages lpn, lpn+1, ... (below `stop`) as
+        `handle_write` would, space management included; returns how many
+        (0: the next page needs `handle_write`). The run ends at the first
+        page whose free-block pop changes space management's answer."""
+        # a fill invalidates nothing: an append frees no block and makes no
+        # GC victim, so only a pop can change whether a region is below
+        # the trigger or whether the fallback idles; before the first page
+        # that does, space management idles or does nothing after each page
         below = self._regions_below_threshold()
         if below and self._fallback_action() is not IDLE:
             return 0
         mode = self._placement_region(self._preferred_mode(None))
         if mode is None:
             return 0
+
+        def changed() -> bool:
+            return (self._regions_below_threshold() != below
+                    or below and self._fallback_action() is not IDLE)
+
         n = 0
-        for block_id, run in self._plan(mode, range(lpn, stop), pop=False):
+        for block_id, run in self._plan(mode, range(lpn, stop), changed):
             self.ssd.program_run(block_id, run)
             n += len(run)
         self.wa.host_pages_written += n
         self.wa.device_pages_written += n
+        # the plan checked every pop, so a changed answer now means the
+        # run ends with the page that changed it
+        last_acts = changed()
         if below:
-            self.action_counts[IDLE] += n
+            self.action_counts[IDLE] += n - last_acts
+        if last_acts:
+            self._space_management()
         return n
 
-    def _plan(self, mode: Mode, lpns, pop: bool = True) -> list:
+    def _plan(self, mode: Mode, lpns, stop=None) -> list:
         """Where `lpns` go, in order: the slots `_allocate_page(mode)` hands
         out page by page, as `(block_id, run)` appends, one per block and
         stripe segment. The slots are taken now: the free blocks the stripe
@@ -336,8 +349,9 @@ class FtlEngine:
         leaves the active blocks, so the caller applies every append.
 
         A channel without an active block takes a free block when the
-        stripe reaches it with a page left. Without `pop` the plan stops
-        there instead.
+        stripe reaches it with a page left. `stop`, if given, is asked
+        after each such pop; when it answers true the plan ends with that
+        block's first page.
         """
         ssd = self.ssd
         channels = ssd.geometry.channels
@@ -347,27 +361,27 @@ class FtlEngine:
         plan = []
         total = len(lpns)
         done = 0
+        stopped = False
         while done < total:
             # one block per channel in stripe order from the cursor
             cursor = self.stripe_cursor[mode]
             targets = []
-            popping = False
             for ch in (*range(cursor, channels), *range(cursor)):
                 block_id = active[ch]
-                if block_id is None and pools[ch]:
-                    if not pop:
-                        popping = True
-                        break
-                    if len(targets) < total - done:
-                        block_id = active[ch] = self._pop_free(mode, ch)
+                if (block_id is None and pools[ch]
+                        and len(targets) < total - done):
+                    block_id = active[ch] = self._pop_free(mode, ch)
+                    stopped = stop is not None and stop()
                 if block_id is not None:
                     targets.append(block_id)
                     if block_id not in room:
                         room[block_id] = ssd.free_pages(block_id)
+                    if stopped:
+                        break
             if not targets:
                 break
             # full stripes until the first target block fills
-            rounds = 1 if popping else min(map(room.__getitem__, targets))
+            rounds = 1 if stopped else min(map(room.__getitem__, targets))
             stride = len(targets)
             n = min(rounds * stride, total - done)
             for j, block_id in enumerate(targets[:n]):
@@ -379,7 +393,7 @@ class FtlEngine:
             last = targets[(n - 1) % stride] % channels
             self.stripe_cursor[mode] = (last + 1) % channels
             done += n
-            if popping:
+            if stopped:
                 break
         return plan
 

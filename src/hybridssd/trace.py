@@ -126,7 +126,7 @@ def load_trace(path, fmt: str) -> tuple[list[TraceRecord], int]:
                          f"have {sorted(FORMATS)}")
     timed: list[tuple[float, TraceRecord]] = []
     skipped = 0
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -906,7 +906,7 @@ def reference_load_trace(path, spec, read, write):
     parsing line by line: blank lines and `#` comments are no records and
     no skips."""
     timed, skipped = [], 0
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):

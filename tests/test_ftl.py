@@ -537,18 +537,54 @@ class TestFill:
     def test_fill_calls_handle_write_only_at_block_boundaries(
             self, monkeypatch, split, config, conversions, warnings):
         ftl = make_ftl(channels=8, blocks=32, ppb=32, split=split, **config)
-        calls = []
+        calls, acts_first = [], []
         handle_write = ftl.handle_write
-        monkeypatch.setattr(ftl, "handle_write",
-                            lambda lpn: calls.append(lpn) or handle_write(lpn))
+
+        def counted(lpn):
+            calls.append(lpn)
+            acts_first.append(
+                ftl._regions_below_threshold()
+                and ftl._fallback_action() is not ActionKind.IDLE
+                or not (ftl._has_space(Mode.SLC) or ftl._has_space(Mode.QLC)))
+            return handle_write(lpn)
+
+        monkeypatch.setattr(ftl, "handle_write", counted)
         n = int(0.9 * ftl.ssd.logical_capacity_pages)
         ftl.fill(n)
         geo = ftl.ssd.geometry
         assert len(calls) <= geo.total_blocks + geo.channels < n // 20
+        # only a page before which space management would still act goes
+        # per page: here, the one after each stop at SAFETY_BOUND
+        assert acts_first == [True] * warnings
         assert ftl.wa.host_pages_written == ftl.wa.device_pages_written == n
         assert ftl.action_counts[ActionKind.SLC_TO_QLC_MC] == conversions
         assert ftl.capacity_pressure_warnings == warnings
         ftl.ssd.audit()
+
+    def test_a_stopped_plan_ends_with_the_popped_blocks_first_page(self):
+        # 4 channels of 4-page SLC blocks. Pages 0-1 open blocks 0-1; the
+        # plan pops blocks 2-3 (the stop says no), fills 0-1 by page 13,
+        # and stops at block 4, popped for page 16
+        bulk, per_page = (make_ftl(channels=4, blocks=3, ppb=4)
+                          for _ in range(2))
+        for ftl in (bulk, per_page):
+            ftl.handle_write(0)
+            ftl.handle_write(1)
+        answers = iter([False, False, True])
+        plan = bulk._plan(Mode.SLC, range(2, 40), stop=answers.__next__)
+        assert next(answers, None) is None
+        assert plan[-1] == (4, range(16, 17))
+        assert sorted(lpn for _, run in plan for lpn in run) == list(
+            range(2, 17))
+        for block_id, run in plan:
+            bulk.ssd.program_run(block_id, run)
+        for lpn in range(2, 17):
+            per_page.handle_write(lpn)
+        assert bulk.ssd.pages == per_page.ssd.pages
+        assert bulk.stripe_cursor == per_page.stripe_cursor
+        assert bulk.active == per_page.active == {
+            Mode.SLC: [4, None, None, None], Mode.QLC: [None] * 4}
+        assert bulk.free == per_page.free
 
     def test_fill_rejects_a_written_device(self):
         ftl = make_ftl(channels=2, blocks=8, ppb=4)

@@ -343,6 +343,21 @@ def device_state(ftl):
 @example(channels=1, blocks=256, ppb=8, op_ratio=0.125, split=1.0,
          strategy=PlacementStrategy.SLC_FIRST, gc_trigger=50,
          conversion_trigger=50, conversion_granularity=1, fraction=0.9)
+# a pop makes SLC short while the fallback idles: the run stops there and
+# counts IDLE from that page on
+@example(channels=2, blocks=8, ppb=4, op_ratio=0.125, split=0.5,
+         strategy=PlacementStrategy.SLC_FIRST, gc_trigger=40,
+         conversion_trigger=1, conversion_granularity=1, fraction=1.0)
+# a pop in the middle of a stripe makes conversion eligible, and the
+# fallback converts SLC blocks on all four channels
+@example(channels=4, blocks=8, ppb=4, op_ratio=0.125, split=1.0,
+         strategy=PlacementStrategy.SLC_FIRST, gc_trigger=30,
+         conversion_trigger=20, conversion_granularity=3, fraction=1.0)
+# QLC first: a QLC pop makes it short, the fill spills to SLC, and an SLC
+# pop there converts SLC blocks to QLC
+@example(channels=3, blocks=8, ppb=4, op_ratio=0.125, split=0.75,
+         strategy=PlacementStrategy.HOTNESS_BASED, gc_trigger=30,
+         conversion_trigger=30, conversion_granularity=2, fraction=1.0)
 def test_bulk_fill_matches_per_page_fill(channels, blocks, ppb, op_ratio,
                                          split, strategy, gc_trigger,
                                          conversion_trigger,

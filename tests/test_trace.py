@@ -108,6 +108,17 @@ class TestLoadTrace:
         assert records == [TraceRecord(OpKind.READ, 0, 4096),
                            TraceRecord(OpKind.WRITE, 16384, 4096)]
 
+    def test_a_byte_order_mark_is_no_part_of_the_first_line(self, tmp_path):
+        # a BOM before the first timestamp would make it no number
+        p = tmp_path / "t.csv"
+        p.write_text("128,hm,0,Write,0,4096,1\n"
+                     "256,hm,0,Read,4096,4096,1\n", encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        records, skipped = load_trace(p, "msr")
+        assert skipped == 0
+        assert records == [TraceRecord(OpKind.WRITE, 0, 4096),
+                           TraceRecord(OpKind.READ, 4096, 4096)]
+
     def test_unknown_format_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("1\n")
