@@ -157,7 +157,7 @@ class FtlEngine:
         return self.free_block_count(mode) / total
 
     def _free_pages(self, mode: Mode) -> int:
-        pages = self.free_block_count(mode) * self.ssd.geometry.pages_per_block(mode)
+        pages = self.free_block_count(mode) * self.ssd.block_pages[mode]
         for block_id in self.active[mode]:
             if block_id is not None:
                 pages += self.ssd.free_pages(block_id)
@@ -234,7 +234,8 @@ class FtlEngine:
             return 0.0
         lookup, invalidate = ssd.mapping.get, ssd.invalidate_page
         shift, mask = ssd.shift, ssd.mask
-        program, pages, page_count = ssd.program_page, ssd.pages, ssd.page_count
+        program, pages, modes = ssd.program_page, ssd.pages, ssd.mode
+        block_pages = ssd.block_pages
         channels = ssd.geometry.channels
         mode = self._preferred_mode(hot)
         active, cursor = self.active[mode], self.stripe_cursor
@@ -266,9 +267,9 @@ class FtlEngine:
                 ch = block_id % channels
             page_idx = len(pages[block_id])
             us = program(block_id, page_idx, i)
-            if page_idx + 1 == page_count[block_id]:
+            if page_idx + 1 == block_pages[modes[block_id]]:
                 # retire the full block from its region's active blocks
-                self.active[ssd.mode[block_id]][ch] = None
+                self.active[modes[block_id]][ch] = None
             summed = per_channel[ch] = per_channel.get(ch, 0.0) + us
             if summed > base:
                 base = summed
@@ -279,67 +280,43 @@ class FtlEngine:
 
     def fill(self, n: int) -> None:
         """Write lpns 0 .. n-1 once each, in order, on a device with no
-        mapped lpn, leaving the state that `handle_write(lpn)` per lpn
-        leaves under the fallback policy.
+        mapped lpn, leaving the device and placement state that
+        `handle_write(lpn)` per lpn leaves under the fallback policy; the
+        run statistics end zeroed.
 
         Runs of pages are programmed per block in bulk. A run ends at the
-        page whose free-block pop changes what space management would do,
-        which then runs for that page as `handle_write` would run it. Only
-        a page before which space management would act, or for which no
-        region has space, goes through `handle_write`. No page of an
-        unwritten device turns invalid here, so GC never finds a victim.
+        page whose free-block pop makes space management act, which then
+        runs for that page as `handle_write` would run it; while it would
+        act before any pop, a run is one page. No page of an unwritten
+        device turns invalid here, so GC never finds a victim.
         """
         if not 0 <= n <= self.ssd.logical_capacity_pages:
             raise ValueError(f"fill needs a page count in [0, "
                              f"{self.ssd.logical_capacity_pages}], got {n}")
         if self.ssd.mapping:
             raise ValueError("fill needs a device with no mapped lpn")
+
+        def acts() -> bool:
+            # a fill invalidates nothing: an append frees no block and makes
+            # no GC victim, so only a pop can change this answer
+            return (self._regions_below_threshold()
+                    and self._fallback_action() is not IDLE)
+
         source, self.action_source = self.action_source, None
         try:
             lpn = 0
             while lpn < n:
-                written = self._fill_run(lpn, n)
-                if not written:
-                    self.handle_write(lpn)
-                    written = 1
-                lpn += written
+                # never None: every block that is not full is active or
+                # pooled, and a fill writes fewer pages than the device holds
+                mode = self._placement_region(self._preferred_mode(None))
+                run = range(lpn, lpn + 1 if acts() else n)
+                for block_id, lpns in self._plan(mode, run, acts):
+                    self.ssd.program_run(block_id, lpns)
+                    lpn += len(lpns)
+                self._space_management()
         finally:
             self.action_source = source
-
-    def _fill_run(self, lpn: int, stop: int) -> int:
-        """Program unmapped pages lpn, lpn+1, ... (below `stop`) as
-        `handle_write` would, space management included; returns how many
-        (0: the next page needs `handle_write`). The run ends at the first
-        page whose free-block pop changes space management's answer."""
-        # a fill invalidates nothing: an append frees no block and makes no
-        # GC victim, so only a pop can change whether a region is below
-        # the trigger or whether the fallback idles; before the first page
-        # that does, space management idles or does nothing after each page
-        below = self._regions_below_threshold()
-        if below and self._fallback_action() is not IDLE:
-            return 0
-        mode = self._placement_region(self._preferred_mode(None))
-        if mode is None:
-            return 0
-
-        def changed() -> bool:
-            return (self._regions_below_threshold() != below
-                    or below and self._fallback_action() is not IDLE)
-
-        n = 0
-        for block_id, run in self._plan(mode, range(lpn, stop), changed):
-            self.ssd.program_run(block_id, run)
-            n += len(run)
-        self.wa.host_pages_written += n
-        self.wa.device_pages_written += n
-        # the plan checked every pop, so a changed answer now means the
-        # run ends with the page that changed it
-        last_acts = changed()
-        if below:
-            self.action_counts[IDLE] += n - last_acts
-        if last_acts:
-            self._space_management()
-        return n
+        self.reset_counters()
 
     def _plan(self, mode: Mode, lpns, stop=None) -> list:
         """Where `lpns` go, in order: the slots `_allocate_page(mode)` hands

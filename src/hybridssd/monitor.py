@@ -16,6 +16,9 @@ from .errors import ConfigError
 # round-to-odd root gives the correctly rounded float
 _SQRT_BITS = 2 * 53 + 3
 
+# fewest requests a window holds
+MIN_CAPACITY = 2
+
 
 def _sqrt_of_fraction(n: int, m: int) -> float:
     """sqrt(n/m) correctly rounded to a float, for integers n >= 0, m > 0:
@@ -38,8 +41,8 @@ class SlidingWindow:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 2:
-            raise ConfigError("window capacity must be >= 2")
+        if capacity < MIN_CAPACITY:
+            raise ConfigError(f"window capacity must be >= {MIN_CAPACITY}")
         self.capacity = capacity
         self.entries: deque[tuple[int, bool, float]] = deque()
         self.writes = 0
@@ -65,8 +68,8 @@ class SlidingWindow:
 
     def set_capacity(self, capacity: int) -> None:
         """Resize keeping the most recent entries."""
-        if capacity < 2:
-            raise ConfigError("window capacity must be >= 2")
+        if capacity < MIN_CAPACITY:
+            raise ConfigError(f"window capacity must be >= {MIN_CAPACITY}")
         self.capacity = capacity
         entries = self.entries
         while len(entries) > capacity:

@@ -22,7 +22,7 @@ from .config import ConfigProfile, default_param_bounds
 from .errors import ConfigError
 from .ftl import ACTION_ORDER, ActionKind, FtlEngine, write_amplification
 from .hotness import KMEANS_TOL, HotnessClassifier
-from .monitor import SlidingWindow
+from .monitor import MIN_CAPACITY, SlidingWindow
 from .rl import SpaceAgent
 from .ssd import (INITIAL_MODE_SPLIT, QLC, SLC, FlashGeometry, LatencyModel,
                   SsdState)
@@ -334,6 +334,10 @@ def _scale_param(config: ConfigProfile, param: str, multiplier: float,
         # float tunables carry no step; an integral value there snaps to 1
         step = default_param_bounds(page_size)[param].step or 1
         scaled = max(step, int(round(scaled / step)) * step)
+    if param == "window_size" and scaled < MIN_CAPACITY:
+        raise ConfigError(f"window_size {value!r} x {multiplier!r} is "
+                          f"{scaled}, below a window's {MIN_CAPACITY} "
+                          "requests")
     return replace(config, **{param: scaled})
 
 
@@ -346,13 +350,16 @@ def run_sweep(records: list[TraceRecord], config: ConfigProfile,
     Sensitivity sweeps explore deliberately, so scaling bypasses the
     mistake-correction bounds. An integer rounds half to even (Python's
     `round`) onto its step, 1 or the page size for slice_size, and never
-    falls below one step. `kmeans_tol` sweeps the classifier tolerance,
-    which is a stack setting rather than one of the tunables. Every other
-    keyword is a `replay()` setting passed to each default-mode replay
-    unchanged.
+    falls below one step; a window_size scaled below the two requests a
+    window holds is refused. Every value is checked before any replay
+    runs. `kmeans_tol` sweeps the classifier tolerance, which is a stack
+    setting rather than one of the tunables. Every other keyword is a
+    `replay()` setting passed to each default-mode replay unchanged.
     """
     if param not in SWEEP_EXTRA_PARAMS and not hasattr(config, param):
         raise ConfigError(f"unknown sweep parameter {param!r}")
+    if not multipliers:
+        raise ConfigError("a sweep needs at least one multiplier")
     for m in multipliers:
         if not (m >= 0 and math.isfinite(m)):
             raise ConfigError(

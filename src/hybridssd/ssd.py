@@ -71,11 +71,6 @@ class FlashGeometry:
     def total_blocks(self) -> int:
         return self.channels * self.blocks_per_channel
 
-    def pages_per_block(self, mode: Mode) -> int:
-        if mode is SLC:
-            return self.pages_per_block_slc
-        return self.pages_per_block_qlc
-
     def channel_of(self, block_id: int) -> int:
         # consecutive block ids round-robin across channels
         return block_id % self.channels
@@ -146,12 +141,13 @@ class SsdState:
     not reuse a deleted entry's slot, so a delete then re-insert per moved
     page would regrow the table. `erase_block` is the one op that erases
     a block, `relocate`'s victim included. Block ids already encode the channel
-    (block_id % channels). Block state is one list per field,
-    indexed by block id: `mode`, `page_count`, `erase_count`, `valid_count`
-    and `pages`. `pages[b]` holds only the programmed pages (an lpn or
-    PAGE_INVALID), so its length is the write pointer and
-    `len(pages[b]) - valid_count[b]` the invalid pages; a block gets a list
-    of its own at its first program and shares NO_PAGES again once erased.
+    (block_id % channels). Block state is four flat lists, indexed by block
+    id: `mode`, `erase_count`, `valid_count` and `pages`. A block's capacity
+    follows from its mode, `block_pages[mode[b]]`. `pages[b]` holds only
+    the programmed pages (an lpn or PAGE_INVALID), so its length is the
+    write pointer and `len(pages[b]) - valid_count[b]` the invalid pages; a
+    block gets a list of its own at its first program and shares NO_PAGES
+    again once erased.
     """
 
     def __init__(self, geometry: FlashGeometry, latency: LatencyModel,
@@ -166,8 +162,9 @@ class SsdState:
         self.block_tally = {SLC: n_slc, QLC: n_qlc}
         # ids [0, n_slc) start in SLC, the rest in QLC: one run per mode
         self.mode = [SLC] * n_slc + [QLC] * n_qlc
-        self.page_count = ([geometry.pages_per_block_slc] * n_slc
-                           + [geometry.pages_per_block_qlc] * n_qlc)
+        # pages a block holds in each mode
+        self.block_pages = {SLC: geometry.pages_per_block_slc,
+                            QLC: geometry.pages_per_block_qlc}
         self.erase_count = [0] * total
         self.valid_count = [0] * total
         self.pages: list[list[int] | tuple] = [NO_PAGES] * total
@@ -193,18 +190,17 @@ class SsdState:
     def block_count(self, mode: Mode) -> int:
         return self.block_tally[mode]
 
-    def valid_pages(self, mode: Mode | None = None) -> int:
-        if mode is None:
-            return sum(self.valid_count)
-        return sum(valid for valid, m in zip(self.valid_count, self.mode)
-                   if m is mode)
+    def valid_pages(self) -> int:
+        return sum(self.valid_count)
 
     def free_pages(self, block_id: int) -> int:
         """Pages of a block past its write pointer."""
-        return self.page_count[block_id] - len(self.pages[block_id])
+        return (self.block_pages[self.mode[block_id]]
+                - len(self.pages[block_id]))
 
     def is_full(self, block_id: int) -> bool:
-        return len(self.pages[block_id]) == self.page_count[block_id]
+        return (len(self.pages[block_id])
+                == self.block_pages[self.mode[block_id]])
 
     # --- page operations ------------------------------------------------------
 
@@ -227,8 +223,9 @@ class SsdState:
             raise PageStateError(
                 f"block {block_id}: program at {page_idx} but write pointer "
                 f"is {len(pages)} (append-only)")
-        page_count = self.page_count[block_id]
-        if page_idx >= page_count:
+        mode = self.mode[block_id]
+        capacity = self.block_pages[mode]
+        if page_idx >= capacity:
             raise PageStateError(f"block {block_id} is full")
         if lpn in self.mapping:
             raise PageStateError(
@@ -240,9 +237,9 @@ class SsdState:
         valid = self.valid_count[block_id] = self.valid_count[block_id] + 1
         self.mapping[lpn] = block_id << self.shift | page_idx
         self.device_pages_written += 1
-        if valid <= page_idx and page_idx + 1 == page_count:
+        if valid <= page_idx and page_idx + 1 == capacity:
             self._index(block_id)
-        return self.latency.write_us(self.mode[block_id])
+        return self.latency.write_us(mode)
 
     def program_run(self, block_id: int, lpns) -> None:
         """Append one page per lpn of a sequence to a block, in order:
@@ -251,7 +248,8 @@ class SsdState:
             raise self._outside(block_id)
         start = len(self.pages[block_id])
         end = start + len(lpns)
-        if end > self.page_count[block_id]:
+        capacity = self.block_pages[self.mode[block_id]]
+        if end > capacity:
             raise PageStateError(
                 f"block {block_id}: {len(lpns)} pages past its "
                 f"{self.free_pages(block_id)} free ones")
@@ -272,7 +270,7 @@ class SsdState:
         valid = self.valid_count[block_id] = (self.valid_count[block_id]
                                               + len(lpns))
         self.device_pages_written += len(lpns)
-        if end == self.page_count[block_id] and valid < end:
+        if end == capacity and valid < end:
             self._index(block_id)
 
     def relocate(self, src: int, plan) -> float:
@@ -290,7 +288,8 @@ class SsdState:
         n_blocks = len(self.mode)
         if not 0 <= src < n_blocks:
             raise self._outside(src)
-        pages, page_count, shift = self.pages, self.page_count, self.shift
+        pages, shift = self.pages, self.shift
+        block_pages, modes = self.block_pages, self.mode
         room: dict[int, int] = {}   # free pages the plan leaves so far
         spans = []                  # the PPNs each append takes
         for block_id, lpns in plan:
@@ -306,7 +305,7 @@ class SsdState:
                 raise PageStateError(
                     f"block {block_id}: {n} pages past its {free} free ones")
             room[block_id] = free - n
-            start = block_id << shift | page_count[block_id] - free
+            start = block_id << shift | block_pages[modes[block_id]] - free
             spans.append(range(start, start + n))
         try:
             ppns = list(map(self.mapping.__getitem__,   # C-level
@@ -334,7 +333,7 @@ class SsdState:
                 f"relocation of {moved} of block {src}'s {valid} valid pages")
         del ppns        # each old PPN is freed as the update replaces it
         valid_count[src] = 0
-        if written == page_count[src]:
+        if written == block_pages[modes[src]]:
             if valid < written:
                 self._unindex(src, valid)
             self._index(src)        # at zero valid, where erase_block looks
@@ -345,7 +344,7 @@ class SsdState:
                 pages[block_id] = list(lpns)
             end = len(pages[block_id])
             count = valid_count[block_id] = valid_count[block_id] + len(lpns)
-            if end == page_count[block_id] and count < end:
+            if end == block_pages[modes[block_id]] and count < end:
                 self._index(block_id)
         self.mapping.update(zip(chain.from_iterable(lpns for _, lpns in plan),
                                 chain.from_iterable(spans)))
@@ -380,7 +379,7 @@ class SsdState:
         pages[page_idx] = PAGE_INVALID
         valid = self.valid_count[block_id] = self.valid_count[block_id] - 1
         del self.mapping[lpn]
-        if len(pages) == self.page_count[block_id]:
+        if len(pages) == self.block_pages[self.mode[block_id]]:
             # not its first invalid page: it is filed one valid page up
             if len(pages) - valid > 1:
                 self._unindex(block_id, valid + 1)
@@ -402,7 +401,7 @@ class SsdState:
         return self.latency.erase_us(self.mode[block_id])
 
     def convert_block_mode(self, block_id: int, new_mode: Mode) -> None:
-        """Switch a fully-free block between SLC and QLC page counts.
+        """Switch a fully-free block between SLC and QLC mode.
 
         Metadata-only: the erase that freed the block already paid the cost,
         so conversion itself charges no latency and no endurance.
@@ -418,7 +417,6 @@ class SsdState:
         self.block_tally[old_mode] -= 1
         self.block_tally[new_mode] += 1
         self.mode[block_id] = new_mode
-        self.page_count[block_id] = self.geometry.pages_per_block(new_mode)
 
     # --- victim index -------------------------------------------------------------
 
@@ -442,8 +440,7 @@ class SsdState:
         every cached counter and the victim index must agree with a recount.
         """
         total_blocks = self.geometry.total_blocks
-        for name in ("mode", "page_count", "erase_count", "valid_count",
-                     "pages"):
+        for name in ("mode", "erase_count", "valid_count", "pages"):
             if len(getattr(self, name)) != total_blocks:
                 raise AuditError(
                     f"{name} has {len(getattr(self, name))} entries for "
@@ -470,16 +467,11 @@ class SsdState:
             raise AuditError("two blocks share one page array")
         total_valid = 0
         for block_id, pages in enumerate(self.pages):
-            page_count = self.page_count[block_id]
-            if page_count != self.geometry.pages_per_block(
-                    self.mode[block_id]):
-                raise AuditError(
-                    f"block {block_id}: {page_count} pages in "
-                    f"{self.mode[block_id].value} mode")
-            if len(pages) > page_count:
+            capacity = self.block_pages[self.mode[block_id]]
+            if len(pages) > capacity:
                 raise AuditError(
                     f"block {block_id}: {len(pages)} pages written "
-                    f"past its {page_count}")
+                    f"past its {capacity}")
             valid = sum(1 for p in pages if p >= 0)
             invalid = pages.count(PAGE_INVALID)
             if valid != self.valid_count[block_id]:
@@ -496,7 +488,7 @@ class SsdState:
                 raise AuditError(f"{mode.value} block tally drift")
         recount: dict[Mode, dict[int, set[int]]] = {SLC: {}, QLC: {}}
         for block_id, valid in enumerate(self.valid_count):
-            if self.is_full(block_id) and valid < self.page_count[block_id]:
+            if self.is_full(block_id) and valid < len(self.pages[block_id]):
                 recount[self.mode[block_id]].setdefault(
                     valid, set()).add(block_id)
         if recount != self.reclaimable:

@@ -257,7 +257,7 @@ class PerPageHost:
         us = ssd.program_page(block_id, page_idx, lpn)
         ftl.wa.device_pages_written += 1
         ch = block_id % ssd.geometry.channels
-        if len(ssd.pages[block_id]) == ssd.page_count[block_id]:
+        if not ssd.free_pages(block_id):
             active = ftl.active[ssd.mode[block_id]]
             if active[ch] == block_id:
                 active[ch] = None
@@ -830,30 +830,32 @@ def per_round_space_management(ftl, pick, forced=False):
 
 
 class PerBlockDevice:
-    """A fresh device and an engine's free pools built one block at a time,
-    with a geometry method call per block: the ids below the rounded SLC
-    share start in `slc`, the rest in `qlc`. Blocks are [mode, page_count,
-    erase_count] lists that `wear` and `convert` change as tests change a
-    device."""
+    """A fresh device and an engine's free pools built one block at a time:
+    the ids below the rounded SLC share start in `slc`, the rest in `qlc`.
+    Blocks are [mode, erase_count] lists that `wear` and `convert` change
+    as tests change a device."""
 
     def __init__(self, geometry, split, slc, qlc):
         self.geometry = geometry
+        self.slc = slc
         total = geometry.total_blocks
         n_slc = int(split * total + 0.5)
         self.blocks = []
         for block_id in range(total):
-            mode = slc if block_id < n_slc else qlc
-            self.blocks.append([mode, geometry.pages_per_block(mode), 0])
+            self.blocks.append([slc if block_id < n_slc else qlc, 0])
         self.block_tally = {slc: n_slc, qlc: total - n_slc}
 
     def fields(self):
-        """(mode, pages, page_count, erase_count, valid_count) per block;
-        no block holds a written page."""
-        return [(mode, (), page_count, erases, 0)
-                for mode, page_count, erases in self.blocks]
+        """(mode, pages, free pages, erase_count, valid_count) per block,
+        the free pages read from the geometry by mode; no block holds a
+        written page."""
+        geo = self.geometry
+        return [(mode, (), geo.pages_per_block_slc if mode is self.slc
+                 else geo.pages_per_block_qlc, erases, 0)
+                for mode, erases in self.blocks]
 
     def wear(self, block_id, erases):
-        self.blocks[block_id][2] = erases
+        self.blocks[block_id][1] = erases
 
     def convert(self, block_id, mode):
         block = self.blocks[block_id]
@@ -861,14 +863,13 @@ class PerBlockDevice:
             self.block_tally[block[0]] -= 1
             self.block_tally[mode] += 1
             block[0] = mode
-            block[1] = self.geometry.pages_per_block(mode)
 
     def free_pools(self, wear_key):
         """Every block in its mode's pool on its channel, keyed by
         `wear_key(block_id)`; each pool sorted."""
         pools = {mode: [[] for _ in range(self.geometry.channels)]
                  for mode in self.block_tally}
-        for block_id, (mode, _, _) in enumerate(self.blocks):
+        for block_id, (mode, _) in enumerate(self.blocks):
             pools[mode][self.geometry.channel_of(block_id)].append(
                 wear_key(block_id))
         return {mode: [sorted(pool) for pool in by_channel]

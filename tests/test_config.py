@@ -177,6 +177,24 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config_file(p)
 
+    def test_a_setting_needs_a_number(self, tmp_path):
+        p = tmp_path / "conf.txt"
+        p.write_text("channels = plenty\n")
+        with pytest.raises(ConfigError, match="channels needs a number"):
+            load_config_file(p)
+
+    def test_the_files_own_page_size_sets_the_slice_grid(self, tmp_path):
+        # three 4 KiB pages: on the grid of the file's page size, off the
+        # grid of the default 16 KiB one
+        p = tmp_path / "conf.txt"
+        p.write_text("slice size = 12288\n")
+        with pytest.raises(ConfigError, match="slice_size"):
+            load_config_file(p)
+        p.write_text("page_size = 4096\nslice size = 12288\n")
+        profile, settings = load_config_file(p)
+        assert profile.slice_size == 12288
+        assert settings == {"page_size": 4096}
+
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "conf.txt"
         p.write_text("just some words\n")

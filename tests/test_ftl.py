@@ -10,7 +10,7 @@ from hybridssd import (ACTION_ORDER, ActionKind, CapacityError, ConfigProfile,
                        FlashGeometry, FtlEngine, LatencyModel, Mode,
                        PlacementStrategy, SAFETY_BOUND, SimulatorStack,
                        SsdState, desk_geometry, synth_trace)
-from hybridssd.ftl import GC_MODES, write_amplification
+from hybridssd.ftl import GC_MODES, WaCounters, write_amplification
 from hybridssd.ssd import NO_PAGES
 from conftest import make_stack
 from oracles import (FlashOpLog, free_ids, per_draw,
@@ -270,7 +270,7 @@ class TestActions:
         assert out.blocks_converted == 1
         assert out.latency_us == 0.0                 # metadata flip only
         assert ftl.ssd.mode[2] is Mode.QLC    # id 2: erase 0 beats worn id 0
-        assert ftl.ssd.page_count[2] == 16
+        assert ftl.ssd.free_pages(2) == 16
         assert ftl.ssd.free_pages(2) == 16
         assert 2 in free_ids(ftl, Mode.QLC, 0)
         assert free_ids(ftl, Mode.SLC, 0) == {0, 3}
@@ -444,12 +444,14 @@ class TestTrigger:
         slc_only = make_ftl(split=1.0, gc_trigger_threshold=50)
         assert slc_only.ssd.block_count(Mode.QLC) == 0
         assert not slc_only._short_of_blocks(Mode.QLC, 100)
+        assert slc_only.free_fraction(Mode.QLC) == 0.0
         assert not slc_only._regions_below_threshold()
         slc_only.free_count[Mode.SLC] = 1           # 1 of 4 blocks free
         assert slc_only._regions_below_threshold()
         qlc_only = make_ftl(split=0.0, conversion_trigger_threshold=50)
         assert qlc_only.ssd.block_count(Mode.SLC) == 0
         assert not qlc_only.mc_eligible()
+        assert qlc_only.free_fraction(Mode.SLC) == 0.0
         assert not qlc_only._regions_below_threshold()
 
 
@@ -528,38 +530,40 @@ class TestFreeCount:
         assert ftl.free_count == ftl.ssd.block_tally
 
 class TestFill:
-    @pytest.mark.parametrize("split, config, conversions, warnings", [
-        (0.25, {}, 3, 0),
+    @pytest.mark.parametrize("split, config, conversions", [
+        (0.25, {}, 3),
         # both triggers at 50%: the fill converts SLC blocks 64 at a time
-        # and crosses SAFETY_BOUND once
+        # and crosses SAFETY_BOUND once, so one run after it is one page
         (1.0, dict(gc_trigger_threshold=50, conversion_trigger_threshold=50),
-         126, 1)])
-    def test_fill_calls_handle_write_only_at_block_boundaries(
-            self, monkeypatch, split, config, conversions, warnings):
+         126)])
+    def test_fill_never_calls_handle_write(self, monkeypatch, split, config,
+                                           conversions):
         ftl = make_ftl(channels=8, blocks=32, ppb=32, split=split, **config)
-        calls, acts_first = [], []
-        handle_write = ftl.handle_write
+        n_slc = ftl.ssd.block_tally[Mode.SLC]
 
-        def counted(lpn):
-            calls.append(lpn)
-            acts_first.append(
-                ftl._regions_below_threshold()
-                and ftl._fallback_action() is not ActionKind.IDLE
-                or not (ftl._has_space(Mode.SLC) or ftl._has_space(Mode.QLC)))
-            return handle_write(lpn)
+        def refused(*args, **kwargs):
+            raise AssertionError("fill called handle_write")
 
-        monkeypatch.setattr(ftl, "handle_write", counted)
+        monkeypatch.setattr(ftl, "handle_write", refused)
         n = int(0.9 * ftl.ssd.logical_capacity_pages)
         ftl.fill(n)
-        geo = ftl.ssd.geometry
-        assert len(calls) <= geo.total_blocks + geo.channels < n // 20
-        # only a page before which space management would still act goes
-        # per page: here, the one after each stop at SAFETY_BOUND
-        assert acts_first == [True] * warnings
-        assert ftl.wa.host_pages_written == ftl.wa.device_pages_written == n
-        assert ftl.action_counts[ActionKind.SLC_TO_QLC_MC] == conversions
-        assert ftl.capacity_pressure_warnings == warnings
+        assert len(ftl.ssd.mapping) == ftl.ssd.device_pages_written == n
+        assert n_slc - ftl.ssd.block_tally[Mode.SLC] == conversions
         ftl.ssd.audit()
+
+    def test_fill_leaves_zeroed_run_statistics(self):
+        # the fill converts blocks and crosses SAFETY_BOUND, yet counts
+        # none of it
+        ftl = make_ftl(channels=8, blocks=32, ppb=32, split=1.0,
+                       gc_trigger_threshold=50,
+                       conversion_trigger_threshold=50)
+        ftl.fill(int(0.9 * ftl.ssd.logical_capacity_pages))
+        assert ftl.ssd.block_tally[Mode.QLC] == 126
+        assert ftl.wa == WaCounters()
+        assert (ftl.rejected_requests, ftl.unmapped_reads,
+                ftl.capacity_pressure_warnings,
+                ftl.ineffective_actions) == (0, 0, 0, 0)
+        assert ftl.action_counts == dict.fromkeys(ActionKind, 0)
 
     def test_a_stopped_plan_ends_with_the_popped_blocks_first_page(self):
         # 4 channels of 4-page SLC blocks. Pages 0-1 open blocks 0-1; the

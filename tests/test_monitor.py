@@ -10,6 +10,10 @@ class TestWindowMechanics:
     def test_capacity_must_be_sane(self):
         with pytest.raises(ConfigError):
             SlidingWindow(1)
+        w = SlidingWindow(2)
+        with pytest.raises(ConfigError):
+            w.set_capacity(1)
+        assert w.capacity == 2
 
     def test_oldest_entries_evicted(self):
         w = SlidingWindow(3)

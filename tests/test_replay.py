@@ -415,6 +415,17 @@ class TestRunSweep:
         values = [r["value"] for r in rep.sweep]
         assert values == [pytest.approx(1e-4), pytest.approx(1e-3)]
 
+    def test_a_sweep_without_the_unit_multiplier_reports_the_base_config(
+            self):
+        records = small_trace(300, seed=13)
+        rep = run_sweep(records, small_config(), small_geo(),
+                        "gc_trigger_threshold", [2.0], initial_mode_split=0.5)
+        assert [row["value"] for row in rep.sweep] == [26]
+        assert "normalized_execution_time" not in rep.sweep[0]
+        base = run_small(records)
+        assert rep.total_latency_us == base.total_latency_us
+        assert rep.config_final == base.config_final
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep([], small_config(), small_geo(), "warp_factor", [1.0])
@@ -696,6 +707,24 @@ class TestCli:
         assert param in err and "not a finite number" in err
         assert not report.exists()
 
+    def test_a_window_too_small_fails_before_any_replay(
+            self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a replay ran before the bad value failed")
+        # `hybridssd.replay` names the function, so patch the name
+        # run_sweep looks up
+        monkeypatch.setitem(run_sweep.__globals__, "replay", must_not_run)
+        report = tmp_path / "r.json"
+        rc = cli.main(["run", "--ops", "200", "--mode", "sweep",
+                       "--sweep-param", "window_size",
+                       "--sweep-multipliers", "1,0.0001",
+                       "--config", small_cli_config(tmp_path),
+                       "--report", str(report)] + SMALL_GEO_ARGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: window_size ") and err.count("\n") == 1
+        assert not report.exists()
+
     def test_tuned_without_backend_is_a_clean_error(self, tmp_path, capsys):
         rc = cli.main(["run", "--ops", "100", "--mode", "tuned",
                        "--report", str(tmp_path / "x.json")] + SMALL_GEO_ARGS)
@@ -759,13 +788,21 @@ class TestCli:
         # a tuned run that holds no epoch has no rows for a csv report
         ["--mode", "tuned", "--backend", "scripted:{fixture}",
          "--max-epochs", "0", "--report-format", "csv"],
+        ["--mode", "sweep", "--sweep-multipliers", ","],
+        ["--mode", "tuned", "--backend", "scripted:"],
+        ["--mode", "tuned", "--backend", "remote:"],
+        ["--mode", "tuned", "--backend", "telepathy:now"],
+        ["--format", "msr", "--trace", "{junk}"],
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, args):
         missing = str(tmp_path / "missing.txt")
         overflow = tmp_path / "overflow.conf"
         overflow.write_text("window size = 1e309\n", encoding="utf-8")
+        junk = tmp_path / "junk.csv"      # no line parses as a record
+        junk.write_text("not,a,record\n", encoding="utf-8")
         report = tmp_path / "x.json"
-        argv = [a.format(missing=missing, overflow=overflow, fixture=FIXTURE)
+        argv = [a.format(missing=missing, overflow=overflow, fixture=FIXTURE,
+                         junk=junk)
                 for a in args]
         # a later --report replaces an earlier one
         rc = cli.main(["run", "--ops", "100", "--report", str(report), *argv]

@@ -4,7 +4,7 @@ import pytest
 
 from hybridssd import (AuditError, FlashGeometry, GeometryError, LatencyModel,
                        Mode, PageStateError, SsdState, desk_geometry)
-from hybridssd.ssd import NO_PAGES, PAGE_INVALID, initial_layout
+from hybridssd.ssd import NO_PAGES, PAGE_FREE, PAGE_INVALID, initial_layout
 
 
 def located(ssd):
@@ -95,10 +95,15 @@ class TestConstruction:
     def test_initial_layout_matches_constructed_device(self, split):
         g = desk_geometry(channels=2, blocks_per_channel=5)
         ssd = SsdState(g, LatencyModel(), split)
-        raw = sum(ssd.page_count)
+        raw = sum(ssd.block_pages[mode] for mode in ssd.mode)
         assert initial_layout(g, split) == (ssd.block_count(Mode.SLC),
                                             int(raw * (1.0 - g.op_ratio)))
         assert ssd.logical_capacity_pages == initial_layout(g, split)[1]
+
+    @pytest.mark.parametrize("split", [-0.1, 1.5, math.nan])
+    def test_a_split_outside_zero_to_one_is_rejected(self, split):
+        with pytest.raises(GeometryError, match="initial_mode_split"):
+            SsdState(desk_geometry(), LatencyModel(), split)
 
     def test_logical_capacity_frozen_across_conversion(self):
         ssd = SsdState(desk_geometry(), LatencyModel(), 0.5)
@@ -139,10 +144,10 @@ class TestPageOps:
         assert desk_ssd.valid_count[0] == 0
 
     def test_erase_requires_no_valid_pages(self, desk_ssd):
-        desk_ssd.program_run(0, range(desk_ssd.page_count[0]))
+        desk_ssd.program_run(0, range(8))
         with pytest.raises(PageStateError):
             desk_ssd.erase_block(0)
-        for idx in range(desk_ssd.page_count[0]):
+        for idx in range(8):
             desk_ssd.invalidate_page(0, idx)
         # full with no valid page: the cheapest GC victim until erased
         assert desk_ssd.reclaimable[Mode.SLC] == {0: {0}}
@@ -150,7 +155,7 @@ class TestPageOps:
         assert us == 3000.0
         assert desk_ssd.pages[0] is NO_PAGES
         assert desk_ssd.erase_count[0] == 1
-        assert desk_ssd.free_pages(0) == desk_ssd.page_count[0] == 8
+        assert desk_ssd.free_pages(0) == 8
         with pytest.raises(PageStateError):
             desk_ssd.read_page(0, 0)
         assert not any(0 in ids for buckets in desk_ssd.reclaimable.values()
@@ -224,13 +229,14 @@ class TestPpnEncoding:
                                      pages_per_block_slc=ppb),
                        LatencyModel())
         n = 0
-        for block_id, page_count in enumerate(ssd.page_count):
+        for block_id in range(len(ssd.mode)):
+            capacity = ssd.block_pages[ssd.mode[block_id]]
             # all but the last page in bulk, the last one alone
-            ssd.program_run(block_id, range(n, n + page_count - 1))
-            ssd.program_page(block_id, page_count - 1, n + page_count - 1)
-            n += page_count
+            ssd.program_run(block_id, range(n, n + capacity - 1))
+            ssd.program_page(block_id, capacity - 1, n + capacity - 1)
+            n += capacity
         last = len(ssd.mode) - 1
-        assert ssd.locate(n - 1) == (last, ssd.page_count[last] - 1)
+        assert ssd.locate(n - 1) == (last, len(ssd.pages[last]) - 1)
         assert ssd.locate(n) is None
         for lpn, (block_id, page_idx) in located(ssd).items():
             assert ssd.pages[block_id][page_idx] == lpn
@@ -240,10 +246,10 @@ class TestPpnEncoding:
         assert {ssd.locate(lpn)[0] for lpn in ssd.pages[256]} == {256}
         # the last page of the last block, its only valid one, moves to the
         # first page of block 0, erased for it
-        for idx in range(ssd.page_count[0]):
+        for idx in range(len(ssd.pages[0])):
             ssd.invalidate_page(0, idx)
         ssd.erase_block(0)
-        for idx in range(ssd.page_count[last] - 1):
+        for idx in range(len(ssd.pages[last]) - 1):
             ssd.invalidate_page(last, idx)
         ssd.relocate(last, [(0, [n - 1])])
         assert ssd.locate(n - 1) == (0, 0)
@@ -444,14 +450,14 @@ class TestRelocate:
 
 class TestConversion:
     def test_convert_resizes_page_array(self, desk_ssd):
-        assert desk_ssd.page_count[0] == 8
+        assert desk_ssd.free_pages(0) == 8
         desk_ssd.convert_block_mode(0, Mode.QLC)
         assert desk_ssd.mode[0] is Mode.QLC
-        assert desk_ssd.page_count[0] == 32
         assert desk_ssd.free_pages(0) == 32
+        assert desk_ssd.block_tally == {Mode.SLC: 3, Mode.QLC: 5}
         desk_ssd.convert_block_mode(0, Mode.SLC)
-        assert desk_ssd.page_count[0] == 8
         assert desk_ssd.free_pages(0) == 8
+        assert desk_ssd.block_tally == {Mode.SLC: 4, Mode.QLC: 4}
 
     def test_convert_only_fully_free_blocks(self, desk_ssd):
         desk_ssd.program_page(0, 0, lpn=1)
@@ -549,29 +555,38 @@ class TestAudit:
         with pytest.raises(AuditError, match="outside"):
             desk_ssd.audit()
 
+    @pytest.mark.parametrize("corruption, match", [
+        ("another lpn", "lpn 2 -> 0/0, page stores 1"),
+        ("free marker", "free page below the write pointer"),
+        # what a GC that copies a page but keeps the old one valid leaves
+        ("second copy", "3 valid pages vs 2 mapped lpns"),
+    ])
+    def test_page_corruption_detected(self, desk_ssd, corruption, match):
+        desk_ssd.program_page(0, 0, lpn=1)
+        desk_ssd.program_page(0, 1, lpn=2)
+        if corruption == "another lpn":
+            desk_ssd.mapping[2] = ppn(desk_ssd, 0, 0)
+        elif corruption == "free marker":
+            desk_ssd.pages[0][0] = PAGE_FREE
+            desk_ssd.valid_count[0] -= 1
+            del desk_ssd.mapping[1]
+        else:
+            desk_ssd.pages[1] = [1]
+            desk_ssd.valid_count[1] = 1
+        with pytest.raises(AuditError, match=match):
+            desk_ssd.audit()
+
     def test_counter_corruption_detected(self, desk_ssd):
         desk_ssd.program_page(0, 0, lpn=1)
         desk_ssd.valid_count[0] = 7
         with pytest.raises(AuditError):
             desk_ssd.audit()
 
-    @pytest.mark.parametrize("name", ["mode", "page_count", "erase_count",
-                                      "valid_count", "pages"])
+    @pytest.mark.parametrize("name", ["mode", "erase_count", "valid_count",
+                                      "pages"])
     def test_block_list_of_the_wrong_length_detected(self, desk_ssd, name):
         getattr(desk_ssd, name).pop()
         with pytest.raises(AuditError, match=f"{name} has 7 entries"):
-            desk_ssd.audit()
-
-    def test_page_count_out_of_step_with_mode_detected(self, desk_ssd):
-        desk_ssd.page_count[0] = 32            # block 0 is SLC: 8 pages
-        with pytest.raises(AuditError, match="32 pages in slc mode"):
-            desk_ssd.audit()
-
-    def test_mode_out_of_step_with_page_count_detected(self, desk_ssd):
-        desk_ssd.mode[0] = Mode.QLC
-        desk_ssd.block_tally[Mode.SLC] -= 1
-        desk_ssd.block_tally[Mode.QLC] += 1
-        with pytest.raises(AuditError, match="8 pages in qlc mode"):
             desk_ssd.audit()
 
     def test_shared_page_array_detected(self, desk_ssd):

@@ -139,6 +139,13 @@ class TestBuildPrompt:
         assert "500.0us -> 900.0us (+400.0us)" in line
         assert "1 value(s) auto-corrected" in line
 
+    def test_a_long_note_is_cut_to_180_characters(self):
+        from hybridssd.tuner import render_history_line
+        line = render_history_line(make_record(1, reason="slow  io\n" * 40))
+        note = line.split("; note: ")[1]
+        assert note == ("slow io " * 23)[:177] + "..."
+        assert len(note) == 180
+
 
 # --- fitting the prompt to max_tokens ---------------------------------------------
 
