@@ -1,4 +1,4 @@
-"""Flash translation layer: placement, space-management actions, WA counters.
+"""Flash translation layer: placement, space-management actions, run counters.
 
 Timing model: pages of one host request stripe round-robin across per-channel
 active blocks and overlap (request cost = max over per-channel sums), while
@@ -60,7 +60,7 @@ class ActionOutcome:
                     or self.blocks_converted)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WaCounters:
     host_pages_written: int = 0
     device_pages_written: int = 0
@@ -103,7 +103,8 @@ class FtlEngine:
 
     An engine is built on a fresh device: no page written, no block
     erased, ids [0, n_slc) in SLC and the rest in QLC. It pools every
-    block as free.
+    block as free. It counts host pages; the device alone counts flash
+    ops, and a run reads them from its start at `reset_counters`.
     """
 
     def __init__(self, ssd: SsdState, config: ConfigProfile,
@@ -135,15 +136,27 @@ class FtlEngine:
         # blocks in each mode's pools, kept with every pool change
         self.free_count = {SLC: n_slc, QLC: n_blocks - n_slc}
         self.stripe_cursor = {SLC: 0, QLC: 0}
+        # the channels in stripe order from each cursor position
+        self.stripe_order = [(*range(ch, channels), *range(ch))
+                             for ch in range(channels)]
 
     def reset_counters(self) -> None:
-        """Zero the run statistics; device state and placement stay."""
-        self.wa = WaCounters()
+        """Start a run: zero its statistics and take the device's program
+        and erase counts as its start; device state and placement stay."""
+        self.host_pages_written = 0
+        self.start_pages = self.ssd.device_pages_written
+        self.start_erases = self.ssd.erase_ops
         self.rejected_requests = 0
         self.unmapped_reads = 0
         self.capacity_pressure_warnings = 0
         self.ineffective_actions = 0
         self.action_counts = {kind: 0 for kind in ActionKind}
+
+    @property
+    def wa(self) -> WaCounters:
+        """The run's host pages and the device's programs since its start."""
+        return WaCounters(self.host_pages_written,
+                          self.ssd.device_pages_written - self.start_pages)
 
     # --- occupancy ---------------------------------------------------------
 
@@ -190,22 +203,6 @@ class FtlEngine:
         self.free_count[mode] -= 1
         return heappop(self.free[mode][channel]) % len(self.ssd.mode)
 
-    def _allocate_page(self, mode: Mode) -> int:
-        """Block of the next append slot in `mode`, rotating the channel
-        cursor: the cursor's channel or the next one with an active block
-        or a free block to open. `mode` must have space (`_has_space`)."""
-        channels = self.ssd.geometry.channels
-        active = self.active[mode]
-        start = self.stripe_cursor[mode]
-        for i in range(channels):
-            ch = (start + i) % channels
-            block_id = active[ch]
-            if block_id is None and self.free[mode][ch]:
-                block_id = active[ch] = self._pop_free(mode, ch)
-            if block_id is not None:
-                self.stripe_cursor[mode] = (ch + 1) % channels
-                return block_id
-
     def _placement_region(self, mode: Mode) -> Mode | None:
         """`mode` if it has room, else the other region if that has room."""
         if self._has_space(mode):
@@ -225,8 +222,8 @@ class FtlEngine:
         """Service a host write; returns its latency including foreground GC.
 
         Page by page: invalidate the old copy, then append to the slot
-        `_allocate_page` hands out in the preferred region, else in the
-        other one; with neither holding space, space management is forced.
+        `_plan` hands out in the preferred region, else in the other one;
+        with neither holding space, space management is forced.
         """
         ssd = self.ssd
         if lpn < 0 or n_pages < 1 or lpn + n_pages > ssd.logical_capacity_pages:
@@ -250,7 +247,7 @@ class FtlEngine:
             ch = cursor[mode]
             block_id = active[ch]
             if block_id is not None:
-                # the slot `_allocate_page(mode)` hands out from here
+                # the slot `_plan(mode, (i,))` hands out from here
                 cursor[mode] = (ch + 1) % channels
             else:
                 region = self._placement_region(mode)
@@ -260,10 +257,9 @@ class FtlEngine:
                     region = self._placement_region(mode)
                     if region is None:
                         # the pages programmed so far stay written
-                        self.wa.device_pages_written += i - lpn
                         raise CapacityError(
                             "device full even after space management")
-                block_id = self._allocate_page(region)
+                ((block_id, _),) = self._plan(region, (i,))
                 ch = block_id % channels
             page_idx = len(pages[block_id])
             us = program(block_id, page_idx, i)
@@ -273,16 +269,15 @@ class FtlEngine:
             summed = per_channel[ch] = per_channel.get(ch, 0.0) + us
             if summed > base:
                 base = summed
-        self.wa.device_pages_written += n_pages
-        self.wa.host_pages_written += n_pages
+        self.host_pages_written += n_pages
         gc_us += self._space_management()
         return base + gc_us
 
     def fill(self, n: int) -> None:
         """Write lpns 0 .. n-1 once each, in order, on a device with no
         mapped lpn, leaving the device and placement state that
-        `handle_write(lpn)` per lpn leaves under the fallback policy; the
-        run statistics end zeroed.
+        `handle_write(lpn)` per lpn leaves under the fallback policy. It
+        ends with `reset_counters`, so a run starts after the fill.
 
         Runs of pages are programmed per block in bulk. A run ends at the
         page whose free-block pop makes space management act, which then
@@ -319,11 +314,12 @@ class FtlEngine:
         self.reset_counters()
 
     def _plan(self, mode: Mode, lpns, stop=None) -> list:
-        """Where `lpns` go, in order: the slots `_allocate_page(mode)` hands
-        out page by page, as `(block_id, run)` appends, one per block and
-        stripe segment. The slots are taken now: the free blocks the stripe
-        opens are popped, the cursor moves and each block the plan fills
-        leaves the active blocks, so the caller applies every append.
+        """Where `lpns` go, in stripe order from the `mode` cursor, as
+        `(block_id, run)` appends, one per block and stripe segment: the
+        one stripe rule of the host path, the fill and GC. The slots are
+        taken now: the free blocks the stripe opens are popped, the cursor
+        moves and each block the plan fills leaves the active blocks, so
+        the caller applies every append.
 
         A channel without an active block takes a free block when the
         stripe reaches it with a page left. `stop`, if given, is asked
@@ -332,6 +328,8 @@ class FtlEngine:
         """
         ssd = self.ssd
         channels = ssd.geometry.channels
+        # every target is a block of `mode`, active or popped from its pools
+        capacity, pages = ssd.block_pages[mode], ssd.pages
         active = self.active[mode]
         pools = self.free[mode]
         room: dict[int, int] = {}   # free pages of each target, as planned
@@ -340,28 +338,27 @@ class FtlEngine:
         done = 0
         stopped = False
         while done < total:
-            # one block per channel in stripe order from the cursor
-            cursor = self.stripe_cursor[mode]
+            # one block per channel from the cursor until each page has one
             targets = []
-            for ch in (*range(cursor, channels), *range(cursor)):
+            for ch in self.stripe_order[self.stripe_cursor[mode]]:
                 block_id = active[ch]
-                if (block_id is None and pools[ch]
-                        and len(targets) < total - done):
+                if block_id is None and pools[ch]:
                     block_id = active[ch] = self._pop_free(mode, ch)
                     stopped = stop is not None and stop()
                 if block_id is not None:
                     targets.append(block_id)
                     if block_id not in room:
-                        room[block_id] = ssd.free_pages(block_id)
-                    if stopped:
+                        room[block_id] = capacity - len(pages[block_id])
+                    if stopped or len(targets) == total - done:
                         break
             if not targets:
                 break
-            # full stripes until the first target block fills
+            # full stripes until the first target block fills; there are
+            # no more targets than pages left, so each takes a page
             rounds = 1 if stopped else min(map(room.__getitem__, targets))
             stride = len(targets)
             n = min(rounds * stride, total - done)
-            for j, block_id in enumerate(targets[:n]):
+            for j, block_id in enumerate(targets):
                 run = lpns[done + j:done + n:stride]
                 plan.append((block_id, run))
                 left = room[block_id] = room[block_id] - len(run)
@@ -518,7 +515,6 @@ class FtlEngine:
         lpns = [lpn for lpn in ssd.pages[victim] if lpn >= 0]
         # relocate refuses a plan that leaves a valid page behind
         erase_us = ssd.relocate(victim, self._plan(dst, lpns))
-        self.wa.device_pages_written += len(lpns)
         # each page is a read then a program, summed in that order
         read_us, write_us = ssd.latency.read_us(src), ssd.latency.write_us(dst)
         latency = out.latency_us

@@ -157,9 +157,9 @@ class SimulatorStack:
 
     def prefill(self, fraction: float) -> int:
         """Sequentially write a fraction of logical space, then zero all
-        metrics; only device occupancy survives into the run. The fill needs
-        an unwritten device and runs under the fallback policy, so it erases
-        nothing and the agent decides nothing."""
+        metrics; only device occupancy survives into the run, which starts
+        after the fill. The fill needs an unwritten device and runs under
+        the fallback policy, so the agent decides nothing."""
         if not (0.0 <= fraction <= 1.0):
             raise ConfigError("prefill fraction must be in [0, 1]")
         n = int(self.ssd.logical_capacity_pages * fraction)
@@ -179,8 +179,8 @@ class SimulatorStack:
 
     @property
     def erases(self) -> int:
-        # prefill erases nothing, so every erase of the device is the run's
-        return self.ssd.erase_ops
+        # since the run's start at the last reset, so no fill's erases
+        return self.ssd.erase_ops - self.ftl.start_erases
 
 
 @dataclass
@@ -355,6 +355,10 @@ def run_sweep(records: list[TraceRecord], config: ConfigProfile,
     runs. `kmeans_tol` sweeps the classifier tolerance, which is a stack
     setting rather than one of the tunables. Every other keyword is a
     `replay()` setting passed to each default-mode replay unchanged.
+
+    Each row's `in_range` says whether its value lies in the tunable's
+    declared range, which bounds what the tuner can apply; it is None for
+    `kmeans_tol`, which declares none.
     """
     if param not in SWEEP_EXTRA_PARAMS and not hasattr(config, param):
         raise ConfigError(f"unknown sweep parameter {param!r}")
@@ -370,6 +374,7 @@ def run_sweep(records: list[TraceRecord], config: ConfigProfile,
     else:
         runs = [(_scale_param(config, param, m, geometry.page_size),
                  kmeans_tol) for m in multipliers]
+    spec = default_param_bounds(geometry.page_size).get(param)
     rows = []
     base_report = None
     for m, (cfg, tol) in zip(multipliers, runs):
@@ -382,6 +387,7 @@ def run_sweep(records: list[TraceRecord], config: ConfigProfile,
             "param": param,
             "multiplier": m,
             "value": value,
+            "in_range": None if spec is None else spec.lo <= value <= spec.hi,
             "total_latency_us": rep.total_latency_us,
             "mean_latency_us": rep.mean_latency_us,
             "wa": rep.wa,
@@ -469,13 +475,13 @@ def _to_csv(report: RunReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if report.sweep is not None:
-        writer.writerow(["param", "multiplier", "value", "total_latency_us",
-                         "mean_latency_us", "wa", "erases",
-                         "normalized_execution_time"])
+        writer.writerow(["param", "multiplier", "value", "in_range",
+                         "total_latency_us", "mean_latency_us", "wa",
+                         "erases", "normalized_execution_time"])
         for row in report.sweep:
             writer.writerow([row["param"], row["multiplier"], row["value"],
-                             row["total_latency_us"], row["mean_latency_us"],
-                             row["wa"], row["erases"],
+                             row["in_range"], row["total_latency_us"],
+                             row["mean_latency_us"], row["wa"], row["erases"],
                              row.get("normalized_execution_time")])
         return out.getvalue()
     writer.writerow(["epoch", "trigger", "verdict", "latency_before_us",

@@ -255,7 +255,6 @@ class PerPageHost:
         ssd = ftl.ssd
         block_id, page_idx = placed
         us = ssd.program_page(block_id, page_idx, lpn)
-        ftl.wa.device_pages_written += 1
         ch = block_id % ssd.geometry.channels
         if not ssd.free_pages(block_id):
             active = ftl.active[ssd.mode[block_id]]
@@ -290,7 +289,7 @@ class PerPageHost:
                                         "management")
             us, ch = self.program(placed, i)
             per_channel[ch] = per_channel.get(ch, 0.0) + us
-        ftl.wa.host_pages_written += n_pages
+        ftl.host_pages_written += n_pages
         gc_us += ftl._space_management()
         base = max(per_channel.values()) if per_channel else 0.0
         return base + gc_us

@@ -4,6 +4,7 @@ import random
 import statistics
 import tempfile
 from collections import deque
+from dataclasses import asdict, replace
 from heapq import heappush
 from pathlib import Path
 from functools import partial
@@ -20,13 +21,13 @@ from hybridssd.ftl import (ACTION_ORDER, SAFETY_BOUND, ActionKind,
                            ActionOutcome, FtlEngine, fallback_source)
 from hybridssd.hotness import HotnessClassifier
 from hybridssd.monitor import SlidingWindow
-from hybridssd.replay import SimulatorStack
+from hybridssd.replay import SimulatorStack, replay
 from hybridssd.rl import (INTENSITY_SAMPLES, N_QUARTILES, AgentState, QTable,
                           SpaceAgent, reward)
 from hybridssd.ssd import (NO_PAGES, LatencyModel, Mode, SsdState,
-                           desk_geometry)
+                           desk_geometry, initial_layout)
 from hybridssd.trace import (FORMATS, OpKind, TraceRecord, load_trace,
-                             page_span)
+                             page_span, synth_trace)
 from hybridssd.tuner import correct_mistakes
 
 from conftest import StreakCases, make_stack
@@ -1347,3 +1348,39 @@ def test_hotness_classifier_matches_the_grid_reference(writes, resliced,
         assert [clf.is_hot(n) for n in written] == [
             ref.is_hot(n) for n in written]
         assert clf.generation == ref.generation
+
+
+# --- metamorphic relation: every cost in microseconds scaled at once ---------------
+
+@settings(max_examples=8, deadline=None)
+@given(exponent=st.integers(min_value=-3, max_value=4).filter(bool),
+       trace_seed=st.integers(min_value=0, max_value=2**16),
+       strategy=st.sampled_from(list(PlacementStrategy)))
+def test_scaling_every_cost_by_a_power_of_two_scales_only_the_latency(
+        exponent, trace_seed, strategy):
+    # the six flash costs and the reward threshold are the only inputs in
+    # microseconds; a power of two scales every float sum, rate and
+    # comparison of them exactly, so the agent, the classifier and GC
+    # decide as before and only the clock moves
+    factor = 2.0 ** exponent
+    geo = desk_geometry(channels=2, blocks_per_channel=8,
+                        pages_per_block_slc=8)
+    records = synth_trace(1200, initial_layout(geo, 0.5)[1], PAGE,
+                          seed=trace_seed, size_pages=3)
+    config = ConfigProfile(window_size=100, rl_training_interval=50,
+                           kmeans_trigger_threshold=300, slice_size=PAGE * 8,
+                           gc_trigger_threshold=13,
+                           placement_strategy=strategy)
+    reports = []
+    for f in (1.0, factor):
+        latency = LatencyModel(**{name: cost * f for name, cost
+                                  in asdict(FRACTIONAL).items()})
+        reports.append(replay(records, replace(
+            config, rl_reward_threshold=config.rl_reward_threshold * f),
+            geo, latency=latency, initial_mode_split=0.5))
+    base, scaled = reports
+    assert scaled.total_latency_us == base.total_latency_us * factor
+    for name in ("wa", "erases", "action_counts", "ineffective_actions",
+                 "classifications", "agent_decisions", "agent_trainings"):
+        assert getattr(scaled, name) == getattr(base, name), name
+    assert base.erases and base.classifications and base.agent_trainings

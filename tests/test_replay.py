@@ -1,5 +1,6 @@
 """Full-stack replay, reports, sweeps, and the command line."""
 import copy
+import csv
 import dataclasses
 import json
 import os
@@ -15,11 +16,12 @@ from hybridssd.errors import ConfigError
 from hybridssd.replay import (RunReport, SimulatorStack, _build_report,
                               _scale_param, emit_report, replay, run_sweep)
 from hybridssd.ssd import FlashGeometry, desk_geometry
-from hybridssd.trace import OpKind, TraceRecord, synth_trace
+from hybridssd.trace import OpKind, TraceRecord, page_span, synth_trace
 from hybridssd.tuner import ScriptedBackend, estimate_tokens
 from hybridssd.verification import EpochSchedule
 
 from conftest import make_stack
+from oracles import FlashOpLog
 
 PAGE = 16384
 GOOD_REPLY = "Window looks cramped. `1.Windows size: 1500`"
@@ -147,6 +149,46 @@ class TestSimulatorStack:
                          list(s.agent.intensity_samples)))
             s.ssd.audit()
         assert runs[0] == runs[1]
+
+    def test_run_counters_match_a_flash_op_recount(self):
+        # the gc_steady benchmark's device and start, the agent on; the op
+        # log sees every program and erase from outside the device, and a
+        # run starts at the last reset_metrics
+        geo = FlashGeometry(channels=8, blocks_per_channel=32,
+                            pages_per_block_slc=32)
+        stack = SimulatorStack(geo, ConfigProfile(), initial_mode_split=0.25)
+        stack.prefill(0.9)
+        log = FlashOpLog(stack.ftl)
+        logical = stack.ssd.logical_capacity_pages
+        # unaligned requests of 1-4 pages, one of them wrapping past the
+        # last page
+        records = [TraceRecord(r.op, r.offset + 100 * (i % 3),
+                               r.size - 50 * (i % 2))
+                   for i, r in enumerate(synth_trace(
+                       1200, logical, geo.page_size, seed=8, size_pages=3))]
+        records[700] = TraceRecord(OpKind.WRITE,
+                                   logical * geo.page_size - 100,
+                                   3 * geo.page_size)
+
+        def recount(part, entries):
+            ops = [op for e in entries for op, _, _ in e["parallel"]
+                   + e["serial"]]
+            host = sum(n for r in part if r.op is OpKind.WRITE
+                       for _, n in page_span(r, geo.page_size, logical))
+            report = _build_report(stack, "default", len(part), 0,
+                                   stack.config, None, None)
+            assert stack.ftl.wa.device_pages_written == ops.count("program")
+            assert report.erases == ops.count("erase") > 0
+            assert stack.ftl.wa.host_pages_written == host
+            assert report.wa == ops.count("program") / host > 1
+
+        for part in (records[:500], records[500:]):
+            start = len(log.entries)
+            for record in part:
+                stack.service(record)
+            recount(part, log.entries[start:])
+            stack.reset_metrics()
+        assert stack.agent.decisions
 
     def test_prefill_fraction_validated(self):
         stack = make_stack()
@@ -426,6 +468,20 @@ class TestRunSweep:
         assert rep.total_latency_us == base.total_latency_us
         assert rep.config_final == base.config_final
 
+    def test_in_range_column_of_a_csv_sweep(self, tmp_path):
+        # the classifier tolerance declares no range; a tunable's rows are
+        # checked against its declared one, gc_trigger_threshold's [1, 50]
+        records = small_trace(200, seed=12)
+        for param, flags in (("kmeans_tol", ["", ""]),
+                             ("gc_trigger_threshold", ["True", "False"])):
+            rep = run_sweep(records, small_config(), small_geo(), param,
+                            [1.0, 4.0], initial_mode_split=0.5)
+            path = tmp_path / f"{param}.csv"
+            emit_report(rep, path, "csv")
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [r["in_range"] for r in rows] == flags
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep([], small_config(), small_geo(), "warp_factor", [1.0])
@@ -645,6 +701,20 @@ class TestCli:
         assert rc == 0
         lines = report.read_text().strip().splitlines()
         assert len(lines) == 4   # header + three multipliers
+
+    def test_sweep_rows_flag_values_outside_the_declared_range(
+            self, tmp_path):
+        # rl_discount's declared range is [0, 0.9999]
+        report = tmp_path / "sweep.json"
+        rc = cli.main(["run", "--ops", "300", "--seed", "3",
+                       "--mode", "sweep", "--sweep-param", "rl_discount",
+                       "--sweep-multipliers", "1,2",
+                       "--config", small_cli_config(tmp_path),
+                       "--report", str(report)] + SMALL_GEO_ARGS)
+        assert rc == 0
+        rows = json.loads(report.read_text())["sweep"]
+        assert {r["value"]: r["in_range"] for r in rows} == {0.9: True,
+                                                             1.8: False}
 
     def test_default_run_rejects_csv_before_the_replay(
             self, tmp_path, capsys, monkeypatch):
