@@ -115,7 +115,7 @@ class FtlEngine:
             raise ValueError("an FtlEngine needs a fresh device: no page "
                              "written, no block erased or converted")
         self.ssd = ssd
-        self.config = config
+        self.config = config        # also sets gc_trigger_blocks
         self.action_source = action_source
         self.reset_counters()
         channels = ssd.geometry.channels
@@ -151,6 +151,29 @@ class FtlEngine:
         self.capacity_pressure_warnings = 0
         self.ineffective_actions = 0
         self.action_counts = {kind: 0 for kind in ActionKind}
+
+    @property
+    def config(self) -> ConfigProfile:
+        return self._config
+
+    @config.setter
+    def config(self, profile: ConfigProfile) -> None:
+        self._config = profile
+        self._renew_trigger()
+
+    def _renew_trigger(self) -> None:
+        """Set `gc_trigger_blocks`: per mode, the fewest free blocks that
+        keep it off the GC trigger, ceil(percent * blocks / 100), so that
+        `free_count[mode] < gc_trigger_blocks[mode]` is
+        `_short_of_blocks(mode, percent)` (f * 100 < p * b for an integer
+        f is f < ceil(p * b / 100)); 0, never short, for a mode with no
+        blocks. The trigger moves only with the config and a block tally,
+        so this runs on each config assignment and after each
+        conversion."""
+        percent = self._config.gc_trigger_threshold
+        self.gc_trigger_blocks = {mode: -(-percent * blocks // 100)
+                                  for mode, blocks
+                                  in self.ssd.block_tally.items()}
 
     @property
     def wa(self) -> WaCounters:
@@ -211,7 +234,7 @@ class FtlEngine:
         return other if self._has_space(other) else None
 
     def _preferred_mode(self, hot: bool | None) -> Mode:
-        if self.config.placement_strategy is SLC_FIRST:
+        if self._config.placement_strategy is SLC_FIRST:
             return SLC
         return SLC if hot else QLC
 
@@ -221,9 +244,17 @@ class FtlEngine:
                      hot: bool | None = None) -> float:
         """Service a host write; returns its latency including foreground GC.
 
-        Page by page: invalidate the old copy, then append to the slot
-        `_plan` hands out in the preferred region, else in the other one;
-        with neither holding space, space management is forced.
+        Page by page: invalidate the old copy, then append at the stripe
+        cursor of the placement region, the slot `_plan(region, (i,))`
+        hands out. The region is the preferred one, else the other one;
+        with neither holding space, space management is forced. It is
+        chosen again only where its cursor's channel has no active block,
+        and a one-page `_plan` runs only where that region's cursor
+        channel has none either. This is exact: once the preferred region
+        has no space, it regains some inside a span only through forced
+        space management, which runs only on that path. Space management
+        runs after the request only when some region is below its
+        trigger.
         """
         ssd = self.ssd
         if lpn < 0 or n_pages < 1 or lpn + n_pages > ssd.logical_capacity_pages:
@@ -231,10 +262,11 @@ class FtlEngine:
             return 0.0
         lookup, invalidate = ssd.mapping.get, ssd.invalidate_page
         shift, mask = ssd.shift, ssd.mask
-        program, pages, modes = ssd.program_page, ssd.pages, ssd.mode
-        block_pages = ssd.block_pages
+        program, pages = ssd.program_page, ssd.pages
+        capacity = ssd.block_pages
         channels = ssd.geometry.channels
         mode = self._preferred_mode(hot)
+        region = mode       # the region whose cursor the next page tries
         active, cursor = self.active[mode], self.stripe_cursor
         # per channel, its pages' latencies summed in page order; as flash
         # costs are positive, the largest running sum is the largest total
@@ -244,12 +276,9 @@ class FtlEngine:
             old = lookup(i)
             if old is not None:
                 invalidate(old >> shift, old & mask)
-            ch = cursor[mode]
+            ch = cursor[region]
             block_id = active[ch]
-            if block_id is not None:
-                # the slot `_plan(mode, (i,))` hands out from here
-                cursor[mode] = (ch + 1) % channels
-            else:
+            if block_id is None:
                 region = self._placement_region(mode)
                 if region is None:
                     # both regions exhausted mid-request
@@ -259,18 +288,28 @@ class FtlEngine:
                         # the pages programmed so far stay written
                         raise CapacityError(
                             "device full even after space management")
-                ((block_id, _),) = self._plan(region, (i,))
-                ch = block_id % channels
+                active = self.active[region]
+                ch = cursor[region]
+                block_id = active[ch]
+                if block_id is None:
+                    ((block_id, _),) = self._plan(region, (i,))
+                    ch = block_id % channels
+            # the slot `_plan(region, (i,))` hands out, and where it leaves
+            # the cursor
+            cursor[region] = (ch + 1) % channels
             page_idx = len(pages[block_id])
             us = program(block_id, page_idx, i)
-            if page_idx + 1 == block_pages[modes[block_id]]:
-                # retire the full block from its region's active blocks
-                self.active[modes[block_id]][ch] = None
+            if page_idx + 1 == capacity[region]:
+                active[ch] = None       # retire the full block
             summed = per_channel[ch] = per_channel.get(ch, 0.0) + us
             if summed > base:
                 base = summed
         self.host_pages_written += n_pages
-        gc_us += self._space_management()
+        # `_regions_below_threshold`, inline: most writes leave both
+        # regions above their triggers
+        free, trigger = self.free_count, self.gc_trigger_blocks
+        if free[SLC] < trigger[SLC] or free[QLC] < trigger[QLC]:
+            gc_us += self._space_management()
         return base + gc_us
 
     def fill(self, n: int) -> None:
@@ -407,9 +446,9 @@ class FtlEngine:
                 < percent * self.ssd.block_tally[mode])
 
     def _regions_below_threshold(self) -> bool:
-        percent = self.config.gc_trigger_threshold
-        return (self._short_of_blocks(SLC, percent)
-                or self._short_of_blocks(QLC, percent))
+        """Is some region short of blocks at the GC trigger?"""
+        free, trigger = self.free_count, self.gc_trigger_blocks
+        return free[SLC] < trigger[SLC] or free[QLC] < trigger[QLC]
 
     def mc_eligible(self) -> bool:
         return self._short_of_blocks(
@@ -541,6 +580,7 @@ class FtlEngine:
         ch = self.ssd.geometry.channel_of(block_id)
         heappop(self.free[SLC][ch])
         self.ssd.convert_block_mode(block_id, QLC)
+        self._renew_trigger()
         heappush(self.free[QLC][ch], key)
         self.free_count[SLC] -= 1
         self.free_count[QLC] += 1

@@ -179,12 +179,15 @@ class HotnessClassifier:
 
     def record_write(self, lpn: int, now_us: float, n_pages: int = 1) -> None:
         """Count a write of pages lpn .. lpn + n_pages - 1 at `now_us`: per
-        page in order, its slice's update count and running mean gap."""
+        page in order, its slice's update count and running mean gap.
+        Called once per written span (n_pages >= 1); a span inside one
+        slice, the common case, takes one pass of the outer loop."""
+        self.writes_since_classify += n_pages
         per_slice = self.pages_per_slice
         slices = self.slices
         end = lpn + n_pages
         idx = lpn // per_slice
-        while lpn < end:
+        while True:
             # the span's pages in slice idx: lpn up to the slice's end
             stop = (idx + 1) * per_slice
             if stop > end:
@@ -194,14 +197,17 @@ class HotnessClassifier:
             if s is None:
                 s = slices[idx] = [1, now_us, 0.0]
                 pages -= 1
-            for _ in range(pages):
-                s[0] += 1
-                gap = now_us - s[1]
-                s[2] += (gap - s[2]) / (s[0] - 1)
+            while pages:
+                # the running-mean step: the gap since the slice's last
+                # update joins the mean of its update_count - 1 gaps
+                count = s[0] = s[0] + 1
+                s[2] += (now_us - s[1] - s[2]) / (count - 1)
                 s[1] = now_us
+                pages -= 1
+            if stop == end:
+                return
             lpn = stop
             idx += 1
-        self.writes_since_classify += n_pages
 
     def is_hot(self, lpn: int) -> bool:
         return lpn // self.pages_per_slice in self.hot

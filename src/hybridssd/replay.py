@@ -58,21 +58,16 @@ class SimulatorStack:
         self._hot_window: deque[int] = deque(maxlen=256)
         self._hot_count = 0             # sum of _hot_window
         self._train_mark = self.marker()    # start of the training period
+        # whether a read checks the K-means trigger: a write moves its
+        # count, so otherwise only apply_config or a trigger below one
+        # write can make it due between writes
+        self._classify_due = True
 
     # --- agent wiring -----------------------------------------------------
 
     def hot_write_fraction(self) -> float:
         window = self._hot_window
         return self._hot_count / len(window) if window else 0.0
-
-    def _record_hotness(self, hot: bool) -> None:
-        """Slide one write request's hot flag into the window."""
-        flag = 1 if hot else 0
-        window = self._hot_window
-        if len(window) == window.maxlen:
-            self._hot_count -= window[0]
-        window.append(flag)
-        self._hot_count += flag
 
     def _pick_action(self, ftl, skip, limit) -> tuple[ActionKind | None,
                                                       int]:
@@ -96,7 +91,14 @@ class SimulatorStack:
     # --- request servicing --------------------------------------------------
 
     def service(self, record: TraceRecord) -> float:
-        """Run one trace request through the whole stack."""
+        """Run one trace request through the whole stack.
+
+        Each trigger is tested only once the event that moves it has
+        happened: the K-means trigger after a write (`record_write` moves
+        its count) and on the first read after `apply_config`; the
+        training tick after every request, as its interval counts
+        requests and `apply_config` can change it.
+        """
         spans = page_span(record, self.geometry.page_size,
                           self.ssd.logical_capacity_pages)
         us = 0.0
@@ -107,19 +109,28 @@ class SimulatorStack:
                 hot = self.classifier.is_hot(lpn)
                 hot_any = hot_any or hot
                 us += self.ftl.handle_write(lpn, n, hot)
-            self._record_hotness(hot_any)
+            # slide the request's hot flag into the window
+            flag = 1 if hot_any else 0
+            window = self._hot_window
+            if len(window) == window.maxlen:
+                self._hot_count -= window[0]
+            window.append(flag)
+            self._hot_count += flag
         else:
             for lpn, n in spans:
                 us += self.ftl.handle_read(lpn, n)
         self.total_latency_us += us
         now = self.total_latency_us
         self.requests += 1
+        self.monitor.push(spans[0][0], is_write, now)
         if is_write:
             self.writes += 1
             for lpn, n in spans:
                 self.classifier.record_write(lpn, now, n)
-        self.monitor.push(spans[0][0], is_write, now)
-        self.classifier.maybe_classify(self.config, now)
+            self.classifier.maybe_classify(self.config, now)
+        elif self._classify_due:
+            self._classify_due = self.config.kmeans_trigger_threshold < 1
+            self.classifier.maybe_classify(self.config, now)
         if (self.requests - self._train_mark.requests
                 >= self.config.rl_training_interval):
             self._train_agent()
@@ -134,6 +145,7 @@ class SimulatorStack:
         self.monitor.set_capacity(profile.window_size)
         self.classifier.reconfigure(profile.slice_size,
                                     self.total_latency_us)
+        self._classify_due = True
 
     def marker(self) -> Marker:
         return Marker(requests=self.requests, writes=self.writes,
@@ -305,13 +317,26 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
     if prefill_fraction:
         stack.prefill(prefill_fraction)
     ops = iter(records)
+    if loop is not None:
+        max_epochs = loop.schedule.max_epochs
+        monitor = stack.monitor
+        for record in ops:
+            stack.service(record)
+            # an epoch falls due only on a write (the scheduled interval
+            # counts writes) or on a shift the loop has not seen yet (a
+            # training tick, perhaps inside the last probe, counted it);
+            # wants_epoch spends such a shift, so it is asked at once
+            if (record.op is WRITE
+                    or monitor.shifts_detected != loop.shifts_seen):
+                trigger = loop.wants_epoch(stack)
+                if trigger:
+                    # the probe draws its requests from `ops` itself
+                    loop.run_epoch(stack, ops, trigger)
+                    if len(loop.history) >= max_epochs:
+                        break
+    # no epoch can start: the rest is plain servicing
     for record in ops:
         stack.service(record)
-        if loop is not None:
-            trigger = loop.wants_epoch(stack)
-            if trigger:
-                # the probe draws its requests from `ops` itself
-                loop.run_epoch(stack, ops, trigger)
     return _build_report(stack, mode, len(records), skipped_lines, config,
                          loop, baseline_total_us)
 

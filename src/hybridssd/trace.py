@@ -174,11 +174,18 @@ def page_span(record: TraceRecord, page_size: int,
     """Map a byte-addressed request onto whole-page runs.
 
     Offsets round down, ends round up; offsets beyond the device wrap
-    modulo the logical capacity (a wrap yields two contiguous runs).
+    modulo the logical capacity (a wrap yields two contiguous runs). A
+    request covers at least one page and at most the whole device.
+    Called once per serviced request, so it clamps with branches, not
+    `min`/`max` calls.
     """
-    start = record.offset // page_size
-    end = -(-(record.offset + record.size) // page_size)
-    n = min(max(end - start, 1), logical_pages)
+    offset = record.offset
+    start = offset // page_size
+    n = -(-(offset + record.size) // page_size) - start
+    if n < 1:
+        n = 1
+    elif n > logical_pages:
+        n = logical_pages
     start %= logical_pages
     if start + n <= logical_pages:
         return [(start, n)]

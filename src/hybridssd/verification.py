@@ -152,7 +152,10 @@ class VerificationLoop:
 
     def wants_epoch(self, stack) -> str | None:
         """Returns a trigger name if an epoch should start now. Every call
-        spends the shifts the monitor detected since the previous one."""
+        spends the shifts the monitor detected since the previous one.
+        Only a write (the interval counts writes) or a shift not yet seen
+        can make the answer other than None, so `replay` asks only then,
+        and not at all once `max_epochs` epochs ran."""
         shifts = stack.monitor.shifts_detected
         shifted = shifts > self.shifts_seen
         self.shifts_seen = shifts

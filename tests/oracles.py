@@ -3,18 +3,22 @@
 Everything here is written flat and dumb on purpose: plain lists, no shared
 code with the package beyond the latency table values and its exception
 types, so an agreement between the two is evidence rather than tautology.
-The op log, the payload tracker, `PerPageHost` and the action-source
-adapters are the exceptions: they work on an engine's own state, to check
-the engine against itself.
+The op log, the payload tracker, `PerPageHost`, the action-source
+adapters and `EveryCheckStack` are the exceptions: they work on an
+engine's or a stack's own state, to check it against itself.
 """
 import enum
 import math
 from dataclasses import dataclass
 from heapq import heappop
 
+from hybridssd.config import PlacementStrategy
 from hybridssd.errors import CapacityError, ConfigError
 from hybridssd.ftl import SAFETY_BOUND, ActionKind
+from hybridssd.replay import SimulatorStack
 from hybridssd.ssd import Mode
+from hybridssd.trace import OpKind
+from hybridssd.verification import VerificationLoop
 
 INVALID = "X"
 
@@ -310,6 +314,121 @@ class PerPageHost:
             ch = ppn[0] % ftl.ssd.geometry.channels
             per_channel[ch] = per_channel.get(ch, 0.0) + us
         return max(per_channel.values()) if per_channel else 0.0
+
+
+def every_check_page_span(record, page_size, logical_pages):
+    """`page_span` with `min`/`max` clamps: whole-page runs, wrapped
+    modulo the logical capacity."""
+    start = record.offset // page_size
+    end = -(-(record.offset + record.size) // page_size)
+    n = min(max(end - start, 1), logical_pages)
+    start %= logical_pages
+    if start + n <= logical_pages:
+        return [(start, n)]
+    head = logical_pages - start
+    return [(start, head), (0, n - head)]
+
+
+class EveryCheckStack(SimulatorStack):
+    """A SimulatorStack whose `service` makes every check on every
+    request: the K-means trigger and the training tick after each one,
+    reads included, and space management's trigger after each write,
+    recomputed from the config's percent by `_short_of_blocks` instead of
+    the engine's free-block counts. Writes and reads go through
+    `PerPageHost` (the region asked for every page), the classifier
+    counts one page per call, and `every_check_replay` asks
+    `wants_epoch` after every request."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        ftl = self.ftl
+        self.host = PerPageHost(ftl, Mode.SLC, Mode.QLC,
+                                PlacementStrategy.SLC_FIRST)
+
+        def below_trigger():
+            percent = ftl.config.gc_trigger_threshold
+            return (ftl._short_of_blocks(Mode.SLC, percent)
+                    or ftl._short_of_blocks(Mode.QLC, percent))
+
+        # the engine's own space management, prefill included, asks this
+        ftl._regions_below_threshold = below_trigger
+
+    def service(self, record):
+        spans = every_check_page_span(record, self.geometry.page_size,
+                                      self.ssd.logical_capacity_pages)
+        us = 0.0
+        is_write = record.op is OpKind.WRITE
+        if is_write:
+            hot_any = False
+            for lpn, n in spans:
+                hot = self.classifier.is_hot(lpn)
+                hot_any = hot_any or hot
+                us += self.host.handle_write(lpn, n, hot)
+            window = self._hot_window
+            if len(window) == window.maxlen:
+                self._hot_count -= window[0]
+            window.append(1 if hot_any else 0)
+            self._hot_count += 1 if hot_any else 0
+        else:
+            for lpn, n in spans:
+                us += self.host.handle_read(lpn, n)
+        self.total_latency_us += us
+        now = self.total_latency_us
+        self.requests += 1
+        if is_write:
+            self.writes += 1
+            for lpn, n in spans:
+                for page in range(lpn, lpn + n):
+                    self.classifier.record_write(page, now)
+        self.monitor.push(spans[0][0], is_write, now)
+        self.classifier.maybe_classify(self.config, now)
+        if (self.requests - self._train_mark.requests
+                >= self.config.rl_training_interval):
+            self._train_agent()
+        return us
+
+
+def every_check_replay(records, config, geometry, *, mode="default",
+                       backend=None, schedule=None, prefill_fraction=0.0,
+                       **stack_settings):
+    """`replay`'s loop on an EveryCheckStack, asking `wants_epoch` after
+    every request, also once every epoch has run. Returns the stack and
+    the verification loop (None in default mode)."""
+    stack = EveryCheckStack(geometry, config, **stack_settings)
+    if isinstance(records, SwapTrace):
+        records.stack = stack
+    loop = None
+    if mode == "tuned":
+        loop = VerificationLoop(backend, schedule)
+    if prefill_fraction:
+        stack.prefill(prefill_fraction)
+    ops = iter(records)
+    for record in ops:
+        stack.service(record)
+        if loop is not None:
+            trigger = loop.wants_epoch(stack)
+            if trigger:
+                loop.run_epoch(stack, ops, trigger)
+    return stack, loop
+
+
+class SwapTrace(list):
+    """Trace records that swap the config of the stack servicing them
+    between requests: `swaps[i]` goes to `stack.apply_config` just before
+    record i is drawn, by whichever loop draws it (a probe's included).
+    Set `stack` before the first draw."""
+
+    def __init__(self, records, swaps):
+        super().__init__(records)
+        self.swaps = swaps
+        self.stack = None
+
+    def __iter__(self):
+        for i, record in enumerate(list.__iter__(self)):
+            profile = self.swaps.get(i)
+            if profile is not None:
+                self.stack.apply_config(profile)
+            yield record
 
 
 def free_ids(ftl, mode, ch):

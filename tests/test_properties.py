@@ -1,4 +1,5 @@
 """Property-based invariants over randomized inputs."""
+import json
 import math
 import random
 import statistics
@@ -6,9 +7,11 @@ import tempfile
 from collections import deque
 from dataclasses import asdict, replace
 from heapq import heappush
+from importlib import import_module
 from pathlib import Path
 from functools import partial
 from types import MethodType
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,13 +31,15 @@ from hybridssd.ssd import (NO_PAGES, LatencyModel, Mode, SsdState,
                            desk_geometry, initial_layout)
 from hybridssd.trace import (FORMATS, OpKind, TraceRecord, load_trace,
                              page_span, synth_trace)
-from hybridssd.tuner import correct_mistakes
+from hybridssd.tuner import ScriptedBackend, correct_mistakes
+from hybridssd.verification import EpochSchedule, VerificationLoop
 
 from conftest import StreakCases, make_stack
 from oracles import (FlatQTable, PagePayloads, PerBlockDevice, PerPageHost,
-                     ReferenceAgent, ReferenceClassifier, bucket_fraction,
-                     free_ids, least_worn, per_draw,
-                     per_round_space_management, reference_load_trace)
+                     ReferenceAgent, ReferenceClassifier, SwapTrace,
+                     bucket_fraction, every_check_replay, free_ids,
+                     least_worn, per_draw, per_round_space_management,
+                     reference_load_trace)
 
 PAGE = 16384
 BOUNDS = default_param_bounds(PAGE)
@@ -1384,3 +1389,303 @@ def test_scaling_every_cost_by_a_power_of_two_scales_only_the_latency(
                  "classifications", "agent_decisions", "agent_trainings"):
         assert getattr(scaled, name) == getattr(base, name), name
     assert base.erases and base.classifications and base.agent_trainings
+
+
+# --- metamorphic relation: the page size and every byte count doubled -------------
+
+@settings(max_examples=8, deadline=None)
+@given(trace_seed=st.integers(min_value=0, max_value=2**16),
+       strategy=st.sampled_from(list(PlacementStrategy)))
+def test_doubling_the_page_size_and_every_byte_count_moves_only_geometry(
+        trace_seed, strategy):
+    # a request maps to pages by byte offset over page size, and a slice
+    # to pages by slice size over page size: doubling all three maps every
+    # request and every slice onto the same pages, so only the page size
+    # in the geometry (and the slice size in bytes) may differ
+    geo = desk_geometry(channels=2, blocks_per_channel=8,
+                        pages_per_block_slc=8)
+    logical = initial_layout(geo, 0.5)[1]
+    rng = random.Random(trace_seed)
+    # byte offsets and sizes off the page grid, in the first third of the
+    # device or past its end, wrapping into that third (random writes over
+    # most of this device's logical space leave GC no room and fill it)
+    requests = [(rng.choice([OpKind.WRITE, OpKind.READ]),
+                 rng.randrange(logical // 3 * PAGE)
+                 + rng.choice([0, logical * PAGE]), rng.randint(1, 4 * PAGE))
+                for _ in range(1000)]
+    config = ConfigProfile(window_size=100, rl_training_interval=50,
+                           kmeans_trigger_threshold=200, slice_size=PAGE * 8,
+                           gc_trigger_threshold=13,
+                           placement_strategy=strategy)
+    reports = []
+    for k in (1, 2):
+        report = replay([TraceRecord(op, k * offset, k * size)
+                         for op, offset, size in requests],
+                        replace(config, slice_size=k * config.slice_size),
+                        replace(geo, page_size=k * geo.page_size),
+                        latency=FRACTIONAL,
+                        initial_mode_split=0.5).to_json_dict()
+        assert report.pop("geometry")["page_size"] == k * PAGE
+        for name in ("config_initial", "config_final"):
+            report[name]["slice_size"] //= k
+        reports.append(report)
+    assert reports[1] == reports[0]
+    assert reports[0]["erases"] and reports[0]["unmapped_reads"]
+
+
+# --- metamorphic relation: reads of unmapped lpns added ----------------------------
+
+@settings(max_examples=8, deadline=None)
+@given(trace_seed=st.integers(min_value=0, max_value=2**16),
+       strategy=st.sampled_from(list(PlacementStrategy)))
+def test_reads_of_unmapped_lpns_leave_wa_and_erases_alone(trace_seed,
+                                                           strategy):
+    # under the fallback policy nothing reads the request count or the
+    # workload window, and a read of an unmapped page costs nothing and
+    # changes no device state
+    geo = desk_geometry(channels=2, blocks_per_channel=8,
+                        pages_per_block_slc=8)
+    half = initial_layout(geo, 0.5)[1] // 2
+    rng = random.Random(trace_seed)
+    # the trace stays below `half`; the added reads stay above it
+    records = [TraceRecord(rng.choice([OpKind.WRITE, OpKind.READ]),
+                           rng.randrange(half - 4) * PAGE,
+                           rng.randint(1, 4 * PAGE)) for _ in range(1000)]
+    unmapped = list(records)
+    for _ in range(500):
+        unmapped.insert(rng.randrange(len(unmapped) + 1), TraceRecord(
+            OpKind.READ, rng.randrange(half, 2 * half - 4) * PAGE,
+            rng.randint(1, 4 * PAGE)))
+    runs = []
+    for trace in (records, unmapped):
+        stack = SimulatorStack(geo, ConfigProfile(
+            window_size=100, rl_training_interval=50,
+            kmeans_trigger_threshold=200, slice_size=PAGE * 8,
+            gc_trigger_threshold=13, placement_strategy=strategy),
+            latency=FRACTIONAL, initial_mode_split=0.5)
+        stack.ftl.action_source = None
+        for record in trace:
+            stack.service(record)
+        runs.append(stack)
+    base, added = runs
+    assert added.ftl.wa == base.ftl.wa
+    assert added.erases == base.erases > 0
+    assert added.total_latency_us == base.total_latency_us
+    assert added.ftl.unmapped_reads >= base.ftl.unmapped_reads + 500
+
+
+# --- next-event checks against every check on every request --------------------------
+
+replay_module = import_module("hybridssd.replay")
+
+CHECK_GEO = desk_geometry(channels=2, blocks_per_channel=8,
+                          pages_per_block_slc=8)
+CHECK_PAGES = 280       # CHECK_GEO's logical pages at a 0.5 split
+# the settings a swap moves, each with the range it draws from; slice sizes
+# are page multiples
+SWAP_RANGES = {"rl_training_interval": (1, 80),
+               "kmeans_trigger_threshold": (0, 300),
+               "gc_trigger_threshold": (0, 60), "slice_size": (1, 16),
+               "window_size": (2, 200)}
+# a base profile's ranges and choices
+CONFIG_RANGES = {"window_size": (2, 120), "rl_training_interval": (1, 60),
+                 "kmeans_trigger_threshold": (0, 200),
+                 "gc_trigger_threshold": (0, 40)}
+CONFIG_CHOICES = {"conversion_trigger_threshold": [6, 50],
+                  "std_dev_threshold": [1, 20, 10000],
+                  "rl_exploration": [0.1, 0.5],
+                  "placement_strategy": list(PlacementStrategy)}
+# replies a tuning backend gives: each moves some of the swapped settings
+CHECK_REPLIES = [
+    "Retrain and collect later.\n```\n1. Training interval: 10\n"
+    "2. GC trigger threshold: 5\n```",
+    "Finer slices.\n```\n1. Slice size: 32KB\n2. K-means trigger threshold: "
+    "100\n3. Windows size: 40\n```",
+    "Collect early.\n```\n1. GC trigger threshold: 40\n2. Training "
+    "interval: 30\n```",
+]
+
+
+def swap_value(name, value):
+    return PAGE * value if name == "slice_size" else value
+
+
+def swapped_profiles(config, script):
+    """{record index: the profile applied before it}, each swap on top of
+    the ones before it."""
+    profiles = {}
+    for index, (name, value) in sorted(script, key=lambda swap: swap[0]):
+        config = replace(config, **{name: swap_value(name, value)})
+        profiles[index] = config
+    return profiles
+
+
+def in_bounds(profile):
+    """`profile` with each numeric tunable clamped into its declared range:
+    a tuning run refuses any other."""
+    return replace(profile, **{
+        name: min(max(getattr(profile, name), spec.lo), spec.hi)
+        for name, spec in BOUNDS.items() if spec.kind != "enum"})
+
+
+def replay_with_swaps(trace, config, **settings):
+    """`replay` of a SwapTrace, which learns the stack replay builds."""
+    class Attached(SimulatorStack):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trace.stack = self
+
+    with mock.patch.object(replay_module, "SimulatorStack", Attached):
+        return replay(trace, config, CHECK_GEO, **settings)
+
+
+def check_replays_agree(requests, script, config, tuned, prefill, seed):
+    """Replay the requests with the swaps on `replay` and on
+    `every_check_replay`; the reports (or the errors) must be equal.
+    Returns the real report, None if the device filled."""
+    records = [TraceRecord(OpKind.WRITE if write else OpKind.READ, offset,
+                           size) for write, offset, size in requests]
+    config = ConfigProfile(slice_size=PAGE * 8, **config)
+    profiles = swapped_profiles(config, script)
+    settings = dict(seed=seed, initial_mode_split=0.5,
+                    prefill_fraction=prefill, latency=FRACTIONAL)
+    if tuned:
+        config = in_bounds(config)
+        profiles = {i: in_bounds(p) for i, p in profiles.items()}
+        settings.update(mode="tuned", schedule=EpochSchedule(
+            tuning_interval_writes=40, investigation_ops=25, max_epochs=3))
+    outcomes = []
+    for side in ("next event", "every check"):
+        trace = SwapTrace(records, profiles)
+        if tuned:
+            settings["backend"] = ScriptedBackend(CHECK_REPLIES)
+        try:
+            if side == "next event":
+                report = replay_with_swaps(trace, config, **settings)
+            else:
+                stack, loop = every_check_replay(trace, config, CHECK_GEO,
+                                                 **settings)
+                report = replay_module._build_report(
+                    stack, settings.get("mode", "default"), len(records), 0,
+                    config, loop, None)
+        except CapacityError as exc:
+            outcomes.append((None, str(exc)))
+        else:
+            outcomes.append((report, json.dumps(report.to_json_dict(),
+                                                sort_keys=True)))
+    assert outcomes[0][1] == outcomes[1][1]
+    return outcomes[0][0]
+
+
+def drawn_case(seed, tuned):
+    """`check_replays_agree`'s inputs drawn from `random.Random(seed)`:
+    longer traces and scripts than most hypothesis draws, which shrink
+    toward small ones."""
+    rng = random.Random(seed)
+    requests = [(rng.random() < 0.5,
+                 rng.randrange(40 * PAGE if rng.random() < 0.5
+                               else 2 * CHECK_PAGES * PAGE),
+                 rng.randint(1, 4 * PAGE))
+                for _ in range(rng.randint(50, 300))]
+    script = [(rng.randrange(300), (name, rng.randint(*SWAP_RANGES[name])))
+              for name in rng.choices(list(SWAP_RANGES), k=rng.randint(0, 8))]
+    config = {**{name: rng.randint(*bounds)
+                 for name, bounds in CONFIG_RANGES.items()},
+              **{name: rng.choice(options)
+                 for name, options in CONFIG_CHOICES.items()}}
+    return dict(requests=requests, script=script, config=config, tuned=tuned,
+                prefill=rng.choice([0.0, 0.5, 0.85]), seed=rng.randrange(4))
+
+
+# each reaches one of the events the checks wait for; see the test below
+PINNED_NEXT_EVENTS = {"conversion moves the trigger": (2, False),
+                      "read after a swap classifies": (23, False),
+                      "shift in a probe, then a read": (6, True)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(requests=st.lists(st.tuples(
+           st.booleans(),
+           st.integers(min_value=0, max_value=2 * CHECK_PAGES * PAGE),
+           st.integers(min_value=1, max_value=4 * PAGE)),
+           min_size=1, max_size=300),
+       script=st.lists(st.tuples(
+           st.integers(min_value=0, max_value=300),
+           st.one_of(*(st.tuples(st.just(name), st.integers(*bounds))
+                       for name, bounds in SWAP_RANGES.items()))),
+           max_size=8),
+       config=st.fixed_dictionaries({
+           **{name: st.integers(*bounds)
+              for name, bounds in CONFIG_RANGES.items()},
+           **{name: st.sampled_from(options)
+              for name, options in CONFIG_CHOICES.items()}}),
+       tuned=st.booleans(), prefill=st.sampled_from([0.0, 0.5, 0.85]),
+       seed=st.integers(min_value=0, max_value=3))
+@example(**drawn_case(*PINNED_NEXT_EVENTS["conversion moves the trigger"]))
+@example(**drawn_case(*PINNED_NEXT_EVENTS["read after a swap classifies"]))
+@example(**drawn_case(*PINNED_NEXT_EVENTS["shift in a probe, then a read"]))
+def test_next_event_checks_match_every_check_on_every_request(
+        requests, script, config, tuned, prefill, seed):
+    check_replays_agree(requests, script, config, tuned, prefill, seed)
+
+
+def reached_next_events(case):
+    """The events of PINNED_NEXT_EVENTS that the next-event path of
+    `check_replays_agree` reaches on `case`."""
+    seen = set()
+    now = {"stack": None, "op": None}   # the request being serviced
+    service = SimulatorStack.service
+    convert_once = FtlEngine._convert_once
+    maybe_classify = HotnessClassifier.maybe_classify
+    run_epoch = VerificationLoop.run_epoch
+    wants_epoch = VerificationLoop.wants_epoch
+    after_probe = []        # requests serviced when a probe's shift waits
+
+    def recording_service(stack, record):
+        now["stack"], now["op"] = stack, record.op
+        return service(stack, record)
+
+    def recording_convert(ftl, out):
+        before = dict(ftl.gc_trigger_blocks)
+        converted = convert_once(ftl, out)
+        if (now["stack"] is not None and ftl is now["stack"].ftl
+                and ftl.gc_trigger_blocks != before):
+            seen.add("conversion moves the trigger")
+        return converted
+
+    def recording_classify(clf, config, now_us):
+        hot = maybe_classify(clf, config, now_us)
+        if (hot is not None and now["op"] is OpKind.READ
+                and clf is now["stack"].classifier):
+            seen.add("read after a swap classifies")
+        return hot
+
+    def recording_run_epoch(loop, stack, ops, trigger):
+        shifts = stack.monitor.shifts_detected
+        record = run_epoch(loop, stack, ops, trigger)
+        if stack is now["stack"] and stack.monitor.shifts_detected > shifts:
+            after_probe.append(stack.requests)
+        return record
+
+    def recording_wants_epoch(loop, stack):
+        trigger = wants_epoch(loop, stack)
+        if (trigger == "shift" and stack is now["stack"]
+                and now["op"] is OpKind.READ
+                and stack.requests - 1 in after_probe):
+            seen.add("shift in a probe, then a read")
+        return trigger
+
+    with mock.patch.multiple(SimulatorStack, service=recording_service), \
+            mock.patch.multiple(FtlEngine, _convert_once=recording_convert), \
+            mock.patch.multiple(HotnessClassifier,
+                                maybe_classify=recording_classify), \
+            mock.patch.multiple(VerificationLoop,
+                                run_epoch=recording_run_epoch,
+                                wants_epoch=recording_wants_epoch):
+        assert check_replays_agree(**case)
+    return seen
+
+
+def test_pinned_next_events_are_reached():
+    for event, (seed, tuned) in PINNED_NEXT_EVENTS.items():
+        assert event in reached_next_events(drawn_case(seed, tuned)), event

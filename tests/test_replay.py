@@ -18,7 +18,7 @@ from hybridssd.replay import (RunReport, SimulatorStack, _build_report,
 from hybridssd.ssd import FlashGeometry, desk_geometry
 from hybridssd.trace import OpKind, TraceRecord, page_span, synth_trace
 from hybridssd.tuner import ScriptedBackend, estimate_tokens
-from hybridssd.verification import EpochSchedule
+from hybridssd.verification import EpochSchedule, VerificationLoop
 
 from conftest import make_stack
 from oracles import FlashOpLog
@@ -198,13 +198,22 @@ class TestSimulatorStack:
     def test_hot_write_fraction_window(self):
         stack = make_stack(gc_trigger_threshold=13)
         assert stack.hot_write_fraction() == 0.0
-        # service records each write request's flag through _record_hotness
+        page = stack.geometry.page_size
+        # slice 0 reads hot, the next one cold; service slides each write
+        # request's flag into the window, and a read leaves it alone
+        stack.classifier.hot = frozenset({0})
+
+        def request(op, hot):
+            lpn = 0 if hot else stack.classifier.pages_per_slice
+            stack.service(TraceRecord(op, lpn * page, page))
+
         for hot in (True, False, True, True):
-            stack._record_hotness(hot)
+            request(OpKind.WRITE, hot)
+        request(OpKind.READ, False)
         assert stack.hot_write_fraction() == pytest.approx(0.75)
         # 256 cold writes slide the hot ones out of the window
         for _ in range(256):
-            stack._record_hotness(False)
+            request(OpKind.WRITE, False)
         assert stack.hot_write_fraction() == 0.0
 
 
@@ -273,6 +282,41 @@ class TestTunedReplay:
                              investigation_ops=100,
                              degradation_threshold=0.05,
                              max_epochs=max_epochs)
+
+    def test_replay_services_each_record_once_through_the_class(
+            self, monkeypatch):
+        # the benchmark wraps the class attribute SimulatorStack.service
+        # and takes each call's return value as that request's latency, so
+        # replay, an epoch's probe included, calls it once per record
+        calls = []
+        service = SimulatorStack.service
+
+        def recording(stack, record):
+            before = stack.total_latency_us
+            us = service(stack, record)
+            calls.append(record)
+            assert stack.total_latency_us == before + us
+            return us
+
+        monkeypatch.setattr(SimulatorStack, "service", recording)
+        probes = []
+        run_epoch = VerificationLoop.run_epoch
+
+        def recording_run_epoch(loop, stack, ops, trigger):
+            start = len(calls)
+            record = run_epoch(loop, stack, ops, trigger)
+            probes.append(len(calls) - start)
+            return record
+
+        monkeypatch.setattr(VerificationLoop, "run_epoch",
+                            recording_run_epoch)
+        records = small_trace(1500, seed=7)
+        rep = run_small(records, mode="tuned",
+                        backend=ScriptedBackend([GOOD_REPLY]),
+                        schedule=self.schedule())
+        assert probes[:2] == [100, 100]     # the last one ends the trace
+        assert len(calls) == len(records) == rep.requests
+        assert all(got is want for got, want in zip(calls, records))
 
     def test_epochs_fire_and_are_recorded(self):
         records = small_trace(1500, seed=7)

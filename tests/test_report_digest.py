@@ -38,6 +38,8 @@ DIGESTS = {
         "2f3b565a3262c94866c7d9a2f764b2445d103f71efc1b708005dbf1cd095ff1e",
     "tuned_shift":
         "4635a0c293225cb302dd1abb10bf4595dea790311c63a7a49b307013890b992b",
+    "tuned_retrain":
+        "60ca2801014a90ad9e5a0e22887007c980acd75cb9d7318afde62f53055ecddb",
 }
 
 
@@ -127,6 +129,20 @@ def tuned_shift():
                 config_over={"std_dev_threshold": 5})
 
 
+# lowers the agent's training interval and the GC trigger mid-run, so
+# training ticks and space-management triggers move between requests
+RETRAIN_REPLY = ("Train the agent more often and collect later.\n```\n"
+                 "1. Training interval: 10\n"
+                 "2. GC trigger threshold: 5\n```")
+
+
+def tuned_retrain():
+    schedule = EpochSchedule(tuning_interval_writes=300,
+                             investigation_ops=100, max_epochs=3)
+    return _run(2000, seed=7, mode="tuned",
+                backend=ScriptedBackend([RETRAIN_REPLY]), schedule=schedule)
+
+
 def write_msr_spans(path, requests, logical_pages, page_size, seed):
     """An MSR-Cambridge-format CSV of 80% writes, each request covering
     1-8 whole pages from an offset and to an end inside a page; 90% of
@@ -176,6 +192,7 @@ SCENARIOS = {
     "tuned_fixture": tuned_fixture,
     "tuned_reslice": tuned_reslice,
     "tuned_shift": tuned_shift,
+    "tuned_retrain": tuned_retrain,
 }
 
 
@@ -234,6 +251,10 @@ def test_scenarios_reach_the_layers_they_pin(monkeypatch):
     shift_epochs = [e for e in shifted.epochs if e["trigger"] == "shift"]
     assert shift_epochs
     assert shifted.shifts_detected > len(shift_epochs)
+    retrain = tuned_retrain()
+    assert retrain.epochs[0]["verdict"] == "accepted"
+    assert set(retrain.epochs[0]["changed"]) == {"gc_trigger_threshold",
+                                                  "rl_training_interval"}
     slice_sizes, hot_flags = [], []
     reconfigure = HotnessClassifier.reconfigure
     handle_write = FtlEngine.handle_write
