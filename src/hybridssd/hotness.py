@@ -1,7 +1,10 @@
 """Slice-level hotness classification from update statistics via 2-means.
 
 Logical space is cut into fixed-size slices; every host write updates its
-slice's update count and running mean update interval. Classification
+slice's update count and running mean update interval. A write is only
+logged when it happens; the statistics replay the log, in order and with the
+same float operations, when they are read (a classification, a read of
+`slices`) or when the log reaches LOG_SPANS spans. Classification
 clusters (count, interval) with K-means and labels the most-updated cluster
 hot. Statistics are windowed: each classification consumes and resets them,
 so the hot slices track the last classification window, not all history.
@@ -18,6 +21,10 @@ from .errors import ConfigError
 
 # K-means stops once no centroid coordinate moves by this much
 KMEANS_TOL = 1e-4
+
+# written spans the classifier logs before it folds them into its slice
+# statistics unasked, which bounds the log's memory
+LOG_SPANS = 4096
 
 
 def _minmax(col: list[float]) -> list[float]:
@@ -170,44 +177,63 @@ class HotnessClassifier:
                 f"page_size {page_size}")
         self.slice_size = slice_size
         self.pages_per_slice = slice_size // page_size
-        # slice id -> [update count, last update us, running mean of the
-        # update_count - 1 gaps in us]
-        self.slices: dict[int, list] = {}
+        self._slices: dict[int, list] = {}
+        # (lpn, now_us, n_pages) of each write not yet in _slices
+        self._log: list[tuple[int, float, int]] = []
         self.window_start_us = now_us
         self.hot: frozenset[int] = frozenset()
         self.writes_since_classify = 0
 
     def record_write(self, lpn: int, now_us: float, n_pages: int = 1) -> None:
-        """Count a write of pages lpn .. lpn + n_pages - 1 at `now_us`: per
-        page in order, its slice's update count and running mean gap.
-        Called once per written span (n_pages >= 1); a span inside one
-        slice, the common case, takes one pass of the outer loop."""
+        """Count a write of pages lpn .. lpn + n_pages - 1 at `now_us`.
+        Called once per written span (n_pages >= 1); the slice statistics
+        take it in when they are next read."""
         self.writes_since_classify += n_pages
+        log = self._log
+        log.append((lpn, now_us, n_pages))
+        if len(log) >= LOG_SPANS:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Take the logged spans into the slice statistics, in write order:
+        per page, its slice's update count and running mean gap. A span
+        inside one slice, the common case, takes one pass of the middle
+        loop."""
         per_slice = self.pages_per_slice
-        slices = self.slices
-        end = lpn + n_pages
-        idx = lpn // per_slice
-        while True:
-            # the span's pages in slice idx: lpn up to the slice's end
-            stop = (idx + 1) * per_slice
-            if stop > end:
-                stop = end
-            pages = stop - lpn
-            s = slices.get(idx)
-            if s is None:
-                s = slices[idx] = [1, now_us, 0.0]
-                pages -= 1
-            while pages:
-                # the running-mean step: the gap since the slice's last
-                # update joins the mean of its update_count - 1 gaps
-                count = s[0] = s[0] + 1
-                s[2] += (now_us - s[1] - s[2]) / (count - 1)
-                s[1] = now_us
-                pages -= 1
-            if stop == end:
-                return
-            lpn = stop
-            idx += 1
+        slices = self._slices
+        for lpn, now_us, n_pages in self._log:
+            end = lpn + n_pages
+            idx = lpn // per_slice
+            while True:
+                # the span's pages in slice idx: lpn up to the slice's end
+                stop = (idx + 1) * per_slice
+                if stop > end:
+                    stop = end
+                pages = stop - lpn
+                s = slices.get(idx)
+                if s is None:
+                    s = slices[idx] = [1, now_us, 0.0]
+                    pages -= 1
+                while pages:
+                    # the running-mean step: the gap since the slice's last
+                    # update joins the mean of its update_count - 1 gaps
+                    count = s[0] = s[0] + 1
+                    s[2] += (now_us - s[1] - s[2]) / (count - 1)
+                    s[1] = now_us
+                    pages -= 1
+                if stop == end:
+                    break
+                lpn = stop
+                idx += 1
+        self._log.clear()
+
+    @property
+    def slices(self) -> dict[int, list]:
+        """Slice id -> [update count, last update us, running mean of the
+        update_count - 1 gaps in us] over the window's writes so far."""
+        if self._log:
+            self._fold()
+        return self._slices
 
     def is_hot(self, lpn: int) -> bool:
         return lpn // self.pages_per_slice in self.hot
@@ -221,7 +247,7 @@ class HotnessClassifier:
         self.hot = classify(self.slices, self.window_start_us, now_us,
                             max_iterations=config.kmeans_max_iterations,
                             tol=self.kmeans_tol)
-        self.slices = {}
+        self._slices = {}
         self.window_start_us = now_us
         self.writes_since_classify = 0
         return self.hot

@@ -15,7 +15,6 @@ import os
 import random
 import stat
 import tempfile
-from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 
 from .config import ConfigProfile, default_param_bounds
@@ -30,6 +29,11 @@ from .trace import WRITE, TraceRecord, page_span
 from .tuner import DEFAULT_MAX_TOKENS
 from .verification import (EpochSchedule, Marker, VerificationLoop, accuracy,
                            measure)
+
+# write requests whose hot flags the agent's hot-write fraction reads
+HOT_WINDOW = 256
+# hot flags kept unread before a write folds them into the count
+HOT_FLAGS_KEPT = 4096
 
 
 class SimulatorStack:
@@ -55,9 +59,13 @@ class SimulatorStack:
         self.writes = 0
         self.total_latency_us = 0.0     # also the virtual clock
         self.write_rate = 0.0           # writes/s at the last summary
-        self._hot_window: deque[int] = deque(maxlen=256)
-        self._hot_count = 0             # sum of _hot_window
-        self._train_mark = self.marker()    # start of the training period
+        # each write request's hot flag, oldest first; the flags from
+        # index _hot_folded on are not yet in _hot_count, the hot flags
+        # among the last HOT_WINDOW ones
+        self._hot_flags: list[bool] = []
+        self._hot_folded = 0
+        self._hot_count = 0
+        self._start_training_period()
         # whether a read checks the K-means trigger: a write moves its
         # count, so otherwise only apply_config or a trigger below one
         # write can make it due between writes
@@ -66,8 +74,21 @@ class SimulatorStack:
     # --- agent wiring -----------------------------------------------------
 
     def hot_write_fraction(self) -> float:
-        window = self._hot_window
-        return self._hot_count / len(window) if window else 0.0
+        """Share of hot-flagged requests among the last HOT_WINDOW writes."""
+        flags = self._hot_flags
+        if len(flags) != self._hot_folded:
+            self._fold_hot_flags()
+        return self._hot_count / len(flags) if flags else 0.0
+
+    def _fold_hot_flags(self) -> None:
+        # count the new flags that stay, uncount the counted ones that slid
+        # out, keep the window
+        flags = self._hot_flags
+        cut = max(len(flags) - HOT_WINDOW, 0)
+        keep, gone = max(self._hot_folded, cut), min(self._hot_folded, cut)
+        self._hot_count += sum(flags[keep:]) - sum(flags[:gone])
+        del flags[:cut]
+        self._hot_folded = len(flags)
 
     def _pick_action(self, ftl, skip, limit) -> tuple[ActionKind | None,
                                                       int]:
@@ -86,7 +107,12 @@ class SimulatorStack:
                                          self.ssd.block_tally, self.write_rate,
                                          self.hot_write_fraction())
         self.agent.train(period.mean_latency_us, state, self.config)
+        self._start_training_period()
+
+    def _start_training_period(self) -> None:
         self._train_mark = self.marker()
+        self._train_due = (self._train_mark.requests
+                           + self.config.rl_training_interval)
 
     # --- request servicing --------------------------------------------------
 
@@ -96,8 +122,9 @@ class SimulatorStack:
         Each trigger is tested only once the event that moves it has
         happened: the K-means trigger after a write (`record_write` moves
         its count) and on the first read after `apply_config`; the
-        training tick after every request, as its interval counts
-        requests and `apply_config` can change it.
+        training tick after every request, against the request index it
+        falls due at. The monitor, the classifier and the hot flags only
+        append here; each folds what it was given when it is read.
         """
         spans = page_span(record, self.geometry.page_size,
                           self.ssd.logical_capacity_pages)
@@ -109,13 +136,10 @@ class SimulatorStack:
                 hot = self.classifier.is_hot(lpn)
                 hot_any = hot_any or hot
                 us += self.ftl.handle_write(lpn, n, hot)
-            # slide the request's hot flag into the window
-            flag = 1 if hot_any else 0
-            window = self._hot_window
-            if len(window) == window.maxlen:
-                self._hot_count -= window[0]
-            window.append(flag)
-            self._hot_count += flag
+            flags = self._hot_flags
+            flags.append(hot_any)
+            if len(flags) > HOT_FLAGS_KEPT:
+                self._fold_hot_flags()
         else:
             for lpn, n in spans:
                 us += self.ftl.handle_read(lpn, n)
@@ -131,8 +155,7 @@ class SimulatorStack:
         elif self._classify_due:
             self._classify_due = self.config.kmeans_trigger_threshold < 1
             self.classifier.maybe_classify(self.config, now)
-        if (self.requests - self._train_mark.requests
-                >= self.config.rl_training_interval):
+        if self.requests >= self._train_due:
             self._train_agent()
         return us
 
@@ -146,6 +169,8 @@ class SimulatorStack:
         self.classifier.reconfigure(profile.slice_size,
                                     self.total_latency_us)
         self._classify_due = True
+        self._train_due = (self._train_mark.requests
+                           + profile.rl_training_interval)
 
     def marker(self) -> Marker:
         return Marker(requests=self.requests, writes=self.writes,
@@ -183,7 +208,7 @@ class SimulatorStack:
         self.ftl.reset_counters()
         self.requests = self.writes = 0
         self.total_latency_us = 0.0
-        self._train_mark = self.marker()
+        self._start_training_period()
 
     @property
     def reads(self) -> int:
@@ -473,7 +498,7 @@ def _report_dir(path) -> str:
 def _atomic_write(path, payload: str) -> None:
     # through a symlink: the file it points to is replaced, the link stays
     path = os.path.realpath(path)
-    fd, tmp = tempfile.mkstemp(dir=_report_dir(path), prefix=".report-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".report-")
     try:
         # mkstemp makes the file 0600; a report gets the mode a plain
         # open() would give it: the one it has, or 0666 less the umask

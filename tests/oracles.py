@@ -9,6 +9,8 @@ engine's or a stack's own state, to check it against itself.
 """
 import enum
 import math
+import statistics
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop
 
@@ -329,18 +331,55 @@ def every_check_page_span(record, page_size, logical_pages):
     return [(start, head), (0, n - head)]
 
 
+class DequeWindow:
+    """The monitor's window kept current on every push: a deque of the last
+    `capacity` (lpn, is_write, timestamp_us) requests, summarized by
+    recounting it."""
+
+    def __init__(self, capacity):
+        self.entries = deque(maxlen=capacity)
+        self.prev_std = None
+        self.shifts_detected = 0
+
+    def push(self, lpn, is_write, timestamp_us):
+        self.entries.append((lpn, is_write, timestamp_us))
+
+    def set_capacity(self, capacity):
+        self.entries = deque(self.entries, maxlen=capacity)
+
+    def summarize(self, std_dev_threshold):
+        entries = self.entries
+        if not entries:
+            return 0.0
+        std = statistics.pstdev([lpn for lpn, _, _ in entries])
+        if (self.prev_std is not None
+                and abs(std - self.prev_std) > std_dev_threshold):
+            self.shifts_detected += 1
+        self.prev_std = std
+        writes = sum(1 for _, is_write, _ in entries if is_write)
+        span_us = entries[-1][2] - entries[0][2]
+        return writes / (max(span_us, 1.0) / 1e6)
+
+
 class EveryCheckStack(SimulatorStack):
     """A SimulatorStack whose `service` makes every check on every
     request: the K-means trigger and the training tick after each one,
     reads included, and space management's trigger after each write,
     recomputed from the config's percent by `_short_of_blocks` instead of
     the engine's free-block counts. Writes and reads go through
-    `PerPageHost` (the region asked for every page), the classifier
-    counts one page per call, and `every_check_replay` asks
-    `wants_epoch` after every request."""
+    `PerPageHost` (the region asked for every page). The statistics are
+    kept current on every request by the references here: a
+    `DequeWindow` monitor, a `ReferenceClassifier` told of one page per
+    call and a 256-flag deque for the hot-write fraction.
+    `every_check_replay` asks `wants_epoch` after every request."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.monitor = DequeWindow(self.config.window_size)
+        self.classifier = ReferenceClassifier(
+            self.config.slice_size, self.geometry.page_size,
+            kmeans_tol=self.classifier.kmeans_tol)
+        self.hot_window = deque(maxlen=256)
         ftl = self.ftl
         self.host = PerPageHost(ftl, Mode.SLC, Mode.QLC,
                                 PlacementStrategy.SLC_FIRST)
@@ -353,6 +392,10 @@ class EveryCheckStack(SimulatorStack):
         # the engine's own space management, prefill included, asks this
         ftl._regions_below_threshold = below_trigger
 
+    def hot_write_fraction(self):
+        window = self.hot_window
+        return sum(window) / len(window) if window else 0.0
+
     def service(self, record):
         spans = every_check_page_span(record, self.geometry.page_size,
                                       self.ssd.logical_capacity_pages)
@@ -364,11 +407,7 @@ class EveryCheckStack(SimulatorStack):
                 hot = self.classifier.is_hot(lpn)
                 hot_any = hot_any or hot
                 us += self.host.handle_write(lpn, n, hot)
-            window = self._hot_window
-            if len(window) == window.maxlen:
-                self._hot_count -= window[0]
-            window.append(1 if hot_any else 0)
-            self._hot_count += 1 if hot_any else 0
+            self.hot_window.append(1 if hot_any else 0)
         else:
             for lpn, n in spans:
                 us += self.host.handle_read(lpn, n)

@@ -1,5 +1,4 @@
 import statistics
-from collections import deque
 
 import pytest
 
@@ -65,37 +64,51 @@ class TestSummary:
             assert rate == pytest.approx(4 / (700 / 1e6))
 
     def test_summary_takes_no_full_window_pass(self):
-        # the tunable's upper bound: a summary reads the running counts and
-        # the two end timestamps, never the 200000 entries in between
+        # the tunable's upper bound: a summary folds in the entries pushed
+        # since the last fold and the ones they evict, never the 200000
+        # entries in between; a second summary with no push in between
+        # reads only the two end timestamps
         cap = default_param_bounds()["window_size"].hi
         assert cap == 200000
         w = SlidingWindow(cap)
         lpns = [(i * 7919) % 100003 for i in range(cap)]
         for i, lpn in enumerate(lpns):
             w.push(lpn, i % 3 == 0, float(i))
+        writes = (cap + 2) // 3                 # i % 3 == 0
+        assert w.summarize(100) == writes / ((cap - 1) / 1e6)
         read = []
 
-        class NoPass(deque):
-            def __iter__(self):
-                raise AssertionError("summary iterated the window")
+        class Watched(list):
+            def __init__(self, name, items):
+                super().__init__(items)
+                self.name = name
 
-            def __reversed__(self):
-                raise AssertionError("summary iterated the window")
+            def __iter__(self):
+                raise AssertionError(f"{self.name} iterated whole")
 
             def __getitem__(self, index):
-                read.append(index)
+                n = (len(range(*index.indices(len(self))))
+                     if isinstance(index, slice) else 1)
+                read.append((self.name, n))
                 return super().__getitem__(index)
 
-        w.entries = NoPass(w.entries)
-        rate = w.summarize(100)
-        assert set(read) <= {0, -1}
-        writes = (cap + 2) // 3                 # i % 3 == 0
-        assert rate == writes / ((cap - 1) / 1e6)
-        # 0 replaces the evicted lpns[0] == 0: the std-dev cannot move
-        w.push(0, False, float(cap))
-        w.summarize(0)
+        w._lpns, w._flags, w._stamps = (
+            Watched(name, getattr(w, name))
+            for name in ("_lpns", "_flags", "_stamps"))
+        # k requests replace the k evicted ones with the same lpns and
+        # flags: neither the write count, the span nor the std-dev moves
+        k = 10
+        for i in range(k):
+            w.push(lpns[i], i % 3 == 0, float(cap + i))
+        assert w.summarize(0) == writes / ((cap - 1) / 1e6)
         assert w.shifts_detected == 0
-        assert set(read) <= {0, -1}
+        for name in ("_lpns", "_flags"):
+            assert sum(n for col, n in read if col == name) == 2 * k
+        assert sum(n for col, n in read if col == "_stamps") == 2
+        read.clear()
+        w.summarize(0)
+        assert sorted(read) == [("_stamps", 1), ("_stamps", 1)]
+        assert w.shifts_detected == 0
 
     def test_zero_span_rate_does_not_divide_by_zero(self):
         w = SlidingWindow(4)

@@ -22,6 +22,7 @@ from hybridssd.config import (ConfigProfile, PlacementStrategy,
 from hybridssd.errors import CapacityError, ConfigError, NoValidUpdate
 from hybridssd.ftl import (ACTION_ORDER, SAFETY_BOUND, ActionKind,
                            ActionOutcome, FtlEngine, fallback_source)
+import hybridssd.hotness as hotness_module
 from hybridssd.hotness import HotnessClassifier
 from hybridssd.monitor import SlidingWindow
 from hybridssd.replay import SimulatorStack, replay
@@ -35,8 +36,9 @@ from hybridssd.tuner import ScriptedBackend, correct_mistakes
 from hybridssd.verification import EpochSchedule, VerificationLoop
 
 from conftest import StreakCases, make_stack
-from oracles import (FlatQTable, PagePayloads, PerBlockDevice, PerPageHost,
-                     ReferenceAgent, ReferenceClassifier, SwapTrace,
+from oracles import (DequeWindow, FlatQTable, PagePayloads, PerBlockDevice,
+                     PerPageHost, ReferenceAgent, ReferenceClassifier,
+                     SwapTrace,
                      bucket_fraction, every_check_replay, free_ids,
                      least_worn, per_draw, per_round_space_management,
                      reference_load_trace)
@@ -742,6 +744,35 @@ def test_record_write_of_a_span_matches_per_page_calls(spans,
         for idx, s in ref.stats.slices.items()}
 
 
+@settings(max_examples=100, deadline=None)
+@given(spans=st.lists(st.tuples(st.integers(min_value=0, max_value=200),
+                                st.integers(min_value=1, max_value=8),
+                                st.floats(min_value=0.0, max_value=1e4),
+                                st.booleans()),
+                      min_size=1, max_size=40),
+       pages_per_slice=st.integers(min_value=1, max_value=8),
+       log_spans=st.integers(min_value=1, max_value=5))
+def test_logged_spans_fold_to_the_per_page_statistics(spans, pages_per_slice,
+                                                      log_spans):
+    # a small log bound folds unasked between the drawn reads of `slices`
+    clf = HotnessClassifier(PAGE * pages_per_slice, PAGE)
+    ref = ReferenceClassifier(PAGE * pages_per_slice, PAGE)
+    now = 0.0
+    with mock.patch.object(hotness_module, "LOG_SPANS", log_spans):
+        for lpn, n, dt, read in spans:
+            now += dt
+            clf.record_write(lpn, now, n)
+            for i in range(lpn, lpn + n):
+                ref.record_write(i, now)
+            assert len(clf._log) < log_spans
+            if read:
+                assert clf.slices == {
+                    idx: [s.update_count, s.last_time_us,
+                          s.mean_interval_us]
+                    for idx, s in ref.stats.slices.items()}
+    assert clf.writes_since_classify == ref.writes_since_classify
+
+
 # --- page span -----------------------------------------------------------------------
 
 @settings(max_examples=200)
@@ -1301,6 +1332,42 @@ def test_window_running_counts_match_a_recount(capacity, ops):
         assert window.writes == sum(1 for _, w, _ in expect if w)
         assert window.lpn_sum == sum(lpn for lpn, _, _ in expect)
         assert window.lpn_sq_sum == sum(lpn * lpn for lpn, _, _ in expect)
+
+
+# a push, a resize, or a summary at one of three std-dev thresholds
+folded_window_ops = st.lists(
+    st.one_of(st.tuples(st.integers(min_value=0, max_value=2**40),
+                        st.booleans()),
+              st.integers(min_value=2, max_value=12),
+              st.sampled_from([0.0, 100.0, 2.0**39])),
+    max_size=150)
+
+
+@settings(max_examples=100)
+@given(capacity=st.integers(min_value=2, max_value=12),
+       ops=folded_window_ops)
+# a full window, one push it has not folded, then a resize that grows it:
+# the push evicts under the old capacity
+@example(capacity=2, ops=[(5, True), (6, False), (7, True), (8, False), 3])
+def test_window_folds_only_on_reads_and_matches_the_deque(capacity, ops):
+    # pushes between two summaries run past the capacity, so folds come
+    # from pushes, resizes and summaries alike
+    window = SlidingWindow(capacity)
+    ref = DequeWindow(capacity)
+    for t, op in enumerate(ops):
+        if isinstance(op, tuple):
+            window.push(*op, float(t))
+            ref.push(*op, float(t))
+        elif isinstance(op, int):
+            window.set_capacity(op)
+            ref.set_capacity(op)
+            capacity = op
+        else:
+            assert window.summarize(op) == ref.summarize(op)
+            assert window.shifts_detected == ref.shifts_detected
+        assert len(window._lpns) <= 2 * capacity + 1
+    assert window.entries == list(ref.entries)
+    assert window.writes == sum(1 for _, w, _ in ref.entries if w)
 
 
 # --- hotness classifier against the per-lookup grid reference -------------------

@@ -13,8 +13,10 @@ import pytest
 from hybridssd import cli
 from hybridssd.config import ConfigProfile
 from hybridssd.errors import ConfigError
-from hybridssd.replay import (RunReport, SimulatorStack, _build_report,
-                              _scale_param, emit_report, replay, run_sweep)
+from hybridssd.hotness import LOG_SPANS
+from hybridssd.replay import (HOT_FLAGS_KEPT, RunReport, SimulatorStack,
+                              _build_report, _scale_param, emit_report,
+                              replay, run_sweep)
 from hybridssd.ssd import FlashGeometry, desk_geometry
 from hybridssd.trace import OpKind, TraceRecord, page_span, synth_trace
 from hybridssd.tuner import ScriptedBackend, estimate_tokens
@@ -149,6 +151,63 @@ class TestSimulatorStack:
                          list(s.agent.intensity_samples)))
             s.ssd.audit()
         assert runs[0] == runs[1]
+
+    def test_a_deep_copy_with_unfolded_statistics_replays_as_the_original(
+            self):
+        # the monitor, the classifier and the hot flags each hold entries
+        # they have not folded yet when the copy is taken
+        geo = FlashGeometry(channels=8, blocks_per_channel=32,
+                            pages_per_block_slc=32)
+        config = ConfigProfile(rl_training_interval=50, window_size=64,
+                               kmeans_trigger_threshold=100,
+                               slice_size=geo.page_size * 8)
+        stack = SimulatorStack(geo, config, seed=1)
+        records = synth_trace(2000, stack.ssd.logical_capacity_pages,
+                              geo.page_size, seed=5, size_pages=3)
+        cut = 777
+        for record in records[:cut]:
+            stack.service(record)
+        # each has folded before and holds more since
+        assert len(stack.monitor._lpns) > stack.monitor._folded > 0
+        assert stack.classifier._log and stack.classifier.generation
+        assert len(stack._hot_flags) > stack._hot_folded > 0
+        classified = stack.classifier.generation
+
+        def bookkeeping(s):
+            return copy.deepcopy((vars(s.monitor), vars(s.classifier),
+                                  s._hot_flags, s._hot_folded, s._hot_count))
+
+        twin = copy.deepcopy(stack)
+        before = bookkeeping(stack)
+        runs = []
+        for s in (twin, stack):
+            latencies = [s.service(record) for record in records[cut:]]
+            report = _build_report(s, "default", len(records), 0, s.config,
+                                   None, None)
+            runs.append((latencies, report.to_json_dict()))
+            if s is twin:
+                assert bookkeeping(stack) == before
+        assert runs[0] == runs[1]
+        assert runs[0][1]["classifications"] > classified
+
+    def test_unread_statistics_stay_bounded(self):
+        # no training tick, classification or agent draw reads them: the
+        # monitor keeps about twice its capacity, the classifier's log and
+        # the hot flags their fixed bounds
+        stack = SimulatorStack(FlashGeometry(), ConfigProfile(
+            window_size=16, rl_training_interval=10**7,
+            kmeans_trigger_threshold=10**8))
+        page = stack.geometry.page_size
+        longest = [0, 0, 0]
+        for i in range(2 * HOT_FLAGS_KEPT):
+            stack.service(TraceRecord(OpKind.WRITE, (i % 1000) * page, page))
+            sizes = (len(stack.monitor._lpns), len(stack.classifier._log),
+                     len(stack._hot_flags))
+            longest = [max(a, b) for a, b in zip(longest, sizes)]
+        assert longest == [2 * 16, LOG_SPANS - 1, HOT_FLAGS_KEPT]
+        assert stack.agent.decisions == stack.agent.trainings == 0
+        assert stack.monitor.writes == 16
+        assert stack.hot_write_fraction() == 0.0
 
     def test_run_counters_match_a_flash_op_recount(self):
         # the gc_steady benchmark's device and start, the agent on; the op
