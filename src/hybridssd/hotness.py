@@ -2,9 +2,11 @@
 
 Logical space is cut into fixed-size slices; every host write updates its
 slice's update count and running mean update interval. A write is only
-logged when it happens; the statistics replay the log, in order and with the
-same float operations, when they are read (a classification, a read of
-`slices`) or when the log reaches LOG_SPANS spans. Classification
+logged when it happens, as one entry in each of three column lists (lpn,
+time, page count), so logging allocates no object the cyclic collector
+tracks; the statistics replay the log, in order and with the same float
+operations, when they are read (a classification, a read of `slices`) or
+when the log reaches LOG_SPANS spans. Classification
 clusters (count, interval) with K-means and labels the most-updated cluster
 hot. Statistics are windowed: each classification consumes and resets them,
 so the hot slices track the last classification window, not all history.
@@ -178,8 +180,10 @@ class HotnessClassifier:
         self.slice_size = slice_size
         self.pages_per_slice = slice_size // page_size
         self._slices: dict[int, list] = {}
-        # (lpn, now_us, n_pages) of each write not yet in _slices
-        self._log: list[tuple[int, float, int]] = []
+        # the log of spans not yet in _slices: one column per field
+        self._lpns: list[int] = []
+        self._stamps: list[float] = []
+        self._sizes: list[int] = []
         self.window_start_us = now_us
         self.hot: frozenset[int] = frozenset()
         self.writes_since_classify = 0
@@ -189,9 +193,11 @@ class HotnessClassifier:
         Called once per written span (n_pages >= 1); the slice statistics
         take it in when they are next read."""
         self.writes_since_classify += n_pages
-        log = self._log
-        log.append((lpn, now_us, n_pages))
-        if len(log) >= LOG_SPANS:
+        lpns = self._lpns
+        lpns.append(lpn)
+        self._stamps.append(now_us)
+        self._sizes.append(n_pages)
+        if len(lpns) >= LOG_SPANS:
             self._fold()
 
     def _fold(self) -> None:
@@ -201,7 +207,8 @@ class HotnessClassifier:
         loop."""
         per_slice = self.pages_per_slice
         slices = self._slices
-        for lpn, now_us, n_pages in self._log:
+        lpns, stamps, sizes = self._lpns, self._stamps, self._sizes
+        for lpn, now_us, n_pages in zip(lpns, stamps, sizes):
             end = lpn + n_pages
             idx = lpn // per_slice
             while True:
@@ -225,13 +232,15 @@ class HotnessClassifier:
                     break
                 lpn = stop
                 idx += 1
-        self._log.clear()
+        lpns.clear()
+        stamps.clear()
+        sizes.clear()
 
     @property
     def slices(self) -> dict[int, list]:
         """Slice id -> [update count, last update us, running mean of the
         update_count - 1 gaps in us] over the window's writes so far."""
-        if self._log:
+        if self._lpns:
             self._fold()
         return self._slices
 

@@ -330,40 +330,47 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
     stack = SimulatorStack(geometry, config, latency=latency, seed=seed,
                            initial_mode_split=initial_mode_split,
                            kmeans_tol=kmeans_tol)
-    loop = None
-    if mode == "tuned":
-        if backend is None:
-            raise ConfigError("tuned mode needs a backend")
-        schedule = schedule or EpochSchedule()
-        if schedule.max_epochs > 0:
-            loop = VerificationLoop(backend, schedule, max_tokens=max_tokens,
-                                    target_note=target_note)
-            loop.check_prompt_fits(stack)
-    if prefill_fraction:
-        stack.prefill(prefill_fraction)
-    ops = iter(records)
-    if loop is not None:
-        max_epochs = loop.schedule.max_epochs
-        monitor = stack.monitor
+    try:
+        loop = None
+        if mode == "tuned":
+            if backend is None:
+                raise ConfigError("tuned mode needs a backend")
+            schedule = schedule or EpochSchedule()
+            if schedule.max_epochs > 0:
+                loop = VerificationLoop(backend, schedule,
+                                        max_tokens=max_tokens,
+                                        target_note=target_note)
+                loop.check_prompt_fits(stack)
+        if prefill_fraction:
+            stack.prefill(prefill_fraction)
+        ops = iter(records)
+        if loop is not None:
+            max_epochs = loop.schedule.max_epochs
+            monitor = stack.monitor
+            for record in ops:
+                stack.service(record)
+                # an epoch falls due only on a write (the scheduled interval
+                # counts writes) or on a shift the loop has not seen yet (a
+                # training tick, perhaps inside the last probe, counted it);
+                # wants_epoch spends such a shift, so it is asked at once
+                if (record.op is WRITE
+                        or monitor.shifts_detected != loop.shifts_seen):
+                    trigger = loop.wants_epoch(stack)
+                    if trigger:
+                        # the probe draws its requests from `ops` itself
+                        loop.run_epoch(stack, ops, trigger)
+                        if len(loop.history) >= max_epochs:
+                            break
+        # no epoch can start: the rest is plain servicing
         for record in ops:
             stack.service(record)
-            # an epoch falls due only on a write (the scheduled interval
-            # counts writes) or on a shift the loop has not seen yet (a
-            # training tick, perhaps inside the last probe, counted it);
-            # wants_epoch spends such a shift, so it is asked at once
-            if (record.op is WRITE
-                    or monitor.shifts_detected != loop.shifts_seen):
-                trigger = loop.wants_epoch(stack)
-                if trigger:
-                    # the probe draws its requests from `ops` itself
-                    loop.run_epoch(stack, ops, trigger)
-                    if len(loop.history) >= max_epochs:
-                        break
-    # no epoch can start: the rest is plain servicing
-    for record in ops:
-        stack.service(record)
-    return _build_report(stack, mode, len(records), skipped_lines, config,
-                         loop, baseline_total_us)
+        return _build_report(stack, mode, len(records), skipped_lines,
+                             config, loop, baseline_total_us)
+    finally:
+        # the engine's action source is the stack's bound _pick_action:
+        # dropping it leaves no cycle, so reference counting frees the
+        # finished stack and its device as soon as the caller lets go
+        stack.ftl.action_source = None
 
 
 # --- parameter sweeps --------------------------------------------------------

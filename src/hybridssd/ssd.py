@@ -421,8 +421,13 @@ class SsdState:
     # --- victim index -------------------------------------------------------------
 
     def _index(self, block_id: int) -> None:
-        self.reclaimable[self.mode[block_id]].setdefault(
-            self.valid_count[block_id], set()).add(block_id)
+        buckets = self.reclaimable[self.mode[block_id]]
+        valid = self.valid_count[block_id]
+        bucket = buckets.get(valid)
+        if bucket is None:
+            buckets[valid] = {block_id}
+        else:
+            bucket.add(block_id)
 
     def _unindex(self, block_id: int, valid: int) -> None:
         buckets = self.reclaimable[self.mode[block_id]]

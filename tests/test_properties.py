@@ -764,7 +764,7 @@ def test_logged_spans_fold_to_the_per_page_statistics(spans, pages_per_slice,
             clf.record_write(lpn, now, n)
             for i in range(lpn, lpn + n):
                 ref.record_write(i, now)
-            assert len(clf._log) < log_spans
+            assert len(clf._lpns) < log_spans
             if read:
                 assert clf.slices == {
                     idx: [s.update_count, s.last_time_us,
