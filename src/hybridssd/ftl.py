@@ -88,9 +88,9 @@ class FtlEngine:
     `action_source` is any callable(ftl, skip, limit) -> (kind, draws): it
     draws up to `limit` kinds, counting each in `ftl.action_counts`, and
     stops at IDLE or at the first kind not in `skip`, which it returns,
-    else returns None. The replay harness wires the RL agent in through
-    it, tests pass scripted pickers. Without one, the engine uses
-    `fallback_source`, a fixed greedy order.
+    else returns None. The replay stack passes its agent's `act`, which
+    keeps no reference to the engine; tests pass scripted pickers.
+    Without one, the engine uses `fallback_source`, a fixed greedy order.
 
     Space management calls the source once per executed action, and once
     for the IDLE or the limit that ends it. `skip` holds the kinds that

@@ -2,8 +2,9 @@
 
 Execution time is the sum of simulated service latencies; trace timestamps
 only order requests. One SimulatorStack owns the device, FTL, classifier,
-monitor, and agent; the verification loop (tuned mode) drives config changes
-between requests.
+monitor, and agent, which is the FTL's action source and keeps what it
+observes; the verification loop (tuned mode) drives config changes between
+requests.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .config import ConfigProfile, default_param_bounds
 from .errors import ConfigError
-from .ftl import ACTION_ORDER, ActionKind, FtlEngine, write_amplification
+from .ftl import ACTION_ORDER, FtlEngine, write_amplification
 from .hotness import KMEANS_TOL, HotnessClassifier
 from .monitor import MIN_CAPACITY, SlidingWindow
 from .rl import SpaceAgent
@@ -29,12 +30,6 @@ from .trace import WRITE, TraceRecord, page_span
 from .tuner import DEFAULT_MAX_TOKENS
 from .verification import (EpochSchedule, Marker, VerificationLoop, accuracy,
                            measure)
-
-# write requests whose hot flags the agent's hot-write fraction reads
-HOT_WINDOW = 256
-# hot flags kept unread before a write folds them into the count
-HOT_FLAGS_KEPT = 4096
-
 
 class SimulatorStack:
     """Device plus the full management stack under one tunable config."""
@@ -50,63 +45,29 @@ class SimulatorStack:
         self.ssd = SsdState(geometry, latency or LatencyModel(),
                             initial_mode_split)
         self.agent = SpaceAgent(random.Random(seed))
-        self.ftl = FtlEngine(self.ssd, config, action_source=self._pick_action)
+        self.ftl = FtlEngine(self.ssd, config, action_source=self.agent.act)
         self.monitor = SlidingWindow(config.window_size)
         self.classifier = HotnessClassifier(config.slice_size,
                                             geometry.page_size,
                                             kmeans_tol=kmeans_tol)
         self.requests = 0
         self.writes = 0
-        self.total_latency_us = 0.0     # also the virtual clock
-        self.write_rate = 0.0           # writes/s at the last summary
-        # each write request's hot flag, oldest first; the flags from
-        # index _hot_folded on are not yet in _hot_count, the hot flags
-        # among the last HOT_WINDOW ones
-        self._hot_flags: list[bool] = []
-        self._hot_folded = 0
-        self._hot_count = 0
+        # the virtual clock, which never rewinds, and the run's start on it
+        self.total_latency_us = self.run_start_us = 0.0
         self._start_training_period()
         # whether a read checks the K-means trigger: a write moves its
         # count, so otherwise only apply_config or a trigger below one
         # write can make it due between writes
         self._classify_due = True
 
-    # --- agent wiring -----------------------------------------------------
-
-    def hot_write_fraction(self) -> float:
-        """Share of hot-flagged requests among the last HOT_WINDOW writes."""
-        flags = self._hot_flags
-        if len(flags) != self._hot_folded:
-            self._fold_hot_flags()
-        return self._hot_count / len(flags) if flags else 0.0
-
-    def _fold_hot_flags(self) -> None:
-        # count the new flags that stay, uncount the counted ones that slid
-        # out, keep the window
-        flags = self._hot_flags
-        cut = max(len(flags) - HOT_WINDOW, 0)
-        keep, gone = max(self._hot_folded, cut), min(self._hot_folded, cut)
-        self._hot_count += sum(flags[keep:]) - sum(flags[:gone])
-        del flags[:cut]
-        self._hot_folded = len(flags)
-
-    def _pick_action(self, ftl, skip, limit) -> tuple[ActionKind | None,
-                                                      int]:
-        agent = self.agent
-        state = agent.observe_state(ftl.free_count, self.ssd.block_tally,
-                                    self.write_rate,
-                                    self.hot_write_fraction())
-        return agent.choose_action(state, self.config.rl_exploration, skip,
-                                   limit, ftl.action_counts)
+    # --- agent training -----------------------------------------------------
 
     def _train_agent(self) -> None:
         # service calls this only once the period holds a request
         period = measure(self, self._train_mark)
-        self.write_rate = self.monitor.summarize(self.config.std_dev_threshold)
-        state = self.agent.observe_state(self.ftl.free_count,
-                                         self.ssd.block_tally, self.write_rate,
-                                         self.hot_write_fraction())
-        self.agent.train(period.mean_latency_us, state, self.config)
+        agent, config = self.agent, self.config
+        agent.write_rate = self.monitor.summarize(config.std_dev_threshold)
+        agent.train(period.mean_latency_us, agent.observe(self.ftl), config)
         self._start_training_period()
 
     def _start_training_period(self) -> None:
@@ -123,8 +84,8 @@ class SimulatorStack:
         happened: the K-means trigger after a write (`record_write` moves
         its count) and on the first read after `apply_config`; the
         training tick after every request, against the request index it
-        falls due at. The monitor, the classifier and the hot flags only
-        append here; each folds what it was given when it is read.
+        falls due at. The monitor, the classifier and the agent's hot flags
+        only append here; each folds what it was given when it is read.
         """
         spans = page_span(record, self.geometry.page_size,
                           self.ssd.logical_capacity_pages)
@@ -136,10 +97,7 @@ class SimulatorStack:
                 hot = self.classifier.is_hot(lpn)
                 hot_any = hot_any or hot
                 us += self.ftl.handle_write(lpn, n, hot)
-            flags = self._hot_flags
-            flags.append(hot_any)
-            if len(flags) > HOT_FLAGS_KEPT:
-                self._fold_hot_flags()
+            self.agent.push_hot_flag(hot_any)
         else:
             for lpn, n in spans:
                 us += self.ftl.handle_read(lpn, n)
@@ -207,7 +165,7 @@ class SimulatorStack:
     def reset_metrics(self) -> None:
         self.ftl.reset_counters()
         self.requests = self.writes = 0
-        self.total_latency_us = 0.0
+        self.run_start_us = self.total_latency_us
         self._start_training_period()
 
     @property
@@ -268,9 +226,10 @@ def _build_report(stack: SimulatorStack, mode: str, trace_ops: int,
     if loop is not None:
         epochs = [r.to_json_dict() for r in loop.history]
         acc = accuracy(loop.history)
+    total = stack.total_latency_us - stack.run_start_us
     normalized = None
     if baseline_total_us:
-        normalized = stack.total_latency_us / baseline_total_us
+        normalized = total / baseline_total_us
     return RunReport(
         mode=mode,
         seed=stack.seed,
@@ -285,9 +244,8 @@ def _build_report(stack: SimulatorStack, mode: str, trace_ops: int,
         reads=stack.reads,
         rejected_requests=stack.ftl.rejected_requests,
         unmapped_reads=stack.ftl.unmapped_reads,
-        total_latency_us=stack.total_latency_us,
-        mean_latency_us=(stack.total_latency_us / stack.requests
-                         if stack.requests else None),
+        total_latency_us=total,
+        mean_latency_us=total / stack.requests if stack.requests else None,
         normalized_execution_time=normalized,
         wa=write_amplification(stack.ftl.wa.device_pages_written,
                                stack.ftl.wa.host_pages_written),
@@ -327,50 +285,43 @@ def replay(records: list[TraceRecord], config: ConfigProfile,
     """
     if mode not in ("default", "tuned"):
         raise ConfigError(f"unknown replay mode {mode!r}")
+    if mode == "tuned" and backend is None:
+        raise ConfigError("tuned mode needs a backend")
     stack = SimulatorStack(geometry, config, latency=latency, seed=seed,
                            initial_mode_split=initial_mode_split,
                            kmeans_tol=kmeans_tol)
-    try:
-        loop = None
-        if mode == "tuned":
-            if backend is None:
-                raise ConfigError("tuned mode needs a backend")
-            schedule = schedule or EpochSchedule()
-            if schedule.max_epochs > 0:
-                loop = VerificationLoop(backend, schedule,
-                                        max_tokens=max_tokens,
-                                        target_note=target_note)
-                loop.check_prompt_fits(stack)
-        if prefill_fraction:
-            stack.prefill(prefill_fraction)
-        ops = iter(records)
-        if loop is not None:
-            max_epochs = loop.schedule.max_epochs
-            monitor = stack.monitor
-            for record in ops:
-                stack.service(record)
-                # an epoch falls due only on a write (the scheduled interval
-                # counts writes) or on a shift the loop has not seen yet (a
-                # training tick, perhaps inside the last probe, counted it);
-                # wants_epoch spends such a shift, so it is asked at once
-                if (record.op is WRITE
-                        or monitor.shifts_detected != loop.shifts_seen):
-                    trigger = loop.wants_epoch(stack)
-                    if trigger:
-                        # the probe draws its requests from `ops` itself
-                        loop.run_epoch(stack, ops, trigger)
-                        if len(loop.history) >= max_epochs:
-                            break
-        # no epoch can start: the rest is plain servicing
+    loop = None
+    if mode == "tuned":
+        schedule = schedule or EpochSchedule()
+        if schedule.max_epochs > 0:
+            loop = VerificationLoop(backend, schedule, max_tokens=max_tokens,
+                                    target_note=target_note)
+            loop.check_prompt_fits(stack)
+    if prefill_fraction:
+        stack.prefill(prefill_fraction)
+    ops = iter(records)
+    if loop is not None:
+        max_epochs = loop.schedule.max_epochs
+        monitor = stack.monitor
         for record in ops:
             stack.service(record)
-        return _build_report(stack, mode, len(records), skipped_lines,
-                             config, loop, baseline_total_us)
-    finally:
-        # the engine's action source is the stack's bound _pick_action:
-        # dropping it leaves no cycle, so reference counting frees the
-        # finished stack and its device as soon as the caller lets go
-        stack.ftl.action_source = None
+            # an epoch falls due only on a write (the scheduled interval
+            # counts writes) or on a shift the loop has not seen yet (a
+            # training tick, perhaps inside the last probe, counted it);
+            # wants_epoch spends such a shift, so it is asked at once
+            if (record.op is WRITE
+                    or monitor.shifts_detected != loop.shifts_seen):
+                trigger = loop.wants_epoch(stack)
+                if trigger:
+                    # the probe draws its requests from `ops` itself
+                    loop.run_epoch(stack, ops, trigger)
+                    if len(loop.history) >= max_epochs:
+                        break
+    # no epoch can start: the rest is plain servicing
+    for record in ops:
+        stack.service(record)
+    return _build_report(stack, mode, len(records), skipped_lines, config,
+                         loop, baseline_total_us)
 
 
 # --- parameter sweeps --------------------------------------------------------

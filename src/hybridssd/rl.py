@@ -3,7 +3,8 @@
 State is a coarse 4-tuple of buckets (10 x 10 x 4 x 4 = 1600 states), the
 action set is the five space-management kinds. Rewards are two-piece: +1
 when the average response time since the last training tick stayed at or
-under the reward threshold, -1 otherwise.
+under the reward threshold, -1 otherwise. The engine's action source is
+`act`; the agent owns its workload inputs and keeps no engine reference.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .config import ConfigProfile
-from .ftl import ACTION_ORDER, IDLE, ActionKind
+from .ftl import ACTION_ORDER, IDLE, ActionKind, FtlEngine
 from .ssd import QLC, SLC
 
 logger = logging.getLogger(__name__)
@@ -22,6 +23,10 @@ N_FREE_BUCKETS = 10
 N_QUARTILES = 4
 # writes/sec samples kept to rank the current write intensity
 INTENSITY_SAMPLES = 256
+# write requests whose hot flags the hot-write fraction reads
+HOT_WINDOW = 256
+# hot flags kept unread before a write folds them into the count
+HOT_FLAGS_KEPT = 4096
 
 _LATER_ACTIONS = ACTION_ORDER[1:]
 # the bucket of a sample ranked exactly at the middle of its window
@@ -114,6 +119,13 @@ class SpaceAgent:
         self.rng = rng
         self.pending: list[tuple[AgentState, ActionKind]] = []
         self.intensity_samples: deque[float] = deque(maxlen=INTENSITY_SAMPLES)
+        self.write_rate = 0.0   # writes/s at the last training tick's summary
+        # each write request's hot flag, oldest first; the flags from
+        # index _hot_folded on are not yet in _hot_count, the hot flags
+        # among the last HOT_WINDOW ones
+        self.hot_flags: list[bool] = []
+        self._hot_folded = 0
+        self._hot_count = 0
         # the last rate pushed and the `_rank_pushes` of it that ranks every
         # following push of the same rate
         self._rank_value: float | None = None
@@ -137,6 +149,30 @@ class SpaceAgent:
         return state
 
     # --- state construction ---------------------------------------------------
+
+    def push_hot_flag(self, hot: bool) -> None:
+        """Slide one write request's hot flag into the window."""
+        flags = self.hot_flags
+        flags.append(hot)
+        if len(flags) > HOT_FLAGS_KEPT:
+            self._fold_hot_flags()
+
+    def hot_write_fraction(self) -> float:
+        """Share of hot-flagged requests among the last HOT_WINDOW writes."""
+        flags = self.hot_flags
+        if len(flags) != self._hot_folded:
+            self._fold_hot_flags()
+        return self._hot_count / len(flags) if flags else 0.0
+
+    def _fold_hot_flags(self) -> None:
+        # count the new flags that stay, uncount the counted ones that slid
+        # out, keep the window
+        flags = self.hot_flags
+        cut = max(len(flags) - HOT_WINDOW, 0)
+        keep, gone = max(self._hot_folded, cut), min(self._hot_folded, cut)
+        self._hot_count += sum(flags[keep:]) - sum(flags[:gone])
+        del flags[:cut]
+        self._hot_folded = len(flags)
 
     def intensity_bucket(self, writes_per_second: float) -> int:
         """Push one writes/sec sample and bucket its rank in the window:
@@ -216,7 +252,20 @@ class SpaceAgent:
         self._memo_pairs = {kind: (state, kind) for kind in ACTION_ORDER}
         self._memo_greedy = self.qtable.best_action(state)
 
+    def observe(self, ftl: FtlEngine) -> AgentState:
+        """`observe_state` on the engine's occupancy and the agent's inputs."""
+        return self.observe_state(ftl.free_count, ftl.ssd.block_tally,
+                                  self.write_rate, self.hot_write_fraction())
+
     # --- acting and learning -----------------------------------------------------
+
+    def act(self, ftl: FtlEngine, skip,
+            limit: int) -> tuple[ActionKind | None, int]:
+        """The engine's action source: `choose_action` on the observed
+        state, at the exploration rate of the engine's active profile."""
+        return self.choose_action(self.observe(ftl),
+                                  ftl.config.rl_exploration, skip, limit,
+                                  ftl.action_counts)
 
     def choose_action(self, state: AgentState, epsilon: float, skip=(),
                       limit: int = 1, counts: dict | None = None

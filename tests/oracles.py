@@ -20,7 +20,7 @@ from hybridssd.ftl import SAFETY_BOUND, ActionKind
 from hybridssd.replay import SimulatorStack
 from hybridssd.ssd import Mode
 from hybridssd.trace import OpKind
-from hybridssd.verification import VerificationLoop
+from hybridssd.verification import VerificationLoop, measure
 
 INVALID = "X"
 
@@ -361,6 +361,11 @@ class DequeWindow:
         return writes / (max(span_us, 1.0) / 1e6)
 
 
+def window_fraction(flags):
+    """Share of set flags in a window, 0.0 when it is empty."""
+    return sum(flags) / len(flags) if flags else 0.0
+
+
 class EveryCheckStack(SimulatorStack):
     """A SimulatorStack whose `service` makes every check on every
     request: the K-means trigger and the training tick after each one,
@@ -370,8 +375,11 @@ class EveryCheckStack(SimulatorStack):
     `PerPageHost` (the region asked for every page). The statistics are
     kept current on every request by the references here: a
     `DequeWindow` monitor, a `ReferenceClassifier` told of one page per
-    call and a 256-flag deque for the hot-write fraction.
-    `every_check_replay` asks `wants_epoch` after every request."""
+    call and a 256-flag deque for the hot-write fraction. The agent's
+    decisions and training read that deque, the stack's own write rate
+    and the exploration rate of the stack's config, never the agent's
+    own inputs. `every_check_replay` asks `wants_epoch` after every
+    request."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -380,7 +388,9 @@ class EveryCheckStack(SimulatorStack):
             self.config.slice_size, self.geometry.page_size,
             kmeans_tol=self.classifier.kmeans_tol)
         self.hot_window = deque(maxlen=256)
+        self.write_rate = 0.0
         ftl = self.ftl
+        ftl.action_source = self.pick_action
         self.host = PerPageHost(ftl, Mode.SLC, Mode.QLC,
                                 PlacementStrategy.SLC_FIRST)
 
@@ -392,9 +402,22 @@ class EveryCheckStack(SimulatorStack):
         # the engine's own space management, prefill included, asks this
         ftl._regions_below_threshold = below_trigger
 
-    def hot_write_fraction(self):
-        window = self.hot_window
-        return sum(window) / len(window) if window else 0.0
+    def observe(self):
+        return self.agent.observe_state(
+            self.ftl.free_count, self.ssd.block_tally, self.write_rate,
+            window_fraction(self.hot_window))
+
+    def pick_action(self, ftl, skip, limit):
+        return self.agent.choose_action(self.observe(),
+                                        self.config.rl_exploration, skip,
+                                        limit, ftl.action_counts)
+
+    def _train_agent(self):
+        period = measure(self, self._train_mark)
+        self.write_rate = self.monitor.summarize(
+            self.config.std_dev_threshold)
+        self.agent.train(period.mean_latency_us, self.observe(), self.config)
+        self._start_training_period()
 
     def service(self, record):
         spans = every_check_page_span(record, self.geometry.page_size,
@@ -880,7 +903,8 @@ class ReferenceAgent:
     observation rebuckets all inputs and ranks the write intensity by
     rescanning the 256-sample window, each decision queues a fresh (state,
     kind) pair. Q-values live in a FlatQTable over `actions`; `slc` and
-    `qlc` are the keys of the occupancy dicts."""
+    `qlc` are the keys of the occupancy dicts. Its workload inputs are
+    the write rate a stack sets and a 256-flag deque of hot flags."""
 
     def __init__(self, rng, actions, slc, qlc):
         self.rng = rng
@@ -889,8 +913,18 @@ class ReferenceAgent:
         self.qtable = FlatQTable(self.actions)
         self.pending = []
         self.intensity_samples = []
+        self.write_rate = 0.0
+        self.hot_window = deque(maxlen=256)
         self.decisions = 0
         self.trainings = 0
+
+    def push_hot_flag(self, hot):
+        self.hot_window.append(1 if hot else 0)
+
+    def observe(self, ftl):
+        return self.observe_state(ftl.free_count, ftl.ssd.block_tally,
+                                  self.write_rate,
+                                  window_fraction(self.hot_window))
 
     def intensity_bucket(self, writes_per_second):
         samples = self.intensity_samples

@@ -57,7 +57,8 @@ class TestActionFacts:
         for kind in ActionKind:
             stack.agent.choose_action = (
                 lambda state, eps, skip, limit, counts, kind=kind: (kind, 1))
-            assert stack._pick_action(stack.ftl, set(), 1) == (kind, 1)
+            assert stack.agent.act(stack.ftl, set(), 1) == (kind, 1)
+        assert stack.ftl.action_source == stack.agent.act
 
 
 class TestPlacement:

@@ -1128,10 +1128,8 @@ def agent_twin_stacks(seed, epsilon, channels, blocks, ppb, split, gc_trigger,
                                Mode.QLC)
 
     def pick(ftl):
-        state = ref.agent.observe_state(ftl.free_count, ftl.ssd.block_tally,
-                                        ref.write_rate,
-                                        ref.hot_write_fraction())
-        return ref.agent.choose_action(state, ref.config.rl_exploration)
+        return ref.agent.choose_action(ref.agent.observe(ftl),
+                                       ref.config.rl_exploration)
 
     ref.ftl._space_management = partial(per_round_space_management,
                                         ref.ftl, pick)

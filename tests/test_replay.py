@@ -16,9 +16,9 @@ from hybridssd import cli
 from hybridssd.config import ConfigProfile
 from hybridssd.errors import ConfigError
 from hybridssd.hotness import LOG_SPANS
-from hybridssd.replay import (HOT_FLAGS_KEPT, RunReport, SimulatorStack,
-                              _build_report, _scale_param, emit_report,
-                              replay, run_sweep)
+from hybridssd.replay import (RunReport, SimulatorStack, _build_report,
+                              _scale_param, emit_report, replay, run_sweep)
+from hybridssd.rl import HOT_FLAGS_KEPT
 from hybridssd.ssd import FlashGeometry, desk_geometry
 from hybridssd.trace import OpKind, TraceRecord, page_span, synth_trace
 from hybridssd.tuner import ScriptedBackend, estimate_tokens
@@ -140,7 +140,7 @@ class TestSimulatorStack:
             stack.service(record)
         assert stack.agent.decisions and stack.agent.trainings
         twin = copy.deepcopy(stack)
-        assert twin.ftl.action_source.__self__ is twin
+        assert twin.ftl.action_source.__self__ is twin.agent
         runs = []
         for s in (stack, twin):
             decisions = s.agent.decisions
@@ -172,12 +172,13 @@ class TestSimulatorStack:
         # each has folded before and holds more since
         assert len(stack.monitor._lpns) > stack.monitor._folded > 0
         assert stack.classifier._lpns and stack.classifier.generation
-        assert len(stack._hot_flags) > stack._hot_folded > 0
+        assert len(stack.agent.hot_flags) > stack.agent._hot_folded > 0
         classified = stack.classifier.generation
 
         def bookkeeping(s):
             return copy.deepcopy((vars(s.monitor), vars(s.classifier),
-                                  s._hot_flags, s._hot_folded, s._hot_count))
+                                  s.agent.hot_flags, s.agent._hot_folded,
+                                  s.agent._hot_count))
 
         twin = copy.deepcopy(stack)
         before = bookkeeping(stack)
@@ -204,12 +205,12 @@ class TestSimulatorStack:
         for i in range(2 * HOT_FLAGS_KEPT):
             stack.service(TraceRecord(OpKind.WRITE, (i % 1000) * page, page))
             sizes = (len(stack.monitor._lpns), len(stack.classifier._lpns),
-                     len(stack._hot_flags))
+                     len(stack.agent.hot_flags))
             longest = [max(a, b) for a, b in zip(longest, sizes)]
         assert longest == [2 * 16, LOG_SPANS - 1, HOT_FLAGS_KEPT]
         assert stack.agent.decisions == stack.agent.trainings == 0
         assert stack.monitor.writes == 16
-        assert stack.hot_write_fraction() == 0.0
+        assert stack.agent.hot_write_fraction() == 0.0
 
     def test_run_counters_match_a_flash_op_recount(self):
         # the gc_steady benchmark's device and start, the agent on; the op
@@ -251,6 +252,30 @@ class TestSimulatorStack:
             stack.reset_metrics()
         assert stack.agent.decisions
 
+    def test_reset_metrics_keeps_the_clock_running(self):
+        # the monitor and the classifier stamp their entries with the
+        # clock: a run started at a reset goes on from where it stands,
+        # and its report counts from that start
+        geo = FlashGeometry(channels=8, blocks_per_channel=32,
+                            pages_per_block_slc=32)
+        stack = SimulatorStack(geo, ConfigProfile(window_size=64))
+        records = synth_trace(2040, stack.ssd.logical_capacity_pages,
+                              geo.page_size, seed=2)
+        for record in records[:2000]:
+            stack.service(record)
+        before = stack.monitor.summarize(stack.config.std_dev_threshold)
+        clock = stack.total_latency_us
+        stack.reset_metrics()
+        latencies = [stack.service(record) for record in records[2000:]]
+        after = stack.monitor.summarize(stack.config.std_dev_threshold)
+        assert before / 2 < after < before * 2
+        assert stack.total_latency_us > clock
+        report = _build_report(stack, "default", 40, 0, stack.config, None,
+                               None)
+        assert report.requests == 40
+        assert report.total_latency_us == pytest.approx(sum(latencies))
+        assert report.mean_latency_us == report.total_latency_us / 40
+
     def test_prefill_fraction_validated(self):
         stack = make_stack()
         with pytest.raises(ConfigError):
@@ -258,7 +283,7 @@ class TestSimulatorStack:
 
     def test_hot_write_fraction_window(self):
         stack = make_stack(gc_trigger_threshold=13)
-        assert stack.hot_write_fraction() == 0.0
+        assert stack.agent.hot_write_fraction() == 0.0
         page = stack.geometry.page_size
         # slice 0 reads hot, the next one cold; service slides each write
         # request's flag into the window, and a read leaves it alone
@@ -271,11 +296,11 @@ class TestSimulatorStack:
         for hot in (True, False, True, True):
             request(OpKind.WRITE, hot)
         request(OpKind.READ, False)
-        assert stack.hot_write_fraction() == pytest.approx(0.75)
+        assert stack.agent.hot_write_fraction() == pytest.approx(0.75)
         # 256 cold writes slide the hot ones out of the window
         for _ in range(256):
             request(OpKind.WRITE, False)
-        assert stack.hot_write_fraction() == 0.0
+        assert stack.agent.hot_write_fraction() == 0.0
 
 
 # --- replay ----------------------------------------------------------------------
@@ -328,9 +353,12 @@ class TestReplay:
         with pytest.raises(ConfigError):
             run_small(mode="bogus")
 
-    def test_tuned_mode_needs_backend(self):
+    def test_tuned_mode_needs_backend(self, monkeypatch):
+        # refused before any device is built
+        devices = watch_devices(monkeypatch)
         with pytest.raises(ConfigError):
             run_small(mode="tuned")
+        assert devices == []
 
     def test_prefill_fraction_forwarded(self):
         rep = run_small(prefill_fraction=0.5)
@@ -634,6 +662,29 @@ class TestCollectorWork:
             gc.enable()
         assert stack.writes > 3000
         assert survivors < len(records) // 10
+
+    def test_a_stack_built_directly_frees_its_device(self):
+        # the engine's action source is the agent's act, and the agent
+        # holds no reference to the engine or the stack: with the collector
+        # off, dropping a stack that has serviced requests frees its engine
+        # and device at once
+        geo = FlashGeometry(channels=8, blocks_per_channel=32,
+                            pages_per_block_slc=32)
+        stack = SimulatorStack(geo, ConfigProfile())
+        stack.prefill(0.9)
+        records = synth_trace(500, stack.ssd.logical_capacity_pages,
+                              geo.page_size, seed=1)
+        gc.collect()
+        gc.disable()
+        try:
+            for record in records:
+                stack.service(record)
+            assert stack.agent.decisions > 1000
+            refs = [weakref.ref(stack.ftl), weakref.ref(stack.ssd)]
+            del stack
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_a_finished_replay_frees_its_device(self, monkeypatch):
         # nothing outside replay() keeps its stack, so reference counting

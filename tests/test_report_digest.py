@@ -40,6 +40,8 @@ DIGESTS = {
         "4635a0c293225cb302dd1abb10bf4595dea790311c63a7a49b307013890b992b",
     "tuned_retrain":
         "60ca2801014a90ad9e5a0e22887007c980acd75cb9d7318afde62f53055ecddb",
+    "tuned_explore":
+        "0bfd00d0f5067e0682b20b250bce0583517a4534565c285c16996682be38d141",
 }
 
 
@@ -143,6 +145,19 @@ def tuned_retrain():
                 backend=ScriptedBackend([RETRAIN_REPLY]), schedule=schedule)
 
 
+# raises the exploration rate for the probe, while the agent decides on
+# every few writes of a prefilled device
+EXPLORE_REPLY = ("Explore more while the workload settles.\n```\n"
+                 "1. RL exploration rate: 0.6\n```")
+
+
+def tuned_explore():
+    schedule = EpochSchedule(tuning_interval_writes=100,
+                             investigation_ops=50, max_epochs=3)
+    return _run(500, seed=5, prefill_fraction=0.9, mode="tuned",
+                backend=ScriptedBackend([EXPLORE_REPLY]), schedule=schedule)
+
+
 def write_msr_spans(path, requests, logical_pages, page_size, seed):
     """An MSR-Cambridge-format CSV of 80% writes, each request covering
     1-8 whole pages from an offset and to an end inside a page; 90% of
@@ -193,6 +208,7 @@ SCENARIOS = {
     "tuned_reslice": tuned_reslice,
     "tuned_shift": tuned_shift,
     "tuned_retrain": tuned_retrain,
+    "tuned_explore": tuned_explore,
 }
 
 
@@ -255,6 +271,11 @@ def test_scenarios_reach_the_layers_they_pin(monkeypatch):
     assert retrain.epochs[0]["verdict"] == "accepted"
     assert set(retrain.epochs[0]["changed"]) == {"gc_trigger_threshold",
                                                   "rl_training_interval"}
+    # each probe of tuned_explore decides at the raised exploration rate
+    explore = tuned_explore()
+    assert explore.epochs_run >= 1 and explore.agent_decisions > 0
+    assert all(e["changed"] == {"rl_exploration": [0.1, 0.6]}
+               for e in explore.epochs)
     slice_sizes, hot_flags = [], []
     reconfigure = HotnessClassifier.reconfigure
     handle_write = FtlEngine.handle_write

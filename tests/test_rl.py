@@ -151,7 +151,7 @@ class TestAgent:
 
     def test_stack_decisions_on_an_unchanged_device_share_pairs(self):
         stack = make_stack()
-        kinds = [stack._pick_action(stack.ftl, (), 1)[0] for _ in range(4)]
+        kinds = [stack.agent.act(stack.ftl, (), 1)[0] for _ in range(4)]
         pending = stack.agent.pending
         assert len(pending) == 4
         for kind, pair in zip(kinds, pending):
