@@ -115,7 +115,7 @@ class FtlEngine:
             raise ValueError("an FtlEngine needs a fresh device: no page "
                              "written, no block erased or converted")
         self.ssd = ssd
-        self.config = config        # also sets gc_trigger_blocks
+        self.config = config        # also sets both triggers
         self.action_source = action_source
         self.reset_counters()
         channels = ssd.geometry.channels
@@ -162,18 +162,21 @@ class FtlEngine:
         self._renew_trigger()
 
     def _renew_trigger(self) -> None:
-        """Set `gc_trigger_blocks`: per mode, the fewest free blocks that
-        keep it off the GC trigger, ceil(percent * blocks / 100), so that
-        `free_count[mode] < gc_trigger_blocks[mode]` is
-        `_short_of_blocks(mode, percent)` (f * 100 < p * b for an integer
-        f is f < ceil(p * b / 100)); 0, never short, for a mode with no
-        blocks. The trigger moves only with the config and a block tally,
-        so this runs on each config assignment and after each
-        conversion."""
-        percent = self._config.gc_trigger_threshold
+        """Set the two space-management triggers in free blocks:
+        `gc_trigger_blocks` per mode, from the GC percent, and
+        `mc_trigger_blocks`, SLC's from the conversion percent. Each is
+        ceil(percent * blocks / 100), the fewest free blocks that keep a
+        mode off the trigger: `free < trigger` is f * 100 < p * b for an
+        integer f, so fewer than percent% of its blocks free, and never
+        for a mode with no blocks. A trigger moves only with the config
+        and a block tally, so this runs on each config assignment and
+        after each conversion."""
+        tally, config = self.ssd.block_tally, self._config
+        percent = config.gc_trigger_threshold
         self.gc_trigger_blocks = {mode: -(-percent * blocks // 100)
-                                  for mode, blocks
-                                  in self.ssd.block_tally.items()}
+                                  for mode, blocks in tally.items()}
+        self.mc_trigger_blocks = -(-config.conversion_trigger_threshold
+                                   * tally[SLC] // 100)
 
     @property
     def wa(self) -> WaCounters:
@@ -436,23 +439,13 @@ class FtlEngine:
 
     # --- space management ---------------------------------------------------------
 
-    def _short_of_blocks(self, mode: Mode, percent: int) -> bool:
-        """Are fewer than `percent`% of `mode`'s blocks free? Never for a
-        mode with no blocks. The same answer as `free_fraction(mode) <
-        percent / 100`: distinct fractions f/b and p/100 differ by at least
-        1/(100 b), far more than rounding moves either, and equal ones
-        round to one float."""
-        return (self.free_count[mode] * 100
-                < percent * self.ssd.block_tally[mode])
-
     def _regions_below_threshold(self) -> bool:
         """Is some region short of blocks at the GC trigger?"""
         free, trigger = self.free_count, self.gc_trigger_blocks
         return free[SLC] < trigger[SLC] or free[QLC] < trigger[QLC]
 
     def mc_eligible(self) -> bool:
-        return self._short_of_blocks(
-            SLC, self.config.conversion_trigger_threshold)
+        return self.free_count[SLC] < self.mc_trigger_blocks
 
     def _fallback_action(self) -> ActionKind:
         # fixed greedy order keeps the engine usable without an agent; only

@@ -50,11 +50,8 @@ class SimulatorStack:
         self.classifier = HotnessClassifier(config.slice_size,
                                             geometry.page_size,
                                             kmeans_tol=kmeans_tol)
-        self.requests = 0
-        self.writes = 0
-        # the virtual clock, which never rewinds, and the run's start on it
-        self.total_latency_us = self.run_start_us = 0.0
-        self._start_training_period()
+        self.total_latency_us = 0.0     # the virtual clock: never rewinds
+        self.reset_metrics()
         # whether a read checks the K-means trigger: a write moves its
         # count, so otherwise only apply_config or a trigger below one
         # write can make it due between writes
@@ -131,8 +128,11 @@ class SimulatorStack:
                            + profile.rl_training_interval)
 
     def marker(self) -> Marker:
+        """The run's counts so far, each from its start at the last
+        `reset_metrics`."""
         return Marker(requests=self.requests, writes=self.writes,
-                      total_latency_us=self.total_latency_us,
+                      total_latency_us=(self.total_latency_us
+                                        - self.run_start_us),
                       host_pages=self.ftl.wa.host_pages_written,
                       device_pages=self.ftl.wa.device_pages_written)
 
@@ -226,7 +226,7 @@ def _build_report(stack: SimulatorStack, mode: str, trace_ops: int,
     if loop is not None:
         epochs = [r.to_json_dict() for r in loop.history]
         acc = accuracy(loop.history)
-    total = stack.total_latency_us - stack.run_start_us
+    total = stack.marker().total_latency_us
     normalized = None
     if baseline_total_us:
         normalized = total / baseline_total_us

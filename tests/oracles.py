@@ -370,8 +370,9 @@ class EveryCheckStack(SimulatorStack):
     """A SimulatorStack whose `service` makes every check on every
     request: the K-means trigger and the training tick after each one,
     reads included, and space management's trigger after each write,
-    recomputed from the config's percent by `_short_of_blocks` instead of
-    the engine's free-block counts. Writes and reads go through
+    recomputed here from the config's percent as `free * 100 < percent *
+    blocks` instead of read from the engine's `gc_trigger_blocks`. Writes
+    and reads go through
     `PerPageHost` (the region asked for every page). The statistics are
     kept current on every request by the references here: a
     `DequeWindow` monitor, a `ReferenceClassifier` told of one page per
@@ -396,8 +397,9 @@ class EveryCheckStack(SimulatorStack):
 
         def below_trigger():
             percent = ftl.config.gc_trigger_threshold
-            return (ftl._short_of_blocks(Mode.SLC, percent)
-                    or ftl._short_of_blocks(Mode.QLC, percent))
+            return any(ftl.free_count[mode] * 100
+                       < percent * ftl.ssd.block_tally[mode]
+                       for mode in (Mode.SLC, Mode.QLC))
 
         # the engine's own space management, prefill included, asks this
         ftl._regions_below_threshold = below_trigger
@@ -637,6 +639,35 @@ class MiniSlcFtl:
     @property
     def wa(self):
         return self.device / self.host
+
+
+def spare_utilization(logical_pages, raw_pages, reserve_blocks,
+                      pages_per_block):
+    """rho = L / (raw pages - R * pages_per_block): the share of the pages
+    that GC can fill which hold live data, once the R free blocks that the
+    GC trigger keeps back are taken out of the spare space."""
+    return logical_pages / (raw_pages - reserve_blocks * pages_per_block)
+
+
+def fifo_wa(rho):
+    """WA of FIFO (oldest-first) cleaning under uniform random single-page
+    writes: a victim's valid share u solves u = exp(-(1 - u) / rho), and
+    WA = 1 / (1 - u) (Hu et al., SYSTOR 2009; Desnoyers, SYSTOR 2012).
+    The iteration from u = 0 climbs to the root below the trivial u = 1."""
+    u = 0.0
+    while True:
+        nxt = math.exp(-(1.0 - u) / rho)
+        if abs(nxt - u) < 1e-13:
+            return 1.0 / (1.0 - nxt)
+        u = nxt
+
+
+def greedy_limit_wa(rho):
+    """WA of greedy (fewest-valid) cleaning under uniform random writes in
+    the limit of large blocks: alpha / (2 (alpha - 1)), alpha = 1 / rho
+    (Desnoyers, SYSTOR 2012). Finite blocks sit above it."""
+    alpha = 1.0 / rho
+    return alpha / (2.0 * (alpha - 1.0))
 
 
 def kmeans_two_point(points, max_iterations=10):

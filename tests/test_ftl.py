@@ -425,26 +425,32 @@ class TestSpaceManagementLoop:
 class TestTrigger:
     def test_integer_rule_matches_the_float_fraction(self):
         # both sides rise with the free count, so where they agree around
-        # the percent's boundary they agree for every free count
+        # the percent's boundary they agree for every free count; both
+        # triggers take the percent here
         ftl = make_ftl()
         tally = SsdState(FlashGeometry(), LatencyModel()).block_tally
         block_counts = [*range(1001), *tally.values(), sum(tally.values())]
         mismatches = []
-        for blocks in block_counts:
-            ftl.ssd.block_tally[Mode.SLC] = blocks
-            for percent in range(101):
+        for percent in range(101):
+            config = dataclasses.replace(
+                ftl.config, gc_trigger_threshold=percent,
+                conversion_trigger_threshold=percent)
+            for blocks in block_counts:
+                ftl.ssd.block_tally[Mode.SLC] = blocks
+                ftl.config = config         # renews the triggers
                 edge = percent * blocks // 100
                 for free in range(max(edge - 1, 0), min(edge + 2, blocks + 1)):
                     ftl.free_count[Mode.SLC] = free
                     as_float = blocks > 0 and free / blocks < percent / 100.0
-                    if ftl._short_of_blocks(Mode.SLC, percent) != as_float:
+                    gc_short = free < ftl.gc_trigger_blocks[Mode.SLC]
+                    if (ftl.mc_eligible(), gc_short) != (as_float, as_float):
                         mismatches.append((free, blocks, percent))
         assert mismatches == []
 
     def test_a_mode_with_no_blocks_is_never_short(self):
         slc_only = make_ftl(split=1.0, gc_trigger_threshold=50)
         assert slc_only.ssd.block_count(Mode.QLC) == 0
-        assert not slc_only._short_of_blocks(Mode.QLC, 100)
+        assert slc_only.gc_trigger_blocks[Mode.QLC] == 0
         assert slc_only.free_fraction(Mode.QLC) == 0.0
         assert not slc_only._regions_below_threshold()
         slc_only.free_count[Mode.SLC] = 1           # 1 of 4 blocks free

@@ -276,6 +276,26 @@ class TestSimulatorStack:
         assert report.total_latency_us == pytest.approx(sum(latencies))
         assert report.mean_latency_us == report.total_latency_us / 40
 
+    def test_a_tuning_period_from_a_reset_counts_from_the_run_start(self):
+        # a reset in mid-life: the loop's first period starts at the run
+        # start, and its mean latency reads only the requests after it
+        geo = desk_geometry(channels=2, blocks_per_channel=16,
+                            pages_per_block_slc=8)
+        stack = SimulatorStack(geo, ConfigProfile(), initial_mode_split=0.5)
+        records = synth_trace(600, stack.ssd.logical_capacity_pages,
+                              geo.page_size, seed=3)
+        for record in records[:400]:
+            stack.service(record)
+        stack.reset_metrics()
+        latencies = [stack.service(record) for record in records[400:500]]
+        loop = VerificationLoop(
+            ScriptedBackend(["`1. GC trigger threshold: 8`"]),
+            EpochSchedule(50, 50, max_epochs=1))
+        record = loop.run_epoch(stack, iter(records[500:]), "scheduled")
+        assert round(sum(latencies) / 100, 1) == 936.8
+        assert record.latency_before_us == pytest.approx(
+            sum(latencies) / 100)
+
     def test_prefill_fraction_validated(self):
         stack = make_stack()
         with pytest.raises(ConfigError):
