@@ -236,11 +236,6 @@ class FtlEngine:
         other = QLC if mode is SLC else SLC
         return other if self._has_space(other) else None
 
-    def _preferred_mode(self, hot: bool | None) -> Mode:
-        if self._config.placement_strategy is SLC_FIRST:
-            return SLC
-        return SLC if hot else QLC
-
     # --- host requests ---------------------------------------------------------
 
     def handle_write(self, lpn: int, n_pages: int = 1,
@@ -268,7 +263,9 @@ class FtlEngine:
         program, pages = ssd.program_page, ssd.pages
         capacity = ssd.block_pages
         channels = ssd.geometry.channels
-        mode = self._preferred_mode(hot)
+        # the preferred region: SLC for a hot write or under SLC-first
+        mode = (SLC if hot or self._config.placement_strategy is SLC_FIRST
+                else QLC)
         region = mode       # the region whose cursor the next page tries
         active, cursor = self.active[mode], self.stripe_cursor
         # per channel, its pages' latencies summed in page order; as flash
@@ -345,7 +342,9 @@ class FtlEngine:
             while lpn < n:
                 # never None: every block that is not full is active or
                 # pooled, and a fill writes fewer pages than the device holds
-                mode = self._placement_region(self._preferred_mode(None))
+                mode = self._placement_region(
+                    SLC if self._config.placement_strategy is SLC_FIRST
+                    else QLC)
                 run = range(lpn, lpn + 1 if acts() else n)
                 for block_id, lpns in self._plan(mode, run, acts):
                     self.ssd.program_run(block_id, lpns)
@@ -530,11 +529,11 @@ class FtlEngine:
         zero outcome (the agent may pick bad actions)."""
         out = ActionOutcome()
         if kind in GC_MODES:
-            for _ in range(self.config.gc_granularity):
+            for _ in range(self._config.gc_granularity):
                 if not self._gc_once(*GC_MODES[kind], out):
                     break
         elif kind is SLC_TO_QLC_MC:
-            for _ in range(self.config.conversion_granularity):
+            for _ in range(self._config.conversion_granularity):
                 if not self._convert_once(out):
                     break
         return out
@@ -548,7 +547,7 @@ class FtlEngine:
         # relocate refuses a plan that leaves a valid page behind
         erase_us = ssd.relocate(victim, self._plan(dst, lpns))
         # each page is a read then a program, summed in that order
-        read_us, write_us = ssd.latency.read_us(src), ssd.latency.write_us(dst)
+        read_us, write_us = ssd.read_us[src], ssd.write_us[dst]
         latency = out.latency_us
         for _ in lpns:
             latency += read_us

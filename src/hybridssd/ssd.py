@@ -78,7 +78,9 @@ class FlashGeometry:
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Per-operation flash costs in microseconds."""
+    """Per-operation flash costs in microseconds. A device reads them
+    through per-mode tables it builds once (`SsdState.read_us` and the
+    like); these six fields are what a report and the tuning prompt print."""
 
     read_slc: float = 20.0
     read_qlc: float = 140.0
@@ -94,15 +96,6 @@ class LatencyModel:
             raise GeometryError("latency values must be positive")
         if self.write_qlc <= self.write_slc or self.read_qlc <= self.read_slc:
             raise GeometryError("QLC read/write must cost more than SLC")
-
-    def read_us(self, mode: Mode) -> float:
-        return self.read_slc if mode is SLC else self.read_qlc
-
-    def write_us(self, mode: Mode) -> float:
-        return self.write_slc if mode is SLC else self.write_qlc
-
-    def erase_us(self, mode: Mode) -> float:
-        return self.erase_slc if mode is SLC else self.erase_qlc
 
 
 def initial_layout(geometry: FlashGeometry,
@@ -154,6 +147,11 @@ class SsdState:
                  initial_mode_split: float = INITIAL_MODE_SPLIT):
         self.geometry = geometry
         self.latency = latency
+        # each op's cost per mode, the one lookup a flash op makes; built
+        # once, as the model is frozen
+        self.read_us = {SLC: latency.read_slc, QLC: latency.read_qlc}
+        self.write_us = {SLC: latency.write_slc, QLC: latency.write_qlc}
+        self.erase_us = {SLC: latency.erase_slc, QLC: latency.erase_qlc}
         n_slc, self.logical_capacity_pages = initial_layout(
             geometry, initial_mode_split)
         total = geometry.total_blocks
@@ -238,12 +236,13 @@ class SsdState:
         self.mapping[lpn] = block_id << self.shift | page_idx
         self.device_pages_written += 1
         if valid <= page_idx and page_idx + 1 == capacity:
-            self._index(block_id)
-        return self.latency.write_us(mode)
+            self._refile(block_id, None, valid)
+        return self.write_us[mode]
 
     def program_run(self, block_id: int, lpns) -> None:
         """Append one page per lpn of a sequence to a block, in order:
-        `program_page` in bulk, with the same checks."""
+        `program_page` in bulk, with the same checks, an lpn repeated in
+        the run included, all before any change."""
         if not 0 <= block_id < len(self.mode):
             raise self._outside(block_id)
         start = len(self.pages[block_id])
@@ -257,6 +256,9 @@ class SsdState:
             raise PageStateError(
                 f"an lpn of {lpns} still mapped; invalidate before "
                 f"reprogramming")
+        # a range, all a fill passes, never repeats: it skips the set
+        if not isinstance(lpns, range) and len(set(lpns)) != len(lpns):
+            raise PageStateError(f"an lpn repeats in {lpns}")
         if start:
             pages = self.pages[block_id]
             pages.extend(lpns)
@@ -271,7 +273,7 @@ class SsdState:
                                               + len(lpns))
         self.device_pages_written += len(lpns)
         if end == capacity and valid < end:
-            self._index(block_id)
+            self._refile(block_id, None, valid)
 
     def relocate(self, src: int, plan) -> float:
         """Move every valid page of block `src` by `plan`, a sequence of
@@ -334,9 +336,8 @@ class SsdState:
         del ppns        # each old PPN is freed as the update replaces it
         valid_count[src] = 0
         if written == block_pages[modes[src]]:
-            if valid < written:
-                self._unindex(src, valid)
-            self._index(src)        # at zero valid, where erase_block looks
+            # filed at zero valid, where erase_block looks
+            self._refile(src, valid if valid < written else None, 0)
         for block_id, lpns in plan:
             if pages[block_id]:
                 pages[block_id].extend(lpns)
@@ -345,7 +346,7 @@ class SsdState:
             end = len(pages[block_id])
             count = valid_count[block_id] = valid_count[block_id] + len(lpns)
             if end == block_pages[modes[block_id]] and count < end:
-                self._index(block_id)
+                self._refile(block_id, None, count)
         self.mapping.update(zip(chain.from_iterable(lpns for _, lpns in plan),
                                 chain.from_iterable(spans)))
         self.device_pages_written += moved
@@ -363,27 +364,26 @@ class SsdState:
             state = "free" if lpn == PAGE_FREE else "invalid"
             raise PageStateError(
                 f"read of {state} page {block_id}/{page_idx}: mapping corrupt")
-        return self.latency.read_us(self.mode[block_id])
+        return self.read_us[self.mode[block_id]]
 
     def invalidate_page(self, block_id: int, page_idx: int) -> None:
         """Drop a valid page from the mapping (data became stale)."""
         try:
-            lpn = (self.pages[block_id][page_idx]
+            pages = self.pages[block_id]
+            lpn = (pages[page_idx]
                    if block_id >= 0 and page_idx >= 0 else PAGE_FREE)
         except IndexError:
             lpn = PAGE_FREE
         if lpn < 0:
             raise PageStateError(
                 f"invalidate of non-valid page {block_id}/{page_idx}")
-        pages = self.pages[block_id]
         pages[page_idx] = PAGE_INVALID
         valid = self.valid_count[block_id] = self.valid_count[block_id] - 1
         del self.mapping[lpn]
         if len(pages) == self.block_pages[self.mode[block_id]]:
-            # not its first invalid page: it is filed one valid page up
-            if len(pages) - valid > 1:
-                self._unindex(block_id, valid + 1)
-            self._index(block_id)
+            # filed one valid page up, unless this is its first invalid page
+            self._refile(block_id,
+                         valid + 1 if len(pages) - valid > 1 else None, valid)
 
     def erase_block(self, block_id: int) -> float:
         """Erase a block holding no valid data. Returns erase latency in us."""
@@ -394,11 +394,11 @@ class SsdState:
             raise PageStateError(
                 f"erase of block {block_id} with {valid} valid pages")
         if self.is_full(block_id):  # with no valid page, all are invalid
-            self._unindex(block_id, 0)
+            self._refile(block_id, 0, None)
         self.pages[block_id] = NO_PAGES
         self.erase_count[block_id] += 1
         self.erase_ops += 1
-        return self.latency.erase_us(self.mode[block_id])
+        return self.erase_us[self.mode[block_id]]
 
     def convert_block_mode(self, block_id: int, new_mode: Mode) -> None:
         """Switch a fully-free block between SLC and QLC mode.
@@ -420,21 +420,23 @@ class SsdState:
 
     # --- victim index -------------------------------------------------------------
 
-    def _index(self, block_id: int) -> None:
+    def _refile(self, block_id: int, old: int | None,
+                new: int | None) -> None:
+        """Move a block between its mode's GC-candidate buckets, out of the
+        one of `old` valid pages and into the one of `new`; None is no
+        bucket, for a block that enters or leaves the index."""
         buckets = self.reclaimable[self.mode[block_id]]
-        valid = self.valid_count[block_id]
-        bucket = buckets.get(valid)
-        if bucket is None:
-            buckets[valid] = {block_id}
-        else:
-            bucket.add(block_id)
-
-    def _unindex(self, block_id: int, valid: int) -> None:
-        buckets = self.reclaimable[self.mode[block_id]]
-        bucket = buckets[valid]
-        bucket.remove(block_id)
-        if not bucket:
-            del buckets[valid]
+        if old is not None:
+            bucket = buckets[old]
+            bucket.remove(block_id)
+            if not bucket:
+                del buckets[old]
+        if new is not None:
+            bucket = buckets.get(new)
+            if bucket is None:
+                buckets[new] = {block_id}
+            else:
+                bucket.add(block_id)
 
     # --- consistency audit -----------------------------------------------------
 

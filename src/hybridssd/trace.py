@@ -152,18 +152,30 @@ def synth_trace(ops: int, logical_pages: int, page_size: int,
     if not (0 <= hot_fraction <= 1 and 0 < hot_region_fraction <= 1
             and 0 <= write_ratio <= 1):
         raise ValueError("fractions must sit in [0, 1]")
-    if logical_pages < 2 or ops < 0:
-        raise ValueError("need logical_pages >= 2 and ops >= 0")
+    if logical_pages < 2 or ops < 0 or size_pages < 1:
+        raise ValueError(
+            "need logical_pages >= 2, ops >= 0 and size_pages >= 1")
     rng = random.Random(seed)
+    uniform, getrandbits = rng.random, rng.getrandbits
     hot_pages = min(max(1, int(logical_pages * hot_region_fraction)),
                     logical_pages - 1)
+    cold_pages = logical_pages - hot_pages
+    hot_bits, cold_bits = hot_pages.bit_length(), cold_pages.bit_length()
     records = []
     for _ in range(ops):
-        op = WRITE if rng.random() < write_ratio else READ
-        if rng.random() < hot_fraction:
-            lpn = rng.randrange(0, hot_pages)
+        op = WRITE if uniform() < write_ratio else READ
+        # each lpn draws as `rng.randrange` over its region would, without
+        # its argument checks: bits of the region's width, redrawn until
+        # they fall inside it
+        if uniform() < hot_fraction:
+            lpn = getrandbits(hot_bits)
+            while lpn >= hot_pages:
+                lpn = getrandbits(hot_bits)
         else:
-            lpn = rng.randrange(hot_pages, logical_pages)
+            lpn = getrandbits(cold_bits)
+            while lpn >= cold_pages:
+                lpn = getrandbits(cold_bits)
+            lpn += hot_pages
         n = min(size_pages, logical_pages - lpn)
         records.append(TraceRecord(op, lpn * page_size, n * page_size))
     return records

@@ -9,6 +9,7 @@ engine's or a stack's own state, to check it against itself.
 """
 import enum
 import math
+import random
 import statistics
 from collections import deque
 from dataclasses import dataclass
@@ -1141,3 +1142,23 @@ def reference_load_trace(path, spec, read, write):
                 timed.append(parsed)
     timed.sort(key=lambda pair: pair[0])
     return [record for _, record in timed], skipped
+
+
+def reference_synth_trace(ops, logical_pages, page_size, read, write,
+                          hot_fraction=0.9, hot_region_fraction=0.1,
+                          write_ratio=0.7, seed=0, size_pages=1):
+    """`synth_trace`'s records as (op, offset, size), each lpn drawn by
+    `Random.randrange` over its region."""
+    rng = random.Random(seed)
+    hot_pages = min(max(1, int(logical_pages * hot_region_fraction)),
+                    logical_pages - 1)
+    records = []
+    for _ in range(ops):
+        op = write if rng.random() < write_ratio else read
+        if rng.random() < hot_fraction:
+            lpn = rng.randrange(0, hot_pages)
+        else:
+            lpn = rng.randrange(hot_pages, logical_pages)
+        n = min(size_pages, logical_pages - lpn)
+        records.append((op, lpn * page_size, n * page_size))
+    return records

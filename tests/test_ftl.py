@@ -626,8 +626,7 @@ class TestMappingEncoding:
         for lpn in range(n):
             block_id, page_idx = ssd.locate(lpn)
             assert ssd.pages[block_id][page_idx] == lpn
-            assert ftl.handle_read(lpn) == ssd.latency.read_us(
-                ssd.mode[block_id])
+            assert ftl.handle_read(lpn) == ssd.read_us[ssd.mode[block_id]]
         assert max(ssd.locate(lpn)[0] for lpn in range(n)) > 255
         for lpn in range(n - 200, n):
             ftl.handle_write(lpn)

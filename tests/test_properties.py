@@ -20,7 +20,7 @@ from hybridssd.config import (ConfigProfile, PlacementStrategy,
                               TUNABLE_PARAMS, default_param_bounds,
                               parse_scalar, validate_profile)
 from hybridssd.errors import CapacityError, ConfigError, NoValidUpdate
-from hybridssd.ftl import (ACTION_ORDER, SAFETY_BOUND, ActionKind,
+from hybridssd.ftl import (ACTION_ORDER, GC_MODES, SAFETY_BOUND, ActionKind,
                            ActionOutcome, FtlEngine, fallback_source)
 import hybridssd.hotness as hotness_module
 from hybridssd.hotness import HotnessClassifier
@@ -1418,6 +1418,70 @@ def test_hotness_classifier_matches_the_grid_reference(writes, resliced,
         assert [clf.is_hot(n) for n in written] == [
             ref.is_hot(n) for n in written]
         assert clf.generation == ref.generation
+
+
+# --- every flash op's cost from the device's model -------------------------------
+
+# FRACTIONAL's costs written out, so a cost read from another field shows
+FRACTIONAL_US = {"read": {Mode.SLC: 20.3, Mode.QLC: 140.7},
+                 "write": {Mode.SLC: 200.1, Mode.QLC: 2000.9},
+                 "erase": {Mode.SLC: 3000.3, Mode.QLC: 3500.7}}
+
+
+def test_the_latency_model_keeps_its_six_costs():
+    # the report's system info and the tuning prompt print asdict(model):
+    # a seventh field would change every tuned report
+    assert list(asdict(LatencyModel())) == [
+        "read_slc", "read_qlc", "write_slc", "write_qlc", "erase_slc",
+        "erase_qlc"]
+
+
+@pytest.mark.parametrize("block_id", [0, 4])    # one block of each mode
+def test_each_page_op_costs_the_models_value_for_its_mode(block_id):
+    ssd = SsdState(desk_geometry(), FRACTIONAL, 0.5)
+    mode = ssd.mode[block_id]
+    assert mode is (Mode.SLC if block_id < 4 else Mode.QLC)
+    read, write, erase = (FRACTIONAL_US[op][mode]
+                          for op in ("read", "write", "erase"))
+    capacity = ssd.block_pages[mode]
+    lpns = range(100 * block_id, 100 * block_id + capacity)
+    assert [ssd.program_page(block_id, idx, lpn)
+            for idx, lpn in enumerate(lpns)] == [write] * capacity
+    assert [ssd.read_page(block_id, idx)
+            for idx in range(capacity)] == [read] * capacity
+    ssd.invalidate_page(block_id, 0)
+    # the erase inside relocate, into the next block of the same mode
+    assert ssd.relocate(block_id, [(block_id + 1, list(lpns[1:]))]) == erase
+    for idx in range(capacity - 1):
+        ssd.invalidate_page(block_id + 1, idx)
+    assert ssd.erase_block(block_id + 1) == erase
+    ssd.audit()
+
+
+@pytest.mark.parametrize("kind", list(GC_MODES))
+def test_a_gc_migration_costs_the_models_values_for_its_modes(kind):
+    src, dst = GC_MODES[kind]
+    geo = desk_geometry(channels=1, blocks_per_channel=8,
+                        pages_per_block_slc=8)
+    strategy = (PlacementStrategy.SLC_FIRST if src is Mode.SLC
+                else PlacementStrategy.HOTNESS_BASED)
+    ftl = FtlEngine(SsdState(geo, FRACTIONAL, 0.5),
+                    ConfigProfile(placement_strategy=strategy),
+                    lambda ftl, skip, limit: (ActionKind.IDLE, 1))
+    capacity = ftl.ssd.block_pages[src]
+    for lpn in [*range(capacity), 0, 1, 2]:    # one full victim
+        ftl.handle_write(lpn)
+    outcome = ftl.execute_action(kind)
+    assert outcome.pages_migrated == capacity - 3
+    assert outcome.blocks_reclaimed == 1
+    # each moved page is a read from src then a program into dst, in
+    # that order, then the victim's erase
+    want = 0.0
+    for _ in range(capacity - 3):
+        want += FRACTIONAL_US["read"][src]
+        want += FRACTIONAL_US["write"][dst]
+    assert outcome.latency_us == want + FRACTIONAL_US["erase"][src]
+    ftl.ssd.audit()
 
 
 # --- metamorphic relation: every cost in microseconds scaled at once ---------------

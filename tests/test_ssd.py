@@ -55,11 +55,11 @@ class TestLatencyModel:
         assert lat.erase_qlc == 3500.0
 
     def test_mode_lookup(self):
-        lat = LatencyModel()
-        assert lat.write_us(Mode.SLC) == 200.0
-        assert lat.write_us(Mode.QLC) == 2000.0
-        assert lat.read_us(Mode.QLC) == 140.0
-        assert lat.erase_us(Mode.SLC) == 3000.0
+        # a device looks each op's cost up per mode in a table of its own
+        ssd = SsdState(desk_geometry(), LatencyModel())
+        assert ssd.write_us == {Mode.SLC: 200.0, Mode.QLC: 2000.0}
+        assert ssd.read_us == {Mode.SLC: 20.0, Mode.QLC: 140.0}
+        assert ssd.erase_us == {Mode.SLC: 3000.0, Mode.QLC: 3500.0}
 
     def test_qlc_must_cost_more_than_slc(self):
         with pytest.raises(GeometryError):
@@ -339,6 +339,18 @@ class TestProgramRun:
         assert desk_ssd.pages[1] is NO_PAGES
         assert located(desk_ssd) == {5: (0, 0)}
 
+    @pytest.mark.parametrize("lpns", [[5, 5], [1, 2, 3, 1]])
+    def test_rejects_a_repeated_lpn(self, desk_ssd, lpns):
+        # one program_page per page refuses the second copy, as the first
+        # maps the lpn; a run is refused whole, before any change
+        desk_ssd.program_page(0, 0, lpn=9)
+        with pytest.raises(PageStateError, match="repeats"):
+            desk_ssd.program_run(0, lpns)
+        assert desk_ssd.pages[0] == [9]
+        assert desk_ssd.valid_count[0] == 1
+        assert desk_ssd.device_pages_written == 1
+        assert located(desk_ssd) == {9: (0, 0)}
+        desk_ssd.audit()
 
     def test_takes_any_lpn_sequence(self, desk_geo):
         bulk = SsdState(desk_geo, LatencyModel(), initial_mode_split=0.5)
@@ -511,6 +523,16 @@ class TestReclaimableIndex:
                   ("convert", 2, Mode.QLC)]
         steps += [("program", 0, idx, 200 + idx) for idx in range(32)]
         steps += [("invalidate", 0, 31), ("invalidate", 1, 7)]
+        # a full victim holding invalid pages: refiled at 0, then erased
+        steps += [("relocate", 1, [(3, list(range(101, 107)))])]
+        # a victim that is not full, into a block it fills with an invalid
+        # page, which joins the index
+        steps += [("program", 2, idx, 300 + idx) for idx in range(3)]
+        steps += [("invalidate", 2, 1), ("invalidate", 3, 0),
+                  ("relocate", 2, [(3, [300, 302])])]
+        # a full victim with every page valid: filed at 0, then erased
+        steps += [("program", 1, idx, 400 + idx) for idx in range(8)]
+        steps += [("relocate", 1, [(2, list(range(400, 408)))])]
         for op, block_id, *rest in steps:
             if op == "program":
                 ssd.program_page(block_id, *rest)
@@ -518,10 +540,16 @@ class TestReclaimableIndex:
                 ssd.invalidate_page(block_id, *rest)
             elif op == "erase":
                 ssd.erase_block(block_id)
+            elif op == "relocate":
+                ssd.relocate(block_id, *rest)
             else:
                 ssd.convert_block_mode(block_id, *rest)
             assert ssd.reclaimable == self.recount(ssd), (op, block_id, rest)
-        assert ssd.reclaimable == {Mode.SLC: {6: {1}}, Mode.QLC: {31: {0}}}
+            if (op, block_id, *rest) == ("invalidate", 1, 7):
+                assert ssd.reclaimable == {Mode.SLC: {6: {1}},
+                                           Mode.QLC: {31: {0}}}
+        assert ssd.reclaimable == {Mode.SLC: {7: {3}}, Mode.QLC: {31: {0}}}
+        assert ssd.erase_count[1] == 2 and ssd.erase_count[2] == 1
         ssd.audit()
 
     def test_buckets_hold_blocks_by_valid_count(self, desk_ssd):

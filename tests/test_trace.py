@@ -4,6 +4,7 @@ import pytest
 
 from hybridssd import FORMATS, OpKind, load_trace, page_span, synth_trace
 from hybridssd.trace import TraceRecord, parse_trace_line
+from oracles import reference_synth_trace
 
 PAGE = 16384
 
@@ -146,6 +147,32 @@ class TestSynthTrace:
         hot_limit = 100 * PAGE            # first 10% of pages
         in_hot = sum(1 for r in writes if r.offset < hot_limit)
         assert in_hot / len(writes) > 0.8
+
+    # 2 pages: one-page hot and cold regions, each drawing 1 bit and
+    # redrawing a 1. With half the space hot, 64, 1024 and 2**20 + 1 hold
+    # a power-of-two wide region: its bit length spans twice its width, so
+    # about half its draws are redrawn, where a draw of (width - 1)'s bit
+    # length would take fewer bits and other records
+    @pytest.mark.parametrize("logical_pages", [2, 3, 7, 64, 100, 1024, 1000,
+                                               2**20 + 1])
+    @pytest.mark.parametrize("seed", [0, 1, 11])
+    def test_each_lpn_draws_as_randrange_does(self, logical_pages, seed):
+        for ops, kwargs in ((0, {}), (1, {}), (500, {}),
+                            (300, {"hot_fraction": 0.5,
+                                   "hot_region_fraction": 0.5,
+                                   "write_ratio": 0.3, "size_pages": 4})):
+            records = synth_trace(ops, logical_pages, PAGE, seed=seed,
+                                  **kwargs)
+            assert [(r.op, r.offset, r.size) for r in records] == \
+                reference_synth_trace(ops, logical_pages, PAGE, OpKind.READ,
+                                      OpKind.WRITE, seed=seed, **kwargs)
+
+    @pytest.mark.parametrize("size_pages", [0, -2])
+    def test_a_request_size_below_one_page_is_refused(self, size_pages):
+        # it would yield records of size 0 or less, which load_trace
+        # counts as malformed
+        with pytest.raises(ValueError, match="size_pages"):
+            synth_trace(3, 100, PAGE, size_pages=size_pages)
 
 
 class TestPageSpan:
