@@ -81,8 +81,8 @@ class SimulatorStack:
         happened: the K-means trigger after a write (`record_write` moves
         its count) and on the first read after `apply_config`; the
         training tick after every request, against the request index it
-        falls due at. The monitor, the classifier and the agent's hot flags
-        only append here; each folds what it was given when it is read.
+        falls due at. The monitor and the classifier only append here; each
+        folds what it was given when it is read.
         """
         spans = page_span(record, self.geometry.page_size,
                           self.ssd.logical_capacity_pages)

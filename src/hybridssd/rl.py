@@ -25,8 +25,6 @@ N_QUARTILES = 4
 INTENSITY_SAMPLES = 256
 # write requests whose hot flags the hot-write fraction reads
 HOT_WINDOW = 256
-# hot flags kept unread before a write folds them into the count
-HOT_FLAGS_KEPT = 4096
 
 _LATER_ACTIONS = ACTION_ORDER[1:]
 # the bucket of a sample ranked exactly at the middle of its window
@@ -40,8 +38,32 @@ class AgentState(NamedTuple):
     hot_ratio_bucket: int
 
 
-# builds an AgentState without the namedtuple's Python-level __new__
-_new_state = tuple.__new__
+def _rank_pushes(samples: deque, x: float):
+    """Push `x` into the window `samples` at each step and yield the
+    bucket of its rank among the samples. The first push rescans the
+    window; the rate only changes at training ticks, so later pushes almost
+    always repeat x, and each then moves the counts of samples below and
+    equal to x by the one sample it evicts."""
+    samples.append(x)
+    below = sum(1 for s in samples if s < x)
+    equal = samples.count(x)
+    while equal < len(samples):
+        # x itself is counted in `equal`, so the rank lies in (0, 1) and
+        # the bucket needs no cap
+        yield int((below + 0.5 * equal) / len(samples) * N_QUARTILES)
+        if len(samples) == INTENSITY_SAMPLES:
+            evicted = samples[0]
+            if evicted < x:
+                below -= 1
+            elif evicted == x:
+                equal -= 1
+        samples.append(x)
+        equal += 1
+    # every sample equals x, so none lies below it: the rank is exactly one
+    # half at any length, and a push of x keeps the window so
+    while True:
+        yield _MID_BUCKET
+        samples.append(x)
 
 
 def reward(avg_response_us: float, threshold_us: float) -> float:
@@ -120,14 +142,12 @@ class SpaceAgent:
         self.pending: list[tuple[AgentState, ActionKind]] = []
         self.intensity_samples: deque[float] = deque(maxlen=INTENSITY_SAMPLES)
         self.write_rate = 0.0   # writes/s at the last training tick's summary
-        # each write request's hot flag, oldest first; the flags from
-        # index _hot_folded on are not yet in _hot_count, the hot flags
-        # among the last HOT_WINDOW ones
-        self.hot_flags: list[bool] = []
-        self._hot_folded = 0
+        # the last HOT_WINDOW write requests' hot flags, oldest first, and
+        # how many of them are set
+        self.hot_flags: deque[bool] = deque(maxlen=HOT_WINDOW)
         self._hot_count = 0
-        # the last rate pushed and the `_rank_pushes` of it that ranks every
-        # following push of the same rate
+        # the last rate pushed and the `_rank_pushes` of it over
+        # intensity_samples that ranks every following push of the same rate
         self._rank_value: float | None = None
         self._ranks = None
         # the last observation: its inputs, the AgentState they gave, one
@@ -153,62 +173,25 @@ class SpaceAgent:
     def push_hot_flag(self, hot: bool) -> None:
         """Slide one write request's hot flag into the window."""
         flags = self.hot_flags
+        if len(flags) == HOT_WINDOW and flags[0]:
+            self._hot_count -= 1
         flags.append(hot)
-        if len(flags) > HOT_FLAGS_KEPT:
-            self._fold_hot_flags()
+        if hot:
+            self._hot_count += 1
 
     def hot_write_fraction(self) -> float:
         """Share of hot-flagged requests among the last HOT_WINDOW writes."""
         flags = self.hot_flags
-        if len(flags) != self._hot_folded:
-            self._fold_hot_flags()
         return self._hot_count / len(flags) if flags else 0.0
-
-    def _fold_hot_flags(self) -> None:
-        # count the new flags that stay, uncount the counted ones that slid
-        # out, keep the window
-        flags = self.hot_flags
-        cut = max(len(flags) - HOT_WINDOW, 0)
-        keep, gone = max(self._hot_folded, cut), min(self._hot_folded, cut)
-        self._hot_count += sum(flags[keep:]) - sum(flags[:gone])
-        del flags[:cut]
-        self._hot_folded = len(flags)
 
     def intensity_bucket(self, writes_per_second: float) -> int:
         """Push one writes/sec sample and bucket its rank in the window:
         one step of the rate's `_rank_pushes`."""
         if writes_per_second != self._rank_value:
             self._rank_value = writes_per_second
-            self._ranks = self._rank_pushes(writes_per_second)
+            self._ranks = _rank_pushes(self.intensity_samples,
+                                       writes_per_second)
         return next(self._ranks)
-
-    def _rank_pushes(self, x: float):
-        """Push `x` into the window at each step and yield the bucket of
-        its rank among the samples. The first push rescans the window; the
-        rate only changes at training ticks, so later pushes almost always
-        repeat x, and each then moves the counts of samples below and equal
-        to x by the one sample it evicts."""
-        samples = self.intensity_samples
-        samples.append(x)
-        below = sum(1 for s in samples if s < x)
-        equal = samples.count(x)
-        while equal < len(samples):
-            # x itself is counted in `equal`, so the rank lies in (0, 1)
-            # and the bucket needs no cap
-            yield int((below + 0.5 * equal) / len(samples) * N_QUARTILES)
-            if len(samples) == INTENSITY_SAMPLES:
-                evicted = samples[0]
-                if evicted < x:
-                    below -= 1
-                elif evicted == x:
-                    equal -= 1
-            samples.append(x)
-            equal += 1
-        # every sample equals x, so none lies below it: the rank is exactly
-        # one half at any length, and a push of x keeps the window so
-        while True:
-            yield _MID_BUCKET
-            samples.append(x)
 
     def observe_state(self, free_count: dict, block_tally: dict,
                       write_rate: float,
@@ -247,7 +230,7 @@ class SpaceAgent:
         hot = int(hot_fraction * N_QUARTILES)
         if hot > N_QUARTILES - 1:
             hot = N_QUARTILES - 1
-        state = _new_state(AgentState, (slc, qlc, intensity, hot))
+        state = AgentState(slc, qlc, intensity, hot)
         self._memo_key, self._memo_state = key, state
         self._memo_pairs = {kind: (state, kind) for kind in ACTION_ORDER}
         self._memo_greedy = self.qtable.best_action(state)
@@ -279,6 +262,8 @@ class SpaceAgent:
         that left the device as it was, so it observes the last observation
         again: `state` must be that observation's state. Only its intensity
         sample is new, and the state changes only when its bucket moves.
+        So a call on another state that could draw twice raises ValueError
+        before its first draw.
         """
         rng = self.rng
         random, pending = rng.random, self.pending
@@ -286,6 +271,9 @@ class SpaceAgent:
             counts = dict.fromkeys(ACTION_ORDER, 0)
         if state is self._memo_state:
             pairs, greedy = self._memo_pairs, self._memo_greedy
+        elif skip and limit > 1 and state != self._memo_state:
+            raise ValueError("a draw after a skipped kind observes the last "
+                             "observation again: state must be its state")
         else:
             pairs = {kind: (state, kind) for kind in ACTION_ORDER}
             greedy = self.qtable.best_action(state)

@@ -206,7 +206,9 @@ class VerificationLoop:
                     candidates, default_param_bounds(stack.geometry.page_size),
                     stack.config)
             except (BackendUnavailable, ParseFailure, NoValidUpdate) as exc:
-                failure = exc
+                # only the text: the traceback holds this frame, and so the
+                # stack, in a cycle
+                failure = str(exc)
                 if isinstance(exc, NoValidUpdate):
                     dropped = exc.corrections
         record = partial(

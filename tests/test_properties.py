@@ -25,7 +25,7 @@ from hybridssd.ftl import (ACTION_ORDER, GC_MODES, SAFETY_BOUND, ActionKind,
 import hybridssd.hotness as hotness_module
 from hybridssd.hotness import HotnessClassifier
 from hybridssd.monitor import SlidingWindow
-from hybridssd.replay import SimulatorStack, replay
+from hybridssd.replay import SimulatorStack, _build_report, replay
 from hybridssd.rl import (INTENSITY_SAMPLES, N_QUARTILES, AgentState, QTable,
                           SpaceAgent, reward)
 from hybridssd.ssd import (NO_PAGES, LatencyModel, Mode, SsdState,
@@ -1601,6 +1601,97 @@ def test_reads_of_unmapped_lpns_leave_wa_and_erases_alone(trace_seed,
     assert added.erases == base.erases > 0
     assert added.total_latency_us == base.total_latency_us
     assert added.ftl.unmapped_reads >= base.ftl.unmapped_reads + 500
+
+
+# --- metamorphic relation: whole hotness slices of the lpn space permuted --------
+
+def replay_slice_relabeling(trace_seed, strategy, agent, keep_order):
+    """Replay a trace and the same trace with each written hotness slice
+    moved whole to another slice id; returns both stacks and the slice map.
+    The requests each lie inside one slice, so every span moves with its
+    slice. With `keep_order` the written slices keep their relative order,
+    otherwise they are shuffled."""
+    geo = desk_geometry(channels=2, blocks_per_channel=8,
+                        pages_per_block_slc=8)
+    per_slice = 8
+    slices = initial_layout(geo, 0.5)[1] // per_slice
+    rng = random.Random(trace_seed)
+    # a third of the slices, four of them hot (writes over most of this
+    # device's logical space leave GC no room and fill it)
+    used = rng.sample(range(slices), slices // 3)
+    requests = []
+    for _ in range(1500):
+        first = rng.randrange(per_slice)
+        requests.append((
+            OpKind.WRITE if rng.random() < 0.7 else OpKind.READ,
+            rng.choice(used[:4] if rng.random() < 0.8 else used), first,
+            rng.randint(1, min(3, per_slice - first))))
+    moved = rng.sample(range(slices), len(used))
+    if keep_order:
+        moved.sort()
+        used.sort()
+    relabel = dict(zip(used, moved))
+    config = ConfigProfile(window_size=100, rl_training_interval=50,
+                           kmeans_trigger_threshold=200,
+                           slice_size=PAGE * per_slice,
+                           gc_trigger_threshold=13,
+                           placement_strategy=strategy)
+    stacks = []
+    for slice_of in (lambda s: s, relabel.__getitem__):
+        stack = SimulatorStack(geo, config, latency=FRACTIONAL,
+                               initial_mode_split=0.5)
+        if not agent:
+            stack.ftl.action_source = None
+        for op, s, first, n in requests:
+            stack.service(TraceRecord(
+                op, (slice_of(s) * per_slice + first) * PAGE, n * PAGE))
+        stacks.append(stack)
+    return stacks, relabel
+
+
+def report_but_shifts(stack):
+    # the monitor's lpn std-dev, and so its shift count, reads lpn values
+    report = _build_report(stack, "default", stack.requests, 0,
+                           stack.config, None, None).to_json_dict()
+    del report["shifts_detected"]
+    return report
+
+
+@settings(max_examples=8, deadline=None)
+@given(trace_seed=st.integers(min_value=0, max_value=2**16),
+       strategy=st.sampled_from(list(PlacementStrategy)),
+       agent=st.booleans())
+def test_relabeling_the_written_slices_in_order_moves_only_the_shifts(
+        trace_seed, strategy, agent):
+    # the classifier sees each slice's statistics under its new id, and in
+    # the same order, since K-means seeds from the slice order and sums its
+    # rows in that order: every classification picks the relabeled hot
+    # slices, so each write's hot flag, hotness_based placement, the
+    # agent's hot-write fraction and every decision are as before, and no
+    # part of the FTL reads an lpn's value. Only the shift count may move.
+    (base, moved), relabel = replay_slice_relabeling(trace_seed, strategy,
+                                                     agent, keep_order=True)
+    assert moved.classifier.hot == {relabel[s] for s in base.classifier.hot}
+    assert report_but_shifts(moved) == report_but_shifts(base)
+    assert base.erases and base.classifier.generation > 1
+    assert bool(base.agent.decisions) is agent
+
+
+@settings(max_examples=8, deadline=None)
+@given(trace_seed=st.integers(min_value=0, max_value=2**16))
+def test_any_slice_permutation_moves_only_the_shifts_of_the_fallback(
+        trace_seed):
+    # shuffled slices may change a classification: K-means breaks a tie
+    # between rows, and rounds its sums, by slice order. Under the
+    # fallback with SLC-first placement no decision reads a hot flag, so
+    # every output but the shift count still holds; under hotness_based
+    # placement or the agent the hot flags steer placement or the state,
+    # and such a permutation may move the report
+    (base, moved), _ = replay_slice_relabeling(
+        trace_seed, PlacementStrategy.SLC_FIRST, agent=False,
+        keep_order=False)
+    assert report_but_shifts(moved) == report_but_shifts(base)
+    assert base.erases and base.classifier.generation > 1
 
 
 # --- next-event checks against every check on every request --------------------------

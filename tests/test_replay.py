@@ -18,8 +18,8 @@ from hybridssd.errors import ConfigError
 from hybridssd.hotness import LOG_SPANS
 from hybridssd.replay import (RunReport, SimulatorStack, _build_report,
                               _scale_param, emit_report, replay, run_sweep)
-from hybridssd.rl import HOT_FLAGS_KEPT
-from hybridssd.ssd import FlashGeometry, desk_geometry
+from hybridssd.rl import HOT_WINDOW
+from hybridssd.ssd import FlashGeometry, SsdState, desk_geometry
 from hybridssd.trace import OpKind, TraceRecord, page_span, synth_trace
 from hybridssd.tuner import ScriptedBackend, estimate_tokens
 from hybridssd.verification import EpochSchedule, VerificationLoop
@@ -156,8 +156,8 @@ class TestSimulatorStack:
 
     def test_a_deep_copy_with_unfolded_statistics_replays_as_the_original(
             self):
-        # the monitor, the classifier and the hot flags each hold entries
-        # they have not folded yet when the copy is taken
+        # the monitor and the classifier each hold entries they have not
+        # folded yet when the copy is taken, and the hot flags a full window
         geo = FlashGeometry(channels=8, blocks_per_channel=32,
                             pages_per_block_slc=32)
         config = ConfigProfile(rl_training_interval=50, window_size=64,
@@ -172,13 +172,14 @@ class TestSimulatorStack:
         # each has folded before and holds more since
         assert len(stack.monitor._lpns) > stack.monitor._folded > 0
         assert stack.classifier._lpns and stack.classifier.generation
-        assert len(stack.agent.hot_flags) > stack.agent._hot_folded > 0
+        assert len(stack.agent.hot_flags) == HOT_WINDOW
+        assert 0 < stack.agent._hot_count == sum(stack.agent.hot_flags) \
+            < HOT_WINDOW
         classified = stack.classifier.generation
 
         def bookkeeping(s):
             return copy.deepcopy((vars(s.monitor), vars(s.classifier),
-                                  s.agent.hot_flags, s.agent._hot_folded,
-                                  s.agent._hot_count))
+                                  s.agent.hot_flags, s.agent._hot_count))
 
         twin = copy.deepcopy(stack)
         before = bookkeeping(stack)
@@ -195,19 +196,19 @@ class TestSimulatorStack:
 
     def test_unread_statistics_stay_bounded(self):
         # no training tick, classification or agent draw reads them: the
-        # monitor keeps about twice its capacity, the classifier's log and
-        # the hot flags their fixed bounds
+        # monitor keeps about twice its capacity, the classifier's log its
+        # fixed bound and the hot flags their window
         stack = SimulatorStack(FlashGeometry(), ConfigProfile(
             window_size=16, rl_training_interval=10**7,
             kmeans_trigger_threshold=10**8))
         page = stack.geometry.page_size
         longest = [0, 0, 0]
-        for i in range(2 * HOT_FLAGS_KEPT):
+        for i in range(2 * LOG_SPANS):
             stack.service(TraceRecord(OpKind.WRITE, (i % 1000) * page, page))
             sizes = (len(stack.monitor._lpns), len(stack.classifier._lpns),
                      len(stack.agent.hot_flags))
             longest = [max(a, b) for a, b in zip(longest, sizes)]
-        assert longest == [2 * 16, LOG_SPANS - 1, HOT_FLAGS_KEPT]
+        assert longest == [2 * 16, LOG_SPANS - 1, HOT_WINDOW]
         assert stack.agent.decisions == stack.agent.trainings == 0
         assert stack.monitor.writes == 16
         assert stack.agent.hot_write_fraction() == 0.0
@@ -375,7 +376,7 @@ class TestReplay:
 
     def test_tuned_mode_needs_backend(self, monkeypatch):
         # refused before any device is built
-        devices = watch_devices(monkeypatch)
+        devices = watch(monkeypatch, SsdState)
         with pytest.raises(ConfigError):
             run_small(mode="tuned")
         assert devices == []
@@ -647,17 +648,17 @@ class TestRunSweep:
 
 # --- work left for the cyclic collector -------------------------------------------
 
-def watch_devices(monkeypatch) -> list:
-    """Weak references to the device of every stack built from now on."""
-    devices = []
-    init = SimulatorStack.__init__
+def watch(monkeypatch, cls) -> list:
+    """Weak references to every instance of `cls` built from now on."""
+    built = []
+    init = cls.__init__
 
-    def watched(stack, *args, **kwargs):
-        init(stack, *args, **kwargs)
-        devices.append(weakref.ref(stack.ssd))
+    def watched(obj, *args, **kwargs):
+        init(obj, *args, **kwargs)
+        built.append(weakref.ref(obj))
 
-    monkeypatch.setattr(SimulatorStack, "__init__", watched)
-    return devices
+    monkeypatch.setattr(cls, "__init__", watched)
+    return built
 
 
 class TestCollectorWork:
@@ -685,9 +686,9 @@ class TestCollectorWork:
 
     def test_a_stack_built_directly_frees_its_device(self):
         # the engine's action source is the agent's act, and the agent
-        # holds no reference to the engine or the stack: with the collector
-        # off, dropping a stack that has serviced requests frees its engine
-        # and device at once
+        # holds no reference to the engine, the stack or itself: with the
+        # collector off, dropping a stack that has serviced requests frees
+        # its engine, device and agent at once
         geo = FlashGeometry(channels=8, blocks_per_channel=32,
                             pages_per_block_slc=32)
         stack = SimulatorStack(geo, ConfigProfile())
@@ -700,16 +701,17 @@ class TestCollectorWork:
             for record in records:
                 stack.service(record)
             assert stack.agent.decisions > 1000
-            refs = [weakref.ref(stack.ftl), weakref.ref(stack.ssd)]
+            refs = [weakref.ref(stack.ftl), weakref.ref(stack.ssd),
+                    weakref.ref(stack.agent)]
             del stack
-            assert [ref() for ref in refs] == [None, None]
+            assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()
 
     def test_a_finished_replay_frees_its_device(self, monkeypatch):
         # nothing outside replay() keeps its stack, so reference counting
         # alone frees each device, one replay or sweep row at a time
-        devices = watch_devices(monkeypatch)
+        devices = watch(monkeypatch, SsdState)
         records = small_trace(1500, seed=7)
         gc.collect()
         gc.disable()
@@ -729,8 +731,28 @@ class TestCollectorWork:
         finally:
             gc.enable()
 
+    def test_a_tuned_replay_with_a_rejected_epoch_frees_its_stack(
+            self, monkeypatch):
+        # a rejected epoch keeps the text of the error it caught, not the
+        # error, whose traceback holds the epoch's frame and so the stack
+        devices = watch(monkeypatch, SsdState)
+        loops = watch(monkeypatch, VerificationLoop)
+        gc.collect()
+        gc.disable()
+        try:
+            report = run_small(small_trace(1500, seed=7), mode="tuned",
+                               backend=ScriptedBackend([GOOD_REPLY, "none"]),
+                               schedule=EpochSchedule(
+                                   tuning_interval_writes=300,
+                                   investigation_ops=100, max_epochs=2))
+            assert [e["verdict"] for e in report.epochs][-1] == "rejected"
+            assert [ref() for ref in devices + loops] == [None, None]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_a_failed_replay_frees_its_device(self, monkeypatch):
-        devices = watch_devices(monkeypatch)
+        devices = watch(monkeypatch, SsdState)
         records = small_trace(400, seed=7)
 
         class Unreadable(list):

@@ -158,6 +158,28 @@ class TestAgent:
             assert pair[0] is pending[0][0]
             assert pair is next(p for p in pending if p[1] is kind)
 
+    def test_a_streak_on_a_state_not_observed_last_is_refused(self):
+        # a draw after a skipped kind observes the last observation again,
+        # so a call on another state that may draw twice cannot start
+        agent = SpaceAgent(random.Random(11))
+        skip = {ActionKind.SLC_INTERNAL_GC}
+        with pytest.raises(ValueError):
+            agent.choose_action(S0, 0.0, skip, limit=3)
+        free = {Mode.SLC: 3, Mode.QLC: 9}
+        tally = {Mode.SLC: 10, Mode.QLC: 30}
+        observed = agent.observe_state(free, tally, 0.0, 0.5)
+        assert observed != S0
+        with pytest.raises(ValueError):
+            agent.choose_action(S0, 0.0, skip, limit=3)
+        assert agent.pending == [] and agent.decisions == 0
+        # one draw, an empty skip or the observed state itself can all go
+        assert agent.choose_action(S0, 0.0, skip, limit=1) == (None, 1)
+        assert agent.choose_action(S0, 0.0, (), limit=3) == (
+            ActionKind.SLC_INTERNAL_GC, 1)
+        assert agent.choose_action(AgentState(*observed), 0.0, skip,
+                                   limit=3) == (None, 3)
+        assert [pair[0] for pair in agent.pending] == [S0, S0] + [observed] * 3
+
     def test_train_without_decisions_is_none(self):
         agent = SpaceAgent(random.Random(5))
         assert agent.train(10.0, S0, ConfigProfile()) is None
