@@ -840,6 +840,19 @@ def trace_lines(draw, fmt):
                        "5,hm,0,Scrub,0,512,1", "5,hm,0,Read,-5,512,1",
                        "nan,hm,0,Read,0,512,1", "inf,hm,0,Read,0,512,1",
                        "1,hm,0,Read,1e999,512,1", "1,hm,0,Read,0,inf,1"]))
+# one junk op spelling, malformed on every line it appears on
+@example(case=("msr", ["1,hm,0,Scrub,0,512,1", "2,hm,0,Read,512,512,1",
+                       "3,hm,0,Scrub,1024,512,1", "4,hm,0,Scrub,0,512,1"]))
+# three spellings of a write, each seen again after the others
+@example(case=("msr", ["1,hm,0, w ,0,512,1", "2,hm,0,W,512,512,1",
+                       "3,hm,0,write,1024,512,1", "4,hm,0,W,0,512,1",
+                       "5,hm,0, w ,512,512,1", "6,hm,0,write,0,4096,1"]))
+# timestamps that never decrease, ties included
+@example(case=("oltp", ["0,0,512,R,1", "0,1,512,W,1", "0,2,512,R,2.5",
+                        "0,3,512,W,2.5", "0,4,512,R,9"]))
+# a last line earlier than every line before it
+@example(case=("fiu", ["5 1 p 0 1 W", "7 1 p 1 1 R", "7 1 p 2 1 W",
+                       "9 1 p 3 1 R", "1 1 p 4 1 W"]))
 def test_load_trace_matches_the_per_line_parser(case):
     fmt, lines = case
     with tempfile.TemporaryDirectory() as tmp:

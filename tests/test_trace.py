@@ -1,27 +1,38 @@
 import dataclasses
+import logging
 
 import pytest
 
-from hybridssd import FORMATS, OpKind, load_trace, page_span, synth_trace
-from hybridssd.trace import TraceRecord, parse_trace_line
+from hybridssd import OpKind, load_trace, page_span, synth_trace
+from hybridssd.trace import TraceRecord
 from oracles import reference_synth_trace
 
 PAGE = 16384
+
+
+def read_lines(tmp_path, fmt, *lines):
+    """`lines` written as a `fmt` trace file and read back with
+    `load_trace`: (records, skipped line count)."""
+    path = tmp_path / f"trace.{fmt}"
+    path.write_text("".join(line + "\n" for line in lines))
+    return load_trace(path, fmt)
 
 
 class TestMsrFormat:
     # timestamp,hostname,disknum,type,offset,size,responsetime
     LINE = "128166372003061629,hm,0,Write,328192,4096,419"
 
-    def test_parses_columns(self):
-        ts, r = parse_trace_line(FORMATS["msr"], self.LINE)
-        assert r == TraceRecord(OpKind.WRITE, 328192, 4096)
-        # 100ns ticks -> us
-        assert ts == pytest.approx(128166372003061629 * 0.1)
+    def test_parses_columns(self, tmp_path):
+        assert read_lines(tmp_path, "msr", self.LINE) == (
+            [TraceRecord(OpKind.WRITE, 328192, 4096)], 0)
+        # the first column orders the records
+        records, _ = read_lines(tmp_path, "msr", self.LINE,
+                                "128166372000000000,hm,0,Read,0,512,1")
+        assert [r.offset for r in records] == [0, 328192]
 
-    def test_read_op(self):
-        _, r = parse_trace_line(FORMATS["msr"], "1,hm,0,Read,0,512,10")
-        assert r.op is OpKind.READ
+    def test_read_op(self, tmp_path):
+        records, _ = read_lines(tmp_path, "msr", "1,hm,0,Read,0,512,10")
+        assert records[0].op is OpKind.READ
 
     @pytest.mark.parametrize("line", [
         "",                                   # empty
@@ -31,32 +42,37 @@ class TestMsrFormat:
         "1,hm,0,Write,-5,4096,419",           # negative offset
         "1,hm,0,Write,328192,0,419",          # zero size
     ])
-    def test_malformed_lines_return_none(self, line):
-        assert parse_trace_line(FORMATS["msr"], line) is None
+    def test_malformed_lines_return_none(self, tmp_path, line):
+        # no record; a blank line is no skip either
+        assert read_lines(tmp_path, "msr", line) == ([], 1 if line else 0)
 
 
 class TestFiuFormat:
     # ts(s) pid process lba(512) size(512) op major minor md5
     LINE = "0.025 4892 cp 1203934 8 W 8 16 abcd"
 
-    def test_parses_columns(self):
-        ts, r = parse_trace_line(FORMATS["fiu"], self.LINE)
-        assert r == TraceRecord(OpKind.WRITE, 1203934 * 512, 8 * 512)
-        assert ts == pytest.approx(0.025 * 1e6)
+    def test_parses_columns(self, tmp_path):
+        assert read_lines(tmp_path, "fiu", self.LINE) == (
+            [TraceRecord(OpKind.WRITE, 1203934 * 512, 8 * 512)], 0)
+        # seconds scale to us: 1e303 s is no finite number of us
+        assert read_lines(tmp_path, "fiu",
+                          "1e303 4892 cp 1203934 8 W 8 16 abcd") == ([], 1)
 
-    def test_read_op(self):
-        _, r = parse_trace_line(FORMATS["fiu"], "1.5 1 x 100 8 R 8 16 md5")
-        assert r.op is OpKind.READ
+    def test_read_op(self, tmp_path):
+        records, _ = read_lines(tmp_path, "fiu", "1.5 1 x 100 8 R 8 16 md5")
+        assert records[0].op is OpKind.READ
 
 
 class TestOltpFormat:
     # appid,lba(512),size(bytes),op,ts(s)
     LINE = "0,12345,8192,W,1.75"
 
-    def test_parses_columns(self):
-        ts, r = parse_trace_line(FORMATS["oltp"], self.LINE)
-        assert r == TraceRecord(OpKind.WRITE, 12345 * 512, 8192)
-        assert ts == pytest.approx(1.75 * 1e6)
+    def test_parses_columns(self, tmp_path):
+        assert read_lines(tmp_path, "oltp", self.LINE) == (
+            [TraceRecord(OpKind.WRITE, 12345 * 512, 8192)], 0)
+        # the last column orders the records
+        records, _ = read_lines(tmp_path, "oltp", self.LINE, "0,1,512,R,1.5")
+        assert [r.offset for r in records] == [512, 12345 * 512]
 
 
 class TestTraceRecord:
@@ -120,6 +136,33 @@ class TestLoadTrace:
         assert records == [TraceRecord(OpKind.WRITE, 0, 4096),
                            TraceRecord(OpKind.READ, 4096, 4096)]
 
+    def test_warns_for_the_first_five_malformed_lines(self, tmp_path,
+                                                       caplog):
+        # line numbers count from 1 and count the BOM'd first line, blank
+        # lines and comments
+        p = tmp_path / "t.csv"
+        p.write_text("\n".join([
+            "# timestamp,hostname,disk,type,offset,size,response",  # 1
+            "1,hm,0,Write,0,4096,1",
+            "garbage line",                                         # 3
+            "",
+            "2,hm,0,Scrub,0,4096,1",                                # 5
+            "# a comment",
+            "   ",
+            "x,hm,0,Read,0,4096,1",                                 # 8
+            "3,hm,0,Read,0,4096,1",
+            "4,hm,0,Read,-5,4096,1",                                # 10
+            "5,hm,0,Read,0",                                        # 11
+            "6,hm,0,Read,0,0,1",                                    # 12
+            "nan,hm,0,Read,0,4096,1",                               # 13
+        ]) + "\n", encoding="utf-8-sig")
+        with caplog.at_level(logging.WARNING, logger="hybridssd.trace"):
+            records, skipped = load_trace(p, "msr")
+        assert (len(records), skipped) == (2, 7)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, f"{p}:{n}: skipping malformed line")
+            for n in (3, 5, 8, 10, 11)]
+
     def test_unknown_format_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("1\n")
@@ -173,6 +216,14 @@ class TestSynthTrace:
         # counts as malformed
         with pytest.raises(ValueError, match="size_pages"):
             synth_trace(3, 100, PAGE, size_pages=size_pages)
+
+    @pytest.mark.parametrize("page_size", [0, -4096, 4096.5, "4096"])
+    def test_a_page_size_that_is_no_positive_integer_is_refused(
+            self, page_size):
+        # 0 yielded size-0 records, -4096 negative offsets and sizes,
+        # 4096.5 float offsets
+        with pytest.raises(ValueError, match="page_size"):
+            synth_trace(3, 100, page_size)
 
 
 class TestPageSpan:
