@@ -38,6 +38,8 @@ SLC_FIRST = PlacementStrategy.SLC_FIRST
 
 # fixed enumeration order; argmax tie-breaks and fuzz tables rely on it
 ACTION_ORDER = tuple(ActionKind)
+# the kinds that can act, in that order: all but IDLE
+SPACE_KINDS = ACTION_ORDER[:-1]
 
 # GC action -> (victim mode, destination mode of its migrated pages)
 GC_MODES = {
@@ -75,8 +77,9 @@ def write_amplification(device_pages: int, host_pages: int) -> float | None:
 def fallback_source(ftl: FtlEngine, skip, limit: int
                     ) -> tuple[ActionKind, int]:
     """The action source without an agent: the engine's fixed greedy
-    order. It picks only kinds that act now, never an ineligible
-    conversion, so no pick of it joins `skip` and it draws once."""
+    order. It ignores `skip` and picks the first kind that acts now, so
+    it draws once; the engine passes it an empty `skip` and tests only
+    the kinds this order reaches."""
     kind = ftl._fallback_action()
     ftl.action_counts[kind] += 1
     return kind, 1
@@ -94,12 +97,12 @@ class FtlEngine:
 
     Space management calls the source once per executed action, and once
     for the IDLE or the limit that ends it. `skip` holds the kinds that
-    would be zero outcomes: those whose last attempt changed nothing, and
-    a conversion that is not eligible. A source must not change device
-    state, so the device stays as it was across the draws of one call. The
-    agent counts on it: its memo of the last observation serves every draw
-    after the first, and only the intensity sample each draw pushes can
-    move its state.
+    would not act when the call starts (`_acts`), computed afresh after
+    each executed action, so every kind the source returns acts. A source
+    must not change device state, so the device stays as it was across
+    the draws of one call and `skip` stays true. The agent counts on it:
+    its memo of the last observation serves every draw after the first,
+    and only the intensity sample each draw pushes can move its state.
 
     An engine is built on a fresh device: no page written, no block
     erased, ids [0, n_slc) in SLC and the rest in QLC. It pools every
@@ -446,16 +449,21 @@ class FtlEngine:
     def mc_eligible(self) -> bool:
         return self.free_count[SLC] < self.mc_trigger_blocks
 
+    def _acts(self, kind: ActionKind) -> bool:
+        """Would `execute_action(kind)` change the device now, for a kind
+        of SPACE_KINDS? A GC kind acts when it has a victim that fits, a
+        conversion when it is eligible and a free SLC block exists."""
+        if kind is SLC_TO_QLC_MC:
+            return self.mc_eligible() and self.free_count[SLC] > 0
+        return self._victim_fits(*GC_MODES[kind])
+
     def _fallback_action(self) -> ActionKind:
-        # fixed greedy order keeps the engine usable without an agent; only
-        # actions that can actually execute right now are considered
-        for kind in ACTION_ORDER:
-            if kind is SLC_TO_QLC_MC:
-                if self.mc_eligible() and self.free_block_count(SLC) > 0:
-                    return kind
-            elif kind in GC_MODES:
-                if self._gc_victim(*GC_MODES[kind]) is not None:
-                    return kind
+        """The first kind in ACTION_ORDER that acts, else IDLE: a fixed
+        greedy order keeps the engine usable without an agent. It tests
+        no kind past the one it returns."""
+        for kind in SPACE_KINDS:
+            if self._acts(kind):
+                return kind
         return IDLE
 
     def _space_management(self, forced: bool = False) -> float:
@@ -463,27 +471,29 @@ class FtlEngine:
         region holds space (`forced`, called only when none does) or no
         region is below the trigger. Returns the actions' latency.
 
-        A kind with a zero outcome changed nothing, so until an action
-        acts it stays a zero outcome and the stop test keeps its answer:
-        it joins `skip`, and the source draws past it."""
+        Each round hands the source, as `skip`, the kinds that would not
+        act: a zero outcome would leave the device and the stop test as
+        they are, so the source draws past them and every executed action
+        acts. A drawn kind that is skipped counts as an ineffective
+        action."""
         if not forced and not self._regions_below_threshold():
             return 0.0
         total = 0.0
         # a full device is a survival situation, not a policy decision:
         # the forced path always uses the deterministic fallback
-        source = (fallback_source if forced or self.action_source is None
-                  else self.action_source)
+        source = self.action_source
+        if forced or source is None:
+            source = fallback_source
         rounds = 0
-        skip = None     # None: the last action acted (or none ran yet)
         while rounds < SAFETY_BOUND:
-            if skip is None:
-                # round 0 is past its stop test: the one above, or the
-                # caller's
-                if rounds and ((self._has_space(SLC) or self._has_space(QLC))
-                               if forced
-                               else not self._regions_below_threshold()):
-                    return total
-                skip = set() if self.mc_eligible() else {SLC_TO_QLC_MC}
+            # round 0 is past its stop test: the one above, or the caller's
+            if rounds and ((self._has_space(SLC) or self._has_space(QLC))
+                           if forced
+                           else not self._regions_below_threshold()):
+                return total
+            # the fallback finds its kind lazily and skips nothing
+            skip = (() if source is fallback_source else
+                    {kind for kind in SPACE_KINDS if not self._acts(kind)})
             kind, draws = source(self, skip, SAFETY_BOUND - rounds)
             rounds += draws
             if kind is None:
@@ -494,13 +504,7 @@ class FtlEngine:
             self.ineffective_actions += draws - 1
             if kind is IDLE:
                 return total
-            outcome = self.execute_action(kind)
-            total += outcome.latency_us
-            if outcome.effective:
-                skip = None
-            else:
-                skip.add(kind)
-                self.ineffective_actions += 1
+            total += self.execute_action(kind).latency_us
         # SAFETY_BOUND draws and still short of space
         self.capacity_pressure_warnings += 1
         return total
@@ -515,18 +519,26 @@ class FtlEngine:
             return None
         return min(buckets[min(buckets)], key=self._wear_key)
 
+    def _victim_fits(self, src: Mode, dst: Mode) -> bool:
+        """Does `src` hold a victim whose valid pages fit in `dst`? Every
+        block of the fewest-valid bucket holds its key's valid pages. A
+        GC kind's `dst` is `src`'s mode or QLC, so a free `dst` block alone
+        holds `block_pages[src]` pages or more, and a victim, with an
+        invalid page, fewer valid ones: the free pages of `dst` are summed
+        only when it has no free block."""
+        buckets = self.ssd.reclaimable[src]
+        return bool(buckets) and (self.free_count[dst] > 0
+                                  or min(buckets) <= self._free_pages(dst))
+
     def _gc_victim(self, src: Mode, dst: Mode) -> int | None:
         """`select_victim(src)` if its valid pages fit in `dst`, else None."""
-        victim = self.select_victim(src)
-        if (victim is None or self.ssd.valid_count[victim]
-                > self._free_pages(dst)):
-            return None
-        return victim
+        return self.select_victim(src) if self._victim_fits(src, dst) else None
 
     def execute_action(self, kind: ActionKind) -> ActionOutcome:
         """Apply one space-management action, repeated up to the config's
         granularity for its kind; never fatal on unmet preconditions, just a
-        zero outcome (the agent may pick bad actions)."""
+        zero outcome. Space management executes only kinds that act, but
+        a caller may pass any kind."""
         out = ActionOutcome()
         if kind in GC_MODES:
             for _ in range(self._config.gc_granularity):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from operator import eq
 
 from .errors import AuditError, GeometryError, PageStateError
@@ -285,33 +285,38 @@ class SsdState:
         page of `src` once and no other page, and its appends must fit
         their blocks' free pages, none of them `src`. The source pages are
         never marked invalid one by one: `src` is filed at zero valid pages
-        and `erase_block` clears them.
+        and `erase_block` clears them. One pass over the plan checks its
+        appends and gathers their lpns and the PPNs those take; one lookup
+        and one sort of the old PPNs check the lpns, and one update of the
+        mapping moves them.
         """
         n_blocks = len(self.mode)
         if not 0 <= src < n_blocks:
             raise self._outside(src)
         pages, shift = self.pages, self.shift
         block_pages, modes = self.block_pages, self.mode
-        room: dict[int, int] = {}   # free pages the plan leaves so far
-        spans = []                  # the PPNs each append takes
+        ends: dict[int, int] = {}   # each target's write pointer so far
+        moved_lpns: list[int] = []  # the plan's lpns, in order
+        targets: list[int] = []     # the PPN each of them takes
         for block_id, lpns in plan:
             if not 0 <= block_id < n_blocks:
                 raise self._outside(block_id)
             if block_id == src:
                 raise PageStateError(f"block {src} relocated into itself")
-            free = room.get(block_id)
-            if free is None:
-                free = self.free_pages(block_id)
+            at = ends.get(block_id)
+            if at is None:
+                at = len(pages[block_id])
             n = len(lpns)
-            if n > free:
-                raise PageStateError(
-                    f"block {block_id}: {n} pages past its {free} free ones")
-            room[block_id] = free - n
-            start = block_id << shift | block_pages[modes[block_id]] - free
-            spans.append(range(start, start + n))
+            end = ends[block_id] = at + n
+            capacity = block_pages[modes[block_id]]
+            if end > capacity:
+                raise PageStateError(f"block {block_id}: {n} pages past its "
+                                     f"{capacity - at} free ones")
+            start = block_id << shift | at
+            moved_lpns += lpns
+            targets += range(start, start + n)
         try:
-            ppns = list(map(self.mapping.__getitem__,   # C-level
-                            chain.from_iterable(lpns for _, lpns in plan)))
+            ppns = list(map(self.mapping.__getitem__, moved_lpns))  # C-level
         except KeyError as exc:
             raise PageStateError(
                 f"relocation of unmapped lpn {exc.args[0]}") from None
@@ -347,8 +352,7 @@ class SsdState:
             count = valid_count[block_id] = valid_count[block_id] + len(lpns)
             if end == block_pages[modes[block_id]] and count < end:
                 self._refile(block_id, None, count)
-        self.mapping.update(zip(chain.from_iterable(lpns for _, lpns in plan),
-                                chain.from_iterable(spans)))
+        self.mapping.update(zip(moved_lpns, targets))
         self.device_pages_written += moved
         return self.erase_block(src)
 

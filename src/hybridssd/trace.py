@@ -100,7 +100,9 @@ def load_trace(path, fmt: str) -> tuple[list[TraceRecord], int]:
     malformed if it splits into too few fields, a number does not parse or
     overflows, its op is neither a read nor a write spelling, or its
     timestamp is negative or not finite, its offset negative or its size
-    not positive. The first five malformed lines are logged with their
+    not positive. An offset or size that spells an integer is read exactly,
+    at any size; another number, such as "4096.0" or "7e3", counts by its
+    integer part. The first five malformed lines are logged with their
     1-based line numbers.
     """
     spec = FORMATS.get(fmt)
@@ -141,8 +143,16 @@ def load_trace(path, fmt: str) -> tuple[list[TraceRecord], int]:
                         op = ops[op_text] = WRITE
                 try:
                     ts = float(parts[ts_col]) * ts_scale
-                    offset = int(float(parts[offset_col])) * offset_scale
-                    size = int(float(parts[size_col])) * size_scale
+                    text = parts[offset_col]
+                    try:
+                        offset = int(text) * offset_scale
+                    except ValueError:
+                        offset = int(float(text)) * offset_scale
+                    text = parts[size_col]
+                    try:
+                        size = int(text) * size_scale
+                    except ValueError:
+                        size = int(float(text)) * size_scale
                 except (ValueError, OverflowError):
                     op = None
                 # a NaN fails both comparisons of the timestamp's range

@@ -1099,6 +1099,15 @@ class PerBlockDevice:
                 for mode, by_channel in pools.items()}
 
 
+def reference_int(text):
+    """A trace's integer field: `text` as an int if it spells one, exact
+    at any size, else a float's integer part."""
+    try:
+        return int(text)
+    except ValueError:
+        return int(float(text))
+
+
 def reference_parse_line(spec, line, read, write):
     """One trace line as (timestamp in us, (op, offset, size)), or None:
     the column count recomputed from the spec's columns on every line."""
@@ -1109,8 +1118,8 @@ def reference_parse_line(spec, line, read, write):
         return None
     try:
         ts = float(parts[spec.ts_col]) * spec.ts_scale_us
-        offset = int(float(parts[spec.offset_col])) * spec.offset_scale
-        size = int(float(parts[spec.size_col])) * spec.size_scale
+        offset = reference_int(parts[spec.offset_col]) * spec.offset_scale
+        size = reference_int(parts[spec.size_col]) * spec.size_scale
     except (ValueError, OverflowError):
         return None
     op_text = parts[spec.op_col].strip().lower()

@@ -1,4 +1,5 @@
 """Property-based invariants over randomized inputs."""
+import copy
 import json
 import math
 import random
@@ -637,6 +638,99 @@ def test_skipping_futile_repeats_matches_executing_every_pick(
         fill_fraction)
 
 
+# --- every executed action acts -------------------------------------------------------------
+
+def gc_victim_by_definition(ftl, src, dst):
+    """`_gc_victim`'s definition: `select_victim(src)` if its valid pages
+    fit in the free pages of `dst`, else None."""
+    victim = ftl.select_victim(src)
+    if victim is None or ftl.ssd.valid_count[victim] > ftl._free_pages(dst):
+        return None
+    return victim
+
+
+def assert_gc_victims_by_definition(ftl):
+    for src, dst in GC_MODES.values():
+        assert ftl._gc_victim(src, dst) == gc_victim_by_definition(
+            ftl, src, dst)
+
+
+def run_checked_rounds(agent, epsilon, stay, channels, blocks, ppb, op_ratio,
+                       split, strategy, gc_trigger, gc_granularity,
+                       picker_seed, fill_fraction, writes):
+    """Fill an engine and service `writes` under the agent or a sticky
+    scripted source, checking at each draw call that `skip` names exactly
+    the kinds whose execution, tried on a copy of the engine, changes
+    nothing, and an ineligible conversion, and that `_gc_victim` keeps its
+    definition. Returns the skip sets seen and the executed outcomes."""
+    seed = picker_seed or 0
+    ftl = twin_engine_factory(channels, blocks, ppb, op_ratio, split,
+                              strategy, gc_trigger, gc_granularity, seed,
+                              stay)()
+    if agent:
+        ftl.config = replace(ftl.config, rl_exploration=epsilon)
+        ftl.action_source = SpaceAgent(random.Random(seed)).act
+    source, execute = ftl.action_source, ftl.execute_action
+    skips, outcomes = [], []
+
+    def checking_source(ftl, skip, limit):
+        assert_gc_victims_by_definition(ftl)
+        for kind in ACTION_ORDER:
+            trial = copy.deepcopy(ftl)
+            acted = (FtlEngine.execute_action(trial, kind).effective
+                     and (kind is not ActionKind.SLC_TO_QLC_MC
+                          or ftl.mc_eligible()))
+            assert acted is (kind is not ActionKind.IDLE
+                             and kind not in skip), kind
+        skips.append(set(skip))
+        return source(ftl, skip, limit)
+
+    def recording(kind):
+        outcomes.append(execute(kind))
+        return outcomes[-1]
+
+    ftl.action_source, ftl.execute_action = checking_source, recording
+    logical = ftl.ssd.logical_capacity_pages
+    ftl.fill(int(logical * fill_fraction))
+    for lpn, n, hot in writes:
+        if not logical:
+            break
+        lpn %= logical
+        try:
+            ftl.handle_write(lpn, min(n, logical - lpn), hot=hot)
+        except CapacityError:
+            break
+        assert_gc_victims_by_definition(ftl)
+    return skips, outcomes
+
+
+@settings(max_examples=40, deadline=None)
+@given(agent=st.booleans(), epsilon=st.sampled_from([0.1, 0.5, 1.0]),
+       stay=st.sampled_from([0.0, 0.5, 0.9]), **twin_geometry)
+@example(agent=True, epsilon=0.5, stay=0.0, **PINNED_MIGRATION)
+@example(agent=False, epsilon=0.5, stay=0.9, **PINNED_MIGRATION)
+def test_a_round_executes_only_kinds_that_act(
+        agent, epsilon, stay, channels, blocks, ppb, op_ratio, split,
+        strategy, gc_trigger, gc_granularity, picker_seed, fill_fraction,
+        writes):
+    _, outcomes = run_checked_rounds(
+        agent, epsilon, stay, channels, blocks, ppb, op_ratio, split,
+        strategy, gc_trigger, gc_granularity, picker_seed, fill_fraction,
+        writes)
+    # forced rounds included: the fallback picks only kinds that act
+    assert all(outcome.effective for outcome in outcomes)
+
+
+@pytest.mark.parametrize("agent", [True, False])
+def test_pinned_rounds_skip_and_execute(agent):
+    skips, outcomes = run_checked_rounds(agent, 0.5, 0.9, **PINNED_MIGRATION)
+    # rounds with one kind skipped up to all four, and GC as well as
+    # conversions executed
+    assert {len(skip) for skip in skips} == {1, 2, 3, 4}
+    assert any(out.pages_migrated for out in outcomes)
+    assert any(out.blocks_converted for out in outcomes)
+
+
 # --- the host path per span -----------------------------------------------------------
 
 def per_page_host_path(ftl):
@@ -853,6 +947,12 @@ def trace_lines(draw, fmt):
 # a last line earlier than every line before it
 @example(case=("fiu", ["5 1 p 0 1 W", "7 1 p 1 1 R", "7 1 p 2 1 W",
                        "9 1 p 3 1 R", "1 1 p 4 1 W"]))
+# integers past float precision, plain and with a decimal point, and
+# numbers that are no integer spelling
+@example(case=("msr", ["1,hm,0,Write,9007199254740993,4096,1",
+                       "2,hm,0,Read,16384.0,7e3,1",
+                       "3,hm,0,Read,9007199254740993.0,512,1",
+                       "4,hm,0,Read,0,nan,1", "5,hm,0,Read,0x10,512,1"]))
 def test_load_trace_matches_the_per_line_parser(case):
     fmt, lines = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -125,6 +125,24 @@ class TestLoadTrace:
         assert records == [TraceRecord(OpKind.READ, 0, 4096),
                            TraceRecord(OpKind.WRITE, 16384, 4096)]
 
+    def test_integer_fields_are_exact_past_float_precision(self, tmp_path):
+        # 2**53 + 1 has no float: through float it would read 2**53
+        big = 2**53 + 1
+        p = tmp_path / "t.csv"
+        p.write_text(f"1,hm,0,Write,{big},4096,1\n"
+                     f"2,hm,0,Read,0,{big},1\n"
+                     f"3,hm,0,Read,16384.0,7e3,1\n"
+                     f"4,hm,0,Read,{big}.0,512,1\n")
+        records, skipped = load_trace(p, "msr")
+        assert skipped == 0
+        assert records == [TraceRecord(OpKind.WRITE, big, 4096),
+                           TraceRecord(OpKind.READ, 0, big),
+                           TraceRecord(OpKind.READ, 16384, 7000),
+                           TraceRecord(OpKind.READ, 2**53, 512)]
+        # a sector count scales after it is read
+        assert read_lines(tmp_path, "fiu", f"1 1 p {big} 8 W") == (
+            [TraceRecord(OpKind.WRITE, big * 512, 8 * 512)], 0)
+
     def test_a_byte_order_mark_is_no_part_of_the_first_line(self, tmp_path):
         # a BOM before the first timestamp would make it no number
         p = tmp_path / "t.csv"
